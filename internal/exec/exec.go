@@ -934,8 +934,8 @@ func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
 // which must Release it when done (Release is a no-op on unpooled frames,
 // so the discipline is universal). Pooled frames originate only in audited
 // paths — fused kernel outputs, the output-scaling destination, and the
-// materialize decoder — while cursor/source frames stay unpooled (the GOP
-// cache may hold them indefinitely).
+// blur destination, and the materialize decoder — while cursor/source
+// frames stay unpooled (the GOP cache may hold them indefinitely).
 type segmentRunner struct {
 	p       *plan.Plan
 	seg     *plan.Segment
@@ -1012,7 +1012,7 @@ func (r *segmentRunner) renderAt(t rational.Rat) (fr *frame.Frame, err error) {
 
 // nodeRunner carries per-node execution state: the intermediate codec pair
 // for materialized boundaries, the rendered child frames, the reusable
-// evaluation environment, and the fused-kernel scratch state.
+// evaluation environment, and the fused-kernel and blur scratch state.
 type nodeRunner struct {
 	run      *segmentRunner
 	node     *plan.Node
@@ -1025,6 +1025,9 @@ type nodeRunner struct {
 	// state (grade LUTs) across frames, keyed by the stage's arguments.
 	ops    []raster.PointOp
 	stages []fusedStageState
+
+	// blur is set when the node's expression is blur(frame, sigma).
+	blur *blurState
 
 	enc        *codec.Encoder
 	dec        *codec.Decoder
@@ -1042,6 +1045,16 @@ type fusedStageState struct {
 	gradeC  float64
 	gradeS  float64
 	gradeOK bool
+}
+
+// blurState is the per-node state of a blur(frame, sigma) node: the two
+// argument expressions, the kernel of the last sigma seen (a constant in
+// every paper query, so built once), and the kernel's working memory.
+type blurState struct {
+	src, sigma  vql.Expr
+	kernel      raster.BlurKernel
+	kernelSigma float64 // sigma kernel was built for; 0 before the first frame
+	scratch     raster.BlurScratch
 }
 
 func (r *segmentRunner) buildRunner(n *plan.Node) *nodeRunner {
@@ -1068,6 +1081,9 @@ func (r *segmentRunner) buildRunner(n *plan.Node) *nodeRunner {
 	if n.Fused != nil {
 		nr.ops = make([]raster.PointOp, len(n.Fused))
 		nr.stages = make([]fusedStageState, len(n.Fused))
+	}
+	if call, ok := n.Expr.(vql.Call); ok && call.Name == "blur" && len(call.Args) == 2 {
+		nr.blur = &blurState{src: call.Args[0], sigma: call.Args[1]}
 	}
 	return nr
 }
@@ -1138,6 +1154,12 @@ func (nr *nodeRunner) renderAt(t rational.Rat) (*frame.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
+	case nr.blur != nil:
+		var err error
+		fr, err = nr.renderBlur(t)
+		if err != nil {
+			return nil, err
+		}
 	default:
 		if err := nr.renderChildren(t); err != nil {
 			return nil, err
@@ -1195,6 +1217,46 @@ func (nr *nodeRunner) renderFused(t rational.Rat) (*frame.Frame, error) {
 	raster.ApplyFused(dst, base, nr.ops)
 	// dst comes from the pool, so it never aliases a child frame.
 	releaseFrames(nr.frames, nil)
+	nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(dst.Pix)), time.Since(fltStart))
+	return dst, nil
+}
+
+// renderBlur executes a blur(frame, sigma) node without the transform
+// registry's allocating raster.GaussianBlur: the frame argument evaluates
+// as usual, the Gaussian kernel is rebuilt only when sigma changes, and
+// raster.BlurInto writes into a pooled destination through the node's
+// scratch — the same pixels, with nothing allocated per frame.
+//
+//v2v:hotpath
+func (nr *nodeRunner) renderBlur(t rational.Rat) (*frame.Frame, error) {
+	if err := nr.renderChildren(t); err != nil {
+		return nil, err
+	}
+	b := nr.blur
+	nr.env.T = t
+	// As for any filter node, the stage wall covers evaluating the frame
+	// argument; source taps inside it also count under the decode stage.
+	fltStart := time.Now()
+	src, err := nr.evalFrame(b.src)
+	var sigma float64
+	if err == nil {
+		sigma, err = nr.evalFloat(b.sigma)
+	}
+	if err != nil {
+		releaseFrames(nr.frames, nil)
+		return nil, fmt.Errorf("exec: filter %s at t=%s: %w", nr.node.Expr, t, err) //v2v:nolint(hotpath) cold error path; allocates only when an argument fails to evaluate
+	}
+	dst := src // sigma <= 0 is the identity, passed through like GaussianBlur does
+	if sigma > 0 {
+		if sigma != b.kernelSigma {
+			b.kernel, b.kernelSigma = raster.GaussianKernel(sigma), sigma
+		}
+		dst = nr.run.pool.Get(src.W, src.H, frame.FormatYUV420)
+		raster.BlurInto(dst, src, b.kernel, &b.scratch)
+	}
+	// src is either a child's frame (released here unless passed through)
+	// or an unpooled source or transform result, which Release ignores.
+	releaseFrames(nr.frames, dst)
 	nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(dst.Pix)), time.Since(fltStart))
 	return dst, nil
 }

@@ -36,6 +36,15 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
+// optOptions is the full optimizer pinned to one shard per segment, so the
+// plan shape — and with it decode volume — does not depend on the host's
+// core count. Tests that want shards set Segment.Shards themselves.
+func optOptions() opt.Options {
+	o := opt.Default()
+	o.Parallelism = 1
+	return o
+}
+
 func buildPlan(t *testing.T, body string, optimize bool) *plan.Plan {
 	t.Helper()
 	src := fmt.Sprintf(`
@@ -55,7 +64,7 @@ func buildPlan(t *testing.T, body string, optimize bool) *plan.Plan {
 		t.Fatal(err)
 	}
 	if optimize {
-		if _, err := opt.Optimize(p, opt.Default()); err != nil {
+		if _, err := opt.Optimize(p, optOptions()); err != nil {
 			t.Fatal(err)
 		}
 	}

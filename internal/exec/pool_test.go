@@ -11,6 +11,7 @@ import (
 	"v2v/internal/media"
 	"v2v/internal/opt"
 	"v2v/internal/plan"
+	"v2v/internal/raster"
 )
 
 // fusedChainBody is a 3-op fusable point-op chain over one source.
@@ -41,7 +42,7 @@ func TestFusedSegmentRunnerMatchesPlain(t *testing.T) {
 	if !hasFusedNode(fusedPlan) {
 		t.Fatal("optimizer did not fuse the point-op chain")
 	}
-	plainOpts := opt.Default()
+	plainOpts := optOptions()
 	plainOpts.FuseKernels = false
 	plainPlan := buildPlan(t, fusedChainBody, false)
 	if _, err := opt.Optimize(plainPlan, plainOpts); err != nil {
@@ -74,15 +75,11 @@ func TestFusedSegmentRunnerMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestFusedRenderWarmLoopAllocs drives the fused render loop with a warm
-// GOP cache and requires a (near-)allocation-free steady state: source
-// frames come from the cache, the fused destination from the frame pool,
-// and the grade LUTs from the per-stage cache.
-func TestFusedRenderWarmLoopAllocs(t *testing.T) {
-	p := buildPlan(t, fusedChainBody, true)
-	if !hasFusedNode(p) {
-		t.Fatal("optimizer did not fuse the point-op chain")
-	}
+// warmLoopAllocs renders segment 0 of p once through to warm the GOP cache,
+// the frame pool buckets and the per-node kernel state, then reports the
+// steady-state allocations per rendered frame.
+func warmLoopAllocs(t *testing.T, p *plan.Plan) float64 {
+	t.Helper()
 	s := p.Segments[0]
 	cache := media.NewGOPCache(256 << 20)
 	run := newSegmentRunner(p, s, false, cache, nil)
@@ -96,20 +93,82 @@ func TestFusedRenderWarmLoopAllocs(t *testing.T) {
 		}
 		fr.Release()
 	}
-	// Warm pass: fills the GOP cache, the frame pool buckets, and the
-	// grade LUT caches.
 	for i := 0; i < frames; i++ {
 		renderOne(i)
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	return testing.AllocsPerRun(200, func() {
 		renderOne(i % frames)
 		i++
 	})
+}
+
+// TestFusedRenderWarmLoopAllocs drives the fused render loop with a warm
+// GOP cache and requires a (near-)allocation-free steady state: source
+// frames come from the cache, the fused destination from the frame pool,
+// and the grade LUTs from the per-stage cache.
+func TestFusedRenderWarmLoopAllocs(t *testing.T) {
+	p := buildPlan(t, fusedChainBody, true)
+	if !hasFusedNode(p) {
+		t.Fatal("optimizer did not fuse the point-op chain")
+	}
 	// Measured 0 allocs/frame; < 1 tolerates sync.Pool entries dropped by
 	// a mid-run GC. Anything higher means a pooled path regressed to
 	// per-frame allocation.
-	if allocs >= 1 {
+	if allocs := warmLoopAllocs(t, p); allocs >= 1 {
 		t.Errorf("warm fused render loop allocates %.2f allocs/frame, want < 1", allocs)
+	}
+}
+
+// TestBlurRenderWarmLoopAllocs holds the paper's blur query (Q4/Q9) to the
+// same budget: the destination comes from the frame pool, the Gaussian
+// kernel is built once per sigma, and the kernel scratch lives in the node.
+func TestBlurRenderWarmLoopAllocs(t *testing.T) {
+	p := buildPlan(t, `render(t) = blur(v[t], 1.5);`, true)
+	if allocs := warmLoopAllocs(t, p); allocs >= 1 {
+		t.Errorf("warm blur render loop allocates %.2f allocs/frame, want < 1", allocs)
+	}
+}
+
+// TestBlurSegmentRunnerMatchesGaussianBlur checks the executor's pooled
+// blur path against raster.GaussianBlur on the same source frames — merged
+// and layered plans, a sigma that changes every frame (the kernel cache
+// must follow it), and sigma 0, which passes the source frame through.
+func TestBlurSegmentRunnerMatchesGaussianBlur(t *testing.T) {
+	clip := buildPlan(t, `render(t) = v[t];`, false)
+	src := newSegmentRunner(clip, clip.Segments[0], false, nil, nil)
+	defer src.close(&Metrics{})
+	for _, tc := range []struct {
+		name, sigma string
+		optimize    bool
+		sigmaAt     func(i int) float64
+	}{
+		{"merged", "3/2", true, func(int) float64 { return 1.5 }},
+		{"layered", "3/2", false, func(int) float64 { return 1.5 }},
+		{"varying", "1/2 + t", true, func(i int) float64 { return 0.5 + float64(i)/24 }},
+		{"identity", "0", true, func(int) float64 { return 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := buildPlan(t, "render(t) = blur(v[t], "+tc.sigma+");", tc.optimize)
+			s := p.Segments[0]
+			run := newSegmentRunner(p, s, false, nil, nil)
+			defer run.close(&Metrics{})
+			for i := 0; i < s.FrameCount(); i++ {
+				tm := s.Times.At(i)
+				in, err := src.renderAt(tm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := run.renderAt(tm)
+				if err != nil {
+					t.Fatalf("render t=%s: %v", tm, err)
+				}
+				if !got.Equal(raster.GaussianBlur(in, tc.sigmaAt(i))) {
+					t.Fatalf("frame %d: executor blur differs from raster.GaussianBlur", i)
+				}
+				got.Release()
+				in.Release()
+			}
+		})
 	}
 }

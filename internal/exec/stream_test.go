@@ -34,7 +34,7 @@ func buildPlanSrc(t *testing.T, src string, optimize bool) *plan.Plan {
 		t.Fatal(err)
 	}
 	if optimize {
-		if _, err := opt.Optimize(p, opt.Default()); err != nil {
+		if _, err := opt.Optimize(p, optOptions()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -163,8 +163,153 @@ func TestGaussianBlurSmooths(t *testing.T) {
 	if d := math.Abs(mean(src.Planes()[0]) - mean(dst.Planes()[0])); d > 1 {
 		t.Errorf("blur changed mean by %f", d)
 	}
-	if !GaussianBlur(src, 0).Equal(src) {
-		t.Error("sigma 0 should be identity")
+	// sigma <= 0 is a zero-copy identity: src itself, not a clone — callers
+	// must clone before mutating. See the GaussianBlur doc comment.
+	for _, sigma := range []float64{0, -1} {
+		if GaussianBlur(src, sigma) != src {
+			t.Errorf("sigma %v should return src (zero-copy identity)", sigma)
+		}
+	}
+}
+
+// refGaussianKernel and refBlurPlane are the textbook blur this package
+// shipped before BlurInto — full unfolded kernel, a clamp per tap, a
+// plane-sized int32 temporary, a column-strided vertical pass — kept
+// verbatim as the oracle the production kernel must match byte for byte.
+func refGaussianKernel(sigma float64) []int32 {
+	radius := int(math.Ceil(3 * sigma))
+	if radius < 1 {
+		radius = 1
+	}
+	if radius > 15 {
+		radius = 15
+	}
+	raw := make([]float64, 2*radius+1)
+	var sum float64
+	for i := range raw {
+		d := float64(i - radius)
+		raw[i] = math.Exp(-d * d / (2 * sigma * sigma))
+		sum += raw[i]
+	}
+	k := make([]int32, len(raw))
+	var isum int32
+	for i, v := range raw {
+		k[i] = int32(v / sum * (1 << kShift))
+		isum += k[i]
+	}
+	k[radius] += (1 << kShift) - isum
+	return k
+}
+
+func refBlurPlane(src, dst []byte, w, h int, kernel []int32) {
+	radius := len(kernel) / 2
+	tmp := make([]int32, w*h)
+	for y := 0; y < h; y++ {
+		row := src[y*w : (y+1)*w]
+		for x := 0; x < w; x++ {
+			var acc int32
+			for k := -radius; k <= radius; k++ {
+				sx := x + k
+				if sx < 0 {
+					sx = 0
+				} else if sx >= w {
+					sx = w - 1
+				}
+				acc += int32(row[sx]) * kernel[k+radius]
+			}
+			tmp[y*w+x] = acc >> kShift
+		}
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			var acc int32
+			for k := -radius; k <= radius; k++ {
+				sy := y + k
+				if sy < 0 {
+					sy = 0
+				} else if sy >= h {
+					sy = h - 1
+				}
+				acc += tmp[sy*w+x] * kernel[k+radius]
+			}
+			v := acc >> kShift
+			if v < 0 {
+				v = 0
+			} else if v > 255 {
+				v = 255
+			}
+			dst[y*w+x] = byte(v)
+		}
+	}
+}
+
+// TestBlurIntoMatchesReference pins BlurInto to the reference over random
+// frames: planes narrower or shorter than the radius (down to the 1x1
+// chroma of a 2x2 frame), odd chroma sizes, both dataset geometries and
+// their chroma halves, every radius from 1 to the cap of 15 — through one
+// scratch and one dirty destination per size, as the executor reuses them.
+func TestBlurIntoMatchesReference(t *testing.T) {
+	sizes := [][2]int{
+		{2, 2}, {4, 2}, {2, 4}, {6, 10}, {2, 64}, {64, 2}, {10, 40}, {40, 10}, {34, 30},
+		{384, 172}, {192, 86}, {384, 216}, {192, 108},
+	}
+	sigmas := []float64{0.2, 0.34, 0.6, 1, 1.2, 1.5, 2, 2.9, 3.7, 4.5, 5, 6}
+	var scratch BlurScratch
+	seed := int64(0)
+	for _, sigma := range sigmas {
+		ref := refGaussianKernel(sigma)
+		k := GaussianKernel(sigma)
+		if len(k.taps) != len(ref)/2+1 {
+			t.Fatalf("sigma %v: radius %d, reference %d", sigma, len(k.taps)-1, len(ref)/2)
+		}
+		for _, sz := range sizes {
+			w, h := sz[0], sz[1]
+			seed++
+			src := noisy(w, h, seed)
+			want := frame.New(w, h, frame.FormatYUV420)
+			sp, wp := src.Planes(), want.Planes()
+			refBlurPlane(sp[0], wp[0], w, h, ref)
+			refBlurPlane(sp[1], wp[1], w/2, h/2, ref)
+			refBlurPlane(sp[2], wp[2], w/2, h/2, ref)
+
+			got := noisy(w, h, -seed) // stale contents must all be overwritten
+			BlurInto(got, src, k, &scratch)
+			if !got.Equal(want) {
+				t.Errorf("sigma %v (radius %d) %dx%d: BlurInto differs from the reference", sigma, len(ref)/2, w, h)
+			}
+			if !GaussianBlur(src, sigma).Equal(want) {
+				t.Errorf("sigma %v %dx%d: GaussianBlur differs from the reference", sigma, w, h)
+			}
+		}
+	}
+}
+
+func TestBlurIntoZeroAlloc(t *testing.T) {
+	src := noisy(64, 48, 3)
+	dst := frame.New(64, 48, frame.FormatYUV420)
+	k := GaussianKernel(1.5)
+	var scratch BlurScratch
+	BlurInto(dst, src, k, &scratch) // grows the scratch
+	if allocs := testing.AllocsPerRun(50, func() { BlurInto(dst, src, k, &scratch) }); allocs != 0 {
+		t.Errorf("warm BlurInto allocates %.1f per call, want 0", allocs)
+	}
+}
+
+func TestBlurIntoShapePanics(t *testing.T) {
+	src := noisy(16, 16, 1)
+	var scratch BlurScratch
+	for name, dst := range map[string]*frame.Frame{
+		"aliased":  src,
+		"mismatch": frame.New(16, 8, frame.FormatYUV420),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s dst should panic", name)
+				}
+			}()
+			BlurInto(dst, src, GaussianKernel(1), &scratch)
+		}()
 	}
 }
 
@@ -522,4 +667,26 @@ func TestPiP(t *testing.T) {
 	if out2.Luma(4, 4) != 220 {
 		t.Error("pip clamp wrong")
 	}
+}
+
+// BenchmarkGaussianBlur times the paper queries' blur (sigma 1.5, radius 5)
+// on one KABR-sim frame: the allocating wrapper, and the executor's form
+// with a reused destination and scratch.
+func BenchmarkGaussianBlur(b *testing.B) {
+	src := noisy(384, 172, 1)
+	b.Run("alloc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			GaussianBlur(src, 1.5)
+		}
+	})
+	b.Run("into", func(b *testing.B) {
+		dst := frame.New(src.W, src.H, frame.FormatYUV420)
+		k := GaussianKernel(1.5)
+		var scratch BlurScratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			BlurInto(dst, src, k, &scratch)
+		}
+	})
 }
