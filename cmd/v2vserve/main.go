@@ -571,12 +571,12 @@ func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 	defer ticket.Release(opts.Recorder)
 
 	// Streaming delivery is opt-in per request: ?stream=1 or an Accept
-	// header naming the stream media type. Opted-in responses go through a
-	// FlushingSink — segments are scheduled in presentation order, bytes
-	// are flushed to the client at the container header and every segment
-	// boundary (coalesced by -flush-interval), and a client draining
-	// slower than synthesis blocks only this request's delivery goroutine
-	// once the -stream-buffer-kb queue fills.
+	// header naming the stream media type. The engine delivers every
+	// response in presentation order; an opted-in one goes through a
+	// FlushingSink — bytes are flushed to the client at the container
+	// header and every segment boundary (coalesced by -flush-interval),
+	// and a client draining slower than synthesis blocks only this
+	// request's delivery goroutine once the -stream-buffer-kb queue fills.
 	streaming := r.URL.Query().Get("stream") == "1" ||
 		strings.Contains(r.Header.Get("Accept"), "application/x-v2v-stream")
 
@@ -590,17 +590,20 @@ func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 			FlushInterval: s.flushInterval,
 		})
 		dst = fs
-		opts.Streaming = true
 		opts.OnSegmentDone = func(int) { fs.Barrier() }
 	}
 	res, err := pr.SynthesizeStreamContext(ctx, dst, opts)
+	// Classify a failure now, before the final flush: once the error
+	// trailer is on the wire the client may hang up, and that must not
+	// turn a reported failure into a cancellation.
+	canceled := err != nil && ctx.Err() != nil
 	if fs != nil {
 		// Drain the queue before the handler returns: the typed trailer a
 		// failed synthesis wrote via the sink must reach the client before
 		// the connection closes. A downstream (client) write error
 		// surfaces here if the synthesis itself didn't observe it.
 		if cerr := fs.CloseFlush(); cerr != nil && err == nil {
-			err = cerr
+			err, canceled = cerr, ctx.Err() != nil
 		}
 	}
 	req.SetTrace(tr)
@@ -611,7 +614,7 @@ func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 		// failure from raw truncation. Either way the stream did not end
 		// with a clean EOS trailer — count it.
 		s.truncated.Inc()
-		if ctx.Err() != nil {
+		if canceled {
 			s.synthCanceled.Inc()
 			req.Finish("canceled", err)
 			s.logger.Warn("synthesis canceled",
@@ -629,8 +632,8 @@ func (s *server) synthesize(w http.ResponseWriter, r *http.Request) {
 		// Honest TTFF: for streaming consumers, first output means "first
 		// bytes flushed to the client", not "first packet handed to Go's
 		// response buffers" (the executor's stamp). Override the metric
-		// with the flushing sink's measurement; file and non-streaming
-		// consumers keep the executor semantics.
+		// with the flushing sink's measurement; file consumers and
+		// responses that did not opt in keep the executor semantics.
 		if first, ok := fs.FirstFlush(); ok {
 			ttff := first.Sub(start)
 			res.Metrics.FirstOutput = ttff

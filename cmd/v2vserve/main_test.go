@@ -11,13 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"v2v"
 	"v2v/internal/admit"
 	"v2v/internal/dataset"
-	"v2v/internal/faults"
 	"v2v/internal/frame"
 	"v2v/internal/media"
 	"v2v/internal/obs"
@@ -41,6 +42,7 @@ func testServer(t *testing.T) (*httptest.Server, string, string) {
 		t.Fatal(err)
 	}
 	srv := newServer(dir, true, obs.NewRegistry())
+	srv.parallelism = 2
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 	return ts, specText, "demo.v2v"
@@ -253,31 +255,67 @@ func TestFetchRemuxesToVMF(t *testing.T) {
 	}
 }
 
+// holdGate is what servetest_hold waits on. The transform registry is
+// process-wide, so the transform reads the gate of the test now running.
+var holdGate atomic.Pointer[chan struct{}]
+
+// registerHoldUDF registers servetest_hold: a pass-through transform that
+// returns only once the current holdGate channel is closed, so a test
+// decides when a render may make progress instead of racing it.
+func registerHoldUDF() {
+	if _, ok := vql.Lookup("servetest_hold"); ok {
+		return
+	}
+	vql.Register(&vql.Transform{
+		Name:   "servetest_hold",
+		Params: []vql.Type{vql.TypeFrame},
+		Result: vql.TypeFrame,
+		Eval: func(args []vql.Val) (vql.Val, error) {
+			select {
+			case <-*holdGate.Load():
+				return args[0], nil
+			case <-time.After(10 * time.Second):
+				return vql.Val{}, errors.New("servetest_hold: gate never opened")
+			}
+		},
+	})
+}
+
 // TestClientDisconnectCancelsSynthesis drops the client mid-stream and
 // asserts the server stops the synthesis cooperatively, counting it in
-// v2v_synthesis_canceled_total rather than as a failure.
+// v2v_synthesis_canceled_total rather than as a failure. The render is
+// held until the server has seen the disconnect, so it cannot finish
+// first: one worker, three output GOPs, and a context check at each GOP
+// boundary after the gate opens.
 func TestClientDisconnectCancelsSynthesis(t *testing.T) {
+	registerHoldUDF()
 	dir := t.TempDir()
 	vid := filepath.Join(dir, "cam.vmf")
 	if _, err := dataset.Generate(vid, "", dataset.TinyProfile(), rational.FromInt(3)); err != nil {
 		t.Fatal(err)
 	}
-	// A long render over a slowed source: every read sleeps, so the
-	// synthesis is still mid-flight when the client walks away.
 	specText := fmt.Sprintf(`
-		timedomain range(0, 2, 1/24);
+		timedomain range(0, 3, 1/24);
 		videos { cam: %q; }
-		render(t) = grade(cam[t], 5, 1.0, 1.0);`, vid)
-	inj := faults.New(faults.Config{Latency: 2 * time.Millisecond, LatencyProb: 1})
-	inj.Activate()
-	defer faults.Deactivate()
+		render(t) = servetest_hold(cam[t]);`, vid)
 
 	srv := newServer(dir, true, obs.NewRegistry())
-	ts := httptest.NewServer(srv.routes())
+	srv.parallelism = 1
+	routes := srv.routes()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The gate is this request's own cancellation.
+		gate := make(chan struct{})
+		holdGate.Store(&gate)
+		go func() {
+			<-r.Context().Done()
+			close(gate)
+		}()
+		routes.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/synthesize", strings.NewReader(specText))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/synthesize?stream=1", strings.NewReader(specText))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +323,10 @@ func TestClientDisconnectCancelsSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Read a little of the stream to prove synthesis started, then hang up.
-	io.CopyN(io.Discard, resp.Body, 64)
+	// The stream header proves the synthesis is in flight; then hang up.
+	if _, err := media.NewStreamReader(resp.Body); err != nil {
+		t.Fatal(err)
+	}
 	cancel()
 	resp.Body.Close()
 
@@ -364,6 +404,7 @@ func renderServer(t *testing.T) (*server, *httptest.Server, string, string) {
 		videos { cam: %q; }
 		render(t) = grade(cam[t], 5, 1.0, 1.0);`, vid)
 	srv := newServer(dir, true, obs.NewRegistry())
+	srv.parallelism = 2
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 	return srv, ts, specText, vid
@@ -882,6 +923,7 @@ func streamingServer(t *testing.T, bufBytes int) (*server, *httptest.Server, str
 			t in range(1, 2, 1/24) => grade(cam[t], 5, 1.0, 1.0),
 		};`, vid)
 	srv := newServer(dir, true, obs.NewRegistry())
+	srv.parallelism = 2
 	srv.streamBufBytes = bufBytes
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
@@ -908,6 +950,24 @@ func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
 	}
 	t.Fatalf("metric %s not found in exposition", name)
 	return 0
+}
+
+// waitMetric polls /metrics until the named sample reaches want. A handler
+// records its histograms after the last byte is on the wire, so a client
+// that has read the whole response can scrape before they move.
+func waitMetric(t *testing.T, ts *httptest.Server, name string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := metricValue(t, ts, name)
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %g, want %g", name, got, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestStreamOptInDeliversIdenticalBytes asserts the ?stream=1 opt-in
@@ -959,9 +1019,8 @@ func TestStreamOptInDeliversIdenticalBytes(t *testing.T) {
 		t.Errorf("trailer = %+v,%v; want clean ok trailer", tr, ok)
 	}
 
-	if got := metricValue(t, ts, "v2v_stream_ttff_seconds_count"); got != 1 {
-		t.Errorf("ttff histogram count = %g, want 1 (only the ?stream=1 request)", got)
-	}
+	// Only the ?stream=1 request is a streaming one.
+	waitMetric(t, ts, "v2v_stream_ttff_seconds_count", 1)
 	if n := srv.truncated.Value(); n != 0 {
 		t.Errorf("truncated streams = %d, want 0", n)
 	}
@@ -981,9 +1040,7 @@ func TestStreamAcceptHeaderOptsIn(t *testing.T) {
 	if got := len(readStream(t, resp.Body)); got != 48 {
 		t.Fatalf("frames = %d, want 48", got)
 	}
-	if got := metricValue(t, ts, "v2v_stream_ttff_seconds_count"); got != 1 {
-		t.Errorf("ttff histogram count = %g, want 1", got)
-	}
+	waitMetric(t, ts, "v2v_stream_ttff_seconds_count", 1)
 }
 
 // TestStreamFailureWritesTypedTrailer injects a panicking transform into
@@ -1030,77 +1087,95 @@ func TestStreamFailureWritesTypedTrailer(t *testing.T) {
 			t.Errorf("request %d: trailer = %+v,%v; want typed error trailer", i, tr, ok)
 		}
 	}
+	// The handlers count after their last byte is out, which the client
+	// has already read; and a client that hangs up on reading the trailer
+	// must not turn the failure into a cancellation.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.synthFail.Value()+srv.synthCanceled.Value() < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := srv.synthFail.Value(); n != 2 {
+		t.Errorf("synthesis failures = %d (canceled = %d), want 2", n, srv.synthCanceled.Value())
+	}
 	if n := srv.truncated.Value(); n != 2 {
 		t.Errorf("truncated streams = %d, want 2", n)
 	}
-	if n := srv.synthFail.Value(); n != 2 {
-		t.Errorf("synthesis failures = %d, want 2", n)
-	}
 }
 
-// TestStreamSlowClientDoesNotBlockOthers drains a streaming response a
-// few hundred bytes at a time with a pause between reads, while a second
-// buffered request runs concurrently. The slow client's backpressure must
-// stall only its own request: the concurrent request finishes first, and
-// the slow stream still arrives complete. The streaming request's TTFF is
-// also far below its wall time — the client got first bytes while the
-// rest was still being squeezed through the tiny queue.
+// TestStreamSlowClientDoesNotBlockOthers stalls a streaming client right
+// after the stream header and, while it reads nothing, runs a second
+// buffered request of the same spec to completion: the stalled client's
+// backpressure holds up only its own request. The render arm is held
+// until the slow client has the header, so its first flush provably
+// precedes the end of its synthesis — TTFF below wall — and the stream
+// still arrives complete once the client resumes.
 func TestStreamSlowClientDoesNotBlockOthers(t *testing.T) {
-	srv, ts, specText := streamingServer(t, 4<<10)
+	registerHoldUDF()
+	srv, ts, _ := streamingServer(t, 4<<10)
+	vid := filepath.Join(t.TempDir(), "cam.vmf")
+	if _, err := dataset.Generate(vid, "", dataset.TinyProfile(), rational.FromInt(3)); err != nil {
+		t.Fatal(err)
+	}
+	specText := fmt.Sprintf(`
+		timedomain range(0, 2, 1/24);
+		videos { cam: %q; }
+		render(t) = match t {
+			t in range(0, 1, 1/24) => cam[t],
+			t in range(1, 2, 1/24) => servetest_hold(cam[t]),
+		};`, vid)
+	gate := make(chan struct{})
+	holdGate.Store(&gate)
+	openGate := sync.OnceFunc(func() { close(gate) })
+	defer openGate() // never leave a render held if the test fails early
+	client := &http.Client{Timeout: 30 * time.Second}
 
 	type done struct {
 		frames int
-		at     time.Time
 		err    error
 	}
+	headerRead := make(chan struct{})
+	fastDone := make(chan struct{})
 	slowCh := make(chan done, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/synthesize?stream=1", "text/plain", strings.NewReader(specText))
-		if err != nil {
-			slowCh <- done{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		var whole []byte
-		buf := make([]byte, 512)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			whole = append(whole, buf[:n]...)
-			if rerr != nil {
-				break
+		frames, err := func() (int, error) {
+			resp, err := client.Post(ts.URL+"/synthesize?stream=1", "text/plain", strings.NewReader(specText))
+			if err != nil {
+				return 0, err
 			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		sr, err := media.NewStreamReader(strings.NewReader(string(whole)))
-		if err != nil {
-			slowCh <- done{err: err}
-			return
-		}
-		frames := 0
-		for {
-			if _, err := sr.NextFrame(); err != nil {
-				if err != io.EOF {
-					slowCh <- done{err: err}
-					return
+			defer resp.Body.Close()
+			sr, err := media.NewStreamReader(resp.Body)
+			if err != nil {
+				return 0, err
+			}
+			close(headerRead)
+			<-fastDone // read nothing while the other request runs
+			for frames := 0; ; frames++ {
+				if _, err := sr.NextFrame(); err == io.EOF {
+					return frames, nil
+				} else if err != nil {
+					return frames, err
 				}
-				break
 			}
-			frames++
-		}
-		slowCh <- done{frames: frames, at: time.Now()}
+		}()
+		slowCh <- done{frames, err}
 	}()
 
-	// Give the slow stream a head start, then run a buffered request.
-	time.Sleep(20 * time.Millisecond)
-	resp, err := http.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
-	if err != nil {
-		t.Fatal(err)
+	select {
+	case <-headerRead:
+	case d := <-slowCh:
+		t.Fatalf("slow client failed before the stream header: %v", d.err)
 	}
-	if got := len(readStream(t, resp.Body)); got != 48 {
+	openGate()
+	resp, err := client.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
+	if err != nil {
+		t.Fatalf("concurrent request while a client is stalled: %v", err)
+	}
+	got := len(readStream(t, resp.Body))
+	resp.Body.Close()
+	if got != 48 {
 		t.Fatalf("concurrent request frames = %d, want 48", got)
 	}
-	resp.Body.Close()
-	fastDone := time.Now()
+	close(fastDone)
 
 	slow := <-slowCh
 	if slow.err != nil {
@@ -1109,19 +1184,19 @@ func TestStreamSlowClientDoesNotBlockOthers(t *testing.T) {
 	if slow.frames != 48 {
 		t.Fatalf("slow client frames = %d, want 48", slow.frames)
 	}
-	if !fastDone.Before(slow.at) {
-		t.Errorf("concurrent request finished after the slow client; slow client pinned the server")
+
+	// Honest TTFF: the streaming request's first flush (the header the
+	// client read before any held frame could render) came before its
+	// synthesis ended.
+	waitMetric(t, ts, "v2v_synthesis_wall_seconds_count", 2)
+	waitMetric(t, ts, "v2v_stream_ttff_seconds_count", 1)
+	ttff := metricValue(t, ts, "v2v_stream_ttff_seconds_sum")
+	wall := metricValue(t, ts, "v2v_synthesis_wall_seconds_sum")
+	if ttff <= 0 || ttff >= wall {
+		t.Errorf("ttff sum = %gs vs wall sum = %gs; TTFF should be below wall", ttff, wall)
 	}
 	if n := srv.truncated.Value(); n != 0 {
 		t.Errorf("truncated streams = %d, want 0", n)
-	}
-
-	// Honest TTFF: the streaming request's first flush happened long
-	// before its wall clock ran out draining through the tiny queue.
-	ttff := metricValue(t, ts, "v2v_stream_ttff_seconds_sum")
-	wall := metricValue(t, ts, "v2v_synthesis_wall_seconds_sum")
-	if ttff <= 0 || ttff > wall/2 {
-		t.Errorf("ttff sum = %gs vs wall sum = %gs; TTFF should be well below wall", ttff, wall)
 	}
 }
 

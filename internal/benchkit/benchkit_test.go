@@ -248,7 +248,7 @@ func TestStreamingRunShape(t *testing.T) {
 			t.Errorf("row %d TTFF %v >= wall %v; streaming delivered nothing early", i, r.TTFF, r.Wall)
 		}
 		if !r.ByteIdentical {
-			t.Errorf("row %d: streamed bytes differ from the buffered reference", i)
+			t.Errorf("row %d: streamed packets differ from the file-sink reference", i)
 		}
 	}
 	table := FormatStreaming("streaming", rows)

@@ -2,21 +2,26 @@ package benchkit
 
 // Streaming sweep: time-to-first-frame and inter-segment delivery gap for
 // presentation-order streaming synthesis, at increasing numbers of
-// concurrent streams. Each stream runs the splice query with
-// exec's streaming scheduler (segments delivered in presentation order
-// while later segments render) through a flushing sink — the same
-// delivery stack cmd/v2vserve uses for ?stream=1 responses — and the
-// sweep verifies the streamed bytes stay identical to a buffered
-// reference run.
+// concurrent streams. Each stream runs the splice query (segments
+// delivered in presentation order while later segments render) into a
+// stream sink behind a flushing sink — the same delivery stack
+// cmd/v2vserve uses for ?stream=1 responses — and the sweep verifies the
+// streamed packets stay identical to a reference run into a file sink.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
+	"v2v/internal/container"
 	"v2v/internal/core"
 	"v2v/internal/media"
 	"v2v/internal/vql"
@@ -40,8 +45,8 @@ type StreamingRow struct {
 	// across all streams — the longest a playing client would go without
 	// new data after playback started.
 	MaxSegGap time.Duration
-	// ByteIdentical reports whether every stream's output matched the
-	// buffered (non-streaming) reference run byte for byte.
+	// ByteIdentical reports whether every stream's packets matched the
+	// file-sink reference run byte for byte.
 	ByteIdentical bool
 }
 
@@ -64,7 +69,6 @@ func runStream(spec *vql.Spec, o core.Options) streamMeasure {
 	var buf bytes.Buffer
 	fs := media.NewFlushingSink(&buf, media.FlushConfig{})
 	var marks []time.Time
-	o.Streaming = true
 	o.OnSegmentDone = func(int) {
 		// Called on the delivery goroutine: -1 after the header, then each
 		// segment in presentation order.
@@ -88,13 +92,56 @@ func runStream(spec *vql.Spec, o core.Options) streamMeasure {
 			m.gap = gap
 		}
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	m.sha = hex.EncodeToString(sum[:])
+	m.sha, m.err = streamPacketSHA(buf.Bytes())
 	return m
 }
 
+// hashPacket adds one output packet — flag, size, payload — to h, so a
+// fingerprint is independent of the container the packets arrived in.
+func hashPacket(h hash.Hash, key bool, data []byte) {
+	fmt.Fprintf(h, "%t %d\n", key, len(data))
+	h.Write(data)
+}
+
+// streamPacketSHA fingerprints the packets of a complete VMS stream.
+func streamPacketSHA(vms []byte) (string, error) {
+	sr, err := media.NewStreamReader(bytes.NewReader(vms))
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	for {
+		key, data, err := sr.NextPacket()
+		if errors.Is(err, io.EOF) {
+			return hex.EncodeToString(h.Sum(nil)), nil
+		}
+		if err != nil {
+			return "", err
+		}
+		hashPacket(h, key, data)
+	}
+}
+
+// filePacketSHA fingerprints the packets of a VMF file.
+func filePacketSHA(path string) (string, error) {
+	c, err := container.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer c.Close()
+	h := sha256.New()
+	for i := 0; i < c.NumPackets(); i++ {
+		data, err := c.ReadPacket(i)
+		if err != nil {
+			return "", err
+		}
+		hashPacket(h, c.Record(i).Key, data)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
 // StreamingRun measures the streaming sweep for the given query on ds:
-// one row per concurrency point, after a buffered reference run that
+// one row per concurrency point, after a file-sink reference run that
 // anchors the byte-identity check.
 func StreamingRun(ds *Dataset, queryID string, cfg Config) ([]StreamingRow, error) {
 	q, ok := QueryByID(queryID)
@@ -112,15 +159,18 @@ func StreamingRun(ds *Dataset, queryID string, cfg Config) ([]StreamingRow, erro
 		GOPCache:    cfg.GOPCache, ResultCache: cfg.ResultCache,
 	}
 
-	// Buffered reference: the same plan, non-streaming, defines the
-	// expected bytes and the segment count.
-	var ref bytes.Buffer
-	res, err := core.SynthesizeStream(spec, &ref, o)
+	// Reference: the same plan into a file sink defines the expected
+	// packets and the segment count.
+	refPath := filepath.Join(cfg.OutDir, fmt.Sprintf("%s-%s-streaming-ref.vmf", ds.Name, q.ID))
+	defer os.Remove(refPath)
+	res, err := core.Synthesize(spec, refPath, o)
 	if err != nil {
 		return nil, fmt.Errorf("benchkit: %s/%s reference: %w", ds.Name, q.ID, err)
 	}
-	refSum := sha256.Sum256(ref.Bytes())
-	refSHA := hex.EncodeToString(refSum[:])
+	refSHA, err := filePacketSHA(refPath)
+	if err != nil {
+		return nil, fmt.Errorf("benchkit: %s/%s reference: %w", ds.Name, q.ID, err)
+	}
 	segments := len(res.Plan.Segments)
 
 	repeats := cfg.Repeats

@@ -33,7 +33,9 @@ type Options struct {
 	// OptPasses overrides the optimizer pass selection (nil = all passes
 	// when Optimize is set). Used by the ablation benchmarks.
 	OptPasses *opt.Options
-	// Parallelism caps shard fan-out (0 = GOMAXPROCS).
+	// Parallelism caps the optimizer's shard fan-out and the executor's
+	// concurrently rendering shard workers (0 = GOMAXPROCS; 1 executes the
+	// plan strictly one shard after another).
 	Parallelism int
 	// DB provides tables for sql-declared data arrays.
 	DB *sqlmini.DB
@@ -59,12 +61,6 @@ type Options struct {
 	// copy) frames, bytes, and wall time to this run — v2vserve threads
 	// each request's flight-recorder entry here. See exec.Options.Recorder.
 	Recorder *obs.Recorder
-	// Streaming schedules multi-segment plans strictly in presentation
-	// order, delivering each segment's packets as it completes while later
-	// segments render concurrently. Output bytes are identical to a
-	// non-streaming run; only delivery timing changes. See
-	// exec.Options.Streaming.
-	Streaming bool
 	// OnSegmentDone, when set, is called with -1 after the container
 	// header is written and then with each segment index after that
 	// segment's packets reach the sink — the flush hook streaming
@@ -219,8 +215,7 @@ func execOptions(o Options) exec.Options {
 	return exec.Options{
 		Parallelism: o.Parallelism, Conceal: o.Conceal,
 		GOPCache: o.GOPCache, ResultCache: o.ResultCache, Trace: o.Trace,
-		Recorder: o.Recorder,
-		Streaming: o.Streaming, OnSegmentDone: o.OnSegmentDone,
+		Recorder: o.Recorder, OnSegmentDone: o.OnSegmentDone,
 	}
 }
 

@@ -35,9 +35,9 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 // A sink write error must not end the delivery loop while shard workers
-// are still running: the workers fold their reader stats into the shared
-// *Metrics on exit, and returning early races that fold against the
-// caller's deferred cleanup. Run under -race; the drain makes it silent.
+// are still running: the workers write their results until they exit, and
+// returning early would leave them behind the caller's deferred cleanup.
+// Run under -race; the drain makes it silent.
 func TestFailingSinkDrainsShards(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, false)
 	p.Segments[0].Shards = 2
@@ -134,7 +134,7 @@ func TestAlignChunkBoundsToSourceKeyframes(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t + 7/24], 5, 1.0, 1.0);`, false)
 	s := p.Segments[0]
 	s.AlignVideo, s.AlignOff = "v", rational.New(7, 24)
-	readers := newReaderCache(p, false, nil)
+	readers := newReaderCache(p, false)
 	defer readers.closeAll(&Metrics{})
 
 	bounds := chunkBounds(48, 2, 24)

@@ -1,20 +1,26 @@
 // Package exec is V2V's execution engine: it runs a plan against the
-// sources and writes the output stream, parallelizing sharded segments
-// with a worker pool and collecting work metrics.
+// sources and writes the output stream.
+//
+// There is one engine. Every plan, for every sink, runs through the
+// presentation-order scheduler in schedule.go: render segments are cut
+// into shards, each shard renders and encodes on its own worker, and a
+// single delivery loop on the caller's goroutine writes the finished
+// packets to the sink front to back while later shards are still
+// rendering. A buffered run is that scheduler writing to a file sink;
+// sequential execution is Parallelism 1.
 //
 // The engine is deliberately plan-driven and policy-free: whether an
 // operator boundary materializes, whether a segment copies packets or
-// renders frames, and how many shards run in parallel are all decisions
-// already baked into the plan by the optimizer. Executing an unoptimized
-// plan therefore faithfully pays the costs the optimizer would have
-// removed.
+// renders frames, and how many shards a segment asks for are all
+// decisions already baked into the plan by the optimizer. Executing an
+// unoptimized plan therefore faithfully pays the costs the optimizer
+// would have removed.
 package exec
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"v2v/internal/codec"
@@ -50,7 +56,7 @@ func init() {
 var errShardAborted = fmt.Errorf("exec: shard aborted after prior failure")
 
 // firstStampSink wraps the output sink to stamp Metrics.FirstOutput the
-// moment the first packet is handed over, on every write path (sequential
+// moment the first packet is handed over, on every write path (smart-cut
 // encode, raw splice, shard delivery). Centralizing the stamp here means
 // no delivery path can forget it: copy/smart-cut segments and warm
 // result-cache splices stamp on their first packet, not at segment end.
@@ -98,8 +104,12 @@ func (f *firstStampSink) WriteEncodedFrame(key bool, data []byte) error {
 
 // Options configures execution.
 type Options struct {
-	// Parallelism caps concurrently running shards; 0 means unlimited
-	// (the plan's shard counts already reflect the optimizer's cap).
+	// Parallelism caps the shard workers rendering at once, across all
+	// segments of the run, and with it the shards a segment is cut into
+	// and the rendered-but-undelivered shards held in memory (twice this
+	// many). Values below 1 mean runtime.GOMAXPROCS(0), resolved once
+	// when ExecuteTo starts; 1 renders the plan strictly one shard after
+	// another.
 	Parallelism int
 	// Conceal switches the engine from fail-fast to error-concealment
 	// mode: a corrupt or undecodable source packet is replaced by holding
@@ -108,11 +118,11 @@ type Options struct {
 	// index) and I/O failures remain fatal in both modes.
 	Conceal bool
 	// GOPCache, when non-nil, is a shared decoded-GOP cache every shard
-	// worker and segment runner reads through: concurrent taps of the same
-	// source GOP decode it once and share the frames. The same cache may be
-	// (and in v2vserve is) shared across concurrent ExecuteTo calls. If the
-	// cache's byte budget is unset, ExecuteTo sizes it from the plan's
-	// source formats. Nil disables caching.
+	// worker reads through: concurrent taps of the same source GOP decode
+	// it once and share the frames. The same cache may be (and in v2vserve
+	// is) shared across concurrent ExecuteTo calls. If the cache's byte
+	// budget is unset, ExecuteTo sizes it from the plan's source formats.
+	// Nil disables caching.
 	GOPCache *media.GOPCache
 	// ResultCache, when non-nil, memoizes the encoded packets of rendered
 	// segments, keyed by canonical plan fingerprint + source content
@@ -125,19 +135,12 @@ type Options struct {
 	Trace *obs.Trace
 	// Recorder attributes per-stage (decode/filter/encode/copy) frames,
 	// bytes, and wall time to this execution; v2vserve threads each
-	// request's flight-recorder entry here. When nil, ExecuteTo creates a
-	// private recorder so SegmentActuals stage fields are always
-	// populated. The process-wide v2v_stage_* metrics are updated in
-	// either case.
+	// request's flight-recorder entry here. Each segment records into a
+	// child of it, which is where SegmentActuals' stage fields come from.
+	// When nil, ExecuteTo creates a private recorder so those fields are
+	// always populated. The process-wide v2v_stage_* metrics are updated
+	// in either case.
 	Recorder *obs.Recorder
-	// Streaming schedules multi-segment plans strictly in presentation
-	// order: later segments render concurrently (bounded by Parallelism
-	// and a fixed delivery window), but packets are delivered to the sink
-	// segment by segment, front to back, so a consumer can play the
-	// output while the tail is still rendering. The written bytes are
-	// identical to a non-streaming run. Single-segment plans already
-	// deliver pipelined chunks in order, so the flag is a no-op for them.
-	Streaming bool
 	// OnSegmentDone, when set, is called on the delivery goroutine with
 	// -1 once the container header is out (the sink wrote it before
 	// ExecuteTo ran) and then with each segment's index after that
@@ -210,47 +213,45 @@ func Execute(ctx context.Context, p *plan.Plan, outPath string, o Options) (*Met
 }
 
 // ExecuteTo runs the plan against an arbitrary packet sink (a VMF file
-// writer or a progressive stream) and closes the sink. Pipelined shard
-// output means a streaming consumer starts receiving packets while later
-// segments are still rendering.
+// writer or a progressive stream) and closes the sink. Packets reach the
+// sink in presentation order as their shards finish them, so a streaming
+// consumer starts receiving output while later segments are still
+// rendering.
 //
 // Cancellation is cooperative: ctx is checked before every segment and at
-// every GOP boundary inside render loops (sequential and per shard
-// worker), so a cancelled synthesis stops within one GOP of work per
-// goroutine. On any failure the sink is aborted, not closed — a file sink
-// leaves nothing at its target path.
+// every GOP boundary inside every shard worker, so a cancelled synthesis
+// stops within one GOP of work per goroutine. On any failure the sink is
+// aborted, not closed — a file sink leaves nothing at its target path.
 func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Metrics, error) {
 	start := time.Now()
 	m := &Metrics{}
+	if o.Parallelism < 1 {
+		o.Parallelism = runtime.GOMAXPROCS(0)
+	}
 	if o.Recorder == nil {
 		o.Recorder = obs.NewRecorder()
 	}
-	// Attach the recorder to the raw sink before wrapping it: the stamp
-	// wrapper embeds only the Sink interface, so SetRecorder would not
-	// promote through it.
-	if sr, ok := w.(interface{ SetRecorder(*obs.Recorder) }); ok {
-		sr.SetRecorder(o.Recorder)
-	}
-	raw := w
-	w = &firstStampSink{Sink: raw, start: start, m: m}
 	// Registered before the reader cache's defer so it runs after closeAll
 	// has folded still-open readers' stats into m — the counter then sees
 	// copy-path concealments too, on success and failure alike.
 	defer func() { framesConcealed.Add(m.TotalConcealed()) }()
-	readers := newReaderCache(p, o.Conceal, o.Recorder)
+	readers := newReaderCache(p, o.Conceal)
 	defer readers.closeAll(m)
 	if o.GOPCache != nil {
 		o.GOPCache.SetBudgetIfUnset(defaultGOPCacheBudget(p, o.Parallelism))
 	}
-	// One fingerprinter per run: it hashes the data arrays once and every
-	// cacheable segment derives its key from it.
-	var fp *plan.Fingerprinter
-	if o.ResultCache != nil {
-		fp = plan.NewFingerprinter(p.Checked, o.Conceal)
-	}
 
 	execSpan := o.Trace.StartSpan("execute")
-	fail := func(err error) (*Metrics, error) {
+	if o.OnSegmentDone != nil {
+		// The container header went out when the sink was constructed;
+		// give streaming consumers their first flush point now.
+		o.OnSegmentDone(-1)
+	}
+	x := &run{
+		p: p, o: o, m: m, readers: readers,
+		raw: w, w: &firstStampSink{Sink: w, start: start, m: m},
+	}
+	if err := x.execute(ctx); err != nil {
 		// Prefer the context's error when cancellation is what stopped us,
 		// so callers can match context.Canceled / DeadlineExceeded.
 		if cerr := ctx.Err(); cerr != nil {
@@ -262,34 +263,12 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 		// error trailer (best-effort) so the consumer can tell a producer
 		// failure from a cut connection; a file sink discards its temp
 		// file as before.
-		if aw, ok := raw.(interface{ AbortWithError(error) error }); ok {
+		if aw, ok := w.(interface{ AbortWithError(error) error }); ok {
 			aw.AbortWithError(err)
 		} else {
 			w.Abort()
 		}
 		return nil, err
-	}
-	if o.OnSegmentDone != nil {
-		// The container header went out when the sink was constructed;
-		// give streaming consumers their first flush point now.
-		o.OnSegmentDone(-1)
-	}
-	if o.Streaming && len(p.Segments) > 1 {
-		if err := runStreamingPlan(ctx, p, w, m, o, fp, readers); err != nil {
-			return fail(err)
-		}
-	} else {
-		for i, s := range p.Segments {
-			if err := ctx.Err(); err != nil {
-				return fail(err)
-			}
-			if err := runSegment(ctx, p, i, s, w, m, o, fp, readers); err != nil {
-				return fail(err)
-			}
-			if o.OnSegmentDone != nil {
-				o.OnSegmentDone(i)
-			}
-		}
 	}
 	if err := w.Close(); err != nil {
 		execSpan.End()
@@ -315,179 +294,50 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	return m, nil
 }
 
-// runSegment executes one segment, measuring its actual costs into
-// m.Segments and recording a span with the decoded/encoded/copied counts.
-func runSegment(ctx context.Context, p *plan.Plan, i int, s *plan.Segment, w media.Sink, m *Metrics, o Options, fp *plan.Fingerprinter, readers *readerCache) error {
-	segStart := time.Now()
-	sinkBefore := w.Stats()
-	renderedBefore := m.FramesRendered
-	decodedBefore := m.Source.FramesDecoded + m.Intermediate.FramesDecoded + readers.liveDecodes()
-	concealedBefore := m.Source.FramesConcealed + m.Intermediate.FramesConcealed + readers.liveConcealed()
-	cacheHitsBefore := m.Source.GOPCacheHits
-	cacheMissesBefore := m.Source.GOPCacheMisses
-	resHitsBefore := m.ResultCacheHits
-	resMissesBefore := m.ResultCacheMisses
-	// Stage deltas are race-free snapshots: segments run sequentially and
-	// renderChunks joins every shard goroutine before runSegment returns.
-	decBefore := o.Recorder.Stage(obs.StageDecode)
-	fltBefore := o.Recorder.Stage(obs.StageFilter)
-	encBefore := o.Recorder.Stage(obs.StageEncode)
-	sp := o.Trace.StartSpan(fmt.Sprintf("segment[%d] %s", i, s.Kind))
-	sp.SetAttr("kind", s.Kind.String())
-	sp.SetAttr("t_start", s.Times.Start.String())
-	sp.SetAttr("t_end", s.Times.End.String())
-
-	var segErr error
-	switch s.Kind {
-	case plan.SegCopy:
-		r, err := readers.get(s.Video)
-		if err != nil {
-			segErr = err
-			break
-		}
-		if err := media.CopyRange(w, r, s.From, s.To); err != nil {
-			segErr = fmt.Errorf("exec: copy segment: %w", err)
-		}
-	case plan.SegSmartCut:
-		r, err := readers.get(s.Video)
-		if err != nil {
-			segErr = err
-			break
-		}
-		if _, _, err := media.SmartCut(w, r, s.From, s.To); err != nil {
-			segErr = fmt.Errorf("exec: smart cut segment: %w", err)
-		}
-	case plan.SegFrames:
-		segErr = runFrameSegment(ctx, p, s, w, m, o, fp, readers, sp)
-	default:
-		segErr = fmt.Errorf("exec: unknown segment kind %v", s.Kind)
-	}
-	if segErr != nil {
-		sp.SetAttr("error", segErr.Error())
-		sp.End()
-		return segErr
-	}
-
-	sinkAfter := w.Stats()
-	decAfter := o.Recorder.Stage(obs.StageDecode)
-	fltAfter := o.Recorder.Stage(obs.StageFilter)
-	encAfter := o.Recorder.Stage(obs.StageEncode)
-	act := plan.SegmentActuals{
-		Wall:              time.Since(segStart),
-		FramesRendered:    m.FramesRendered - renderedBefore,
-		FramesDecoded:     m.Source.FramesDecoded + m.Intermediate.FramesDecoded + readers.liveDecodes() - decodedBefore,
-		FramesEncoded:     sinkAfter.FramesEncoded - sinkBefore.FramesEncoded,
-		PacketsCopied:     sinkAfter.PacketsCopied - sinkBefore.PacketsCopied,
-		BytesCopied:       sinkAfter.BytesCopied - sinkBefore.BytesCopied,
-		Concealed:         m.Source.FramesConcealed + m.Intermediate.FramesConcealed + readers.liveConcealed() - concealedBefore,
-		GOPCacheHits:      m.Source.GOPCacheHits - cacheHitsBefore,
-		GOPCacheMisses:    m.Source.GOPCacheMisses - cacheMissesBefore,
-		ResultCacheHits:   m.ResultCacheHits - resHitsBefore,
-		ResultCacheMisses: m.ResultCacheMisses - resMissesBefore,
-		Shards:            effectiveShards(s, o),
-		DecodeWall:        decAfter.Wall - decBefore.Wall,
-		FilterWall:        fltAfter.Wall - fltBefore.Wall,
-		EncodeWall:        encAfter.Wall - encBefore.Wall,
-		DecodeBytes:       decAfter.Bytes - decBefore.Bytes,
-		FilterFrames:      fltAfter.Frames - fltBefore.Frames,
-		FilterBytes:       fltAfter.Bytes - fltBefore.Bytes,
-		EncodeBytes:       encAfter.Bytes - encBefore.Bytes,
-	}
-	m.Segments = append(m.Segments, act)
-	sp.SetAttr("frames_decoded", act.FramesDecoded)
-	if act.GOPCacheHits > 0 || act.GOPCacheMisses > 0 {
-		sp.SetAttr("gopcache_hits", act.GOPCacheHits)
-		sp.SetAttr("gopcache_misses", act.GOPCacheMisses)
-	}
-	if act.ResultCacheHits > 0 || act.ResultCacheMisses > 0 {
-		sp.SetAttr("rescache_hits", act.ResultCacheHits)
-		sp.SetAttr("rescache_misses", act.ResultCacheMisses)
-	}
-	sp.SetAttr("frames_concealed", act.Concealed)
-	sp.SetAttr("frames_encoded", act.FramesEncoded)
-	sp.SetAttr("packets_copied", act.PacketsCopied)
-	sp.SetAttr("frames_rendered", act.FramesRendered)
-	sp.SetAttr("shards", act.Shards)
-	sp.End()
-	return nil
-}
-
-// effectiveShards reports the parallelism runFrameSegment will actually
-// use for s under o.
-func effectiveShards(s *plan.Segment, o Options) int {
+// effectiveShards reports how many shards the engine cuts s into when at
+// most par workers may render at once.
+func effectiveShards(s *plan.Segment, par int) int {
 	if s.Kind != plan.SegFrames {
 		return 1
 	}
-	shards := s.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if o.Parallelism > 0 && shards > o.Parallelism {
-		shards = o.Parallelism
-	}
-	return shards
+	return max(1, min(s.Shards, par))
 }
 
-// readerCache shares sequential readers across same-goroutine segments.
+// readerCache shares sequential readers across the segments that read a
+// source on the delivery goroutine (copies, smart cuts, shard-boundary
+// alignment). It is touched by that goroutine only.
 type readerCache struct {
 	p       *plan.Plan
 	conceal bool
-	rec     *obs.Recorder
-	mu      sync.Mutex
 	rs      map[string]*media.Reader
 }
 
-func newReaderCache(p *plan.Plan, conceal bool, rec *obs.Recorder) *readerCache {
-	return &readerCache{p: p, conceal: conceal, rec: rec, rs: map[string]*media.Reader{}}
+func newReaderCache(p *plan.Plan, conceal bool) *readerCache {
+	return &readerCache{p: p, conceal: conceal, rs: map[string]*media.Reader{}}
 }
 
-func (c *readerCache) get(video string) (*media.Reader, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok := c.rs[video]; ok {
-		return r, nil
-	}
-	src, ok := c.p.Checked.Sources[video]
+// get returns the shared reader for video, opening it on first use, and
+// points its stage accounting at rec — the recorder of the segment about
+// to read through it.
+func (c *readerCache) get(video string, rec *obs.Recorder) (*media.Reader, error) {
+	r, ok := c.rs[video]
 	if !ok {
-		return nil, fmt.Errorf("exec: unknown video %q", video)
+		src, ok := c.p.Checked.Sources[video]
+		if !ok {
+			return nil, fmt.Errorf("exec: unknown video %q", video)
+		}
+		var err error
+		if r, err = media.OpenReader(src.Path); err != nil {
+			return nil, err
+		}
+		r.SetConceal(c.conceal)
+		c.rs[video] = r
 	}
-	r, err := media.OpenReader(src.Path)
-	if err != nil {
-		return nil, err
-	}
-	r.SetConceal(c.conceal)
-	r.SetRecorder(c.rec)
-	c.rs[video] = r
+	r.SetRecorder(rec)
 	return r, nil
 }
 
-// liveDecodes sums decode counts across the still-open readers (their
-// stats fold into m.Source only at closeAll; per-segment accounting needs
-// the live view).
-func (c *readerCache) liveDecodes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, r := range c.rs {
-		n += r.Stats().FramesDecoded
-	}
-	return n
-}
-
-// liveConcealed is liveDecodes' counterpart for concealed frames.
-func (c *readerCache) liveConcealed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, r := range c.rs {
-		n += r.Stats().FramesConcealed
-	}
-	return n
-}
-
 func (c *readerCache) closeAll(m *Metrics) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, r := range c.rs {
 		m.Source.Add(r.Stats())
 		r.Close()
@@ -505,327 +355,6 @@ func (s arraySource) DataAt(name string, t rational.Rat) (data.Value, bool, erro
 	}
 	v, ok := arr.At(t)
 	return v, ok, nil
-}
-
-// runFrameSegment renders one segment, splitting it into shards when the
-// plan asks for parallelism. segSpan (nil when tracing is off) parents the
-// per-shard-worker spans.
-func runFrameSegment(ctx context.Context, p *plan.Plan, s *plan.Segment, w media.Sink, m *Metrics, o Options, fp *plan.Fingerprinter, readers *readerCache, segSpan *obs.Span) error {
-	frames := s.FrameCount()
-	if frames == 0 {
-		return nil
-	}
-	gop := p.Checked.Output.GOP
-	if gop <= 0 {
-		gop = 48
-	}
-	shards := effectiveShards(s, o)
-	// Shard bounds (also the fill bounds a result-cache miss renders
-	// with) are computed here, on the caller goroutine: alignChunkBounds
-	// walks shared readers that are not safe to touch from workers.
-	bounds := []int{0, frames}
-	if shards > 1 {
-		bounds = alignChunkBounds(chunkBounds(frames, shards, gop), s, readers)
-	}
-	if o.ResultCache != nil && fp != nil {
-		if key, ok := fp.Segment(s, shards); ok {
-			return runFrameSegmentCached(ctx, p, s, key, bounds, gop, w, m, o, segSpan)
-		}
-	}
-	if shards == 1 {
-		// Sequential: encode through the output writer directly.
-		run := newSegmentRunner(p, s, o.Conceal, o.GOPCache, o.Recorder)
-		defer run.close(m)
-		for i := 0; i < frames; i++ {
-			if i%gop == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			fr, err := run.renderAt(s.Times.At(i))
-			if err != nil {
-				return err
-			}
-			err = w.WriteFrame(fr)
-			fr.Release() // the sink copied or encoded the pixels
-			if err != nil {
-				return err
-			}
-			m.FramesRendered++
-		}
-		return nil
-	}
-
-	// Parallel shards: each renders and encodes its chunk into memory;
-	// packets splice in order afterwards. An internal abort signal lets
-	// the delivery loop stop still-running shards early once the output
-	// can no longer use their work (sink failure or an earlier shard
-	// error). A channel rather than a derived context: cancellation must
-	// also honor test/caller contexts that implement Err() directly.
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	cancelShards := func() { abortOnce.Do(func() { close(abort) }) }
-	var mu sync.Mutex // guards metrics accumulation across shard workers
-	chunks := renderChunks(ctx, p, s, bounds, gop, m, &mu, o, segSpan, abort)
-	// Deliver chunks in output order as each completes (pipelined with the
-	// still-running later shards), so streaming consumers see packets as
-	// soon as the first shard lands. On any failure — a shard error or a
-	// sink write error — delivery stops but the loop still waits for every
-	// chunk: shard goroutines mutate *Metrics and close their runners on
-	// exit, so returning while they run would race with the caller reading
-	// m. cancelShards bounds the wasted work to one GOP per live shard.
-	var firstErr error
-	for _, ch := range chunks {
-		<-ch.done //v2v:nolint(sendblock) must-drain join: workers exit promptly on abort/ctx and returning early would race on m
-		if ch.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("exec: shard [%d,%d): %w", ch.lo, ch.hi, ch.err)
-				cancelShards()
-			}
-			continue
-		}
-		if firstErr != nil {
-			continue // drain remaining shards, deliver nothing further
-		}
-		for _, pkt := range ch.pkts {
-			if err := w.WriteEncodedFrame(pkt.Key, pkt.Data); err != nil {
-				firstErr = fmt.Errorf("exec: shard [%d,%d) deliver: %w", ch.lo, ch.hi, err)
-				cancelShards()
-				break
-			}
-			m.FramesRendered++
-		}
-	}
-	return firstErr
-}
-
-// chunk is one shard's work item: the half-open output frame range
-// [lo, hi) and, once done closes, the results or the error. An encoding
-// worker fills pkts; a raw-rendering worker (streaming single-shard
-// segments, whose frames the sink's continuous encoder must compress)
-// fills frames instead. windowHeld records whether the streaming
-// scheduler charged this chunk against the delivery window; it is
-// written before the worker starts and read only after done closes.
-type chunk struct {
-	lo, hi     int
-	pkts       []codec.Packet
-	frames     []*frame.Frame
-	err        error
-	done       chan struct{}
-	windowHeld bool
-}
-
-// renderChunks spawns one shard worker per bounds interval; each renders
-// its frames through a fresh segment runner and encodes them with its own
-// encoder (so every chunk starts on a keyframe). Workers honor ctx at GOP
-// boundaries and stop early when abort closes (nil means no abort
-// signal). mu guards every mutation of m; callers running segments
-// concurrently must pass the same mutex for all of them. The caller must
-// receive on every chunk's done channel before reading m: workers fold
-// their reader stats into m on exit.
-func renderChunks(ctx context.Context, p *plan.Plan, s *plan.Segment, bounds []int, gop int, m *Metrics, mu *sync.Mutex, o Options, segSpan *obs.Span, abort <-chan struct{}) []*chunk {
-	var chunks []*chunk
-	for bi := 0; bi+1 < len(bounds); bi++ {
-		chunks = append(chunks, &chunk{lo: bounds[bi], hi: bounds[bi+1], done: make(chan struct{})})
-	}
-	for _, ch := range chunks {
-		go runChunkWorker(ctx, p, s, ch, gop, m, mu, o, segSpan, abort, true)
-	}
-	return chunks
-}
-
-// runChunkWorker renders one chunk's frames through a fresh segment
-// runner. With encode set it compresses them with its own encoder (so the
-// chunk starts on a keyframe and splices anywhere); without it the raw
-// frames are kept for the delivery goroutine to feed the sink's
-// continuous encoder, preserving byte-identity with sequential output.
-// Runs to completion or error, then closes ch.done; never touches the
-// sink.
-func runChunkWorker(ctx context.Context, p *plan.Plan, s *plan.Segment, ch *chunk, gop int, m *Metrics, mu *sync.Mutex, o Options, segSpan *obs.Span, abort <-chan struct{}, encode bool) {
-	defer close(ch.done)
-	sp := segSpan.ChildThread(fmt.Sprintf("shard[%d,%d)", ch.lo, ch.hi))
-	sp.SetAttr("frames", ch.hi-ch.lo)
-	defer func() {
-		if ch.err != nil {
-			sp.SetAttr("error", ch.err.Error())
-		}
-		sp.SetAttr("frames_encoded", len(ch.pkts))
-		sp.End()
-	}()
-	// Isolate the worker: a panic anywhere in this goroutine (runner
-	// construction, encoder setup, splice bookkeeping) would crash
-	// the whole process since no caller frame can recover across a
-	// `go`. Convert it to a per-segment error instead. renderAt has
-	// its own recover for transform panics; this is the backstop for
-	// everything else.
-	defer func() {
-		if r := recover(); r != nil {
-			panicsRecovered.Inc()
-			ch.err = fmt.Errorf("exec: shard [%d,%d) panicked: %v", ch.lo, ch.hi, r)
-		}
-	}()
-	run := newSegmentRunner(p, s, o.Conceal, o.GOPCache, o.Recorder)
-	defer func() {
-		mu.Lock()
-		run.close(m)
-		mu.Unlock()
-	}()
-	var enc *codec.Encoder
-	if encode {
-		var err error
-		enc, err = codec.NewEncoder(codec.Config{
-			Width: p.Checked.Output.Width, Height: p.Checked.Output.Height,
-			Quality: p.Checked.Output.Quality, GOP: p.Checked.Output.GOP,
-			Level: p.Checked.Output.Level,
-		})
-		if err != nil {
-			ch.err = err
-			return
-		}
-		enc.SetRecorder(o.Recorder)
-	}
-	for i := ch.lo; i < ch.hi; i++ {
-		if (i-ch.lo)%gop == 0 {
-			if err := ctx.Err(); err != nil {
-				ch.err = err
-				return
-			}
-			select {
-			case <-abort:
-				ch.err = errShardAborted
-				return
-			default:
-			}
-		}
-		fr, err := run.renderAt(s.Times.At(i))
-		if err != nil {
-			ch.err = err
-			return
-		}
-		if !encode {
-			// Raw-rendering workers hand frame ownership to the delivery
-			// goroutine, which releases each frame after the sink's
-			// continuous encoder consumes it. Rendered frames are either
-			// pooled (refcounted, never recycled while held) or fresh
-			// allocations, so holding them until delivery is safe.
-			ch.frames = append(ch.frames, fr)
-			continue
-		}
-		pkt, err := enc.Encode(fr)
-		fr.Release() // the packet holds its own copy of the pixels
-		if err != nil {
-			ch.err = err
-			return
-		}
-		// Retained until delivery (and possibly aliased into the result
-		// cache), so this packet is never Recycled.
-		ch.pkts = append(ch.pkts, pkt)
-	}
-}
-
-// runFrameSegmentCached serves a cacheable rendered segment through the
-// result cache: a hit splices the memoized packets as a stream copy (zero
-// decodes, zero encodes); a miss renders the whole segment to packets,
-// fills the cache, and delivers them. Concurrent executions of the same
-// key collapse singleflight-style — the waiter splices the filler's
-// packets.
-func runFrameSegmentCached(ctx context.Context, p *plan.Plan, s *plan.Segment, key string, bounds []int, gop int, w media.Sink, m *Metrics, o Options, segSpan *obs.Span) error {
-	var mu sync.Mutex
-	seg, hit, err := resolveCachedSegment(ctx, p, s, key, bounds, gop, m, &mu, o, segSpan)
-	if err != nil {
-		return err
-	}
-	if hit {
-		m.ResultCacheHits++
-		segSpan.SetAttr("rescache", "hit")
-	} else {
-		m.ResultCacheMisses++
-		segSpan.SetAttr("rescache", "miss")
-	}
-	return deliverResult(seg, w, m, hit)
-}
-
-// resolveCachedSegment fetches a cacheable rendered segment's packets,
-// rendering and filling the cache on a miss. It never touches the sink,
-// so the streaming scheduler can run it on a worker goroutine; bounds are
-// the precomputed fill shard bounds. hit reports whether the packets came
-// from the cache (including another request's concurrent fill).
-func resolveCachedSegment(ctx context.Context, p *plan.Plan, s *plan.Segment, key string, bounds []int, gop int, m *Metrics, mu *sync.Mutex, o Options, segSpan *obs.Span) (*media.ResultSegment, bool, error) {
-	seg, hit, filled, err := o.ResultCache.GetOrFill(ctx, key, func() (*media.ResultSegment, error) {
-		pkts, err := renderSegmentPackets(ctx, p, s, bounds, gop, m, mu, o, segSpan)
-		if err != nil {
-			return nil, err
-		}
-		return media.NewResultSegment(pkts), nil
-	})
-	if err != nil {
-		if filled || ctx.Err() != nil {
-			return nil, false, err
-		}
-		// A concurrent request's fill failed; its error (possibly its own
-		// cancellation) is not ours. Render directly, uncached.
-		pkts, rerr := renderSegmentPackets(ctx, p, s, bounds, gop, m, mu, o, segSpan)
-		if rerr != nil {
-			return nil, false, rerr
-		}
-		return media.NewResultSegment(pkts), false, nil
-	}
-	return seg, hit, nil
-}
-
-// deliverResult writes a segment's packets to the sink. Cache hits splice
-// as raw packets (stream copies — nothing was rendered this run); fills
-// deliver as shard-encoded frames, exactly as the parallel path counts
-// its own work.
-func deliverResult(seg *media.ResultSegment, w media.Sink, m *Metrics, hit bool) error {
-	for _, pkt := range seg.Packets {
-		var err error
-		if hit {
-			err = w.WriteRawPacket(pkt.Key, pkt.Data)
-		} else {
-			err = w.WriteEncodedFrame(pkt.Key, pkt.Data)
-			m.FramesRendered++
-		}
-		if err != nil {
-			return fmt.Errorf("exec: deliver cached segment: %w", err)
-		}
-	}
-	return nil
-}
-
-// renderSegmentPackets renders every frame of the segment into encoded
-// packets without touching the sink — the fill path of the result cache.
-// Each shard (and the single-shard case) uses a fresh encoder, so the
-// packet bytes are self-contained: they start on a keyframe and depend
-// only on the segment's content, never on writer state. bounds are the
-// shard bounds, precomputed on the plan's delivery goroutine (boundary
-// alignment reads shared readers that workers must not touch).
-func renderSegmentPackets(ctx context.Context, p *plan.Plan, s *plan.Segment, bounds []int, gop int, m *Metrics, mu *sync.Mutex, o Options, segSpan *obs.Span) ([]media.EncodedPacket, error) {
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	chunks := renderChunks(ctx, p, s, bounds, gop, m, mu, o, segSpan, abort)
-	var pkts []media.EncodedPacket
-	var firstErr error
-	for _, ch := range chunks {
-		<-ch.done //v2v:nolint(sendblock) must-drain join: workers exit promptly on abort/ctx and returning early would race on m
-		if ch.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("exec: shard [%d,%d): %w", ch.lo, ch.hi, ch.err)
-				abortOnce.Do(func() { close(abort) })
-			}
-			continue
-		}
-		if firstErr != nil {
-			continue // drain remaining shards
-		}
-		for _, pkt := range ch.pkts {
-			pkts = append(pkts, media.EncodedPacket{Key: pkt.Key, Data: pkt.Data})
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return pkts, nil
 }
 
 // chunkBounds splits [0, frames) into up to `shards` chunks whose lengths
@@ -854,7 +383,7 @@ func alignChunkBounds(bounds []int, s *plan.Segment, readers *readerCache) []int
 	if s.AlignVideo == "" || len(bounds) < 3 {
 		return bounds
 	}
-	r, err := readers.get(s.AlignVideo)
+	r, err := readers.get(s.AlignVideo, nil) // index lookups only: no stage work to record
 	if err != nil {
 		return bounds
 	}
@@ -886,8 +415,7 @@ func alignChunkBounds(bounds []int, s *plan.Segment, readers *readerCache) []int
 // defaultGOPCacheBudget sizes an unset cache budget from the plan's source
 // formats: enough for every live shard worker to hold its current source
 // GOPs plus headroom for reuse across shards, clamped to [64MiB, 1GiB].
-// par is the effective shard parallelism (Options.Parallelism, or
-// GOMAXPROCS when unlimited).
+// par is the run's resolved Options.Parallelism.
 func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
 	var maxGOP int64
 	for _, src := range p.Checked.Sources {
@@ -910,9 +438,6 @@ func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
 	// one GOP. An LRU sized below the live set thrashes — every fill
 	// evicts a GOP another stream is about to read — so size for the
 	// full set with 1.5x headroom, and never below 8 GOPs.
-	if par < 1 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	mult := int64(par) * int64(media.DefaultCursorsPerVideo) * 3 / 2
 	if mult < 8 {
 		mult = 8
@@ -967,15 +492,19 @@ func newSegmentRunner(p *plan.Plan, s *plan.Segment, conceal bool, cache *media.
 	return run
 }
 
-func (r *segmentRunner) close(m *Metrics) {
-	m.Source.Add(r.cursors.Close())
+// close releases the runner's readers and codecs and reports the work it
+// did: source reads through its cursors, and the encode/decode pairs of
+// its materialized operator boundaries.
+func (r *segmentRunner) close() (source, intermediate media.Stats) {
+	source = r.cursors.Close()
 	r.root.walk(func(nr *nodeRunner) {
-		m.Intermediate.FramesEncoded += nr.matEncodes
-		m.Intermediate.FramesDecoded += nr.matDecodes
+		intermediate.FramesEncoded += nr.matEncodes
+		intermediate.FramesDecoded += nr.matDecodes
 		if nr.dec != nil {
 			nr.dec.Reset() // release the pooled prediction frame
 		}
 	})
+	return source, intermediate
 }
 
 // SourceFrame implements vql.FrameSource over the segment's cursor pool.

@@ -177,7 +177,7 @@ func TestExecuteShardKeyframeCadence(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, true)
 	p.Segments[0].Shards = 2
 	out := filepath.Join(t.TempDir(), "o.vmf")
-	if _, err := Execute(context.Background(), p, out, Options{}); err != nil {
+	if _, err := Execute(context.Background(), p, out, Options{Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := media.OpenReader(out)
@@ -245,7 +245,7 @@ func TestRenderPanicBecomesError(t *testing.T) {
 	// Parallel shards too.
 	p2 := buildPlan(t, `render(t) = testexec_panic(v[t]);`, true)
 	p2.Segments[0].Shards = 2
-	if _, err := Execute(context.Background(), p2, filepath.Join(t.TempDir(), "o2.vmf"), Options{}); err == nil {
+	if _, err := Execute(context.Background(), p2, filepath.Join(t.TempDir(), "o2.vmf"), Options{Parallelism: 2}); err == nil {
 		t.Fatal("panicking shard should surface as an error")
 	}
 }
@@ -255,7 +255,7 @@ func TestExecuteRecordsSegmentActualsAndShardSpans(t *testing.T) {
 	p.Segments[0].Shards = 2
 	tr := obs.NewTrace("test")
 	out := filepath.Join(t.TempDir(), "o.vmf")
-	m, err := Execute(context.Background(), p, out, Options{Trace: tr})
+	m, err := Execute(context.Background(), p, out, Options{Parallelism: 2, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

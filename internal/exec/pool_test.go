@@ -55,8 +55,8 @@ func TestFusedSegmentRunnerMatchesPlain(t *testing.T) {
 	fs, ps := fusedPlan.Segments[0], plainPlan.Segments[0]
 	fr := newSegmentRunner(fusedPlan, fs, false, nil, nil)
 	pr := newSegmentRunner(plainPlan, ps, false, nil, nil)
-	defer fr.close(&Metrics{})
-	defer pr.close(&Metrics{})
+	defer fr.close()
+	defer pr.close()
 	for i := 0; i < fs.FrameCount(); i++ {
 		tm := fs.Times.At(i)
 		ff, err := fr.renderAt(tm)
@@ -83,7 +83,7 @@ func warmLoopAllocs(t *testing.T, p *plan.Plan) float64 {
 	s := p.Segments[0]
 	cache := media.NewGOPCache(256 << 20)
 	run := newSegmentRunner(p, s, false, cache, nil)
-	defer run.close(&Metrics{})
+	defer run.close()
 
 	frames := s.FrameCount()
 	renderOne := func(i int) {
@@ -137,7 +137,7 @@ func TestBlurRenderWarmLoopAllocs(t *testing.T) {
 func TestBlurSegmentRunnerMatchesGaussianBlur(t *testing.T) {
 	clip := buildPlan(t, `render(t) = v[t];`, false)
 	src := newSegmentRunner(clip, clip.Segments[0], false, nil, nil)
-	defer src.close(&Metrics{})
+	defer src.close()
 	for _, tc := range []struct {
 		name, sigma string
 		optimize    bool
@@ -152,7 +152,7 @@ func TestBlurSegmentRunnerMatchesGaussianBlur(t *testing.T) {
 			p := buildPlan(t, "render(t) = blur(v[t], "+tc.sigma+");", tc.optimize)
 			s := p.Segments[0]
 			run := newSegmentRunner(p, s, false, nil, nil)
-			defer run.close(&Metrics{})
+			defer run.close()
 			for i := 0; i < s.FrameCount(); i++ {
 				tm := s.Times.At(i)
 				in, err := src.renderAt(tm)

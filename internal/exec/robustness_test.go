@@ -271,7 +271,7 @@ func TestCancelShardedSynthesis(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "o.vmf")
 	ctx := &cancelAfter{Context: context.Background(), n: 2}
-	_, err := Execute(ctx, p, out, Options{})
+	_, err := Execute(ctx, p, out, Options{Parallelism: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -285,7 +285,7 @@ func TestShardPanicRecoveredCountsMetric(t *testing.T) {
 	p := buildPlan(t, `render(t) = testexec_panic2(v[t]);`, false)
 	p.Segments[0].Shards = 2
 	before := panicsRecovered.Value()
-	_, err := Execute(context.Background(), p, filepath.Join(t.TempDir(), "o.vmf"), Options{})
+	_, err := Execute(context.Background(), p, filepath.Join(t.TempDir(), "o.vmf"), Options{Parallelism: 2})
 	if err == nil {
 		t.Fatal("panicking shard should fail the run")
 	}
@@ -312,7 +312,7 @@ func TestShardWorkerPanicBackstop(t *testing.T) {
 	// before renderAt's recover is in scope.
 	p.Segments[0].Root = nil
 	before := panicsRecovered.Value()
-	_, err := Execute(context.Background(), p, filepath.Join(t.TempDir(), "o.vmf"), Options{})
+	_, err := Execute(context.Background(), p, filepath.Join(t.TempDir(), "o.vmf"), Options{Parallelism: 2})
 	if err == nil {
 		t.Fatal("worker panic should surface as an error")
 	}

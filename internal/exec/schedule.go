@@ -1,0 +1,516 @@
+package exec
+
+// This file is the engine's scheduler: presentation-order execution with
+// bounded lookahead, for every plan and every sink.
+//
+// Each plan segment becomes one unit. A render unit is cut into shards
+// (one, unless the plan asks for more and Parallelism allows it); a shard
+// is one worker goroutine with one segmentRunner and one fresh encoder
+// over its frame range, so it starts on a keyframe and its bytes depend
+// only on its content — never on what the sink wrote before it, on which
+// other shards ran beside it, or on whether a cache was involved.
+//
+// A scheduler goroutine starts shard workers strictly in presentation
+// order, bounded by two token pools: a parallelism semaphore (CPU) and a
+// delivery window (memory: how many started, not yet delivered shards may
+// exist). A worker publishes its packets one output GOP at a time. The
+// delivery loop, on the caller's goroutine, drains the shards in the same
+// order and writes each batch to the sink the moment it lands, so the
+// head of the output reaches the consumer while the tail is still
+// rendering. Copy and smart-cut units run inline on the delivery
+// goroutine at their turn: they read the source through the shared
+// readers and a smart cut re-encodes its head with the sink's encoder.
+//
+// A cacheable render unit resolves through the result cache first: a hit
+// splices the cached packets at the unit's turn; a miss renders through
+// the same shard workers under the same tokens, and fills the cache once
+// the workers finish — when they finish, not when the sink has taken the
+// packets, so a slow consumer never holds up another request waiting on
+// the same key.
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"v2v/internal/codec"
+	"v2v/internal/media"
+	"v2v/internal/obs"
+	"v2v/internal/plan"
+)
+
+// run is the state of one ExecuteTo call.
+type run struct {
+	p       *plan.Plan
+	o       Options // Parallelism already resolved
+	m       *Metrics
+	readers *readerCache
+	raw     media.Sink // the caller's sink
+	w       media.Sink // raw behind the FirstOutput stamp; delivery goroutine only
+	gop     int        // output GOP: publish, cancellation and cadence granularity
+
+	// sem caps rendering workers; window caps started but undelivered
+	// shards (each holds at most its own encoded packets). Twice the
+	// parallelism keeps workers busy while delivery catches up without
+	// letting a slow consumer buffer the whole tail.
+	sem, window chan struct{}
+	// abort stops workers whose output can no longer be used: the sink
+	// failed or an earlier shard did. A channel rather than a derived
+	// context: cancellation must also honor caller contexts that
+	// implement Err() directly.
+	abort chan struct{}
+	// err is the run's first error; delivery goroutine only.
+	err error
+	// bg joins the scheduler and the result-cache resolvers.
+	bg sync.WaitGroup
+}
+
+// unit is one plan segment prepared for execution. Shard bounds and cache
+// keys are computed on the caller goroutine before any worker starts:
+// boundary alignment and fingerprinting walk shared readers that are not
+// goroutine-safe.
+type unit struct {
+	idx  int
+	s    *plan.Segment
+	span *obs.Span
+	// rec is a child of the request recorder: everything rendered, read or
+	// written for this segment records its stage work here.
+	rec *obs.Recorder
+	// shards is the unit's render work in presentation order; empty for
+	// copy and smart-cut units and for segments with no frames.
+	shards   []*shard
+	nshards  int            // effectiveShards, reported in the actuals
+	rendered sync.WaitGroup // the shards' workers
+
+	// Result-cache resolution of a cacheable render unit (key != "").
+	// decided closes once the outcome is known: seg is the hit's packets,
+	// err a failed wait, and neither means a miss — render the shards.
+	key     string
+	decided chan struct{}
+	seg     *media.ResultSegment
+	err     error
+}
+
+// shard is one worker's share of a render unit: output frames [lo, hi).
+type shard struct {
+	lo, hi int
+	// out carries the finished packets to the delivery loop in order, one
+	// batch per output GOP. It is buffered for every batch the worker will
+	// send, so a worker never waits on the sink, and closed when the
+	// worker exits or the scheduler gives the shard up unstarted.
+	out chan []codec.Packet
+	// started records that the shard holds a delivery-window token; set by
+	// the scheduler before the worker starts.
+	started bool
+
+	// Results, written before out closes and rendered is released. pkts
+	// keeps every packet for a result-cache fill; they are retained until
+	// delivery (and possibly aliased into the cache), so never Recycled.
+	pkts          []codec.Packet
+	err           error
+	source, inter media.Stats
+}
+
+// execute runs the whole plan: builds the units, starts the scheduler and
+// delivers. It returns the first error, after every goroutine it started
+// has exited.
+func (x *run) execute(ctx context.Context) error {
+	x.gop = x.p.Checked.Output.GOP
+	if x.gop <= 0 {
+		x.gop = 48
+	}
+	par := x.o.Parallelism
+	x.sem = make(chan struct{}, par)
+	x.window = make(chan struct{}, 2*par)
+	x.abort = make(chan struct{})
+	units := x.buildUnits()
+
+	x.bg.Add(1)
+	go x.schedule(ctx, units)
+	for _, u := range units {
+		x.fail(ctx.Err())
+		x.deliver(u)
+	}
+	x.bg.Wait()
+	return x.err
+}
+
+// fail records the run's first error and aborts the workers. Delivery
+// goroutine only.
+func (x *run) fail(err error) {
+	if err != nil && x.err == nil {
+		x.err = err
+		close(x.abort)
+	}
+}
+
+func (x *run) buildUnits() []*unit {
+	// One fingerprinter per run: it hashes the data arrays once and every
+	// cacheable segment derives its key from it.
+	var fp *plan.Fingerprinter
+	if x.o.ResultCache != nil {
+		fp = plan.NewFingerprinter(x.p.Checked, x.o.Conceal)
+	}
+	units := make([]*unit, len(x.p.Segments))
+	for i, s := range x.p.Segments {
+		u := &unit{
+			idx: i, s: s, rec: x.o.Recorder.Child(),
+			span:    x.o.Trace.StartSpan(fmt.Sprintf("segment[%d] %s", i, s.Kind)),
+			nshards: effectiveShards(s, x.o.Parallelism),
+		}
+		u.span.SetAttr("kind", s.Kind.String())
+		u.span.SetAttr("t_start", s.Times.Start.String())
+		u.span.SetAttr("t_end", s.Times.End.String())
+		units[i] = u
+		frames := s.FrameCount()
+		if s.Kind != plan.SegFrames || frames == 0 {
+			continue
+		}
+		bounds := []int{0, frames}
+		if u.nshards > 1 {
+			bounds = alignChunkBounds(chunkBounds(frames, u.nshards, x.gop), s, x.readers)
+		}
+		for bi := 0; bi+1 < len(bounds); bi++ {
+			lo, hi := bounds[bi], bounds[bi+1]
+			u.shards = append(u.shards, &shard{
+				lo: lo, hi: hi,
+				out: make(chan []codec.Packet, (hi-lo+x.gop-1)/x.gop),
+			})
+		}
+		u.rendered.Add(len(u.shards))
+		if fp != nil {
+			if key, ok := fp.Segment(s, u.nshards); ok {
+				u.key, u.decided = key, make(chan struct{})
+			}
+		}
+	}
+	return units
+}
+
+// schedule starts the units' workers in presentation order. When the run
+// aborts it gives up everything not yet started, so the delivery loop's
+// drain completes immediately.
+func (x *run) schedule(ctx context.Context, units []*unit) {
+	defer x.bg.Done()
+	for ui, u := range units {
+		if x.start(ctx, u) {
+			continue
+		}
+		for _, rest := range units[ui+1:] {
+			if rest.key != "" {
+				rest.err = errShardAborted
+				close(rest.decided)
+			}
+			rest.giveUp(0)
+		}
+		return
+	}
+}
+
+// start resolves u through the result cache if it is cacheable and, unless
+// that was a hit, starts its shard workers. It reports false if the run
+// aborted first, having given up u's unstarted shards.
+func (x *run) start(ctx context.Context, u *unit) bool {
+	if u.key != "" {
+		x.bg.Add(1)
+		go x.resolve(ctx, u)
+		select {
+		case <-u.decided:
+			if u.seg != nil || u.err != nil {
+				return true
+			}
+		case <-x.abort:
+			u.giveUp(0)
+			return false
+		case <-ctx.Done():
+			u.giveUp(0)
+			return false
+		}
+	}
+	for i, sh := range u.shards {
+		if !x.acquire() {
+			u.giveUp(i)
+			return false
+		}
+		sh.started = true
+		go x.render(ctx, u, sh)
+	}
+	return true
+}
+
+// acquire takes one delivery-window token then one parallelism token,
+// restoring the window token if the run aborts while waiting.
+func (x *run) acquire() bool {
+	select {
+	case x.window <- struct{}{}:
+	case <-x.abort:
+		return false
+	}
+	select {
+	case x.sem <- struct{}{}:
+		return true
+	case <-x.abort:
+		<-x.window
+		return false
+	}
+}
+
+// giveUp marks the shards from index i on as aborted without starting
+// them. They hold no window token.
+func (u *unit) giveUp(i int) {
+	for _, sh := range u.shards[i:] {
+		sh.err = errShardAborted
+		close(sh.out)
+		u.rendered.Done()
+	}
+}
+
+// resolve looks u up in the result cache. Concurrent executions of one key
+// collapse singleflight-style: one renders and fills, the others wait and
+// splice its packets.
+func (x *run) resolve(ctx context.Context, u *unit) {
+	defer x.bg.Done()
+	// miss tells the scheduler to render u's shards, waits for the workers
+	// and collects their packets; the delivery loop drains the same shards
+	// at its own pace.
+	miss := func() (*media.ResultSegment, error) {
+		close(u.decided)
+		u.rendered.Wait()
+		var pkts []media.EncodedPacket
+		for _, sh := range u.shards {
+			if sh.err != nil {
+				return nil, sh.err
+			}
+			for _, pkt := range sh.pkts {
+				pkts = append(pkts, media.EncodedPacket(pkt))
+			}
+		}
+		return media.NewResultSegment(pkts), nil
+	}
+	seg, _, filled, err := x.o.ResultCache.GetOrFill(ctx, u.key, miss)
+	switch {
+	case filled:
+		// The delivery loop reports the shards' errors itself.
+	case err != nil && ctx.Err() == nil:
+		// A concurrent request's fill failed; its error (possibly its own
+		// cancellation) is not ours. Render directly, uncached.
+		miss()
+	default:
+		u.seg, u.err = seg, err
+		close(u.decided)
+	}
+}
+
+// render is a shard worker: it renders sh's frames through a fresh segment
+// runner, encodes them with a fresh encoder and publishes the packets GOP
+// by GOP. It honors ctx and the run's abort at GOP boundaries and never
+// touches the sink.
+func (x *run) render(ctx context.Context, u *unit, sh *shard) {
+	defer func() { <-x.sem }() //v2v:nolint(sendblock) frees this worker's own buffered semaphore slot; never blocks
+	defer u.rendered.Done()
+	defer close(sh.out)
+	sp := u.span.ChildThread(fmt.Sprintf("shard[%d,%d)", sh.lo, sh.hi))
+	sp.SetAttr("frames", sh.hi-sh.lo)
+	defer func() {
+		if sh.err != nil {
+			sp.SetAttr("error", sh.err.Error())
+		}
+		sp.SetAttr("frames_encoded", len(sh.pkts))
+		sp.End()
+	}()
+	// Isolate the worker: a panic anywhere in this goroutine (runner
+	// construction, encoder setup) would crash the whole process since no
+	// caller frame can recover across a `go`. Convert it to a per-segment
+	// error instead. renderAt has its own recover for transform panics;
+	// this is the backstop for everything else.
+	defer func() {
+		if r := recover(); r != nil {
+			panicsRecovered.Inc()
+			sh.err = fmt.Errorf("exec: shard [%d,%d) panicked: %v", sh.lo, sh.hi, r)
+		}
+	}()
+	runner := newSegmentRunner(x.p, u.s, x.o.Conceal, x.o.GOPCache, u.rec)
+	defer func() { sh.source, sh.inter = runner.close() }()
+	out := x.p.Checked.Output
+	enc, err := codec.NewEncoder(codec.Config{
+		Width: out.Width, Height: out.Height,
+		Quality: out.Quality, GOP: out.GOP, Level: out.Level,
+	})
+	if err != nil {
+		sh.err = err
+		return
+	}
+	enc.SetRecorder(u.rec)
+	sh.pkts = make([]codec.Packet, 0, sh.hi-sh.lo)
+	sent := 0
+	publish := func() {
+		if n := len(sh.pkts); n > sent {
+			sh.out <- sh.pkts[sent:n:n] //v2v:nolint(sendblock) out is buffered for one send per GOP of the shard; never blocks
+			sent = n
+		}
+	}
+	defer publish()
+	for i := sh.lo; i < sh.hi; i++ {
+		if (i-sh.lo)%x.gop == 0 {
+			publish()
+			if sh.err = ctx.Err(); sh.err != nil {
+				return
+			}
+			select {
+			case <-x.abort:
+				sh.err = errShardAborted
+				return
+			default:
+			}
+		}
+		fr, err := runner.renderAt(u.s.Times.At(i))
+		if err != nil {
+			sh.err = err
+			return
+		}
+		pkt, err := enc.Encode(fr)
+		fr.Release() // the packet holds its own copy of the pixels
+		if err != nil {
+			sh.err = err
+			return
+		}
+		sh.pkts = append(sh.pkts, pkt)
+	}
+}
+
+// deliver hands unit u's output to the sink at its turn and records the
+// segment's actuals. It joins u's workers whether or not the run has
+// already failed: they write their results until they exit.
+func (x *run) deliver(u *unit) {
+	start := time.Now()
+	if sr, ok := x.raw.(interface{ SetRecorder(*obs.Recorder) }); ok {
+		sr.SetRecorder(u.rec)
+	}
+	before := x.w.Stats()
+	act := plan.SegmentActuals{Shards: u.nshards}
+	if u.s.Kind == plan.SegFrames {
+		x.deliverRender(u, &act)
+	} else if x.err == nil {
+		x.fail(x.copyInline(u, &act))
+	}
+	if x.err != nil {
+		u.span.SetAttr("error", x.err.Error())
+		u.span.End()
+		return
+	}
+	// The sink is written only by this goroutine, so its deltas are this
+	// unit's; the stage fields are what the unit's own recorder saw.
+	after := x.w.Stats()
+	dec, flt, enc := u.rec.Stage(obs.StageDecode), u.rec.Stage(obs.StageFilter), u.rec.Stage(obs.StageEncode)
+	act.Wall = time.Since(start)
+	act.FramesEncoded = after.FramesEncoded - before.FramesEncoded
+	act.PacketsCopied = after.PacketsCopied - before.PacketsCopied
+	act.BytesCopied = after.BytesCopied - before.BytesCopied
+	act.DecodeWall, act.DecodeBytes = dec.Wall, dec.Bytes
+	act.FilterWall, act.FilterFrames, act.FilterBytes = flt.Wall, flt.Frames, flt.Bytes
+	act.EncodeWall, act.EncodeBytes = enc.Wall, enc.Bytes
+	x.m.Segments = append(x.m.Segments, act)
+	x.m.FramesRendered += act.FramesRendered
+	x.m.ResultCacheHits += act.ResultCacheHits
+	x.m.ResultCacheMisses += act.ResultCacheMisses
+	u.span.SetAttr("frames_decoded", act.FramesDecoded)
+	if act.GOPCacheHits > 0 || act.GOPCacheMisses > 0 {
+		u.span.SetAttr("gopcache_hits", act.GOPCacheHits)
+		u.span.SetAttr("gopcache_misses", act.GOPCacheMisses)
+	}
+	if act.ResultCacheHits > 0 || act.ResultCacheMisses > 0 {
+		u.span.SetAttr("rescache_hits", act.ResultCacheHits)
+		u.span.SetAttr("rescache_misses", act.ResultCacheMisses)
+	}
+	u.span.SetAttr("frames_concealed", act.Concealed)
+	u.span.SetAttr("frames_encoded", act.FramesEncoded)
+	u.span.SetAttr("packets_copied", act.PacketsCopied)
+	u.span.SetAttr("frames_rendered", act.FramesRendered)
+	u.span.SetAttr("shards", act.Shards)
+	u.span.End()
+	if x.o.OnSegmentDone != nil {
+		x.o.OnSegmentDone(u.idx)
+	}
+}
+
+// deliverRender delivers a render unit: a result-cache hit splices as raw
+// packets (stream copies — nothing was rendered this run); anything else
+// drains the unit's shards in order, delivering each batch as
+// shard-encoded frames while the run is healthy and discarding it after
+// a failure.
+func (x *run) deliverRender(u *unit, act *plan.SegmentActuals) {
+	if u.key != "" {
+		<-u.decided //v2v:nolint(sendblock) must-drain join: the resolver decides at once on a hit, a miss or ctx's end, else when the concurrent fill it waits on ends; its shards must not outlive the run
+		if u.err != nil {
+			x.fail(u.err)
+			return
+		}
+		if u.seg != nil {
+			act.ResultCacheHits = 1
+			for _, pkt := range u.seg.Packets {
+				if x.err != nil {
+					return
+				}
+				if err := x.w.WriteRawPacket(pkt.Key, pkt.Data); err != nil {
+					x.fail(fmt.Errorf("exec: deliver cached segment: %w", err))
+				}
+			}
+			return
+		}
+		act.ResultCacheMisses = 1
+	}
+	for _, sh := range u.shards {
+		for batch := range sh.out {
+			for _, pkt := range batch {
+				if x.err != nil {
+					break
+				}
+				if err := x.w.WriteEncodedFrame(pkt.Key, pkt.Data); err != nil {
+					x.fail(fmt.Errorf("exec: shard [%d,%d) deliver: %w", sh.lo, sh.hi, err))
+					break
+				}
+				act.FramesRendered++
+			}
+		}
+		if sh.started {
+			<-x.window //v2v:nolint(sendblock) frees the delivered shard's window slot from a buffered channel; never blocks
+		}
+		// errShardAborted appears only once abort is closed or ctx has ended,
+		// so it is never the error ExecuteTo reports.
+		if sh.err != nil {
+			x.fail(fmt.Errorf("exec: shard [%d,%d): %w", sh.lo, sh.hi, sh.err))
+		}
+		x.m.Source.Add(sh.source)
+		x.m.Intermediate.Add(sh.inter)
+		act.FramesDecoded += sh.source.FramesDecoded + sh.inter.FramesDecoded
+		act.Concealed += sh.source.FramesConcealed
+		act.GOPCacheHits += sh.source.GOPCacheHits
+		act.GOPCacheMisses += sh.source.GOPCacheMisses
+	}
+}
+
+// copyInline runs a copy or smart-cut unit on the delivery goroutine. Its
+// decodes (a smart cut's head, concealed packets) are the shared reader's
+// deltas: nothing else reads through it meanwhile.
+func (x *run) copyInline(u *unit, act *plan.SegmentActuals) error {
+	if u.s.Kind != plan.SegCopy && u.s.Kind != plan.SegSmartCut {
+		return fmt.Errorf("exec: unknown segment kind %v", u.s.Kind)
+	}
+	r, err := x.readers.get(u.s.Video, u.rec)
+	if err != nil {
+		return err
+	}
+	before := r.Stats()
+	if u.s.Kind == plan.SegCopy {
+		if err := media.CopyRange(x.w, r, u.s.From, u.s.To); err != nil {
+			return fmt.Errorf("exec: copy segment: %w", err)
+		}
+	} else if _, _, err := media.SmartCut(x.w, r, u.s.From, u.s.To); err != nil {
+		return fmt.Errorf("exec: smart cut segment: %w", err)
+	}
+	after := r.Stats()
+	act.FramesDecoded = after.FramesDecoded - before.FramesDecoded
+	act.Concealed = after.FramesConcealed - before.FramesConcealed
+	return nil
+}

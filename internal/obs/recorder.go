@@ -95,6 +95,7 @@ var (
 // v2v_stage_* metrics while skipping per-request attribution. Safe for
 // concurrent use by shard workers.
 type Recorder struct {
+	parent *Recorder
 	frames [numStages]atomic.Int64
 	bytes  [numStages]atomic.Int64
 	wallNS [numStages]atomic.Int64
@@ -102,6 +103,12 @@ type Recorder struct {
 
 // NewRecorder returns an empty per-request recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
+
+// Child returns an empty recorder for one part of r's request (the
+// executor makes one per plan segment): whatever the child observes also
+// counts toward r, so the children's stages sum to the request's.
+// Nil-safe: a nil recorder's child attributes to itself only.
+func (r *Recorder) Child() *Recorder { return &Recorder{parent: r} }
 
 // StageObserve records one stage operation: frames and bytes processed and
 // the wall time spent. The process-wide stage metrics are always updated;
@@ -113,12 +120,11 @@ func (r *Recorder) StageObserve(s Stage, frames, bytes int64, wall time.Duration
 	stageFrames[s].Add(frames)
 	stageBytes[s].Add(bytes)
 	stageWall[s].Observe(wall.Seconds())
-	if r == nil {
-		return
+	for ; r != nil; r = r.parent {
+		r.frames[s].Add(frames)
+		r.bytes[s].Add(bytes)
+		r.wallNS[s].Add(int64(wall))
 	}
-	r.frames[s].Add(frames)
-	r.bytes[s].Add(bytes)
-	r.wallNS[s].Add(int64(wall))
 }
 
 // Stage returns a snapshot of one stage's accumulated work. Nil-safe
