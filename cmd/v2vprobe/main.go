@@ -88,7 +88,9 @@ func probe(path string, packets, stamps bool) error {
 			if err != nil {
 				return err
 			}
-			if id, ok := frame.ReadStamp(fr); ok {
+			id, ok := frame.ReadStamp(fr)
+			fr.Release()
+			if ok {
 				fmt.Printf("    %6d -> source frame %d\n", i, id)
 			} else {
 				fmt.Printf("    %6d -> (no stamp)\n", i)

@@ -50,6 +50,7 @@ import (
 	"os/signal"
 	"path"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -165,7 +166,11 @@ func main() {
 		srv.gopCache.AttachArbiter(srv.arbiter)
 		srv.resultCache.AttachArbiter(srv.arbiter)
 	}
+	// Resolved once for the process; admission's slot cap is sized from it.
 	srv.parallelism = *parallel
+	if srv.parallelism < 1 {
+		srv.parallelism = runtime.GOMAXPROCS(0)
+	}
 	srv.flushInterval = *flushIvl
 	srv.streamBufBytes = *streamKB << 10
 	weights, _ := cliutil.ParseTenantWeights("-tenant-weight", *tenantW)
@@ -173,6 +178,7 @@ func main() {
 		MaxQueue: *maxQueue,
 		MaxWait:  *admitTO,
 		Weights:  weights,
+		SlotCap:  2 * srv.parallelism,
 	})
 	hs := &http.Server{Addr: *listen, Handler: srv.routes()}
 

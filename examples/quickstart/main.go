@@ -79,6 +79,7 @@ func main() {
 			log.Fatal(err)
 		}
 		id, ok := frame.ReadStamp(fr)
+		fr.Release() // frames from a Reader are pooled; hand each back when done
 		if !ok || id != uint32(96+i) {
 			log.Fatalf("frame %d: stamp=%d ok=%v, want %d", i, id, ok, 96+i)
 		}

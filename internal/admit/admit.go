@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -121,7 +120,8 @@ type Config struct {
 	// listed get weight 1.
 	Weights map[string]float64
 	// SlotCap is the hard ceiling on concurrently admitted requests,
-	// protecting against cost underestimates. Default 2×GOMAXPROCS.
+	// protecting against cost underestimates. Default DefaultSlotCap; a
+	// server sizes it from the parallelism it runs syntheses with.
 	SlotCap int
 	// Window is the pipeline depth the cost capacity targets: capacity =
 	// measured throughput × Window. Default 1s.
@@ -255,6 +255,10 @@ type Controller struct {
 	now func() time.Time // test hook
 }
 
+// DefaultSlotCap is the SlotCap of a Config that sets none: fixed, so a
+// default controller behaves the same on every host.
+const DefaultSlotCap = 8
+
 // NewController returns a controller with cfg's zero fields defaulted.
 func NewController(cfg Config) *Controller {
 	if cfg.MaxQueue <= 0 {
@@ -264,7 +268,7 @@ func NewController(cfg Config) *Controller {
 		cfg.MaxWait = 10 * time.Second
 	}
 	if cfg.SlotCap <= 0 {
-		cfg.SlotCap = 2 * runtime.GOMAXPROCS(0)
+		cfg.SlotCap = DefaultSlotCap
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = time.Second

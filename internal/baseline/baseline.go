@@ -64,21 +64,25 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 			return nil, fmt.Errorf("baseline: no render arm covers t=%s", at)
 		}
 		v, err := vql.Eval(body, &vql.Env{T: at, Frames: env, Data: env})
+		if err == nil && (v.Type != vql.TypeFrame || v.Frame == nil) {
+			err = fmt.Errorf("produced %v", v.Type)
+		}
+		if err == nil {
+			fr := v.Frame
+			if fr.W != info.Width || fr.H != info.Height {
+				fr = raster.Scale(fr, info.Width, info.Height)
+			}
+			err = w.WriteFrame(fr)
+		}
+		// The source frames this output frame read (v.Frame may be one of
+		// them) are encoded by now, or abandoned.
+		for _, fr := range env.taps {
+			fr.Release()
+		}
+		env.taps = env.taps[:0]
 		if err != nil {
 			w.Close()
 			return nil, fmt.Errorf("baseline: render t=%s: %w", at, err)
-		}
-		if v.Type != vql.TypeFrame || v.Frame == nil {
-			w.Close()
-			return nil, fmt.Errorf("baseline: render t=%s produced %v", at, v.Type)
-		}
-		fr := v.Frame
-		if fr.W != info.Width || fr.H != info.Height {
-			fr = raster.Scale(fr, info.Width, info.Height)
-		}
-		if err := w.WriteFrame(fr); err != nil {
-			w.Close()
-			return nil, err
 		}
 		m.FramesRendered++
 	}
@@ -105,10 +109,17 @@ func RunSource(src, outPath string, db *sqlmini.DB) (*Metrics, error) {
 type scriptEnv struct {
 	checked *check.Checked
 	cursors *media.Cursors
+	taps    []*frame.Frame // source frames read for the output frame in progress
 }
 
+// SourceFrame keeps the reference to each frame it hands the evaluator;
+// Run drops them once the output frame is written.
 func (e *scriptEnv) SourceFrame(video string, t rational.Rat) (*frame.Frame, error) {
-	return e.cursors.FrameAt(video, t)
+	fr, err := e.cursors.FrameAt(video, t)
+	if err == nil {
+		e.taps = append(e.taps, fr)
+	}
+	return fr, err
 }
 
 func (e *scriptEnv) DataAt(name string, t rational.Rat) (data.Value, bool, error) {

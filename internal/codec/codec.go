@@ -24,6 +24,7 @@ package codec
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -157,6 +158,9 @@ func (e *Encoder) Encode(fr *frame.Frame) (Packet, error) {
 	} else {
 		e.encodePredicted(fr, recon)
 	}
+	if e.cfg.Quality == 1 {
+		copy(recon.Pix, fr.Pix) // lossless: the reconstruction is the source
+	}
 
 	e.buf.Reset()
 	if isKey {
@@ -201,67 +205,76 @@ func (e *Encoder) Recycle(pkt Packet) {
 	}
 }
 
-// encodeIntra writes the I-frame residual for fr into e.resid and the
-// reconstruction into recon.
+// encodeIntra writes the I-frame residual for fr into e.resid and, when
+// lossy, the reconstruction into recon.
 //
 //v2v:hotpath
 func (e *Encoder) encodeIntra(fr, recon *frame.Frame) {
 	q := e.cfg.Quality
 	off := 0
-	sp, rp := fr.Planes(), recon.Planes()
-	for pi := range sp {
+	for pi := 0; pi < 3; pi++ {
 		w, h := planeDims(e.cfg, pi)
-		intraPlane(sp[pi], rp[pi], e.resid[off:off+w*h], w, h, q)
+		src, res := fr.Pix[off:off+w*h], e.resid[off:off+w*h]
+		if q == 1 {
+			intraResidual(res, src, w, h)
+		} else {
+			intraPlaneLossy(src, recon.Pix[off:off+w*h], res, w, h, q)
+		}
 		off += w * h
 	}
 }
 
+// intraResidual writes one plane's lossless I-frame residual: each pixel
+// minus its left neighbour (the pixel above for the first column, 128 for
+// the top-left one). The reconstruction is the source, so a row's residual
+// is the row minus itself shifted by one — a lane subtraction.
+//
 //v2v:hotpath
-func intraPlane(src, recon, resid []byte, w, h, q int) {
+func intraResidual(resid, src []byte, w, h int) {
+	above := byte(128)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			var pred int
-			switch {
-			case x > 0:
-				pred = int(recon[i-1])
-			case y > 0:
-				pred = int(recon[i-w])
-			default:
-				pred = 128
-			}
-			resid[i], recon[i] = code(int(src[i]), pred, q)
-		}
+		s, r := src[y*w:(y+1)*w], resid[y*w:(y+1)*w]
+		r[0] = s[0] - above
+		above = s[0]
+		subBytes(r[1:], s[1:], s[:w-1])
 	}
 }
 
-// encodePredicted writes the P-frame residual (vs. e.prev) into e.resid.
+// intraPlaneLossy codes one I-frame plane at Quality > 1, predicting from
+// the reconstructed neighbour; the prediction is carried along the row.
+//
+//v2v:hotpath
+func intraPlaneLossy(src, recon, resid []byte, w, h, q int) {
+	pred := 128
+	for y := 0; y < h; y++ {
+		s, rc, rs := src[y*w:(y+1)*w], recon[y*w:(y+1)*w], resid[y*w:(y+1)*w]
+		for x := range s {
+			rs[x], rc[x] = quantize(int(s[x]), pred, q)
+			pred = int(rc[x])
+		}
+		pred = int(rc[0]) // the next row's first pixel predicts from the one above it
+	}
+}
+
+// encodePredicted writes the P-frame residual (vs. e.prev) into e.resid
+// and, when lossy, the reconstruction into recon.
 //
 //v2v:hotpath
 func (e *Encoder) encodePredicted(fr, recon *frame.Frame) {
 	q := e.cfg.Quality
 	src, prev, rec := fr.Pix, e.prev.Pix, recon.Pix
 	if q == 1 {
-		for i := range src {
-			b := src[i] - prev[i]
-			e.resid[i] = b
-			rec[i] = prev[i] + b
-		}
+		subBytes(e.resid, src, prev)
 		return
 	}
 	for i := range src {
-		e.resid[i], rec[i] = code(int(src[i]), int(prev[i]), q)
+		e.resid[i], rec[i] = quantize(int(src[i]), int(prev[i]), q)
 	}
 }
 
-// code quantizes cur against pred with step q, returning the residual byte
-// and the reconstructed value. q==1 is exactly lossless via modular
-// arithmetic; q>1 zigzag-codes the quantized delta.
-func code(cur, pred, q int) (resid, recon byte) {
-	if q == 1 {
-		b := byte(cur - pred)
-		return b, byte(pred + int(b))
-	}
+// quantize codes cur against pred with step q > 1, returning the
+// zigzag-coded quantized delta and the reconstructed value.
+func quantize(cur, pred, q int) (resid, recon byte) {
 	d := cur - pred
 	var qv int
 	if d >= 0 {
@@ -274,13 +287,60 @@ func code(cur, pred, q int) (resid, recon byte) {
 	} else if qv < -127 {
 		qv = -127
 	}
-	r := pred + qv*q
-	if r < 0 {
-		r = 0
-	} else if r > 255 {
-		r = 255
+	return zigzag(qv), clamp8(pred + qv*q)
+}
+
+func clamp8(v int) byte {
+	if v < 0 {
+		return 0
+	} else if v > 255 {
+		return 255
 	}
-	return zigzag(qv), byte(r)
+	return byte(v)
+}
+
+// The Quality-1 kernels do mod-256 arithmetic on eight pixels per uint64.
+// So that no carry or borrow crosses a byte, the low seven bits of every
+// lane are added on their own (subtracted from a minuend whose bit 7 is
+// forced to 1) and the lane's true bit 7 is xored back in. Derivation in
+// docs/PERFORMANCE.md, "Codec round two"; oracle in kernel_test.go.
+const (
+	lo7 = 0x7f7f7f7f7f7f7f7f
+	hi1 = 0x8080808080808080
+)
+
+// addBytes sets dst[i] = a[i] + b[i] (mod 256) for i < len(dst).
+//
+//v2v:hotpath
+func addBytes(dst, a, b []byte) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := binary.LittleEndian.Uint64(a[i : i+8])
+		y := binary.LittleEndian.Uint64(b[i : i+8])
+		binary.LittleEndian.PutUint64(dst[i:i+8], ((x&lo7)+(y&lo7))^((x^y)&hi1))
+	}
+	for ; i < n; i++ {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+// subBytes sets dst[i] = a[i] - b[i] (mod 256) for i < len(dst).
+//
+//v2v:hotpath
+func subBytes(dst, a, b []byte) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := binary.LittleEndian.Uint64(a[i : i+8])
+		y := binary.LittleEndian.Uint64(b[i : i+8])
+		binary.LittleEndian.PutUint64(dst[i:i+8], ((x|hi1)-(y&lo7))^((x^^y)&hi1))
+	}
+	for ; i < n; i++ {
+		dst[i] = a[i] - b[i]
+	}
 }
 
 func zigzag(v int) byte {
@@ -306,6 +366,11 @@ type Decoder struct {
 	resid []byte
 	rec   *obs.Recorder
 	pool  *frame.Pool
+	// One inflater per decoder, Reset onto each packet's payload through
+	// br. Reset also clears what a damaged packet leaves behind, so the
+	// decoder outlives bad packets — which concealment relies on.
+	br bytes.Reader
+	zr io.Reader // also a flate.Resetter
 }
 
 // ErrNeedKeyframe is returned when a P-frame arrives with no reference —
@@ -324,7 +389,9 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Decoder{cfg: cfg, resid: make([]byte, frame.FormatYUV420.Size(cfg.Width, cfg.Height))}, nil
+	d := &Decoder{cfg: cfg, resid: make([]byte, frame.FormatYUV420.Size(cfg.Width, cfg.Height))}
+	d.zr = flate.NewReader(&d.br)
+	return d, nil
 }
 
 // Reset drops the reference frame, e.g. before seeking to a keyframe,
@@ -362,11 +429,13 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	if ftype == frameTypeP && d.prev == nil {
 		return nil, ErrNeedKeyframe
 	}
-	fr := flate.NewReader(bytes.NewReader(data[1:]))
-	if _, err := io.ReadFull(fr, d.resid); err != nil {
+	d.br.Reset(data[1:])
+	if err := d.zr.(flate.Resetter).Reset(&d.br, nil); err != nil {
 		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
 	}
-	fr.Close()
+	if _, err := io.ReadFull(d.zr, d.resid); err != nil {
+		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
+	}
 
 	// Pooled frames carry stale pixels; both decode paths below write
 	// every byte of every plane, so no clearing is needed.
@@ -377,30 +446,24 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 		out = frame.New(d.cfg.Width, d.cfg.Height, frame.FormatYUV420)
 	}
 	q := d.cfg.Quality
-	if ftype == frameTypeI {
+	switch {
+	case ftype == frameTypeI:
 		off := 0
-		op := out.Planes()
-		for pi := range op {
+		for pi := 0; pi < 3; pi++ {
 			w, h := planeDims(d.cfg, pi)
-			decodeIntraPlane(d.resid[off:off+w*h], op[pi], w, h, q)
+			if q == 1 {
+				intraReconstruct(d.resid[off:off+w*h], out.Pix[off:off+w*h], w, h)
+			} else {
+				intraReconstructLossy(d.resid[off:off+w*h], out.Pix[off:off+w*h], w, h, q)
+			}
 			off += w * h
 		}
-	} else {
+	case q == 1:
+		addBytes(out.Pix, d.prev.Pix, d.resid)
+	default:
 		prev := d.prev.Pix
-		if q == 1 {
-			for i := range out.Pix {
-				out.Pix[i] = prev[i] + d.resid[i]
-			}
-		} else {
-			for i := range out.Pix {
-				r := int(prev[i]) + unzigzag(d.resid[i])*q
-				if r < 0 {
-					r = 0
-				} else if r > 255 {
-					r = 255
-				}
-				out.Pix[i] = byte(r)
-			}
+		for i := range out.Pix {
+			out.Pix[i] = clamp8(int(prev[i]) + unzigzag(d.resid[i])*q)
 		}
 	}
 	// The decoder keeps its own reference for P-frame prediction; the
@@ -414,32 +477,35 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 	return out, nil
 }
 
+// intraReconstruct undoes intraResidual: each row is a running byte sum
+// of its residual, seeded by the pixel above its first column (128 for the
+// top row).
+//
 //v2v:hotpath
-func decodeIntraPlane(resid, out []byte, w, h, q int) {
+func intraReconstruct(resid, out []byte, w, h int) {
+	acc := byte(128)
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := y*w + x
-			var pred int
-			switch {
-			case x > 0:
-				pred = int(out[i-1])
-			case y > 0:
-				pred = int(out[i-w])
-			default:
-				pred = 128
-			}
-			if q == 1 {
-				out[i] = byte(pred + int(resid[i]))
-			} else {
-				r := pred + unzigzag(resid[i])*q
-				if r < 0 {
-					r = 0
-				} else if r > 255 {
-					r = 255
-				}
-				out[i] = byte(r)
-			}
+		r, o := resid[y*w:(y+1)*w], out[y*w:(y+1)*w]
+		for x := range r {
+			acc += r[x]
+			o[x] = acc
 		}
+		acc = o[0]
+	}
+}
+
+// intraReconstructLossy undoes intraPlaneLossy the same way.
+//
+//v2v:hotpath
+func intraReconstructLossy(resid, out []byte, w, h, q int) {
+	pred := 128
+	for y := 0; y < h; y++ {
+		r, o := resid[y*w:(y+1)*w], out[y*w:(y+1)*w]
+		for x := range r {
+			o[x] = clamp8(pred + unzigzag(r[x])*q)
+			pred = int(o[x])
+		}
+		pred = int(o[0])
 	}
 }
 

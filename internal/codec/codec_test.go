@@ -365,7 +365,13 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkDecode(b *testing.B) {
+func BenchmarkDecode(b *testing.B) { benchDecode(b, nil) }
+
+// BenchmarkDecodePooled attaches a frame pool and releases every frame —
+// the way media.Reader drives the decoder.
+func BenchmarkDecodePooled(b *testing.B) { benchDecode(b, frame.NewPool()) }
+
+func benchDecode(b *testing.B, pool *frame.Pool) {
 	cfg := Config{Width: 384, Height: 216, Quality: 1, GOP: 24, Level: 4}
 	frames := genFramesB(cfg, 8)
 	enc, _ := NewEncoder(cfg)
@@ -374,15 +380,19 @@ func BenchmarkDecode(b *testing.B) {
 		pkts[i], _ = enc.Encode(fr)
 	}
 	dec, _ := NewDecoder(cfg)
+	dec.SetFramePool(pool)
 	b.SetBytes(int64(frame.FormatYUV420.Size(cfg.Width, cfg.Height)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%len(pkts) == 0 {
 			dec.Reset()
 		}
-		if _, err := dec.Decode(pkts[i%len(pkts)].Data); err != nil {
+		fr, err := dec.Decode(pkts[i%len(pkts)].Data)
+		if err != nil {
 			b.Fatal(err)
 		}
+		fr.Release() // no-op without a pool
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"v2v/internal/check"
 	"v2v/internal/exec"
@@ -35,7 +36,9 @@ type Options struct {
 	OptPasses *opt.Options
 	// Parallelism caps the optimizer's shard fan-out and the executor's
 	// concurrently rendering shard workers (0 = GOMAXPROCS; 1 executes the
-	// plan strictly one shard after another).
+	// plan strictly one shard after another). Zero is resolved here and the
+	// optimizer and executor are handed the same number, so with an
+	// explicit value plan shape does not depend on the host.
 	Parallelism int
 	// DB provides tables for sql-declared data arrays.
 	DB *sqlmini.DB
@@ -69,6 +72,15 @@ type Options struct {
 	OnSegmentDone func(segment int)
 }
 
+// resolved returns o with a zero Parallelism replaced by GOMAXPROCS — the
+// only place in the library that asks the runtime how many cores there are.
+func (o Options) resolved() Options {
+	if o.Parallelism < 1 {
+		o.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	return o
+}
+
 // DefaultOptions enables the full V2V pipeline.
 func DefaultOptions() Options {
 	return Options{Optimize: true, DataRewrite: true}
@@ -86,6 +98,7 @@ type Result struct {
 // Plan validates the spec and produces the (optionally rewritten and
 // optimized) execution plan without running it — the EXPLAIN entry point.
 func Plan(spec *vql.Spec, o Options) (*plan.Plan, rewrite.Stats, opt.Stats, error) {
+	o = o.resolved()
 	var rStats rewrite.Stats
 	var oStats opt.Stats
 
@@ -198,7 +211,7 @@ func (pr *Prepared) SynthesizeStreamContext(ctx context.Context, w io.Writer, o 
 	if err != nil {
 		return nil, err
 	}
-	metrics, err := exec.ExecuteTo(ctx, pr.Plan, sink, execOptions(o))
+	metrics, err := exec.ExecuteTo(ctx, pr.Plan, sink, execOptions(o.resolved()))
 	if err != nil {
 		return nil, err
 	}
@@ -230,6 +243,7 @@ func Synthesize(spec *vql.Spec, outPath string, o Options) (*Result, error) {
 // executor checks ctx before every segment and at every GOP boundary. A
 // cancelled run returns ctx.Err() and leaves nothing at outPath.
 func SynthesizeContext(ctx context.Context, spec *vql.Spec, outPath string, o Options) (*Result, error) {
+	o = o.resolved()
 	p, rStats, oStats, err := Plan(spec, o)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"v2v/internal/dataset"
@@ -369,6 +370,43 @@ func TestParallelShardsMatchSequential(t *testing.T) {
 		if !fs[i].Equal(fp[i]) {
 			t.Fatalf("frame %d differs between sequential and parallel execution", i)
 		}
+	}
+}
+
+// TestPlanShapeIndependentOfHost: with an explicit Parallelism, the plan —
+// how many segments are sharded, and every line EXPLAIN prints — is the
+// same whatever GOMAXPROCS says. The only consumer of GOMAXPROCS is
+// Options.resolved, which an explicit value bypasses.
+func TestPlanShapeIndependentOfHost(t *testing.T) {
+	s, err := vql.Parse(specSrc(`render(t) = blur(v[t], 1.0);`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type shape struct {
+		sharded int
+		explain string
+	}
+	planAt := func(procs, parallelism int) shape {
+		runtime.GOMAXPROCS(procs)
+		p, _, st, err := Plan(s, Options{Optimize: true, Parallelism: parallelism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shape{st.ShardedSegs, p.Explain()}
+	}
+	for _, par := range []int{1, 2, 4} {
+		if one, eight := planAt(1, par), planAt(8, par); one != eight {
+			t.Errorf("Parallelism %d: plan differs between GOMAXPROCS 1 and 8:\n%+v\nvs\n%+v", par, one, eight)
+		}
+	}
+	if got := planAt(1, 2).sharded; got != 1 {
+		t.Errorf("Parallelism 2 sharded %d segments, want 1 (the test must see sharding to mean anything)", got)
+	}
+	// Zero still means "every core", and that is the one thing GOMAXPROCS
+	// decides.
+	if one, two := planAt(1, 0).sharded, planAt(2, 0).sharded; one != 0 || two != 1 {
+		t.Errorf("Parallelism 0 sharded %d segments at GOMAXPROCS 1 and %d at 2, want 0 and 1", one, two)
 	}
 }
 

@@ -20,7 +20,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"v2v/internal/codec"
@@ -107,9 +106,9 @@ type Options struct {
 	// Parallelism caps the shard workers rendering at once, across all
 	// segments of the run, and with it the shards a segment is cut into
 	// and the rendered-but-undelivered shards held in memory (twice this
-	// many). Values below 1 mean runtime.GOMAXPROCS(0), resolved once
-	// when ExecuteTo starts; 1 renders the plan strictly one shard after
-	// another.
+	// many). 1, and any value below it, renders the plan strictly one
+	// shard after another; "every core" is the caller's to resolve
+	// (core.Options does, for the optimizer and the executor alike).
 	Parallelism int
 	// Conceal switches the engine from fail-fast to error-concealment
 	// mode: a corrupt or undecodable source packet is replaced by holding
@@ -225,9 +224,7 @@ func Execute(ctx context.Context, p *plan.Plan, outPath string, o Options) (*Met
 func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Metrics, error) {
 	start := time.Now()
 	m := &Metrics{}
-	if o.Parallelism < 1 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
+	o.Parallelism = max(o.Parallelism, 1)
 	if o.Recorder == nil {
 		o.Recorder = obs.NewRecorder()
 	}
@@ -457,10 +454,12 @@ func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
 //
 // Frame ownership: every frame a nodeRunner returns is owned by its caller,
 // which must Release it when done (Release is a no-op on unpooled frames,
-// so the discipline is universal). Pooled frames originate only in audited
-// paths — fused kernel outputs, the output-scaling destination, and the
-// blur destination, and the materialize decoder — while cursor/source
-// frames stay unpooled (the GOP cache may hold them indefinitely).
+// so the discipline is universal). Pooled frames originate in audited
+// paths — source frames from the cursors (every read hands out a reference
+// of its own), fused kernel outputs, the output-scaling and blur
+// destinations, and the materialize decoder. A source frame an expression
+// taps directly, not through a leaf node, is owned by the runner (taps)
+// until the node that evaluated the expression releases its inputs.
 type segmentRunner struct {
 	p       *plan.Plan
 	seg     *plan.Segment
@@ -469,6 +468,7 @@ type segmentRunner struct {
 	rec     *obs.Recorder
 	pool    *frame.Pool
 	root    *nodeRunner
+	taps    []*frame.Frame // source frames read by the expression being evaluated
 }
 
 func newSegmentRunner(p *plan.Plan, s *plan.Segment, conceal bool, cache *media.GOPCache, rec *obs.Recorder) *segmentRunner {
@@ -507,9 +507,14 @@ func (r *segmentRunner) close() (source, intermediate media.Stats) {
 	return source, intermediate
 }
 
-// SourceFrame implements vql.FrameSource over the segment's cursor pool.
+// SourceFrame implements vql.FrameSource for reads made inside an
+// expression; the runner keeps the reference until releaseInputs.
 func (r *segmentRunner) SourceFrame(video string, t rational.Rat) (*frame.Frame, error) {
-	return r.cursors.FrameAt(video, t)
+	fr, err := r.cursors.FrameAt(video, t)
+	if err == nil {
+		r.taps = append(r.taps, fr)
+	}
+	return fr, err
 }
 
 // renderAt produces the output frame for time t, scaling to the output
@@ -624,30 +629,29 @@ func (nr *nodeRunner) walk(visit func(*nodeRunner)) {
 	}
 }
 
-// releaseFrames releases every owned frame in frames except result (the
-// frame being passed up, which may alias a child on passthrough transforms
-// and zero-copy Scale) and duplicate pointers (the same child frame bound
-// to two ports). Entries are cleared so stale pointers never outlive the
-// call. Release is a no-op on unpooled frames.
-func releaseFrames(frames []*frame.Frame, result *frame.Frame) {
+// releaseFrames drops the reference each entry of frames holds — every
+// entry is one, even when two are the same frame (two taps of one source
+// time) — except one that moves to result, the frame being passed up,
+// which may alias an input on passthrough transforms and zero-copy Scale.
+// It returns result, or nil once result has its reference. Entries are
+// cleared so stale pointers never outlive the call.
+func releaseFrames(frames []*frame.Frame, result *frame.Frame) *frame.Frame {
 	for i, fr := range frames {
-		if fr == nil || fr == result {
-			continue
-		}
-		dup := false
-		for j := 0; j < i; j++ {
-			if frames[j] == fr {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if fr == result {
+			result = nil
+		} else {
 			fr.Release()
 		}
-	}
-	for i := range frames {
 		frames[i] = nil
 	}
+	return result
+}
+
+// releaseInputs releases the children's frames and the source frames the
+// node's expression tapped, except the reference that travels up as result.
+func (nr *nodeRunner) releaseInputs(result *frame.Frame) {
+	releaseFrames(nr.run.taps, releaseFrames(nr.frames, result))
+	nr.run.taps = nr.run.taps[:0]
 }
 
 // renderChildren renders every child for time t into nr.frames. On error
@@ -673,7 +677,7 @@ func (nr *nodeRunner) renderAt(t rational.Rat) (*frame.Frame, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exec: clip index: %w", err)
 		}
-		fr, err = nr.run.SourceFrame(nr.node.Clip.Video, idx.Num)
+		fr, err = nr.run.cursors.FrameAt(nr.node.Clip.Video, idx.Num)
 		if err != nil {
 			return nil, err
 		}
@@ -700,17 +704,17 @@ func (nr *nodeRunner) renderAt(t rational.Rat) (*frame.Frame, error) {
 		fltStart := time.Now()
 		v, err := vql.Eval(nr.node.Expr, &nr.env)
 		if err != nil {
-			releaseFrames(nr.frames, nil)
+			nr.releaseInputs(nil)
 			return nil, fmt.Errorf("exec: filter %s at t=%s: %w", nr.node.Expr, t, err)
 		}
 		if v.Type != vql.TypeFrame || v.Frame == nil {
-			releaseFrames(nr.frames, nil)
+			nr.releaseInputs(nil)
 			return nil, fmt.Errorf("exec: filter %s produced %v, want a frame", nr.node.Expr, v.Type)
 		}
 		fr = v.Frame
 		// Passthrough transforms (identity-parameter ops, zero-copy
-		// scale) may return a child frame itself; releaseFrames keeps it.
-		releaseFrames(nr.frames, fr)
+		// scale) may return an input frame itself; releaseInputs keeps it.
+		nr.releaseInputs(fr)
 		nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(fr.Pix)), time.Since(fltStart))
 	}
 	if !nr.node.Materialize {
@@ -737,15 +741,15 @@ func (nr *nodeRunner) renderFused(t rational.Rat) (*frame.Frame, error) {
 	for i, st := range nr.node.Fused {
 		op, err := nr.stageOp(i, st, base)
 		if err != nil {
-			releaseFrames(nr.frames, nil)
+			nr.releaseInputs(nil)
 			return nil, fmt.Errorf("exec: fused %s at t=%s: %w", st.Op, t, err) //v2v:nolint(hotpath) cold error path; allocates only when a stage rejects its arguments
 		}
 		nr.ops[i] = op
 	}
 	dst := nr.run.pool.Get(base.W, base.H, base.Format)
 	raster.ApplyFused(dst, base, nr.ops)
-	// dst comes from the pool, so it never aliases a child frame.
-	releaseFrames(nr.frames, nil)
+	// dst comes from the pool, so it never aliases an input frame.
+	nr.releaseInputs(nil)
 	nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(dst.Pix)), time.Since(fltStart))
 	return dst, nil
 }
@@ -772,7 +776,7 @@ func (nr *nodeRunner) renderBlur(t rational.Rat) (*frame.Frame, error) {
 		sigma, err = nr.evalFloat(b.sigma)
 	}
 	if err != nil {
-		releaseFrames(nr.frames, nil)
+		nr.releaseInputs(nil)
 		return nil, fmt.Errorf("exec: filter %s at t=%s: %w", nr.node.Expr, t, err) //v2v:nolint(hotpath) cold error path; allocates only when an argument fails to evaluate
 	}
 	dst := src // sigma <= 0 is the identity, passed through like GaussianBlur does
@@ -783,9 +787,9 @@ func (nr *nodeRunner) renderBlur(t rational.Rat) (*frame.Frame, error) {
 		dst = nr.run.pool.Get(src.W, src.H, frame.FormatYUV420)
 		raster.BlurInto(dst, src, b.kernel, &b.scratch)
 	}
-	// src is either a child's frame (released here unless passed through)
-	// or an unpooled source or transform result, which Release ignores.
-	releaseFrames(nr.frames, dst)
+	// src is a child's or a tapped source frame (released here unless
+	// passed through) or an unpooled transform result, which Release ignores.
+	nr.releaseInputs(dst)
 	nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(dst.Pix)), time.Since(fltStart))
 	return dst, nil
 }

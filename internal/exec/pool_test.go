@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"v2v/internal/media"
+	"v2v/internal/obs"
 	"v2v/internal/opt"
 	"v2v/internal/plan"
 	"v2v/internal/raster"
@@ -170,5 +171,38 @@ func TestBlurSegmentRunnerMatchesGaussianBlur(t *testing.T) {
 				in.Release()
 			}
 		})
+	}
+}
+
+// TestExecuteReleasesSourceFrames: source frames are pooled, and a run
+// gives back every reference it took — leaf reads, frames an expression
+// taps directly (merged plans), the same source time tapped twice, a
+// passthrough that returns a tap as its result, smart-cut heads. What is
+// still checked out afterwards is exactly what the GOP cache holds.
+func TestExecuteReleasesSourceFrames(t *testing.T) {
+	live := obs.Default().Gauge("v2v_frame_pool_live_frames", "")
+	for _, body := range []string{
+		`render(t) = v[t + 1/2];`, // smart cut: decode and re-encode the head
+		`render(t) = grid(v[t], v[t], v[t + 1], v[t + 3/2]);`,
+		`render(t) = blur(blur(v[t], 0), 0);`, // identity: the source frame itself travels up
+		`render(t) = crossfade(grade(v[t], 5, 1, 1), v[t + 1], 1/2);`,
+	} {
+		for _, optimize := range []bool{false, true} {
+			for _, cache := range []*media.GOPCache{nil, media.NewGOPCache(64 << 20)} {
+				before := live.Value()
+				p := buildPlan(t, body, optimize)
+				runStream(t, p, Options{Parallelism: 2, GOPCache: cache})
+				resident := 0
+				if cache != nil {
+					for _, e := range cache.Entries() {
+						resident += e.Frames
+					}
+				}
+				if got := int(live.Value() - before); got != resident {
+					t.Errorf("%s (optimize=%v, cache=%v): %d pooled frames still live after the run, want the %d the cache holds",
+						body, optimize, cache != nil, got, resident)
+				}
+			}
+		}
 	}
 }

@@ -70,7 +70,9 @@ func (c *Cursors) SetRecorder(rec *obs.Recorder) {
 // pools share one cache.
 func (c *Cursors) SetGOPCache(g *GOPCache) { c.cache = g }
 
-// FrameAt returns the frame of the named video at exactly time t.
+// FrameAt returns the frame of the named video at exactly time t. The
+// frame is shared and must not be modified; the caller owns one reference
+// to it and Releases it when done (see Reader).
 func (c *Cursors) FrameAt(video string, t rational.Rat) (*frame.Frame, error) {
 	rs := c.open[video]
 	if len(rs) == 0 {
@@ -111,7 +113,7 @@ func (c *Cursors) cachedFrame(video string, target int) (*frame.Frame, bool) {
 	if nk, found := cr.NextKeyframeAfter(k + 1); found && nk < end {
 		end = nk
 	}
-	frames, hit, err := c.cache.GetOrFill(c.paths[video], k, func() ([]*frame.Frame, error) {
+	fr, hit, err := c.cache.GetOrFill(c.paths[video], k, target-k, func() ([]*frame.Frame, error) {
 		return c.decodeGOP(video, k, end)
 	})
 	if err != nil {
@@ -122,15 +124,12 @@ func (c *Cursors) cachedFrame(video string, target int) (*frame.Frame, bool) {
 	} else {
 		c.stats.GOPCacheMisses++
 	}
-	if idx := target - k; idx >= 0 && idx < len(frames) {
-		return frames[idx], true
-	}
-	return nil, false
+	return fr, fr != nil
 }
 
 // decodeGOP decodes packets [k, end) through this pool's cursors — the
-// fill path for cache misses. Frames come straight from the decoder (one
-// fresh allocation per packet), so the returned slice is safe to share.
+// fill path for cache misses. Each returned frame carries the reference
+// FrameAtIndex gave this caller; the cache takes them over.
 func (c *Cursors) decodeGOP(video string, k, end int) ([]*frame.Frame, error) {
 	r, err := c.cursorFor(video, k)
 	if err != nil {
@@ -140,6 +139,9 @@ func (c *Cursors) decodeGOP(video string, k, end int) ([]*frame.Frame, error) {
 	for i := k; i < end; i++ {
 		fr, err := r.FrameAtIndex(i)
 		if err != nil {
+			for _, got := range frames {
+				got.Release()
+			}
 			return nil, err
 		}
 		frames = append(frames, fr)

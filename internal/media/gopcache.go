@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"v2v/internal/frame"
 	"v2v/internal/obs"
@@ -48,8 +49,11 @@ const FallbackGOPCacheBytes = 256 << 20
 // cached.
 //
 // Cached frames are shared between goroutines and must be treated as
-// immutable — the same contract Reader.FrameAtIndex already imposes by
-// returning its internal last-frame reference.
+// immutable — the contract Reader.FrameAtIndex already imposes. They are
+// pooled: a resident entry holds one reference to each of its frames from
+// insertion to eviction, and GetOrFill hands each caller its own reference
+// to the frame it asked for, taken while the entry cannot be evicted, so
+// an eviction never recycles a buffer a reader still holds.
 type GOPCache struct {
 	mu       sync.Mutex
 	budget   int64
@@ -75,8 +79,11 @@ type gopEntry struct {
 
 type gopFill struct {
 	done   chan struct{}
-	frames []*frame.Frame
+	frames []*frame.Frame // one reference each, the fill's until its last party leaves
 	err    error
+	// parties counts the filler plus the waiters that joined (under
+	// GOPCache.mu) before the fill completed; see leave.
+	parties atomic.Int32
 }
 
 // errFillIncomplete is what waiters observe when a fill panicked out of
@@ -141,25 +148,30 @@ func (c *GOPCache) effectiveBudgetLocked() int64 {
 	return c.budget
 }
 
-// GetOrFill returns the decoded frames of the GOP starting at packet index
-// start of path, consulting the cache first. On a miss the fill callback
-// decodes the GOP (packets [start, nextKeyframe)); concurrent misses on the
-// same key run fill exactly once and share its result. hit reports whether
-// this caller avoided the decode (resident entry or singleflight wait). A
-// fill error is returned to every waiter and nothing is cached.
-func (c *GOPCache) GetOrFill(path string, start int, fill func() ([]*frame.Frame, error)) (frames []*frame.Frame, hit bool, err error) {
+// GetOrFill returns frame idx (nil if outside the GOP) of the GOP starting
+// at packet index start of path, consulting the cache first; the caller
+// owns one reference to it. On a miss the fill callback decodes the GOP
+// (packets [start, nextKeyframe)) into frames carrying one reference each,
+// which GetOrFill takes over; concurrent misses on the same key run fill
+// exactly once and share its result. hit reports whether this caller
+// avoided the decode (resident entry or singleflight wait). A fill error
+// is returned to every waiter and nothing is cached.
+func (c *GOPCache) GetOrFill(path string, start, idx int, fill func() ([]*frame.Frame, error)) (fr *frame.Frame, hit bool, err error) {
 	key := gopKey{path: path, start: start}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
+		fr = frameAt(el.Value.(*gopEntry).frames, idx).Retain()
 		c.mu.Unlock()
 		gopHits.Inc()
-		return el.Value.(*gopEntry).frames, true, nil
+		return fr, true, nil
 	}
 	if f, ok := c.inflight[key]; ok {
+		f.parties.Add(1)
 		c.mu.Unlock()
 		<-f.done
+		fr = f.leave(idx)
 		if f.err != nil {
 			return nil, false, f.err
 		}
@@ -167,9 +179,10 @@ func (c *GOPCache) GetOrFill(path string, start int, fill func() ([]*frame.Frame
 		c.hits++
 		c.mu.Unlock()
 		gopHits.Inc()
-		return f.frames, true, nil
+		return fr, true, nil
 	}
 	f := &gopFill{done: make(chan struct{}), err: errFillIncomplete}
+	f.parties.Add(1)
 	c.inflight[key] = f
 	c.misses++
 	c.mu.Unlock()
@@ -198,9 +211,6 @@ func (c *GOPCache) GetOrFill(path string, start int, fill func() ([]*frame.Frame
 			c.mu.Lock()
 			delete(c.inflight, key)
 			if admitted {
-				// The cache holds a reference to each resident frame until
-				// eviction (no-ops for the unpooled frames source decoders
-				// produce today; the protocol keeps pooled frames safe).
 				for _, fr := range f.frames {
 					//v2v:nolint(poolcheck) the cache holds this reference until eviction; removeLocked releases it
 					fr.Retain()
@@ -219,7 +229,29 @@ func (c *GOPCache) GetOrFill(path string, start int, fill func() ([]*frame.Frame
 		}()
 		f.frames, f.err = fill()
 	}()
-	return f.frames, false, f.err
+	return f.leave(idx), false, f.err
+}
+
+// frameAt returns frames[idx], or nil when idx is out of range.
+func frameAt(frames []*frame.Frame, idx int) *frame.Frame {
+	if idx < 0 || idx >= len(frames) {
+		return nil
+	}
+	return frames[idx]
+}
+
+// leave takes one party's frame out of a completed fill, with a reference
+// of the party's own; the last party out drops the fill's references, and
+// the frames then live as long as the cache entry (if one was admitted)
+// and the callers that took them.
+func (f *gopFill) leave(idx int) *frame.Frame {
+	fr := frameAt(f.frames, idx).Retain()
+	if f.parties.Add(-1) == 0 {
+		for _, held := range f.frames {
+			held.Release()
+		}
+	}
+	return fr
 }
 
 // admit decides whether a filled GOP of b bytes may be cached, reserving

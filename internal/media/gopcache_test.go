@@ -10,13 +10,21 @@ import (
 	"v2v/internal/frame"
 )
 
-// fakeGOP builds n small frames totalling n*frameBytes(16x16) bytes.
+// fakeGOP builds n small pooled frames totalling n*fakeFrameBytes bytes,
+// each carrying the one reference a fill hands to the cache.
 func fakeGOP(n int) []*frame.Frame {
 	out := make([]*frame.Frame, n)
 	for i := range out {
-		out[i] = frame.New(16, 16, frame.FormatGray8) // 256 bytes each
+		out[i] = frame.DefaultPool().Get(16, 16, frame.FormatGray8) // 256 bytes each
 	}
 	return out
+}
+
+// lookup is GetOrFill for tests that do not keep the frame.
+func lookup(c *GOPCache, path string, start int, fill func() ([]*frame.Frame, error)) (hit bool, err error) {
+	fr, hit, err := c.GetOrFill(path, start, 0, fill)
+	fr.Release()
+	return hit, err
 }
 
 const fakeFrameBytes = 16 * 16
@@ -24,8 +32,8 @@ const fakeFrameBytes = 16 * 16
 func TestGOPCacheHitAfterFill(t *testing.T) {
 	c := NewGOPCache(1 << 20)
 	fills := 0
-	get := func() ([]*frame.Frame, bool, error) {
-		return c.GetOrFill("a.vmf", 0, func() ([]*frame.Frame, error) {
+	get := func() (*frame.Frame, bool, error) {
+		return c.GetOrFill("a.vmf", 0, 0, func() ([]*frame.Frame, error) {
 			fills++
 			return fakeGOP(4), nil
 		})
@@ -41,9 +49,11 @@ func TestGOPCacheHitAfterFill(t *testing.T) {
 	if fills != 1 {
 		t.Errorf("fills = %d, want 1", fills)
 	}
-	if &fr1[0].Pix[0] != &fr2[0].Pix[0] {
-		t.Error("hit did not return the cached frames")
+	if fr1 != fr2 {
+		t.Error("hit did not return the cached frame")
 	}
+	fr1.Release()
+	fr2.Release()
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 4*fakeFrameBytes {
 		t.Errorf("stats = %+v", st)
@@ -55,7 +65,7 @@ func TestGOPCacheLRUEvictionAtByteBudget(t *testing.T) {
 	c := NewGOPCache(3 * 4 * fakeFrameBytes)
 	fill := func(path string, start int) {
 		t.Helper()
-		if _, _, err := c.GetOrFill(path, start, func() ([]*frame.Frame, error) {
+		if _, err := lookup(c, path, start, func() ([]*frame.Frame, error) {
 			return fakeGOP(4), nil
 		}); err != nil {
 			t.Fatal(err)
@@ -65,7 +75,7 @@ func TestGOPCacheLRUEvictionAtByteBudget(t *testing.T) {
 	fill("a.vmf", 4)
 	fill("a.vmf", 8)
 	// Touch GOP 0 so GOP 4 is the least recently used.
-	if _, hit, _ := c.GetOrFill("a.vmf", 0, nil); !hit {
+	if hit, _ := lookup(c, "a.vmf", 0, nil); !hit {
 		t.Fatal("GOP 0 should be resident")
 	}
 	fill("a.vmf", 12) // over budget: evicts GOP 4
@@ -73,11 +83,11 @@ func TestGOPCacheLRUEvictionAtByteBudget(t *testing.T) {
 	if st.Evictions != 1 || st.Entries != 3 || st.Bytes != 3*4*fakeFrameBytes {
 		t.Errorf("stats after eviction = %+v", st)
 	}
-	if _, hit, _ := c.GetOrFill("a.vmf", 0, nil); !hit {
+	if hit, _ := lookup(c, "a.vmf", 0, nil); !hit {
 		t.Error("recently-touched GOP 0 was evicted")
 	}
 	refilled := false
-	if _, hit, err := c.GetOrFill("a.vmf", 4, func() ([]*frame.Frame, error) {
+	if hit, err := lookup(c, "a.vmf", 4, func() ([]*frame.Frame, error) {
 		refilled = true
 		return fakeGOP(4), nil
 	}); hit || err != nil {
@@ -90,12 +100,14 @@ func TestGOPCacheLRUEvictionAtByteBudget(t *testing.T) {
 
 func TestGOPCacheOversizedGOPServedNotCached(t *testing.T) {
 	c := NewGOPCache(2 * fakeFrameBytes)
-	fr, hit, err := c.GetOrFill("a.vmf", 0, func() ([]*frame.Frame, error) {
+	fr, hit, err := c.GetOrFill("a.vmf", 0, 3, func() ([]*frame.Frame, error) {
 		return fakeGOP(4), nil // 4 frames > 2-frame budget
 	})
-	if err != nil || hit || len(fr) != 4 {
-		t.Fatalf("oversized fill: frames=%d hit=%v err=%v", len(fr), hit, err)
+	if err != nil || hit || fr == nil {
+		t.Fatalf("oversized fill: frame=%v hit=%v err=%v", fr, hit, err)
 	}
+	// Nothing else holds the uncached GOP: this is the last reference.
+	fr.Release()
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("oversized GOP was cached: %+v", st)
 	}
@@ -116,7 +128,7 @@ func TestGOPCacheSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, hit, err := c.GetOrFill("a.vmf", 0, func() ([]*frame.Frame, error) {
+			hit, err := lookup(c, "a.vmf", 0, func() ([]*frame.Frame, error) {
 				fills.Add(1)
 				once.Do(func() { close(started) })
 				<-gate // hold the fill open so the others pile up
@@ -149,7 +161,7 @@ func TestGOPCacheSingleflightDedup(t *testing.T) {
 func TestGOPCacheFillErrorSharedNotCached(t *testing.T) {
 	c := NewGOPCache(1 << 20)
 	boom := errors.New("decode failed")
-	if _, _, err := c.GetOrFill("a.vmf", 0, func() ([]*frame.Frame, error) {
+	if _, err := lookup(c, "a.vmf", 0, func() ([]*frame.Frame, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -158,7 +170,7 @@ func TestGOPCacheFillErrorSharedNotCached(t *testing.T) {
 		t.Errorf("failed fill was cached: %+v", st)
 	}
 	// The key is released: a later fill can succeed.
-	if _, hit, err := c.GetOrFill("a.vmf", 0, func() ([]*frame.Frame, error) {
+	if hit, err := lookup(c, "a.vmf", 0, func() ([]*frame.Frame, error) {
 		return fakeGOP(2), nil
 	}); hit || err != nil {
 		t.Errorf("retry after failed fill: hit=%v err=%v", hit, err)
@@ -173,12 +185,12 @@ func TestGOPCachePanickingFillReleasesWaiters(t *testing.T) {
 				t.Error("fill panic did not propagate")
 			}
 		}()
-		c.GetOrFill("a.vmf", 0, func() ([]*frame.Frame, error) {
+		c.GetOrFill("a.vmf", 0, 0, func() ([]*frame.Frame, error) {
 			panic("fill exploded")
 		})
 	}()
 	// The inflight entry must be gone and the key usable again.
-	if _, hit, err := c.GetOrFill("a.vmf", 0, func() ([]*frame.Frame, error) {
+	if hit, err := lookup(c, "a.vmf", 0, func() ([]*frame.Frame, error) {
 		return fakeGOP(2), nil
 	}); hit || err != nil {
 		t.Errorf("after panicked fill: hit=%v err=%v", hit, err)
@@ -192,11 +204,15 @@ func TestGOPCacheDistinctKeysDoNotCollide(t *testing.T) {
 		start int
 	}{{"a.vmf", 0}, {"a.vmf", 24}, {"b.vmf", 0}} {
 		n := i + 1
-		fr, hit, err := c.GetOrFill(k.path, k.start, func() ([]*frame.Frame, error) {
+		last, hit, err := c.GetOrFill(k.path, k.start, n-1, func() ([]*frame.Frame, error) {
 			return fakeGOP(n), nil
 		})
-		if hit || err != nil || len(fr) != n {
-			t.Fatalf("key %v: frames=%d hit=%v err=%v", k, len(fr), hit, err)
+		if hit || err != nil || last == nil {
+			t.Fatalf("key %v: last frame=%v hit=%v err=%v", k, last, hit, err)
+		}
+		last.Release()
+		if past, _, _ := c.GetOrFill(k.path, k.start, n, nil); past != nil {
+			t.Fatalf("key %v: index %d past the GOP returned a frame", k, n)
 		}
 	}
 	if st := c.Stats(); st.Entries != 3 {
@@ -230,7 +246,7 @@ func TestGOPCacheConcurrentMixedKeysRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := (g + i) % 10
-				_, _, err := c.GetOrFill(fmt.Sprintf("v%d.vmf", key%2), key*4, func() ([]*frame.Frame, error) {
+				_, err := lookup(c, fmt.Sprintf("v%d.vmf", key%2), key*4, func() ([]*frame.Frame, error) {
 					return fakeGOP(4), nil
 				})
 				if err != nil {

@@ -54,11 +54,17 @@ func (s *Stats) Add(o Stats) {
 
 // Reader provides random access to the frames of a VMF file.
 // Not safe for concurrent use; open one Reader per goroutine.
+//
+// Decoded frames come out of frame.DefaultPool. Every frame a Reader hands
+// out carries a reference owned by the caller, who should Release it when
+// done (one never released is left to the garbage collector); Close drops
+// the reader's own references.
 type Reader struct {
 	c       *container.Reader
 	dec     *codec.Decoder
-	next    int // packet index the decoder will consume next; -1 if unset
-	last    *frame.Frame
+	next    int          // packet index the decoder will consume next; -1 if unset
+	last    *frame.Frame // frame at next-1, decoded or concealed
+	gray    *frame.Frame // what concealment holds before the first good frame; built on first use
 	conceal bool
 	stats   Stats
 }
@@ -82,11 +88,18 @@ func OpenReader(path string) (*Reader, error) {
 		c.Close()
 		return nil, err
 	}
+	dec.SetFramePool(frame.DefaultPool())
 	return &Reader{c: c, dec: dec, next: -1}, nil
 }
 
-// Close releases the underlying file.
-func (r *Reader) Close() error { return r.c.Close() }
+// Close releases the reader's frame references and the underlying file.
+func (r *Reader) Close() error {
+	r.last.Release()
+	r.gray.Release()
+	r.last, r.gray = nil, nil
+	r.dec.Reset()
+	return r.c.Close()
+}
 
 // Info returns the stream description.
 func (r *Reader) Info() container.StreamInfo { return r.c.Info() }
@@ -122,29 +135,30 @@ func Concealable(err error) bool {
 		errors.Is(err, codec.ErrNeedKeyframe)
 }
 
-// concealedFrame returns the frame substituted for an unrecoverable
-// packet: the last good frame, or mid-gray when none exists.
-func (r *Reader) concealedFrame() *frame.Frame {
+// concealPacket substitutes for an unrecoverable packet by holding the last good
+// frame in r.last, or the reader's mid-gray frame when none exists yet.
+func (r *Reader) concealPacket() {
 	if r.last != nil {
-		return r.last
+		return
 	}
-	info := r.c.Info()
-	fr := frame.New(info.Width, info.Height, frame.FormatYUV420)
-	for i := range fr.Pix {
-		fr.Pix[i] = 128
+	if r.gray == nil {
+		info := r.c.Info()
+		r.gray = frame.DefaultPool().Get(info.Width, info.Height, frame.FormatYUV420)
+		r.gray.Fill(128, 128, 128)
 	}
-	return fr
+	r.last = r.gray.Retain()
 }
 
 // FrameAtIndex returns the decoded frame for packet index i. Sequential
 // access (i, i+1, ...) decodes each packet exactly once; random access
-// restarts from the keyframe at or before i.
+// restarts from the keyframe at or before i. The frame is shared and must
+// not be modified; the caller owns one reference to it (see Reader).
 func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 	if i < 0 || i >= r.c.NumPackets() {
 		return nil, fmt.Errorf("media: frame %d out of range [0,%d)", i, r.c.NumPackets())
 	}
 	if r.next >= 0 && i == r.next-1 && r.last != nil {
-		return r.last, nil
+		return r.last.Retain(), nil
 	}
 	// Seek policy: restart from the keyframe at or before the target when
 	// the decoder has no state, sits past the target, or would roll
@@ -164,7 +178,8 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 			var fr *frame.Frame
 			if fr, err = r.dec.Decode(data); err == nil {
 				r.stats.FramesDecoded++
-				r.last = fr
+				r.last.Release()
+				r.last = fr // Decode's caller reference becomes the reader's
 			} else {
 				err = fmt.Errorf("media: decode packet %d: %w", r.next, err)
 			}
@@ -177,12 +192,12 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 			// decoder keeps its previous reference, so later P-frames decode
 			// against a stale prediction (drift) until the next keyframe —
 			// degraded output rather than a dead synthesis.
-			r.last = r.concealedFrame()
+			r.concealPacket()
 			r.stats.FramesConcealed++
 		}
 		r.next++
 	}
-	return r.last, nil
+	return r.last.Retain(), nil
 }
 
 // FrameAt returns the frame whose presentation time is exactly t.
@@ -416,7 +431,9 @@ func CopyRange(dst Sink, src *Reader, i0, i1 int) error {
 			if ferr != nil {
 				return ferr
 			}
-			if werr := dst.WriteFrame(fr); werr != nil {
+			werr := dst.WriteFrame(fr)
+			fr.Release()
+			if werr != nil {
 				return werr
 			}
 			continue
@@ -451,7 +468,9 @@ func SmartCut(dst Sink, src *Reader, i0, i1 int) (reencoded, copied int, err err
 		if err != nil {
 			return reencoded, copied, err
 		}
-		if err := dst.WriteFrame(fr); err != nil {
+		err = dst.WriteFrame(fr)
+		fr.Release()
+		if err != nil {
 			return reencoded, copied, err
 		}
 		reencoded++

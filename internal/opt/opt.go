@@ -7,7 +7,6 @@ package opt
 
 import (
 	"fmt"
-	"runtime"
 
 	"v2v/internal/container"
 	"v2v/internal/obs"
@@ -37,7 +36,8 @@ type Options struct {
 	SmartCut bool
 	// Shard splits long render segments into parallel shards.
 	Shard bool
-	// Parallelism bounds shard fan-out; 0 means GOMAXPROCS.
+	// Parallelism bounds shard fan-out: the number the executor will run
+	// with (core.Options resolves both). Below 2 means no sharding.
 	Parallelism int
 	// Trace, when set, records one span per optimizer pass.
 	Trace *obs.Trace
@@ -253,10 +253,7 @@ func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 // shardPass splits render segments into parallel shards at output-GOP
 // granularity.
 func shardPass(p *plan.Plan, parallelism int) int {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism == 1 {
+	if parallelism <= 1 {
 		return 0
 	}
 	gop := p.Checked.Output.GOP
