@@ -13,6 +13,10 @@
 # (BENCH_PR7.json — PR 8's baseline was never committed) with regressions
 # flagged — CI uploads both reports and appends the markdown diff to the
 # job summary; `make microbench` keeps the old go-test microbenchmarks.
+# `make ab W=<workload> [S=<seed>] [N=10] [PARENT=HEAD~1]` measures the
+# working tree against a parent revision with the repository's benchmark
+# (`go run ./bench`): N alternating pairs, every run appended to
+# ab-runs.jsonl, verdict table printed (scripts/ab.sh).
 # `make chaos` runs the fault-injection suite (docs/ROBUSTNESS.md) — read
 # faults plus the overload/memory-pressure scenario — three times with
 # distinct seeds; set V2V_CHAOS_SEED to pin the base seed.
@@ -25,7 +29,7 @@ BENCH_DELTA_MD ?= bench-delta.md
 BENCH_PARALLEL ?= 4
 FUZZTIME ?= 10s
 
-.PHONY: all build test tier1 vet race lint alloccheck fuzz check bench microbench chaos
+.PHONY: all build test tier1 vet race lint alloccheck fuzz check bench microbench ab chaos
 
 all: tier1
 
@@ -67,6 +71,9 @@ bench:
 
 microbench:
 	$(GO) test -bench=. -benchmem
+
+ab:
+	W=$(W) S=$(S) N=$(N) PARENT=$(PARENT) scripts/ab.sh
 
 chaos:
 	$(GO) test -count=3 -run 'Corrupt|Cancel|Transient|Panic|Conceal|Abort|Atomic|Flaky|Injector|Pressure|Burst' ./internal/container/ ./internal/exec/ ./internal/faults/

@@ -4,12 +4,12 @@
 //
 // Every request arrives with a static cost estimate (plan.Cost.Units(),
 // computed by the planner before admission) and is charged against a
-// capacity measured from what the pipeline actually sustains: each
-// completed request reports its obs.Recorder stage wall totals, and an
-// EWMA over cost-units-per-busy-second turns that into a concurrency
-// limit expressed in cost units rather than a flat slot count — a burst
-// of cheap stream-copy requests admits far more concurrency than a burst
-// of full re-renders.
+// capacity measured from what the server actually sustains: the cost
+// units its completed requests cleared per second of wall time it had
+// work in flight, averaged over the last few busy seconds, times a target
+// pipeline depth — a concurrency limit expressed in cost units rather than
+// a flat slot count, so a burst of cheap stream-copy requests admits far
+// more concurrency than a burst of full re-renders.
 //
 // Queued requests are ordered by deadline within each tenant and tenants
 // are served weighted-fair (virtual-time scheduling: admitting a request
@@ -243,9 +243,14 @@ type Controller struct {
 
 	seq uint64
 
-	// rate is the EWMA of cost units cleared per busy second (stage wall),
-	// 0 until the first release reports a sample.
-	rate float64
+	// rate is the server's clearing rate: cost units released per second
+	// of wall time with a request in flight, 0 until a release has cleared
+	// work. It is cleared / busyWall, two sums that fade with rateMemory,
+	// so neither how requests overlap nor how many shard workers share a
+	// core moves it; busyFrom opens the interval the next release closes —
+	// the last release, or when the server last left idle.
+	rate, cleared, busyWall float64
+	busyFrom                time.Time
 	// pressureFactor scales capacity and slots: 1 normal, < 1 under
 	// memory pressure, 0 closes admission entirely.
 	pressureFactor float64
@@ -423,7 +428,7 @@ func (c *Controller) Acquire(ctx context.Context, req Request) (*Ticket, error) 
 		c.admitLocked(t, req)
 		c.mu.Unlock()
 		admitWaitSeconds.Observe(0)
-		return &Ticket{c: c, tenant: req.Tenant, cost: req.Cost, admitted: now}, nil
+		return &Ticket{c: c, tenant: req.Tenant, cost: req.Cost}, nil
 	}
 
 	if c.queued >= c.cfg.MaxQueue {
@@ -473,7 +478,7 @@ func (c *Controller) Acquire(ctx context.Context, req Request) (*Ticket, error) 
 			return nil, shedErr
 		}
 		admitWaitSeconds.Observe(c.now().Sub(now).Seconds())
-		return &Ticket{c: c, tenant: req.Tenant, cost: req.Cost, admitted: c.now()}, nil
+		return &Ticket{c: c, tenant: req.Tenant, cost: req.Cost}, nil
 	case <-ctx.Done():
 		c.abandon(w, t)
 		return nil, ctx.Err()
@@ -515,7 +520,7 @@ func (c *Controller) abandon(w *waiter, t *tenant) (admittedConcurrently bool) {
 		admitted := w.admitted
 		c.mu.Unlock()
 		if admitted {
-			tk := &Ticket{c: c, tenant: w.req.Tenant, cost: w.req.Cost, admitted: c.now()}
+			tk := &Ticket{c: c, tenant: w.req.Tenant, cost: w.req.Cost}
 			tk.Release(nil)
 		}
 		return admitted
@@ -531,6 +536,9 @@ func (c *Controller) abandon(w *waiter, t *tenant) (admittedConcurrently bool) {
 
 // admitLocked books an admission for req under the lock.
 func (c *Controller) admitLocked(t *tenant, req Request) {
+	if c.inflight == 0 {
+		c.busyFrom = c.now()
+	}
 	t.vt += req.Cost / t.weight
 	t.inflight++
 	t.inflightCost += req.Cost
@@ -591,17 +599,17 @@ func (c *Controller) shed(tenant, reason string, retryAfter time.Duration) *Shed
 	return &ShedError{Reason: reason, Tenant: tenant, RetryAfter: retryAfter}
 }
 
-// ewmaAlpha weights new throughput samples: high enough to track phase
-// changes (copy-heavy vs render-heavy traffic), low enough to ride out
-// one odd request.
-const ewmaAlpha = 0.3
+// rateMemory is the busy time over which the clearing rate forgets: long
+// enough to average a mix of requests (a ten-second render takes about
+// half a second), short enough to track a change of phase (copy-heavy to
+// render-heavy traffic).
+const rateMemory = 5 * time.Second
 
 // Ticket is an admitted request's slot. Release it exactly once.
 type Ticket struct {
 	c        *Controller
 	tenant   string
 	cost     float64
-	admitted time.Time
 	released bool
 	mu       sync.Mutex
 }
@@ -609,11 +617,10 @@ type Ticket struct {
 // Cost returns the admitted cost units.
 func (t *Ticket) Cost() float64 { return t.cost }
 
-// Release returns the slot and reports the request's measured work so the
-// controller can update its throughput estimate. rec may be nil (e.g. the
-// request failed before executing); the estimate then falls back to
-// elapsed wall time. Safe to call more than once; only the first call has
-// effect.
+// Release returns the slot and credits the request's cost to the
+// controller's clearing rate if it did measured work: rec may be nil (the
+// request failed before executing), and a request that ran no stage clears
+// nothing. Safe to call more than once; only the first call has effect.
 func (t *Ticket) Release(rec *obs.Recorder) {
 	t.mu.Lock()
 	if t.released {
@@ -624,15 +631,7 @@ func (t *Ticket) Release(rec *obs.Recorder) {
 	t.mu.Unlock()
 
 	c := t.c
-	busy := stageWallTotal(rec)
-	elapsed := c.now().Sub(t.admitted)
-	if busy <= 0 {
-		busy = elapsed
-	}
-	var sample float64
-	if busy > 0 {
-		sample = t.cost / busy.Seconds()
-	}
+	worked := stageWallTotal(rec) > 0
 
 	c.mu.Lock()
 	tn := c.tenantLocked(t.tenant)
@@ -641,12 +640,17 @@ func (t *Ticket) Release(rec *obs.Recorder) {
 	tn.doneCost += t.cost
 	c.inflight--
 	c.inflightCost -= t.cost
-	if sample > 0 {
-		if c.rate <= 0 {
-			c.rate = sample
-		} else {
-			c.rate = ewmaAlpha*sample + (1-ewmaAlpha)*c.rate
-		}
+	now := c.now()
+	dt := now.Sub(c.busyFrom).Seconds()
+	fade := math.Exp(-dt / rateMemory.Seconds())
+	c.busyFrom = now
+	c.busyWall = fade*c.busyWall + dt
+	c.cleared *= fade
+	if worked {
+		c.cleared += t.cost
+	}
+	if c.cleared > 0 && c.busyWall > 0 {
+		c.rate = c.cleared / c.busyWall
 	}
 	admitInflightGauge.Set(float64(c.inflight))
 	ready := c.dispatchLocked()

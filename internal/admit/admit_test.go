@@ -253,27 +253,51 @@ func TestCancelWhileQueuedNoLeak(t *testing.T) {
 	}
 }
 
-func TestReleaseMeasuresThroughput(t *testing.T) {
-	c := NewController(Config{SlotCap: 4, MaxQueue: 10, MaxWait: time.Second})
-	tk := mustAcquire(t, c, Request{Cost: 10})
+// worked returns the recorder of a request whose stages took wall.
+func worked(wall time.Duration) *obs.Recorder {
 	rec := obs.NewRecorder()
-	rec.StageObserve(obs.StageEncode, 10, 1000, 500*time.Millisecond)
-	rec.StageObserve(obs.StageDecode, 10, 1000, 500*time.Millisecond)
-	tk.Release(rec)
+	rec.StageObserve(obs.StageEncode, 10, 1000, wall)
+	return rec
+}
 
-	st := c.Stats()
-	if st.RateUnits <= 0 {
-		t.Fatalf("rate = %v, want > 0 after measured release", st.RateUnits)
-	}
-	// 10 units over 1s of stage wall = 10 units/s.
-	if math.Abs(st.RateUnits-10) > 0.01 {
-		t.Errorf("rate = %v, want ~10", st.RateUnits)
-	}
-	if st.CapacityUnits <= 0 {
-		t.Errorf("capacity = %v, want > 0 once measured", st.CapacityUnits)
-	}
-	if st.Inflight != 0 {
-		t.Errorf("inflight = %d, want 0", st.Inflight)
+// The rate is the server's: cost released per second with work in flight.
+// Whether two requests overlap, and how much stage wall their shards report
+// (it doubles when twice as many workers as cores take turns), must not
+// move it; idle time and a request that did no work add nothing.
+func TestReleaseMeasuresThroughput(t *testing.T) {
+	for _, overlap := range []bool{false, true} {
+		for _, wall := range []time.Duration{time.Second, 4 * time.Second} {
+			c := NewController(Config{SlotCap: 4, MaxQueue: 10, MaxWait: time.Second})
+			clock := time.Unix(0, 0)
+			c.now = func() time.Time { return clock }
+			a := mustAcquire(t, c, Request{Cost: 10})
+			if overlap {
+				b := mustAcquire(t, c, Request{Cost: 10})
+				clock = clock.Add(2 * time.Second)
+				a.Release(worked(wall))
+				b.Release(worked(wall))
+			} else {
+				clock = clock.Add(time.Second)
+				a.Release(worked(wall))
+				clock = clock.Add(time.Hour) // idle
+				b := mustAcquire(t, c, Request{Cost: 10})
+				clock = clock.Add(time.Second)
+				b.Release(worked(wall))
+			}
+			mustAcquire(t, c, Request{Cost: 1000}).Release(nil)
+
+			// 20 units in 2 busy seconds.
+			st := c.Stats()
+			if math.Abs(st.RateUnits-10) > 0.01 {
+				t.Errorf("overlap=%v stage wall=%v: rate = %v, want 10", overlap, wall, st.RateUnits)
+			}
+			if math.Abs(st.CapacityUnits-10) > 0.01 {
+				t.Errorf("capacity = %v, want rate x 1s window", st.CapacityUnits)
+			}
+			if st.Inflight != 0 {
+				t.Errorf("inflight = %d, want 0", st.Inflight)
+			}
+		}
 	}
 }
 

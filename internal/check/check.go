@@ -42,6 +42,10 @@ type Source struct {
 	// index hash), independent of path or mtime — the identity result
 	// caches key on so a rewritten file never serves stale entries.
 	ContentID string
+	// Keyframes are the PTS of the file's keyframe packets, ascending: what
+	// the planner needs to price a mid-GOP read (plan.Segment.RollForward)
+	// without reopening the container.
+	Keyframes []int64
 }
 
 // Checked is a validated spec plus everything the planner needs: loaded
@@ -87,10 +91,16 @@ func Check(spec *vql.Spec, opts Options) (*Checked, error) {
 		if err != nil {
 			return nil, fmt.Errorf("check: video %q: %w", name, err)
 		}
-		c.Sources[name] = Source{
+		src := Source{
 			Path: path, Info: r.Info(), Times: r.TimeRange(),
 			NumFrames: r.NumPackets(), ContentID: r.ContentID(),
 		}
+		for _, rec := range r.Records() {
+			if rec.Key {
+				src.Keyframes = append(src.Keyframes, rec.PTS)
+			}
+		}
+		c.Sources[name] = src
 		r.Close()
 	}
 

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"v2v/internal/frame"
@@ -109,17 +110,31 @@ type Encoder struct {
 	rec      *obs.Recorder
 }
 
-// NewEncoder returns an encoder for the given configuration.
+// flateWriters recycles DEFLATE writers between encoders, one pool per
+// level (index Level+2): building one costs ~0.4 ms and ~0.8 MB of hash
+// tables, and Encode resets it for every packet anyway, so a recycled
+// writer produces the same bytes as a new one.
+var flateWriters [12]sync.Pool
+
+// NewEncoder returns an encoder for the given configuration. The encoder
+// takes its working memory (a DEFLATE writer, the residual buffer) on the
+// first Encode, so a sink that only splices packets never pays for it.
 func NewEncoder(cfg Config) (*Encoder, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fw, err := flate.NewWriter(io.Discard, cfg.Level)
-	if err != nil {
-		return nil, fmt.Errorf("codec: %w", err)
+	return &Encoder{cfg: cfg}, nil
+}
+
+// Close returns the encoder's DEFLATE writer for reuse by a later encoder.
+// An encoder dropped without it leaves the writer to the garbage
+// collector; an Encode after Close takes a writer again.
+func (e *Encoder) Close() {
+	if e.fw != nil {
+		flateWriters[e.cfg.Level+2].Put(e.fw)
+		e.fw = nil
 	}
-	return &Encoder{cfg: cfg, fw: fw, resid: make([]byte, frame.FormatYUV420.Size(cfg.Width, cfg.Height))}, nil
 }
 
 // Config returns the encoder's configuration (with defaults applied).
@@ -141,6 +156,18 @@ func (e *Encoder) Encode(fr *frame.Frame) (Packet, error) {
 			fr.W, fr.H, fr.Format, e.cfg.Width, e.cfg.Height)
 	}
 	encStart := time.Now()
+	if e.fw == nil {
+		e.fw, _ = flateWriters[e.cfg.Level+2].Get().(*flate.Writer)
+		if e.fw == nil {
+			var err error
+			if e.fw, err = flate.NewWriter(io.Discard, e.cfg.Level); err != nil {
+				return Packet{}, fmt.Errorf("codec: %w", err)
+			}
+		}
+	}
+	if e.resid == nil {
+		e.resid = make([]byte, frame.FormatYUV420.Size(e.cfg.Width, e.cfg.Height))
+	}
 	isKey := e.prev == nil || e.count >= e.cfg.GOP || e.forceKey
 	e.forceKey = false
 

@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -494,4 +496,66 @@ func TestEncodeRecycleSteadyStateAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, encodeOne); allocs > 0 {
 		t.Errorf("steady-state Encode+Recycle allocates %.1f per packet, want 0", allocs)
 	}
+}
+
+// TestEncoderCloseRecyclesWriter: an encoder built after another's Close
+// takes over its DEFLATE writer, and what it writes is what a first-ever
+// encoder writes — for the level the writer was built at, since pools are
+// per level. Close twice and Encode after Close are both fine. Concurrent
+// encoders (shard workers) trade writers through the pools; run under
+// -race.
+func TestEncoderCloseRecyclesWriter(t *testing.T) {
+	frames := genFrames(testConfig(), 7, 11)
+	want := map[int][]Packet{}
+	for _, level := range []int{2, 4} {
+		cfg := testConfig()
+		cfg.Level = level
+		want[level] = encodeAll(t, cfg, frames)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				cfg := testConfig()
+				cfg.Level = []int{2, 4}[(g+round)%2]
+				enc, err := NewEncoder(cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, fr := range frames {
+					if i == 3 {
+						enc.Close() // mid-stream: the next Encode takes a writer again
+					}
+					pkt, err := enc.Encode(fr)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if w := want[cfg.Level][i]; pkt.Key != w.Key || !bytes.Equal(pkt.Data, w.Data) {
+						t.Errorf("level %d frame %d: bytes differ with a recycled writer", cfg.Level, i)
+					}
+				}
+				enc.Close()
+				enc.Close()
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestNewEncoderAllocatesNothingBig: a sink builds its encoder up front
+// and may never encode (a pure copy, a result-cache hit); until the first
+// Encode the encoder holds no writer and no residual buffer.
+func TestNewEncoderAllocatesNothingBig(t *testing.T) {
+	enc, err := NewEncoder(Config{Width: 384, Height: 216, Level: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc.fw != nil || enc.resid != nil {
+		t.Error("NewEncoder built the DEFLATE writer or residual buffer before any Encode")
+	}
+	enc.Close() // nothing to return; must not panic
 }

@@ -175,9 +175,16 @@ func TestSparseKeyframesFallBack(t *testing.T) {
 	if o.Plan.Segments[0].Kind != plan.SegFrames {
 		t.Error("sparse source should stay a render segment")
 	}
-	// Both plans decode the same source volume.
-	if u.Metrics.Source.FramesDecoded != o.Metrics.Source.FramesDecoded {
-		t.Errorf("decodes differ: %d vs %d", u.Metrics.Source.FramesDecoded, o.Metrics.Source.FramesDecoded)
+	// Both plans decode the same source frames — exactly what they
+	// estimate: 48 and the frame before them, plus, where the optimized
+	// plan was cut (it is at two or more cores), the cut's roll-forward.
+	for name, r := range map[string]*Result{"unoptimized": u, "optimized": o} {
+		if est, got := r.Plan.EstimatedCost().DecodeFrames, r.Metrics.Source.FramesDecoded; got != est {
+			t.Errorf("%s plan decoded %d source frames, estimated %d", name, got, est)
+		}
+	}
+	if got := u.Metrics.Source.FramesDecoded; got != 49 {
+		t.Errorf("unoptimized plan decoded %d source frames, want 49", got)
 	}
 }
 
@@ -374,8 +381,8 @@ func TestParallelShardsMatchSequential(t *testing.T) {
 }
 
 // TestPlanShapeIndependentOfHost: with an explicit Parallelism, the plan —
-// how many segments are sharded, and every line EXPLAIN prints — is the
-// same whatever GOMAXPROCS says. The only consumer of GOMAXPROCS is
+// how many segments are sharded, where they are cut, and every line
+// EXPLAIN prints — is the same whatever GOMAXPROCS says. The only consumer of GOMAXPROCS is
 // Options.resolved, which an explicit value bypasses.
 func TestPlanShapeIndependentOfHost(t *testing.T) {
 	s, err := vql.Parse(specSrc(`render(t) = blur(v[t], 1.0);`))
@@ -385,6 +392,7 @@ func TestPlanShapeIndependentOfHost(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type shape struct {
 		sharded int
+		cuts    string
 		explain string
 	}
 	planAt := func(procs, parallelism int) shape {
@@ -393,15 +401,15 @@ func TestPlanShapeIndependentOfHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return shape{st.ShardedSegs, p.Explain()}
+		return shape{st.ShardedSegs, fmt.Sprint(p.Segments[0].Cuts), p.Explain()}
 	}
 	for _, par := range []int{1, 2, 4} {
 		if one, eight := planAt(1, par), planAt(8, par); one != eight {
 			t.Errorf("Parallelism %d: plan differs between GOMAXPROCS 1 and 8:\n%+v\nvs\n%+v", par, one, eight)
 		}
 	}
-	if got := planAt(1, 2).sharded; got != 1 {
-		t.Errorf("Parallelism 2 sharded %d segments, want 1 (the test must see sharding to mean anything)", got)
+	if got := planAt(1, 2); got.sharded != 1 || got.cuts == "[]" {
+		t.Errorf("Parallelism 2 sharded %d segments at %s, want 1 with a cut (the test must see sharding to mean anything)", got.sharded, got.cuts)
 	}
 	// Zero still means "every core", and that is the one thing GOMAXPROCS
 	// decides.
@@ -506,7 +514,7 @@ func TestFig2PlanShapes(t *testing.T) {
 	if opted.Segments[1].Kind != plan.SegFrames || opted.Segments[1].Root.CountOps() != 1 {
 		t.Error("grid should merge into one filter")
 	}
-	if opted.Segments[2].Shards < 2 {
-		t.Errorf("filter segment shards = %d, want parallel split", opted.Segments[2].Shards)
+	if len(opted.Segments[2].Cuts) == 0 {
+		t.Error("filter segment has no cuts, want parallel split")
 	}
 }

@@ -3,17 +3,14 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"v2v/internal/check"
 	"v2v/internal/media"
-	"v2v/internal/opt"
 	"v2v/internal/plan"
-	"v2v/internal/rational"
-	"v2v/internal/vql"
 )
 
 // failAfterWriter accepts n Writes, then fails every subsequent one.
@@ -40,7 +37,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 // Run under -race; the drain makes it silent.
 func TestFailingSinkDrainsShards(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, false)
-	p.Segments[0].Shards = 2
+	setShards(p, 2)
 	// Enough budget for the stream header plus a couple of packets, so the
 	// failure lands mid-delivery of the first chunk while the second shard
 	// can still be in flight.
@@ -127,93 +124,52 @@ func TestConcurrentSynthesesShareGOPCache(t *testing.T) {
 	}
 }
 
-// alignChunkBounds must move interior shard boundaries to output indices
-// whose source sample is a keyframe: with a +7/24s offset against a
-// 24-frame source GOP, output index 17 maps to source keyframe 24.
-func TestAlignChunkBoundsToSourceKeyframes(t *testing.T) {
-	p := buildPlan(t, `render(t) = grade(v[t + 7/24], 5, 1.0, 1.0);`, false)
-	s := p.Segments[0]
-	s.AlignVideo, s.AlignOff = "v", rational.New(7, 24)
-	readers := newReaderCache(p, false)
-	defer readers.closeAll(&Metrics{})
-
-	bounds := chunkBounds(48, 2, 24)
-	if len(bounds) != 3 || bounds[0] != 0 || bounds[1] != 24 || bounds[2] != 48 {
-		t.Fatalf("chunkBounds = %v", bounds)
-	}
-	aligned := alignChunkBounds(bounds, s, readers)
-	if len(aligned) != 3 || aligned[1] != 17 {
-		t.Errorf("aligned bounds = %v, want interior boundary 17", aligned)
-	}
-
-	// Without an alignment hint the bounds pass through untouched.
-	s.AlignVideo = ""
-	same := alignChunkBounds(bounds, s, readers)
-	if same[1] != 24 {
-		t.Errorf("unaligned bounds = %v, want untouched", same)
-	}
-}
-
-// The optimizer's shard pass must attach the alignment hint for filtered
-// single-source renders, and aligned shards must decode less: a boundary
-// mid-source-GOP forces the second shard to decode from the previous
-// keyframe up to its first frame.
-func TestShardPassAlignmentReducesDecodes(t *testing.T) {
-	build := func() *plan.Plan {
-		t.Helper()
-		src := `
-			timedomain range(0, 2, 1/24);
-			videos { v: ` + `"` + fxVid + `"` + `; }
-			render(t) = grade(v[t + 7/24], 5, 1.0, 1.0);`
-		spec, err := vql.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := check.Check(spec, check.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := plan.Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := opt.Default()
-		o.Parallelism = 2
-		if _, err := opt.Optimize(p, o); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	p := build()
-	s := p.Segments[0]
-	if s.Shards != 2 {
-		t.Fatalf("shards = %d, want 2", s.Shards)
-	}
-	if s.AlignVideo != "v" || !s.AlignOff.Equal(rational.New(7, 24)) {
-		t.Fatalf("alignment hint = %q %v, want v +7/24", s.AlignVideo, s.AlignOff)
-	}
-	run := func(p *plan.Plan) int64 {
-		t.Helper()
-		var buf strings.Builder
-		sink, err := media.NewStreamWriter(&nopWriter{&buf}, p.Checked.Output)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := ExecuteTo(context.Background(), p, sink, Options{Parallelism: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Source.FramesDecoded
-	}
-	alignedDecodes := run(p)
-
-	p2 := build()
-	p2.Segments[0].AlignVideo = "" // strip the hint: boundary stays mid-GOP
-	unalignedDecodes := run(p2)
-	if alignedDecodes >= unalignedDecodes {
-		t.Errorf("aligned decodes = %d, want fewer than unaligned %d",
-			alignedDecodes, unalignedDecodes)
+// TestRollForwardEstimateMatchesDecodes is the cost model's account of a
+// cut: with the GOP cache off, each shard decodes its frames once per tap
+// plus exactly the roll-forward the plan states for its first frame —
+// which is what EXPLAIN prints, what EstimateCost adds (so what admission
+// weighs), and what the shard pass prices a cut by. The shapes are the
+// benchmark's on both dataset geometries: a blur of one source and a grid
+// of four taps — four videos at one offset where GOPs are a second (KABR),
+// one video at four offsets more than a GOP apart where they are ten
+// (ToS; nearer than that, taps trade cursors and the count is no longer
+// per tap) — plus a read that crosses a keyframe and taps of two
+// geometries.
+func TestRollForwardEstimateMatchesDecodes(t *testing.T) {
+	for name, body := range map[string]string{
+		"1 s GOPs, blur":             `render(t) = blur(v[t + 7/24], 1.0);`,
+		"1 s GOPs, grid":             `render(t) = grid(v[t + 7/24], v1[t + 7/24], v2[t + 7/24], v3[t + 7/24]);`,
+		"10 s GOPs, blur":            `render(t) = blur(s[t + 1/2], 1.0);`,
+		"10 s GOPs, grid":            `render(t) = grid(s[t + 1/2], s[t + 11], s[t + 43/2], s[t + 32]);`,
+		"10 s GOPs, keyframe inside": `render(t) = blur(s[t + 9], 1.0);`,
+		"two taps, two geometries":   `render(t) = crossfade(v[t + 7/24], s[t + 1/2], 0.5);`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := buildPlanSrc(t, fmt.Sprintf(`
+				timedomain range(0, 3, 1/24);
+				videos { v: %q; v1: %q; v2: %q; v3: %q; s: %q; }
+				%s`, fxVid, fxMore[0], fxMore[1], fxMore[2], fxSparse, body), true)
+			// A cut of the test's own, mid-GOP for every source: the account
+			// holds wherever a cut is, not only where the optimizer puts one.
+			s := p.Segments[0]
+			s.Cuts = []int{31}
+			bounds := s.Bounds()
+			_, m := streamPackets(t, p, Options{Parallelism: 2})
+			act := m.Segments[0]
+			if act.Shards != 2 || len(act.ShardDecodes) != 2 {
+				t.Fatalf("actuals report %d shards, decodes %v", act.Shards, act.ShardDecodes)
+			}
+			taps, roll := int64(len(s.Taps())), s.RollForward(p)
+			for i, lo := range bounds[:2] {
+				if want := int64(bounds[i+1]-lo)*taps + roll(lo); act.ShardDecodes[i] != want {
+					t.Errorf("shard [%d,%d) decoded %d frames, plan says %d frames x %d taps + %d roll-forward",
+						lo, bounds[i+1], act.ShardDecodes[i], bounds[i+1]-lo, taps, roll(lo))
+				}
+			}
+			if est := s.EstimateCost(p).DecodeFrames; est != m.TotalDecodes() {
+				t.Errorf("estimated %d decodes, run performed %d", est, m.TotalDecodes())
+			}
+		})
 	}
 }
 
@@ -241,7 +197,7 @@ func (w *stampWriter) Write(p []byte) (int, error) {
 // 24-frame chunk takes ~50.
 func TestFirstOutputStampedPerPacketNotPerChunk(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, false)
-	p.Segments[0].Shards = 2
+	setShards(p, 2)
 	w := &stampWriter{t0: time.Now(), d: 2 * time.Millisecond}
 	sink, err := media.NewStreamWriter(w, p.Checked.Output)
 	if err != nil {

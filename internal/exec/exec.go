@@ -3,15 +3,15 @@
 //
 // There is one engine. Every plan, for every sink, runs through the
 // presentation-order scheduler in schedule.go: render segments are cut
-// into shards, each shard renders and encodes on its own worker, and a
-// single delivery loop on the caller's goroutine writes the finished
-// packets to the sink front to back while later shards are still
-// rendering. A buffered run is that scheduler writing to a file sink;
-// sequential execution is Parallelism 1.
+// into shards at the plan's cuts, each shard renders and encodes on its
+// own worker, and a single delivery loop on the caller's goroutine writes
+// the finished packets to the sink front to back while later shards are
+// still rendering. A buffered run is that scheduler writing to a file
+// sink; sequential execution is Parallelism 1.
 //
 // The engine is deliberately plan-driven and policy-free: whether an
 // operator boundary materializes, whether a segment copies packets or
-// renders frames, and how many shards a segment asks for are all
+// renders frames, and where a segment is cut into shards are all
 // decisions already baked into the plan by the optimizer. Executing an
 // unoptimized plan therefore faithfully pays the costs the optimizer
 // would have removed.
@@ -104,11 +104,12 @@ func (f *firstStampSink) WriteEncodedFrame(key bool, data []byte) error {
 // Options configures execution.
 type Options struct {
 	// Parallelism caps the shard workers rendering at once, across all
-	// segments of the run, and with it the shards a segment is cut into
-	// and the rendered-but-undelivered shards held in memory (twice this
-	// many). 1, and any value below it, renders the plan strictly one
-	// shard after another; "every core" is the caller's to resolve
-	// (core.Options does, for the optimizer and the executor alike).
+	// segments of the run, and with it the rendered-but-undelivered shards
+	// held in memory (twice this many). Where segments are cut is the
+	// plan's (plan.Segment.Cuts). 1, and any value below it, renders the
+	// plan strictly one shard after another; "every core" is the caller's
+	// to resolve (core.Options does, for the optimizer and the executor
+	// alike).
 	Parallelism int
 	// Conceal switches the engine from fail-fast to error-concealment
 	// mode: a corrupt or undecodable source packet is replaced by holding
@@ -218,8 +219,9 @@ func Execute(ctx context.Context, p *plan.Plan, outPath string, o Options) (*Met
 // rendering.
 //
 // Cancellation is cooperative: ctx is checked before every segment and at
-// every GOP boundary inside every shard worker, so a cancelled synthesis
-// stops within one GOP of work per goroutine. On any failure the sink is
+// every publish interval inside every shard worker — one output GOP, or
+// one second of output where the GOP is longer — so a cancelled synthesis
+// stops within that much work per goroutine. On any failure the sink is
 // aborted, not closed — a file sink leaves nothing at its target path.
 func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Metrics, error) {
 	start := time.Now()
@@ -291,18 +293,9 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	return m, nil
 }
 
-// effectiveShards reports how many shards the engine cuts s into when at
-// most par workers may render at once.
-func effectiveShards(s *plan.Segment, par int) int {
-	if s.Kind != plan.SegFrames {
-		return 1
-	}
-	return max(1, min(s.Shards, par))
-}
-
 // readerCache shares sequential readers across the segments that read a
-// source on the delivery goroutine (copies, smart cuts, shard-boundary
-// alignment). It is touched by that goroutine only.
+// source on the delivery goroutine (copies, smart cuts). It is touched by
+// that goroutine only.
 type readerCache struct {
 	p       *plan.Plan
 	conceal bool
@@ -352,61 +345,6 @@ func (s arraySource) DataAt(name string, t rational.Rat) (data.Value, bool, erro
 	}
 	v, ok := arr.At(t)
 	return v, ok, nil
-}
-
-// chunkBounds splits [0, frames) into up to `shards` chunks whose lengths
-// are multiples of the output GOP (so forced shard keyframes match
-// cadence), returning the boundary indices including 0 and frames.
-func chunkBounds(frames, shards, gop int) []int {
-	per := (frames + shards - 1) / shards
-	if rem := per % gop; rem != 0 {
-		per += gop - rem
-	}
-	bounds := []int{0}
-	for lo := per; lo < frames; lo += per {
-		bounds = append(bounds, lo)
-	}
-	return append(bounds, frames)
-}
-
-// alignChunkBounds snaps interior shard boundaries down to the nearest
-// output frame whose source packet is a keyframe, using the optimizer's
-// sole-source hint (s.AlignVideo/AlignOff). A shard starting on a source
-// keyframe decodes zero throwaway frames rolling forward; unaligned shards
-// each pay up to a full source GOP of discarded decodes. Alignment is an
-// optimization only: any lookup failure keeps the original boundary, and a
-// boundary never crosses below its predecessor (no chunk vanishes).
-func alignChunkBounds(bounds []int, s *plan.Segment, readers *readerCache) []int {
-	if s.AlignVideo == "" || len(bounds) < 3 {
-		return bounds
-	}
-	r, err := readers.get(s.AlignVideo, nil) // index lookups only: no stage work to record
-	if err != nil {
-		return bounds
-	}
-	cr := r.Container()
-	srcIdx := func(i int) (int, bool) {
-		idx, err := r.IndexOfTime(s.Times.At(i).Add(s.AlignOff))
-		if err != nil || idx < 0 || idx >= cr.NumPackets() {
-			return 0, false
-		}
-		return idx, true
-	}
-	out := make([]int, len(bounds))
-	copy(out, bounds)
-	for bi := 1; bi < len(out)-1; bi++ {
-		for b := out[bi]; b > out[bi-1]; b-- {
-			idx, ok := srcIdx(b)
-			if !ok {
-				break // unmappable boundary: keep as-is
-			}
-			if cr.Record(idx).Key {
-				out[bi] = b
-				break
-			}
-		}
-	}
-	return out
 }
 
 // defaultGOPCacheBudget sizes an unset cache budget from the plan's source
@@ -502,6 +440,7 @@ func (r *segmentRunner) close() (source, intermediate media.Stats) {
 		intermediate.FramesDecoded += nr.matDecodes
 		if nr.dec != nil {
 			nr.dec.Reset() // release the pooled prediction frame
+			nr.enc.Close()
 		}
 	})
 	return source, intermediate

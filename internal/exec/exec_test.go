@@ -20,7 +20,11 @@ import (
 	"v2v/internal/vql"
 )
 
-var fxVid string
+var (
+	fxVid    string    // tiny profile: 24 fps, GOP 24 (1 s), 4 s
+	fxSparse string    // tiny profile with 10 s GOPs (ToS-like), 42 s
+	fxMore   [3]string // three more videos like fxVid (a KABR-like grid reads four)
+)
 
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "v2v-exec-")
@@ -31,6 +35,20 @@ func TestMain(m *testing.M) {
 	if _, err := dataset.Generate(fxVid, "", dataset.TinyProfile(), rational.FromInt(4)); err != nil {
 		panic(err)
 	}
+	// ToS-like: 10 s GOPs, so a keyframe every 240 frames only and every
+	// output that inherits the format has a GOP longer than most renders.
+	sparse := dataset.TinyProfile()
+	sparse.GOPSeconds = rational.FromInt(10)
+	fxSparse = filepath.Join(dir, "sparse.vmf")
+	if _, err := dataset.Generate(fxSparse, "", sparse, rational.FromInt(42)); err != nil {
+		panic(err)
+	}
+	for i := range fxMore {
+		fxMore[i] = filepath.Join(dir, fmt.Sprintf("more%d.vmf", i))
+		if _, err := dataset.Generate(fxMore[i], "", dataset.TinyProfile(), rational.FromInt(4)); err != nil {
+			panic(err)
+		}
+	}
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
@@ -38,7 +56,8 @@ func TestMain(m *testing.M) {
 
 // optOptions is the full optimizer pinned to one shard per segment, so the
 // plan shape — and with it decode volume — does not depend on the host's
-// core count. Tests that want shards set Segment.Shards themselves.
+// core count. Tests that want shards cut the plan themselves (setShards) or
+// run the shard pass at a fixed parallelism (buildPlanPar).
 func optOptions() opt.Options {
 	o := opt.Default()
 	o.Parallelism = 1
@@ -152,7 +171,7 @@ func TestExecuteBadOutputPath(t *testing.T) {
 
 func TestExecuteParallelismCap(t *testing.T) {
 	p := buildPlan(t, `render(t) = blur(v[t], 1.0);`, true)
-	p.Segments[0].Shards = 8
+	setShards(p, 8)
 	out := filepath.Join(t.TempDir(), "o.vmf")
 	m, err := Execute(context.Background(), p, out, Options{Parallelism: 2})
 	if err != nil {
@@ -175,7 +194,7 @@ func TestExecuteShardKeyframeCadence(t *testing.T) {
 	// Sharded output must still start every shard chunk at a keyframe so
 	// the result is decodable; chunks are GOP-aligned.
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, true)
-	p.Segments[0].Shards = 2
+	setShards(p, 2)
 	out := filepath.Join(t.TempDir(), "o.vmf")
 	if _, err := Execute(context.Background(), p, out, Options{Parallelism: 2}); err != nil {
 		t.Fatal(err)
@@ -244,7 +263,7 @@ func TestRenderPanicBecomesError(t *testing.T) {
 	}
 	// Parallel shards too.
 	p2 := buildPlan(t, `render(t) = testexec_panic(v[t]);`, true)
-	p2.Segments[0].Shards = 2
+	setShards(p2, 2)
 	if _, err := Execute(context.Background(), p2, filepath.Join(t.TempDir(), "o2.vmf"), Options{Parallelism: 2}); err == nil {
 		t.Fatal("panicking shard should surface as an error")
 	}
@@ -252,7 +271,7 @@ func TestRenderPanicBecomesError(t *testing.T) {
 
 func TestExecuteRecordsSegmentActualsAndShardSpans(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, true)
-	p.Segments[0].Shards = 2
+	setShards(p, 2)
 	tr := obs.NewTrace("test")
 	out := filepath.Join(t.TempDir(), "o.vmf")
 	m, err := Execute(context.Background(), p, out, Options{Parallelism: 2, Trace: tr})
@@ -274,8 +293,11 @@ func TestExecuteRecordsSegmentActualsAndShardSpans(t *testing.T) {
 	if act.Shards != 2 {
 		t.Errorf("actual shards = %d", act.Shards)
 	}
+	// EXPLAIN prints the cuts with each shard's estimated roll-forward,
+	// ANALYZE the decodes measured beside it.
 	if s := p.ExplainAnalyze(m.Segments); !strings.Contains(s, "actual:") ||
-		!strings.Contains(s, "shards=2") {
+		!strings.Contains(s, "cuts=[0,24,48) roll=[0,0]") ||
+		!strings.Contains(s, "shards=2 decoded/shard=[24 24]") {
 		t.Errorf("ExplainAnalyze:\n%s", s)
 	}
 

@@ -90,7 +90,7 @@ func TestResultCacheWarmRepeatShardedSegment(t *testing.T) {
 
 	build := func() *plan.Plan {
 		p := buildPlan(t, body, false)
-		p.Segments[0].Shards = 2
+		setShards(p, 2)
 		return p
 	}
 	cold, _ := runStream(t, build(), opts)
@@ -101,6 +101,17 @@ func TestResultCacheWarmRepeatShardedSegment(t *testing.T) {
 	if mWarm.Source.FramesDecoded != 0 || mWarm.TotalEncodes() != 0 {
 		t.Errorf("warm sharded run did work: %d decodes, %d encodes",
 			mWarm.Source.FramesDecoded, mWarm.TotalEncodes())
+	}
+	// The same segment cut elsewhere has its keyframes elsewhere: the
+	// entry above is not its bytes and must not be served to it.
+	other := build()
+	other.Segments[0].Cuts = []int{other.Segments[0].Cuts[0] + 1}
+	recut, mRecut := runStream(t, other, opts)
+	if mRecut.ResultCacheHits != 0 || mRecut.ResultCacheMisses != 1 {
+		t.Errorf("plan with other cuts: hits=%d misses=%d, want a miss", mRecut.ResultCacheHits, mRecut.ResultCacheMisses)
+	}
+	if recut == cold {
+		t.Error("plans with different cuts produced the same bytes (the test no longer tells them apart)")
 	}
 }
 

@@ -267,7 +267,7 @@ func TestCancelAlreadyExpiredFailsBeforeWork(t *testing.T) {
 func TestCancelShardedSynthesis(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, false)
 	p.Segments[0].Kind = plan.SegFrames
-	p.Segments[0].Shards = 2
+	setShards(p, 2)
 	dir := t.TempDir()
 	out := filepath.Join(dir, "o.vmf")
 	ctx := &cancelAfter{Context: context.Background(), n: 2}
@@ -283,7 +283,7 @@ func TestCancelShardedSynthesis(t *testing.T) {
 func TestShardPanicRecoveredCountsMetric(t *testing.T) {
 	registerPanicUDF("testexec_panic2")
 	p := buildPlan(t, `render(t) = testexec_panic2(v[t]);`, false)
-	p.Segments[0].Shards = 2
+	setShards(p, 2)
 	before := panicsRecovered.Value()
 	_, err := Execute(context.Background(), p, filepath.Join(t.TempDir(), "o.vmf"), Options{Parallelism: 2})
 	if err == nil {
@@ -307,7 +307,7 @@ func TestShardPanicRecoveredCountsMetric(t *testing.T) {
 // process.
 func TestShardWorkerPanicBackstop(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, false)
-	p.Segments[0].Shards = 2
+	setShards(p, 2)
 	// A nil root makes newSegmentRunner panic inside the worker goroutine,
 	// before renderAt's recover is in scope.
 	p.Segments[0].Root = nil

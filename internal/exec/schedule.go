@@ -4,22 +4,25 @@ package exec
 // bounded lookahead, for every plan and every sink.
 //
 // Each plan segment becomes one unit. A render unit is cut into shards
-// (one, unless the plan asks for more and Parallelism allows it); a shard
-// is one worker goroutine with one segmentRunner and one fresh encoder
-// over its frame range, so it starts on a keyframe and its bytes depend
-// only on its content — never on what the sink wrote before it, on which
-// other shards ran beside it, or on whether a cache was involved.
+// where the plan says (plan.Segment.Bounds — the optimizer's decision;
+// Parallelism only caps how many render at once); a shard is one worker
+// goroutine with one segmentRunner and one fresh encoder over its frame
+// range, so it starts on a keyframe and its bytes depend only on its
+// content — never on what the sink wrote before it, on which other shards
+// ran beside it, or on whether a cache was involved.
 //
 // A scheduler goroutine starts shard workers strictly in presentation
 // order, bounded by two token pools: a parallelism semaphore (CPU) and a
 // delivery window (memory: how many started, not yet delivered shards may
-// exist). A worker publishes its packets one output GOP at a time. The
-// delivery loop, on the caller's goroutine, drains the shards in the same
-// order and writes each batch to the sink the moment it lands, so the
-// head of the output reaches the consumer while the tail is still
-// rendering. Copy and smart-cut units run inline on the delivery
-// goroutine at their turn: they read the source through the shared
-// readers and a smart cut re-encodes its head with the sink's encoder.
+// exist). A worker publishes its packets every publish interval (one
+// output GOP, or one second of output where the GOP is longer) and looks
+// for cancellation there. The delivery loop, on the caller's goroutine,
+// drains the shards in the same order and writes each batch to the sink
+// the moment it lands, so the head of the output reaches the consumer
+// while the tail is still rendering. Copy and smart-cut units run inline
+// on the delivery goroutine at their turn: they read the source through
+// the shared readers and a smart cut re-encodes its head with the sink's
+// encoder.
 //
 // A cacheable render unit resolves through the result cache first: a hit
 // splices the cached packets at the unit's turn; a miss renders through
@@ -48,7 +51,10 @@ type run struct {
 	readers *readerCache
 	raw     media.Sink // the caller's sink
 	w       media.Sink // raw behind the FirstOutput stamp; delivery goroutine only
-	gop     int        // output GOP: publish, cancellation and cadence granularity
+	// every is the plan's publish interval in frames: a worker hands over
+	// its packets and polls ctx and abort this often, so a long-GOP render
+	// streams and cancels by the second, not by the shard.
+	every int
 
 	// sem caps rendering workers; window caps started but undelivered
 	// shards (each holds at most its own encoded packets). Twice the
@@ -66,10 +72,8 @@ type run struct {
 	bg sync.WaitGroup
 }
 
-// unit is one plan segment prepared for execution. Shard bounds and cache
-// keys are computed on the caller goroutine before any worker starts:
-// boundary alignment and fingerprinting walk shared readers that are not
-// goroutine-safe.
+// unit is one plan segment prepared for execution, on the caller goroutine
+// before any worker starts.
 type unit struct {
 	idx  int
 	s    *plan.Segment
@@ -80,7 +84,6 @@ type unit struct {
 	// shards is the unit's render work in presentation order; empty for
 	// copy and smart-cut units and for segments with no frames.
 	shards   []*shard
-	nshards  int            // effectiveShards, reported in the actuals
 	rendered sync.WaitGroup // the shards' workers
 
 	// Result-cache resolution of a cacheable render unit (key != "").
@@ -96,8 +99,8 @@ type unit struct {
 type shard struct {
 	lo, hi int
 	// out carries the finished packets to the delivery loop in order, one
-	// batch per output GOP. It is buffered for every batch the worker will
-	// send, so a worker never waits on the sink, and closed when the
+	// batch per publish interval. It is buffered for every batch the worker
+	// will send, so a worker never waits on the sink, and closed when the
 	// worker exits or the scheduler gives the shard up unstarted.
 	out chan []codec.Packet
 	// started records that the shard holds a delivery-window token; set by
@@ -116,10 +119,7 @@ type shard struct {
 // delivers. It returns the first error, after every goroutine it started
 // has exited.
 func (x *run) execute(ctx context.Context) error {
-	x.gop = x.p.Checked.Output.GOP
-	if x.gop <= 0 {
-		x.gop = 48
-	}
+	x.every = x.p.PublishInterval()
 	par := x.o.Parallelism
 	x.sem = make(chan struct{}, par)
 	x.window = make(chan struct{}, 2*par)
@@ -156,31 +156,26 @@ func (x *run) buildUnits() []*unit {
 	for i, s := range x.p.Segments {
 		u := &unit{
 			idx: i, s: s, rec: x.o.Recorder.Child(),
-			span:    x.o.Trace.StartSpan(fmt.Sprintf("segment[%d] %s", i, s.Kind)),
-			nshards: effectiveShards(s, x.o.Parallelism),
+			span: x.o.Trace.StartSpan(fmt.Sprintf("segment[%d] %s", i, s.Kind)),
 		}
 		u.span.SetAttr("kind", s.Kind.String())
 		u.span.SetAttr("t_start", s.Times.Start.String())
 		u.span.SetAttr("t_end", s.Times.End.String())
 		units[i] = u
-		frames := s.FrameCount()
-		if s.Kind != plan.SegFrames || frames == 0 {
+		if s.Kind != plan.SegFrames || s.FrameCount() == 0 {
 			continue
 		}
-		bounds := []int{0, frames}
-		if u.nshards > 1 {
-			bounds = alignChunkBounds(chunkBounds(frames, u.nshards, x.gop), s, x.readers)
-		}
-		for bi := 0; bi+1 < len(bounds); bi++ {
-			lo, hi := bounds[bi], bounds[bi+1]
+		bounds := s.Bounds()
+		for bi, lo := range bounds[:len(bounds)-1] {
+			hi := bounds[bi+1]
 			u.shards = append(u.shards, &shard{
 				lo: lo, hi: hi,
-				out: make(chan []codec.Packet, (hi-lo+x.gop-1)/x.gop),
+				out: make(chan []codec.Packet, (hi-lo+x.every-1)/x.every),
 			})
 		}
 		u.rendered.Add(len(u.shards))
 		if fp != nil {
-			if key, ok := fp.Segment(s, u.nshards); ok {
+			if key, ok := fp.Segment(s); ok {
 				u.key, u.decided = key, make(chan struct{})
 			}
 		}
@@ -303,9 +298,9 @@ func (x *run) resolve(ctx context.Context, u *unit) {
 }
 
 // render is a shard worker: it renders sh's frames through a fresh segment
-// runner, encodes them with a fresh encoder and publishes the packets GOP
-// by GOP. It honors ctx and the run's abort at GOP boundaries and never
-// touches the sink.
+// runner, encodes them with a fresh encoder and publishes the packets
+// every publish interval. It honors ctx and the run's abort at the same
+// points and never touches the sink.
 func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	defer func() { <-x.sem }() //v2v:nolint(sendblock) frees this worker's own buffered semaphore slot; never blocks
 	defer u.rendered.Done()
@@ -341,6 +336,7 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 		sh.err = err
 		return
 	}
+	defer enc.Close()
 	enc.SetRecorder(u.rec)
 	sh.pkts = make([]codec.Packet, 0, sh.hi-sh.lo)
 	sent := 0
@@ -352,7 +348,7 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	}
 	defer publish()
 	for i := sh.lo; i < sh.hi; i++ {
-		if (i-sh.lo)%x.gop == 0 {
+		if (i-sh.lo)%x.every == 0 {
 			publish()
 			if sh.err = ctx.Err(); sh.err != nil {
 				return
@@ -388,7 +384,7 @@ func (x *run) deliver(u *unit) {
 		sr.SetRecorder(u.rec)
 	}
 	before := x.w.Stats()
-	act := plan.SegmentActuals{Shards: u.nshards}
+	act := plan.SegmentActuals{Shards: len(u.shards), ShardDecodes: make([]int64, len(u.shards))}
 	if u.s.Kind == plan.SegFrames {
 		x.deliverRender(u, &act)
 	} else if x.err == nil {
@@ -460,7 +456,7 @@ func (x *run) deliverRender(u *unit, act *plan.SegmentActuals) {
 		}
 		act.ResultCacheMisses = 1
 	}
-	for _, sh := range u.shards {
+	for si, sh := range u.shards {
 		for batch := range sh.out {
 			for _, pkt := range batch {
 				if x.err != nil {
@@ -483,7 +479,8 @@ func (x *run) deliverRender(u *unit, act *plan.SegmentActuals) {
 		}
 		x.m.Source.Add(sh.source)
 		x.m.Intermediate.Add(sh.inter)
-		act.FramesDecoded += sh.source.FramesDecoded + sh.inter.FramesDecoded
+		act.ShardDecodes[si] = sh.source.FramesDecoded + sh.inter.FramesDecoded
+		act.FramesDecoded += act.ShardDecodes[si]
 		act.Concealed += sh.source.FramesConcealed
 		act.GOPCacheHits += sh.source.GOPCacheHits
 		act.GOPCacheMisses += sh.source.GOPCacheMisses

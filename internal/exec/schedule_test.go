@@ -53,6 +53,19 @@ func buildPlanSrc(t *testing.T, src string, optimize bool) *plan.Plan {
 	return p
 }
 
+// buildPlanPar is the whole optimizer at a fixed parallelism: the plan,
+// cuts included, that core.Plan builds for Options{Parallelism: par}.
+func buildPlanPar(t *testing.T, src string, par int) *plan.Plan {
+	t.Helper()
+	p := buildPlanSrc(t, src, false)
+	o := opt.Default()
+	o.Parallelism = par
+	if _, err := opt.Optimize(p, o); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // spliceSpecOver is a 4-arm splice over vid: a copyable head, two distinct
 // render arms, and a copyable tail — the shape that exercises every unit
 // kind in one plan.
@@ -70,6 +83,20 @@ func spliceSpecOver(vid string) string {
 
 func spliceSpec() string { return spliceSpecOver(fxVid) }
 
+// longSpliceSpec is the same shape with two-second render arms — long
+// enough for the shard pass to cut them — 144 frames in all.
+func longSpliceSpec() string {
+	return fmt.Sprintf(`
+		timedomain range(0, 6, 1/24);
+		videos { v: %q; }
+		render(t) = match t {
+			t in range(0, 1, 1/24) => v[t],
+			t in range(1, 3, 1/24) => grade(v[t], 5, 1.0, 1.0),
+			t in range(3, 5, 1/24) => blur(v[t - 3], 1.0),
+			t in range(5, 6, 1/24) => v[t - 5],
+		};`, fxVid)
+}
+
 // singleSpec is one 96-frame render segment (four output GOPs).
 func singleSpec() string {
 	return fmt.Sprintf(`
@@ -78,11 +105,30 @@ func singleSpec() string {
 		render(t) = blur(v[t], 1.0);`, fxVid)
 }
 
-// setShards asks for n shards on every render segment of p.
+// longGOPSpec is one 96-frame render segment read from the middle of a
+// 240-frame source GOP; the output inherits that GOP, so the whole segment
+// is less than one output GOP.
+func longGOPSpec() string {
+	return fmt.Sprintf(`
+		timedomain range(0, 4, 1/24);
+		videos { s: %q; }
+		render(t) = grade(s[t + 1/2], 5, 1.0, 1.0);`, fxSparse)
+}
+
+// setShards cuts every render segment of p into up to n shards of whole
+// output GOPs — hand-made cuts for tests of the executor, which runs
+// whatever cuts the plan carries (opt's own choice is tested in opt).
 func setShards(p *plan.Plan, n int) *plan.Plan {
+	gop := p.Checked.Output.GOP
 	for _, s := range p.Segments {
-		if s.Kind == plan.SegFrames {
-			s.Shards = n
+		if s.Kind != plan.SegFrames {
+			continue
+		}
+		per := (s.FrameCount() + n - 1) / n
+		per += (gop - per%gop) % gop
+		s.Cuts = nil
+		for c := per; c < s.FrameCount(); c += per {
+			s.Cuts = append(s.Cuts, c)
 		}
 	}
 	return p
@@ -188,22 +234,23 @@ func pixelDigest(t *testing.T, p *plan.Plan, pkts []packet) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestOutputIdentity is the engine's output contract. For a fixed plan and
-// parallelism the packet bytes are the same whichever sink receives them
-// and whatever the caches held; across parallelisms (which changes the
-// shard cut, hence the keyframe cadence) and against the unoptimized
-// one-worker render, the decoded pixels are the same.
+// TestOutputIdentity is the engine's output contract. For a fixed spec and
+// parallelism — hence a fixed plan, cuts included — the packet bytes are
+// the same whichever sink receives them and whatever the caches held;
+// across parallelisms (which moves the shard cuts, hence the keyframes)
+// and against the unoptimized one-worker render, the decoded pixels are
+// the same.
 func TestOutputIdentity(t *testing.T) {
 	specs := []struct {
-		name  string
-		build func(optimize bool) *plan.Plan
+		name, src string
+		frames    int
+		// shards is how many shards the plan's first render segment has at
+		// Parallelism 1, 2 and 8: the matrix must cover cut plans.
+		shards [3]int
 	}{
-		{"splice", func(optimize bool) *plan.Plan {
-			return setShards(buildPlanSrc(t, spliceSpec(), optimize), 2)
-		}},
-		{"single-sharded", func(optimize bool) *plan.Plan {
-			return setShards(buildPlanSrc(t, singleSpec(), optimize), 8)
-		}},
+		{"splice", longSpliceSpec(), 144, [3]int{1, 2, 2}},
+		{"single", singleSpec(), 96, [3]int{1, 2, 4}},
+		{"long-gop", longGOPSpec(), 96, [3]int{1, 2, 3}},
 	}
 	sinks := []struct {
 		name string
@@ -212,13 +259,21 @@ func TestOutputIdentity(t *testing.T) {
 
 	for _, spec := range specs {
 		t.Run(spec.name, func(t *testing.T) {
-			ref := spec.build(false)
+			ref := buildPlanSrc(t, spec.src, false)
 			refPkts, _ := filePackets(t, ref, Options{Parallelism: 1})
 			wantPixels := pixelDigest(t, ref, refPkts)
-			if len(refPkts) != 96 {
-				t.Fatalf("reference render has %d packets, want 96", len(refPkts))
+			if len(refPkts) != spec.frames {
+				t.Fatalf("reference render has %d packets, want %d", len(refPkts), spec.frames)
 			}
-			for _, par := range []int{1, 2, 8} {
+			for pi, par := range []int{1, 2, 8} {
+				for _, s := range buildPlanPar(t, spec.src, par).Segments {
+					if s.Kind == plan.SegFrames {
+						if got := len(s.Bounds()) - 1; got != spec.shards[pi] {
+							t.Fatalf("Parallelism %d: first render segment has %d shards, want %d", par, got, spec.shards[pi])
+						}
+						break
+					}
+				}
 				wantBytes := ""
 				for _, sink := range sinks {
 					gc := media.NewGOPCache(0)
@@ -235,7 +290,7 @@ func TestOutputIdentity(t *testing.T) {
 					}
 					for _, st := range states {
 						name := fmt.Sprintf("par=%d/%s/%s", par, sink.name, st.name)
-						p := spec.build(true)
+						p := buildPlanPar(t, spec.src, par)
 						st.o.Parallelism = par
 						pkts, m := sink.run(t, p, st.o)
 						if got := byteDigest(pkts); wantBytes == "" {
@@ -685,6 +740,127 @@ func TestFirstPacketReachesSinkWhileShardsRender(t *testing.T) {
 	}
 	if m.Segments[0].Shards != 2 || m.FramesRendered != 96 {
 		t.Errorf("shards = %d, rendered = %d; want 2 shards, 96 frames", m.Segments[0].Shards, m.FramesRendered)
+	}
+}
+
+// meeting is where testexec_meet's two callers wait for each other.
+type meeting struct {
+	split uint32 // source frame stamp the second shard starts at
+	mu    sync.Mutex
+	seen  [2]bool
+	both  chan struct{}
+}
+
+var meet atomic.Pointer[meeting]
+
+// TestLongGOPRenderUsesAllWorkers renders 240 frames out of one 240-frame
+// output GOP at Parallelism 2 — the shape the parent commit never cut —
+// through a transform that lets neither shard past its first frame until
+// the other has reached its own: the run completes only if both workers
+// render at once, and the trace shows their spans overlapping.
+func TestLongGOPRenderUsesAllWorkers(t *testing.T) {
+	if _, ok := vql.Lookup("testexec_meet"); !ok {
+		vql.Register(&vql.Transform{
+			Name:   "testexec_meet",
+			Params: []vql.Type{vql.TypeFrame},
+			Result: vql.TypeFrame,
+			Eval: func(args []vql.Val) (vql.Val, error) {
+				m := meet.Load()
+				id, _ := frame.ReadStamp(args[0].Frame)
+				half := 0
+				if id >= m.split {
+					half = 1
+				}
+				m.mu.Lock()
+				if m.seen[half] = true; m.seen[0] && m.seen[1] {
+					select {
+					case <-m.both:
+					default:
+						close(m.both)
+					}
+				}
+				m.mu.Unlock()
+				select {
+				case <-m.both:
+					return args[0], nil
+				case <-time.After(10 * time.Second):
+					return vql.Val{}, errors.New("the other shard never started: the render ran on one worker")
+				}
+			},
+		})
+	}
+	p := buildPlanPar(t, fmt.Sprintf(`
+		timedomain range(0, 10, 1/24);
+		videos { s: %q; }
+		render(t) = testexec_meet(s[t + 1/2]);`, fxSparse), 2)
+	bounds := p.Segments[0].Bounds()
+	if out := p.Checked.Output; out.GOP != 240 || len(bounds) != 3 {
+		t.Fatalf("output GOP %d, bounds %v; want one 240-frame GOP cut in two", out.GOP, bounds)
+	}
+	meet.Store(&meeting{split: uint32(12 + bounds[1]), both: make(chan struct{})})
+	tr := obs.NewTrace("test")
+	pkts, m := streamPackets(t, p, Options{Parallelism: 2, Trace: tr})
+	if len(pkts) != 240 || m.Segments[0].Shards != 2 {
+		t.Fatalf("%d packets in %d shards, want 240 in 2", len(pkts), m.Segments[0].Shards)
+	}
+	if spans := shardSpans(t, tr); len(spans) != 2 || maxOverlap(spans) != 2 {
+		t.Errorf("shard spans %v do not overlap", spans)
+	}
+}
+
+// cancelAtFrame is the frame count at which testexec_cancel cancels its run.
+type cancelAtFrame struct {
+	at     int64
+	frames atomic.Int64
+	cancel context.CancelFunc
+}
+
+var canceller atomic.Pointer[cancelAtFrame]
+
+// TestCancelMidShardStopsWithinOnePublishInterval cancels a 240-frame
+// render of one 240-frame output GOP from inside frame 30 of a shard. A
+// worker looks at its context every publish interval — one second, 24
+// frames, here — so each worker renders at most one more interval; polled
+// per output GOP, as before, every shard would have run to its end.
+func TestCancelMidShardStopsWithinOnePublishInterval(t *testing.T) {
+	if _, ok := vql.Lookup("testexec_cancel"); !ok {
+		vql.Register(&vql.Transform{
+			Name:   "testexec_cancel",
+			Params: []vql.Type{vql.TypeFrame},
+			Result: vql.TypeFrame,
+			Eval: func(args []vql.Val) (vql.Val, error) {
+				if c := canceller.Load(); c.frames.Add(1) == c.at {
+					c.cancel()
+				}
+				return args[0], nil
+			},
+		})
+	}
+	for _, par := range []int{1, 2} {
+		p := buildPlanPar(t, fmt.Sprintf(`
+			timedomain range(0, 10, 1/24);
+			videos { s: %q; }
+			render(t) = testexec_cancel(s[t + 1/2]);`, fxSparse), par)
+		if got := len(p.Segments[0].Bounds()) - 1; got != par {
+			t.Fatalf("Parallelism %d: %d shards, want %d", par, got, par)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		c := &cancelAtFrame{at: 30, cancel: cancel}
+		canceller.Store(c)
+		var buf bytes.Buffer
+		w, err := media.NewStreamWriter(&buf, p.Checked.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ExecuteTo(ctx, p, w, Options{Parallelism: par})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Parallelism %d: cancelled run = %v, want context.Canceled", par, err)
+		}
+		// Each worker finishes the interval it was in when the cancel landed.
+		if got, most := c.frames.Load(), c.at+int64(par)*24; got > most {
+			t.Errorf("Parallelism %d: %d frames rendered after a cancel at frame %d, want at most %d", par, got, c.at, most)
+		}
 	}
 }
 

@@ -384,6 +384,7 @@ func (w *Writer) Close() error {
 		return w.closeErr
 	}
 	w.closed = true
+	w.enc.Close()
 	w.closeErr = w.c.Close()
 	return w.closeErr
 }
@@ -395,6 +396,7 @@ func (w *Writer) Abort() error {
 		return nil
 	}
 	w.closed = true
+	w.enc.Close()
 	w.closeErr = errors.New("media: writer aborted")
 	return w.c.Abort()
 }

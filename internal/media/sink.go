@@ -212,6 +212,7 @@ func (s *StreamWriter) WriteEncodedFrame(key bool, data []byte) error {
 // end, which is the correct signal for an abandoned synthesis.
 func (s *StreamWriter) Abort() error {
 	s.closed = true
+	s.enc.Close()
 	return nil
 }
 
@@ -225,6 +226,7 @@ func (s *StreamWriter) AbortWithError(cause error) error {
 		return nil
 	}
 	s.closed = true
+	s.enc.Close()
 	msg := ""
 	if cause != nil {
 		msg = cause.Error()
@@ -238,6 +240,7 @@ func (s *StreamWriter) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.enc.Close()
 	return s.writeTrailer(StreamTrailer{Status: "ok", Packets: s.pts})
 }
 

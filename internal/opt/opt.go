@@ -7,6 +7,7 @@ package opt
 
 import (
 	"fmt"
+	"sort"
 
 	"v2v/internal/container"
 	"v2v/internal/obs"
@@ -34,7 +35,8 @@ type Options struct {
 	// SmartCut converts unaligned plain clips into smart cuts
 	// (passthrough plans only).
 	SmartCut bool
-	// Shard splits long render segments into parallel shards.
+	// Shard cuts render segments into parallel shards wherever plan.Cost
+	// says a cut moves more work to another worker than it adds.
 	Shard bool
 	// Parallelism bounds shard fan-out: the number the executor will run
 	// with (core.Options resolves both). Below 2 means no sharding.
@@ -245,44 +247,100 @@ func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 		s.Video = video
 		s.From, s.To = i0, i1
 		s.Root = nil
-		s.Shards = 1
 	}
 	return n, nil
 }
 
-// shardPass splits render segments into parallel shards at output-GOP
-// granularity.
+// extraKeyframe is what a cut costs besides its roll-forward: the shard's
+// fresh encoder opens on an I-frame the uncut stream would have coded as a
+// P-frame — charged as one more encode (docs/PERFORMANCE.md "Cost-gated
+// shard cuts" has the measurement).
+var extraKeyframe = plan.Cost{EncodeFrames: 1}.Units()
+
+// shardPass decides where each render segment is cut into shards, by
+// plan.Cost. It tries the widest fan-out first — the parallelism, or as
+// many shards of one publish interval as the segment holds, if fewer — and
+// keeps the first that cutSegment accepts.
 func shardPass(p *plan.Plan, parallelism int) int {
-	if parallelism <= 1 {
-		return 0
-	}
-	gop := p.Checked.Output.GOP
-	if gop <= 0 {
-		gop = 48
-	}
+	shortest := p.PublishInterval()
+	gop := max(p.Checked.Output.GOP, 1)
 	sharded := 0
 	for _, s := range p.Segments {
-		if s.Kind != plan.SegFrames {
+		if s.Kind != plan.SegFrames || s.Root == nil {
 			continue
 		}
+		s.Cuts = nil
 		frames := s.FrameCount()
-		if frames < 2*gop {
+		widest := min(parallelism, frames/shortest)
+		if widest < 2 {
 			continue
 		}
-		shards := frames / gop
-		if shards > parallelism {
-			shards = parallelism
-		}
-		if shards > 1 {
-			s.Shards = shards
-			// A filtered single-source render can additionally align its
-			// shard boundaries to the source's keyframe grid, so no shard
-			// starts decoding mid-GOP (the executor consumes the hint).
-			if video, off, ok := s.SoleSource(); ok {
-				s.AlignVideo, s.AlignOff = video, off
+		// What starting a shard at lo costs: the roll-forward decodes from
+		// the source keyframe before each tap's first read and, off the
+		// output's keyframe cadence, an extra I-frame. Memoized (as cost+1):
+		// the fan-outs and budgets tried revisit the same few frames.
+		roll, memo := s.RollForward(p), make([]float64, frames)
+		start := func(lo int) float64 {
+			if memo[lo] == 0 {
+				memo[lo] = 1 + plan.Cost{DecodeFrames: roll(lo)}.Units()
+				if lo%gop != 0 {
+					memo[lo] += extraKeyframe
+				}
 			}
+			return memo[lo] - 1
+		}
+		perFrame := s.FrameCost().Units()
+		for n := widest; n > 1 && s.Cuts == nil; n-- {
+			s.Cuts = cutSegment(frames, n, shortest, perFrame, start)
+		}
+		if s.Cuts != nil {
 			sharded++
 		}
 	}
 	return sharded
+}
+
+// cutSegment cuts frames output frames into up to n shards so that the
+// dearest shard is as cheap as it can be, a shard [lo,hi) costing
+// (hi-lo)*perFrame + start(lo). It returns nil unless every cut moves
+// more work to another worker than starting there costs and every shard
+// has at least shortest frames.
+//
+// A frame costs more than the one decode per tap by which a later start
+// can lengthen the roll-forward, so starting a shard later never makes
+// the rest dearer: giving each shard in turn as many frames as a budget
+// allows reaches the end whenever any cuts within that budget do, and the
+// smallest budget that reaches it is the optimum. A cut lands on a source
+// keyframe exactly when that is the cheapest place for it — there is no
+// separate snapping rule.
+func cutSegment(frames, n, shortest int, perFrame float64, start func(lo int) float64) []int {
+	fit := func(budget int) (cuts []int, ok bool) {
+		lo := 0
+		for len(cuts) < n {
+			room := int((float64(budget) - start(lo)) / perFrame)
+			if room < 1 {
+				return nil, false
+			}
+			if lo += room; lo >= frames {
+				return cuts, true
+			}
+			cuts = append(cuts, lo)
+		}
+		return nil, false
+	}
+	whole := int(perFrame*float64(frames)+start(0)) + 1
+	cuts, _ := fit(sort.Search(whole, func(budget int) bool {
+		_, ok := fit(budget)
+		return ok
+	}))
+	for i, lo := range append([]int{0}, cuts...) {
+		hi := frames
+		if i < len(cuts) {
+			hi = cuts[i]
+		}
+		if hi-lo < shortest || (i > 0 && float64(hi-lo)*perFrame <= start(lo)) {
+			return nil
+		}
+	}
+	return cuts
 }

@@ -178,7 +178,7 @@ func TestMergeSegmentsRespectsDifferentBodies(t *testing.T) {
 }
 
 func TestShardPass(t *testing.T) {
-	// 4 s at 24 fps = 96 frames, GOP 24: up to 4 shards.
+	// 4 s at 24 fps = 96 frames on a keyframe: four even shards.
 	p := buildPlan(t, specSrc(`render(t) = blur(v[t], 1);`))
 	st, err := Optimize(p, Options{Shard: true, Parallelism: 4})
 	if err != nil {
@@ -187,26 +187,14 @@ func TestShardPass(t *testing.T) {
 	if st.ShardedSegs != 1 {
 		t.Fatalf("sharded = %d", st.ShardedSegs)
 	}
-	if got := p.Segments[0].Shards; got != 4 {
-		t.Errorf("shards = %d", got)
+	if got := fmt.Sprint(p.Segments[0].Bounds()); got != "[0 24 48 72 96]" {
+		t.Errorf("bounds = %s", got)
 	}
 	// Parallelism 1 disables sharding.
 	p2 := buildPlan(t, specSrc(`render(t) = blur(v[t], 1);`))
 	st2, _ := Optimize(p2, Options{Shard: true, Parallelism: 1})
-	if st2.ShardedSegs != 0 || p2.Segments[0].Shards != 1 {
+	if st2.ShardedSegs != 0 || p2.Segments[0].Cuts != nil {
 		t.Error("parallelism 1 should not shard")
-	}
-}
-
-func TestShardSkipsShortSegments(t *testing.T) {
-	src := fmt.Sprintf(`
-		timedomain range(0, 1, 1/24);
-		videos { v: %q; }
-		render(t) = blur(v[t], 1);`, fxVid)
-	p := buildPlan(t, src)
-	st, _ := Optimize(p, Options{Shard: true, Parallelism: 8})
-	if st.ShardedSegs != 0 {
-		t.Error("1-GOP segment should not shard")
 	}
 }
 

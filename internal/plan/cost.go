@@ -2,8 +2,7 @@ package plan
 
 import (
 	"fmt"
-
-	"v2v/internal/vql"
+	"sort"
 )
 
 // Cost is a static estimate of the physical work a segment (or whole plan)
@@ -85,37 +84,53 @@ func estCopiedBytesPerPacket(p *Plan, video string) int64 {
 	return px * 3 / 8
 }
 
-// countTaps returns the number of source taps per output frame of a frame
-// segment's operator tree: clip leaves plus video references embedded in
-// merged filter expressions.
-func countTaps(root *Node) int64 {
-	var taps int64
-	var walkExpr func(e vql.Expr)
-	walkExpr = func(e vql.Expr) {
-		switch x := e.(type) {
-		case vql.VideoRef:
-			taps++
-		case vql.Call:
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
-		case vql.BinOp:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case vql.Not:
-			walkExpr(x.E)
-		case vql.Neg:
-			walkExpr(x.E)
-		}
+// FrameCost is the cost of one output frame of a frame segment: one source
+// decode per tap and one output encode, plus one intermediate encode/decode
+// pair per materialized operator boundary (the cost the merge pass removes
+// — estimating it here makes the pass's effect visible in EXPLAIN cost
+// deltas).
+func (s *Segment) FrameCost() Cost {
+	if s.Kind != SegFrames || s.Root == nil {
+		return Cost{}
 	}
-	root.Walk(func(n *Node) {
-		if n.IsLeaf() {
-			taps++
-		} else if n.Expr != nil {
-			walkExpr(n.Expr)
+	boundaries := int64(0)
+	s.Root.Walk(func(n *Node) {
+		if n.Materialize {
+			boundaries++
 		}
 	})
-	return taps
+	return Cost{
+		DecodeFrames: int64(len(s.Taps())) + boundaries,
+		EncodeFrames: 1 + boundaries,
+	}
+}
+
+// RollForward returns, as a function of the output frame i, the source
+// frames a worker decodes and discards before it can render i first: a
+// fresh cursor starts at the source keyframe at or before each tap's read
+// and decodes up to it. It is what a shard starting at i pays on top of
+// its frames, and it is exact for taps that do not share a cursor. A
+// non-affine tap reads at a place the plan cannot know and is charged half
+// its source's nominal GOP.
+func (s *Segment) RollForward(p *Plan) func(i int) int64 {
+	taps := s.Taps()
+	return func(i int) int64 {
+		var roll int64
+		t := s.Times.At(i)
+		for _, tap := range taps {
+			src := p.Checked.Sources[tap.Video]
+			if !tap.Affine {
+				roll += int64(src.Info.GOP / 2)
+				continue
+			}
+			pts, _ := src.Info.PTSOf(t.Add(tap.Off))
+			after := sort.Search(len(src.Keyframes), func(k int) bool { return src.Keyframes[k] > pts })
+			if after > 0 {
+				roll += pts - src.Keyframes[after-1]
+			}
+		}
+		return roll
+	}
 }
 
 // EstimateCost computes the segment's static cost estimate against the
@@ -123,11 +138,9 @@ func countTaps(root *Node) int64 {
 //
 //   - copy: every packet in [From,To) moves without re-encoding.
 //   - smartcut: the head re-decodes and re-encodes, the tail copies.
-//   - render: each output frame decodes one source frame per tap and
-//     encodes once into the output; every materialized operator boundary
-//     adds one intermediate encode/decode pair per frame (the cost the
-//     merge pass removes — estimating it here makes the pass's effect
-//     visible in EXPLAIN cost deltas).
+//   - render: FrameCost for every output frame, plus the RollForward of
+//     every shard — a mid-GOP read decodes from the keyframe before it, and
+//     every cut starts another one.
 func (s *Segment) EstimateCost(p *Plan) Cost {
 	var c Cost
 	switch s.Kind {
@@ -145,18 +158,16 @@ func (s *Segment) EstimateCost(p *Plan) Cost {
 		c.CopyBytes = c.CopyPackets * estCopiedBytesPerPacket(p, s.Video)
 	default: // SegFrames
 		frames := int64(s.FrameCount())
-		if s.Root == nil {
+		if s.Root == nil || frames == 0 {
 			break
 		}
-		taps := countTaps(s.Root)
-		boundaries := int64(0)
-		s.Root.Walk(func(n *Node) {
-			if n.Materialize {
-				boundaries++
-			}
-		})
-		c.DecodeFrames = frames * (taps + boundaries)
-		c.EncodeFrames = frames * (1 + boundaries)
+		per := s.FrameCost()
+		c.DecodeFrames = frames * per.DecodeFrames
+		c.EncodeFrames = frames * per.EncodeFrames
+		roll, bounds := s.RollForward(p), s.Bounds()
+		for _, lo := range bounds[:len(bounds)-1] {
+			c.DecodeFrames += roll(lo)
+		}
 	}
 	return c
 }

@@ -50,7 +50,7 @@ func TestEstimateCostMaterializedBoundaries(t *testing.T) {
 	if boundaries == 0 {
 		t.Fatal("expected materialized interior boundaries in the unoptimized tree")
 	}
-	taps := countTaps(s.Root)
+	taps := int64(len(s.Taps()))
 	if taps != 2 {
 		t.Fatalf("taps = %d, want 2", taps)
 	}

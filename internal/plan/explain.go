@@ -38,8 +38,13 @@ type SegmentActuals struct {
 	// is not cacheable.
 	ResultCacheHits   int64
 	ResultCacheMisses int64
-	// Shards is the parallelism the executor actually used.
-	Shards int
+	// Shards is the number of shards the segment was rendered in (the
+	// plan's cuts plus one; 0 for copies and smart cuts), and ShardDecodes
+	// each shard's measured decodes, in presentation order — beside the
+	// roll-forward EXPLAIN estimates for it. Both describe the plan on a
+	// result-cache hit, where no shard ran: ShardDecodes is then all zero.
+	Shards       int
+	ShardDecodes []int64
 	// Per-stage pipeline accounting, measured by the request-scoped
 	// obs.Recorder: summed operation wall time (shard-parallel work sums,
 	// so a stage wall can exceed Wall) and bytes produced per stage.
@@ -80,7 +85,7 @@ func (a SegmentActuals) String() string {
 		parts = append(parts, fmt.Sprintf("rescache=%dhit/%dmiss", a.ResultCacheHits, a.ResultCacheMisses))
 	}
 	if a.Shards > 1 {
-		parts = append(parts, fmt.Sprintf("shards=%d", a.Shards))
+		parts = append(parts, fmt.Sprintf("shards=%d decoded/shard=%v", a.Shards, a.ShardDecodes))
 	}
 	if a.DecodeWall > 0 || a.FilterWall > 0 || a.EncodeWall > 0 {
 		parts = append(parts, fmt.Sprintf("stages=dec:%s/%dB flt:%s/%dB enc:%s/%dB",
@@ -150,8 +155,17 @@ func (p *Plan) explain(annotate func(i int) string) string {
 				branch, s.Video, s.From, s.To, s.Times.Start, s.Times.End, s.ReencodeHead, suffix)
 		default:
 			shard := ""
-			if s.Shards > 1 {
-				shard = fmt.Sprintf(" ×%d shards", s.Shards)
+			if bounds := s.Bounds(); len(bounds) > 2 {
+				// The shard boundaries, and the roll-forward decodes each
+				// shard's start is estimated to cost.
+				roll := s.RollForward(p)
+				var cuts, rolls []string
+				for _, lo := range bounds[:len(bounds)-1] {
+					cuts = append(cuts, fmt.Sprint(lo))
+					rolls = append(rolls, fmt.Sprint(roll(lo)))
+				}
+				shard = fmt.Sprintf(" cuts=[%s,%d) roll=[%s]",
+					strings.Join(cuts, ","), s.FrameCount(), strings.Join(rolls, ","))
 			}
 			fmt.Fprintf(&sb, "%ssegment t in [%s,%s) (%d frames)%s%s\n",
 				branch, s.Times.Start, s.Times.End, s.FrameCount(), shard, suffix)
@@ -264,9 +278,9 @@ func (p *Plan) DOT() string {
 			fmt.Fprintf(&sb, "  %s -> concat;\n", me)
 		default:
 			root := emit(s.Root)
-			if s.Shards > 1 {
+			if n := len(s.Bounds()) - 1; n > 1 {
 				sh := newID()
-				fmt.Fprintf(&sb, "  %s [label=\"shard ×%d\", shape=parallelogram];\n", sh, s.Shards)
+				fmt.Fprintf(&sb, "  %s [label=\"shard ×%d\", shape=parallelogram];\n", sh, n)
 				fmt.Fprintf(&sb, "  %s -> %s;\n  %s -> concat;\n", root, sh, sh)
 			} else {
 				fmt.Fprintf(&sb, "  %s -> concat;\n", root)

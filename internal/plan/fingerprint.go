@@ -22,8 +22,8 @@ import (
 //   - the output stream format (codec, dimensions, fps, quality, GOP,
 //     level — different formats encode different bytes);
 //   - the segment's output times (start, end, step);
-//   - the effective shard count and the keyframe-alignment hint, both of
-//     which move forced keyframes and therefore change packet bytes;
+//   - the shard cuts (Segment.Bounds), which are where forced keyframes
+//     fall and therefore change packet bytes;
 //   - the concealment mode (it changes output on damaged sources);
 //   - the operator tree, canonically serialized with every video name
 //     replaced by the source file's *content identity* and every data
@@ -93,26 +93,19 @@ func hashArray(arr *data.Array) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Segment returns the result-cache key for s when executed with the given
-// effective shard count, or ok=false when the segment is not cacheable
-// (only rendered segments are — copies and smart cuts never re-encode
-// enough to be worth memoizing, and their output depends on writer state).
-func (f *Fingerprinter) Segment(s *Segment, shards int) (key string, ok bool) {
+// Segment returns the result-cache key for s, or ok=false when the segment
+// is not cacheable (only rendered segments are — copies and smart cuts
+// never re-encode enough to be worth memoizing, and their output depends
+// on writer state).
+func (f *Fingerprinter) Segment(s *Segment) (key string, ok bool) {
 	if s.Kind != SegFrames || s.Root == nil {
 		return "", false
 	}
 	h := sha256.New()
 	io.WriteString(h, "v2v-result-v1\n")
 	h.Write(f.output)
-	fmt.Fprintf(h, "\nconceal=%t shards=%d times=%s,%s,%s\n",
-		f.conceal, shards, s.Times.Start, s.Times.End, s.Times.Step)
-	if s.AlignVideo != "" {
-		id, found := f.sources[s.AlignVideo]
-		if !found {
-			return "", false
-		}
-		fmt.Fprintf(h, "align=%s+%s\n", id, s.AlignOff)
-	}
+	fmt.Fprintf(h, "\nconceal=%t shards=%v times=%s,%s,%s\n",
+		f.conceal, s.Bounds(), s.Times.Start, s.Times.End, s.Times.Step)
 	if !f.writeNode(h, s.Root) {
 		return "", false
 	}

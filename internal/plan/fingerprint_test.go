@@ -30,8 +30,9 @@ func checkedWith(t *testing.T, videos, body string) *check.Checked {
 	return c
 }
 
-// segmentKey plans body over c and fingerprints its first segment.
-func segmentKey(t *testing.T, c *check.Checked, conceal bool, shards int) (string, bool) {
+// segmentKey plans body over c and fingerprints its first segment, cut
+// into shards at cuts.
+func segmentKey(t *testing.T, c *check.Checked, conceal bool, cuts ...int) (string, bool) {
 	t.Helper()
 	p, err := Build(c)
 	if err != nil {
@@ -40,7 +41,8 @@ func segmentKey(t *testing.T, c *check.Checked, conceal bool, shards int) (strin
 	if len(p.Segments) == 0 {
 		t.Fatal("no segments")
 	}
-	return NewFingerprinter(c, conceal).Segment(p.Segments[0], shards)
+	p.Segments[0].Cuts = cuts
+	return NewFingerprinter(c, conceal).Segment(p.Segments[0])
 }
 
 // The key must witness content, not names: the same file bound under two
@@ -55,26 +57,54 @@ func TestFingerprintContentNotNames(t *testing.T) {
 		`render(t) = grade(cam[t], 5, 1.0, 1.0);`)
 	other := checkedWith(t, fmt.Sprintf("v: %q;", fxVid2), body)
 
-	ka, ok := segmentKey(t, a, false, 1)
+	ka, ok := segmentKey(t, a, false)
 	if !ok {
 		t.Fatal("segment not cacheable")
 	}
-	if kb, ok := segmentKey(t, b, false, 1); !ok || kb != ka {
+	if kb, ok := segmentKey(t, b, false); !ok || kb != ka {
 		t.Errorf("identical spec keys differ: %s vs %s", ka, kb)
 	}
-	if kr, ok := segmentKey(t, renamed, false, 1); !ok || kr != ka {
+	if kr, ok := segmentKey(t, renamed, false); !ok || kr != ka {
 		t.Errorf("renamed binding of the same file changed the key: %s vs %s", ka, kr)
 	}
-	if ko, ok := segmentKey(t, other, false, 1); !ok || ko == ka {
+	if ko, ok := segmentKey(t, other, false); !ok || ko == ka {
 		t.Error("different source content produced the same key")
 	}
 }
 
-// Everything that changes the output bytes must change the key: times,
-// shard count, concealment mode, and the operator tree.
+// The cuts are where a sharded render's forced keyframes fall, so they are
+// part of what the bytes are: the same segment cut elsewhere, or cut once
+// more, is a different entry, and the same cuts are the same entry — a
+// result filled at one Parallelism is served to another exactly when the
+// optimizer cut both plans alike.
+func TestFingerprintKeysCuts(t *testing.T) {
+	base := checked(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`)
+	seen := map[string]string{}
+	for _, cuts := range [][]int{nil, {24}, {25}, {12, 24}, {12, 36}} {
+		k, ok := segmentKey(t, base, false, cuts...)
+		if !ok {
+			t.Fatalf("segment cut at %v not cacheable", cuts)
+		}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("cuts %v and %s share a key", cuts, prev)
+		}
+		seen[k] = fmt.Sprint(cuts)
+		if again, _ := segmentKey(t, base, false, cuts...); again != k {
+			t.Errorf("cuts %v keyed twice gave different keys", cuts)
+		}
+	}
+	// Cuts the executor would drop (Bounds) do not change the key.
+	k24, _ := segmentKey(t, base, false, 24)
+	if k, _ := segmentKey(t, base, false, 0, 24, 24, 1<<20); k != k24 {
+		t.Error("cuts outside the segment or repeated changed the key")
+	}
+}
+
+// Everything else that changes the output bytes must change the key:
+// times, concealment mode, and the operator tree.
 func TestFingerprintSensitivity(t *testing.T) {
 	base := checked(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`)
-	k0, ok := segmentKey(t, base, false, 1)
+	k0, ok := segmentKey(t, base, false)
 	if !ok {
 		t.Fatal("segment not cacheable")
 	}
@@ -89,22 +119,17 @@ func TestFingerprintSensitivity(t *testing.T) {
 		keys[name] = k
 	}
 
-	if k, ok := segmentKey(t, base, false, 2); !ok {
-		t.Error("sharded segment not cacheable")
-	} else {
-		put("shards=2", k)
-	}
-	if k, ok := segmentKey(t, base, true, 1); !ok {
+	if k, ok := segmentKey(t, base, true); !ok {
 		t.Error("conceal segment not cacheable")
 	} else {
 		put("conceal", k)
 	}
-	if k, ok := segmentKey(t, checked(t, `render(t) = grade(v[t], 6, 1.0, 1.0);`), false, 1); !ok {
+	if k, ok := segmentKey(t, checked(t, `render(t) = grade(v[t], 6, 1.0, 1.0);`), false); !ok {
 		t.Error("param variant not cacheable")
 	} else {
 		put("param", k)
 	}
-	if k, ok := segmentKey(t, checked(t, `render(t) = grade(v[t + 1], 5, 1.0, 1.0);`), false, 1); !ok {
+	if k, ok := segmentKey(t, checked(t, `render(t) = grade(v[t + 1], 5, 1.0, 1.0);`), false); !ok {
 		t.Error("offset variant not cacheable")
 	} else {
 		put("offset", k)
@@ -116,7 +141,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestFingerprintDataArrayContent(t *testing.T) {
 	body := `render(t) = boxes(v[t], bb[t]);`
 	c1 := checked(t, body)
-	k1, ok := segmentKey(t, c1, false, 1)
+	k1, ok := segmentKey(t, c1, false)
 	if !ok {
 		t.Fatal("segment not cacheable")
 	}
@@ -144,7 +169,7 @@ func TestFingerprintDataArrayContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, ok := segmentKey(t, c2, false, 1)
+	k2, ok := segmentKey(t, c2, false)
 	if !ok {
 		t.Fatal("variant segment not cacheable")
 	}
@@ -164,7 +189,7 @@ func TestFingerprintRewrittenSourceChangesKey(t *testing.T) {
 	}
 	body := `render(t) = grade(v[t], 5, 1.0, 1.0);`
 	c1 := checkedWith(t, fmt.Sprintf("v: %q;", vid), body)
-	k1, ok := segmentKey(t, c1, false, 1)
+	k1, ok := segmentKey(t, c1, false)
 	if !ok {
 		t.Fatal("segment not cacheable")
 	}
@@ -174,7 +199,7 @@ func TestFingerprintRewrittenSourceChangesKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := checkedWith(t, fmt.Sprintf("v: %q;", vid), body)
-	k2, ok := segmentKey(t, c2, false, 1)
+	k2, ok := segmentKey(t, c2, false)
 	if !ok {
 		t.Fatal("rewritten segment not cacheable")
 	}
@@ -198,11 +223,11 @@ func TestFingerprintUncacheableForms(t *testing.T) {
 	f := NewFingerprinter(c, false)
 	s := *p.Segments[0]
 	s.Kind = SegCopy
-	if _, ok := f.Segment(&s, 1); ok {
+	if _, ok := f.Segment(&s); ok {
 		t.Error("copy segment reported cacheable")
 	}
 	s.Kind = SegSmartCut
-	if _, ok := f.Segment(&s, 1); ok {
+	if _, ok := f.Segment(&s); ok {
 		t.Error("smart-cut segment reported cacheable")
 	}
 
@@ -215,7 +240,7 @@ func TestFingerprintUncacheableForms(t *testing.T) {
 		c2.Sources[name] = src
 	}
 	f2 := NewFingerprinter(&c2, false)
-	if _, ok := f2.Segment(p.Segments[0], 1); ok {
+	if _, ok := f2.Segment(p.Segments[0]); ok {
 		t.Error("segment without source content identity reported cacheable")
 	}
 }

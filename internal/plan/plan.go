@@ -121,16 +121,13 @@ type Segment struct {
 	// before reaching the first keyframe (0 for pure copies); set by the
 	// optimizer for explain output and cost estimates.
 	ReencodeHead int
-	// Shards is the number of parallel shards executing this frame
-	// segment (>= 1). The unoptimized plan always uses 1.
-	Shards int
-	// AlignVideo/AlignOff, when AlignVideo is non-empty, record that every
-	// source tap of this frame segment reads AlignVideo at the affine
-	// offset AlignOff (source time = t + AlignOff). The executor uses the
-	// hint to snap shard chunk boundaries to source keyframes, so no shard
-	// starts decoding mid-GOP. Set by the optimizer's shard pass.
-	AlignVideo string
-	AlignOff   rational.Rat
+	// Cuts are the output-frame indices at which the optimizer's shard pass
+	// cuts this frame segment into shards: ascending, each inside
+	// (0, FrameCount()); empty means one shard. Every shard starts its own
+	// encoder (so on a keyframe) and its own source cursors (so rolling
+	// forward from a source keyframe). Executor, EXPLAIN, cost estimate and
+	// result-cache key all read the shard shape through Bounds.
+	Cuts []int
 	// EstCost is the segment's static cost estimate, set by
 	// plan.EstimateCosts (from Build and again after optimizer passes
 	// change segment kinds). The admission controller weighs requests by
@@ -168,7 +165,7 @@ func Build(c *check.Checked) (*Plan, error) {
 		// the writer; only interior operator boundaries materialize.
 		root.Materialize = false
 		p.Segments = append(p.Segments, &Segment{
-			Times: s.times, Kind: SegFrames, Root: root, Shards: 1,
+			Times: s.times, Kind: SegFrames, Root: root,
 		})
 	}
 	EstimateCosts(p)
@@ -355,28 +352,57 @@ func (s *Segment) PlainClip() (video string, offset rational.Rat, ok bool) {
 // FrameCount returns the number of output frames the segment renders.
 func (s *Segment) FrameCount() int { return s.Times.Count() }
 
-// SoleSource reports whether every source tap in the segment's operator
-// tree reads the same video at the same affine offset (index = t + c) —
-// the "filtered single-source render" shape whose shard boundaries can be
-// aligned to source keyframes. At least one tap must exist.
-func (s *Segment) SoleSource() (video string, off rational.Rat, ok bool) {
-	if s.Kind != SegFrames || s.Root == nil {
-		return "", rational.Rat{}, false
+// PublishInterval is how many output frames a shard worker renders between
+// handing its packets to the delivery loop (and looking for cancellation):
+// one output GOP, or one second of output where the GOP is longer. It is
+// also the shortest shard the optimizer makes — a shorter one could
+// deliver nothing before it finished, and would buy an I-frame for less
+// than a second of output.
+func (p *Plan) PublishInterval() int {
+	out := p.Checked.Output
+	every := max(int(out.FPS.Floor()), 1)
+	if out.GOP > 0 && out.GOP < every {
+		every = out.GOP
 	}
-	taps := 0
-	consistent := true
-	add := func(v string, idx vql.Expr) {
-		o, affine := check.AffineOffset(idx)
-		if !affine {
-			consistent = false
-			return
+	return every
+}
+
+// Bounds returns the segment's shard boundaries in output frames, 0 and
+// FrameCount() included. A cut outside (0, FrameCount()) or not above its
+// predecessor is dropped, so a hand-built plan cannot make the executor,
+// EXPLAIN and the cache key disagree about the shards.
+func (s *Segment) Bounds() []int {
+	frames := s.FrameCount()
+	bounds := []int{0}
+	if s.Kind == SegFrames {
+		for _, c := range s.Cuts {
+			if c > bounds[len(bounds)-1] && c < frames {
+				bounds = append(bounds, c)
+			}
 		}
-		if taps == 0 {
-			video, off = v, o
-		} else if v != video || !o.Equal(off) {
-			consistent = false
-		}
-		taps++
+	}
+	return append(bounds, frames)
+}
+
+// Tap is one source read per output frame of a frame segment: Video at
+// source time t + Off. Affine is false when the index is not of that form,
+// so where the tap reads is unknown without evaluating it.
+type Tap struct {
+	Video  string
+	Off    rational.Rat
+	Affine bool
+}
+
+// Taps lists the source taps of the segment's operator tree: clip leaves
+// plus the video references inside merged and fused filter expressions.
+func (s *Segment) Taps() []Tap {
+	if s.Kind != SegFrames || s.Root == nil {
+		return nil
+	}
+	var taps []Tap
+	add := func(video string, idx vql.Expr) {
+		off, affine := check.AffineOffset(idx)
+		taps = append(taps, Tap{Video: video, Off: off, Affine: affine})
 	}
 	var walkExpr func(e vql.Expr)
 	walkExpr = func(e vql.Expr) {
@@ -410,8 +436,5 @@ func (s *Segment) SoleSource() (video string, off rational.Rat, ok bool) {
 			walkExpr(n.Expr)
 		}
 	})
-	if !consistent || taps == 0 {
-		return "", rational.Rat{}, false
-	}
-	return video, off, true
+	return taps
 }

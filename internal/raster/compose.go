@@ -1,10 +1,6 @@
 package raster
 
-import (
-	"fmt"
-
-	"v2v/internal/frame"
-)
+import "v2v/internal/frame"
 
 // Grid2x2 composes four frames into quadrants of a single output frame of
 // the same size as the first input. Inputs may have different sizes; each
@@ -13,10 +9,10 @@ import (
 func Grid2x2(tl, tr, bl, br *frame.Frame) *frame.Frame {
 	out := frame.New(tl.W, tl.H, frame.FormatYUV420)
 	qw, qh := even(tl.W/2), even(tl.H/2)
-	blit(out, Scale(tl, qw, qh), 0, 0)
-	blit(out, Scale(tr, qw, qh), qw, 0)
-	blit(out, Scale(bl, qw, qh), 0, qh)
-	blit(out, Scale(br, qw, qh), qw, qh)
+	scaleCell(out, tl, 0, 0, qw, qh)
+	scaleCell(out, tr, qw, 0, qw, qh)
+	scaleCell(out, bl, 0, qh, qw, qh)
+	scaleCell(out, br, qw, qh, qw, qh)
 	return out
 }
 
@@ -37,26 +33,9 @@ func GridN(frames []*frame.Frame) *frame.Frame {
 	cw, ch := even(base.W/cols), even(base.H/rows)
 	for i, fr := range frames {
 		r, c := i/cols, i%cols
-		blit(out, Scale(fr, cw, ch), c*cw, r*ch)
+		scaleCell(out, fr, c*cw, r*ch, cw, ch)
 	}
 	return out
-}
-
-// blit copies src into dst at (x, y); x and y must be even. The caller
-// guarantees src fits.
-func blit(dst, src *frame.Frame, x, y int) {
-	if x%2 != 0 || y%2 != 0 {
-		panic(fmt.Sprintf("raster: blit offset %d,%d must be even", x, y))
-	}
-	dp, sp := dst.Planes(), src.Planes()
-	for row := 0; row < src.H; row++ {
-		copy(dp[0][(y+row)*dst.W+x:], sp[0][row*src.W:(row+1)*src.W])
-	}
-	dcw, scw := dst.W/2, src.W/2
-	for row := 0; row < src.H/2; row++ {
-		copy(dp[1][(y/2+row)*dcw+x/2:], sp[1][row*scw:(row+1)*scw])
-		copy(dp[2][(y/2+row)*dcw+x/2:], sp[2][row*scw:(row+1)*scw])
-	}
 }
 
 // HStack places a and b side by side, each scaled to half the output
@@ -64,8 +43,8 @@ func blit(dst, src *frame.Frame, x, y int) {
 func HStack(a, b *frame.Frame) *frame.Frame {
 	out := frame.New(a.W, a.H, frame.FormatYUV420)
 	hw := even(a.W / 2)
-	blit(out, Scale(a, hw, a.H), 0, 0)
-	blit(out, Scale(b, hw, a.H), hw, 0)
+	scaleCell(out, a, 0, 0, hw, a.H)
+	scaleCell(out, b, hw, 0, hw, a.H)
 	return out
 }
 
@@ -74,8 +53,8 @@ func HStack(a, b *frame.Frame) *frame.Frame {
 func VStack(a, b *frame.Frame) *frame.Frame {
 	out := frame.New(a.W, a.H, frame.FormatYUV420)
 	hh := even(a.H / 2)
-	blit(out, Scale(a, a.W, hh), 0, 0)
-	blit(out, Scale(b, a.W, hh), 0, hh)
+	scaleCell(out, a, 0, 0, a.W, hh)
+	scaleCell(out, b, 0, hh, a.W, hh)
 	return out
 }
 

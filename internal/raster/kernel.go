@@ -319,15 +319,5 @@ func (op *PointOp) applyRow(dst *frame.Frame, plane, row, w int, drow []byte) {
 //
 //v2v:hotpath
 func ScaleInto(dst, src *frame.Frame) {
-	if src.Format != frame.FormatYUV420 || dst.Format != frame.FormatYUV420 {
-		panic(fmt.Sprintf("raster: ScaleInto wants yuv420, got %v -> %v", src.Format, dst.Format)) //v2v:nolint(hotpath) cold panic path; allocates only on a format contract violation
-	}
-	if dst.W == src.W && dst.H == src.H {
-		copy(dst.Pix, src.Pix)
-		return
-	}
-	sp, dp := src.Planes(), dst.Planes()
-	scalePlane(sp[0], src.W, src.H, dp[0], dst.W, dst.H)
-	scalePlane(sp[1], src.W/2, src.H/2, dp[1], dst.W/2, dst.H/2)
-	scalePlane(sp[2], src.W/2, src.H/2, dp[2], dst.W/2, dst.H/2)
+	scaleCell(dst, src, 0, 0, dst.W, dst.H)
 }

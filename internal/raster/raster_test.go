@@ -690,3 +690,135 @@ func BenchmarkGaussianBlur(b *testing.B) {
 		}
 	})
 }
+
+// TestScaleHalfMatchesBilinear: at exactly 2:1 the block-mean fast path
+// writes what the general bilinear loop writes, byte for byte — on random
+// planes, on the extremes that would expose a lost carry or clamp, for odd
+// and even sizes down to a 2×2 source, through a destination stride.
+func TestScaleHalfMatchesBilinear(t *testing.T) {
+	rnd := rand.New(rand.NewSource(18))
+	fills := map[string]func([]byte){
+		"random": func(p []byte) { rnd.Read(p) },
+		"0x00":   func(p []byte) { clear(p) },
+		"0xff": func(p []byte) {
+			for i := range p {
+				p[i] = 0xff
+			}
+		},
+		"0x00/0xff": func(p []byte) {
+			for i := range p {
+				p[i] = byte(rnd.Intn(2) * 0xff)
+			}
+		},
+	}
+	for dw := 1; dw <= 9; dw++ {
+		for dh := 1; dh <= 7; dh++ {
+			for name, fill := range fills {
+				src := make([]byte, 2*dw*2*dh)
+				fill(src)
+				stride := dw + 3
+				want := make([]byte, stride*dh)
+				got := make([]byte, stride*dh)
+				bilinearPlane(src, 2*dw, 2*dh, want, stride, dw, dh)
+				scalePlane(src, 2*dw, 2*dh, got, stride, dw, dh)
+				if string(got) != string(want) {
+					t.Fatalf("%s %dx%d -> %dx%d: fast path\n%v\ngeneral loop\n%v", name, 2*dw, 2*dh, dw, dh, got, want)
+				}
+			}
+		}
+	}
+	// Both dataset geometries, luma and chroma.
+	for _, d := range [][2]int{{192, 86}, {96, 43}, {192, 108}, {96, 54}} {
+		src := make([]byte, 4*d[0]*d[1])
+		rnd.Read(src)
+		want, got := make([]byte, d[0]*d[1]), make([]byte, d[0]*d[1])
+		bilinearPlane(src, 2*d[0], 2*d[1], want, d[0], d[0], d[1])
+		scalePlane(src, 2*d[0], 2*d[1], got, d[0], d[0], d[1])
+		if string(got) != string(want) {
+			t.Fatalf("%dx%d halved: fast path differs from the general loop", 2*d[0], 2*d[1])
+		}
+	}
+}
+
+// refScale and refBlit are how compositions were built before cells were
+// scaled in place: the general bilinear loop into a temporary frame, then
+// a copy. They are the oracle for TestGridMatchesReference.
+func refScale(src *frame.Frame, w, h int) *frame.Frame {
+	dst := frame.New(w, h, frame.FormatYUV420)
+	sp, dp := src.Planes(), dst.Planes()
+	bilinearPlane(sp[0], src.W, src.H, dp[0], w, w, h)
+	bilinearPlane(sp[1], src.W/2, src.H/2, dp[1], w/2, w/2, h/2)
+	bilinearPlane(sp[2], src.W/2, src.H/2, dp[2], w/2, w/2, h/2)
+	return dst
+}
+
+func refBlit(dst, src *frame.Frame, x, y int) {
+	dp, sp := dst.Planes(), src.Planes()
+	for row := 0; row < src.H; row++ {
+		copy(dp[0][(y+row)*dst.W+x:], sp[0][row*src.W:(row+1)*src.W])
+	}
+	dcw, scw := dst.W/2, src.W/2
+	for row := 0; row < src.H/2; row++ {
+		copy(dp[1][(y/2+row)*dcw+x/2:], sp[1][row*scw:(row+1)*scw])
+		copy(dp[2][(y/2+row)*dcw+x/2:], sp[2][row*scw:(row+1)*scw])
+	}
+}
+
+// TestGridMatchesReference: Grid2x2, GridN, HStack and VStack, which now
+// scale each input straight into its cell, produce the frames the old
+// Scale → temporary → blit composition produced — with inputs at exactly
+// twice the cell (the fast path), at the cell size (row copies) and at
+// other ratios (the general loop through a stride).
+func TestGridMatchesReference(t *testing.T) {
+	for _, d := range [][2]int{{384, 172}, {384, 216}, {160, 96}, {36, 36}, {4, 4}} {
+		w, h := d[0], d[1]
+		qw, qh := even(w/2), even(h/2)
+		a, b, c, e := noisy(w, h, 1), noisy(w, h, 2), noisy(qw, qh, 3), noisy(w+6, h+10, 4)
+
+		want := frame.New(w, h, frame.FormatYUV420)
+		refBlit(want, refScale(a, qw, qh), 0, 0)
+		refBlit(want, refScale(b, qw, qh), qw, 0)
+		refBlit(want, refScale(c, qw, qh), 0, qh)
+		refBlit(want, refScale(e, qw, qh), qw, qh)
+		if got := Grid2x2(a, b, c, e); !got.Equal(want) {
+			t.Errorf("Grid2x2 at %dx%d differs from the Scale+blit composition", w, h)
+		}
+
+		frames := []*frame.Frame{a, b, c, e, a}
+		cols, rows := 3, 2
+		cw, ch := even(w/cols), even(h/rows)
+		if cw > 0 && ch > 0 {
+			want = frame.New(w, h, frame.FormatYUV420)
+			want.Fill(16, 128, 128)
+			for i, fr := range frames {
+				refBlit(want, refScale(fr, cw, ch), i%cols*cw, i/cols*ch)
+			}
+			if got := GridN(frames); !got.Equal(want) {
+				t.Errorf("GridN(5) at %dx%d differs from the Scale+blit composition", w, h)
+			}
+		}
+
+		want = frame.New(w, h, frame.FormatYUV420)
+		refBlit(want, refScale(a, qw, h), 0, 0)
+		refBlit(want, refScale(e, qw, h), qw, 0)
+		if got := HStack(a, e); !got.Equal(want) {
+			t.Errorf("HStack at %dx%d differs from the Scale+blit composition", w, h)
+		}
+		want = frame.New(w, h, frame.FormatYUV420)
+		refBlit(want, refScale(a, w, qh), 0, 0)
+		refBlit(want, refScale(e, w, qh), 0, qh)
+		if got := VStack(a, e); !got.Equal(want) {
+			t.Errorf("VStack at %dx%d differs from the Scale+blit composition", w, h)
+		}
+	}
+}
+
+// BenchmarkGrid2x2 times the paper queries' grid (Q3/Q8) on four ToS-sim
+// frames: every cell is exactly half its input, the block-mean path.
+func BenchmarkGrid2x2(b *testing.B) {
+	a, c, d, e := noisy(384, 172, 1), noisy(384, 172, 2), noisy(384, 172, 3), noisy(384, 172, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Grid2x2(a, c, d, e)
+	}
+}

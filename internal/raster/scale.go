@@ -11,6 +11,7 @@
 package raster
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"v2v/internal/frame"
@@ -22,34 +23,103 @@ import (
 // When the target equals the source dimensions, Scale returns src itself
 // (NOT a copy): callers must treat the result as aliasing src and clone
 // before mutating. Every in-tree caller either only reads the result
-// (blit, Zoom) or clones/blends into a fresh frame (PiP, Overlay).
+// (Zoom) or clones/blends into a fresh frame (PiP, Overlay).
 func Scale(src *frame.Frame, w, h int) *frame.Frame {
-	if src.Format != frame.FormatYUV420 {
-		panic(fmt.Sprintf("raster: Scale wants yuv420, got %v", src.Format))
-	}
-	if w <= 0 || h <= 0 || w%2 != 0 || h%2 != 0 {
-		panic(fmt.Sprintf("raster: bad scale target %dx%d", w, h))
-	}
-	if w == src.W && h == src.H {
+	if w == src.W && h == src.H && src.Format == frame.FormatYUV420 {
 		return src
 	}
 	dst := frame.New(w, h, frame.FormatYUV420)
-	sp, dp := src.Planes(), dst.Planes()
-	scalePlane(sp[0], src.W, src.H, dp[0], w, h)
-	scalePlane(sp[1], src.W/2, src.H/2, dp[1], w/2, h/2)
-	scalePlane(sp[2], src.W/2, src.H/2, dp[2], w/2, h/2)
+	scaleCell(dst, src, 0, 0, w, h)
 	return dst
 }
 
+// scaleCell scales src to w×h straight into the rectangle of dst whose
+// top-left corner is (x, y) — Scale with a destination stride, so a
+// composition needs neither a temporary frame per input nor a copy. x and
+// y must be even and the rectangle must lie inside dst.
+//
 //v2v:hotpath
-func scalePlane(src []byte, sw, sh int, dst []byte, dw, dh int) {
-	if sw == dw && sh == dh {
-		copy(dst, src)
-		return
+func scaleCell(dst, src *frame.Frame, x, y, w, h int) {
+	if src.Format != frame.FormatYUV420 || dst.Format != frame.FormatYUV420 {
+		panic(fmt.Sprintf("raster: Scale wants yuv420, got %v -> %v", src.Format, dst.Format)) //v2v:nolint(hotpath) cold panic path; allocates only on a format contract violation
 	}
+	if w <= 0 || h <= 0 || w%2 != 0 || h%2 != 0 {
+		panic(fmt.Sprintf("raster: bad scale target %dx%d", w, h)) //v2v:nolint(hotpath) cold panic path; allocates only on a size contract violation
+	}
+	sp, dp := src.Planes(), dst.Planes()
+	scalePlane(sp[0], src.W, src.H, dp[0][y*dst.W+x:], dst.W, w, h)
+	cw := dst.W / 2
+	scalePlane(sp[1], src.W/2, src.H/2, dp[1][y/2*cw+x/2:], cw, w/2, h/2)
+	scalePlane(sp[2], src.W/2, src.H/2, dp[2][y/2*cw+x/2:], cw, w/2, h/2)
+}
+
+// scalePlane resizes the sw×sh plane src to dw×dh, writing row dy of the
+// result at dst[dy*stride:].
+//
+//v2v:hotpath
+func scalePlane(src []byte, sw, sh int, dst []byte, stride, dw, dh int) {
+	switch {
+	case sw == dw && sh == dh:
+		for y := 0; y < dh; y++ {
+			copy(dst[y*stride:y*stride+dw], src[y*sw:])
+		}
+	case sw == 2*dw && sh == 2*dh:
+		halvePlane(src, sw, dst, stride, dw, dh)
+	default:
+		bilinearPlane(src, sw, sh, dst, stride, dw, dh)
+	}
+}
+
+// halvePlane is bilinearPlane at exactly 2:1 both ways, where it reduces
+// to the rounded mean of each 2×2 block, for every input. With
+// xRatio = 2<<16,
+//
+//	sxf = dx*(2<<16) + (1<<16) - (1<<15) = (2dx)<<16 + 0x8000,
+//
+// so sx = 2dx and fx = 0x8000 = fpOne/2; sxf is never negative and
+// sx+1 = 2dx+1 <= 2dw-1 = sw-1, so neither clamp fires. Rows likewise:
+// sy = 2dy, fy = 0x8000. Then top = (p00+p01)<<15, bot = (p10+p11)<<15 and
+//
+//	v = ((top+bot)<<15 + 1<<31) >> 32
+//	  = ((p00+p01+p10+p11)<<30 + 2<<30) >> 32
+//	  = (p00+p01+p10+p11+2) >> 2,
+//
+// at most (4*255+2)>>2 = 255, so the final clamp is idle too. Two int64
+// multiplies and four clamps per pixel become three adds and a shift —
+// done on four blocks at a time in the 16-bit lanes of a uint64: a block
+// sum is below 1<<10, so a lane never carries, and after the shift each
+// lane's low byte is its block's result (TestScaleHalfMatchesBilinear).
+//
+//v2v:hotpath
+func halvePlane(src []byte, sw int, dst []byte, stride, dw, dh int) {
+	const (
+		lo8   = 0x00ff00ff00ff00ff // the even bytes, one per 16-bit lane
+		round = 0x0002000200020002
+	)
+	for dy := 0; dy < dh; dy++ {
+		r0 := src[2*dy*sw : 2*dy*sw+2*dw]
+		r1 := src[(2*dy+1)*sw : (2*dy+1)*sw+2*dw]
+		out := dst[dy*stride : dy*stride+dw]
+		dx := 0
+		for ; dx+4 <= dw; dx += 4 {
+			a := binary.LittleEndian.Uint64(r0[2*dx : 2*dx+8])
+			b := binary.LittleEndian.Uint64(r1[2*dx : 2*dx+8])
+			s := ((a & lo8) + (a >> 8 & lo8) + (b & lo8) + (b >> 8 & lo8) + round) >> 2
+			out[dx], out[dx+1], out[dx+2], out[dx+3] = byte(s), byte(s>>16), byte(s>>32), byte(s>>48)
+		}
+		for ; dx < dw; dx++ {
+			out[dx] = byte((int(r0[2*dx]) + int(r0[2*dx+1]) + int(r1[2*dx]) + int(r1[2*dx+1]) + 2) >> 2)
+		}
+	}
+}
+
+// bilinearPlane is the general resampler: 16.16 fixed-point bilinear
+// interpolation with edge-to-edge mapping and half-pixel centers.
+//
+//v2v:hotpath
+func bilinearPlane(src []byte, sw, sh int, dst []byte, stride, dw, dh int) {
 	const fpShift = 16
 	const fpOne = 1 << fpShift
-	// Edge-to-edge mapping with half-pixel centers.
 	xRatio := (int64(sw) << fpShift) / int64(dw)
 	yRatio := (int64(sh) << fpShift) / int64(dh)
 	for dy := 0; dy < dh; dy++ {
@@ -84,7 +154,7 @@ func scalePlane(src []byte, sw, sh int, dst []byte, dw, dh int) {
 			if v > 255 {
 				v = 255
 			}
-			dst[dy*dw+dx] = byte(v)
+			dst[dy*stride+dx] = byte(v)
 		}
 	}
 }
