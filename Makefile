@@ -16,7 +16,9 @@
 # `make ab W=<workload> [S=<seed>] [N=10] [PARENT=HEAD~1]` measures the
 # working tree against a parent revision with the repository's benchmark
 # (`go run ./bench`): N alternating pairs, every run appended to
-# ab-runs.jsonl, verdict table printed (scripts/ab.sh).
+# ab-runs.jsonl, verdict table printed (scripts/ab.sh). `make ab W=all
+# CLAIM=<metric>@<workload>` does so for every workload of BENCHMARK.json and
+# ends with the cross-workload verdict the benchmark check computes.
 # `make chaos` runs the fault-injection suite (docs/ROBUSTNESS.md) — read
 # faults plus the overload/memory-pressure scenario — three times with
 # distinct seeds; set V2V_CHAOS_SEED to pin the base seed.
@@ -73,7 +75,7 @@ microbench:
 	$(GO) test -bench=. -benchmem
 
 ab:
-	W=$(W) S=$(S) N=$(N) PARENT=$(PARENT) scripts/ab.sh
+	W=$(W) S=$(S) N=$(N) PARENT=$(PARENT) CLAIM=$(CLAIM) scripts/ab.sh
 
 chaos:
 	$(GO) test -count=3 -run 'Corrupt|Cancel|Transient|Panic|Conceal|Abort|Atomic|Flaky|Injector|Pressure|Burst' ./internal/container/ ./internal/exec/ ./internal/faults/

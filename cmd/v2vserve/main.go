@@ -420,7 +420,7 @@ func validSpecName(name string) bool {
 }
 
 // segmentRecords converts an executed run's per-segment actuals (plus the
-// plan's copy/smartcut/render decisions) into flight-recorder segment
+// plan's copy/render decisions) into flight-recorder segment
 // records.
 func segmentRecords(res *v2v.Result) []obs.SegmentRecord {
 	acts := res.Metrics.Segments

@@ -395,7 +395,9 @@ type Decoder struct {
 	pool  *frame.Pool
 	// One inflater per decoder, Reset onto each packet's payload through
 	// br. Reset also clears what a damaged packet leaves behind, so the
-	// decoder outlives bad packets — which concealment relies on.
+	// decoder outlives bad packets — which concealment relies on. It and
+	// resid are made by the first Decode: a reader opened only to copy
+	// packets never pays for them.
 	br bytes.Reader
 	zr io.Reader // also a flate.Resetter
 }
@@ -416,9 +418,7 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Decoder{cfg: cfg, resid: make([]byte, frame.FormatYUV420.Size(cfg.Width, cfg.Height))}
-	d.zr = flate.NewReader(&d.br)
-	return d, nil
+	return &Decoder{cfg: cfg}, nil
 }
 
 // Reset drops the reference frame, e.g. before seeking to a keyframe,
@@ -457,6 +457,10 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 		return nil, ErrNeedKeyframe
 	}
 	d.br.Reset(data[1:])
+	if d.zr == nil {
+		d.resid = make([]byte, frame.FormatYUV420.Size(d.cfg.Width, d.cfg.Height))
+		d.zr = flate.NewReader(&d.br)
+	}
 	if err := d.zr.(flate.Resetter).Reset(&d.br, nil); err != nil {
 		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
 	}

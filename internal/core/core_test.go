@@ -508,13 +508,18 @@ func TestFig2PlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opted.Segments[0].Kind != plan.SegSmartCut {
-		t.Errorf("segment 0 = %v, want smartcut", opted.Segments[0].Kind)
+	if len(opted.Segments) != 4 {
+		t.Fatalf("optimized segments = %d, want the smart cut's head and copy, the grid, the filter", len(opted.Segments))
 	}
-	if opted.Segments[1].Kind != plan.SegFrames || opted.Segments[1].Root.CountOps() != 1 {
+	if head, tail := opted.Segments[0], opted.Segments[1]; head.Kind != plan.SegFrames || head.FrameCount() != 17 ||
+		tail.Kind != plan.SegCopy || tail.From != 48 || tail.To != 55 {
+		t.Errorf("segments 0,1 = %v %d frames, %v [%d,%d); want a 17-frame head and a copy of [48,55)",
+			head.Kind, head.FrameCount(), tail.Kind, tail.From, tail.To)
+	}
+	if opted.Segments[2].Kind != plan.SegFrames || opted.Segments[2].Root.CountOps() != 1 {
 		t.Error("grid should merge into one filter")
 	}
-	if len(opted.Segments[2].Cuts) == 0 {
+	if len(opted.Segments[3].Cuts) == 0 {
 		t.Error("filter segment has no cuts, want parallel split")
 	}
 }

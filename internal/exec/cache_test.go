@@ -131,9 +131,9 @@ func TestConcurrentSynthesesShareGOPCache(t *testing.T) {
 // weighs), and what the shard pass prices a cut by. The shapes are the
 // benchmark's on both dataset geometries: a blur of one source and a grid
 // of four taps — four videos at one offset where GOPs are a second (KABR),
-// one video at four offsets more than a GOP apart where they are ten
-// (ToS; nearer than that, taps trade cursors and the count is no longer
-// per tap) — plus a read that crosses a keyframe and taps of two
+// one video at four offsets where they are ten (ToS), more than a GOP
+// apart and, as in the benchmark's grid, seven seconds apart so that taps
+// share a GOP — plus a read that crosses a keyframe and taps of two
 // geometries.
 func TestRollForwardEstimateMatchesDecodes(t *testing.T) {
 	for name, body := range map[string]string{
@@ -141,6 +141,7 @@ func TestRollForwardEstimateMatchesDecodes(t *testing.T) {
 		"1 s GOPs, grid":             `render(t) = grid(v[t + 7/24], v1[t + 7/24], v2[t + 7/24], v3[t + 7/24]);`,
 		"10 s GOPs, blur":            `render(t) = blur(s[t + 1/2], 1.0);`,
 		"10 s GOPs, grid":            `render(t) = grid(s[t + 1/2], s[t + 11], s[t + 43/2], s[t + 32]);`,
+		"10 s GOPs, grid 7 s apart":  `render(t) = grid(s[t + 55/24], s[t + 223/24], s[t + 391/24], s[t + 559/24]);`,
 		"10 s GOPs, keyframe inside": `render(t) = blur(s[t + 9], 1.0);`,
 		"two taps, two geometries":   `render(t) = crossfade(v[t + 7/24], s[t + 1/2], 0.5);`,
 	} {

@@ -55,10 +55,10 @@ func init() {
 var errShardAborted = fmt.Errorf("exec: shard aborted after prior failure")
 
 // firstStampSink wraps the output sink to stamp Metrics.FirstOutput the
-// moment the first packet is handed over, on every write path (smart-cut
-// encode, raw splice, shard delivery). Centralizing the stamp here means
-// no delivery path can forget it: copy/smart-cut segments and warm
-// result-cache splices stamp on their first packet, not at segment end.
+// moment the first packet is handed over, on every write path (concealed
+// copy encode, raw splice, shard delivery). Centralizing the stamp here
+// means no delivery path can forget it: copy segments and warm result-cache
+// splices stamp on their first packet, not at segment end.
 // For a file sink "handed over" is honest enough; a server wraps the
 // stream in a flushing sink and overrides FirstOutput with the first
 // actual network flush (see media.FlushingSink).
@@ -294,8 +294,8 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 }
 
 // readerCache shares sequential readers across the segments that read a
-// source on the delivery goroutine (copies, smart cuts). It is touched by
-// that goroutine only.
+// source on the delivery goroutine (copies). It is touched by that
+// goroutine only.
 type readerCache struct {
 	p       *plan.Plan
 	conceal bool

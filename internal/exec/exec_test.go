@@ -24,6 +24,10 @@ var (
 	fxVid    string    // tiny profile: 24 fps, GOP 24 (1 s), 4 s
 	fxSparse string    // tiny profile with 10 s GOPs (ToS-like), 42 s
 	fxMore   [3]string // three more videos like fxVid (a KABR-like grid reads four)
+	// fxBoxes is fxVid's content with a keyframe every 16 frames, so the
+	// object-free seconds the annotations in fxBoxesAnn leave ([1,2) and
+	// [3,4)) start mid-GOP: the data rewrite turns them into smart cuts.
+	fxBoxes, fxBoxesAnn string
 )
 
 func TestMain(m *testing.M) {
@@ -48,6 +52,12 @@ func TestMain(m *testing.M) {
 		if _, err := dataset.Generate(fxMore[i], "", dataset.TinyProfile(), rational.FromInt(4)); err != nil {
 			panic(err)
 		}
+	}
+	offGrid := dataset.TinyProfile()
+	offGrid.GOPSeconds = rational.New(2, 3)
+	fxBoxes, fxBoxesAnn = filepath.Join(dir, "boxes.vmf"), filepath.Join(dir, "boxes.json")
+	if _, err := dataset.Generate(fxBoxes, fxBoxesAnn, offGrid, rational.FromInt(4)); err != nil {
+		panic(err)
 	}
 	code := m.Run()
 	os.RemoveAll(dir)
@@ -220,19 +230,18 @@ func TestExecuteShardKeyframeCadence(t *testing.T) {
 }
 
 func TestCursorsReuseUnderInterleavedTaps(t *testing.T) {
-	// grid over 4 offsets of the same video: with cursor pooling the
-	// decode volume stays ~4 taps x 48 frames, not 4 x GOP re-decodes per
-	// output frame.
+	// grid over 4 offsets of the same video: with cursor pooling every tap
+	// decodes its stream once, not a GOP per output frame.
 	p := buildPlan(t, `render(t) = grid(v[t], v[t + 1/2], v[t + 1], v[t + 3/2]);`, true)
 	out := filepath.Join(t.TempDir(), "o.vmf")
 	m, err := Execute(context.Background(), p, out, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 taps each covering 48 frames; allow slack for initial keyframe
-	// roll-forward on the 3 unaligned taps.
-	if m.Source.FramesDecoded > 4*48+3*24 {
-		t.Errorf("interleaved taps decoded %d frames; cursor pooling broken", m.Source.FramesDecoded)
+	// 4 taps each covering 48 frames once, plus the roll-forward of the two
+	// that start half a GOP in — taps sharing a GOP keep their own cursors.
+	if want := int64(4*48 + 2*12); m.Source.FramesDecoded != want {
+		t.Errorf("interleaved taps decoded %d frames, want %d", m.Source.FramesDecoded, want)
 	}
 }
 

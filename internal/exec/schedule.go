@@ -19,10 +19,10 @@ package exec
 // for cancellation there. The delivery loop, on the caller's goroutine,
 // drains the shards in the same order and writes each batch to the sink
 // the moment it lands, so the head of the output reaches the consumer
-// while the tail is still rendering. Copy and smart-cut units run inline
-// on the delivery goroutine at their turn: they read the source through
-// the shared readers and a smart cut re-encodes its head with the sink's
-// encoder.
+// while the tail is still rendering. Copy units run inline on the delivery
+// goroutine at their turn, reading the source through the shared readers.
+// The head a smart cut re-encodes is a render unit like any other, so the
+// heads of a splice render on the workers while the loop copies the tails.
 //
 // A cacheable render unit resolves through the result cache first: a hit
 // splices the cached packets at the unit's turn; a miss renders through
@@ -82,7 +82,7 @@ type unit struct {
 	// written for this segment records its stage work here.
 	rec *obs.Recorder
 	// shards is the unit's render work in presentation order; empty for
-	// copy and smart-cut units and for segments with no frames.
+	// copy units and for segments with no frames.
 	shards   []*shard
 	rendered sync.WaitGroup // the shards' workers
 
@@ -487,11 +487,11 @@ func (x *run) deliverRender(u *unit, act *plan.SegmentActuals) {
 	}
 }
 
-// copyInline runs a copy or smart-cut unit on the delivery goroutine. Its
-// decodes (a smart cut's head, concealed packets) are the shared reader's
-// deltas: nothing else reads through it meanwhile.
+// copyInline runs a copy unit on the delivery goroutine. Its decodes
+// (concealed packets) are the shared reader's deltas: nothing else reads
+// through it meanwhile.
 func (x *run) copyInline(u *unit, act *plan.SegmentActuals) error {
-	if u.s.Kind != plan.SegCopy && u.s.Kind != plan.SegSmartCut {
+	if u.s.Kind != plan.SegCopy {
 		return fmt.Errorf("exec: unknown segment kind %v", u.s.Kind)
 	}
 	r, err := x.readers.get(u.s.Video, u.rec)
@@ -499,12 +499,8 @@ func (x *run) copyInline(u *unit, act *plan.SegmentActuals) error {
 		return err
 	}
 	before := r.Stats()
-	if u.s.Kind == plan.SegCopy {
-		if err := media.CopyRange(x.w, r, u.s.From, u.s.To); err != nil {
-			return fmt.Errorf("exec: copy segment: %w", err)
-		}
-	} else if _, _, err := media.SmartCut(x.w, r, u.s.From, u.s.To); err != nil {
-		return fmt.Errorf("exec: smart cut segment: %w", err)
+	if err := media.CopyRange(x.w, r, u.s.From, u.s.To); err != nil {
+		return fmt.Errorf("exec: copy segment: %w", err)
 	}
 	after := r.Stats()
 	act.FramesDecoded = after.FramesDecoded - before.FramesDecoded

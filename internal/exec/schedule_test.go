@@ -251,6 +251,9 @@ func TestOutputIdentity(t *testing.T) {
 		{"splice", longSpliceSpec(), 144, [3]int{1, 2, 2}},
 		{"single", singleSpec(), 96, [3]int{1, 2, 4}},
 		{"long-gop", longGOPSpec(), 96, [3]int{1, 2, 3}},
+		// Smart cuts: heads too short to cut, and one long enough to shard.
+		{"smart-cuts", kabrSpliceSpec(), 192, [3]int{1, 1, 1}},
+		{"sharded-head", tosClipSpec(), 240, [3]int{1, 2, 3}},
 	}
 	sinks := []struct {
 		name string
@@ -743,12 +746,33 @@ func TestFirstPacketReachesSinkWhileShardsRender(t *testing.T) {
 	}
 }
 
-// meeting is where testexec_meet's two callers wait for each other.
+// meeting is where two parties of a test wait for each other:
+// testexec_meet's two shards, or the first reads of two source files.
 type meeting struct {
-	split uint32 // source frame stamp the second shard starts at
+	split uint32 // testexec_meet: source frame stamp the second shard starts at
 	mu    sync.Mutex
 	seen  [2]bool
 	both  chan struct{}
+}
+
+// arrive records that side is here and waits for the other; it reports
+// false if the other never came.
+func (m *meeting) arrive(side int) bool {
+	m.mu.Lock()
+	if m.seen[side] = true; m.seen[0] && m.seen[1] {
+		select {
+		case <-m.both:
+		default:
+			close(m.both)
+		}
+	}
+	m.mu.Unlock()
+	select {
+	case <-m.both:
+		return true
+	case <-time.After(10 * time.Second):
+		return false
+	}
 }
 
 var meet atomic.Pointer[meeting]
@@ -771,21 +795,10 @@ func TestLongGOPRenderUsesAllWorkers(t *testing.T) {
 				if id >= m.split {
 					half = 1
 				}
-				m.mu.Lock()
-				if m.seen[half] = true; m.seen[0] && m.seen[1] {
-					select {
-					case <-m.both:
-					default:
-						close(m.both)
-					}
-				}
-				m.mu.Unlock()
-				select {
-				case <-m.both:
-					return args[0], nil
-				case <-time.After(10 * time.Second):
+				if !m.arrive(half) {
 					return vql.Val{}, errors.New("the other shard never started: the render ran on one worker")
 				}
+				return args[0], nil
 			},
 		})
 	}

@@ -149,11 +149,15 @@ func (c *Cursors) decodeGOP(video string, k, end int) ([]*frame.Frame, error) {
 	return frames, nil
 }
 
-// cursorFor picks (or opens) the cursor that reaches target cheapest.
+// cursorFor picks (or opens) the cursor that reaches target in the fewest
+// decodes.
 func (c *Cursors) cursorFor(video string, target int) (*Reader, error) {
 	rs := c.open[video]
 	if len(rs) == 0 {
 		return c.openCursor(video)
+	}
+	if rs[0].NextIndex() < 0 {
+		return rs[0], nil // opened by FrameAt to map the time; nothing has read through it
 	}
 	// 1. A cursor already positioned at (or one past) the target reads
 	// for free or purely sequentially.
@@ -162,23 +166,29 @@ func (c *Cursors) cursorFor(video string, target int) (*Reader, error) {
 			return r, nil
 		}
 	}
-	// 2. A cursor shortly behind the target rolls forward cheaply.
-	gop := rs[0].Info().GOP
-	if gop <= 0 {
-		gop = 48
-	}
+	// 2. A cursor behind the target with no keyframe between them rolls
+	// forward over target-n+1 packets. One behind an earlier keyframe would
+	// restart at the target's (FrameAtIndex) — exactly what a fresh cursor
+	// costs — and taking it strands the tap that was reading through it, so
+	// it does not count; on a tie the fresh cursor wins for the same reason,
+	// while the pool has room for one.
+	k, _ := rs[0].Container().KeyframeAtOrBefore(target)
+	room := len(rs) < c.max
 	var best *Reader
-	bestGap := gop + 1
+	bestCost := target - k + 1 // a fresh cursor, from the target's keyframe
+	if !room {
+		bestCost++
+	}
 	for _, r := range rs {
-		if n := r.NextIndex(); n >= 0 && n <= target && target-n < bestGap {
-			best, bestGap = r, target-n
+		if n := r.NextIndex(); n >= k && n <= target && target-n+1 < bestCost {
+			best, bestCost = r, target-n+1
 		}
 	}
 	if best != nil {
 		return best, nil
 	}
 	// 3. Open a fresh cursor for a new access pattern.
-	if len(rs) < c.max {
+	if room {
 		return c.openCursor(video)
 	}
 	// 4. Pool full: recycle the cursor with the smallest reposition cost.

@@ -115,3 +115,38 @@ func TestCursorsErrors(t *testing.T) {
 		t.Error("missing file should fail")
 	}
 }
+
+// TestCursorsStaggeredTapsDecodeOncePerTap is the 2 s ToS grid's access
+// pattern: four taps of one video seven seconds apart in ten-second GOPs,
+// read interleaved. Two of them share a GOP, and neither may cost the
+// other its cursor: every tap rolls forward once from the keyframe before
+// its first read and then decodes each of its frames once.
+func TestCursorsStaggeredTapsDecodeOncePerTap(t *testing.T) {
+	const gop, frames, apart, first = 240, 48, 7 * 24, 55
+	path := makeVideo(t, t.TempDir(), "a.vmf", testInfo(gop), first+3*apart+frames)
+	c := NewCursors(map[string]string{"v": path}, 0)
+	defer c.Close()
+	var want int64
+	for k := 0; k < 4; k++ {
+		want += int64((first+k*apart)%gop + frames)
+	}
+	for i := 0; i < frames; i++ {
+		for k := 0; k < 4; k++ {
+			idx := first + k*apart + i
+			fr, err := c.FrameAt("v", rational.New(int64(idx), 24))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id, _ := frame.ReadStamp(fr); id != uint32(idx) {
+				t.Fatalf("tap %d frame %d stamp = %d, want %d", k, i, id, idx)
+			}
+			fr.Release()
+		}
+	}
+	if got := len(c.open["v"]); got != 4 {
+		t.Errorf("%d cursors open for four taps", got)
+	}
+	if got := c.Close().FramesDecoded; got != want {
+		t.Errorf("decoded %d frames, want %d: each tap's roll-forward plus its %d frames, once", got, want, frames)
+	}
+}

@@ -452,6 +452,12 @@ func CopyRange(dst Sink, src *Reader, i0, i1 int) error {
 // and stream-copying the rest — the paper's smart cut. If the source range
 // contains no keyframe after i0 (sparse-keyframe content, like Q1 on ToS),
 // the whole range is re-encoded and copied=0 is returned.
+//
+// It is a library primitive: the engine does not call it. The optimizer
+// plans a smart cut as a render segment followed by a copy segment
+// (opt.copyPass), so the head runs on a shard worker, reads through the GOP
+// cache and is result-cached; only the benchmark's probe still times this
+// function.
 func SmartCut(dst Sink, src *Reader, i0, i1 int) (reencoded, copied int, err error) {
 	if i0 < 0 || i1 > src.NumFrames() || i0 > i1 {
 		return 0, 0, fmt.Errorf("media: smart cut range [%d,%d) out of bounds", i0, i1)

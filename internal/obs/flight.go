@@ -21,10 +21,11 @@ const DefaultFlightRecorderSize = 256
 const maxRecordedText = 2048
 
 // SegmentRecord is one plan segment's execution record inside a flight
-// record: the copy/smartcut/render decision and the measured costs. It
-// mirrors plan.SegmentActuals without importing the plan package.
+// record: the copy/render decision and the measured costs (a smart cut is
+// two records, its render head and its copy). It mirrors
+// plan.SegmentActuals without importing the plan package.
 type SegmentRecord struct {
-	Kind           string        `json:"kind"` // copy | smartcut | render
+	Kind           string        `json:"kind"` // copy | render
 	Wall           time.Duration `json:"wall_ns"`
 	FramesRendered int64         `json:"frames_rendered,omitempty"`
 	FramesDecoded  int64         `json:"frames_decoded,omitempty"`

@@ -32,8 +32,9 @@ type Options struct {
 	// StreamCopy converts keyframe-aligned plain clips into packet copies
 	// (passthrough plans only).
 	StreamCopy bool
-	// SmartCut converts unaligned plain clips into smart cuts
-	// (passthrough plans only).
+	// SmartCut converts unaligned plain clips into smart cuts — a render
+	// segment up to the first keyframe, a copy from there (passthrough plans
+	// only).
 	SmartCut bool
 	// Shard cuts render segments into parallel shards wherever plan.Cost
 	// says a cut moves more work to another worker than it adds.
@@ -173,8 +174,13 @@ func mergeFilters(p *plan.Plan) int {
 
 type copyCounts struct{ copies, smartcuts int }
 
-// copyPass converts plain-clip segments into packet copies or smart cuts.
-// It opens each referenced container once to consult its keyframe index.
+// copyPass converts plain-clip segments into packet copies. A clip that
+// starts on a keyframe becomes one copy segment. A smart cut — a clip that
+// starts mid-GOP with a keyframe inside its range — becomes two segments:
+// the frames before that keyframe stay a frame segment on the clip leaf they
+// already have (an ordinary render: sharded, cached and priced as one), and
+// the rest is a copy. It opens each referenced container once to consult its
+// keyframe index.
 func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 	var n copyCounts
 	readers := map[string]*container.Reader{}
@@ -199,7 +205,9 @@ func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 		return r, nil
 	}
 
+	segs := make([]*plan.Segment, 0, len(p.Segments))
 	for _, s := range p.Segments {
+		segs = append(segs, s)
 		video, off, ok := s.PlainClip()
 		if !ok || s.Times.Count() == 0 {
 			continue
@@ -222,12 +230,11 @@ func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 		if i1 > r.NumPackets() {
 			continue
 		}
+		tail := s // the segment that becomes the copy
 		if r.Record(i0).Key {
 			if !o.StreamCopy {
 				continue
 			}
-			s.Kind = plan.SegCopy
-			s.ReencodeHead = 0
 			n.copies++
 		} else {
 			if !o.SmartCut {
@@ -240,14 +247,21 @@ func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 			if !ok || k >= i1 {
 				continue
 			}
-			s.Kind = plan.SegSmartCut
-			s.ReencodeHead = k - i0
+			// s keeps its clip leaf and the frames before the keyframe; the
+			// copy is a new segment after it.
+			cut := s.Times.At(k - i0)
+			tail = &plan.Segment{Times: rational.NewRange(cut, s.Times.End, s.Times.Step)}
+			segs = append(segs, tail)
+			s.Times = rational.NewRange(s.Times.Start, cut, s.Times.Step)
+			s.Video, s.From, s.To = video, i0, k
+			i0 = k
 			n.smartcuts++
 		}
-		s.Video = video
-		s.From, s.To = i0, i1
-		s.Root = nil
+		tail.Kind = plan.SegCopy
+		tail.Video, tail.From, tail.To = video, i0, i1
+		tail.Root = nil
 	}
+	p.Segments = segs
 	return n, nil
 }
 

@@ -84,20 +84,72 @@ func TestStreamCopyKeyAligned(t *testing.T) {
 	}
 }
 
-func TestSmartCutMidGOP(t *testing.T) {
-	// Clip starting at t=1/24+1: source frame 25, mid-GOP. Keyframes every
-	// 24 frames exist inside the range, so a smart cut applies.
-	p := buildPlan(t, specSrc(`render(t) = v[t + 25/24];`))
-	st, err := Optimize(p, Default())
-	if err != nil {
-		t.Fatal(err)
+// TestSmartCutSplitsIntoHeadAndCopy pins what copyPass emits for a plain
+// clip: a copy where it starts on a keyframe; a render head on the clip's
+// own leaf followed by a copy where it starts mid-GOP with a keyframe
+// inside; the untouched render segment where there is no such keyframe.
+func TestSmartCutSplitsIntoHeadAndCopy(t *testing.T) {
+	type seg struct {
+		kind     plan.SegKind
+		from, to int    // source packets: a copy's range, a head's re-encoded range
+		times    string // output times, "start,end"
 	}
-	if st.SmartCuts != 1 || st.Copies != 0 {
-		t.Fatalf("stats = %+v", st)
+	cases := []struct {
+		name, body  string
+		copies, smt int
+		want        []seg
+	}{
+		{"on-keyframe", `render(t) = v[t + 1];`, 1, 0,
+			[]seg{{plan.SegCopy, 24, 120, "0,4"}}},
+		{"mid-gop", `render(t) = v[t + 25/24];`, 0, 1,
+			[]seg{{plan.SegFrames, 25, 48, "0,23/24"}, {plan.SegCopy, 48, 121, "23/24,4"}}},
+		{"no-keyframe-inside", `render(t) = s[t + 1/24];`, 0, 0,
+			[]seg{{plan.SegFrames, 0, 0, "0,4"}}},
+		{"keyframe-inside-arm", `render(t) = match t { t in range(0, 1, 1/24) => v[t + 1/2], t in range(1, 4, 1/24) => blur(v[t], 1.0), };`, 0, 1,
+			[]seg{{plan.SegFrames, 12, 24, "0,1/2"}, {plan.SegCopy, 24, 36, "1/2,1"}, {plan.SegFrames, 0, 0, "1,4"}}},
+		// Frames [12,24) end exactly on keyframe 24: none inside, nothing to copy.
+		{"ends-on-keyframe", `render(t) = match t { t in range(0, 1/2, 1/24) => v[t + 1/2], t in range(1/2, 4, 1/24) => blur(v[t], 1.0), };`, 0, 0,
+			[]seg{{plan.SegFrames, 0, 0, "0,1/2"}, {plan.SegFrames, 0, 0, "1/2,4"}}},
+		{"splice-of-cuts", `render(t) = match t { t in range(0, 2, 1/24) => v[t + 7/24], t in range(2, 4, 1/24) => v[t + 31/24], };`, 0, 2,
+			[]seg{{plan.SegFrames, 7, 24, "0,17/24"}, {plan.SegCopy, 24, 55, "17/24,2"},
+				{plan.SegFrames, 79, 96, "2,65/24"}, {plan.SegCopy, 96, 127, "65/24,4"}}},
 	}
-	s := p.Segments[0]
-	if s.Kind != plan.SegSmartCut || s.From != 25 {
-		t.Errorf("segment = %+v", s)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := buildPlan(t, specSrc(tc.body))
+			st, err := Optimize(p, Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Copies != tc.copies || st.SmartCuts != tc.smt {
+				t.Errorf("stats = %+v, want %d copies, %d smart cuts (cuts, not segments)", st, tc.copies, tc.smt)
+			}
+			if len(p.Segments) != len(tc.want) {
+				t.Fatalf("%d segments, want %d:\n%s", len(p.Segments), len(tc.want), p.Explain())
+			}
+			for i, w := range tc.want {
+				s := p.Segments[i]
+				got := seg{s.Kind, s.From, s.To, s.Times.Start.String() + "," + s.Times.End.String()}
+				if got != w {
+					t.Errorf("segment %d = %+v, want %+v", i, got, w)
+				}
+				if i > 0 && !p.Segments[i-1].Times.End.Equal(s.Times.Start) {
+					t.Errorf("segment %d starts at %s, the one before ends at %s", i, s.Times.Start, p.Segments[i-1].Times.End)
+				}
+				switch {
+				case s.Kind == plan.SegCopy && s.Root != nil:
+					t.Errorf("segment %d: copy kept an operator tree", i)
+				case s.Kind == plan.SegFrames && w.to > 0:
+					// A head renders the bare clip leaf it already had.
+					if !s.Root.IsLeaf() || s.Video != "v" || s.FrameCount() != w.to-w.from {
+						t.Errorf("segment %d: head = %d frames of %q on %+v", i, s.FrameCount(), s.Video, s.Root)
+					}
+					if s.EstCost.EncodeFrames != int64(w.to-w.from) {
+						t.Errorf("segment %d: head estimated at %d encodes, want %d", i, s.EstCost.EncodeFrames, w.to-w.from)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -244,27 +296,21 @@ func TestOptimizeAnnotatesExplain(t *testing.T) {
 
 func TestSmartCutHeadAnnotation(t *testing.T) {
 	// Clip starts 1 frame past keyframe 24: the head to re-encode is 23
-	// frames (up to keyframe 48), and explain reports it.
+	// frames (up to keyframe 48), and explain names it.
 	p := buildPlan(t, specSrc(`render(t) = v[t + 25/24];`))
 	if _, err := Optimize(p, Default()); err != nil {
 		t.Fatal(err)
 	}
-	s := p.Segments[0]
-	if s.ReencodeHead != 23 {
-		t.Errorf("ReencodeHead = %d, want 23", s.ReencodeHead)
-	}
 	text := p.Explain()
-	if !strings.Contains(text, "re-encode 23-frame head") {
+	if !strings.Contains(text, "(23 frames) smart-cut head of v [25,48)") || !strings.Contains(text, "copy v packets [48,121)") {
 		t.Errorf("explain missing head annotation:\n%s", text)
 	}
-	// Copy segments carry zero head and render as grey diamonds in DOT.
-	p2 := buildPlan(t, specSrc(`render(t) = v[t + 1];`))
-	Optimize(p2, Default())
-	if p2.Segments[0].ReencodeHead != 0 {
-		t.Error("copy should have zero head")
+	if !strings.Contains(text, "1 smart cuts") {
+		t.Errorf("plan note does not count the cut:\n%s", text)
 	}
-	dot := p2.DOT()
-	if !strings.Contains(dot, "diamond") || !strings.Contains(dot, "lightgrey") {
-		t.Errorf("DOT missing grey diamond for copy:\n%s", dot)
+	// Copy segments render as grey diamonds in DOT.
+	dot := p.DOT()
+	if !strings.Contains(dot, "diamond") || !strings.Contains(dot, "lightgrey") || !strings.Contains(dot, "clip v[") {
+		t.Errorf("DOT missing the head's clip or the copy's grey diamond:\n%s", dot)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // vs. actual discrepancies are visible.
 type Cost struct {
 	// DecodeFrames counts frames decoded from sources or intermediate
-	// materializations (smart-cut heads included).
+	// materializations, roll-forward from the keyframe before a read
+	// included.
 	DecodeFrames int64 `json:"decode_frames"`
 	// EncodeFrames counts frames pushed through an encoder, including
 	// intermediate materialization encodes in unoptimized plans.
@@ -137,7 +138,6 @@ func (s *Segment) RollForward(p *Plan) func(i int) int64 {
 // plan's source metadata. Kind-specific:
 //
 //   - copy: every packet in [From,To) moves without re-encoding.
-//   - smartcut: the head re-decodes and re-encodes, the tail copies.
 //   - render: FrameCost for every output frame, plus the RollForward of
 //     every shard — a mid-GOP read decodes from the keyframe before it, and
 //     every cut starts another one.
@@ -146,15 +146,6 @@ func (s *Segment) EstimateCost(p *Plan) Cost {
 	switch s.Kind {
 	case SegCopy:
 		c.CopyPackets = int64(s.To - s.From)
-		c.CopyBytes = c.CopyPackets * estCopiedBytesPerPacket(p, s.Video)
-	case SegSmartCut:
-		head := int64(s.ReencodeHead)
-		c.DecodeFrames = head
-		c.EncodeFrames = head
-		c.CopyPackets = int64(s.To-s.From) - head
-		if c.CopyPackets < 0 {
-			c.CopyPackets = 0
-		}
 		c.CopyBytes = c.CopyPackets * estCopiedBytesPerPacket(p, s.Video)
 	default: // SegFrames
 		frames := int64(s.FrameCount())

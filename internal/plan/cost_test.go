@@ -62,7 +62,7 @@ func TestEstimateCostMaterializedBoundaries(t *testing.T) {
 	}
 }
 
-func TestEstimateCostCopyAndSmartCut(t *testing.T) {
+func TestEstimateCostCopy(t *testing.T) {
 	p, err := Build(checked(t, `render(t) = v[t];`))
 	if err != nil {
 		t.Fatal(err)
@@ -81,20 +81,6 @@ func TestEstimateCostCopyAndSmartCut(t *testing.T) {
 	}
 	if s.EstCost.DecodeFrames != 0 || s.EstCost.EncodeFrames != 0 {
 		t.Errorf("copy decode/encode = %d/%d, want 0/0", s.EstCost.DecodeFrames, s.EstCost.EncodeFrames)
-	}
-	copyUnits := s.EstCost.Units()
-
-	s.Kind = SegSmartCut
-	s.ReencodeHead = 5
-	EstimateCosts(p)
-	if s.EstCost.DecodeFrames != 5 || s.EstCost.EncodeFrames != 5 {
-		t.Errorf("smartcut head = dec %d enc %d, want 5/5", s.EstCost.DecodeFrames, s.EstCost.EncodeFrames)
-	}
-	if s.EstCost.CopyPackets != 43 {
-		t.Errorf("smartcut CopyPackets = %d, want 43", s.EstCost.CopyPackets)
-	}
-	if s.EstCost.Units() <= copyUnits {
-		t.Errorf("smartcut units %v should exceed pure-copy units %v", s.EstCost.Units(), copyUnits)
 	}
 }
 

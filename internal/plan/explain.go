@@ -15,7 +15,7 @@ type SegmentActuals struct {
 	// FramesRendered counts output frames produced by the operator tree.
 	FramesRendered int64
 	// FramesDecoded counts source + intermediate decodes attributable to
-	// the segment (smart-cut head decodes included).
+	// the segment.
 	FramesDecoded int64
 	// FramesEncoded counts frames encoded into the output.
 	FramesEncoded int64
@@ -28,7 +28,7 @@ type SegmentActuals struct {
 	// GOPCacheHits and GOPCacheMisses count shared decoded-GOP cache
 	// lookups attributable to the segment: a hit served a source GOP with
 	// no decode, a miss paid one whole-GOP fill. Zero when no cache is
-	// configured or the segment never decodes (copies, smart-cut tails).
+	// configured or the segment never decodes (copies).
 	GOPCacheHits   int64
 	GOPCacheMisses int64
 	// ResultCacheHits and ResultCacheMisses count encoded-result cache
@@ -39,7 +39,7 @@ type SegmentActuals struct {
 	ResultCacheHits   int64
 	ResultCacheMisses int64
 	// Shards is the number of shards the segment was rendered in (the
-	// plan's cuts plus one; 0 for copies and smart cuts), and ShardDecodes
+	// plan's cuts plus one; 0 for copies), and ShardDecodes
 	// each shard's measured decodes, in presentation order — beside the
 	// roll-forward EXPLAIN estimates for it. Both describe the plan on a
 	// result-cache hit, where no shard ran: ShardDecodes is then all zero.
@@ -105,7 +105,7 @@ func (p *Plan) Explain() string {
 // ExplainAnalyze renders the plan tree annotated with each segment's
 // measured costs (exec.Metrics.Segments) — the analogue of relational
 // EXPLAIN ANALYZE, making plan-vs-reality discrepancies visible (e.g. a
-// smart cut whose re-encoded head dominates its copied tail). Segments
+// smart cut whose re-encoded head dominates the copy after it). Segments
 // beyond len(actuals) render without annotation.
 func (p *Plan) ExplainAnalyze(actuals []SegmentActuals) string {
 	return p.explain(func(i int) string {
@@ -150,11 +150,11 @@ func (p *Plan) explain(annotate func(i int) string) string {
 		case SegCopy:
 			fmt.Fprintf(&sb, "%scopy %s packets [%d,%d) t in [%s,%s)%s\n",
 				branch, s.Video, s.From, s.To, s.Times.Start, s.Times.End, suffix)
-		case SegSmartCut:
-			fmt.Fprintf(&sb, "%ssmartcut %s packets [%d,%d) t in [%s,%s) (re-encode %d-frame head)%s\n",
-				branch, s.Video, s.From, s.To, s.Times.Start, s.Times.End, s.ReencodeHead, suffix)
 		default:
 			shard := ""
+			if s.Video != "" {
+				shard = fmt.Sprintf(" smart-cut head of %s [%d,%d)", s.Video, s.From, s.To)
+			}
 			if bounds := s.Bounds(); len(bounds) > 2 {
 				// The shard boundaries, and the roll-forward decodes each
 				// shard's start is estimated to cost.
@@ -164,10 +164,10 @@ func (p *Plan) explain(annotate func(i int) string) string {
 					cuts = append(cuts, fmt.Sprint(lo))
 					rolls = append(rolls, fmt.Sprint(roll(lo)))
 				}
-				shard = fmt.Sprintf(" cuts=[%s,%d) roll=[%s]",
+				shard += fmt.Sprintf(" cuts=[%s,%d) roll=[%s]",
 					strings.Join(cuts, ","), s.FrameCount(), strings.Join(rolls, ","))
 			}
-			fmt.Fprintf(&sb, "%ssegment t in [%s,%s) (%d frames)%s%s\n",
+			fmt.Fprintf(&sb, "%srender t in [%s,%s) (%d frames)%s%s\n",
 				branch, s.Times.Start, s.Times.End, s.FrameCount(), shard, suffix)
 			writeNode(&sb, s.Root, cont, true)
 		}
@@ -269,11 +269,6 @@ func (p *Plan) DOT() string {
 		case SegCopy:
 			me := newID()
 			fmt.Fprintf(&sb, "  %s [label=\"copy %s [%d,%d)\", shape=diamond, style=filled, fillcolor=lightgrey];\n",
-				me, s.Video, s.From, s.To)
-			fmt.Fprintf(&sb, "  %s -> concat;\n", me)
-		case SegSmartCut:
-			me := newID()
-			fmt.Fprintf(&sb, "  %s [label=\"smartcut %s [%d,%d)\", shape=diamond, style=filled, fillcolor=lightgrey];\n",
 				me, s.Video, s.From, s.To)
 			fmt.Fprintf(&sb, "  %s -> concat;\n", me)
 		default:

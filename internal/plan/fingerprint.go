@@ -94,9 +94,11 @@ func hashArray(arr *data.Array) string {
 }
 
 // Segment returns the result-cache key for s, or ok=false when the segment
-// is not cacheable (only rendered segments are — copies and smart cuts
-// never re-encode enough to be worth memoizing, and their output depends
-// on writer state).
+// is not cacheable: only rendered segments are — a copy has nothing to
+// memoize. The head of a smart cut is a rendered segment like any other. Its
+// bytes do not depend on what the writer wrote before it: every shard is
+// encoded by a fresh encoder, so it opens on a keyframe and counts its GOP
+// from there, whatever precedes it in the stream.
 func (f *Fingerprinter) Segment(s *Segment) (key string, ok bool) {
 	if s.Kind != SegFrames || s.Root == nil {
 		return "", false

@@ -211,9 +211,8 @@ func TestFingerprintRewrittenSourceChangesKey(t *testing.T) {
 	}
 }
 
-// Copy and smart-cut segments are not memoizable (their output depends on
-// writer state); a source with no content identity is conservatively
-// uncacheable.
+// A copy segment has nothing to memoize; a source with no content identity
+// is conservatively uncacheable.
 func TestFingerprintUncacheableForms(t *testing.T) {
 	c := checked(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`)
 	p, err := Build(c)
@@ -225,10 +224,6 @@ func TestFingerprintUncacheableForms(t *testing.T) {
 	s.Kind = SegCopy
 	if _, ok := f.Segment(&s); ok {
 		t.Error("copy segment reported cacheable")
-	}
-	s.Kind = SegSmartCut
-	if _, ok := f.Segment(&s); ok {
-		t.Error("smart-cut segment reported cacheable")
 	}
 
 	// Strip the source's content identity: the render segment must become

@@ -4,15 +4,16 @@
 // A plan is an ordered list of segments, one per contiguous stretch of
 // output times rendered by the same expression; the implicit root operator
 // concatenates the segments' packets into the output stream (Fig. 2 of the
-// paper). Segments come in three kinds:
+// paper). Segments come in two kinds:
 //
 //   - frame segments execute an operator tree (Clip leaves feeding Filter
 //     nodes). In the unoptimized plan every operator boundary materializes
 //     its frames through an encode/decode pair — the cost the paper's
 //     operator-merging optimization removes.
 //   - copy segments stream-copy packets from a source without re-encoding.
-//   - smart-cut segments re-encode only the frames before the first
-//     keyframe of the cut range and copy the rest.
+//
+// A smart cut (§III-D) is one of each: a frame segment that re-encodes the
+// clip up to its first keyframe, then a copy segment for the rest.
 //
 // The optimizer (package opt) rewrites plans between these forms; the
 // executor (package exec) runs them.
@@ -34,8 +35,6 @@ const (
 	SegFrames SegKind = iota
 	// SegCopy stream-copies a keyframe-aligned packet range.
 	SegCopy
-	// SegSmartCut re-encodes up to the first keyframe, then copies.
-	SegSmartCut
 )
 
 func (k SegKind) String() string {
@@ -44,8 +43,6 @@ func (k SegKind) String() string {
 		return "render"
 	case SegCopy:
 		return "copy"
-	case SegSmartCut:
-		return "smartcut"
 	default:
 		return "?"
 	}
@@ -114,13 +111,12 @@ type Segment struct {
 	Kind  SegKind
 	// Root is the operator tree (SegFrames only).
 	Root *Node
-	// Video/From/To identify the copied packet range (SegCopy/SegSmartCut).
+	// Video/From/To identify the copied packet range (SegCopy). On a frame
+	// segment they name the packets it re-encodes as the head of a smart cut
+	// — the copy segment after it is the tail — for EXPLAIN only: the head
+	// executes, caches and is priced through Root like any frame segment.
 	Video    string
 	From, To int
-	// ReencodeHead is the number of leading frames a smart cut re-encodes
-	// before reaching the first keyframe (0 for pure copies); set by the
-	// optimizer for explain output and cost estimates.
-	ReencodeHead int
 	// Cuts are the output-frame indices at which the optimizer's shard pass
 	// cuts this frame segment into shards: ascending, each inside
 	// (0, FrameCount()); empty means one shard. Every shard starts its own

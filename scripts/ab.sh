@@ -5,6 +5,14 @@
 #
 #   W=<workload> [S=1] [N=10] [PARENT=HEAD~1] [TRACE=0] [OUT=ab-runs.jsonl] scripts/ab.sh
 #   make ab W=<workload> S=<seed> N=10
+#   make ab W=all CLAIM=frames_per_s@serve_mixed
+#
+# W=all runs every workload of BENCHMARK.json in turn into the same OUT,
+# prints each table and ends with one line stating the rule the pipeline
+# applies to a change across workloads: the claimed metric@workload (CLAIM,
+# if the change claims a gain) "better", no end-to-end metric "WORSE" on any
+# workload, and no workload failing a larger share of its operations; the
+# unresolved metrics are listed beside it.
 #
 # The parent is exported (git archive) into a temporary directory, so each
 # side builds and runs from its own checkout; the change is the working
@@ -38,6 +46,38 @@ OUT=${OUT:-ab-runs.jsonl}
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
+
+if [ "$W" = all ]; then
+	tables=$(mktemp)
+	trap 'rm -f "$tables"' EXIT
+	for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
+		W=$w "$root/scripts/ab.sh" | tee -a "$tables"
+		echo | tee -a "$tables"
+	done
+	awk -v claim="${CLAIM:-}" '
+		/^\*\*`/ {
+			split($0, h, "`"); w = h[2]
+			if (match($0, /parent [0-9]+\/[0-9]+, change [0-9]+\/[0-9]+/)) {
+				split(substr($0, RSTART, RLENGTH), f, /[ \/,]+/)
+				if (f[5] * f[3] > f[2] * f[6]) failed = failed " " w
+			}
+		}
+		/^\| `/ {
+			split($0, c, "`"); m = c[2] "@" w
+			if ($0 ~ /\| WORSE /) worse = worse " " m
+			if ($0 ~ /\| unresolved /) unresolved = unresolved " " m
+			if (m == claim) claimed = ($0 ~ /\| better /) ? "better" : "NOT better"
+		}
+		END {
+			if (claim == "") claimed = "no claim"
+			else claimed = "claim " claim ": " (claimed == "" ? "NOT measured" : claimed)
+			ok = claimed !~ /NOT/ && worse == "" && failed == ""
+			printf "ab: across workloads — %s; WORSE:%s; failed share higher:%s; unresolved:%s — %s\n",
+				claimed, worse == "" ? " none" : worse, failed == "" ? " none" : failed,
+				unresolved == "" ? " none" : unresolved, ok ? "passes the rule" : "FAILS the rule"
+		}' "$tables"
+	exit
+fi
 rev=$(git rev-parse --short "$PARENT^{commit}")
 case "$OUT" in /*) ;; *) OUT="$root/$OUT" ;; esac
 
