@@ -19,6 +19,9 @@
 # ab-runs.jsonl, verdict table printed (scripts/ab.sh). `make ab W=all
 # CLAIM=<metric>@<workload>` does so for every workload of BENCHMARK.json and
 # ends with the cross-workload verdict the benchmark check computes.
+# `make loc` prints the non-test Go line count the ROADMAP's line-count
+# gates read (everything outside bench/ and testdata/), then the same count
+# per package directory; CI appends it to the check job's summary.
 # `make chaos` runs the fault-injection suite (docs/ROBUSTNESS.md) — read
 # faults plus the overload/memory-pressure scenario — three times with
 # distinct seeds; set V2V_CHAOS_SEED to pin the base seed.
@@ -31,7 +34,7 @@ BENCH_DELTA_MD ?= bench-delta.md
 BENCH_PARALLEL ?= 4
 FUZZTIME ?= 10s
 
-.PHONY: all build test tier1 vet race lint alloccheck fuzz check bench microbench ab chaos
+.PHONY: all build test tier1 vet race lint alloccheck fuzz check bench microbench ab loc chaos
 
 all: tier1
 
@@ -59,6 +62,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vql/
 	$(GO) test -run='^$$' -fuzz=FuzzNewReader -fuzztime=$(FUZZTIME) ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=$(FUZZTIME) ./internal/media/
 
 check: tier1 vet race lint alloccheck
 
@@ -76,6 +80,12 @@ microbench:
 
 ab:
 	W=$(W) S=$(S) N=$(N) PARENT=$(PARENT) CLAIM=$(CLAIM) scripts/ab.sh
+
+LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*'
+
+loc:
+	@echo "non-test Go lines outside bench/: $$($(LOC_FILES) | xargs cat | wc -l)"
+	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2
 
 chaos:
 	$(GO) test -count=3 -run 'Corrupt|Cancel|Transient|Panic|Conceal|Abort|Atomic|Flaky|Injector|Pressure|Burst' ./internal/container/ ./internal/exec/ ./internal/faults/

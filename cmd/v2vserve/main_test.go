@@ -270,7 +270,7 @@ func registerHoldUDF() {
 		Name:   "servetest_hold",
 		Params: []vql.Type{vql.TypeFrame},
 		Result: vql.TypeFrame,
-		Eval: func(args []vql.Val) (vql.Val, error) {
+		Eval: func(_ vql.Alloc, args []vql.Val) (vql.Val, error) {
 			select {
 			case <-*holdGate.Load():
 				return args[0], nil
@@ -1210,7 +1210,7 @@ func registerServePanicUDF() {
 		Name:   "servetest_panic",
 		Params: []vql.Type{vql.TypeFrame},
 		Result: vql.TypeFrame,
-		Eval: func([]vql.Val) (vql.Val, error) {
+		Eval: func(vql.Alloc, []vql.Val) (vql.Val, error) {
 			panic("boom")
 		},
 	})

@@ -13,12 +13,12 @@ import (
 )
 
 // The pixels figure is the per-stage proof behind the fused-kernel and
-// frame-pool work: plane throughput (MB/s) for each fusable point op, a
-// 3-op chain measured unfused (one full pass and one fresh frame per op)
-// against fused (one pass into a pooled destination, byte-identical by
-// SHA), and the codec's per-frame encode/decode cost. Allocations per
-// frame are counted for every stage — the fused chain's ~0 is the
-// zero-allocation render loop's steady state in isolation.
+// frame-pool work: plane throughput (MB/s) for each point op, a 3-op chain
+// measured unfused (one full pass per op, each into a pooled frame)
+// against fused (one pass, byte-identical by SHA), and the codec's
+// per-frame encode/decode cost. Allocations per frame are counted for
+// every stage — the point ops' ~0 is the zero-allocation render loop's
+// steady state in isolation.
 
 // PixelRow is one per-stage pixel-pipeline measurement.
 type PixelRow struct {
@@ -111,53 +111,63 @@ func PixelsRun(cfg Config) ([]PixelRow, error) {
 
 	var rows []PixelRow
 
-	// Individual point ops, one full pass each (the unfused exec cost of
-	// one Filter node).
+	// pass applies ops in one pass into a pooled destination, the way the
+	// executor renders a point-op node; the caller releases the result.
+	pool := frame.NewPool()
+	pass := func(src *frame.Frame, ops ...raster.PointOp) *frame.Frame {
+		dst := pool.Get(w, h, frame.FormatYUV420)
+		raster.ApplyFused(dst, src, ops)
+		return dst
+	}
+
+	// Individual point ops, one full pass each (the exec cost of one
+	// unfused Filter node).
 	singles := []struct {
 		stage string
-		op    func()
+		op    raster.PointOp
 	}{
-		{"filter:grade", func() { raster.Grade(src, 10, 1.1, 0.9) }},
-		{"filter:crossfade", func() { raster.Crossfade(src, other, 0.4) }},
-		{"filter:wipe", func() { raster.WipeLR(src, other, 0.6) }},
-		{"filter:overlay", func() { raster.Overlay(src, overlayImg, 8, 8, 160) }},
+		{"filter:grade", raster.GradeOp(10, 1.1, 0.9)},
+		{"filter:crossfade", raster.CrossfadeOp(other, 0.4)},
+		{"filter:wipe", raster.WipeOp(other, 0.6)},
+		{"filter:overlay", raster.OverlayOp(overlayImg, 8, 8, 160)},
 	}
 	for _, s := range singles {
-		wall, allocs := measurePixels(n, func(int) { s.op() })
+		wall, allocs := measurePixels(n, func(int) { pass(src, s.op).Release() })
 		rows = append(rows, pixelRow(s.stage, n, frameBytes, wall, allocs))
 	}
 
-	// The 3-op point chain, unfused: three passes, three fresh frames —
-	// exactly what exec pays per frame when kernel fusion is off. The
-	// chain is the triple grade the fused-execution tests use
+	// The 3-op point chain, unfused: three passes through two pooled
+	// intermediates — exactly what exec pays per frame when kernel fusion
+	// is off. The chain is the triple grade the fused-execution tests use
 	// (grade(grade(grade(v[t], ...)))); each op does real work on every
 	// byte, so the measurement isolates the cost of the extra passes.
-	chainUnfused := func() *frame.Frame {
-		return raster.Grade(raster.Grade(raster.Grade(src, 10, 1.1, 1), -5, 0.9, 1.2), 3, 1, 1.3)
-	}
-	uWall, uAllocs := measurePixels(n, func(int) { chainUnfused() })
-	unfusedRow := pixelRow("chain3:unfused", n, frameBytes, uWall, uAllocs)
-	rows = append(rows, unfusedRow)
-
-	// The same chain fused: ops prepared once, one pass per frame into a
-	// pooled destination the loop releases — the steady-state render path.
 	ops := []raster.PointOp{
 		raster.GradeOp(10, 1.1, 1),
 		raster.GradeOp(-5, 0.9, 1.2),
 		raster.GradeOp(3, 1, 1.3),
 	}
-	pool := frame.NewPool()
-	chainFused := func() *frame.Frame {
-		dst := pool.Get(w, h, frame.FormatYUV420)
-		raster.ApplyFused(dst, src, ops)
-		return dst
+	chainUnfused := func() *frame.Frame {
+		a := pass(src, ops[0])
+		b := pass(a, ops[1])
+		a.Release()
+		c := pass(b, ops[2])
+		b.Release()
+		return c
 	}
+	uWall, uAllocs := measurePixels(n, func(int) { chainUnfused().Release() })
+	unfusedRow := pixelRow("chain3:unfused", n, frameBytes, uWall, uAllocs)
+	rows = append(rows, unfusedRow)
+
+	// The same chain fused: one pass per frame into a pooled destination
+	// the loop releases — the steady-state render path.
+	chainFused := func() *frame.Frame { return pass(src, ops...) }
 	fWall, fAllocs := measurePixels(n, func(int) { chainFused().Release() })
 	fusedRow := pixelRow("chain3:fused", n, frameBytes, fWall, fAllocs)
 	fusedRow.Speedup = unfusedRow.SecondsPerFrame / fusedRow.SecondsPerFrame
 
 	uOut, fOut := chainUnfused(), chainFused()
 	fusedRow.Identical = bytes.Equal(uOut.Pix, fOut.Pix)
+	uOut.Release()
 	fOut.Release()
 	if !fusedRow.Identical {
 		return nil, fmt.Errorf("benchkit: fused 3-op chain output differs from unfused (%dx%d)", w, h)

@@ -394,10 +394,11 @@ func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
 // which must Release it when done (Release is a no-op on unpooled frames,
 // so the discipline is universal). Pooled frames originate in audited
 // paths — source frames from the cursors (every read hands out a reference
-// of its own), fused kernel outputs, the output-scaling and blur
-// destinations, and the materialize decoder. A source frame an expression
-// taps directly, not through a leaf node, is owned by the runner (taps)
-// until the node that evaluated the expression releases its inputs.
+// of its own), transform destinations from alloc, fused kernel outputs,
+// the output-scaling destination, and the materialize decoder. A source
+// frame an expression taps directly, not through a leaf node, and every
+// destination alloc hands a transform are owned by the runner (taps) until
+// the node that evaluated the expression releases its inputs.
 type segmentRunner struct {
 	p       *plan.Plan
 	seg     *plan.Segment
@@ -406,7 +407,7 @@ type segmentRunner struct {
 	rec     *obs.Recorder
 	pool    *frame.Pool
 	root    *nodeRunner
-	taps    []*frame.Frame // source frames read by the expression being evaluated
+	taps    []*frame.Frame // source frames and destinations of the expression being evaluated
 }
 
 func newSegmentRunner(p *plan.Plan, s *plan.Segment, conceal bool, cache *media.GOPCache, rec *obs.Recorder) *segmentRunner {
@@ -456,6 +457,15 @@ func (r *segmentRunner) SourceFrame(video string, t rational.Rat) (*frame.Frame,
 	return fr, err
 }
 
+// alloc is the vql.Alloc of every node: a pooled destination the runner
+// holds, like a tap, until releaseInputs keeps the frame that travels up
+// and returns the intermediates of a merged expression to the pool.
+func (r *segmentRunner) alloc(w, h int) *frame.Frame {
+	fr := r.pool.Get(w, h, frame.FormatYUV420)
+	r.taps = append(r.taps, fr)
+	return fr
+}
+
 // renderAt produces the output frame for time t, scaling to the output
 // format when the rendered frame differs. Panics from transform internals
 // (UDFs, raster precondition violations on data-driven arguments) are
@@ -485,7 +495,7 @@ func (r *segmentRunner) renderAt(t rational.Rat) (fr *frame.Frame, err error) {
 
 // nodeRunner carries per-node execution state: the intermediate codec pair
 // for materialized boundaries, the rendered child frames, the reusable
-// evaluation environment, and the fused-kernel and blur scratch state.
+// evaluation environment, and a fused node's per-frame kernel scratch.
 type nodeRunner struct {
 	run      *segmentRunner
 	node     *plan.Node
@@ -493,41 +503,17 @@ type nodeRunner struct {
 	frames   []*frame.Frame // children's frames for the current time
 	env      vql.Env        // reused across frames; only T changes per frame
 
-	// Fused-kernel state: ops is the per-frame kernel scratch (rebuilt
-	// allocation-free each frame) and stages caches per-stage prepared
-	// state (grade LUTs) across frames, keyed by the stage's arguments.
+	// Fused-kernel state: each stage's transform, the evaluated arguments
+	// of the stage being prepared, and the kernels of the current frame.
+	stages []*vql.Transform
+	args   []vql.Val
 	ops    []raster.PointOp
-	stages []fusedStageState
-
-	// blur is set when the node's expression is blur(frame, sigma).
-	blur *blurState
 
 	enc        *codec.Encoder
 	dec        *codec.Decoder
 	matW, matH int
 	matEncodes int64
 	matDecodes int64
-}
-
-// fusedStageState caches one fused stage's prepared kernel between frames.
-// Grade is the only op whose construction allocates (two 256-byte LUTs);
-// its kernel is rebuilt only when the evaluated arguments change.
-type fusedStageState struct {
-	gradeOp raster.PointOp
-	gradeB  int
-	gradeC  float64
-	gradeS  float64
-	gradeOK bool
-}
-
-// blurState is the per-node state of a blur(frame, sigma) node: the two
-// argument expressions, the kernel of the last sigma seen (a constant in
-// every paper query, so built once), and the kernel's working memory.
-type blurState struct {
-	src, sigma  vql.Expr
-	kernel      raster.BlurKernel
-	kernelSigma float64 // sigma kernel was built for; 0 before the first frame
-	scratch     raster.BlurScratch
 }
 
 func (r *segmentRunner) buildRunner(n *plan.Node) *nodeRunner {
@@ -541,6 +527,7 @@ func (r *segmentRunner) buildRunner(n *plan.Node) *nodeRunner {
 	nr.env = vql.Env{
 		Frames: r,
 		Data:   r.data,
+		Alloc:  r.alloc,
 		Ext: func(e vql.Expr, _ *vql.Env) (vql.Val, bool, error) {
 			if p, ok := e.(plan.PortRef); ok {
 				if p.Port < 0 || p.Port >= len(nr.frames) {
@@ -551,13 +538,14 @@ func (r *segmentRunner) buildRunner(n *plan.Node) *nodeRunner {
 			return vql.Val{}, false, nil
 		},
 	}
-	if n.Fused != nil {
-		nr.ops = make([]raster.PointOp, len(n.Fused))
-		nr.stages = make([]fusedStageState, len(n.Fused))
+	arity := 0
+	for _, st := range n.Fused {
+		tr, _ := vql.Lookup(st.Op) // the optimizer fuses only transforms with a PointOp
+		nr.stages = append(nr.stages, tr)
+		arity = max(arity, len(st.Args))
 	}
-	if call, ok := n.Expr.(vql.Call); ok && call.Name == "blur" && len(call.Args) == 2 {
-		nr.blur = &blurState{src: call.Args[0], sigma: call.Args[1]}
-	}
+	nr.args = make([]vql.Val, arity)
+	nr.ops = make([]raster.PointOp, len(n.Fused))
 	return nr
 }
 
@@ -626,12 +614,6 @@ func (nr *nodeRunner) renderAt(t rational.Rat) (*frame.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-	case nr.blur != nil:
-		var err error
-		fr, err = nr.renderBlur(t)
-		if err != nil {
-			return nil, err
-		}
 	default:
 		if err := nr.renderChildren(t); err != nil {
 			return nil, err
@@ -651,8 +633,8 @@ func (nr *nodeRunner) renderAt(t rational.Rat) (*frame.Frame, error) {
 			return nil, fmt.Errorf("exec: filter %s produced %v, want a frame", nr.node.Expr, v.Type)
 		}
 		fr = v.Frame
-		// Passthrough transforms (identity-parameter ops, zero-copy
-		// scale) may return an input frame itself; releaseInputs keeps it.
+		// The result is a destination alloc handed out, or an input passed
+		// through (identity-parameter ops); releaseInputs keeps it.
 		nr.releaseInputs(fr)
 		nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(fr.Pix)), time.Since(fltStart))
 	}
@@ -662,12 +644,12 @@ func (nr *nodeRunner) renderAt(t rational.Rat) (*frame.Frame, error) {
 	return nr.materialize(fr)
 }
 
-// renderFused executes a fused kernel node: children render once, the
-// stage kernels are prepared (scalar arguments re-evaluate each frame, the
-// expensive grade LUTs cache across frames), and raster.ApplyFused makes a
-// single pass over the planes into a pooled destination — one frame
-// allocation (amortized to zero by the pool) and one traversal for the
-// whole chain, byte-identical to evaluating the ops one by one.
+// renderFused executes a fused kernel node: children render once, each
+// stage's arguments evaluate with vql.Eval (the chain input is the base
+// frame, whose shape every stage keeps) and its transform's PointOp builds
+// the kernel, and raster.ApplyFused makes a single pass over the planes
+// into a pooled destination — one traversal for the whole chain,
+// byte-identical to evaluating the ops one by one.
 //
 //v2v:hotpath
 func (nr *nodeRunner) renderFused(t rational.Rat) (*frame.Frame, error) {
@@ -678,12 +660,19 @@ func (nr *nodeRunner) renderFused(t rational.Rat) (*frame.Frame, error) {
 	fltStart := time.Now()
 	nr.env.T = t
 	for i, st := range nr.node.Fused {
-		op, err := nr.stageOp(i, st, base)
+		args := nr.args[:len(st.Args)]
+		args[0] = vql.FrameVal(base)
+		var err error
+		for j := 1; j < len(args) && err == nil; j++ {
+			args[j], err = vql.Eval(st.Args[j], &nr.env)
+		}
+		if err == nil {
+			nr.ops[i], err = nr.stages[i].PointOp(args)
+		}
 		if err != nil {
 			nr.releaseInputs(nil)
 			return nil, fmt.Errorf("exec: fused %s at t=%s: %w", st.Op, t, err) //v2v:nolint(hotpath) cold error path; allocates only when a stage rejects its arguments
 		}
-		nr.ops[i] = op
 	}
 	dst := nr.run.pool.Get(base.W, base.H, base.Format)
 	raster.ApplyFused(dst, base, nr.ops)
@@ -691,147 +680,6 @@ func (nr *nodeRunner) renderFused(t rational.Rat) (*frame.Frame, error) {
 	nr.releaseInputs(nil)
 	nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(dst.Pix)), time.Since(fltStart))
 	return dst, nil
-}
-
-// renderBlur executes a blur(frame, sigma) node without the transform
-// registry's allocating raster.GaussianBlur: the frame argument evaluates
-// as usual, the Gaussian kernel is rebuilt only when sigma changes, and
-// raster.BlurInto writes into a pooled destination through the node's
-// scratch — the same pixels, with nothing allocated per frame.
-//
-//v2v:hotpath
-func (nr *nodeRunner) renderBlur(t rational.Rat) (*frame.Frame, error) {
-	if err := nr.renderChildren(t); err != nil {
-		return nil, err
-	}
-	b := nr.blur
-	nr.env.T = t
-	// As for any filter node, the stage wall covers evaluating the frame
-	// argument; source taps inside it also count under the decode stage.
-	fltStart := time.Now()
-	src, err := nr.evalFrame(b.src)
-	var sigma float64
-	if err == nil {
-		sigma, err = nr.evalFloat(b.sigma)
-	}
-	if err != nil {
-		nr.releaseInputs(nil)
-		return nil, fmt.Errorf("exec: filter %s at t=%s: %w", nr.node.Expr, t, err) //v2v:nolint(hotpath) cold error path; allocates only when an argument fails to evaluate
-	}
-	dst := src // sigma <= 0 is the identity, passed through like GaussianBlur does
-	if sigma > 0 {
-		if sigma != b.kernelSigma {
-			b.kernel, b.kernelSigma = raster.GaussianKernel(sigma), sigma
-		}
-		dst = nr.run.pool.Get(src.W, src.H, frame.FormatYUV420)
-		raster.BlurInto(dst, src, b.kernel, &b.scratch)
-	}
-	// src is a child's or a tapped source frame (released here unless
-	// passed through) or an unpooled transform result, which Release ignores.
-	nr.releaseInputs(dst)
-	nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(dst.Pix)), time.Since(fltStart))
-	return dst, nil
-}
-
-// stageOp prepares the kernel for one fused stage at the current time.
-// Shape validation replicates the standalone vql transforms' errors so a
-// fused plan fails exactly where the unfused plan would.
-func (nr *nodeRunner) stageOp(i int, st plan.FusedStage, base *frame.Frame) (raster.PointOp, error) {
-	switch st.Op {
-	case "grade":
-		b, err := nr.evalInt(st.Args[1])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		c, err := nr.evalFloat(st.Args[2])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		s, err := nr.evalFloat(st.Args[3])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		sc := &nr.stages[i]
-		if !sc.gradeOK || sc.gradeB != b || sc.gradeC != c || sc.gradeS != s {
-			sc.gradeOp = raster.GradeOp(b, c, s)
-			sc.gradeB, sc.gradeC, sc.gradeS, sc.gradeOK = b, c, s, true
-		}
-		return sc.gradeOp, nil
-	case "crossfade":
-		other, err := nr.evalFrame(st.Args[1])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		tt, err := nr.evalFloat(st.Args[2])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		if !base.SameShape(other) {
-			return raster.PointOp{}, fmt.Errorf("vql: crossfade frames must share a shape (%dx%d vs %dx%d)",
-				base.W, base.H, other.W, other.H)
-		}
-		return raster.CrossfadeOp(other, tt), nil
-	case "wipe":
-		other, err := nr.evalFrame(st.Args[1])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		tt, err := nr.evalFloat(st.Args[2])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		if !base.SameShape(other) {
-			return raster.PointOp{}, fmt.Errorf("vql: wipe frames must share a shape (%dx%d vs %dx%d)",
-				base.W, base.H, other.W, other.H)
-		}
-		return raster.WipeOp(other, tt), nil
-	case "overlay":
-		img, err := nr.evalFrame(st.Args[1])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		x, err := nr.evalInt(st.Args[2])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		y, err := nr.evalInt(st.Args[3])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		a, err := nr.evalInt(st.Args[4])
-		if err != nil {
-			return raster.PointOp{}, err
-		}
-		return raster.OverlayOp(img, x, y, a), nil
-	}
-	return raster.PointOp{}, fmt.Errorf("exec: no fused kernel for %q", st.Op)
-}
-
-func (nr *nodeRunner) evalInt(e vql.Expr) (int, error) {
-	v, err := vql.Eval(e, &nr.env)
-	if err != nil {
-		return 0, err
-	}
-	return v.Int(), nil
-}
-
-func (nr *nodeRunner) evalFloat(e vql.Expr) (float64, error) {
-	v, err := vql.Eval(e, &nr.env)
-	if err != nil {
-		return 0, err
-	}
-	return v.Float(), nil
-}
-
-func (nr *nodeRunner) evalFrame(e vql.Expr) (*frame.Frame, error) {
-	v, err := vql.Eval(e, &nr.env)
-	if err != nil {
-		return nil, err
-	}
-	if v.Type != vql.TypeFrame || v.Frame == nil {
-		return nil, fmt.Errorf("exec: fused stage argument produced %v, want a frame", v.Type)
-	}
-	return v.Frame, nil
 }
 
 // materialize round-trips the frame through the node's intermediate codec

@@ -76,10 +76,16 @@ func optOptions() opt.Options {
 
 func buildPlan(t *testing.T, body string, optimize bool) *plan.Plan {
 	t.Helper()
-	src := fmt.Sprintf(`
+	return buildPlanFromSource(t, fmt.Sprintf(`
 		timedomain range(0, 2, 1/24);
 		videos { v: %q; }
-		%s`, fxVid, body)
+		%s`, fxVid, body), optimize)
+}
+
+// buildPlanFromSource checks and plans a spec without the data rewrite,
+// optimizing it when asked.
+func buildPlanFromSource(t *testing.T, src string, optimize bool) *plan.Plan {
+	t.Helper()
 	s, err := vql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +262,7 @@ func registerPanicUDF(name string) {
 		Name:   name,
 		Params: []vql.Type{vql.TypeFrame},
 		Result: vql.TypeFrame,
-		Eval: func([]vql.Val) (vql.Val, error) {
+		Eval: func(vql.Alloc, []vql.Val) (vql.Val, error) {
 			panic("boom")
 		},
 	})

@@ -6,6 +6,8 @@ package exec
 // intermediate).
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"v2v/internal/media"
@@ -76,6 +78,17 @@ func TestFusedSegmentRunnerMatchesPlain(t *testing.T) {
 	}
 }
 
+// buildPlanData is buildPlan's optimized plan with fxBoxesAnn's boxes as
+// the data array bb.
+func buildPlanData(t *testing.T, body string) *plan.Plan {
+	t.Helper()
+	return buildPlanFromSource(t, fmt.Sprintf(`
+		timedomain range(0, 2, 1/24);
+		videos { v: %q; }
+		data { bb: %q; }
+		%s`, fxVid, fxBoxesAnn, body), true)
+}
+
 // warmLoopAllocs renders segment 0 of p once through to warm the GOP cache,
 // the frame pool buckets and the per-node kernel state, then reports the
 // steady-state allocations per rendered frame.
@@ -104,30 +117,57 @@ func warmLoopAllocs(t *testing.T, p *plan.Plan) float64 {
 	})
 }
 
-// TestFusedRenderWarmLoopAllocs drives the fused render loop with a warm
-// GOP cache and requires a (near-)allocation-free steady state: source
-// frames come from the cache, the fused destination from the frame pool,
-// and the grade LUTs from the per-stage cache.
-func TestFusedRenderWarmLoopAllocs(t *testing.T) {
-	p := buildPlan(t, fusedChainBody, true)
-	if !hasFusedNode(p) {
-		t.Fatal("optimizer did not fuse the point-op chain")
-	}
-	// Measured 0 allocs/frame; < 1 tolerates sync.Pool entries dropped by
-	// a mid-run GC. Anything higher means a pooled path regressed to
-	// per-frame allocation.
-	if allocs := warmLoopAllocs(t, p); allocs >= 1 {
-		t.Errorf("warm fused render loop allocates %.2f allocs/frame, want < 1", allocs)
-	}
-}
-
-// TestBlurRenderWarmLoopAllocs holds the paper's blur query (Q4/Q9) to the
-// same budget: the destination comes from the frame pool, the Gaussian
-// kernel is built once per sigma, and the kernel scratch lives in the node.
-func TestBlurRenderWarmLoopAllocs(t *testing.T) {
-	p := buildPlan(t, `render(t) = blur(v[t], 1.5);`, true)
-	if allocs := warmLoopAllocs(t, p); allocs >= 1 {
-		t.Errorf("warm blur render loop allocates %.2f allocs/frame, want < 1", allocs)
+// TestRenderWarmLoopAllocs drives the render loop of every built-in frame
+// transform, unfused and in fused chains, with a warm GOP cache and
+// requires a (near-)allocation-free steady state: source frames come from
+// the cache, every destination and intermediate from the frame pool, call
+// arguments from the environment's reused stack, and kernels (grade LUTs,
+// the blur's Gaussian) are built on the stack. Measured 0 allocs/frame;
+// < 1 tolerates sync.Pool entries dropped by a mid-run GC. boxes and label
+// are reported, not gated: formatting label text allocates.
+func TestRenderWarmLoopAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name, expr string
+		gated      bool
+	}{
+		{"zoom", `zoom(v[t], 2)`, true},
+		{"blur", `blur(v[t], 1.5)`, true},
+		{"sharpen", `sharpen(v[t])`, true},
+		{"edges", `edges(v[t])`, true},
+		{"denoise", `denoise(v[t])`, true},
+		{"grade", `grade(v[t], 10, 11/10, 9/10)`, true},
+		{"grid", `grid(v[t], v[t + 1], v[t + 1/2], v[t])`, true},
+		{"gridn", `gridn(v[t], v[t + 1], v[t + 1/2])`, true},
+		{"hstack", `hstack(v[t], v[t + 1])`, true},
+		{"vstack", `vstack(v[t], v[t + 1])`, true},
+		{"pip", `pip(v[t], v[t + 1], 8, 8, 4)`, true},
+		{"overlay", `overlay(v[t], crop(v[t + 1], 0, 0, 32, 16), 8, 8, 160)`, true},
+		{"boxes", `boxes(v[t], bb[t])`, false},
+		{"label", `label(v[t], "cam", 4, 4)`, false},
+		{"crossfade", `crossfade(v[t], v[t + 1], 1/3)`, true},
+		{"wipe", `wipe(v[t], v[t + 1], 1/2)`, true},
+		{"scale", `scale(v[t], 64, 48)`, true},
+		{"crop", `crop(v[t], 2, 2, 32, 16)`, true},
+		{"ifthenelse", `ifthenelse(t < 1, v[t], v[t + 1])`, true},
+		{"merged", `grid(blur(v[t], 1), zoom(v[t + 1], 2), grade(v[t], 5, 1, 1), v[t])`, true},
+		{"fused", fusedChainBody, true},
+		{"fused-mixed", `crossfade(wipe(grade(v[t], 5, 1, 1), v[t + 1], 1/2), v[t + 1/2], 1/3)`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := tc.expr
+			if !strings.HasPrefix(body, "render") {
+				body = "render(t) = " + body + ";"
+			}
+			p := buildPlanData(t, body)
+			if fused := hasFusedNode(p); fused != strings.HasPrefix(tc.name, "fused") {
+				t.Fatalf("plan has a fused node: %v", fused)
+			}
+			allocs := warmLoopAllocs(t, p)
+			t.Logf("%.2f allocs/frame", allocs)
+			if tc.gated && allocs >= 1 && !raceEnabled {
+				t.Errorf("warm %s render loop allocates %.2f allocs/frame, want < 1", tc.name, allocs)
+			}
+		})
 	}
 }
 
@@ -186,6 +226,9 @@ func TestExecuteReleasesSourceFrames(t *testing.T) {
 		`render(t) = grid(v[t], v[t], v[t + 1], v[t + 3/2]);`,
 		`render(t) = blur(blur(v[t], 0), 0);`, // identity: the source frame itself travels up
 		`render(t) = crossfade(grade(v[t], 5, 1, 1), v[t + 1], 1/2);`,
+		// Destinations handed out inside one merged expression: every
+		// intermediate goes back to the pool, only the grid travels up.
+		`render(t) = grid(blur(v[t], 1), zoom(v[t + 1], 2), grade(blur(v[t], 0), 5, 1, 1), scale(v[t + 1/2], 64, 48));`,
 	} {
 		for _, optimize := range []bool{false, true} {
 			for _, cache := range []*media.GOPCache{nil, media.NewGOPCache(64 << 20)} {

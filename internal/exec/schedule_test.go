@@ -714,7 +714,7 @@ func TestFirstPacketReachesSinkWhileShardsRender(t *testing.T) {
 			Name:   "testexec_gate",
 			Params: []vql.Type{vql.TypeFrame},
 			Result: vql.TypeFrame,
-			Eval: func(args []vql.Val) (vql.Val, error) {
+			Eval: func(_ vql.Alloc, args []vql.Val) (vql.Val, error) {
 				if id, ok := frame.ReadStamp(args[0].Frame); ok && id < 24 {
 					return args[0], nil
 				}
@@ -788,7 +788,7 @@ func TestLongGOPRenderUsesAllWorkers(t *testing.T) {
 			Name:   "testexec_meet",
 			Params: []vql.Type{vql.TypeFrame},
 			Result: vql.TypeFrame,
-			Eval: func(args []vql.Val) (vql.Val, error) {
+			Eval: func(_ vql.Alloc, args []vql.Val) (vql.Val, error) {
 				m := meet.Load()
 				id, _ := frame.ReadStamp(args[0].Frame)
 				half := 0
@@ -841,7 +841,7 @@ func TestCancelMidShardStopsWithinOnePublishInterval(t *testing.T) {
 			Name:   "testexec_cancel",
 			Params: []vql.Type{vql.TypeFrame},
 			Result: vql.TypeFrame,
-			Eval: func(args []vql.Val) (vql.Val, error) {
+			Eval: func(_ vql.Alloc, args []vql.Val) (vql.Val, error) {
 				if c := canceller.Load(); c.frames.Add(1) == c.at {
 					c.cancel()
 				}

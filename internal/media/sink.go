@@ -337,8 +337,7 @@ func (s *StreamReader) NextPacket() (key bool, data []byte, err error) {
 	if size > 1<<30 {
 		return false, nil, fmt.Errorf("media: implausible packet size %d", size)
 	}
-	data = make([]byte, size)
-	if _, err := io.ReadFull(s.r, data); err != nil {
+	if data, err = readBody(s.r, int(size)); err != nil {
 		return false, nil, fmt.Errorf("media: stream packet body: %w: %w", ErrTruncatedStream, err)
 	}
 	return head[4] == flagKey, data, nil
@@ -349,8 +348,8 @@ func (s *StreamReader) readTrailer(size uint32) error {
 	if size == 0 || size > maxTrailerLen {
 		return fmt.Errorf("media: implausible stream trailer length %d", size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(s.r, body); err != nil {
+	body, err := readBody(s.r, int(size))
+	if err != nil {
 		return fmt.Errorf("media: stream trailer body: %w: %w", ErrTruncatedStream, err)
 	}
 	var tr StreamTrailer
@@ -366,6 +365,28 @@ func (s *StreamReader) readTrailer(size uint32) error {
 		return ErrStreamFailed
 	}
 	return io.EOF
+}
+
+// readBody reads the size-byte body that follows a packet or trailer
+// header. It allocates as the bytes arrive — 1 MiB at first, then never
+// more than has already arrived — so a corrupt length field costs at most
+// twice the memory the stream delivers.
+// A stream that ends first returns io.ErrUnexpectedEOF, never io.EOF: a
+// stream cut right after a header must not read as a clean end to callers
+// that test errors.Is(err, io.EOF) first.
+func readBody(r io.Reader, size int) ([]byte, error) {
+	data := make([]byte, 0, min(size, 1<<20))
+	for len(data) < size {
+		n := len(data)
+		data = append(data, make([]byte, min(size-n, max(n, 1<<20)))...)
+		if _, err := io.ReadFull(r, data[n:]); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	return data, nil
 }
 
 // Trailer returns the typed end-of-stream trailer, if one was read.

@@ -6,26 +6,26 @@ import (
 )
 
 // Kernel fusion (the raw-speed item in ROADMAP.md): chains of per-pixel
-// point operations — grade, crossfade, wipe, overlay — normally cost one
-// full pass over the YUV planes (and one frame allocation) per op. This
-// pass, running after filter merging, rewrites each maximal chain of >= 2
+// point operations — grade, crossfade, wipe, overlay — cost one full pass
+// over the YUV planes per op when evaluated call by call. This pass,
+// running after filter merging, rewrites each maximal chain of >= 2
 // fusable ops into a single fused kernel node, which the executor applies
 // in one row-wise pass (raster.ApplyFused) into a pooled destination.
 // Single fusable ops stay as ordinary filter nodes: there is nothing to
 // fuse and the plain path keeps plans and EXPLAIN output unchanged.
 //
 // The rewrite is purely physical: plan.Node.MergedExpr reconstructs the
-// original expression from a fused node, and the executor's kernels are
-// byte-identical to the standalone ops, so optimized output is unchanged.
+// original expression from a fused node, and a fused stage's kernel comes
+// from the same registry constructor the unfused call applies, so
+// optimized output is unchanged.
 
-// fusable names the VQL transforms with a per-pixel kernel form. Each
-// takes its chain input (the frame being transformed) as argument 0;
-// crossfade/wipe/overlay carry a secondary frame at argument 1.
-var fusable = map[string]bool{
-	"grade":     true,
-	"crossfade": true,
-	"wipe":      true,
-	"overlay":   true,
+// fusable reports whether the named transform has a point-op form
+// (vql.Transform.PointOp). Each takes its chain input (the frame being
+// transformed) as argument 0; crossfade/wipe/overlay carry a secondary
+// frame at argument 1.
+func fusable(name string) bool {
+	tr, ok := vql.Lookup(name)
+	return ok && tr.PointOp != nil
 }
 
 // fusePass rewrites every frame segment's tree, fusing point-op chains.
@@ -56,7 +56,7 @@ func fuseNode(e vql.Expr) (*plan.Node, int) {
 	cur := e
 	for {
 		c, ok := cur.(vql.Call)
-		if !ok || !fusable[c.Name] || len(c.Args) == 0 {
+		if !ok || !fusable(c.Name) || len(c.Args) == 0 {
 			break
 		}
 		chain = append(chain, c)
@@ -74,7 +74,7 @@ func fuseNode(e vql.Expr) (*plan.Node, int) {
 			args[0] = plan.PortRef{Port: plan.ChainPort}
 			for j := 1; j < len(c.Args); j++ {
 				a := c.Args[j]
-				if isFrameExpr(a) {
+				if vql.IsFrameExpr(a) {
 					child, subn := fuseNode(a)
 					count += subn
 					args[j] = plan.PortRef{Port: len(n.Inputs)}
@@ -98,7 +98,7 @@ func fuseNode(e vql.Expr) (*plan.Node, int) {
 	if c, ok := e.(vql.Call); ok {
 		args := make([]vql.Expr, len(c.Args))
 		for i, a := range c.Args {
-			if isFrameExpr(a) && containsChain(a) {
+			if vql.IsFrameExpr(a) && containsChain(a) {
 				child, subn := fuseNode(a)
 				count += subn
 				args[i] = plan.PortRef{Port: len(node.Inputs)}
@@ -121,8 +121,8 @@ func containsChain(e vql.Expr) bool {
 	if !ok {
 		return false
 	}
-	if fusable[c.Name] && len(c.Args) > 0 {
-		if inner, ok := c.Args[0].(vql.Call); ok && fusable[inner.Name] {
+	if fusable(c.Name) && len(c.Args) > 0 {
+		if inner, ok := c.Args[0].(vql.Call); ok && fusable(inner.Name) {
 			return true
 		}
 	}
@@ -132,18 +132,4 @@ func containsChain(e vql.Expr) bool {
 		}
 	}
 	return false
-}
-
-// isFrameExpr reports whether e statically produces a frame (mirrors
-// plan.isFrameExpr).
-func isFrameExpr(e vql.Expr) bool {
-	switch n := e.(type) {
-	case vql.VideoRef:
-		return true
-	case vql.Call:
-		tr, ok := vql.Lookup(n.Name)
-		return ok && tr.Result == vql.TypeFrame
-	default:
-		return false
-	}
 }

@@ -229,7 +229,7 @@ func buildTree(e vql.Expr) (*Node, error) {
 		var inputs []*Node
 		args := make([]vql.Expr, len(n.Args))
 		for i, a := range n.Args {
-			if isFrameExpr(a) {
+			if vql.IsFrameExpr(a) {
 				child, err := buildTree(a)
 				if err != nil {
 					return nil, err
@@ -247,19 +247,6 @@ func buildTree(e vql.Expr) (*Node, error) {
 		}, nil
 	default:
 		return nil, fmt.Errorf("plan: expression %s does not produce a frame", e)
-	}
-}
-
-// isFrameExpr reports whether e statically produces a frame.
-func isFrameExpr(e vql.Expr) bool {
-	switch n := e.(type) {
-	case vql.VideoRef:
-		return true
-	case vql.Call:
-		tr, ok := vql.Lookup(n.Name)
-		return ok && tr.Result == vql.TypeFrame
-	default:
-		return false
 	}
 }
 

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"v2v/internal/frame"
 )
 
-// GaussianBlur applies a separable Gaussian blur with the given sigma to
-// every plane. This is the pixel-wise filter used by benchmark queries
-// Q4/Q9. It is the allocating form of BlurInto: a fresh destination, kernel
-// and scratch per call.
+// GaussianBlur is the allocating form of BlurInto.
 //
 // sigma <= 0 is the identity and returns src itself (NOT a copy), under the
 // same aliasing contract as Scale's no-op: callers must clone before
@@ -22,68 +20,74 @@ func GaussianBlur(src *frame.Frame, sigma float64) *frame.Frame {
 		return src
 	}
 	dst := frame.New(src.W, src.H, frame.FormatYUV420)
-	var scratch BlurScratch
-	BlurInto(dst, src, GaussianKernel(sigma), &scratch)
+	BlurInto(dst, src, sigma)
 	return dst
 }
 
 // kShift is the fixed-point scale of the blur kernel weights.
 const kShift = 12
 
-// BlurKernel is a normalized integer Gaussian kernel in folded form:
+// maxRadius caps the blur kernel's radius.
+const maxRadius = 15
+
+// blurKernel is a normalized integer Gaussian kernel in folded form:
 // taps[0] is the center weight and taps[k] the weight at distance k on
-// either side. The weights are non-negative and the unfolded kernel sums to
-// exactly 1<<kShift, so a weighted sum of bytes never exceeds 255<<kShift.
-// Construct with GaussianKernel; a BlurKernel is immutable and safe for
-// concurrent use.
-type BlurKernel struct {
-	taps []uint64
+// either side, for k up to the radius r. The weights are non-negative and
+// the unfolded kernel sums to exactly 1<<kShift, so a weighted sum of bytes
+// never exceeds 255<<kShift. It is a value: building one per frame costs a
+// few dozen exponentials and allocates nothing, so no cache keyed by sigma
+// is needed.
+type blurKernel struct {
+	taps [maxRadius + 1]uint64
+	r    int
 }
 
-// GaussianKernel builds the kernel for sigma (> 0), with radius
-// ceil(3*sigma) clamped to 1..15.
-func GaussianKernel(sigma float64) BlurKernel {
+// gaussianKernel builds the kernel for sigma (> 0), with radius
+// ceil(3*sigma) clamped to 1..maxRadius.
+//
+//v2v:hotpath
+func gaussianKernel(sigma float64) blurKernel {
 	if !(sigma > 0) {
-		panic(fmt.Sprintf("raster: GaussianKernel wants sigma > 0, got %v", sigma))
+		panic(fmt.Sprintf("raster: blur wants sigma > 0, got %v", sigma)) //v2v:nolint(hotpath) cold panic path; allocates only when the caller broke the sigma contract
 	}
-	radius := int(math.Ceil(3 * sigma))
-	if radius < 1 {
-		radius = 1
+	r := min(max(int(math.Ceil(3*sigma)), 1), maxRadius)
+	// The kernel is symmetric (d enters only as d*d), so raw holds its upper
+	// half. Float addition depends on order: sum runs over the unfolded
+	// kernel from -r to r, as the reference does.
+	var raw [maxRadius + 1]float64
+	sum := 0.0
+	for d := r; d >= 0; d-- {
+		raw[d] = math.Exp(-float64(d*d) / (2 * sigma * sigma))
+		sum += raw[d]
 	}
-	if radius > 15 {
-		radius = 15
+	for d := 1; d <= r; d++ {
+		sum += raw[d]
 	}
-	raw := make([]float64, 2*radius+1)
-	var sum float64
-	for i := range raw {
-		d := float64(i - radius)
-		raw[i] = math.Exp(-d * d / (2 * sigma * sigma))
-		sum += raw[i]
-	}
-	k := make([]uint64, len(raw))
-	var isum uint64
-	for i, v := range raw {
-		k[i] = uint64(v / sum * (1 << kShift))
-		isum += k[i]
+	k := blurKernel{r: r}
+	var isum uint64 // the unfolded kernel's sum: every tap but the center counts twice
+	for d := 0; d <= r; d++ {
+		k.taps[d] = uint64(raw[d] / sum * (1 << kShift))
+		isum += 2 * k.taps[d]
 	}
 	// Push rounding residue into the center tap so the kernel sums to 1.0.
-	k[radius] += (1 << kShift) - isum
-	// raw is exactly symmetric (d enters only as d*d), so the upper half
-	// is the whole kernel.
-	return BlurKernel{taps: k[radius:]}
+	k.taps[0] += (1 << kShift) - (isum - k.taps[0])
+	return k
 }
 
-// BlurScratch is BlurInto's reusable working memory. The zero value is
-// ready; it grows to the widest plane and largest radius it has served and
-// is allocation-free from then on. A scratch must not be shared between
-// concurrent calls.
-type BlurScratch struct {
+// blurScratch is BlurInto's working memory. It grows to the widest plane
+// and largest radius it has served and is allocation-free from then on.
+type blurScratch struct {
 	pad   []byte   // one source row, edge-replicated by the radius
 	words []uint64 // the widened pad, an accumulator row, and the row ring
 }
 
+// blurScratches recycles working memory across BlurInto calls on any
+// goroutine; the pool drops what the garbage collector reclaims, so it is
+// bounded by the blurs actually running.
+var blurScratches = sync.Pool{New: func() any { return new(blurScratch) }}
+
 // reserve sizes the scratch for a w-wide plane and the given radius.
-func (s *BlurScratch) reserve(w, radius int) {
+func (s *blurScratch) reserve(w, radius int) {
 	wp := (w + 1) / 2
 	if n := 2 * (wp + radius); len(s.pad) < n {
 		s.pad = make([]byte, n)
@@ -93,26 +97,28 @@ func (s *BlurScratch) reserve(w, radius int) {
 	}
 }
 
-// BlurInto blurs every plane of src with k into dst, which must be a
-// same-shape YUV420 frame distinct from src. Every byte of dst is written,
-// so a pooled dst with stale contents is safe. Once scratch has grown to
-// the frame's size BlurInto performs no heap allocation.
+// BlurInto applies a separable Gaussian blur with the given sigma (> 0) to
+// every plane of src, writing dst, which must be a same-shape YUV420 frame
+// distinct from src. This is the pixel-wise filter of benchmark queries
+// Q4/Q9. Every byte of dst is written, so a pooled dst with stale contents
+// is safe. Warm, BlurInto performs no heap allocation.
 //
 //v2v:hotpath
-func BlurInto(dst, src *frame.Frame, k BlurKernel, scratch *BlurScratch) {
+func BlurInto(dst, src *frame.Frame, sigma float64) {
 	mustYUV(src, "BlurInto") //v2v:nolint(hotpath) inlined shape-check panic path; never taken on the warm loop
 	mustYUV(dst, "BlurInto") //v2v:nolint(hotpath) inlined shape-check panic path; never taken on the warm loop
 	if dst == src || !dst.SameShape(src) {
 		panic(fmt.Sprintf("raster: BlurInto dst %dx%d must be a distinct frame shaped like src %dx%d", dst.W, dst.H, src.W, src.H)) //v2v:nolint(hotpath) cold panic path; allocates only when the caller broke the shape contract
 	}
-	if len(k.taps) == 0 {
-		panic("raster: BlurInto wants a kernel from GaussianKernel") //v2v:nolint(hotpath) cold panic path
-	}
-	scratch.reserve(src.W, len(k.taps)-1) //v2v:nolint(hotpath) inlined growth path; allocates only until the scratch has served this width and radius once
+	k := gaussianKernel(sigma)
+	taps := k.taps[:k.r+1]
+	s := blurScratches.Get().(*blurScratch)
+	s.reserve(src.W, k.r) //v2v:nolint(hotpath) inlined growth path; allocates only until a pooled scratch has served this width and radius once
 	sp, dp := planes3(src), planes3(dst)
-	gaussPlane(dp[0], sp[0], src.W, src.H, k.taps, scratch)
-	gaussPlane(dp[1], sp[1], src.W/2, src.H/2, k.taps, scratch)
-	gaussPlane(dp[2], sp[2], src.W/2, src.H/2, k.taps, scratch)
+	gaussPlane(dp[0], sp[0], src.W, src.H, taps, s)
+	gaussPlane(dp[1], sp[1], src.W/2, src.H/2, taps, s)
+	gaussPlane(dp[2], sp[2], src.W/2, src.H/2, taps, s)
+	blurScratches.Put(s)
 }
 
 // laneMask keeps the byte at the bottom of each 32-bit lane of a word.
@@ -132,7 +138,7 @@ const laneMask = 0xFF<<32 | 0xFF
 //     clamp(x+k) becomes a plain offset and no inner loop carries a branch;
 //   - the symmetric taps fold: p[x-k]*c + p[x+k]*c == (p[x-k]+p[x+k])*c;
 //   - rows are widened to two pixels per uint64, one per 32-bit lane. A sum
-//     never exceeds 255<<kShift (see BlurKernel), so lanes cannot carry
+//     never exceeds 255<<kShift (see blurKernel), so lanes cannot carry
 //     into each other and one add or multiply serves both pixels. The
 //     padded row is widened twice, starting at pixel 0 and at pixel 1, so
 //     a tap at any offset reads aligned words;
@@ -146,7 +152,7 @@ const laneMask = 0xFF<<32 | 0xFF
 // edge pixel; it is never stored.
 //
 //v2v:hotpath
-func gaussPlane(dst, src []byte, w, h int, taps []uint64, s *BlurScratch) {
+func gaussPlane(dst, src []byte, w, h int, taps []uint64, s *blurScratch) {
 	if w == 0 || h == 0 {
 		return
 	}
@@ -233,17 +239,11 @@ func foldTap(acc, lo, hi []uint64, c uint64) {
 	}
 }
 
-// Convolve3x3 applies a 3x3 kernel (with divisor and bias) to the luma
-// plane, leaving chroma untouched. Used by sharpen/edge-detect transforms.
-func Convolve3x3(src *frame.Frame, k [9]int, div, bias int) *frame.Frame {
-	if src.Format != frame.FormatYUV420 {
-		panic(fmt.Sprintf("raster: Convolve3x3 wants yuv420, got %v", src.Format))
-	}
-	if div == 0 {
-		div = 1
-	}
-	dst := src.Clone()
-	sp, dp := src.Planes(), dst.Planes()
+// convolveLuma applies a 3x3 kernel to the luma plane of src, writing
+// dst's luma plane; the caller writes chroma.
+func convolveLuma(dst, src *frame.Frame, k [9]int) {
+	mustMatch(dst, src, "convolve")
+	sp, dp := planes3(src), planes3(dst)
 	w, h := src.W, src.H
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -257,76 +257,37 @@ func Convolve3x3(src *frame.Frame, k [9]int, div, bias int) *frame.Frame {
 					idx++
 				}
 			}
-			v := acc/div + bias
-			if v < 0 {
-				v = 0
-			} else if v > 255 {
-				v = 255
-			}
-			dp[0][y*w+x] = byte(v)
+			dp[0][y*w+x] = byte(clampInt(acc, 0, 255))
 		}
 	}
-	return dst
 }
 
-// Sharpen applies a standard unsharp 3x3 kernel to luma.
-func Sharpen(src *frame.Frame) *frame.Frame {
-	return Convolve3x3(src, [9]int{0, -1, 0, -1, 5, -1, 0, -1, 0}, 1, 0)
+// SharpenInto applies a standard unsharp 3x3 kernel to luma; chroma is
+// copied.
+func SharpenInto(dst, src *frame.Frame) {
+	convolveLuma(dst, src, [9]int{0, -1, 0, -1, 5, -1, 0, -1, 0})
+	ys := src.W * src.H
+	copy(dst.Pix[ys:], src.Pix[ys:])
 }
 
-// EdgeDetect applies a Laplacian kernel to luma and flattens chroma,
-// producing a gray edge map in YUV420.
-func EdgeDetect(src *frame.Frame) *frame.Frame {
-	out := Convolve3x3(src, [9]int{-1, -1, -1, -1, 8, -1, -1, -1, -1}, 1, 0)
-	p := out.Planes()
-	for i := range p[1] {
-		p[1][i] = 128
-		p[2][i] = 128
+// EdgeDetectInto applies a Laplacian kernel to luma and flattens chroma,
+// producing a gray edge map.
+func EdgeDetectInto(dst, src *frame.Frame) {
+	convolveLuma(dst, src, [9]int{-1, -1, -1, -1, 8, -1, -1, -1, -1})
+	chroma := dst.Pix[dst.W*dst.H:]
+	for i := range chroma {
+		chroma[i] = 128
 	}
-	return out
 }
 
-// Grade adjusts brightness (additive, -255..255) and contrast (multiplier
-// about the mid-point, e.g. 1.2) on the luma plane and saturation
-// (multiplier about 128) on chroma.
-func Grade(src *frame.Frame, brightness int, contrast, saturation float64) *frame.Frame {
-	if src.Format != frame.FormatYUV420 {
-		panic(fmt.Sprintf("raster: Grade wants yuv420, got %v", src.Format))
-	}
-	dst := src.Clone()
-	p := dst.Planes()
-	// Precompute LUTs: deterministic and fast.
-	var lumaLUT, chromaLUT [256]byte
-	for i := 0; i < 256; i++ {
-		v := (float64(i)-128)*contrast + 128 + float64(brightness)
-		lumaLUT[i] = clampF(v)
-		c := (float64(i)-128)*saturation + 128
-		chromaLUT[i] = clampF(c)
-	}
-	for i, v := range p[0] {
-		p[0][i] = lumaLUT[v]
-	}
-	for i, v := range p[1] {
-		p[1][i] = chromaLUT[v]
-	}
-	for i, v := range p[2] {
-		p[2][i] = chromaLUT[v]
-	}
-	return dst
-}
-
-// Denoise applies a 3x3 box filter to all planes — a cheap smoothing
+// DenoiseInto applies a 3x3 box filter to all planes — a cheap smoothing
 // transform exposed by the Filter grammar.
-func Denoise(src *frame.Frame) *frame.Frame {
-	if src.Format != frame.FormatYUV420 {
-		panic(fmt.Sprintf("raster: Denoise wants yuv420, got %v", src.Format))
-	}
-	dst := frame.New(src.W, src.H, frame.FormatYUV420)
-	sp, dp := src.Planes(), dst.Planes()
+func DenoiseInto(dst, src *frame.Frame) {
+	mustMatch(dst, src, "Denoise")
+	sp, dp := planes3(src), planes3(dst)
 	boxPlane(sp[0], dp[0], src.W, src.H)
 	boxPlane(sp[1], dp[1], src.W/2, src.H/2)
 	boxPlane(sp[2], dp[2], src.W/2, src.H/2)
-	return dst
 }
 
 func boxPlane(src, dst []byte, w, h int) {

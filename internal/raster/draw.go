@@ -188,6 +188,16 @@ func Label(dst *frame.Frame, x, y int, s string, scale int, fg, bg Color) {
 	DrawText(dst, x, y, s, scale, fg)
 }
 
+// LabelInto copies src into dst and burns text onto it at (x, y), black on
+// yellow — the label transform.
+func LabelInto(dst, src *frame.Frame, x, y int, text string) {
+	copyInto(dst, src)
+	Label(dst, x, y, text, labelScale(dst), Black, Yellow)
+}
+
+// labelScale is the glyph scale annotations use on fr: one per 240 rows.
+func labelScale(fr *frame.Frame) int { return max(fr.H/240, 1) }
+
 // Box is one object bounding box with its annotation metadata — the
 // paper's BoxCoord. Coordinates are pixels in the source frame.
 type Box struct {
@@ -196,19 +206,21 @@ type Box struct {
 	Track      int
 }
 
-// BoundingBoxes draws each box outline plus a "CLASS #TRACK" label above
-// it. An empty list returns an unmodified clone — the identity behaviour
-// the data-dependent rewriter exploits (BoundingBox_dde).
+// BoundingBoxes is the allocating form of BoundingBoxesInto.
 func BoundingBoxes(src *frame.Frame, boxes []Box) *frame.Frame {
-	dst := src.Clone()
-	thickness := dst.H / 120
-	if thickness < 1 {
-		thickness = 1
-	}
-	scale := dst.H / 240
-	if scale < 1 {
-		scale = 1
-	}
+	dst := frame.New(src.W, src.H, frame.FormatYUV420)
+	BoundingBoxesInto(dst, src, boxes)
+	return dst
+}
+
+// BoundingBoxesInto copies src into dst and draws each box outline plus a
+// "CLASS #TRACK" label above it. An empty list leaves dst an unmodified
+// copy — the identity behaviour the data-dependent rewriter exploits
+// (BoundingBox_dde).
+func BoundingBoxesInto(dst, src *frame.Frame, boxes []Box) {
+	copyInto(dst, src)
+	thickness := max(dst.H/120, 1)
+	scale := labelScale(dst)
 	for i, b := range boxes {
 		c := boxPalette[i%len(boxPalette)]
 		DrawRect(dst, Rect{b.X, b.Y, b.W, b.H}, thickness, c)
@@ -224,7 +236,6 @@ func BoundingBoxes(src *frame.Frame, boxes []Box) *frame.Frame {
 			Label(dst, b.X+thickness, ty+scale, label, scale, Black, c)
 		}
 	}
-	return dst
 }
 
 var boxPalette = []Color{Yellow, Red, Green, Blue, White}
@@ -232,5 +243,13 @@ var boxPalette = []Color{Yellow, Red, Green, Blue, White}
 func mustYUV(fr *frame.Frame, op string) {
 	if fr.Format != frame.FormatYUV420 {
 		panic(fmt.Sprintf("raster: %s wants yuv420, got %v", op, fr.Format))
+	}
+}
+
+// mustMatch panics unless src is YUV420 and dst has its shape.
+func mustMatch(dst, src *frame.Frame, op string) {
+	mustYUV(src, op)
+	if !dst.SameShape(src) {
+		panic(fmt.Sprintf("raster: %s dst %dx%d %v does not match src %dx%d", op, dst.W, dst.H, dst.Format, src.W, src.H))
 	}
 }

@@ -6,19 +6,17 @@ import (
 	"v2v/internal/frame"
 )
 
-// This file implements the fused per-pixel kernel form of the point
-// operations (Grade, Crossfade, WipeLR, Overlay, FillRect). A chain of
-// point ops normally costs one full pass over the YUV planes — and one
-// fresh frame allocation — per op. ApplyFused makes ONE pass: each row is
-// loaded once, every op is applied while the row is L1-resident, and the
-// destination buffer is caller-provided (poolable).
+// This file implements the point operations — grade, crossfade, wipe and
+// overlay — in their one form: a PointOp applied by ApplyFused. A single
+// op is a chain of one; a longer chain costs ONE pass instead of one per
+// op: each row is loaded once, every op is applied while the row is
+// L1-resident, and the destination buffer is caller-provided (poolable).
 //
-// Correctness: every fusable op writes each output pixel as a function of
+// Correctness: every point op writes each output pixel as a function of
 // the same-position input pixel (plus constant secondary frames), so
 // applying ops row-by-row in order is byte-identical to applying them
-// frame-by-frame in order. The kernels below replicate the standalone
-// functions' arithmetic exactly — same integer rounding, same clipping,
-// same traversal — which the equivalence tests enforce.
+// frame-by-frame in order, which the tests check against frame-at-a-time
+// reference implementations.
 
 type opKind uint8
 
@@ -27,7 +25,6 @@ const (
 	opCrossfade
 	opWipe
 	opOverlay
-	opFillRect
 )
 
 const (
@@ -36,17 +33,19 @@ const (
 	modeCopy                  // op replaces dst with its other frame (t>=1)
 )
 
-// PointOp is one fusable per-pixel operation, prepared for repeated
-// application. Construct with GradeOp, CrossfadeOp, WipeOp, OverlayOp, or
-// FillRectOp; apply chains with ApplyFused. A PointOp is immutable after
-// construction and safe for concurrent use as long as its secondary frame
-// (crossfade/wipe other, overlay image) is not mutated or released.
+// PointOp is one per-pixel operation, prepared for repeated application.
+// Construct with GradeOp, CrossfadeOp, WipeOp or OverlayOp; apply chains
+// with ApplyFused. Constructing one performs no heap allocation. A PointOp
+// is immutable after construction and safe for concurrent use as long as
+// its secondary frame (crossfade/wipe other, overlay image) is not mutated
+// or released.
 type PointOp struct {
 	kind opKind
 	mode uint8
 
-	// Grade: per-plane lookup tables.
-	lumaLUT, chromaLUT *[256]byte
+	// Grade: per-plane lookup tables, held by value so that building the
+	// op each frame allocates nothing.
+	lumaLUT, chromaLUT [256]byte
 
 	// Crossfade/Wipe second frame or Overlay image (always YUV420), with
 	// its planes pre-split so row application allocates nothing.
@@ -56,24 +55,22 @@ type PointOp struct {
 	alpha int     // crossfade blend weight or overlay alpha, 0..255
 	t     float64 // wipe fraction (cut depends on dst width)
 	x, y  int     // overlay offset
-	rect  Rect    // fillrect
-	color Color
 }
 
-// GradeOp returns the kernel form of Grade(src, brightness, contrast,
-// saturation).
+// GradeOp adjusts brightness (additive, -255..255) and contrast
+// (multiplier about the mid-point, e.g. 1.2) on the luma plane and
+// saturation (multiplier about 128) on chroma.
 func GradeOp(brightness int, contrast, saturation float64) PointOp {
-	var lumaLUT, chromaLUT [256]byte
+	op := PointOp{kind: opGrade}
 	for i := 0; i < 256; i++ {
-		v := (float64(i)-128)*contrast + 128 + float64(brightness)
-		lumaLUT[i] = clampF(v)
-		c := (float64(i)-128)*saturation + 128
-		chromaLUT[i] = clampF(c)
+		op.lumaLUT[i] = clampF((float64(i)-128)*contrast + 128 + float64(brightness))
+		op.chromaLUT[i] = clampF((float64(i)-128)*saturation + 128)
 	}
-	return PointOp{kind: opGrade, lumaLUT: &lumaLUT, chromaLUT: &chromaLUT}
+	return op
 }
 
-// CrossfadeOp returns the kernel form of Crossfade(src, b, t).
+// CrossfadeOp blends the frame it applies to into b with mix t in [0,1]:
+// t <= 0 leaves it, t >= 1 replaces it with b. b must have its shape.
 func CrossfadeOp(b *frame.Frame, t float64) PointOp {
 	op := PointOp{kind: opCrossfade, other: b, otherPlanes: planes3(b)}
 	switch {
@@ -87,7 +84,8 @@ func CrossfadeOp(b *frame.Frame, t float64) PointOp {
 	return op
 }
 
-// WipeOp returns the kernel form of WipeLR(src, b, t).
+// WipeOp reveals b over the frame it applies to, left to right: columns
+// left of t*W come from b. b must have its shape.
 func WipeOp(b *frame.Frame, t float64) PointOp {
 	op := PointOp{kind: opWipe, other: b, otherPlanes: planes3(b), t: t}
 	switch {
@@ -99,8 +97,10 @@ func WipeOp(b *frame.Frame, t float64) PointOp {
 	return op
 }
 
-// OverlayOp returns the kernel form of Overlay(src, image, x, y, alpha).
-// Non-YUV420 images are converted once here, not per frame.
+// OverlayOp alpha-blends image over the frame it applies to, with its
+// top-left corner at (x, y). alpha is 0..255 applied uniformly (the image
+// itself is opaque); out-of-bounds parts are clipped. Non-YUV420 images are
+// converted once here, not per frame.
 func OverlayOp(image *frame.Frame, x, y, alpha int) PointOp {
 	img := image
 	if img.Format != frame.FormatYUV420 {
@@ -115,11 +115,6 @@ func OverlayOp(image *frame.Frame, x, y, alpha int) PointOp {
 	return PointOp{kind: opOverlay, other: img, otherPlanes: planes3(img), alpha: alpha, x: x, y: y}
 }
 
-// FillRectOp returns the kernel form of FillRect(dst, r, c).
-func FillRectOp(r Rect, c Color) PointOp {
-	return PointOp{kind: opFillRect, rect: r, color: c}
-}
-
 func planes3(fr *frame.Frame) [3][]byte {
 	p := fr.Planes()
 	return [3][]byte{p[0], p[1], p[2]}
@@ -128,9 +123,9 @@ func planes3(fr *frame.Frame) [3][]byte {
 // ApplyFused copies src into dst and applies ops in order in a single
 // row-wise pass over the planes. dst and src must be same-shape YUV420;
 // dst == src applies the chain in place. Every byte of dst is written, so
-// a pooled dst with stale contents is safe. Shape mismatches against a
-// crossfade/wipe secondary frame panic with the standalone ops' messages.
-// ApplyFused performs no heap allocation.
+// a pooled dst with stale contents is safe. A crossfade or wipe whose
+// second frame is shaped unlike src panics. ApplyFused performs no heap
+// allocation.
 //
 //v2v:hotpath
 func ApplyFused(dst, src *frame.Frame, ops []PointOp) {
@@ -160,26 +155,17 @@ func ApplyFused(dst, src *frame.Frame, ops []PointOp) {
 	// nothing; chains longer than the scratch (rare — real queries stay
 	// shallow) run op by op.
 	var scratch [gradeComposeMax]PointOp
-	var luts [gradeComposeMax][2][256]byte
 	if n := len(ops); n <= gradeComposeMax {
-		used := 0 // indexed stores, not append: append's realloc path would force luts to the heap
-		for i := 0; i < n; {
-			if ops[i].kind != opGrade || i+1 >= n || ops[i+1].kind != opGrade {
-				scratch[used] = ops[i]
-				used++
-				i++
-				continue
-			}
-			luma, chroma := &luts[used][0], &luts[used][1]
-			*luma, *chroma = *ops[i].lumaLUT, *ops[i].chromaLUT
-			for i++; i < n && ops[i].kind == opGrade; i++ {
+		used := 0 // indexed stores, not append: append's realloc path would move scratch to the heap
+		for i := 0; i < n; used++ {
+			scratch[used] = ops[i]
+			g := &scratch[used]
+			for i++; g.kind == opGrade && i < n && ops[i].kind == opGrade; i++ {
 				for j := 0; j < 256; j++ {
-					luma[j] = ops[i].lumaLUT[luma[j]]
-					chroma[j] = ops[i].chromaLUT[chroma[j]]
+					g.lumaLUT[j] = ops[i].lumaLUT[g.lumaLUT[j]]
+					g.chromaLUT[j] = ops[i].chromaLUT[g.chromaLUT[j]]
 				}
 			}
-			scratch[used] = PointOp{kind: opGrade, lumaLUT: luma, chromaLUT: chroma}
-			used++
 		}
 		ops = scratch[:used]
 	}
@@ -214,9 +200,9 @@ const gradeComposeMax = 8
 func (op *PointOp) applyRow(dst *frame.Frame, plane, row, w int, drow []byte) {
 	switch op.kind {
 	case opGrade:
-		lut := op.lumaLUT
+		lut := &op.lumaLUT
 		if plane > 0 {
-			lut = op.chromaLUT
+			lut = &op.chromaLUT
 		}
 		for i, v := range drow {
 			drow[i] = lut[v]
@@ -283,41 +269,5 @@ func (op *PointOp) applyRow(dst *frame.Frame, plane, row, w int, drow []byte) {
 			}
 			drow[dx] = byte((int(ip[col])*a + int(drow[dx])*(255-a) + 127) / 255)
 		}
-
-	case opFillRect:
-		cr, ok := op.rect.clip(dst.W, dst.H)
-		if !ok {
-			return
-		}
-		if plane == 0 {
-			if row < cr.Y || row >= cr.Y+cr.H {
-				return
-			}
-			fill := drow[cr.X : cr.X+cr.W]
-			for i := range fill {
-				fill[i] = op.color.Y
-			}
-			return
-		}
-		if row < cr.Y/2 || row >= (cr.Y+cr.H+1)/2 {
-			return
-		}
-		v := op.color.Cb
-		if plane == 2 {
-			v = op.color.Cr
-		}
-		fill := drow[cr.X/2 : (cr.X+cr.W+1)/2]
-		for i := range fill {
-			fill[i] = v
-		}
 	}
-}
-
-// ScaleInto is Scale with a caller-provided destination, enabling pooled
-// buffers on the output-scaling hot path. dst's dimensions select the
-// target size; every byte of dst is written. dst must not alias src.
-//
-//v2v:hotpath
-func ScaleInto(dst, src *frame.Frame) {
-	scaleCell(dst, src, 0, 0, dst.W, dst.H)
 }

@@ -14,18 +14,112 @@ func randomFrame(rng *rand.Rand, w, h int) *frame.Frame {
 	return fr
 }
 
-// applyUnfused runs the standalone (frame-at-a-time) form of one op.
-func applyUnfused(t *testing.T, src *frame.Frame, name string, mk func() (PointOp, func(*frame.Frame) *frame.Frame)) (*frame.Frame, *frame.Frame) {
-	t.Helper()
-	op, ref := mk()
-	want := ref(src)
-	got := frame.New(src.W, src.H, frame.FormatYUV420)
-	got.Pix[0] = 0x55 // stale contents must not leak through
-	ApplyFused(got, src, []PointOp{op})
-	if !got.Equal(want) {
-		t.Fatalf("%s: fused output differs from standalone op", name)
+// refGrade, refCrossfade, refWipeLR and refOverlay are the frame-at-a-time
+// point ops this package shipped before PointOp became their only form —
+// a full pass and a fresh frame per op — kept as the oracle the kernels
+// must match byte for byte.
+func refGrade(src *frame.Frame, brightness int, contrast, saturation float64) *frame.Frame {
+	dst := src.Clone()
+	p := dst.Planes()
+	var lumaLUT, chromaLUT [256]byte
+	for i := 0; i < 256; i++ {
+		lumaLUT[i] = clampF((float64(i)-128)*contrast + 128 + float64(brightness))
+		chromaLUT[i] = clampF((float64(i)-128)*saturation + 128)
 	}
-	return got, want
+	for i, v := range p[0] {
+		p[0][i] = lumaLUT[v]
+	}
+	for i, v := range p[1] {
+		p[1][i] = chromaLUT[v]
+	}
+	for i, v := range p[2] {
+		p[2][i] = chromaLUT[v]
+	}
+	return dst
+}
+
+func refCrossfade(a, b *frame.Frame, t float64) *frame.Frame {
+	if t <= 0 {
+		return a.Clone()
+	}
+	if t >= 1 {
+		return b.Clone()
+	}
+	alpha := int(t*255 + 0.5)
+	out := a.Clone()
+	for i := range out.Pix {
+		out.Pix[i] = byte((int(b.Pix[i])*alpha + int(a.Pix[i])*(255-alpha) + 127) / 255)
+	}
+	return out
+}
+
+func refWipeLR(a, b *frame.Frame, t float64) *frame.Frame {
+	if t <= 0 {
+		return a.Clone()
+	}
+	if t >= 1 {
+		return b.Clone()
+	}
+	cut := even(int(t * float64(a.W)))
+	out := a.Clone()
+	op, bp := out.Planes(), b.Planes()
+	for row := 0; row < a.H; row++ {
+		copy(op[0][row*a.W:row*a.W+cut], bp[0][row*a.W:row*a.W+cut])
+	}
+	cw := a.W / 2
+	for row := 0; row < a.H/2; row++ {
+		copy(op[1][row*cw:row*cw+cut/2], bp[1][row*cw:row*cw+cut/2])
+		copy(op[2][row*cw:row*cw+cut/2], bp[2][row*cw:row*cw+cut/2])
+	}
+	return out
+}
+
+func refOverlay(base, image *frame.Frame, x, y int, alpha int) *frame.Frame {
+	img := image
+	if img.Format != frame.FormatYUV420 {
+		img = image.Convert(frame.FormatYUV420)
+	}
+	a := min(max(alpha, 0), 255)
+	dst := base.Clone()
+	dp, ip := dst.Planes(), img.Planes()
+	for row := 0; row < img.H; row++ {
+		dy := y + row
+		if dy < 0 || dy >= dst.H {
+			continue
+		}
+		for col := 0; col < img.W; col++ {
+			dx := x + col
+			if dx < 0 || dx >= dst.W {
+				continue
+			}
+			di, si := dy*dst.W+dx, row*img.W+col
+			dp[0][di] = byte((int(ip[0][si])*a + int(dp[0][di])*(255-a) + 127) / 255)
+		}
+	}
+	dcw, icw := dst.W/2, img.W/2
+	for row := 0; row < img.H/2; row++ {
+		dy := y/2 + row
+		if dy < 0 || dy >= dst.H/2 {
+			continue
+		}
+		for col := 0; col < icw; col++ {
+			dx := x/2 + col
+			if dx < 0 || dx >= dcw {
+				continue
+			}
+			di, si := dy*dcw+dx, row*icw+col
+			dp[1][di] = byte((int(ip[1][si])*a + int(dp[1][di])*(255-a) + 127) / 255)
+			dp[2][di] = byte((int(ip[2][si])*a + int(dp[2][di])*(255-a) + 127) / 255)
+		}
+	}
+	return dst
+}
+
+// apply runs one point op into a fresh destination.
+func apply(src *frame.Frame, op PointOp) *frame.Frame {
+	dst := frame.New(src.W, src.H, frame.FormatYUV420)
+	ApplyFused(dst, src, []PointOp{op})
+	return dst
 }
 
 func TestKernelsMatchStandaloneOps(t *testing.T) {
@@ -34,69 +128,32 @@ func TestKernelsMatchStandaloneOps(t *testing.T) {
 	b := randomFrame(rng, 64, 36)
 	small := randomFrame(rng, 20, 12)
 
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
-		mk   func() (PointOp, func(*frame.Frame) *frame.Frame)
+		op   PointOp
+		ref  *frame.Frame
 	}{
-		{"grade", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return GradeOp(12, 1.25, 0.8), func(f *frame.Frame) *frame.Frame { return Grade(f, 12, 1.25, 0.8) }
-		}},
-		{"grade-extreme", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return GradeOp(-200, 3.5, 0), func(f *frame.Frame) *frame.Frame { return Grade(f, -200, 3.5, 0) }
-		}},
-		{"crossfade-mid", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return CrossfadeOp(b, 0.37), func(f *frame.Frame) *frame.Frame { return Crossfade(f, b, 0.37) }
-		}},
-		{"crossfade-zero", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return CrossfadeOp(b, 0), func(f *frame.Frame) *frame.Frame { return Crossfade(f, b, 0) }
-		}},
-		{"crossfade-one", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return CrossfadeOp(b, 1), func(f *frame.Frame) *frame.Frame { return Crossfade(f, b, 1) }
-		}},
-		{"crossfade-near-one", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return CrossfadeOp(b, 0.999), func(f *frame.Frame) *frame.Frame { return Crossfade(f, b, 0.999) }
-		}},
-		{"wipe-mid", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return WipeOp(b, 0.43), func(f *frame.Frame) *frame.Frame { return WipeLR(f, b, 0.43) }
-		}},
-		{"wipe-tiny", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			// t small enough that the even() cut collapses to 0.
-			return WipeOp(b, 0.01), func(f *frame.Frame) *frame.Frame { return WipeLR(f, b, 0.01) }
-		}},
-		{"wipe-one", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return WipeOp(b, 1), func(f *frame.Frame) *frame.Frame { return WipeLR(f, b, 1) }
-		}},
-		{"overlay", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return OverlayOp(small, 10, 6, 180), func(f *frame.Frame) *frame.Frame { return Overlay(f, small, 10, 6, 180) }
-		}},
-		{"overlay-negative-offset", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return OverlayOp(small, -7, -3, 200), func(f *frame.Frame) *frame.Frame { return Overlay(f, small, -7, -3, 200) }
-		}},
-		{"overlay-clipped-right", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return OverlayOp(small, 58, 30, 255), func(f *frame.Frame) *frame.Frame { return Overlay(f, small, 58, 30, 255) }
-		}},
-		{"overlay-alpha-clamped", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			return OverlayOp(small, 4, 4, 999), func(f *frame.Frame) *frame.Frame { return Overlay(f, small, 4, 4, 999) }
-		}},
-		{"fillrect", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			r, c := Rect{X: 5, Y: 3, W: 21, H: 13}, Red
-			return FillRectOp(r, c), func(f *frame.Frame) *frame.Frame {
-				out := f.Clone()
-				FillRect(out, r, c)
-				return out
-			}
-		}},
-		{"fillrect-clipped", func() (PointOp, func(*frame.Frame) *frame.Frame) {
-			r, c := Rect{X: -4, Y: 30, W: 100, H: 100}, Blue
-			return FillRectOp(r, c), func(f *frame.Frame) *frame.Frame {
-				out := f.Clone()
-				FillRect(out, r, c)
-				return out
-			}
-		}},
-	}
-	for _, tc := range cases {
-		applyUnfused(t, src, tc.name, tc.mk)
+		{"grade", GradeOp(12, 1.25, 0.8), refGrade(src, 12, 1.25, 0.8)},
+		{"grade-extreme", GradeOp(-200, 3.5, 0), refGrade(src, -200, 3.5, 0)},
+		{"crossfade-mid", CrossfadeOp(b, 0.37), refCrossfade(src, b, 0.37)},
+		{"crossfade-zero", CrossfadeOp(b, 0), refCrossfade(src, b, 0)},
+		{"crossfade-one", CrossfadeOp(b, 1), refCrossfade(src, b, 1)},
+		{"crossfade-near-one", CrossfadeOp(b, 0.999), refCrossfade(src, b, 0.999)},
+		{"wipe-mid", WipeOp(b, 0.43), refWipeLR(src, b, 0.43)},
+		// t small enough that the even() cut collapses to 0.
+		{"wipe-tiny", WipeOp(b, 0.01), refWipeLR(src, b, 0.01)},
+		{"wipe-one", WipeOp(b, 1), refWipeLR(src, b, 1)},
+		{"overlay", OverlayOp(small, 10, 6, 180), refOverlay(src, small, 10, 6, 180)},
+		{"overlay-negative-offset", OverlayOp(small, -7, -3, 200), refOverlay(src, small, -7, -3, 200)},
+		{"overlay-clipped-right", OverlayOp(small, 58, 30, 255), refOverlay(src, small, 58, 30, 255)},
+		{"overlay-alpha-clamped", OverlayOp(small, 4, 4, 999), refOverlay(src, small, 4, 4, 999)},
+	} {
+		got := frame.New(src.W, src.H, frame.FormatYUV420)
+		got.Pix[0] = 0x55 // stale contents must not leak through
+		ApplyFused(got, src, []PointOp{tc.op})
+		if !got.Equal(tc.ref) {
+			t.Errorf("%s: kernel output differs from the reference op", tc.name)
+		}
 	}
 }
 
@@ -106,24 +163,25 @@ func TestFusedChainMatchesSequentialOps(t *testing.T) {
 	b := randomFrame(rng, 48, 32)
 	logo := randomFrame(rng, 16, 8)
 
-	want := Grade(Overlay(Crossfade(src, b, 0.6), logo, 3, 5, 128), -10, 1.4, 1.2)
+	want := refGrade(refGrade(refOverlay(refCrossfade(src, b, 0.6), logo, 3, 5, 128), -10, 1.4, 1.2), 7, 0.9, 1.1)
 
 	ops := []PointOp{
 		CrossfadeOp(b, 0.6),
 		OverlayOp(logo, 3, 5, 128),
 		GradeOp(-10, 1.4, 1.2),
+		GradeOp(7, 0.9, 1.1), // adjacent grades compose into one table
 	}
 	got := frame.New(48, 32, frame.FormatYUV420)
 	ApplyFused(got, src, ops)
 	if !got.Equal(want) {
-		t.Fatal("3-op fused chain differs from sequential standalone ops")
+		t.Fatal("4-op fused chain differs from the sequential reference ops")
 	}
 
 	// In-place application (dst == src) on a copy must match too.
 	inPlace := src.Clone()
 	ApplyFused(inPlace, inPlace, ops)
 	if !inPlace.Equal(want) {
-		t.Fatal("in-place fused chain differs from sequential standalone ops")
+		t.Fatal("in-place fused chain differs from the sequential reference ops")
 	}
 }
 

@@ -24,6 +24,21 @@ func flat(w, h int, c Color) *frame.Frame {
 	return fr
 }
 
+// like returns a fresh destination shaped like fr.
+func like(fr *frame.Frame) *frame.Frame { return frame.New(fr.W, fr.H, frame.FormatYUV420) }
+
+func crop(src *frame.Frame, x, y, w, h int) *frame.Frame {
+	dst := frame.New(w, h, frame.FormatYUV420)
+	CropInto(dst, src, x, y)
+	return dst
+}
+
+func zoom(src *frame.Frame, factor float64) *frame.Frame {
+	dst := like(src)
+	ZoomInto(dst, src, factor)
+	return dst
+}
+
 func mean(p []byte) float64 {
 	var s float64
 	for _, v := range p {
@@ -96,7 +111,7 @@ func TestCrop(t *testing.T) {
 			src.SetLuma(x, y, byte(y*16+x))
 		}
 	}
-	dst := Crop(src, 4, 6, 8, 4)
+	dst := crop(src, 4, 6, 8, 4)
 	if dst.W != 8 || dst.H != 4 {
 		t.Fatalf("crop dims %dx%d", dst.W, dst.H)
 	}
@@ -120,7 +135,7 @@ func TestCropValidation(t *testing.T) {
 					t.Errorf("Crop %v did not panic", b)
 				}
 			}()
-			Crop(src, b[0], b[1], b[2], b[3])
+			crop(src, b[0], b[1], b[2], b[3])
 		}()
 	}
 }
@@ -129,14 +144,14 @@ func TestZoom(t *testing.T) {
 	src := flat(32, 32, Color{10, 128, 128})
 	// Bright center region: after 2x zoom the whole frame should be bright.
 	FillRect(src, Rect{8, 8, 16, 16}, Color{200, 128, 128})
-	z := Zoom(src, 2.0)
+	z := zoom(src, 2.0)
 	if z.W != 32 || z.H != 32 {
 		t.Fatalf("zoom dims %dx%d", z.W, z.H)
 	}
 	if m := mean(z.Planes()[0]); m < 190 {
 		t.Errorf("zoomed mean luma = %f, want bright", m)
 	}
-	if !Zoom(src, 1.0).Equal(src) {
+	if !zoom(src, 1.0).Equal(src) {
 		t.Error("zoom 1.0 should be identity")
 	}
 	func() {
@@ -145,7 +160,7 @@ func TestZoom(t *testing.T) {
 				t.Error("zoom < 1 should panic")
 			}
 		}()
-		Zoom(src, 0.5)
+		zoom(src, 0.5)
 	}()
 }
 
@@ -254,13 +269,17 @@ func TestBlurIntoMatchesReference(t *testing.T) {
 		{384, 172}, {192, 86}, {384, 216}, {192, 108},
 	}
 	sigmas := []float64{0.2, 0.34, 0.6, 1, 1.2, 1.5, 2, 2.9, 3.7, 4.5, 5, 6}
-	var scratch BlurScratch
 	seed := int64(0)
 	for _, sigma := range sigmas {
 		ref := refGaussianKernel(sigma)
-		k := GaussianKernel(sigma)
-		if len(k.taps) != len(ref)/2+1 {
-			t.Fatalf("sigma %v: radius %d, reference %d", sigma, len(k.taps)-1, len(ref)/2)
+		k := gaussianKernel(sigma)
+		if k.r != len(ref)/2 {
+			t.Fatalf("sigma %v: radius %d, reference %d", sigma, k.r, len(ref)/2)
+		}
+		for d := 0; d <= k.r; d++ {
+			if k.taps[d] != uint64(ref[k.r+d]) || ref[k.r+d] != ref[k.r-d] {
+				t.Fatalf("sigma %v: tap %d is %d, reference %d/%d", sigma, d, k.taps[d], ref[k.r-d], ref[k.r+d])
+			}
 		}
 		for _, sz := range sizes {
 			w, h := sz[0], sz[1]
@@ -273,7 +292,7 @@ func TestBlurIntoMatchesReference(t *testing.T) {
 			refBlurPlane(sp[2], wp[2], w/2, h/2, ref)
 
 			got := noisy(w, h, -seed) // stale contents must all be overwritten
-			BlurInto(got, src, k, &scratch)
+			BlurInto(got, src, sigma)
 			if !got.Equal(want) {
 				t.Errorf("sigma %v (radius %d) %dx%d: BlurInto differs from the reference", sigma, len(ref)/2, w, h)
 			}
@@ -287,17 +306,14 @@ func TestBlurIntoMatchesReference(t *testing.T) {
 func TestBlurIntoZeroAlloc(t *testing.T) {
 	src := noisy(64, 48, 3)
 	dst := frame.New(64, 48, frame.FormatYUV420)
-	k := GaussianKernel(1.5)
-	var scratch BlurScratch
-	BlurInto(dst, src, k, &scratch) // grows the scratch
-	if allocs := testing.AllocsPerRun(50, func() { BlurInto(dst, src, k, &scratch) }); allocs != 0 {
+	BlurInto(dst, src, 1.5) // grows a pooled scratch
+	if allocs := testing.AllocsPerRun(50, func() { BlurInto(dst, src, 1.5) }); allocs != 0 {
 		t.Errorf("warm BlurInto allocates %.1f per call, want 0", allocs)
 	}
 }
 
 func TestBlurIntoShapePanics(t *testing.T) {
 	src := noisy(16, 16, 1)
-	var scratch BlurScratch
 	for name, dst := range map[string]*frame.Frame{
 		"aliased":  src,
 		"mismatch": frame.New(16, 8, frame.FormatYUV420),
@@ -308,7 +324,7 @@ func TestBlurIntoShapePanics(t *testing.T) {
 					t.Errorf("%s dst should panic", name)
 				}
 			}()
-			BlurInto(dst, src, GaussianKernel(1), &scratch)
+			BlurInto(dst, src, 1)
 		}()
 	}
 }
@@ -334,7 +350,8 @@ func TestGaussianBlurDeterministic(t *testing.T) {
 func TestSharpenAndEdge(t *testing.T) {
 	src := flat(16, 16, Color{50, 128, 128})
 	FillRect(src, Rect{8, 0, 8, 16}, Color{200, 128, 128})
-	sh := Sharpen(src)
+	sh := like(src)
+	SharpenInto(sh, src)
 	if sh.W != 16 || sh.H != 16 {
 		t.Fatal("sharpen dims")
 	}
@@ -342,7 +359,8 @@ func TestSharpenAndEdge(t *testing.T) {
 	if sh.Luma(8, 8) <= src.Luma(8, 8) {
 		t.Error("sharpen should overshoot bright side of edge")
 	}
-	ed := EdgeDetect(src)
+	ed := like(src)
+	EdgeDetectInto(ed, src)
 	if ed.Luma(2, 8) != 0 {
 		t.Error("flat region should be zero edge response")
 	}
@@ -357,20 +375,20 @@ func TestSharpenAndEdge(t *testing.T) {
 
 func TestGrade(t *testing.T) {
 	src := flat(16, 16, Color{100, 100, 156})
-	br := Grade(src, 20, 1.0, 1.0)
+	br := apply(src, GradeOp(20, 1.0, 1.0))
 	if br.Luma(0, 0) != 120 {
 		t.Errorf("brightness = %d", br.Luma(0, 0))
 	}
-	ct := Grade(src, 0, 2.0, 1.0)
+	ct := apply(src, GradeOp(0, 2.0, 1.0))
 	if ct.Luma(0, 0) != 72 { // (100-128)*2+128
 		t.Errorf("contrast = %d", ct.Luma(0, 0))
 	}
-	st := Grade(src, 0, 1.0, 0.0)
+	st := apply(src, GradeOp(0, 1.0, 0.0))
 	p := st.Planes()
 	if p[1][0] != 128 || p[2][0] != 128 {
 		t.Error("saturation 0 should neutralize chroma")
 	}
-	id := Grade(src, 0, 1.0, 1.0)
+	id := apply(src, GradeOp(0, 1.0, 1.0))
 	if !id.Equal(src) {
 		t.Error("identity grade changed pixels")
 	}
@@ -378,11 +396,13 @@ func TestGrade(t *testing.T) {
 
 func TestDenoiseFlatInvariant(t *testing.T) {
 	src := flat(16, 16, Color{99, 70, 180})
-	if !Denoise(src).Equal(src) {
+	d := like(src)
+	DenoiseInto(d, src)
+	if !d.Equal(src) {
 		t.Error("flat denoise should be exact identity")
 	}
 	n := noisy(16, 16, 6)
-	d := Denoise(n)
+	DenoiseInto(d, n)
 	// Variance should drop.
 	varOf := func(p []byte) float64 {
 		m := mean(p)
@@ -511,14 +531,16 @@ func TestGrid2x2MixedSizes(t *testing.T) {
 
 func TestGridN(t *testing.T) {
 	fr := flat(36, 36, Color{50, 128, 128})
-	g := GridN([]*frame.Frame{fr, fr, fr}) // 2x2 grid with one empty cell
+	g := like(fr)
+	GridNInto(g, []*frame.Frame{fr, fr, fr}) // 2x2 grid with one empty cell
 	if g.W != 36 || g.H != 36 {
 		t.Fatal("gridN dims")
 	}
 	if g.Luma(27, 27) != 16 {
 		t.Error("empty cell should be black")
 	}
-	single := GridN([]*frame.Frame{fr})
+	single := like(fr)
+	GridNInto(single, []*frame.Frame{fr})
 	if single.Luma(5, 5) != 50 {
 		t.Error("1-cell grid should show the frame")
 	}
@@ -528,26 +550,26 @@ func TestGridN(t *testing.T) {
 				t.Error("empty GridN should panic")
 			}
 		}()
-		GridN(nil)
+		GridNInto(like(fr), nil)
 	}()
 }
 
 func TestOverlay(t *testing.T) {
 	base := flat(32, 32, Color{0, 128, 128})
 	img := flat(8, 8, Color{255, 128, 128})
-	out := Overlay(base, img, 4, 4, 255)
+	out := apply(base, OverlayOp(img, 4, 4, 255))
 	if out.Luma(5, 5) != 255 {
 		t.Error("opaque overlay should replace")
 	}
 	if out.Luma(20, 20) != 0 {
 		t.Error("outside overlay should be untouched")
 	}
-	half := Overlay(base, img, 4, 4, 128)
+	half := apply(base, OverlayOp(img, 4, 4, 128))
 	if v := half.Luma(5, 5); v < 120 || v > 136 {
 		t.Errorf("half overlay luma = %d", v)
 	}
 	// Clipped overlay must not panic and must blend the visible part.
-	clip := Overlay(base, img, -4, -4, 255)
+	clip := apply(base, OverlayOp(img, -4, -4, 255))
 	if clip.Luma(1, 1) != 255 {
 		t.Error("clipped overlay visible part wrong")
 	}
@@ -560,7 +582,7 @@ func TestOverlayConvertsFormat(t *testing.T) {
 	base := flat(32, 32, Color{0, 128, 128})
 	img := frame.New(8, 8, frame.FormatGray8)
 	img.Fill(255, 0, 0)
-	out := Overlay(base, img, 0, 0, 255)
+	out := apply(base, OverlayOp(img, 0, 0, 255))
 	if out.Luma(2, 2) != 255 {
 		t.Error("gray overlay should convert and blend")
 	}
@@ -569,10 +591,10 @@ func TestOverlayConvertsFormat(t *testing.T) {
 func TestCrossfade(t *testing.T) {
 	a := flat(16, 16, Color{0, 128, 128})
 	b := flat(16, 16, Color{200, 128, 128})
-	if !Crossfade(a, b, 0).Equal(a) || !Crossfade(a, b, 1).Equal(b) {
+	if !apply(a, CrossfadeOp(b, 0)).Equal(a) || !apply(a, CrossfadeOp(b, 1)).Equal(b) {
 		t.Error("crossfade endpoints wrong")
 	}
-	mid := Crossfade(a, b, 0.5)
+	mid := apply(a, CrossfadeOp(b, 0.5))
 	if v := mid.Luma(8, 8); v < 95 || v > 105 {
 		t.Errorf("mid luma = %d", v)
 	}
@@ -581,10 +603,10 @@ func TestCrossfade(t *testing.T) {
 func TestWipeLR(t *testing.T) {
 	a := flat(16, 16, Color{0, 128, 128})
 	b := flat(16, 16, Color{200, 128, 128})
-	if !WipeLR(a, b, 0).Equal(a) || !WipeLR(a, b, 1).Equal(b) {
+	if !apply(a, WipeOp(b, 0)).Equal(a) || !apply(a, WipeOp(b, 1)).Equal(b) {
 		t.Error("wipe endpoints wrong")
 	}
-	mid := WipeLR(a, b, 0.5)
+	mid := apply(a, WipeOp(b, 0.5))
 	if mid.Luma(2, 8) != 200 || mid.Luma(12, 8) != 0 {
 		t.Error("wipe halves wrong")
 	}
@@ -594,7 +616,7 @@ func TestPropertyZoomPreservesShape(t *testing.T) {
 	src := noisy(48, 32, 8)
 	if err := quick.Check(func(f uint8) bool {
 		factor := 1 + float64(f%40)/10
-		z := Zoom(src, factor)
+		z := zoom(src, factor)
 		return z.W == src.W && z.H == src.H
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -609,7 +631,7 @@ func TestPropertyCropWithinScale(t *testing.T) {
 		if x+w > src.W || y+h > src.H {
 			return true
 		}
-		c := Crop(src, x, y, w, h)
+		c := crop(src, x, y, w, h)
 		// Every cropped luma pixel matches the source.
 		for yy := 0; yy < h; yy++ {
 			for xx := 0; xx < w; xx++ {
@@ -627,20 +649,23 @@ func TestPropertyCropWithinScale(t *testing.T) {
 func TestHStackVStack(t *testing.T) {
 	a := flat(32, 32, Color{10, 128, 128})
 	b := flat(32, 32, Color{200, 128, 128})
-	h := HStack(a, b)
+	h := like(a)
+	HStackInto(h, a, b)
 	if h.W != 32 || h.H != 32 {
 		t.Fatalf("hstack dims %dx%d", h.W, h.H)
 	}
 	if h.Luma(8, 16) != 10 || h.Luma(24, 16) != 200 {
 		t.Errorf("hstack halves = %d / %d", h.Luma(8, 16), h.Luma(24, 16))
 	}
-	v := VStack(a, b)
+	v := like(a)
+	VStackInto(v, a, b)
 	if v.Luma(16, 8) != 10 || v.Luma(16, 24) != 200 {
 		t.Errorf("vstack halves = %d / %d", v.Luma(16, 8), v.Luma(16, 24))
 	}
 	// Mixed sizes scale into place.
 	c := flat(64, 16, Color{99, 128, 128})
-	h2 := HStack(a, c)
+	h2 := like(a)
+	HStackInto(h2, a, c)
 	if h2.W != 32 || h2.Luma(24, 16) != 99 {
 		t.Error("hstack mixed sizes wrong")
 	}
@@ -649,7 +674,8 @@ func TestHStackVStack(t *testing.T) {
 func TestPiP(t *testing.T) {
 	base := flat(64, 64, Color{30, 128, 128})
 	inset := flat(64, 64, Color{220, 128, 128})
-	out := PiP(base, inset, 40, 40, 4)
+	out := like(base)
+	PiPInto(out, base, inset, 40, 40, 4)
 	if out.W != 64 || out.H != 64 {
 		t.Fatal("pip dims")
 	}
@@ -663,15 +689,16 @@ func TestPiP(t *testing.T) {
 		t.Errorf("pip border = %d", out.Luma(39, 39))
 	}
 	// scaleDiv below 2 clamps.
-	out2 := PiP(base, inset, 0, 0, 0)
+	out2 := like(base)
+	PiPInto(out2, base, inset, 0, 0, 0)
 	if out2.Luma(4, 4) != 220 {
 		t.Error("pip clamp wrong")
 	}
 }
 
 // BenchmarkGaussianBlur times the paper queries' blur (sigma 1.5, radius 5)
-// on one KABR-sim frame: the allocating wrapper, and the executor's form
-// with a reused destination and scratch.
+// on one KABR-sim frame: the allocating wrapper, and the form the
+// executor uses, into a reused destination.
 func BenchmarkGaussianBlur(b *testing.B) {
 	src := noisy(384, 172, 1)
 	b.Run("alloc", func(b *testing.B) {
@@ -682,11 +709,9 @@ func BenchmarkGaussianBlur(b *testing.B) {
 	})
 	b.Run("into", func(b *testing.B) {
 		dst := frame.New(src.W, src.H, frame.FormatYUV420)
-		k := GaussianKernel(1.5)
-		var scratch BlurScratch
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			BlurInto(dst, src, k, &scratch)
+			BlurInto(dst, src, 1.5)
 		}
 	})
 }
@@ -719,8 +744,8 @@ func TestScaleHalfMatchesBilinear(t *testing.T) {
 				stride := dw + 3
 				want := make([]byte, stride*dh)
 				got := make([]byte, stride*dh)
-				bilinearPlane(src, 2*dw, 2*dh, want, stride, dw, dh)
-				scalePlane(src, 2*dw, 2*dh, got, stride, dw, dh)
+				bilinearPlane(src, 2*dw, 2*dw, 2*dh, want, stride, dw, dh)
+				scalePlane(src, 2*dw, 2*dw, 2*dh, got, stride, dw, dh)
 				if string(got) != string(want) {
 					t.Fatalf("%s %dx%d -> %dx%d: fast path\n%v\ngeneral loop\n%v", name, 2*dw, 2*dh, dw, dh, got, want)
 				}
@@ -732,8 +757,8 @@ func TestScaleHalfMatchesBilinear(t *testing.T) {
 		src := make([]byte, 4*d[0]*d[1])
 		rnd.Read(src)
 		want, got := make([]byte, d[0]*d[1]), make([]byte, d[0]*d[1])
-		bilinearPlane(src, 2*d[0], 2*d[1], want, d[0], d[0], d[1])
-		scalePlane(src, 2*d[0], 2*d[1], got, d[0], d[0], d[1])
+		bilinearPlane(src, 2*d[0], 2*d[0], 2*d[1], want, d[0], d[0], d[1])
+		scalePlane(src, 2*d[0], 2*d[0], 2*d[1], got, d[0], d[0], d[1])
 		if string(got) != string(want) {
 			t.Fatalf("%dx%d halved: fast path differs from the general loop", 2*d[0], 2*d[1])
 		}
@@ -746,9 +771,9 @@ func TestScaleHalfMatchesBilinear(t *testing.T) {
 func refScale(src *frame.Frame, w, h int) *frame.Frame {
 	dst := frame.New(w, h, frame.FormatYUV420)
 	sp, dp := src.Planes(), dst.Planes()
-	bilinearPlane(sp[0], src.W, src.H, dp[0], w, w, h)
-	bilinearPlane(sp[1], src.W/2, src.H/2, dp[1], w/2, w/2, h/2)
-	bilinearPlane(sp[2], src.W/2, src.H/2, dp[2], w/2, w/2, h/2)
+	bilinearPlane(sp[0], src.W, src.W, src.H, dp[0], w, w, h)
+	bilinearPlane(sp[1], src.W/2, src.W/2, src.H/2, dp[1], w/2, w/2, h/2)
+	bilinearPlane(sp[2], src.W/2, src.W/2, src.H/2, dp[2], w/2, w/2, h/2)
 	return dst
 }
 
@@ -770,7 +795,7 @@ func refBlit(dst, src *frame.Frame, x, y int) {
 // twice the cell (the fast path), at the cell size (row copies) and at
 // other ratios (the general loop through a stride).
 func TestGridMatchesReference(t *testing.T) {
-	for _, d := range [][2]int{{384, 172}, {384, 216}, {160, 96}, {36, 36}, {4, 4}} {
+	for _, d := range [][2]int{{384, 172}, {384, 216}, {160, 96}, {36, 36}, {38, 30}, {4, 4}} {
 		w, h := d[0], d[1]
 		qw, qh := even(w/2), even(h/2)
 		a, b, c, e := noisy(w, h, 1), noisy(w, h, 2), noisy(qw, qh, 3), noisy(w+6, h+10, 4)
@@ -783,6 +808,10 @@ func TestGridMatchesReference(t *testing.T) {
 		if got := Grid2x2(a, b, c, e); !got.Equal(want) {
 			t.Errorf("Grid2x2 at %dx%d differs from the Scale+blit composition", w, h)
 		}
+		dirty := noisy(w, h, 5) // stale contents must all be overwritten
+		if Grid2x2Into(dirty, a, b, c, e); !dirty.Equal(want) {
+			t.Errorf("Grid2x2Into at %dx%d leaves stale bytes", w, h)
+		}
 
 		frames := []*frame.Frame{a, b, c, e, a}
 		cols, rows := 3, 2
@@ -793,7 +822,8 @@ func TestGridMatchesReference(t *testing.T) {
 			for i, fr := range frames {
 				refBlit(want, refScale(fr, cw, ch), i%cols*cw, i/cols*ch)
 			}
-			if got := GridN(frames); !got.Equal(want) {
+			dirty = noisy(w, h, 6)
+			if GridNInto(dirty, frames); !dirty.Equal(want) {
 				t.Errorf("GridN(5) at %dx%d differs from the Scale+blit composition", w, h)
 			}
 		}
@@ -801,13 +831,15 @@ func TestGridMatchesReference(t *testing.T) {
 		want = frame.New(w, h, frame.FormatYUV420)
 		refBlit(want, refScale(a, qw, h), 0, 0)
 		refBlit(want, refScale(e, qw, h), qw, 0)
-		if got := HStack(a, e); !got.Equal(want) {
+		dirty = noisy(w, h, 7)
+		if HStackInto(dirty, a, e); !dirty.Equal(want) {
 			t.Errorf("HStack at %dx%d differs from the Scale+blit composition", w, h)
 		}
 		want = frame.New(w, h, frame.FormatYUV420)
 		refBlit(want, refScale(a, w, qh), 0, 0)
 		refBlit(want, refScale(e, w, qh), 0, qh)
-		if got := VStack(a, e); !got.Equal(want) {
+		dirty = noisy(w, h, 8)
+		if VStackInto(dirty, a, e); !dirty.Equal(want) {
 			t.Errorf("VStack at %dx%d differs from the Scale+blit composition", w, h)
 		}
 	}

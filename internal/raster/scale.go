@@ -6,8 +6,11 @@
 // All operations are deterministic pure functions of their inputs, so every
 // engine (optimized, unoptimized, naive baseline) produces bit-identical
 // pixels for the same logical edit — the property the equivalence tests
-// rely on. Operations take and return YUV420 frames, the execution engine's
-// native interchange format, unless documented otherwise.
+// rely on. Operations read and write YUV420 frames, the execution engine's
+// native interchange format, unless documented otherwise. Each transform
+// has one body, which writes every byte of a destination its caller
+// supplies (a pooled frame in the executor); the few allocating forms are
+// thin wrappers over it.
 package raster
 
 import (
@@ -17,24 +20,32 @@ import (
 	"v2v/internal/frame"
 )
 
-// Scale resizes src to w×h using bilinear interpolation in fixed-point
-// arithmetic (16.16), per plane. w and h must be positive and even.
+// Scale is the allocating form of ScaleInto: it resizes src to w×h, which
+// must be positive and even.
 //
 // When the target equals the source dimensions, Scale returns src itself
 // (NOT a copy): callers must treat the result as aliasing src and clone
-// before mutating. Every in-tree caller either only reads the result
-// (Zoom) or clones/blends into a fresh frame (PiP, Overlay).
+// before mutating.
 func Scale(src *frame.Frame, w, h int) *frame.Frame {
 	if w == src.W && h == src.H && src.Format == frame.FormatYUV420 {
 		return src
 	}
 	dst := frame.New(w, h, frame.FormatYUV420)
-	scaleCell(dst, src, 0, 0, w, h)
+	ScaleInto(dst, src)
 	return dst
 }
 
+// ScaleInto resizes src to dst's dimensions using bilinear interpolation in
+// fixed-point arithmetic (16.16), per plane. Every byte of dst is written.
+// dst must not alias src.
+//
+//v2v:hotpath
+func ScaleInto(dst, src *frame.Frame) {
+	scaleCell(dst, src, 0, 0, dst.W, dst.H)
+}
+
 // scaleCell scales src to w×h straight into the rectangle of dst whose
-// top-left corner is (x, y) — Scale with a destination stride, so a
+// top-left corner is (x, y) — ScaleInto with a destination stride, so a
 // composition needs neither a temporary frame per input nor a copy. x and
 // y must be even and the rectangle must lie inside dst.
 //
@@ -46,27 +57,27 @@ func scaleCell(dst, src *frame.Frame, x, y, w, h int) {
 	if w <= 0 || h <= 0 || w%2 != 0 || h%2 != 0 {
 		panic(fmt.Sprintf("raster: bad scale target %dx%d", w, h)) //v2v:nolint(hotpath) cold panic path; allocates only on a size contract violation
 	}
-	sp, dp := src.Planes(), dst.Planes()
-	scalePlane(sp[0], src.W, src.H, dp[0][y*dst.W+x:], dst.W, w, h)
-	cw := dst.W / 2
-	scalePlane(sp[1], src.W/2, src.H/2, dp[1][y/2*cw+x/2:], cw, w/2, h/2)
-	scalePlane(sp[2], src.W/2, src.H/2, dp[2][y/2*cw+x/2:], cw, w/2, h/2)
+	sp, dp := planes3(src), planes3(dst)
+	scalePlane(sp[0], src.W, src.W, src.H, dp[0][y*dst.W+x:], dst.W, w, h)
+	cw, scw := dst.W/2, src.W/2
+	scalePlane(sp[1], scw, scw, src.H/2, dp[1][y/2*cw+x/2:], cw, w/2, h/2)
+	scalePlane(sp[2], scw, scw, src.H/2, dp[2][y/2*cw+x/2:], cw, w/2, h/2)
 }
 
-// scalePlane resizes the sw×sh plane src to dw×dh, writing row dy of the
-// result at dst[dy*stride:].
+// scalePlane resizes the sw×sh plane whose row sy is src[sy*sstride:] to
+// dw×dh, writing row dy of the result at dst[dy*stride:].
 //
 //v2v:hotpath
-func scalePlane(src []byte, sw, sh int, dst []byte, stride, dw, dh int) {
+func scalePlane(src []byte, sstride, sw, sh int, dst []byte, stride, dw, dh int) {
 	switch {
 	case sw == dw && sh == dh:
 		for y := 0; y < dh; y++ {
-			copy(dst[y*stride:y*stride+dw], src[y*sw:])
+			copy(dst[y*stride:y*stride+dw], src[y*sstride:])
 		}
 	case sw == 2*dw && sh == 2*dh:
-		halvePlane(src, sw, dst, stride, dw, dh)
+		halvePlane(src, sstride, dst, stride, dw, dh)
 	default:
-		bilinearPlane(src, sw, sh, dst, stride, dw, dh)
+		bilinearPlane(src, sstride, sw, sh, dst, stride, dw, dh)
 	}
 }
 
@@ -91,14 +102,14 @@ func scalePlane(src []byte, sw, sh int, dst []byte, stride, dw, dh int) {
 // lane's low byte is its block's result (TestScaleHalfMatchesBilinear).
 //
 //v2v:hotpath
-func halvePlane(src []byte, sw int, dst []byte, stride, dw, dh int) {
+func halvePlane(src []byte, sstride int, dst []byte, stride, dw, dh int) {
 	const (
 		lo8   = 0x00ff00ff00ff00ff // the even bytes, one per 16-bit lane
 		round = 0x0002000200020002
 	)
 	for dy := 0; dy < dh; dy++ {
-		r0 := src[2*dy*sw : 2*dy*sw+2*dw]
-		r1 := src[(2*dy+1)*sw : (2*dy+1)*sw+2*dw]
+		r0 := src[2*dy*sstride : 2*dy*sstride+2*dw]
+		r1 := src[(2*dy+1)*sstride : (2*dy+1)*sstride+2*dw]
 		out := dst[dy*stride : dy*stride+dw]
 		dx := 0
 		for ; dx+4 <= dw; dx += 4 {
@@ -117,7 +128,7 @@ func halvePlane(src []byte, sw int, dst []byte, stride, dw, dh int) {
 // interpolation with edge-to-edge mapping and half-pixel centers.
 //
 //v2v:hotpath
-func bilinearPlane(src []byte, sw, sh int, dst []byte, stride, dw, dh int) {
+func bilinearPlane(src []byte, sstride, sw, sh int, dst []byte, stride, dw, dh int) {
 	const fpShift = 16
 	const fpOne = 1 << fpShift
 	xRatio := (int64(sw) << fpShift) / int64(dw)
@@ -144,10 +155,10 @@ func bilinearPlane(src []byte, sw, sh int, dst []byte, stride, dw, dh int) {
 			if sx1 >= sw {
 				sx1 = sw - 1
 			}
-			p00 := int(src[sy*sw+sx])
-			p01 := int(src[sy*sw+sx1])
-			p10 := int(src[sy1*sw+sx])
-			p11 := int(src[sy1*sw+sx1])
+			p00 := int(src[sy*sstride+sx])
+			p01 := int(src[sy*sstride+sx1])
+			p10 := int(src[sy1*sstride+sx])
+			p11 := int(src[sy1*sstride+sx1])
 			top := p00*(fpOne-fx) + p01*fx
 			bot := p10*(fpOne-fx) + p11*fx
 			v := (top*(fpOne-fy) + bot*fy + (1 << (2*fpShift - 1))) >> (2 * fpShift)
@@ -159,24 +170,22 @@ func bilinearPlane(src []byte, sw, sh int, dst []byte, stride, dw, dh int) {
 	}
 }
 
-// Crop extracts the rectangle (x, y, w, h) from src. All of x, y, w, h must
-// be even (YUV420 chroma alignment) and the rectangle must lie inside src.
-func Crop(src *frame.Frame, x, y, w, h int) *frame.Frame {
-	if src.Format != frame.FormatYUV420 {
-		panic(fmt.Sprintf("raster: Crop wants yuv420, got %v", src.Format))
-	}
+// CropInto copies the dst-sized rectangle of src whose top-left corner is
+// (x, y) into dst. x, y and dst's dimensions must be even (YUV420 chroma
+// alignment) and the rectangle must lie inside src.
+func CropInto(dst, src *frame.Frame, x, y int) {
+	mustYUV(src, "Crop")
+	w, h := dst.W, dst.H
 	if x%2 != 0 || y%2 != 0 || w%2 != 0 || h%2 != 0 {
 		panic(fmt.Sprintf("raster: crop rect %d,%d %dx%d must be even-aligned", x, y, w, h))
 	}
-	if x < 0 || y < 0 || w <= 0 || h <= 0 || x+w > src.W || y+h > src.H {
+	if x < 0 || y < 0 || x+w > src.W || y+h > src.H {
 		panic(fmt.Sprintf("raster: crop rect %d,%d %dx%d outside %dx%d", x, y, w, h, src.W, src.H))
 	}
-	dst := frame.New(w, h, frame.FormatYUV420)
-	sp, dp := src.Planes(), dst.Planes()
+	sp, dp := planes3(src), planes3(dst)
 	copyRect(sp[0], src.W, x, y, dp[0], w, h)
 	copyRect(sp[1], src.W/2, x/2, y/2, dp[1], w/2, h/2)
 	copyRect(sp[2], src.W/2, x/2, y/2, dp[2], w/2, h/2)
-	return dst
 }
 
 func copyRect(src []byte, sw, x, y int, dst []byte, dw, dh int) {
@@ -185,27 +194,23 @@ func copyRect(src []byte, sw, x, y int, dst []byte, dw, dh int) {
 	}
 }
 
-// Zoom crops the centered region covering 1/factor of each dimension and
-// scales it back to the source size — the paper's Zoom(frame, percent)
-// transform. factor must be >= 1; factor 1 is the identity (clone).
-func Zoom(src *frame.Frame, factor float64) *frame.Frame {
+// ZoomInto scales the centered region of src covering 1/factor of each
+// dimension up to fill dst, which is shaped like src — the paper's
+// Zoom(frame, percent) transform. factor must be >= 1; factor 1 copies.
+// The region is read in place, through src's stride.
+func ZoomInto(dst, src *frame.Frame, factor float64) {
 	if factor < 1 {
 		panic(fmt.Sprintf("raster: zoom factor %v < 1", factor))
 	}
-	if factor == 1 {
-		return src.Clone()
-	}
-	cw := even(int(float64(src.W) / factor))
-	ch := even(int(float64(src.H) / factor))
-	if cw < 2 {
-		cw = 2
-	}
-	if ch < 2 {
-		ch = 2
-	}
-	x := even((src.W - cw) / 2)
-	y := even((src.H - ch) / 2)
-	return Scale(Crop(src, x, y, cw, ch), src.W, src.H)
+	mustMatch(dst, src, "Zoom")
+	cw := max(even(int(float64(src.W)/factor)), 2)
+	ch := max(even(int(float64(src.H)/factor)), 2)
+	x, y := even((src.W-cw)/2), even((src.H-ch)/2)
+	sp, dp := planes3(src), planes3(dst)
+	scalePlane(sp[0][y*src.W+x:], src.W, cw, ch, dp[0], dst.W, dst.W, dst.H)
+	c := src.W / 2
+	scalePlane(sp[1][y/2*c+x/2:], c, cw/2, ch/2, dp[1], c, c, dst.H/2)
+	scalePlane(sp[2][y/2*c+x/2:], c, cw/2, ch/2, dp[2], c, c, dst.H/2)
 }
 
 func even(v int) int { return v &^ 1 }

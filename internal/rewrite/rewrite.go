@@ -293,13 +293,8 @@ func (r *rewriter) rewriteAtWith(e vql.Expr, at rational.Rat, staticOnly bool) (
 func containsFrame(e vql.Expr) bool {
 	found := false
 	vql.Walk(e, func(n vql.Expr) {
-		switch c := n.(type) {
-		case vql.VideoRef:
+		if vql.IsFrameExpr(n) {
 			found = true
-		case vql.Call:
-			if tr, ok := vql.Lookup(c.Name); ok && tr.Result == vql.TypeFrame {
-				found = true
-			}
 		}
 	})
 	return found

@@ -29,15 +29,35 @@ type DataSource interface {
 	DataAt(name string, t rational.Rat) (data.Value, bool, error)
 }
 
-// Env is the evaluation environment for one render invocation.
+// Alloc hands a transform the w×h YUV420 frame it renders into. The
+// frame's contents are unspecified — a pooled frame holds stale pixels —
+// so the transform must write every byte.
+type Alloc func(w, h int) *frame.Frame
+
+// New returns a destination from a, or a fresh frame.New when a is nil.
+func (a Alloc) New(w, h int) *frame.Frame {
+	if a == nil {
+		return frame.New(w, h, frame.FormatYUV420)
+	}
+	return a(w, h)
+}
+
+// Env is the evaluation environment for one render invocation. An Env is
+// reusable across times but not safe for concurrent use.
 type Env struct {
 	T      rational.Rat
 	Frames FrameSource
 	Data   DataSource
+	// Alloc supplies the destinations of frame transforms. The executor
+	// sets a pooled allocator and releases every frame it hands out except
+	// the one the expression returns; nil allocates with frame.New.
+	Alloc Alloc
 	// Ext evaluates expression node types Eval does not know about
 	// (e.g. the planner's port references). It is consulted before Eval
 	// reports an unknown-node error.
 	Ext func(Expr, *Env) (Val, bool, error)
+
+	stack []Val // arguments of the calls being evaluated, reused across calls
 }
 
 // Eval computes the value of e in env. It is the reference semantics of
@@ -115,15 +135,18 @@ func Eval(e Expr, env *Env) (Val, error) {
 		if err := tr.CheckArity(len(n.Args)); err != nil {
 			return Val{}, err
 		}
-		args := make([]Val, len(n.Args))
-		for i, a := range n.Args {
+		base := len(env.stack)
+		for _, a := range n.Args {
 			v, err := Eval(a, env)
 			if err != nil {
+				env.stack = env.stack[:base]
 				return Val{}, err
 			}
-			args[i] = v
+			env.stack = append(env.stack, v)
 		}
-		return tr.Eval(args)
+		v, err := tr.Eval(env.Alloc, env.stack[base:])
+		env.stack = env.stack[:base]
+		return v, err
 	case Match:
 		body := n.ArmFor(env.T)
 		if body == nil {

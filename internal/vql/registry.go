@@ -10,12 +10,22 @@ import (
 
 // Transform describes a registered frame transform (built-in or UDF).
 //
-// Eval computes the transform. DDE, when non-nil, is the paper's
-// data-dependent equivalence function f_dde (§IV-C): it receives the call's
-// argument expressions plus the evaluated values of every *non-frame*
-// argument (frame arguments are symbolic placeholders with Type TypeFrame
-// and a nil Frame) and may return a simpler equivalent expression. The
-// rewriter applies DDE during its data-only first pass.
+// Eval computes the transform. A transform that renders a new frame takes
+// it from dst and writes every byte of it; it may instead return one of
+// its frame arguments unchanged, or (a UDF) a frame of its own. args is
+// valid only for the duration of the call.
+//
+// PointOp, set on per-pixel point operations, checks the arguments and
+// returns the operation's kernel; args[0] is the frame it applies to. Eval
+// of a point op is raster.ApplyFused over a chain of one, and the
+// optimizer fuses chains of point ops into one pass.
+//
+// DDE, when non-nil, is the paper's data-dependent equivalence function
+// f_dde (§IV-C): it receives the call's argument expressions plus the
+// evaluated values of every *non-frame* argument (frame arguments are
+// symbolic placeholders with Type TypeFrame and a nil Frame) and may
+// return a simpler equivalent expression. The rewriter applies DDE during
+// its data-only first pass.
 type Transform struct {
 	Name     string
 	Params   []Type
@@ -25,7 +35,8 @@ type Transform struct {
 	// dimensions as their first frame argument. The planner uses this to
 	// keep format passthrough viable across decorated arms.
 	PreservesFormat bool
-	Eval            func(args []Val) (Val, error)
+	Eval            func(dst Alloc, args []Val) (Val, error)
+	PointOp         func(args []Val) (raster.PointOp, error)
 	DDE             func(args []Expr, vals []Val) (Expr, bool)
 }
 
@@ -84,29 +95,97 @@ func (t *Transform) ParamType(i int) Type {
 	return t.Params[i]
 }
 
-// argFrame extracts a frame argument.
-func argFrame(args []Val, i int) (*Val, error) {
+// IsFrameExpr reports whether e statically produces a frame: a video
+// reference, or a call of a transform whose result is a frame.
+func IsFrameExpr(e Expr) bool {
+	switch n := e.(type) {
+	case VideoRef:
+		return true
+	case Call:
+		tr, ok := Lookup(n.Name)
+		return ok && tr.Result == TypeFrame
+	default:
+		return false
+	}
+}
+
+// argFrame extracts frame argument i.
+func argFrame(args []Val, i int) (*frame.Frame, error) {
 	if args[i].Type != TypeFrame || args[i].Frame == nil {
 		return nil, fmt.Errorf("vql: argument %d must be a frame, got %v", i, args[i].Type)
 	}
-	return &args[i], nil
+	return args[i].Frame, nil
+}
+
+// argFrames extracts frame arguments 0..len(fs)-1 into fs.
+func argFrames(args []Val, fs []*frame.Frame) error {
+	for i := range fs {
+		f, err := argFrame(args, i)
+		if err != nil {
+			return err
+		}
+		fs[i] = f
+	}
+	return nil
+}
+
+// sized is the Eval of a transform whose output is shaped like its first
+// argument, a frame: render writes it from the arguments.
+func sized(render func(out, in *frame.Frame, args []Val) error) func(Alloc, []Val) (Val, error) {
+	return func(dst Alloc, args []Val) (Val, error) {
+		in, err := argFrame(args, 0)
+		if err != nil {
+			return Val{}, err
+		}
+		out := dst.New(in.W, in.H)
+		if err := render(out, in, args); err != nil {
+			return Val{}, err
+		}
+		return FrameVal(out), nil
+	}
+}
+
+// registerPointOp registers a point operation; its Eval applies the kernel
+// t.PointOp builds.
+func registerPointOp(t *Transform) {
+	t.Eval = sized(func(out, in *frame.Frame, args []Val) error {
+		op, err := t.PointOp(args)
+		if err != nil {
+			return err
+		}
+		ops := [1]raster.PointOp{op}
+		raster.ApplyFused(out, in, ops[:])
+		return nil
+	})
+	Register(t)
+}
+
+// secondFrame returns frame argument 1 of the transform name, which must
+// be shaped like frame argument 0.
+func secondFrame(name string, args []Val) (*frame.Frame, error) {
+	var fs [2]*frame.Frame
+	if err := argFrames(args, fs[:]); err != nil {
+		return nil, err
+	}
+	if !fs[0].SameShape(fs[1]) {
+		return nil, fmt.Errorf("vql: %s frames must share a shape (%dx%d vs %dx%d)",
+			name, fs[0].W, fs[0].H, fs[1].W, fs[1].H)
+	}
+	return fs[1], nil
 }
 
 func init() {
 	// zoom(Frame, factor) — crop the center 1/factor and scale back up.
 	Register(&Transform{
 		Name: "zoom", Params: []Type{TypeFrame, TypeNum}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			f, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
+		Eval: sized(func(out, in *frame.Frame, args []Val) error {
 			factor := args[1].Float()
 			if factor < 1 {
-				return Val{}, fmt.Errorf("vql: zoom factor %v must be >= 1", factor)
+				return fmt.Errorf("vql: zoom factor %v must be >= 1", factor)
 			}
-			return FrameVal(raster.Zoom(f.Frame, factor)), nil
-		},
+			raster.ZoomInto(out, in, factor)
+			return nil
+		}),
 		DDE: func(args []Expr, vals []Val) (Expr, bool) {
 			// zoom by 1 is the identity.
 			if vals[1].Type == TypeNum && vals[1].Num.Equal(ratOne) {
@@ -116,15 +195,22 @@ func init() {
 		},
 	})
 
-	// blur(Frame, sigma) — Gaussian blur (Q4/Q9's pixel-wise filter).
+	// blur(Frame, sigma) — Gaussian blur (Q4/Q9's pixel-wise filter);
+	// sigma <= 0 passes the frame through.
 	Register(&Transform{
 		Name: "blur", Params: []Type{TypeFrame, TypeNum}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			f, err := argFrame(args, 0)
+		Eval: func(dst Alloc, args []Val) (Val, error) {
+			in, err := argFrame(args, 0)
 			if err != nil {
 				return Val{}, err
 			}
-			return FrameVal(raster.GaussianBlur(f.Frame, args[1].Float())), nil
+			sigma := args[1].Float()
+			if sigma <= 0 {
+				return args[0], nil
+			}
+			out := dst.New(in.W, in.H)
+			raster.BlurInto(out, in, sigma)
+			return FrameVal(out), nil
 		},
 		DDE: func(args []Expr, vals []Val) (Expr, bool) {
 			if vals[1].Type == TypeNum && vals[1].Num.Sign() <= 0 {
@@ -133,49 +219,35 @@ func init() {
 			return nil, false
 		},
 	})
-
 	Register(&Transform{
 		Name: "sharpen", Params: []Type{TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			f, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
-			return FrameVal(raster.Sharpen(f.Frame)), nil
-		},
+		Eval: sized(func(out, in *frame.Frame, _ []Val) error {
+			raster.SharpenInto(out, in)
+			return nil
+		}),
 	})
 
 	Register(&Transform{
 		Name: "edges", Params: []Type{TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			f, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
-			return FrameVal(raster.EdgeDetect(f.Frame)), nil
-		},
+		Eval: sized(func(out, in *frame.Frame, _ []Val) error {
+			raster.EdgeDetectInto(out, in)
+			return nil
+		}),
 	})
 
 	Register(&Transform{
 		Name: "denoise", Params: []Type{TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			f, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
-			return FrameVal(raster.Denoise(f.Frame)), nil
-		},
+		Eval: sized(func(out, in *frame.Frame, _ []Val) error {
+			raster.DenoiseInto(out, in)
+			return nil
+		}),
 	})
 
 	// grade(Frame, brightness, contrast, saturation)
-	Register(&Transform{
+	registerPointOp(&Transform{
 		Name: "grade", Params: []Type{TypeFrame, TypeNum, TypeNum, TypeNum}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			f, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
-			return FrameVal(raster.Grade(f.Frame, args[1].Int(), args[2].Float(), args[3].Float())), nil
+		PointOp: func(args []Val) (raster.PointOp, error) {
+			return raster.GradeOp(args[1].Int(), args[2].Float(), args[3].Float()), nil
 		},
 		DDE: func(args []Expr, vals []Val) (Expr, bool) {
 			if vals[1].Type == TypeNum && vals[1].Num.Sign() == 0 &&
@@ -190,96 +262,82 @@ func init() {
 	// grid(a, b, c, d) — 2x2 composition (Q3/Q8).
 	Register(&Transform{
 		Name: "grid", Params: []Type{TypeFrame, TypeFrame, TypeFrame, TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			frames := make([]*Val, 4)
-			for i := range frames {
-				f, err := argFrame(args, i)
-				if err != nil {
-					return Val{}, err
-				}
-				frames[i] = f
+		Eval: sized(func(out, _ *frame.Frame, args []Val) error {
+			var fs [4]*frame.Frame
+			if err := argFrames(args, fs[:]); err != nil {
+				return err
 			}
-			return FrameVal(raster.Grid2x2(frames[0].Frame, frames[1].Frame, frames[2].Frame, frames[3].Frame)), nil
-		},
+			raster.Grid2x2Into(out, fs[0], fs[1], fs[2], fs[3])
+			return nil
+		}),
 	})
 
 	// gridn(frames...) — near-square grid of any number of streams.
 	Register(&Transform{
 		Name: "gridn", Params: []Type{TypeFrame}, Variadic: true, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			frames := make([]*frame.Frame, len(args))
+		Eval: sized(func(out, _ *frame.Frame, args []Val) error {
+			var buf [16]*frame.Frame // longer lists spill to the heap
+			fs := buf[:0]
 			for i := range args {
 				f, err := argFrame(args, i)
 				if err != nil {
-					return Val{}, err
+					return err
 				}
-				frames[i] = f.Frame
+				fs = append(fs, f)
 			}
-			return FrameVal(raster.GridN(frames)), nil
-		},
+			raster.GridNInto(out, fs)
+			return nil
+		}),
 	})
 
 	// hstack(a, b) — side-by-side composition.
 	Register(&Transform{
 		Name: "hstack", Params: []Type{TypeFrame, TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			a, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
+		Eval: sized(func(out, a *frame.Frame, args []Val) error {
 			b, err := argFrame(args, 1)
 			if err != nil {
-				return Val{}, err
+				return err
 			}
-			return FrameVal(raster.HStack(a.Frame, b.Frame)), nil
-		},
+			raster.HStackInto(out, a, b)
+			return nil
+		}),
 	})
 
 	// vstack(a, b) — stacked composition.
 	Register(&Transform{
 		Name: "vstack", Params: []Type{TypeFrame, TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			a, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
+		Eval: sized(func(out, a *frame.Frame, args []Val) error {
 			b, err := argFrame(args, 1)
 			if err != nil {
-				return Val{}, err
+				return err
 			}
-			return FrameVal(raster.VStack(a.Frame, b.Frame)), nil
-		},
+			raster.VStackInto(out, a, b)
+			return nil
+		}),
 	})
 
 	// pip(base, inset, x, y, scalediv) — picture-in-picture.
 	Register(&Transform{
 		Name: "pip", Params: []Type{TypeFrame, TypeFrame, TypeNum, TypeNum, TypeNum}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			base, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
+		Eval: sized(func(out, base *frame.Frame, args []Val) error {
 			inset, err := argFrame(args, 1)
 			if err != nil {
-				return Val{}, err
+				return err
 			}
-			return FrameVal(raster.PiP(base.Frame, inset.Frame, args[2].Int(), args[3].Int(), args[4].Int())), nil
-		},
+			raster.PiPInto(out, base, inset, args[2].Int(), args[3].Int(), args[4].Int())
+			return nil
+		}),
 	})
 
 	// overlay(base, image, x, y, alpha)
-	Register(&Transform{
+	registerPointOp(&Transform{
 		Name: "overlay", Params: []Type{TypeFrame, TypeFrame, TypeNum, TypeNum, TypeNum}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			base, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
+		PointOp: func(args []Val) (raster.PointOp, error) {
 			img, err := argFrame(args, 1)
 			if err != nil {
-				return Val{}, err
+				return raster.PointOp{}, err
 			}
-			return FrameVal(raster.Overlay(base.Frame, img.Frame, args[2].Int(), args[3].Int(), args[4].Int())), nil
+			return raster.OverlayOp(img, args[2].Int(), args[3].Int(), args[4].Int()), nil
 		},
 		DDE: func(args []Expr, vals []Val) (Expr, bool) {
 			// Fully transparent overlays are the identity.
@@ -293,11 +351,7 @@ func init() {
 	// boxes(Frame, Boxes) — the paper's BoundingBox operator (Q5/Q10).
 	Register(&Transform{
 		Name: "boxes", Params: []Type{TypeFrame, TypeBoxes}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			f, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
+		Eval: sized(func(out, in *frame.Frame, args []Val) error {
 			var bs []raster.Box
 			switch args[1].Type {
 			case TypeBoxes:
@@ -305,10 +359,11 @@ func init() {
 			case TypeNull:
 				// Missing samples mean "no detections".
 			default:
-				return Val{}, fmt.Errorf("vql: boxes wants a box list, got %v", args[1].Type)
+				return fmt.Errorf("vql: boxes wants a box list, got %v", args[1].Type)
 			}
-			return FrameVal(raster.BoundingBoxes(f.Frame, bs)), nil
-		},
+			raster.BoundingBoxesInto(out, in, bs)
+			return nil
+		}),
 		DDE: func(args []Expr, vals []Val) (Expr, bool) {
 			// BoundingBox_dde: identity when the frame has no objects.
 			if vals[1].Type == TypeNull || (vals[1].Type == TypeBoxes && len(vals[1].Boxes) == 0) {
@@ -321,11 +376,7 @@ func init() {
 	// label(Frame, text, x, y) — burn text onto a frame.
 	Register(&Transform{
 		Name: "label", Params: []Type{TypeFrame, TypeStr, TypeNum, TypeNum}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			f, err := argFrame(args, 0)
-			if err != nil {
-				return Val{}, err
-			}
+		Eval: sized(func(out, in *frame.Frame, args []Val) error {
 			var text string
 			switch args[1].Type {
 			case TypeStr:
@@ -334,14 +385,9 @@ func init() {
 			default:
 				text = args[1].String()
 			}
-			out := f.Frame.Clone()
-			scale := out.H / 240
-			if scale < 1 {
-				scale = 1
-			}
-			raster.Label(out, args[2].Int(), args[3].Int(), text, scale, raster.Black, raster.Yellow)
-			return FrameVal(out), nil
-		},
+			raster.LabelInto(out, in, args[2].Int(), args[3].Int(), text)
+			return nil
+		}),
 		DDE: func(args []Expr, vals []Val) (Expr, bool) {
 			if vals[1].Type == TypeNull || (vals[1].Type == TypeStr && vals[1].Str == "") {
 				return args[0], true
@@ -353,17 +399,16 @@ func init() {
 	// ifthenelse(cond, a, b) — the paper's data-rewrite running example.
 	Register(&Transform{
 		Name: "ifthenelse", Params: []Type{TypeBool, TypeFrame, TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			cond := args[0].Truthy()
+		Eval: func(_ Alloc, args []Val) (Val, error) {
 			branch := 2
-			if cond {
+			if args[0].Truthy() {
 				branch = 1
 			}
 			f, err := argFrame(args, branch)
 			if err != nil {
 				return Val{}, err
 			}
-			return FrameVal(f.Frame), nil
+			return FrameVal(f), nil
 		},
 		DDE: func(args []Expr, vals []Val) (Expr, bool) {
 			// IfThenElse_dde: select the branch once the condition is known.
@@ -378,22 +423,14 @@ func init() {
 	})
 
 	// crossfade(a, b, mix)
-	Register(&Transform{
+	registerPointOp(&Transform{
 		Name: "crossfade", Params: []Type{TypeFrame, TypeFrame, TypeNum}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			a, err := argFrame(args, 0)
+		PointOp: func(args []Val) (raster.PointOp, error) {
+			b, err := secondFrame("crossfade", args)
 			if err != nil {
-				return Val{}, err
+				return raster.PointOp{}, err
 			}
-			b, err := argFrame(args, 1)
-			if err != nil {
-				return Val{}, err
-			}
-			if !a.Frame.SameShape(b.Frame) {
-				return Val{}, fmt.Errorf("vql: crossfade frames must share a shape (%dx%d vs %dx%d)",
-					a.Frame.W, a.Frame.H, b.Frame.W, b.Frame.H)
-			}
-			return FrameVal(raster.Crossfade(a.Frame, b.Frame, args[2].Float())), nil
+			return raster.CrossfadeOp(b, args[2].Float()), nil
 		},
 		DDE: func(args []Expr, vals []Val) (Expr, bool) {
 			if vals[2].Type == TypeNum {
@@ -409,29 +446,21 @@ func init() {
 	})
 
 	// wipe(a, b, position)
-	Register(&Transform{
+	registerPointOp(&Transform{
 		Name: "wipe", Params: []Type{TypeFrame, TypeFrame, TypeNum}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
-			a, err := argFrame(args, 0)
+		PointOp: func(args []Val) (raster.PointOp, error) {
+			b, err := secondFrame("wipe", args)
 			if err != nil {
-				return Val{}, err
+				return raster.PointOp{}, err
 			}
-			b, err := argFrame(args, 1)
-			if err != nil {
-				return Val{}, err
-			}
-			if !a.Frame.SameShape(b.Frame) {
-				return Val{}, fmt.Errorf("vql: wipe frames must share a shape (%dx%d vs %dx%d)",
-					a.Frame.W, a.Frame.H, b.Frame.W, b.Frame.H)
-			}
-			return FrameVal(raster.WipeLR(a.Frame, b.Frame, args[2].Float())), nil
+			return raster.WipeOp(b, args[2].Float()), nil
 		},
 	})
 
 	// scale(Frame, w, h)
 	Register(&Transform{
 		Name: "scale", Params: []Type{TypeFrame, TypeNum, TypeNum}, Result: TypeFrame,
-		Eval: func(args []Val) (Val, error) {
+		Eval: func(dst Alloc, args []Val) (Val, error) {
 			f, err := argFrame(args, 0)
 			if err != nil {
 				return Val{}, err
@@ -440,14 +469,16 @@ func init() {
 			if w <= 0 || h <= 0 || w%2 != 0 || h%2 != 0 {
 				return Val{}, fmt.Errorf("vql: scale target %dx%d must be positive and even", w, h)
 			}
-			return FrameVal(raster.Scale(f.Frame, w, h)), nil
+			out := dst.New(w, h)
+			raster.ScaleInto(out, f)
+			return FrameVal(out), nil
 		},
 	})
 
 	// crop(Frame, x, y, w, h)
 	Register(&Transform{
 		Name: "crop", Params: []Type{TypeFrame, TypeNum, TypeNum, TypeNum, TypeNum}, Result: TypeFrame,
-		Eval: func(args []Val) (Val, error) {
+		Eval: func(dst Alloc, args []Val) (Val, error) {
 			f, err := argFrame(args, 0)
 			if err != nil {
 				return Val{}, err
@@ -456,17 +487,19 @@ func init() {
 			if x%2 != 0 || y%2 != 0 || w%2 != 0 || h%2 != 0 {
 				return Val{}, fmt.Errorf("vql: crop rect %d,%d %dx%d must be even-aligned", x, y, w, h)
 			}
-			if x < 0 || y < 0 || w <= 0 || h <= 0 || x+w > f.Frame.W || y+h > f.Frame.H {
-				return Val{}, fmt.Errorf("vql: crop rect %d,%d %dx%d outside %dx%d frame", x, y, w, h, f.Frame.W, f.Frame.H)
+			if x < 0 || y < 0 || w <= 0 || h <= 0 || x+w > f.W || y+h > f.H {
+				return Val{}, fmt.Errorf("vql: crop rect %d,%d %dx%d outside %dx%d frame", x, y, w, h, f.W, f.H)
 			}
-			return FrameVal(raster.Crop(f.Frame, x, y, w, h)), nil
+			out := dst.New(w, h)
+			raster.CropInto(out, f, x, y)
+			return FrameVal(out), nil
 		},
 	})
 
 	// count(Boxes) — number of objects; usable in conditions.
 	Register(&Transform{
 		Name: "count", Params: []Type{TypeBoxes}, Result: TypeNum,
-		Eval: func(args []Val) (Val, error) {
+		Eval: func(_ Alloc, args []Val) (Val, error) {
 			switch args[0].Type {
 			case TypeBoxes:
 				return NumV(intRat(len(args[0].Boxes))), nil

@@ -520,7 +520,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 func TestRegisterUDF(t *testing.T) {
 	Register(&Transform{
 		Name: "testudf_invert", Params: []Type{TypeFrame}, Result: TypeFrame, PreservesFormat: true,
-		Eval: func(args []Val) (Val, error) {
+		Eval: func(_ Alloc, args []Val) (Val, error) {
 			out := args[0].Frame.Clone()
 			p := out.Planes()
 			for i := range p[0] {
@@ -633,7 +633,7 @@ func TestTransformArgValidation(t *testing.T) {
 	big := FrameVal(frame.New(32, 32, frame.FormatYUV420))
 	for _, name := range []string{"crossfade", "wipe"} {
 		tr, _ := Lookup(name)
-		if _, err := tr.Eval([]Val{small, big, NumV(rat(1, 2))}); err == nil {
+		if _, err := tr.Eval(nil, []Val{small, big, NumV(rat(1, 2))}); err == nil {
 			t.Errorf("%s shape mismatch should error", name)
 		}
 	}
