@@ -35,6 +35,7 @@ import (
 
 	"v2v/internal/benchkit"
 	"v2v/internal/core"
+	"v2v/internal/media"
 	"v2v/internal/obs"
 	"v2v/internal/vql"
 )
@@ -200,10 +201,10 @@ func main() {
 		Trace:       tr,
 	}
 	if *cacheMB >= 0 {
-		cfg.GOPCache = benchkit.NewGOPCache(int64(*cacheMB) << 20)
+		cfg.GOPCache = media.NewGOPCache(int64(*cacheMB) << 20)
 	}
 	if *resMB >= 0 {
-		cfg.ResultCache = benchkit.NewResultCache(int64(*resMB) << 20)
+		cfg.ResultCache = media.NewResultCache(int64(*resMB) << 20)
 	}
 
 	if *chaos {

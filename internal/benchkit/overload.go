@@ -1,124 +1,32 @@
 package benchkit
 
-// Overload sweep and chaos-overload scenario: an in-process replica of
-// v2vserve's admission front door (plan → cost → Acquire → execute →
-// Release) is driven with seeded request bursts at multiples of the
-// measured service rate, measuring goodput, tail latency, and shed rate —
-// and, under an injected memory-pressure episode, verifying that the
-// server sheds with typed retryable errors and shrinks its cache budget
-// instead of erroring mid-stream or growing without bound.
+// Overload sweep and chaos-overload scenario: v2vserve's handler
+// (internal/serve) is served in-process and driven with seeded request
+// bursts at multiples of the measured service rate, measuring goodput,
+// tail latency, and shed rate — and, under an injected memory-pressure
+// episode, verifying that the server sheds with typed retryable errors and
+// shrinks its cache budget instead of erroring mid-stream or growing
+// without bound.
 
 import (
-	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"v2v/internal/admit"
-	"v2v/internal/core"
 	"v2v/internal/faults"
 	"v2v/internal/media"
 	"v2v/internal/obs"
-	"v2v/internal/vql"
+	"v2v/internal/serve"
 )
-
-// frontDoor serves synthesis requests through an admission controller the
-// way cmd/v2vserve does, without importing the command: POST body is a
-// spec, X-Tenant selects the fairness bucket, X-Deadline-Ms the latency
-// budget; sheds answer 429/503 with Retry-After.
-type frontDoor struct {
-	ctrl        *admit.Controller
-	gop         *media.GOPCache
-	res         *media.ResultCache
-	arb         *media.Arbiter
-	parallelism int
-}
-
-// newFrontDoor builds a front door with a GOP+result cache stack under one
-// arbitrated budget and the given admission config.
-func newFrontDoor(cfg admit.Config, parallelism int, cacheBudget int64) *frontDoor {
-	fd := &frontDoor{
-		ctrl:        admit.NewController(cfg),
-		gop:         media.NewGOPCache(cacheBudget / 2),
-		res:         media.NewResultCache(cacheBudget / 2),
-		arb:         media.NewArbiter(cacheBudget),
-		parallelism: parallelism,
-	}
-	fd.gop.AttachArbiter(fd.arb)
-	fd.res.AttachArbiter(fd.arb)
-	return fd
-}
-
-func (fd *frontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	spec, err := vql.Parse(string(body))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	o := core.Options{
-		Optimize: true, DataRewrite: true,
-		Parallelism: fd.parallelism, Conceal: true,
-		GOPCache: fd.gop, ResultCache: fd.res,
-	}
-	pr, err := core.Prepare(spec, o)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	tenant := strings.TrimSpace(r.Header.Get("X-Tenant"))
-	if tenant == "" {
-		tenant = admit.DefaultTenant
-	}
-	ctx := r.Context()
-	var deadline time.Time
-	if ms := r.Header.Get("X-Deadline-Ms"); ms != "" {
-		n, perr := strconv.Atoi(ms)
-		if perr != nil || n <= 0 {
-			http.Error(w, "invalid X-Deadline-Ms", http.StatusBadRequest)
-			return
-		}
-		deadline = time.Now().Add(time.Duration(n) * time.Millisecond)
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	tk, aerr := fd.ctrl.Acquire(ctx, admit.Request{
-		Tenant: tenant, Cost: pr.EstimatedCost().Units(), Deadline: deadline,
-	})
-	if aerr != nil {
-		if shed := (*admit.ShedError)(nil); errors.As(aerr, &shed) {
-			secs := int((shed.RetryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			http.Error(w, aerr.Error(), admit.HTTPStatus(aerr))
-			return
-		}
-		http.Error(w, aerr.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	rec := obs.NewRecorder()
-	o.Recorder = rec
-	defer tk.Release(rec)
-	w.Header().Set("Content-Type", "application/x-v2v-stream")
-	// A mid-stream failure truncates the response (headers are out); the
-	// rows classify that as a failed request — the invariant the chaos
-	// scenario checks is that overload surfaces as typed sheds instead.
-	_, _ = pr.SynthesizeStreamContext(ctx, w, o)
-}
 
 // OverloadRow reports one offered-load point of the sweep.
 type OverloadRow struct {
@@ -131,6 +39,9 @@ type OverloadRow struct {
 	Completed int
 	Shed      int
 	Failed    int
+	// ShedRecorded counts the sheds whose trace ID the handler's flight
+	// recorder lists at /debug/requests?shed=1; every shed should be.
+	ShedRecorded int
 	// ShedRate is Shed/Offered.
 	ShedRate float64
 	// GoodputQPS is completed requests per second of burst wall time.
@@ -149,21 +60,40 @@ var overloadLoads = []float64{1, 4, 16}
 // overloadRequests is the number of requests per load point.
 const overloadRequests = 24
 
-// overloadAdmitConfig is deliberately tight — two slots, a four-deep
-// queue — so the sweep exercises shedding at small request counts instead
-// of needing thousands of requests to saturate a real host.
-func overloadAdmitConfig() admit.Config {
-	return admit.Config{
-		SlotCap:  2,
-		MaxQueue: 4,
-		MaxWait:  30 * time.Second,
-		Weights:  map[string]float64{"gold": 3, "free": 1},
+// overloadServer serves v2vserve's handler under a deliberately tight
+// admission config — two slots, a four-deep queue, tenants gold and free
+// weighted 3:1 — so the sweep exercises shedding at small request counts
+// instead of needing thousands of requests to saturate a real host. Both
+// caches get cacheMB under one arbitrated 2×cacheMB budget; mon, when
+// non-nil, drives the handler's memory-pressure reactions. stop closes
+// the listener, then admission.
+func overloadServer(cacheMB int, mon *admit.Monitor) (base string, stop func(), err error) {
+	srv, err := serve.New(serve.Config{
+		// Admission runs twice Parallel syntheses at once: the two slots.
+		Parallel:      1,
+		MaxQueue:      4,
+		AdmitTimeout:  30 * time.Second,
+		TenantWeight:  "gold=3,free=1",
+		GOPCacheMB:    cacheMB,
+		ResultCacheMB: cacheMB,
+		CacheBudgetMB: 2 * cacheMB,
+		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Monitor:       mon,
+	})
+	if err != nil {
+		return "", nil, err
 	}
+	ts := httptest.NewServer(srv.Handler())
+	return ts.URL, func() {
+		ts.Close()
+		srv.Close()
+	}, nil
 }
 
 // overloadResult is one request's classified outcome.
 type overloadResult struct {
 	tenant    string
+	traceID   string // the response's X-Trace-Id
 	status    int
 	wall      time.Duration
 	retryable bool // Retry-After present on a shed response
@@ -171,10 +101,17 @@ type overloadResult struct {
 	truncated bool // 200 whose stream ended without the end marker
 }
 
-// runBurst fires len(offsets) requests at the front door on the given
+// shed reports whether the request was refused under the shed contract: a
+// typed 429/503 carrying Retry-After.
+func (r overloadResult) shed() bool {
+	return r.err == nil && r.retryable &&
+		(r.status == http.StatusTooManyRequests || r.status == http.StatusServiceUnavailable)
+}
+
+// runBurst fires len(offsets) requests at base's /synthesize on the given
 // arrival schedule, alternating tenants gold,gold,gold,free (matching the
 // 3:1 weights), and classifies every outcome.
-func runBurst(url, src string, offsets []time.Duration) []overloadResult {
+func runBurst(base, src string, offsets []time.Duration) []overloadResult {
 	results := make([]overloadResult, len(offsets))
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -188,7 +125,7 @@ func runBurst(url, src string, offsets []time.Duration) []overloadResult {
 			}
 			time.Sleep(off - time.Since(start))
 			t0 := time.Now()
-			req, _ := http.NewRequest("POST", url, strings.NewReader(src))
+			req, _ := http.NewRequest("POST", base+"/synthesize", strings.NewReader(src))
 			req.Header.Set("X-Tenant", tenant)
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
@@ -206,6 +143,7 @@ func runBurst(url, src string, offsets []time.Duration) []overloadResult {
 			resp.Body.Close()
 			results[i] = overloadResult{
 				tenant:    tenant,
+				traceID:   resp.Header.Get("X-Trace-Id"),
 				status:    resp.StatusCode,
 				wall:      time.Since(t0),
 				retryable: resp.Header.Get("Retry-After") != "",
@@ -248,7 +186,7 @@ func classify(load float64, results []overloadResult, burstWall time.Duration) O
 			row.Completed++
 			row.TenantCompleted[res.tenant]++
 			lat = append(lat, res.wall)
-		case (res.status == http.StatusTooManyRequests || res.status == http.StatusServiceUnavailable) && res.retryable:
+		case res.shed():
 			row.Shed++
 		default:
 			// Wrong status or a shed without Retry-After: a contract break.
@@ -268,9 +206,9 @@ func classify(load float64, results []overloadResult, burstWall time.Duration) O
 	return row
 }
 
-// OverloadRun measures the admission front door at 1x/4x/16x offered
-// load: goodput, p99 latency of completed requests, and shed rate, with
-// two tenants weighted 3:1. Every shed must be a typed 429/503 with
+// OverloadRun measures v2vserve's handler at 1x/4x/16x offered load:
+// goodput, p99 latency of completed requests, and shed rate, with two
+// tenants weighted 3:1. Every shed must be a typed 429/503 with
 // Retry-After; anything else counts in the row's Failed column.
 func OverloadRun(ds *Dataset, cfg Config, seed int64) ([]OverloadRow, error) {
 	q, ok := QueryByID("Q4")
@@ -278,32 +216,81 @@ func OverloadRun(ds *Dataset, cfg Config, seed int64) ([]OverloadRow, error) {
 		return nil, fmt.Errorf("benchkit: overload query missing")
 	}
 	src := q.BuildSpecSource(ds, cfg.Scale)
-	fd := newFrontDoor(overloadAdmitConfig(), cfg.Parallelism, 32<<20)
-	ts := httptest.NewServer(fd)
-	defer ts.Close()
+	base, stop, err := overloadServer(16, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
 
-	base, err := calibrate(ts.URL, src)
+	service, err := calibrate(base, src)
 	if err != nil {
 		return nil, fmt.Errorf("benchkit: overload calibration: %w", err)
 	}
 
 	var rows []OverloadRow
 	for li, load := range overloadLoads {
-		offsets := faults.OverloadBurst(seed+int64(li), overloadRequests, base, load)
+		offsets := faults.OverloadBurst(seed+int64(li), overloadRequests, service, load)
 		t0 := time.Now()
-		results := runBurst(ts.URL+"/", src, offsets)
-		rows = append(rows, classify(load, results, time.Since(t0)))
+		results := runBurst(base, src, offsets)
+		row := classify(load, results, time.Since(t0))
+		if row.ShedRecorded, err = recordedSheds(base, results); err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
+// getJSON decodes the JSON the handler serves at base+path.
+func getJSON(base, path string, v any) error {
+	resp, err := http.Get(base + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("benchkit: GET %s: status %d", path, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// recordedSheds counts the shed results whose trace ID the handler's
+// flight recorder lists with outcome shed.
+func recordedSheds(base string, results []overloadResult) (int, error) {
+	var dump struct {
+		Requests []obs.RequestRecord `json:"requests"`
+	}
+	if err := getJSON(base, "/debug/requests?shed=1", &dump); err != nil {
+		return 0, err
+	}
+	recorded := make(map[string]bool, len(dump.Requests))
+	for _, r := range dump.Requests {
+		recorded[r.TraceID] = true
+	}
+	n := 0
+	for _, r := range results {
+		if r.shed() && recorded[r.traceID] {
+			n++
+		}
+	}
+	return n, nil
+}
+
+// arbiterStats reads the cache arbiter's budget split from the handler's
+// /debug/caches, as an operator would.
+func arbiterStats(base string) (media.ArbiterStats, error) {
+	var dump struct{ Arbiter media.ArbiterStats }
+	err := getJSON(base, "/debug/caches", &dump)
+	return dump.Arbiter, err
+}
+
 // calibrate measures the service time of one warm request (after one
 // discarded cold request that also fills the caches).
-func calibrate(url, src string) (time.Duration, error) {
-	var base time.Duration
+func calibrate(base, src string) (time.Duration, error) {
+	var service time.Duration
 	for i := 0; i < 2; i++ {
 		t0 := time.Now()
-		resp, err := http.Post(url, "text/plain", strings.NewReader(src))
+		resp, err := http.Post(base+"/synthesize", "text/plain", strings.NewReader(src))
 		if err != nil {
 			return 0, err
 		}
@@ -315,12 +302,12 @@ func calibrate(url, src string) (time.Duration, error) {
 		if resp.StatusCode != http.StatusOK {
 			return 0, fmt.Errorf("calibration status %d", resp.StatusCode)
 		}
-		base = time.Since(t0)
+		service = time.Since(t0)
 	}
-	if base <= 0 {
-		base = time.Millisecond
+	if service <= 0 {
+		service = time.Millisecond
 	}
-	return base, nil
+	return service, nil
 }
 
 // FormatOverload renders the sweep as a text table.
@@ -363,31 +350,19 @@ type ChaosOverloadResult struct {
 	FinalFactor    float64
 }
 
-// ChaosOverloadRun drives the front door with a seeded 16x burst while a
-// seeded memory-pressure episode runs through the same monitor v2vserve
-// uses, and verifies the overload invariants. Fault-induced sheds are
-// expected; invariant violations return an error.
+// ChaosOverloadRun drives v2vserve's handler with a seeded 16x burst while
+// a seeded memory-pressure episode steps the handler's injected monitor,
+// and verifies the overload invariants from what the handler serves.
+// Fault-induced sheds are expected; invariant violations return an error.
 func ChaosOverloadRun(ds *Dataset, cfg Config, seed int64) (*ChaosOverloadResult, error) {
 	q, ok := QueryByID("Q4")
 	if !ok {
 		return nil, fmt.Errorf("benchkit: chaos overload query missing")
 	}
 	src := q.BuildSpecSource(ds, cfg.Scale)
-	fd := newFrontDoor(overloadAdmitConfig(), cfg.Parallelism, 16<<20)
-	ts := httptest.NewServer(fd)
-	defer ts.Close()
 
-	// Calibration warms the GOP/result caches, so the episode has
-	// resident bytes to squeeze.
-	base, err := calibrate(ts.URL, src)
-	if err != nil {
-		return nil, fmt.Errorf("benchkit: chaos overload calibration: %w", err)
-	}
-	pre := fd.arb.Stats()
-	res := &ChaosOverloadResult{PreCacheBytes: pre.Used, MinCacheBytes: pre.Used}
-
-	// The synthetic episode feeds the same Monitor/OnChange plumbing the
-	// server runs, stepped manually so the walk is deterministic.
+	// The synthetic episode feeds the Monitor/OnChange plumbing the server
+	// runs, stepped manually so the walk is deterministic.
 	ep := faults.NewPressureEpisode(seed, 0.3, 0.95, 5, 4)
 	const limit = 1 << 30
 	sampler := ep.Sampler(limit)
@@ -396,20 +371,35 @@ func ChaosOverloadRun(ds *Dataset, cfg Config, seed int64) (*ChaosOverloadResult
 		used, lim := sampler()
 		return admit.MemSample{Used: used, Limit: lim}
 	})
-	mon.OnChange(func(l admit.PressureLevel) {
-		f := l.Factor()
-		fd.ctrl.SetPressureFactor(f)
-		fd.arb.SetPressureFactor(f)
-	})
+	base, stop, err := overloadServer(8, mon)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
 
-	offsets := faults.OverloadBurst(seed, overloadRequests, base, 16)
+	// Calibration warms the GOP/result caches, so the episode has
+	// resident bytes to squeeze.
+	service, err := calibrate(base, src)
+	if err != nil {
+		return nil, fmt.Errorf("benchkit: chaos overload calibration: %w", err)
+	}
+	pre, err := arbiterStats(base)
+	if err != nil {
+		return nil, err
+	}
+	res := &ChaosOverloadResult{PreCacheBytes: pre.Used, MinCacheBytes: pre.Used}
+
+	offsets := faults.OverloadBurst(seed, overloadRequests, service, 16)
 	done := make(chan []overloadResult, 1)
 	t0 := time.Now()
-	go func() { done <- runBurst(ts.URL+"/", src, offsets) }()
+	go func() { done <- runBurst(base, src, offsets) }()
 
 	for !ep.Done() {
 		mon.Poll()
-		st := fd.arb.Stats()
+		st, err := arbiterStats(base)
+		if err != nil {
+			return res, err
+		}
 		if st.Used < res.MinCacheBytes {
 			res.MinCacheBytes = st.Used
 		}
@@ -421,24 +411,33 @@ func ChaosOverloadRun(ds *Dataset, cfg Config, seed int64) (*ChaosOverloadResult
 				return res, fmt.Errorf("benchkit: chaos overload: %d cache bytes resident over the pressure-scaled %d budget", st.Used, st.Total)
 			}
 		}
-		time.Sleep(base / 4)
+		time.Sleep(service / 4)
 	}
 	mon.Poll() // the final baseline sample clears the pressure level
 
-	res.Row = classify(16, <-done, time.Since(t0))
+	results := <-done
+	res.Row = classify(16, results, time.Since(t0))
+	if res.Row.ShedRecorded, err = recordedSheds(base, results); err != nil {
+		return res, err
+	}
 
 	// Recovery: with the budget restored, a repeat request re-fills the
 	// caches past the squeezed floor.
-	if _, err := calibrate(ts.URL, src); err != nil {
+	if _, err := calibrate(base, src); err != nil {
 		return res, fmt.Errorf("benchkit: chaos overload recovery request: %w", err)
 	}
-	post := fd.arb.Stats()
+	post, err := arbiterStats(base)
+	if err != nil {
+		return res, err
+	}
 	res.PostCacheBytes = post.Used
 	res.FinalFactor = post.PressureFactor
 
 	switch {
 	case res.Row.Failed > 0:
 		return res, fmt.Errorf("benchkit: chaos overload: %d request(s) failed outside the shed contract (want typed 429/503 with Retry-After)", res.Row.Failed)
+	case res.Row.ShedRecorded != res.Row.Shed:
+		return res, fmt.Errorf("benchkit: chaos overload: %d of %d sheds missing from the flight recorder", res.Row.Shed-res.Row.ShedRecorded, res.Row.Shed)
 	case res.CriticalFactor != 0.25:
 		return res, fmt.Errorf("benchkit: chaos overload: critical pressure factor %v, want 0.25", res.CriticalFactor)
 	case res.FinalFactor != 1:

@@ -393,14 +393,6 @@ func CacheRun(ds *Dataset, cfg Config) ([]CacheRow, error) {
 	return rows, nil
 }
 
-// NewGOPCache builds a decoded-GOP cache for Config.GOPCache; budgetBytes
-// <= 0 defers sizing to the executor.
-func NewGOPCache(budgetBytes int64) *media.GOPCache { return media.NewGOPCache(budgetBytes) }
-
-// NewResultCache builds an encoded-result cache for Config.ResultCache;
-// budgetBytes <= 0 uses the media package default.
-func NewResultCache(budgetBytes int64) *media.ResultCache { return media.NewResultCache(budgetBytes) }
-
 // fileSHA256 fingerprints a file's contents.
 func fileSHA256(path string) (string, error) {
 	f, err := os.Open(path)

@@ -1,6 +1,7 @@
 package vql
 
 import (
+	"errors"
 	"fmt"
 
 	"v2v/internal/rational"
@@ -37,6 +38,23 @@ func Parse(src string) (*Spec, error) {
 		return nil, err
 	}
 	return spec, nil
+}
+
+// ParseAny parses a spec in either format: the JSON format when the first
+// non-whitespace byte is '{', the textual grammar otherwise. Input with no
+// non-whitespace byte is an error.
+func ParseAny(raw []byte) (*Spec, error) {
+	for _, b := range raw {
+		switch b {
+		case ' ', '\t', '\n', '\r':
+			continue
+		case '{':
+			return UnmarshalSpecJSON(raw)
+		default:
+			return Parse(string(raw))
+		}
+	}
+	return nil, errors.New("vql: empty spec")
 }
 
 // ParseExpr parses a single expression (used by tests and UDF tooling).

@@ -508,6 +508,38 @@ func TestJSONUnmarshalErrors(t *testing.T) {
 	}
 }
 
+func TestParseAny(t *testing.T) {
+	const text = `timedomain range(0, 1, 1/30); videos { v: "a.vmf"; } render(t) = v[t];`
+	want, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := MarshalSpecJSON(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, in string
+		ok       bool
+	}{
+		{"text", text, true},
+		{"json", string(raw), true},
+		{"leading whitespace", " \t\r\n" + string(raw), true},
+		{"whitespace only", " \t\r\n", false},
+		{"empty", "", false},
+	} {
+		got, err := ParseAny([]byte(tc.in))
+		switch {
+		case !tc.ok && err == nil:
+			t.Errorf("%s: expected error", tc.name)
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.ok && !got.Render.EqualExpr(want.Render):
+			t.Errorf("%s: render = %s, want %s", tc.name, got.Render, want.Render)
+		}
+	}
+}
+
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -35,7 +35,6 @@ import (
 	"v2v/internal/media"
 	"v2v/internal/obs"
 	"v2v/internal/opt"
-	"v2v/internal/plan"
 	"v2v/internal/rewrite"
 	"v2v/internal/sqlmini"
 	"v2v/internal/vql"
@@ -89,21 +88,6 @@ type ResultCacheStats = media.ResultCacheStats
 // budgetBytes <= 0 uses a 256 MiB default.
 func NewResultCache(budgetBytes int64) *ResultCache { return media.NewResultCache(budgetBytes) }
 
-// CacheArbiter coordinates one shared byte budget across the GOP and
-// result caches with scan-resistant admission and per-cache fairness
-// floors, replacing the independent hard LRU caps — under concurrent
-// heavy queries the caches degrade gracefully instead of thrashing each
-// other. Attach caches with their AttachArbiter methods before first use.
-type CacheArbiter = media.Arbiter
-
-// CacheArbiterStats snapshots a shared-budget arbiter.
-type CacheArbiterStats = media.ArbiterStats
-
-// NewCacheArbiter returns an arbiter enforcing totalBytes across its
-// attached caches; totalBytes <= 0 defaults the total to the sum of the
-// attached caches' own budgets.
-func NewCacheArbiter(totalBytes int64) *CacheArbiter { return media.NewArbiter(totalBytes) }
-
 // RewriteStats reports what the data-dependent rewriter did.
 type RewriteStats = rewrite.Stats
 
@@ -111,10 +95,6 @@ type RewriteStats = rewrite.Stats
 // assign one to Options.Trace and export it with WriteJSON (Chrome
 // trace_event format, loadable in chrome://tracing or Perfetto).
 type Trace = obs.Trace
-
-// MetricsRegistry aggregates counters, gauges, and latency histograms
-// process-wide, rendered in Prometheus text format (see internal/obs).
-type MetricsRegistry = obs.Registry
 
 // NewTrace starts an empty span trace named name.
 func NewTrace(name string) *Trace { return obs.NewTrace(name) }
@@ -131,17 +111,6 @@ type Recorder = obs.Recorder
 
 // NewRecorder returns an empty per-run stage recorder.
 func NewRecorder() *Recorder { return obs.NewRecorder() }
-
-// FlightRecorder keeps a fixed-size ring of recent request records plus
-// the in-flight set; v2vserve exposes one at /debug/requests.
-type FlightRecorder = obs.FlightRecorder
-
-// NewFlightRecorder returns a flight recorder keeping the last size
-// completed requests (a default size when size <= 0).
-func NewFlightRecorder(size int) *FlightRecorder { return obs.NewFlightRecorder(size) }
-
-// DefaultRegistry returns the process-wide metrics registry.
-func DefaultRegistry() *MetricsRegistry { return obs.Default() }
 
 // DB is the embedded relational engine used for sql-declared data arrays.
 type DB = sqlmini.DB
@@ -170,17 +139,7 @@ func LoadSpec(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("v2v: %w", err)
 	}
-	for _, b := range raw {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '{':
-			return ParseSpecJSON(raw)
-		default:
-			return ParseSpec(string(raw))
-		}
-	}
-	return nil, fmt.Errorf("v2v: %s is empty", path)
+	return vql.ParseAny(raw)
 }
 
 // FormatSpec renders a spec in the textual grammar.
@@ -261,27 +220,11 @@ func SynthesizeStream(spec *Spec, w io.Writer, o Options) (*Result, error) {
 }
 
 // SynthesizeStreamContext is SynthesizeStream with cooperative
-// cancellation — the entry point for request-scoped synthesis (v2vserve
-// wires each HTTP request's context here, so a disconnected client stops
-// its shard workers within one GOP of work). A cancelled stream ends
+// cancellation — the entry point for request-scoped synthesis (a canceled
+// request context stops the shard workers within one GOP of work). A
+// cancelled stream ends
 // without the end-of-stream marker: consumers observe truncation, not a
 // spuriously clean end.
 func SynthesizeStreamContext(ctx context.Context, spec *Spec, w io.Writer, o Options) (*Result, error) {
 	return core.SynthesizeStreamContext(ctx, spec, w, o)
 }
-
-// PlanCost is a plan's static cost estimate — decode frames, encode
-// frames, copied packets/bytes — with Units() collapsing it to a single
-// scalar admission weight. Shown per segment and per plan in EXPLAIN.
-type PlanCost = plan.Cost
-
-// Prepared is a planned-but-not-yet-executed synthesis: the pipeline
-// front half (check, rewrite, plan, optimize) has run and the plan's cost
-// estimate is available. v2vserve prepares every request before admission
-// so the admission controller can weigh it by estimated cost, then
-// executes the prepared plan once admitted.
-type Prepared = core.Prepared
-
-// Prepare runs the pipeline front half and returns the prepared plan with
-// its cost estimate; execute it with Prepared.SynthesizeStreamContext.
-func Prepare(spec *Spec, o Options) (*Prepared, error) { return core.Prepare(spec, o) }
