@@ -7,12 +7,6 @@
 # unsuppressed heap escapes (docs/STATIC_ANALYSIS.md).
 # `make fuzz` runs the native fuzz targets for FUZZTIME each (the checked-in
 # corpora under testdata/fuzz always run as part of plain `go test`).
-# `make bench` regenerates every paper figure plus the cache, overload,
-# streaming, and pixel-pipeline sweeps, writes the per-query measurements
-# to BENCH_PR9.json, and diffs them against the prior committed generation
-# (BENCH_PR7.json — PR 8's baseline was never committed) with regressions
-# flagged — CI uploads both reports and appends the markdown diff to the
-# job summary; `make microbench` keeps the old go-test microbenchmarks.
 # `make ab W=<workload> [S=<seed>] [N=10] [PARENT=HEAD~1]` measures the
 # working tree against a parent revision with the repository's benchmark
 # (`go run ./bench`): N alternating pairs, every run appended to
@@ -28,13 +22,9 @@
 
 GO ?= go
 V2V_CHAOS_SEED ?= 1
-BENCH_JSON ?= BENCH_PR9.json
-BENCH_PRIOR_JSON ?= BENCH_PR7.json
-BENCH_DELTA_MD ?= bench-delta.md
-BENCH_PARALLEL ?= 4
 FUZZTIME ?= 10s
 
-.PHONY: all build test tier1 vet race lint alloccheck fuzz check bench microbench ab loc chaos
+.PHONY: all build test tier1 vet race lint alloccheck fuzz check ab loc chaos
 
 all: tier1
 
@@ -65,18 +55,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=$(FUZZTIME) ./internal/media/
 
 check: tier1 vet race lint alloccheck
-
-bench:
-	@test -f $(BENCH_PRIOR_JSON) || { \
-		echo "make bench: baseline $(BENCH_PRIOR_JSON) is missing —" \
-		     "commit the prior generation's report or point" \
-		     "BENCH_PRIOR_JSON at one; refusing to run without a delta" >&2; \
-		exit 1; }
-	$(GO) run ./cmd/v2vbench -fig all -parallel $(BENCH_PARALLEL) -json $(BENCH_JSON) \
-		-delta $(BENCH_PRIOR_JSON) -delta-out $(BENCH_DELTA_MD)
-
-microbench:
-	$(GO) test -bench=. -benchmem
 
 ab:
 	W=$(W) S=$(S) N=$(N) PARENT=$(PARENT) CLAIM=$(CLAIM) scripts/ab.sh

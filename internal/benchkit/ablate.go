@@ -65,16 +65,13 @@ func AblationRun(ds *Dataset, qid string, cfg Config) ([]AblationRow, error) {
 			DataRewrite: true,
 			OptPasses:   ac.Passes,
 			Parallelism: cfg.Parallelism,
-			Trace:       cfg.Trace,
 		}
 		var total time.Duration
 		var last *core.Result
 		for i := 0; i <= repeats; i++ { // one warm-up + repeats
 			out := filepath.Join(cfg.OutDir, fmt.Sprintf("ablate-%s.vmf", ac.Name))
-			sp := cfg.Trace.StartSpan(fmt.Sprintf("%s/%s/ablate-%s", ds.Name, q.ID, ac.Name))
 			start := time.Now()
 			res, err := core.Synthesize(spec, out, o)
-			sp.End()
 			if err != nil {
 				return nil, fmt.Errorf("benchkit: ablation %s: %w", ac.Name, err)
 			}

@@ -2,6 +2,7 @@ package benchkit
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,33 +11,35 @@ import (
 	"v2v/internal/vql"
 )
 
-// Tiny scale keeps unit tests fast; real figures run through cmd/v2vbench
-// and the root bench suite.
+// Tiny scale keeps unit tests fast; real figures run through cmd/v2vbench.
 func testScale() Scale {
 	return Scale{ToSSeconds: 30, KABRSeconds: 8, Short: 1, Long: 4}
 }
 
 var (
-	tosDS  *Dataset
-	kabrDS *Dataset
+	// dataDir is the dataset cache TestMain provisions into.
+	dataDir string
+	tosDS   *Dataset
+	kabrDS  *Dataset
 )
 
 func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "v2v-benchkit-")
+	var err error
+	dataDir, err = os.MkdirTemp("", "v2v-benchkit-")
 	if err != nil {
 		panic(err)
 	}
 	sc := testScale()
-	tosDS, err = ProvisionToS(dir, sc)
+	tosDS, err = ProvisionToS(dataDir, sc)
 	if err != nil {
 		panic(err)
 	}
-	kabrDS, err = ProvisionKABR(dir, sc)
+	kabrDS, err = ProvisionKABR(dataDir, sc)
 	if err != nil {
 		panic(err)
 	}
 	code := m.Run()
-	os.RemoveAll(dir)
+	os.RemoveAll(dataDir)
 	os.Exit(code)
 }
 
@@ -49,20 +52,26 @@ func TestProvisionShapes(t *testing.T) {
 			t.Errorf("missing %s", p)
 		}
 	}
-	// Re-provisioning hits the cache (no error, same paths).
-	again, err := ProvisionToS(DefaultDirOf(tosDS), testScale())
-	_ = again
-	_ = err
-}
-
-// DefaultDirOf recovers the cache dir used in TestMain for re-provision
-// testing (the parent of the dataset subdirectory).
-func DefaultDirOf(ds *Dataset) string {
-	p := ds.Videos[0]
-	// .../<cache>/<subdir>/<file>
-	i := strings.LastIndexByte(p, '/')
-	j := strings.LastIndexByte(p[:i], '/')
-	return p[:j]
+	// Re-provisioning reuses the cached files: no error, the same paths,
+	// and nothing regenerated.
+	before, err := os.Stat(tosDS.Videos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := ProvisionToS(dataDir, testScale())
+	if err != nil {
+		t.Fatalf("re-provision: %v", err)
+	}
+	if !slices.Equal(again.Videos, tosDS.Videos) || !slices.Equal(again.Anns, tosDS.Anns) {
+		t.Errorf("re-provision paths = %v %v, want %v %v", again.Videos, again.Anns, tosDS.Videos, tosDS.Anns)
+	}
+	after, err := os.Stat(again.Videos[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.ModTime().Equal(before.ModTime()) {
+		t.Errorf("re-provision regenerated %s (mtime %v -> %v)", again.Videos[0], before.ModTime(), after.ModTime())
+	}
 }
 
 func TestQueriesEnumeration(t *testing.T) {
@@ -146,9 +155,6 @@ func TestCompareRunShape(t *testing.T) {
 	if !strings.Contains(table, "Q10") || !strings.Contains(table, "average") {
 		t.Errorf("table:\n%s", table)
 	}
-	if AverageSpeedup(rows) <= 0 {
-		t.Error("average speedup")
-	}
 }
 
 func TestDataJoinRunShape(t *testing.T) {
@@ -217,85 +223,5 @@ func TestAblationRunShape(t *testing.T) {
 	}
 	if _, err := AblationRun(kabrDS, "Q99", Config{Scale: sc, OutDir: t.TempDir(), Repeats: 1}); err == nil {
 		t.Error("unknown query should fail")
-	}
-}
-
-func TestStreamingRunShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	sc := testScale()
-	rows, err := StreamingRun(kabrDS, "Q2", Config{Scale: sc, OutDir: t.TempDir(), Parallelism: 2, Repeats: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(streamingConcurrency) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(streamingConcurrency))
-	}
-	for i, r := range rows {
-		if r.Streams != streamingConcurrency[i] {
-			t.Errorf("row %d streams = %d, want %d", i, r.Streams, streamingConcurrency[i])
-		}
-		if r.Segments < 2 {
-			t.Errorf("row %d segments = %d; the splice query should keep multiple segments", i, r.Segments)
-		}
-		if r.Wall <= 0 || r.TTFF <= 0 || r.TTFFMax < r.TTFF {
-			t.Errorf("row %d timings: wall=%v ttff=%v ttffmax=%v", i, r.Wall, r.TTFF, r.TTFFMax)
-		}
-		// The tentpole's headline: playback can start well before the
-		// whole splice is synthesized.
-		if r.TTFF >= r.Wall {
-			t.Errorf("row %d TTFF %v >= wall %v; streaming delivered nothing early", i, r.TTFF, r.Wall)
-		}
-		if !r.ByteIdentical {
-			t.Errorf("row %d: streamed packets differ from the file-sink reference", i)
-		}
-	}
-	table := FormatStreaming("streaming", rows)
-	if !strings.Contains(table, "TTFF") || !strings.Contains(table, "MaxGap") {
-		t.Errorf("table:\n%s", table)
-	}
-	if _, err := StreamingRun(kabrDS, "Q99", Config{Scale: sc, OutDir: t.TempDir(), Repeats: 1}); err == nil {
-		t.Error("unknown query should fail")
-	}
-}
-
-func TestDeltaStreamingSection(t *testing.T) {
-	old := &ReportFile{}
-	old.Streaming = append(old.Streaming, struct {
-		Dataset       string  `json:"dataset"`
-		Query         string  `json:"query"`
-		Streams       int     `json:"streams"`
-		WallSeconds   float64 `json:"wall_seconds"`
-		TTFFSeconds   float64 `json:"ttff_seconds"`
-		MaxGapSeconds float64 `json:"max_gap_seconds"`
-	}{"kabr-sim", "Q7", 4, 2.0, 0.1, 0.5})
-	cur := &ReportFile{}
-	cur.Streaming = append(cur.Streaming, struct {
-		Dataset       string  `json:"dataset"`
-		Query         string  `json:"query"`
-		Streams       int     `json:"streams"`
-		WallSeconds   float64 `json:"wall_seconds"`
-		TTFFSeconds   float64 `json:"ttff_seconds"`
-		MaxGapSeconds float64 `json:"max_gap_seconds"`
-	}{"kabr-sim", "Q7", 4, 2.1, 0.3, 0.6})
-	rows := Delta(old, cur)
-	var ttff *DeltaRow
-	for i := range rows {
-		if rows[i].Metric == "ttff_seconds" {
-			ttff = &rows[i]
-		}
-	}
-	if ttff == nil {
-		t.Fatal("no ttff_seconds delta row")
-	}
-	if ttff.Query != "Q7@4" {
-		t.Errorf("ttff row query = %q, want Q7@4", ttff.Query)
-	}
-	if !ttff.Regressed() {
-		t.Errorf("3x TTFF slowdown not flagged (ratio %.2f)", ttff.Ratio)
-	}
-	if got := len(rows); got != 3 {
-		t.Errorf("delta rows = %d, want 3 (ttff, wall, max_gap)", got)
 	}
 }

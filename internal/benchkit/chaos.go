@@ -72,7 +72,6 @@ func ChaosRun(ds *Dataset, cfg Config, seed int64) ([]ChaosRow, error) {
 				Optimize: true, DataRewrite: true,
 				Parallelism: cfg.Parallelism,
 				Conceal:     mode == "conceal",
-				Trace:       cfg.Trace,
 				Recorder:    freq.Recorder(),
 			}
 			start := time.Now()

@@ -1,7 +1,6 @@
 package benchkit
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -65,32 +64,5 @@ func TestChaosOverloadRunSmoke(t *testing.T) {
 	out := FormatChaosOverload("chaos overload", res)
 	if !strings.Contains(out, "cache bytes") {
 		t.Errorf("format missing cache-bytes line:\n%s", out)
-	}
-}
-
-func TestDeltaOverloadSection(t *testing.T) {
-	load := func(raw string) *ReportFile {
-		var r ReportFile
-		if err := json.Unmarshal([]byte(raw), &r); err != nil {
-			t.Fatal(err)
-		}
-		return &r
-	}
-	old := load(`{"overload":[{"dataset":"kabr-sim","load":16,"p99_seconds":0.5}]}`)
-	cur := load(`{"overload":[{"dataset":"kabr-sim","load":16,"p99_seconds":1.0},
-	              {"dataset":"kabr-sim","load":4,"p99_seconds":0.2}]}`)
-	rows := Delta(old, cur)
-	if len(rows) != 1 {
-		t.Fatalf("rows = %+v, want exactly the overlapping 16x point", rows)
-	}
-	r := rows[0]
-	if r.Section != "overload" || r.Query != "16x" || r.Metric != "p99_seconds" {
-		t.Errorf("row = %+v, want overload/16x/p99_seconds", r)
-	}
-	if r.Ratio != 2 {
-		t.Errorf("ratio = %v, want 2", r.Ratio)
-	}
-	if !r.Regressed() {
-		t.Error("a 2x p99 slowdown should be flagged as a regression")
 	}
 }

@@ -83,13 +83,13 @@ func clipStart(ds *Dataset) rational.Rat {
 	return rational.FromInt(2).Add(rational.New(7, 1).Div(ds.Profile.FPS))
 }
 
-// sourceFor returns the video/annotation used for segment k: ToS draws
-// every segment from the single film at staggered offsets; KABR draws
-// segment k from video k.
-func (ds *Dataset) sourceFor(k int, segSeconds int64) (video, ann string, offset rational.Rat) {
+// sourceFor returns the video used for segment k: ToS draws every segment
+// from the single film at staggered offsets; KABR draws segment k from
+// video k.
+func (ds *Dataset) sourceFor(k int, segSeconds int64) (video string, offset rational.Rat) {
 	start := clipStart(ds)
 	if len(ds.Videos) > 1 {
-		return fmt.Sprintf("vid%d", k), fmt.Sprintf("bb%d", k), start
+		return fmt.Sprintf("vid%d", k), start
 	}
 	// Single-film dataset: stagger segments by L + gap seconds.
 	gap := (ds.Seconds - 3 - 4*segSeconds) / 3
@@ -100,7 +100,7 @@ func (ds *Dataset) sourceFor(k int, segSeconds int64) (video, ann string, offset
 		gap = 0
 	}
 	off := start.Add(rational.FromInt(int64(k) * (segSeconds + gap)))
-	return "vid0", "bb0", off
+	return "vid0", off
 }
 
 // BuildSpecSource renders the query as a textual V2V spec over ds.
@@ -120,13 +120,7 @@ func (q Query) BuildSpecSource(ds *Dataset, sc Scale) string {
 		}
 		sb.WriteString("}\n")
 		if needAnn {
-			sb.WriteString("data {\n")
-			if len(ds.Videos) > 1 {
-				fmt.Fprintf(&sb, "  bb0: %q;\n", ds.Anns[0])
-			} else {
-				fmt.Fprintf(&sb, "  bb0: %q;\n", ds.Anns[0])
-			}
-			sb.WriteString("}\n")
+			fmt.Fprintf(&sb, "data {\n  bb0: %q;\n}\n", ds.Anns[0])
 		}
 	}
 
@@ -134,14 +128,14 @@ func (q Query) BuildSpecSource(ds *Dataset, sc Scale) string {
 	case qClip:
 		fmt.Fprintf(&sb, "timedomain range(0, %d, %s);\n", L, step)
 		declare(false, 1)
-		v, _, off := ds.sourceFor(0, L)
+		v, off := ds.sourceFor(0, L)
 		fmt.Fprintf(&sb, "render(t) = %s[t + %s];\n", v, off)
 	case qSplice:
 		fmt.Fprintf(&sb, "timedomain range(0, %d, %s);\n", 4*L, step)
 		declare(false, 4)
 		sb.WriteString("render(t) = match t {\n")
 		for k := 0; k < 4; k++ {
-			v, _, off := ds.sourceFor(k, L)
+			v, off := ds.sourceFor(k, L)
 			lo, hi := int64(k)*L, int64(k+1)*L
 			// Source time = (t - lo) + off.
 			shift := off.Sub(rational.FromInt(lo))
@@ -153,20 +147,19 @@ func (q Query) BuildSpecSource(ds *Dataset, sc Scale) string {
 		declare(false, 4)
 		var args []string
 		for k := 0; k < 4; k++ {
-			v, _, off := ds.sourceFor(k, L)
+			v, off := ds.sourceFor(k, L)
 			args = append(args, fmt.Sprintf("%s[t + %s]", v, off))
 		}
 		fmt.Fprintf(&sb, "render(t) = grid(%s);\n", strings.Join(args, ", "))
 	case qBlur:
 		fmt.Fprintf(&sb, "timedomain range(0, %d, %s);\n", L, step)
 		declare(false, 1)
-		v, _, off := ds.sourceFor(0, L)
+		v, off := ds.sourceFor(0, L)
 		fmt.Fprintf(&sb, "render(t) = blur(%s[t + %s], 1.5);\n", v, off)
 	case qBoxes:
 		fmt.Fprintf(&sb, "timedomain range(0, %d, %s);\n", L, step)
 		declare(true, 1)
-		v, ann, off := ds.sourceFor(0, L)
-		_ = ann
+		v, off := ds.sourceFor(0, L)
 		fmt.Fprintf(&sb, "render(t) = boxes(%s[t + %s], bb0[t + %s]);\n", v, off, off)
 	}
 	return sb.String()

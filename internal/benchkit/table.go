@@ -40,42 +40,6 @@ func FormatDataJoin(title string, rows []DataJoinRow) string {
 	return sb.String()
 }
 
-// FormatCache renders the cache comparison rows: wall time and decode
-// counts with caches off, with a cold/warm GOP cache, and with a cold/warm
-// GOP+result cache stack, plus the per-query decode reduction. Rows where
-// the reduction is 1.00x are plans the GOP cache cannot help (pure copies
-// and smart cuts decode almost nothing to begin with); RDec/REnc are the
-// warm result-stack run's decode and encode counts — 0/0 means the repeat
-// was served entirely by splicing memoized output.
-func FormatCache(title string, rows []CacheRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", title)
-	fmt.Fprintf(&sb, "%-6s %10s %10s %10s %9s %9s %9s %9s %10s %10s %6s %6s\n",
-		"Query", "Off", "Cold", "Warm", "DecOff", "DecCold", "DecWarm", "DecRed",
-		"ResCold", "ResWarm", "RDec", "REnc")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-6s %10s %10s %10s %9d %9d %9d %8.2fx %10s %10s %6d %6d\n",
-			r.Query, fmtDur(r.Off), fmtDur(r.Cold), fmtDur(r.Warm),
-			r.OffDecodes, r.ColdDecodes, r.WarmDecodes, r.DecodeReduction,
-			fmtDur(r.ResultCold), fmtDur(r.ResultWarm),
-			r.ResultWarmDecodes, r.ResultWarmEncodes)
-	}
-	return sb.String()
-}
-
-// AverageSpeedup returns the arithmetic mean of row speedups — the number
-// the paper's abstract quotes (3.44x on ToS, 5.07x on KABR).
-func AverageSpeedup(rows []Row) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range rows {
-		sum += r.Speedup
-	}
-	return sum / float64(len(rows))
-}
-
 func fmtDur(d time.Duration) string {
 	switch {
 	case d >= time.Second:
