@@ -1,10 +1,9 @@
 # Tier-1 gate (ROADMAP.md): build + test.
 # `make check` adds vet, the race detector (required for internal/obs), and
-# the project linters (`make lint`, cmd/v2vlint — see
-# docs/STATIC_ANALYSIS.md).
-# `make alloccheck` runs the compiler-driven hot-path escape check
-# (`v2vlint -escapes`): every //v2v:hotpath function must be free of
-# unsuppressed heap escapes (docs/STATIC_ANALYSIS.md).
+# `make lint`: cmd/v2vlint's two checks in one run — errwrap (errors.Is,
+# never ==; %w in fmt.Errorf) and the hot-path escape budget (every
+# //v2v:hotpath function free of unsuppressed heap escapes, by the
+# compiler's escape analysis). See docs/STATIC_ANALYSIS.md.
 # `make fuzz` runs the native fuzz targets for FUZZTIME each (the checked-in
 # corpora under testdata/fuzz always run as part of plain `go test`).
 # `make ab W=<workload> [S=<seed>] [N=10] [PARENT=HEAD~1]` measures the
@@ -24,7 +23,7 @@ GO ?= go
 V2V_CHAOS_SEED ?= 1
 FUZZTIME ?= 10s
 
-.PHONY: all build test tier1 vet race lint alloccheck fuzz check ab loc chaos
+.PHONY: all build test tier1 vet race lint fuzz check ab loc chaos
 
 all: tier1
 
@@ -45,16 +44,13 @@ race:
 lint:
 	$(GO) run ./cmd/v2vlint ./...
 
-alloccheck:
-	$(GO) run ./cmd/v2vlint -escapes ./...
-
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vql/
 	$(GO) test -run='^$$' -fuzz=FuzzNewReader -fuzztime=$(FUZZTIME) ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=$(FUZZTIME) ./internal/media/
 
-check: tier1 vet race lint alloccheck
+check: tier1 vet race lint
 
 ab:
 	W=$(W) S=$(S) N=$(N) PARENT=$(PARENT) CLAIM=$(CLAIM) scripts/ab.sh

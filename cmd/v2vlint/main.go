@@ -1,132 +1,118 @@
-// Command v2vlint runs the repo's static analyzers (internal/lint)
-// over the module and exits non-zero on findings, so `make lint` and CI
-// fail on any invariant violation. See docs/STATIC_ANALYSIS.md.
+// Command v2vlint is the repository's static check. One run makes two
+// checks and exits non-zero if either finds anything:
+//
+//   - errwrap: errors are compared with errors.Is, never ==, and an error
+//     formatted by fmt.Errorf is wrapped with %w (errwrap.go).
+//   - hotpath: every function whose doc comment carries //v2v:hotpath is
+//     free of heap escapes, by the compiler's own escape analysis, and
+//     every such directive is well formed and in a function's doc comment
+//     (hotpath.go).
 //
 // Usage:
 //
-//	v2vlint [-dir module] [-analyzers a,b] [-json] [packages...]
-//	v2vlint -escapes [-dir module] [-json] [packages...]
+//	v2vlint [-dir D] [packages...]
 //
-// Packages default to ./... (every package in the module, skipping
-// testdata). Findings print one per line as
-// file:line:col: [analyzer] message; -json emits them as a JSON array
-// instead (machine-readable, for CI problem matchers and tooling).
-//
-// -escapes switches to the compiler-driven hot-path allocation check:
-// it builds the packages with -gcflags=-m=2, attributes escape
-// diagnostics to //v2v:hotpath-annotated functions, and fails on any
-// unsuppressed heap escape inside one (see escapes.go and
-// docs/STATIC_ANALYSIS.md).
+// Packages default to ./... and resolve in D as the go command resolves
+// them. Findings print one per line as file:line:col: [check] message,
+// with file relative to D. A //v2v:nolint(check) comment with a written
+// reason silences one line (nolint.go). Exit codes: 0 clean, 1 findings,
+// 2 usage, load or build error. See docs/STATIC_ANALYSIS.md.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"go/token"
 	"io"
 	"os"
-	"strings"
-
-	"v2v/internal/lint"
+	"path/filepath"
+	"sort"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// finding is one positioned report of a check.
+type finding struct {
+	pos   token.Position
+	check string
+	msg   string
+}
+
+func (f finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.pos.Filename, f.pos.Line, f.pos.Column, f.check, f.msg)
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("v2vlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	dir := fs.String("dir", ".", "directory inside the module to lint")
-	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	list := fs.Bool("list", false, "list available analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text lines")
-	escapes := fs.Bool("escapes", false, "run the compiler-driven //v2v:hotpath escape check instead of the AST analyzers")
+	dir := fs.String("dir", ".", "directory the package patterns resolve in")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *escapes {
-		patterns := fs.Args()
-		if len(patterns) == 0 {
-			patterns = []string{"./..."}
-		}
-		return runEscapes(*dir, patterns, *jsonOut, stdout, stderr)
-	}
-	analyzers := lint.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *only != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		var picked []*lint.Analyzer
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				fmt.Fprintf(stderr, "v2vlint: unknown analyzer %q\n", name)
-				return 2
-			}
-			picked = append(picked, a)
-		}
-		analyzers = picked
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader, err := lint.NewLoader(*dir)
+	findings, hot, err := lint(*dir, patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "v2vlint: %v\n", err)
 		return 2
 	}
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		fmt.Fprintf(stderr, "v2vlint: %v\n", err)
-		return 2
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
-	diags, err := lint.Run(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "v2vlint: %v\n", err)
-		return 2
-	}
-	if *jsonOut {
-		if err := writeJSON(stdout, diags); err != nil {
-			fmt.Fprintf(stderr, "v2vlint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
-		}
-	}
-	if len(diags) > 0 {
-		fmt.Fprintf(stderr, "v2vlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
+	fmt.Fprintf(stderr, "v2vlint: %d finding(s); %d annotated hotpath function(s) checked for heap escapes\n", len(findings), hot)
+	if len(findings) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// writeJSON emits findings as a stable JSON array (empty runs print
-// `[]`, not `null`, so consumers can always range over the result).
-func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
-	type finding struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
+// lint runs both checks over the packages patterns name in dir and
+// returns the unsuppressed findings in position order, with the number of
+// //v2v:hotpath functions the escape check covered.
+func lint(dir string, patterns []string) ([]finding, int, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, 0, err
 	}
-	out := make([]finding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, finding{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
+	pkgs, diag, err := load(dir, patterns)
+	if err != nil {
+		return nil, 0, err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	var all []finding
+	var hot []hotFunc
+	sup := suppressions{}
+	for _, p := range pkgs {
+		for i, f := range p.files {
+			all = append(all, scanNolint(p.fset, f, p.srcs[i], sup)...)
+			h, bad := hotpathFuncs(p.fset, f)
+			hot = append(hot, h...)
+			all = append(all, bad...)
+		}
+		all = append(all, errwrap(p)...)
+	}
+	all = append(all, escapes(dir, diag, hot)...)
+	var out []finding
+	for _, f := range all {
+		if f.check == "nolint" || !sup[supKey{f.pos.Filename, f.pos.Line, f.check}] {
+			out = append(out, f)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.pos.Filename != b.pos.Filename {
+			return a.pos.Filename < b.pos.Filename
+		}
+		if a.pos.Line != b.pos.Line {
+			return a.pos.Line < b.pos.Line
+		}
+		if a.pos.Column != b.pos.Column {
+			return a.pos.Column < b.pos.Column
+		}
+		return a.check < b.check
+	})
+	return out, len(hot), nil
 }

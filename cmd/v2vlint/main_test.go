@@ -2,174 +2,191 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-func runLint(t *testing.T, args ...string) (int, string, string) {
+var findingRe = regexp.MustCompile(`^(.+:\d+):\d+: (\[\w+\]) (.*)$`)
+
+// expect runs v2vlint on the fixture module dir and checks that it exits
+// with code and prints exactly the findings want lists, one each, given
+// as "file:line [check] message-substring". It returns stderr.
+func expect(t *testing.T, dir string, code int, want ...string) string {
 	t.Helper()
 	var out, errb bytes.Buffer
-	code := run(args, &out, &errb)
-	return code, out.String(), errb.String()
+	if got := run([]string{"-dir", dir}, &out, &errb); got != code {
+		t.Fatalf("exit = %d, want %d; stdout:\n%s\nstderr:\n%s", got, code, out.String(), errb.String())
+	}
+	matched := make([]bool, len(want))
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if line == "" {
+			continue
+		}
+		m := findingRe.FindStringSubmatch(line)
+		ok := false
+		for i, w := range want {
+			at, rest, _ := strings.Cut(w, " ")
+			check, substr, _ := strings.Cut(rest, " ")
+			if !matched[i] && m != nil && m[1] == at && m[2] == check && strings.Contains(m[3], substr) {
+				matched[i], ok = true, true
+				break
+			}
+		}
+		if !ok {
+			t.Errorf("unexpected finding: %s", line)
+		}
+	}
+	for i, w := range want {
+		if !matched[i] {
+			t.Errorf("missing finding %q in:\n%s", w, out.String())
+		}
+	}
+	return errb.String()
 }
 
+// TestFindingsExitNonzero: the live == and %v findings and the bare
+// directive fail the run; the justified suppression stays quiet, and the
+// bare one silences nothing.
 func TestFindingsExitNonzero(t *testing.T) {
-	code, out, errb := runLint(t, "-dir", "testdata/fixture")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr: %s", code, errb)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("findings = %d, want 3 (live, bare-unsuppressed, bare-directive):\n%s", len(lines), out)
-	}
-	for _, wantSub := range []string{
-		"[errwrap] error compared with ==",
-		"[nolint] v2v:nolint requires a written reason",
-	} {
-		if !strings.Contains(out, wantSub) {
-			t.Errorf("output missing %q:\n%s", wantSub, out)
-		}
-	}
-	// The justified suppression (fixture.go line 15) must be silent.
-	if strings.Contains(out, "fixture.go:15") {
-		t.Errorf("suppressed finding leaked through:\n%s", out)
-	}
+	expect(t, "testdata/fixture", 1,
+		"fixture.go:12 [errwrap] error compared with ==",
+		"fixture.go:23 [errwrap] error compared with ==",
+		"fixture.go:23 [nolint] requires a written reason",
+		"fixture.go:28 [errwrap] formatted with %v",
+	)
 }
 
+// TestCleanExitsZero: a module with nothing to report and no
+// //v2v:hotpath annotation is not an error.
 func TestCleanExitsZero(t *testing.T) {
-	code, out, errb := runLint(t, "-dir", "testdata/clean")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stdout: %s stderr: %s", code, out, errb)
-	}
-	if out != "" {
-		t.Errorf("unexpected output: %s", out)
-	}
+	expect(t, "testdata/clean", 0)
 }
 
-func TestAnalyzerSubset(t *testing.T) {
-	// Only ledger runs; the errwrap finding disappears but the errwrap
-	// nolint directives must not be misreported as unknown.
-	code, out, _ := runLint(t, "-dir", "testdata/fixture", "-analyzers", "ledger")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (bare directive is still a finding):\n%s", code, out)
-	}
-	if strings.Contains(out, "errwrap] error compared") {
-		t.Errorf("errwrap ran despite subset:\n%s", out)
-	}
-	if strings.Contains(out, "unknown analyzer") {
-		t.Errorf("directives for non-running analyzers misreported:\n%s", out)
-	}
+func TestErrWrap(t *testing.T) {
+	expect(t, "testdata/errwrap", 1,
+		"errwrap.go:29 [errwrap] use errors.Is",
+		"errwrap.go:33 [errwrap] use !errors.Is",
+		"errwrap.go:37 [errwrap] formatted with %v; use %w",
+		"errwrap.go:41 [errwrap] formatted with %s; use %w",
+		"errwrap.go:45 [errwrap] formatted with %v; use %w",
+	)
 }
 
-func TestUnknownAnalyzer(t *testing.T) {
-	code, _, errb := runLint(t, "-analyzers", "nosuch")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(errb, "unknown analyzer") {
-		t.Errorf("stderr missing unknown-analyzer message: %s", errb)
-	}
-}
-
-// jsonFinding mirrors the writeJSON schema for round-trip assertions.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func TestJSONOutput(t *testing.T) {
-	code, out, _ := runLint(t, "-dir", "testdata/fixture", "-json")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var findings []jsonFinding
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out)
-	}
-	if len(findings) != 3 {
-		t.Fatalf("findings = %d, want 3:\n%s", len(findings), out)
-	}
-	for _, f := range findings {
-		if f.File == "" || f.Line == 0 || f.Analyzer == "" || f.Message == "" {
-			t.Errorf("incomplete finding: %+v", f)
-		}
-	}
-}
-
-func TestJSONCleanEmitsEmptyArray(t *testing.T) {
-	code, out, _ := runLint(t, "-dir", "testdata/clean", "-json")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
-	}
-	if strings.TrimSpace(out) != "[]" {
-		t.Errorf("clean -json output = %q, want []", out)
-	}
-}
-
+// TestEscapesSeededFixtureFails: the seeded escape is attributed to its
+// function; the clean function, the suppressed line and the unannotated
+// function stay silent.
 func TestEscapesSeededFixtureFails(t *testing.T) {
-	code, out, errb := runLint(t, "-escapes", "-dir", "testdata/escapes")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (seeded escape must fail); stdout: %s stderr: %s", code, out, errb)
-	}
-	if !strings.Contains(out, "[hotpath]") || !strings.Contains(out, "in hotpath function leaky") {
-		t.Errorf("seeded escape not attributed to leaky:\n%s", out)
-	}
-	// The clean function, the suppressed line, and the unannotated
-	// function must all stay silent.
-	for _, silent := range []string{"function sum", "function suppressed", "function unannotated"} {
-		if strings.Contains(out, silent) {
-			t.Errorf("unexpected finding mentioning %q:\n%s", silent, out)
-		}
-	}
-	if !strings.Contains(errb, "3 annotated hotpath function(s)") {
-		t.Errorf("stderr missing annotation count: %s", errb)
+	stderr := expect(t, "testdata/escapes", 1,
+		"escapes.go:22 [hotpath] moved to heap: v in hotpath function leaky",
+		"escapes.go:22 [hotpath] v escapes to heap in hotpath function leaky",
+	)
+	if !strings.Contains(stderr, "3 annotated hotpath function(s)") {
+		t.Errorf("stderr missing annotation count: %s", stderr)
 	}
 }
 
-func TestEscapesJSON(t *testing.T) {
-	code, out, _ := runLint(t, "-escapes", "-dir", "testdata/escapes", "-json")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
+func TestHotPath(t *testing.T) {
+	expect(t, "testdata/hotpathmalformed", 1,
+		"hotpathmalformed.go:8 [hotpath] malformed v2v:hotpath directive",
+	)
+}
+
+func TestHotPathMisplaced(t *testing.T) {
+	expect(t, "testdata/hotpathmisplaced", 1,
+		"hotpathmisplaced.go:5 [hotpath] must be part of a function declaration's doc comment",
+		"hotpathmisplaced.go:9 [hotpath] must be part of a function declaration's doc comment",
+	)
+}
+
+// TestNolintDirectives: trailing, standalone and stacked directives
+// silence their line; reason-less and list-less ones silence nothing and
+// are findings; a name that is no check silences nothing and is not.
+func TestNolintDirectives(t *testing.T) {
+	expect(t, "testdata/nolint", 1,
+		"nolint.go:22 [errwrap] use errors.Is",
+		"nolint.go:22 [nolint] requires a written reason",
+		"nolint.go:26 [errwrap] use errors.Is",
+		"nolint.go:26 [nolint] must name the checks",
+		"nolint.go:30 [errwrap] use errors.Is",
+		"nolint.go:35 [errwrap] use errors.Is",
+	)
+	// A directive naming an analyzer v2vlint no longer has is no finding.
+	expect(t, "testdata/retired", 0)
+}
+
+// TestHotpathFuncs pins the ranges escapes are attributed to: names are
+// receiver-qualified and a range spans the whole declaration.
+func TestHotpathFuncs(t *testing.T) {
+	const src = `package p
+
+type ring struct{ n int }
+
+// push is hot.
+//
+//v2v:hotpath
+func (r *ring) push() {
+	r.n++
+}
+
+//v2v:hotpath
+func sum(xs []int) (s int) {
+	for _, x := range xs {
+		s += x
 	}
-	var findings []jsonFinding
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("-escapes -json output is not valid JSON: %v\n%s", err, out)
+	return s
+}
+
+func cold() {}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(findings) == 0 {
-		t.Fatal("no findings in -escapes -json output")
+	hot, bad := hotpathFuncs(fset, f)
+	want := []hotFunc{{"(*ring).push", "p.go", 8, 10}, {"sum", "p.go", 13, 18}}
+	if len(bad) != 0 || len(hot) != len(want) {
+		t.Fatalf("hot = %v, bad = %v; want %v", hot, bad, want)
 	}
-	for _, f := range findings {
-		if f.Analyzer != "hotpath" {
-			t.Errorf("analyzer = %q, want hotpath", f.Analyzer)
-		}
-		if !strings.Contains(f.Message, "leaky") {
-			t.Errorf("finding not attributed to leaky: %+v", f)
+	for i := range want {
+		if hot[i] != want[i] {
+			t.Errorf("hot[%d] = %v, want %v", i, hot[i], want[i])
 		}
 	}
 }
 
-func TestEscapesRequiresAnnotations(t *testing.T) {
-	code, _, errb := runLint(t, "-escapes", "-dir", "testdata/clean")
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
+// TestLoaderModuleImports type-checks a real package of this module,
+// whose imports resolve through the export data `go list -export`
+// produced: module packages and the standard library alike.
+func TestLoaderModuleImports(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(errb, "no //v2v:hotpath annotations") {
-		t.Errorf("stderr missing no-annotations message: %s", errb)
+	pkgs, _, err := load(root, []string{"./internal/exec"})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestList(t *testing.T) {
-	code, out, _ := runLint(t, "-list")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0", code)
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want v2v/internal/exec alone", len(pkgs))
 	}
-	for _, name := range []string{"ctxcheck", "ledger", "lockcheck", "metricsname", "errwrap"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list output missing %s:\n%s", name, out)
+	used := map[string]bool{}
+	for _, obj := range pkgs[0].info.Uses {
+		if obj.Pkg() != nil {
+			used[obj.Pkg().Path()] = true
 		}
+	}
+	for _, path := range []string{"v2v/internal/plan", "v2v/internal/media", "context"} {
+		if !used[path] {
+			t.Errorf("no object of %s resolved", path)
+		}
+	}
+	f := pkgs[0].files[0]
+	if file := pkgs[0].fset.Position(f.Pos()).Filename; f.Name.Name != "exec" || !strings.HasPrefix(file, "internal/exec/") {
+		t.Errorf("loaded %s of package %s; want package exec, named relative to the lint dir", file, f.Name.Name)
 	}
 }

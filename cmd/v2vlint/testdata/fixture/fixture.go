@@ -1,8 +1,11 @@
-// Package fixture is driver testdata for cmd/v2vlint: one live
-// finding, one justified suppression, one bare directive.
+// Package fixture is testdata for cmd/v2vlint: two live
+// findings, one justified suppression, one bare directive.
 package fixture
 
-import "io"
+import (
+	"fmt"
+	"io"
+)
 
 // Bad compares a sentinel with ==: a live errwrap finding.
 func Bad(err error) bool {
@@ -18,4 +21,9 @@ func Suppressed(err error) bool {
 // finding itself.
 func Bare(err error) bool {
 	return err == io.EOF //v2v:nolint(errwrap)
+}
+
+// Flattened formats its cause with %v: a live errwrap finding.
+func Flattened(err error) error {
+	return fmt.Errorf("fixture: %v", err)
 }

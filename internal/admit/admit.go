@@ -128,8 +128,8 @@ type Config struct {
 	Window time.Duration
 }
 
-// Package-scope instruments (metricsname: library metrics register at
-// package scope on the default registry).
+// Package-scope instruments: library metrics register once, at package
+// scope on the default registry.
 var (
 	admitQueuedGauge   = obs.Default().Gauge("v2v_admit_queued", "Requests currently queued for admission.")
 	admitInflightGauge = obs.Default().Gauge("v2v_admit_inflight", "Requests currently admitted and executing.")
@@ -550,8 +550,8 @@ func (c *Controller) admitLocked(t *tenant, req Request) {
 }
 
 // dispatchLocked admits queued waiters while capacity allows, returning
-// the ready channels to close once the lock is released (lockcheck: no
-// channel operations under a mutex).
+// the ready channels to close once the lock is released (no channel
+// operations under a mutex).
 func (c *Controller) dispatchLocked() []chan struct{} {
 	var ready []chan struct{}
 	for c.queued > 0 {

@@ -235,7 +235,7 @@ func execOptions(o Options) exec.Options {
 // Synthesize runs the full pipeline and writes the result video to
 // outPath.
 func Synthesize(spec *vql.Spec, outPath string, o Options) (*Result, error) {
-	//v2v:nolint(ctxcheck) context-free compat wrapper; callers wanting cancellation use SynthesizeContext
+	// context-free compat wrapper; callers wanting cancellation use SynthesizeContext
 	return SynthesizeContext(context.Background(), spec, outPath, o)
 }
 
@@ -263,7 +263,7 @@ func SynthesizeContext(ctx context.Context, spec *vql.Spec, outPath string, o Op
 
 // SynthesizeSource parses the textual spec grammar and synthesizes it.
 func SynthesizeSource(src, outPath string, o Options) (*Result, error) {
-	//v2v:nolint(ctxcheck) context-free compat wrapper; callers wanting cancellation use SynthesizeSourceContext
+	// context-free compat wrapper; callers wanting cancellation use SynthesizeSourceContext
 	return SynthesizeSourceContext(context.Background(), src, outPath, o)
 }
 
@@ -285,7 +285,7 @@ func SynthesizeSourceContext(ctx context.Context, src, outPath string, o Options
 // the paper's "begin playback within seconds" property. The result's
 // Metrics.FirstOutput records the latency to the first packet.
 func SynthesizeStream(spec *vql.Spec, w io.Writer, o Options) (*Result, error) {
-	//v2v:nolint(ctxcheck) context-free compat wrapper; callers wanting cancellation use SynthesizeStreamContext
+	// context-free compat wrapper; callers wanting cancellation use SynthesizeStreamContext
 	return SynthesizeStreamContext(context.Background(), spec, w, o)
 }
 

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"v2v/internal/check"
 	"v2v/internal/dataset"
@@ -31,6 +33,9 @@ var (
 )
 
 func TestMain(m *testing.M) {
+	if dir := os.Getenv(killChildEnv); dir != "" {
+		os.Exit(killMidWriteChild(dir))
+	}
 	dir, err := os.MkdirTemp("", "v2v-exec-")
 	if err != nil {
 		panic(err)
@@ -59,9 +64,29 @@ func TestMain(m *testing.M) {
 	if _, err := dataset.Generate(fxBoxes, fxBoxesAnn, offGrid, rational.FromInt(4)); err != nil {
 		panic(err)
 	}
+	before := runtime.NumGoroutine()
 	code := m.Run()
+	if !goroutinesSettle(before) {
+		code = 1
+	}
 	os.RemoveAll(dir)
 	os.Exit(code)
+}
+
+// goroutinesSettle is the package's goroutine-leak gate: every worker,
+// scheduler and resolver a run starts must have exited once the tests
+// are done. It waits up to 2 s for the count to fall back to n, the count
+// before the tests; if it does not, it prints every goroutine's stack.
+func goroutinesSettle(n int) bool {
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > n; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			fmt.Fprintf(os.Stderr, "goroutine leak: %d goroutines after the tests, %d before\n%s\n",
+				runtime.NumGoroutine(), n, buf[:runtime.Stack(buf, true)])
+			return false
+		}
+	}
+	return true
 }
 
 // optOptions is the full optimizer pinned to one shard per segment, so the

@@ -1,22 +1,29 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"v2v/internal/check"
 	"v2v/internal/container"
+	"v2v/internal/dataset"
 	"v2v/internal/faults"
+	"v2v/internal/frame"
 	"v2v/internal/media"
 	"v2v/internal/plan"
+	"v2v/internal/rational"
 	"v2v/internal/vql"
 )
 
@@ -404,3 +411,108 @@ func TestStreamSinkCancelOmitsEOS(t *testing.T) {
 type nopWriter struct{ b *strings.Builder }
 
 func (w *nopWriter) Write(p []byte) (int, error) { return w.b.Write(p) }
+
+// killChildEnv, when set, makes the test binary the child of
+// TestKillMidWriteLeavesNoOutput instead of running the tests: TestMain
+// hands its value, a directory, to killMidWriteChild.
+const killChildEnv = "V2V_EXEC_KILL_CHILD"
+
+// killMidWriteChild executes a two-shard render plan into dir/out.vmf
+// through a transform that never returns for the second shard's frames,
+// so the process stays mid-write, the first shard's packets in
+// dir/out.vmf.tmp, until its parent kills it. It returns only on failure.
+func killMidWriteChild(dir string) int {
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "kill-mid-write child:", err)
+		return 3
+	}
+	src := filepath.Join(dir, "src.vmf")
+	if _, err := dataset.Generate(src, "", dataset.TinyProfile(), rational.FromInt(2)); err != nil {
+		return fail(err)
+	}
+	vql.Register(&vql.Transform{
+		Name:   "testexec_stall",
+		Params: []vql.Type{vql.TypeFrame},
+		Result: vql.TypeFrame,
+		Eval: func(_ vql.Alloc, args []vql.Val) (vql.Val, error) {
+			if id, ok := frame.ReadStamp(args[0].Frame); ok && id >= 24 {
+				for {
+					time.Sleep(time.Hour) // sleeping, not blocked: the runtime must not end the process as deadlocked
+				}
+			}
+			return args[0], nil
+		},
+	})
+	s, err := vql.Parse(fmt.Sprintf(`
+		timedomain range(0, 2, 1/24);
+		videos { v: %q; }
+		render(t) = testexec_stall(v[t]);`, src))
+	if err != nil {
+		return fail(err)
+	}
+	c, err := check.Check(s, check.Options{})
+	if err != nil {
+		return fail(err)
+	}
+	p, err := plan.Build(c)
+	if err != nil {
+		return fail(err)
+	}
+	_, err = Execute(context.Background(), setShards(p, 2), filepath.Join(dir, "out.vmf"), Options{Parallelism: 1})
+	return fail(fmt.Errorf("Execute returned: %v", err))
+}
+
+// TestKillMidWriteLeavesNoOutput SIGKILLs a process in the middle of
+// Execute, once the first shard's packets are in out.tmp: nothing may
+// exist at out, and the torn temp file must not open as a VMF.
+func TestKillMidWriteLeavesNoOutput(t *testing.T) {
+	switch runtime.GOOS {
+	case "windows", "plan9", "js", "wasip1":
+		t.Skip("needs a Unix child process to SIGKILL")
+	}
+	dir := t.TempDir()
+	child := osexec.Command(os.Args[0], "-test.run=^$")
+	child.Env = append(os.Environ(), killChildEnv+"="+dir)
+	var stderr bytes.Buffer
+	child.Stderr = &stderr
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- child.Wait() }()
+	t.Cleanup(func() { child.Process.Kill() }) // the child sleeps forever: never let it outlive the test
+	out := filepath.Join(dir, "out.vmf")
+	for deadline := time.Now().Add(30 * time.Second); !holdsPackets(out + ".tmp"); time.Sleep(5 * time.Millisecond) {
+		select {
+		case err := <-exited:
+			t.Fatalf("child exited before the kill (%v):\n%s", err, stderr.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			child.Process.Kill()
+			<-exited
+			t.Fatalf("no packet reached %s.tmp in 30 s:\n%s", out, stderr.String())
+		}
+	}
+	if err := child.Process.Kill(); err != nil { // SIGKILL on Unix
+		t.Fatal(err)
+	}
+	<-exited
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("killed run left %s (stat: %v)", out, err)
+	}
+	if r, err := container.Open(out + ".tmp"); err == nil {
+		r.Close()
+		t.Errorf("the killed run's torn %s.tmp opens as a VMF", out)
+	}
+}
+
+// holdsPackets reports whether the VMF being written at path has bytes
+// past its header: magic, header length, header.
+func holdsPackets(path string) bool {
+	b, err := os.ReadFile(path)
+	if err != nil || len(b) < 8 {
+		return false
+	}
+	return len(b) > 8+int(binary.LittleEndian.Uint32(b[4:8]))
+}

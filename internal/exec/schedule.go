@@ -302,7 +302,7 @@ func (x *run) resolve(ctx context.Context, u *unit) {
 // every publish interval. It honors ctx and the run's abort at the same
 // points and never touches the sink.
 func (x *run) render(ctx context.Context, u *unit, sh *shard) {
-	defer func() { <-x.sem }() //v2v:nolint(sendblock) frees this worker's own buffered semaphore slot; never blocks
+	defer func() { <-x.sem }() // frees this worker's own buffered semaphore slot; never blocks
 	defer u.rendered.Done()
 	defer close(sh.out)
 	sp := u.span.ChildThread(fmt.Sprintf("shard[%d,%d)", sh.lo, sh.hi))
@@ -342,7 +342,7 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	sent := 0
 	publish := func() {
 		if n := len(sh.pkts); n > sent {
-			sh.out <- sh.pkts[sent:n:n] //v2v:nolint(sendblock) out is buffered for one send per GOP of the shard; never blocks
+			sh.out <- sh.pkts[sent:n:n] // out is buffered for one send per GOP of the shard; never blocks
 			sent = n
 		}
 	}
@@ -437,7 +437,7 @@ func (x *run) deliver(u *unit) {
 // a failure.
 func (x *run) deliverRender(u *unit, act *plan.SegmentActuals) {
 	if u.key != "" {
-		<-u.decided //v2v:nolint(sendblock) must-drain join: the resolver decides at once on a hit, a miss or ctx's end, else when the concurrent fill it waits on ends; its shards must not outlive the run
+		<-u.decided // must-drain join: the resolver decides at once on a hit, a miss or ctx's end, else when the concurrent fill it waits on ends; its shards must not outlive the run
 		if u.err != nil {
 			x.fail(u.err)
 			return
@@ -470,7 +470,7 @@ func (x *run) deliverRender(u *unit, act *plan.SegmentActuals) {
 			}
 		}
 		if sh.started {
-			<-x.window //v2v:nolint(sendblock) frees the delivered shard's window slot from a buffered channel; never blocks
+			<-x.window // frees the delivered shard's window slot from a buffered channel; never blocks
 		}
 		// errShardAborted appears only once abort is closed or ctx has ended,
 		// so it is never the error ExecuteTo reports.

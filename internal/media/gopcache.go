@@ -212,7 +212,7 @@ func (c *GOPCache) GetOrFill(path string, start, idx int, fill func() ([]*frame.
 			delete(c.inflight, key)
 			if admitted {
 				for _, fr := range f.frames {
-					//v2v:nolint(poolcheck) the cache holds this reference until eviction; removeLocked releases it
+					// the cache holds this reference until eviction; removeLocked releases it
 					fr.Retain()
 				}
 				el := c.lru.PushFront(&gopEntry{key: key, frames: f.frames, bytes: b})
