@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"v2v"
 	"v2v/internal/cliutil"
@@ -47,8 +48,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON file (chrome://tracing, Perfetto)")
 		timeout   = fs.Duration("timeout", 0, "abort synthesis after this long (0 = no limit); a timed-out run leaves no partial output")
 		strict    = fs.Bool("strict", false, "fail fast on corrupt or undecodable source packets instead of concealing them")
-		cacheMB   = fs.Int("gop-cache-mb", 0, "decoded-GOP cache budget in MiB shared by all shards (0 = auto-size from the sources, -1 = disable)")
-		resMB     = fs.Int("result-cache-mb", -1, "encoded-result cache budget in MiB (0 = 256 MiB default, -1 = disable; one-shot runs only benefit when segments repeat within the plan)")
+		cacheMB   = fs.Int("gop-cache-mb", 0, "decoded-GOP share of the cache budget in MiB, shared by all shards (0 = sized for -parallel, -1 = disable)")
+		resMB     = fs.Int("result-cache-mb", -1, "encoded-result share of the cache budget in MiB (0 = 256 MiB default, -1 = disable; one-shot runs only benefit when segments repeat within the plan)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: v2v [flags] spec.v2v output.vmf\n\nflags:\n")
@@ -102,12 +103,11 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		Trace:       tr,
 		Recorder:    rec,
 	}
-	if *cacheMB >= 0 {
-		opts.GOPCache = v2v.NewGOPCache(int64(*cacheMB) << 20)
+	par := *parallel
+	if par == 0 {
+		par = runtime.GOMAXPROCS(0) // as the pipeline resolves -parallel 0
 	}
-	if *resMB >= 0 {
-		opts.ResultCache = v2v.NewResultCache(int64(*resMB) << 20)
-	}
+	opts.Cache = v2v.NewCache(int64(*cacheMB)<<20, int64(*resMB)<<20, par)
 	// Whatever path exits, flush the trace if one was requested; a failed
 	// write fails the run (unless it is already failing for another reason).
 	defer func() {
@@ -184,19 +184,13 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 			}
 			fmt.Fprintf(stdout, "stage %-9s %d frames, %d bytes, %v\n", name, st.Frames, st.Bytes, st.Wall)
 		}
-		if c := opts.GOPCache; c != nil {
-			cs := c.Stats()
-			if cs.Hits+cs.Misses > 0 {
-				fmt.Fprintf(stdout, "gop cache       %d hits / %d misses, %d evictions, %d MiB resident (budget %d MiB)\n",
-					cs.Hits, cs.Misses, cs.Evictions, cs.Bytes>>20, cs.Budget>>20)
-			}
+		if cs := m.GOPCache; cs != nil && cs.Hits+cs.Misses > 0 {
+			fmt.Fprintf(stdout, "gop cache       %d hits / %d misses, %d evictions, %d MiB resident (share %d MiB)\n",
+				cs.Hits, cs.Misses, cs.Evictions, cs.Bytes>>20, cs.Budget>>20)
 		}
-		if c := opts.ResultCache; c != nil {
-			cs := c.Stats()
-			if cs.Hits+cs.Misses > 0 {
-				fmt.Fprintf(stdout, "result cache    %d hits / %d misses, %d evictions, %d KiB resident (budget %d MiB)\n",
-					cs.Hits, cs.Misses, cs.Evictions, cs.Bytes>>10, cs.Budget>>20)
-			}
+		if cs := m.ResultCache; cs != nil && cs.Hits+cs.Misses > 0 {
+			fmt.Fprintf(stdout, "result cache    %d hits / %d misses, %d evictions, %d KiB resident (share %d MiB)\n",
+				cs.Hits, cs.Misses, cs.Evictions, cs.Bytes>>10, cs.Budget>>20)
 		}
 		if !res.RewriteStats.Skipped {
 			fmt.Fprintf(stdout, "data rewrites   %v (arms %d -> %d)\n",

@@ -40,7 +40,7 @@ import (
 // validateServeFlags rejects nonsensical flag values before any server
 // state is built, so a typo'd unit (bytes instead of MiB, negative
 // durations) fails fast with a clear message.
-func validateServeFlags(drain, synthTO, admitTO, flushInterval time.Duration, cacheMB, resMB, budgetMB, slowMS, flightSize, parallel, maxQueue, streamBufKB int, tenantWeight, logFormat string) error {
+func validateServeFlags(drain, synthTO, admitTO, flushInterval time.Duration, cacheMB, resMB, slowMS, flightSize, parallel, maxQueue, streamBufKB int, tenantWeight, logFormat string) error {
 	_, werr := cliutil.ParseTenantWeights("-tenant-weight", tenantWeight)
 	return errors.Join(
 		cliutil.ValidateTimeout("-drain", drain),
@@ -49,7 +49,6 @@ func validateServeFlags(drain, synthTO, admitTO, flushInterval time.Duration, ca
 		cliutil.ValidateTimeout("-flush-interval", flushInterval),
 		cliutil.ValidateCacheMB("-gop-cache-mb", cacheMB),
 		cliutil.ValidateCacheMB("-result-cache-mb", resMB),
-		cliutil.ValidateBudgetMB("-cache-budget-mb", budgetMB),
 		cliutil.ValidateMillis("-slow-query-ms", slowMS),
 		cliutil.ValidateRingSize("-flight-recorder-size", flightSize),
 		cliutil.ValidateParallel("-parallel", parallel),
@@ -77,9 +76,8 @@ func serverFlags(fs *flag.FlagSet) *serve.Config {
 	fs.BoolVar(&c.NoOpt, "no-opt", false, "disable the optimizer (for demos)")
 	fs.DurationVar(&c.SynthTimeout, "synth-timeout", 0, "per-request synthesis timeout (0 = no limit)")
 	fs.BoolVar(&c.Strict, "strict", false, "fail requests on corrupt or undecodable source packets instead of concealing them")
-	fs.IntVar(&c.GOPCacheMB, "gop-cache-mb", 0, "decoded-GOP cache budget in MiB shared across all requests (0 = auto-size from the sources, -1 = disable)")
-	fs.IntVar(&c.ResultCacheMB, "result-cache-mb", 0, "encoded-result cache budget in MiB shared across all requests (0 = 256 MiB default, -1 = disable)")
-	fs.IntVar(&c.CacheBudgetMB, "cache-budget-mb", 0, "unified byte budget in MiB shared by the GOP and result caches via an arbiter (0 = sum of the per-cache budgets; ignored unless both caches are enabled)")
+	fs.IntVar(&c.GOPCacheMB, "gop-cache-mb", 0, "decoded-GOP share in MiB of the cache budget all requests share (0 = sized for -parallel, -1 = disable)")
+	fs.IntVar(&c.ResultCacheMB, "result-cache-mb", 0, "encoded-result share in MiB of the cache budget all requests share (0 = 256 MiB default, -1 = disable)")
 	fs.IntVar(&c.SlowQueryMS, "slow-query-ms", 0, "log a warning for requests slower than this many milliseconds, and let /debug/requests?slow=1 filter on it (0 = disabled)")
 	fs.IntVar(&c.FlightRecorderSize, "flight-recorder-size", 0, "completed requests kept in the /debug/requests ring (0 = default)")
 	fs.IntVar(&c.Parallel, "parallel", 0, "shard parallelism per synthesis (0 = GOMAXPROCS)")
@@ -109,7 +107,7 @@ func main() {
 	}
 
 	if err := validateServeFlags(*drain, cfg.SynthTimeout, cfg.AdmitTimeout, cfg.FlushInterval,
-		cfg.GOPCacheMB, cfg.ResultCacheMB, cfg.CacheBudgetMB, cfg.SlowQueryMS, cfg.FlightRecorderSize,
+		cfg.GOPCacheMB, cfg.ResultCacheMB, cfg.SlowQueryMS, cfg.FlightRecorderSize,
 		cfg.Parallel, cfg.MaxQueue, cfg.StreamBufferKB, cfg.TenantWeight, *logFormat); err != nil {
 		fatal("invalid flags", err)
 	}

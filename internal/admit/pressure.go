@@ -80,7 +80,7 @@ var (
 )
 
 // Monitor periodically samples memory pressure and drives the registered
-// reactions (cache-budget arbiter, admission controller). The sampler and
+// reactions (cache budget, admission controller). The sampler and
 // clock are injectable so tests inject synthetic pressure episodes.
 type Monitor struct {
 	sampler  func() MemSample

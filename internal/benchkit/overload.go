@@ -63,10 +63,10 @@ const overloadRequests = 24
 // overloadServer serves v2vserve's handler under a deliberately tight
 // admission config — two slots, a four-deep queue, tenants gold and free
 // weighted 3:1 — so the sweep exercises shedding at small request counts
-// instead of needing thousands of requests to saturate a real host. Both
-// caches get cacheMB under one arbitrated 2×cacheMB budget; mon, when
-// non-nil, drives the handler's memory-pressure reactions. stop closes
-// the listener, then admission.
+// instead of needing thousands of requests to saturate a real host. Each
+// kind of cache entry gets a cacheMB share of one 2×cacheMB budget; mon,
+// when non-nil, drives the handler's memory-pressure reactions. stop
+// closes the listener, then admission.
 func overloadServer(cacheMB int, mon *admit.Monitor) (base string, stop func(), err error) {
 	srv, err := serve.New(serve.Config{
 		// Admission runs twice Parallel syntheses at once: the two slots.
@@ -76,7 +76,6 @@ func overloadServer(cacheMB int, mon *admit.Monitor) (base string, stop func(), 
 		TenantWeight:  "gold=3,free=1",
 		GOPCacheMB:    cacheMB,
 		ResultCacheMB: cacheMB,
-		CacheBudgetMB: 2 * cacheMB,
 		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 		Monitor:       mon,
 	})
@@ -276,12 +275,14 @@ func recordedSheds(base string, results []overloadResult) (int, error) {
 	return n, nil
 }
 
-// arbiterStats reads the cache arbiter's budget split from the handler's
+// budgetStats reads the cache budget's split from the handler's
 // /debug/caches, as an operator would.
-func arbiterStats(base string) (media.ArbiterStats, error) {
-	var dump struct{ Arbiter media.ArbiterStats }
+func budgetStats(base string) (media.BudgetStats, error) {
+	var dump struct {
+		Budget media.BudgetStats `json:"arbiter"`
+	}
 	err := getJSON(base, "/debug/caches", &dump)
-	return dump.Arbiter, err
+	return dump.Budget, err
 }
 
 // calibrate measures the service time of one warm request (after one
@@ -334,12 +335,12 @@ func FormatOverload(title string, rows []OverloadRow) string {
 // two-tenant burst while an injected memory-pressure episode ramps to
 // critical and recedes. The invariants (checked by ChaosOverloadRun,
 // reported here for the table) are: overload surfaces only as typed
-// 429/503 sheds with Retry-After — never mid-stream errors; the
-// arbitrated cache budget shrinks under pressure and recovers after.
+// 429/503 sheds with Retry-After — never mid-stream errors; the cache
+// budget shrinks under pressure and recovers after.
 type ChaosOverloadResult struct {
 	Row OverloadRow
-	// PreCacheBytes/MinCacheBytes/PostCacheBytes track arbiter-charged
-	// cache bytes before, during, and after the pressure episode.
+	// PreCacheBytes/MinCacheBytes/PostCacheBytes track resident cache
+	// bytes before, during, and after the pressure episode.
 	PreCacheBytes  int64
 	MinCacheBytes  int64
 	PostCacheBytes int64
@@ -383,7 +384,7 @@ func ChaosOverloadRun(ds *Dataset, cfg Config, seed int64) (*ChaosOverloadResult
 	if err != nil {
 		return nil, fmt.Errorf("benchkit: chaos overload calibration: %w", err)
 	}
-	pre, err := arbiterStats(base)
+	pre, err := budgetStats(base)
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +397,7 @@ func ChaosOverloadRun(ds *Dataset, cfg Config, seed int64) (*ChaosOverloadResult
 
 	for !ep.Done() {
 		mon.Poll()
-		st, err := arbiterStats(base)
+		st, err := budgetStats(base)
 		if err != nil {
 			return res, err
 		}
@@ -426,7 +427,7 @@ func ChaosOverloadRun(ds *Dataset, cfg Config, seed int64) (*ChaosOverloadResult
 	if _, err := calibrate(base, src); err != nil {
 		return res, fmt.Errorf("benchkit: chaos overload recovery request: %w", err)
 	}
-	post, err := arbiterStats(base)
+	post, err := budgetStats(base)
 	if err != nil {
 		return res, err
 	}

@@ -49,18 +49,6 @@ func ValidateCacheMB(name string, mb int) error {
 	return nil
 }
 
-// ValidateBudgetMB checks a shared-budget flag where 0 means "derive
-// from the per-cache budgets" and negatives have no meaning.
-func ValidateBudgetMB(name string, mb int) error {
-	switch {
-	case mb < 0:
-		return fmt.Errorf("%s: negative budget %d; use 0 to derive it from the per-cache budgets", name, mb)
-	case mb > MaxCacheMB:
-		return fmt.Errorf("%s: %d MiB exceeds the %d MiB (1 TiB) cap; the value is in MiB, not bytes", name, mb, MaxCacheMB)
-	}
-	return nil
-}
-
 // ValidateTimeout checks a duration flag where 0 means "no limit".
 func ValidateTimeout(name string, d time.Duration) error {
 	switch {

@@ -23,21 +23,6 @@ func TestValidateCacheMB(t *testing.T) {
 	}
 }
 
-func TestValidateBudgetMB(t *testing.T) {
-	for _, tc := range []struct {
-		mb      int
-		wantErr string
-	}{
-		{0, ""},
-		{1024, ""},
-		{-1, "negative budget"},
-		{MaxCacheMB + 1, "exceeds"},
-	} {
-		err := ValidateBudgetMB("-cache-budget-mb", tc.mb)
-		checkErr(t, "ValidateBudgetMB", tc.mb, err, tc.wantErr)
-	}
-}
-
 func TestValidateTimeout(t *testing.T) {
 	for _, tc := range []struct {
 		d       time.Duration

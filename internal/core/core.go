@@ -46,16 +46,12 @@ type Options struct {
 	// corrupt or undecodable source packets are replaced by holding the
 	// last good frame instead of failing the synthesis. See exec.Options.
 	Conceal bool
-	// GOPCache, when non-nil, is a shared decoded-GOP cache the executor
-	// reads sources through; share one cache across runs to reuse decodes
-	// between them. Nil disables caching. See exec.Options.GOPCache.
-	GOPCache *media.GOPCache
-	// ResultCache, when non-nil, memoizes rendered segments' encoded
-	// output across runs, keyed by canonical plan fingerprint + source
-	// content identity: a repeated or overlapping query splices cached
-	// packets instead of rendering. Share one cache across runs. Nil
-	// disables result caching. See exec.Options.ResultCache.
-	ResultCache *media.ResultCache
+	// Cache, when non-nil, holds decoded source GOPs and rendered
+	// segments' encoded output across runs: share one to reuse decodes
+	// between runs and to splice a repeated or overlapping query's cached
+	// packets instead of rendering. Nil disables caching. See
+	// exec.Options.Cache.
+	Cache *media.Cache
 	// Trace, when set, records one span per pipeline stage (parse, check,
 	// rewrite, optimize, execute), per optimizer pass, per segment, and
 	// per shard worker. Export it with obs.Trace.WriteJSON.
@@ -227,7 +223,7 @@ func (pr *Prepared) SynthesizeStreamContext(ctx context.Context, w io.Writer, o 
 func execOptions(o Options) exec.Options {
 	return exec.Options{
 		Parallelism: o.Parallelism, Conceal: o.Conceal,
-		GOPCache: o.GOPCache, ResultCache: o.ResultCache, Trace: o.Trace,
+		Cache: o.Cache, Trace: o.Trace,
 		Recorder: o.Recorder, OnSegmentDone: o.OnSegmentDone,
 	}
 }

@@ -9,6 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"v2v/internal/check"
+	"v2v/internal/dataset"
+	"v2v/internal/frame"
 	"v2v/internal/media"
 	"v2v/internal/plan"
 )
@@ -73,7 +76,7 @@ func TestConcurrentSynthesesShareGOPCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := media.NewGOPCache(0)
+	cache := media.NewCache(0, -1, 1)
 	plans := make([]*plan.Plan, workers)
 	sinks := make([]*media.StreamWriter, workers)
 	bufs := make([]*strings.Builder, workers)
@@ -91,7 +94,7 @@ func TestConcurrentSynthesesShareGOPCache(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := ExecuteTo(context.Background(), plans[i], sinks[i], Options{GOPCache: cache})
+			m, err := ExecuteTo(context.Background(), plans[i], sinks[i], Options{Cache: cache})
 			if err != nil {
 				errs[i] = err
 				return
@@ -118,9 +121,57 @@ func TestConcurrentSynthesesShareGOPCache(t *testing.T) {
 	if total*2 > off {
 		t.Errorf("shared-cache decodes = %d, want < half of cache-off %d", total, off)
 	}
-	st := cache.Stats()
+	st := cache.Stats(media.KindGOP)
 	if st.Hits+st.Misses == 0 {
 		t.Error("cache saw no lookups")
+	}
+}
+
+// defaultGOPCacheBudget is how the executor sized an unset GOP cache
+// budget from the first plan it ran: enough for every live shard worker to
+// hold its current source GOPs plus headroom for reuse across shards,
+// clamped to [64MiB, 1GiB]. par is the run's resolved parallelism.
+func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
+	var maxGOP int64
+	for _, src := range p.Checked.Sources {
+		info := src.Info
+		gop := info.GOP
+		if gop <= 0 {
+			gop = 48
+		}
+		b := int64(gop) * int64(frame.FormatYUV420.Size(info.Width, info.Height))
+		if b > maxGOP {
+			maxGOP = b
+		}
+	}
+	mult := int64(par) * int64(media.DefaultCursorsPerVideo) * 3 / 2
+	if mult < 8 {
+		mult = 8
+	}
+	budget := maxGOP * mult
+	const lo, hi = 64 << 20, 1 << 30
+	if budget < lo {
+		return lo
+	}
+	if budget > hi {
+		return hi
+	}
+	return budget
+}
+
+// A zero GOP share is sized at construction from the parallelism alone,
+// and never below what the executor used to size from a plan over any
+// bundled source profile — so a workload the old sizing fitted still
+// fits — nor above the old 1 GiB clamp.
+func TestDefaultGOPShareCoversPlanSizing(t *testing.T) {
+	for _, prof := range []dataset.Profile{dataset.ToSProfile(), dataset.KABRProfile(), dataset.TinyProfile()} {
+		p := &plan.Plan{Checked: &check.Checked{Sources: map[string]check.Source{"v": {Info: prof.StreamInfo()}}}}
+		for _, par := range []int{1, 2, 4, 8} {
+			got := media.NewCache(0, -1, par).BudgetStats().Total
+			if want := defaultGOPCacheBudget(p, par); got < want || got > 1<<30 {
+				t.Errorf("%s at parallelism %d: default GOP share %d, want in [%d, %d]", prof.Name, par, got, want, 1<<30)
+			}
+		}
 	}
 }
 

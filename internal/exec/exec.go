@@ -117,20 +117,15 @@ type Options struct {
 	// of failing the synthesis. Structural damage (unreadable header or
 	// index) and I/O failures remain fatal in both modes.
 	Conceal bool
-	// GOPCache, when non-nil, is a shared decoded-GOP cache every shard
-	// worker reads through: concurrent taps of the same source GOP decode
-	// it once and share the frames. The same cache may be (and in v2vserve
-	// is) shared across concurrent ExecuteTo calls. If the cache's byte
-	// budget is unset, ExecuteTo sizes it from the plan's source formats.
-	// Nil disables caching.
-	GOPCache *media.GOPCache
-	// ResultCache, when non-nil, memoizes the encoded packets of rendered
-	// segments, keyed by canonical plan fingerprint + source content
-	// identity (plan.Fingerprinter): a repeated or overlapping query
-	// splices the cached packets as a stream copy — zero source decodes,
-	// zero frame encodes. Share one cache across runs (v2vserve shares a
-	// process-wide one). Nil disables result caching.
-	ResultCache *media.ResultCache
+	// Cache, when non-nil, is the store every shard worker reads through
+	// and result-caches into, for each kind it holds. Decoded GOPs:
+	// concurrent taps of the same source GOP decode it once and share the
+	// frames. Encoded results, keyed by canonical plan fingerprint + source
+	// content identity (plan.Fingerprinter): a repeated or overlapping
+	// query splices the cached packets as a stream copy — zero source
+	// decodes, zero frame encodes. The same cache may be (and in v2vserve
+	// is) shared across concurrent ExecuteTo calls. Nil disables caching.
+	Cache *media.Cache
 	// Trace, when set, records one span per segment and per shard worker.
 	Trace *obs.Trace
 	// Recorder attributes per-stage (decode/filter/encode/copy) frames,
@@ -176,11 +171,11 @@ type Metrics struct {
 	// Segments holds per-segment measured costs, index-aligned with the
 	// executed plan's segments — the data behind EXPLAIN ANALYZE.
 	Segments []plan.SegmentActuals
-	// GOPCache and ResultCache snapshot the shared caches' cumulative
-	// stats (occupancy, budget, totals) at the end of the run; nil when
-	// the corresponding cache is disabled.
-	GOPCache    *media.GOPCacheStats
-	ResultCache *media.ResultCacheStats
+	// GOPCache and ResultCache snapshot the shared cache's cumulative
+	// stats (occupancy, share, totals) per kind at the end of the run; nil
+	// when the cache does not hold that kind.
+	GOPCache    *media.CacheStats
+	ResultCache *media.CacheStats
 }
 
 // TotalEncodes sums every frame encode performed anywhere in the plan.
@@ -236,9 +231,6 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	defer func() { framesConcealed.Add(m.TotalConcealed()) }()
 	readers := newReaderCache(p, o.Conceal)
 	defer readers.closeAll(m)
-	if o.GOPCache != nil {
-		o.GOPCache.SetBudgetIfUnset(defaultGOPCacheBudget(p, o.Parallelism))
-	}
 
 	execSpan := o.Trace.StartSpan("execute")
 	if o.OnSegmentDone != nil {
@@ -275,12 +267,12 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 		return nil, err
 	}
 	m.Output.Add(w.Stats())
-	if o.GOPCache != nil {
-		s := o.GOPCache.Stats()
+	if o.Cache.Holds(media.KindGOP) {
+		s := o.Cache.Stats(media.KindGOP)
 		m.GOPCache = &s
 	}
-	if o.ResultCache != nil {
-		s := o.ResultCache.Stats()
+	if o.Cache.Holds(media.KindResult) {
+		s := o.Cache.Stats(media.KindResult)
 		m.ResultCache = &s
 	}
 	m.Wall = time.Since(start)
@@ -347,47 +339,6 @@ func (s arraySource) DataAt(name string, t rational.Rat) (data.Value, bool, erro
 	return v, ok, nil
 }
 
-// defaultGOPCacheBudget sizes an unset cache budget from the plan's source
-// formats: enough for every live shard worker to hold its current source
-// GOPs plus headroom for reuse across shards, clamped to [64MiB, 1GiB].
-// par is the run's resolved Options.Parallelism.
-func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
-	var maxGOP int64
-	for _, src := range p.Checked.Sources {
-		info := src.Info
-		gop := info.GOP
-		if gop <= 0 {
-			gop = 48
-		}
-		b := int64(gop) * int64(frame.FormatYUV420.Size(info.Width, info.Height))
-		if b > maxGOP {
-			maxGOP = b
-		}
-	}
-	if maxGOP == 0 {
-		return media.FallbackGOPCacheBytes
-	}
-	// Worst-case live set: each of par shard workers keeps up to
-	// media.DefaultCursorsPerVideo interleaved streams (a 4-tap grid uses
-	// four, plus one for a GOP-boundary straddle), and each stream pins
-	// one GOP. An LRU sized below the live set thrashes — every fill
-	// evicts a GOP another stream is about to read — so size for the
-	// full set with 1.5x headroom, and never below 8 GOPs.
-	mult := int64(par) * int64(media.DefaultCursorsPerVideo) * 3 / 2
-	if mult < 8 {
-		mult = 8
-	}
-	budget := maxGOP * mult
-	const lo, hi = 64 << 20, 1 << 30
-	if budget < lo {
-		return lo
-	}
-	if budget > hi {
-		return hi
-	}
-	return budget
-}
-
 // segmentRunner executes one segment's operator tree for one goroutine.
 //
 // Frame ownership: every frame a nodeRunner returns is owned by its caller,
@@ -410,7 +361,9 @@ type segmentRunner struct {
 	taps    []*frame.Frame // source frames and destinations of the expression being evaluated
 }
 
-func newSegmentRunner(p *plan.Plan, s *plan.Segment, conceal bool, cache *media.GOPCache, rec *obs.Recorder) *segmentRunner {
+// newSegmentRunner builds a runner whose cursors read through cache; a
+// read waiting on another runner's fill of a GOP gives up when ctx ends.
+func newSegmentRunner(ctx context.Context, p *plan.Plan, s *plan.Segment, conceal bool, cache *media.Cache, rec *obs.Recorder) *segmentRunner {
 	paths := make(map[string]string, len(p.Checked.Sources))
 	for name, src := range p.Checked.Sources {
 		paths[name] = src.Path
@@ -424,9 +377,7 @@ func newSegmentRunner(p *plan.Plan, s *plan.Segment, conceal bool, cache *media.
 	}
 	run.cursors.SetConceal(conceal)
 	run.cursors.SetRecorder(rec)
-	if cache != nil {
-		run.cursors.SetGOPCache(cache)
-	}
+	run.cursors.SetCache(ctx, cache)
 	run.root = run.buildRunner(s.Root)
 	return run
 }

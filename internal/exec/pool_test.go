@@ -6,6 +6,7 @@ package exec
 // intermediate).
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -56,8 +57,8 @@ func TestFusedSegmentRunnerMatchesPlain(t *testing.T) {
 	}
 
 	fs, ps := fusedPlan.Segments[0], plainPlan.Segments[0]
-	fr := newSegmentRunner(fusedPlan, fs, false, nil, nil)
-	pr := newSegmentRunner(plainPlan, ps, false, nil, nil)
+	fr := newSegmentRunner(context.Background(), fusedPlan, fs, false, nil, nil)
+	pr := newSegmentRunner(context.Background(), plainPlan, ps, false, nil, nil)
 	defer fr.close()
 	defer pr.close()
 	for i := 0; i < fs.FrameCount(); i++ {
@@ -95,8 +96,8 @@ func buildPlanData(t *testing.T, body string) *plan.Plan {
 func warmLoopAllocs(t *testing.T, p *plan.Plan) float64 {
 	t.Helper()
 	s := p.Segments[0]
-	cache := media.NewGOPCache(256 << 20)
-	run := newSegmentRunner(p, s, false, cache, nil)
+	cache := media.NewCache(256<<20, -1, 1)
+	run := newSegmentRunner(context.Background(), p, s, false, cache, nil)
 	defer run.close()
 
 	frames := s.FrameCount()
@@ -177,7 +178,7 @@ func TestRenderWarmLoopAllocs(t *testing.T) {
 // must follow it), and sigma 0, which passes the source frame through.
 func TestBlurSegmentRunnerMatchesGaussianBlur(t *testing.T) {
 	clip := buildPlan(t, `render(t) = v[t];`, false)
-	src := newSegmentRunner(clip, clip.Segments[0], false, nil, nil)
+	src := newSegmentRunner(context.Background(), clip, clip.Segments[0], false, nil, nil)
 	defer src.close()
 	for _, tc := range []struct {
 		name, sigma string
@@ -192,7 +193,7 @@ func TestBlurSegmentRunnerMatchesGaussianBlur(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := buildPlan(t, "render(t) = blur(v[t], "+tc.sigma+");", tc.optimize)
 			s := p.Segments[0]
-			run := newSegmentRunner(p, s, false, nil, nil)
+			run := newSegmentRunner(context.Background(), p, s, false, nil, nil)
 			defer run.close()
 			for i := 0; i < s.FrameCount(); i++ {
 				tm := s.Times.At(i)
@@ -231,13 +232,13 @@ func TestExecuteReleasesSourceFrames(t *testing.T) {
 		`render(t) = grid(blur(v[t], 1), zoom(v[t + 1], 2), grade(blur(v[t], 0), 5, 1, 1), scale(v[t + 1/2], 64, 48));`,
 	} {
 		for _, optimize := range []bool{false, true} {
-			for _, cache := range []*media.GOPCache{nil, media.NewGOPCache(64 << 20)} {
+			for _, cache := range []*media.Cache{nil, media.NewCache(64<<20, -1, 1)} {
 				before := live.Value()
 				p := buildPlan(t, body, optimize)
-				runStream(t, p, Options{Parallelism: 2, GOPCache: cache})
+				runStream(t, p, Options{Parallelism: 2, Cache: cache})
 				resident := 0
 				if cache != nil {
-					for _, e := range cache.Entries() {
+					for _, e := range cache.Entries(media.KindGOP) {
 						resident += e.Frames
 					}
 				}

@@ -37,8 +37,8 @@ func runStream(t *testing.T, p *plan.Plan, o Options) (string, *Metrics) {
 // repeated-request scenario (the same spec POSTed to v2vserve twice).
 func TestResultCacheWarmRepeatZeroWork(t *testing.T) {
 	body := `render(t) = grade(v[t], 5, 1.0, 1.0);`
-	rc := media.NewResultCache(0)
-	opts := Options{ResultCache: rc}
+	rc := media.NewCache(-1, 0, 1)
+	opts := Options{Cache: rc}
 
 	cold, mCold := runStream(t, buildPlan(t, body, false), opts)
 	if mCold.ResultCacheMisses == 0 || mCold.ResultCacheHits != 0 {
@@ -85,8 +85,8 @@ func TestResultCacheWarmRepeatZeroWork(t *testing.T) {
 // render must also hit and do zero decode/encode work.
 func TestResultCacheWarmRepeatShardedSegment(t *testing.T) {
 	body := `render(t) = grade(v[t], 5, 1.0, 1.0);`
-	rc := media.NewResultCache(0)
-	opts := Options{ResultCache: rc, Parallelism: 2}
+	rc := media.NewCache(-1, 0, 1)
+	opts := Options{Cache: rc, Parallelism: 2}
 
 	build := func() *plan.Plan {
 		p := buildPlan(t, body, false)
@@ -121,7 +121,7 @@ func TestResultCacheWarmRepeatShardedSegment(t *testing.T) {
 func TestResultCacheConcurrentRequestsShareRender(t *testing.T) {
 	const workers = 4
 	body := `render(t) = grade(v[t], 5, 1.0, 1.0);`
-	rc := media.NewResultCache(0)
+	rc := media.NewCache(-1, 0, 1)
 
 	outs := make([]string, workers)
 	metrics := make([]*Metrics, workers)
@@ -137,7 +137,7 @@ func TestResultCacheConcurrentRequestsShareRender(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			m, err := ExecuteTo(context.Background(), p, sink, Options{ResultCache: rc})
+			m, err := ExecuteTo(context.Background(), p, sink, Options{Cache: rc})
 			if err != nil {
 				t.Error(err)
 				return
@@ -164,7 +164,7 @@ func TestResultCacheConcurrentRequestsShareRender(t *testing.T) {
 	}
 	// One worker rendered (paying the decodes), the rest spliced. Allow
 	// scheduling slack, but demand real sharing.
-	st := rc.Stats()
+	st := rc.Stats(media.KindResult)
 	if st.Misses != 1 {
 		t.Errorf("misses = %d, want exactly 1 render across %d requests", st.Misses, workers)
 	}
@@ -206,8 +206,8 @@ func TestResultCacheStaleSourceNotServed(t *testing.T) {
 		return p
 	}
 
-	rc := media.NewResultCache(0)
-	opts := Options{ResultCache: rc}
+	rc := media.NewCache(-1, 0, 1)
+	opts := Options{Cache: rc}
 	before, _ := runStream(t, build(), opts)
 
 	// Rewrite the source in place: same path, different content.
@@ -233,23 +233,20 @@ func TestResultCacheStaleSourceNotServed(t *testing.T) {
 	}
 }
 
-// Two concurrent heavy queries sharing one constrained arbitrated budget:
-// both must complete correctly, the combined resident bytes must respect
-// the budget, and neither cache ends empty (the fairness floors hold).
+// Two concurrent heavy queries sharing one constrained cache: both must
+// complete correctly, and the combined resident bytes must respect the
+// budget.
 func TestConcurrentQueriesConstrainedSharedBudget(t *testing.T) {
 	bodies := []string{
 		`render(t) = grade(v[t], 5, 1.0, 1.0);`,
 		`render(t) = grade(zoom(v[t], 2), 10, 1.1, 1.0);`,
 	}
-	// Budgets far below what the working sets would like: the tiny fixture
-	// decodes ~1 MiB of frames per GOP and the two queries touch two GOPs
-	// each; give the pair 1.5 MiB total so eviction pressure is real.
-	gc := media.NewGOPCache(1 << 20)
-	rc := media.NewResultCache(1 << 20)
-	arb := media.NewArbiter(3 << 19)
-	gc.AttachArbiter(arb)
-	rc.AttachArbiter(arb)
-	opts := Options{GOPCache: gc, ResultCache: rc}
+	// A budget far below what the working sets would like: the tiny
+	// fixture decodes ~1 MiB of frames per GOP and the two queries touch
+	// two GOPs each; give the pair 1.5 MiB total so eviction pressure is
+	// real.
+	cache := media.NewCache(1<<20, 1<<19, 1)
+	opts := Options{Cache: cache}
 
 	refs := make([]string, len(bodies))
 	for i, b := range bodies {
@@ -288,17 +285,15 @@ func TestConcurrentQueriesConstrainedSharedBudget(t *testing.T) {
 			}
 		}
 	}
-	if u, tot := arb.Used(), arb.Total(); u > tot {
-		t.Errorf("arbiter used %d exceeds total %d", u, tot)
+	b := cache.BudgetStats()
+	if b.Used > b.Total {
+		t.Errorf("cache holds %d bytes, over its %d budget", b.Used, b.Total)
 	}
-	gs, rs := gc.Stats(), rc.Stats()
-	if gs.Bytes+rs.Bytes != arb.Used() {
-		t.Errorf("cache bytes %d+%d disagree with arbiter ledger %d", gs.Bytes, rs.Bytes, arb.Used())
+	gs, rs := cache.Stats(media.KindGOP), cache.Stats(media.KindResult)
+	if gs.Bytes+rs.Bytes != b.Used {
+		t.Errorf("per-kind bytes %d+%d disagree with the %d resident", gs.Bytes, rs.Bytes, b.Used)
 	}
-	if gs.Bytes < 0 || rs.Bytes < 0 {
-		t.Errorf("negative resident bytes: gop=%d result=%d", gs.Bytes, rs.Bytes)
-	}
-	if arb.Used() == 0 {
+	if b.Used == 0 {
 		t.Error("nothing was cached at all under the shared budget")
 	}
 }

@@ -149,7 +149,7 @@ func (x *run) buildUnits() []*unit {
 	// One fingerprinter per run: it hashes the data arrays once and every
 	// cacheable segment derives its key from it.
 	var fp *plan.Fingerprinter
-	if x.o.ResultCache != nil {
+	if x.o.Cache.Holds(media.KindResult) {
 		fp = plan.NewFingerprinter(x.p.Checked, x.o.Conceal)
 	}
 	units := make([]*unit, len(x.p.Segments))
@@ -283,7 +283,7 @@ func (x *run) resolve(ctx context.Context, u *unit) {
 		}
 		return media.NewResultSegment(pkts), nil
 	}
-	seg, _, filled, err := x.o.ResultCache.GetOrFill(ctx, u.key, miss)
+	seg, _, filled, err := x.o.Cache.Result(ctx, u.key, miss)
 	switch {
 	case filled:
 		// The delivery loop reports the shards' errors itself.
@@ -325,7 +325,7 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 			sh.err = fmt.Errorf("exec: shard [%d,%d) panicked: %v", sh.lo, sh.hi, r)
 		}
 	}()
-	runner := newSegmentRunner(x.p, u.s, x.o.Conceal, x.o.GOPCache, u.rec)
+	runner := newSegmentRunner(ctx, x.p, u.s, x.o.Conceal, x.o.Cache, u.rec)
 	defer func() { sh.source, sh.inter = runner.close() }()
 	out := x.p.Checked.Output
 	enc, err := codec.NewEncoder(codec.Config{

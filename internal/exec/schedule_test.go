@@ -279,17 +279,17 @@ func TestOutputIdentity(t *testing.T) {
 				}
 				wantBytes := ""
 				for _, sink := range sinks {
-					gc := media.NewGOPCache(0)
-					rc := media.NewResultCache(0)
+					gc := media.NewCache(0, -1, 1)
+					rc := media.NewCache(-1, 0, 1)
 					states := []struct {
 						name string
 						o    Options
 					}{
 						{"off", Options{}},
-						{"gop-cold", Options{GOPCache: gc}},
-						{"gop-warm", Options{GOPCache: gc}},
-						{"result-cold", Options{ResultCache: rc}},
-						{"result-warm", Options{ResultCache: rc}},
+						{"gop-cold", Options{Cache: gc}},
+						{"gop-warm", Options{Cache: gc}},
+						{"result-cold", Options{Cache: rc}},
+						{"result-warm", Options{Cache: rc}},
 					}
 					for _, st := range states {
 						name := fmt.Sprintf("par=%d/%s/%s", par, sink.name, st.name)
@@ -472,7 +472,7 @@ func TestErrorWritesTrailerAndDrains(t *testing.T) {
 // FirstOutput on the first spliced packet, far below the full wall clock
 // — not at segment end.
 func TestWarmCacheFirstOutputFast(t *testing.T) {
-	rc := media.NewResultCache(64 << 20)
+	rc := media.NewCache(-1, 64<<20, 1)
 	run := func(perWrite time.Duration) *Metrics {
 		p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, true)
 		var buf bytes.Buffer
@@ -480,7 +480,7 @@ func TestWarmCacheFirstOutputFast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := ExecuteTo(context.Background(), p, w, Options{ResultCache: rc})
+		m, err := ExecuteTo(context.Background(), p, w, Options{Cache: rc})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -670,7 +670,7 @@ func TestResultCacheFillsHoldParallelismCap(t *testing.T) {
 		t.Fatalf("plan has %d segments, want 4", len(p.Segments))
 	}
 	tr := obs.NewTrace("test")
-	_, m := streamPackets(t, p, Options{Parallelism: 2, ResultCache: media.NewResultCache(0), Trace: tr})
+	_, m := streamPackets(t, p, Options{Parallelism: 2, Cache: media.NewCache(-1, 0, 1), Trace: tr})
 	if m.ResultCacheMisses != 4 {
 		t.Fatalf("misses = %d, want 4 cold fills", m.ResultCacheMisses)
 	}

@@ -199,7 +199,7 @@ func TestSmartCutHeadsOverlap(t *testing.T) {
 // the bytes of a run with no cache at all.
 func TestSmartCutWarmRepeatDoesNoWork(t *testing.T) {
 	off, _ := streamBytes(t, buildPlanFull(t, kabrSpliceSpec(), 2), Options{Parallelism: 2})
-	o := Options{Parallelism: 2, GOPCache: media.NewGOPCache(0), ResultCache: media.NewResultCache(0)}
+	o := Options{Parallelism: 2, Cache: media.NewCache(0, 0, 2)}
 	cold, mc := streamBytes(t, buildPlanFull(t, kabrSpliceSpec(), 2), o)
 	warm, mw := streamBytes(t, buildPlanFull(t, kabrSpliceSpec(), 2), o)
 	if mc.ResultCacheMisses != 4 || mc.TotalEncodes() != 4*17 {
@@ -231,13 +231,13 @@ func TestSmartCutHeadConceals(t *testing.T) {
 		timedomain range(0, 2, 1/24);
 		videos { v: %q; }
 		render(t) = v[t + 7/24];`, vid)
-	rc := media.NewResultCache(0)
+	rc := media.NewCache(-1, 0, 1)
 	for _, warm := range []bool{false, true} {
 		p := buildPlanFull(t, src, 1)
 		if len(p.Segments) != 2 || p.Segments[0].FrameCount() != 17 {
 			t.Fatalf("plan is not a 17-frame head and a copy:\n%s", p.Explain())
 		}
-		pkts, m := streamPackets(t, p, Options{Parallelism: 1, Conceal: true, ResultCache: rc})
+		pkts, m := streamPackets(t, p, Options{Parallelism: 1, Conceal: true, Cache: rc})
 		// Cold, the head renders: one concealed frame, one fill. Warm, it is
 		// spliced from the cache.
 		hits, misses, concealed := int64(0), int64(1), int64(1)
@@ -249,7 +249,7 @@ func TestSmartCutHeadConceals(t *testing.T) {
 			t.Errorf("concealing run, warm=%t: %d packets, head %+v", warm, len(pkts), head)
 		}
 	}
-	_, _, err := streamRun(buildPlanFull(t, src, 1), Options{Parallelism: 1, ResultCache: rc})
+	_, _, err := streamRun(buildPlanFull(t, src, 1), Options{Parallelism: 1, Cache: rc})
 	if err == nil || !media.Concealable(err) {
 		t.Errorf("strict run over the damaged head: err = %v, want the corruption error", err)
 	}

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"context"
 	"fmt"
 
 	"v2v/internal/frame"
@@ -21,7 +22,8 @@ type Cursors struct {
 	max     int
 	open    map[string][]*Reader
 	conceal bool
-	cache   *GOPCache
+	ctx     context.Context
+	cache   *Cache
 	rec     *obs.Recorder
 	stats   Stats
 }
@@ -62,13 +64,14 @@ func (c *Cursors) SetRecorder(rec *obs.Recorder) {
 	}
 }
 
-// SetGOPCache routes this pool's reads through a shared decoded-GOP cache:
-// FrameAt serves cache-resident GOPs without touching a decoder, and fills
-// missing GOPs through this pool's own cursors (so decode work stays
-// attributed to the goroutine that performed it). The cache is safe for
-// concurrent use even though the pool itself is not — many per-goroutine
-// pools share one cache.
-func (c *Cursors) SetGOPCache(g *GOPCache) { c.cache = g }
+// SetCache routes this pool's reads through a shared cache's decoded GOPs
+// (when it holds KindGOP): FrameAt serves cache-resident GOPs without
+// touching a decoder, and fills missing GOPs through this pool's own
+// cursors (so decode work stays attributed to the goroutine that
+// performed it). The cache is safe for concurrent use even though the
+// pool itself is not — many per-goroutine pools share one cache. A read
+// waiting on another pool's fill of the same GOP gives up when ctx ends.
+func (c *Cursors) SetCache(ctx context.Context, cache *Cache) { c.ctx, c.cache = ctx, cache }
 
 // FrameAt returns the frame of the named video at exactly time t. The
 // frame is shared and must not be modified; the caller owns one reference
@@ -85,9 +88,9 @@ func (c *Cursors) FrameAt(video string, t rational.Rat) (*frame.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.cache != nil {
-		if fr, ok := c.cachedFrame(video, target); ok {
-			return fr, nil
+	if c.cache.Holds(KindGOP) {
+		if fr, ok, err := c.cachedFrame(video, target); ok || err != nil {
+			return fr, err
 		}
 	}
 	r, err := c.cursorFor(video, target)
@@ -97,15 +100,16 @@ func (c *Cursors) FrameAt(video string, t rational.Rat) (*frame.Frame, error) {
 	return r.FrameAtIndex(target)
 }
 
-// cachedFrame serves target from the shared GOP cache, filling the whole
-// containing GOP on a miss. ok=false falls back to the direct cursor path
-// (unmappable GOP bounds, or a fill error — which the direct path will
-// then surface with its usual semantics).
-func (c *Cursors) cachedFrame(video string, target int) (*frame.Frame, bool) {
+// cachedFrame serves target from the shared cache, filling the whole
+// containing GOP on a miss. ok=false with a nil error falls back to the
+// direct cursor path (unmappable GOP bounds, or a fill error — which the
+// direct path will then surface with its usual semantics); a wait cut
+// short by ctx returns ctx's error.
+func (c *Cursors) cachedFrame(video string, target int) (*frame.Frame, bool, error) {
 	cr := c.open[video][0].Container()
 	k, ok := cr.KeyframeAtOrBefore(target)
 	if !ok {
-		return nil, false
+		return nil, false, nil
 	}
 	// NextKeyframeAfter is "at or after", so probe from k+1 to find the
 	// GOP's end rather than k itself.
@@ -113,18 +117,18 @@ func (c *Cursors) cachedFrame(video string, target int) (*frame.Frame, bool) {
 	if nk, found := cr.NextKeyframeAfter(k + 1); found && nk < end {
 		end = nk
 	}
-	fr, hit, err := c.cache.GetOrFill(c.paths[video], k, target-k, func() ([]*frame.Frame, error) {
+	fr, hit, err := c.cache.GOP(c.ctx, c.paths[video], k, target-k, func() ([]*frame.Frame, error) {
 		return c.decodeGOP(video, k, end)
 	})
 	if err != nil {
-		return nil, false
+		return nil, false, c.ctx.Err()
 	}
 	if hit {
 		c.stats.GOPCacheHits++
 	} else {
 		c.stats.GOPCacheMisses++
 	}
-	return fr, fr != nil
+	return fr, fr != nil, nil
 }
 
 // decodeGOP decodes packets [k, end) through this pool's cursors — the

@@ -35,8 +35,8 @@ type Stats struct {
 	// GOPCacheHits and GOPCacheMisses count shared decoded-GOP cache
 	// lookups made on a cursor pool's behalf: a hit served the frame with
 	// no decode at all, a miss paid one whole-GOP fill (whose decodes are
-	// counted in FramesDecoded as usual). Zero unless a GOPCache is wired
-	// in via Cursors.SetGOPCache.
+	// counted in FramesDecoded as usual). Zero unless a Cache is wired in
+	// via Cursors.SetCache.
 	GOPCacheHits   int64
 	GOPCacheMisses int64
 }

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"context"
 	"os"
 	"sync"
 	"testing"
@@ -17,9 +18,9 @@ func liveFrames() int {
 }
 
 // residentFrames counts the frames a cache currently holds references to.
-func residentFrames(c *GOPCache) int {
+func residentFrames(c *Cache) int {
 	n := 0
-	for _, e := range c.Entries() {
+	for _, e := range c.Entries(KindGOP) {
 		n += e.Frames
 	}
 	return n
@@ -28,9 +29,9 @@ func residentFrames(c *GOPCache) int {
 // tapRun reads two interleaved taps (t and t+1s) of 24 output frames
 // through a fresh cursor pool over cache, releasing every frame it is
 // handed, and closes the pool.
-func tapRun(t *testing.T, path string, cache *GOPCache) {
+func tapRun(t *testing.T, path string, cache *Cache) {
 	c := NewCursors(map[string]string{"v": path}, 4)
-	c.SetGOPCache(cache)
+	c.SetCache(context.Background(), cache)
 	defer c.Close()
 	for i := 0; i < 24; i++ {
 		for tap, off := range []int64{0, 24} {
@@ -60,9 +61,9 @@ func TestSourceFramePoolBalance(t *testing.T) {
 
 	t.Run("one pool", func(t *testing.T) {
 		before := liveFrames()
-		cache := NewGOPCache(2 * gopBytes)
+		cache := NewCache(2*gopBytes, -1, 1)
 		tapRun(t, path, cache)
-		st := cache.Stats()
+		st := cache.Stats(KindGOP)
 		if st.Evictions == 0 {
 			t.Fatalf("cache never evicted (%+v); the test needs eviction under read", st)
 		}
@@ -75,7 +76,7 @@ func TestSourceFramePoolBalance(t *testing.T) {
 	// waits, hits and evictions interleave. Meaningful under -race.
 	t.Run("two pools one cache", func(t *testing.T) {
 		before := liveFrames()
-		cache := NewGOPCache(2 * gopBytes)
+		cache := NewCache(2*gopBytes, -1, 1)
 		var wg sync.WaitGroup
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
@@ -87,7 +88,7 @@ func TestSourceFramePoolBalance(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if st := cache.Stats(); st.Evictions == 0 {
+		if st := cache.Stats(KindGOP); st.Evictions == 0 {
 			t.Fatalf("cache never evicted (%+v)", st)
 		}
 		if got, want := liveFrames()-before, residentFrames(cache); got != want {

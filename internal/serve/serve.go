@@ -12,7 +12,7 @@
 //	GET  /healthz             liveness probe
 //	GET  /metrics             Prometheus text exposition
 //	GET  /debug/requests      flight recorder: recent + in-flight requests
-//	GET  /debug/caches        GOP/result cache contents and budget split
+//	GET  /debug/caches        cache contents per kind and the budget split
 //	GET  /debug/admit         admission controller + memory-pressure state
 //	GET  /debug/pprof/        net/http/pprof profiles
 //
@@ -51,9 +51,8 @@ type Config struct {
 	NoOpt              bool          // -no-opt
 	SynthTimeout       time.Duration // -synth-timeout
 	Strict             bool          // -strict
-	GOPCacheMB         int           // -gop-cache-mb: 0 = auto-size, -1 = disable
+	GOPCacheMB         int           // -gop-cache-mb: 0 = sized for Parallel, -1 = disable
 	ResultCacheMB      int           // -result-cache-mb: 0 = 256 MiB, -1 = disable
-	CacheBudgetMB      int           // -cache-budget-mb: 0 = sum of both caches' budgets
 	SlowQueryMS        int           // -slow-query-ms
 	FlightRecorderSize int           // -flight-recorder-size
 	Parallel           int           // -parallel: 0 = GOMAXPROCS; admission slots = 2 × Parallel
@@ -67,7 +66,7 @@ type Config struct {
 	// slog.Default()).
 	Logger *slog.Logger
 	// Monitor, when non-nil, drives its memory-pressure factor into
-	// admission and the cache arbiter, and is reported at /debug/admit.
+	// admission and the cache budget, and is reported at /debug/admit.
 	// The caller runs it.
 	Monitor *admit.Monitor
 }
@@ -103,12 +102,12 @@ type Server struct {
 	cfg Config
 	// parallelism is cfg.Parallel resolved once for the process.
 	parallelism int
-	// The process-wide caches (nil = disabled) and, when both are enabled,
-	// the arbiter that splits one byte budget between them.
-	gopCache    *media.GOPCache
-	resultCache *media.ResultCache
-	arbiter     *media.Arbiter
-	flight      *obs.FlightRecorder
+	// cache is the process-wide cache (nil = disabled): concurrent
+	// requests touching the same sources share decodes, a hot GOP survives
+	// across requests, and a repeated or overlapping query splices
+	// previously encoded segments instead of re-rendering.
+	cache  *media.Cache
+	flight *obs.FlightRecorder
 	// admit is the overload front door: every synthesis passes Acquire
 	// before executing, weighted by its plan's estimated cost.
 	admit   *admit.Controller
@@ -131,23 +130,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.flight.SetSlowThreshold(time.Duration(cfg.SlowQueryMS) * time.Millisecond)
 	s.flight.SetLogger(cfg.Logger)
-	if cfg.GOPCacheMB >= 0 {
-		// One process-wide cache: concurrent requests touching the same
-		// sources share decodes, and a hot GOP survives across requests.
-		s.gopCache = media.NewGOPCache(int64(cfg.GOPCacheMB) << 20)
-	}
-	if cfg.ResultCacheMB >= 0 {
-		// One process-wide result cache: a repeated or overlapping query
-		// splices previously encoded segments instead of re-rendering.
-		s.resultCache = media.NewResultCache(int64(cfg.ResultCacheMB) << 20)
-	}
-	if s.gopCache != nil && s.resultCache != nil {
-		// Both caches enabled: arbitrate one shared byte budget between
-		// them instead of enforcing two independent hard caps.
-		s.arbiter = media.NewArbiter(int64(cfg.CacheBudgetMB) << 20)
-		s.gopCache.AttachArbiter(s.arbiter)
-		s.resultCache.AttachArbiter(s.arbiter)
-	}
+	s.cache = media.NewCache(int64(cfg.GOPCacheMB)<<20, int64(cfg.ResultCacheMB)<<20, s.parallelism)
 	s.admit = admit.NewController(admit.Config{
 		MaxQueue: cfg.MaxQueue,
 		MaxWait:  cfg.AdmitTimeout,
@@ -156,13 +139,13 @@ func New(cfg Config) (*Server, error) {
 	})
 	if cfg.Monitor != nil {
 		// Memory pressure drives both back-pressure paths: the cache
-		// arbiter sheds resident bytes, the admission controller tightens
-		// its concurrency and cost capacity.
+		// sheds resident bytes, the admission controller tightens its
+		// concurrency and cost capacity.
 		cfg.Monitor.OnChange(func(l admit.PressureLevel) {
 			f := l.Factor()
 			s.admit.SetPressureFactor(f)
-			if s.arbiter != nil {
-				s.arbiter.SetPressureFactor(f)
+			if s.cache != nil {
+				s.cache.SetPressureFactor(f)
 			}
 			cfg.Logger.Info("memory pressure level", "level", l.String(), "factor", f)
 		})
@@ -267,12 +250,12 @@ func (s *Server) observed(next http.Handler) http.Handler {
 
 // admitDebug serves GET /debug/admit: the admission controller's queue
 // depths and per-tenant shares, the memory-pressure state, and the cache
-// arbiter's budget split.
+// budget's split.
 func (s *Server) admitDebug(w http.ResponseWriter, _ *http.Request) {
 	resp := struct {
-		Admission admit.Stats         `json:"admission"`
-		Pressure  *pressureDump       `json:"pressure,omitempty"`
-		Arbiter   *media.ArbiterStats `json:"arbiter,omitempty"`
+		Admission admit.Stats        `json:"admission"`
+		Pressure  *pressureDump      `json:"pressure,omitempty"`
+		Budget    *media.BudgetStats `json:"arbiter,omitempty"`
 	}{Admission: s.admit.Stats()}
 	if m := s.cfg.Monitor; m != nil {
 		samp := m.LastSample()
@@ -283,9 +266,9 @@ func (s *Server) admitDebug(w http.ResponseWriter, _ *http.Request) {
 			Utilization: samp.Utilization(),
 		}
 	}
-	if s.arbiter != nil {
-		st := s.arbiter.Stats()
-		resp.Arbiter = &st
+	if s.cache != nil {
+		st := s.cache.BudgetStats()
+		resp.Budget = &st
 	}
 	s.writeJSON(w, "admit", resp)
 }
@@ -301,28 +284,30 @@ type pressureDump struct {
 // cacheDump is one cache's /debug/caches section: its counters plus the
 // resident entries, most recently used first.
 type cacheDump struct {
-	Stats   any `json:"stats"`
-	Entries any `json:"entries"`
+	Stats   media.CacheStats   `json:"stats"`
+	Entries []media.CacheEntry `json:"entries"`
 }
 
-// caches serves /debug/caches: resident GOP/result cache entries, the
-// arbiter's budget split, and doorkeeper denials. Sections for disabled
-// caches are omitted.
+// caches serves /debug/caches: each kind's counters and resident entries,
+// and the budget's split between the kinds under the "arbiter" key the
+// benchmark reads. Sections for kinds the cache does not hold are
+// omitted.
 func (s *Server) caches(w http.ResponseWriter, _ *http.Request) {
 	resp := struct {
-		GOP     *cacheDump          `json:"gop,omitempty"`
-		Result  *cacheDump          `json:"result,omitempty"`
-		Arbiter *media.ArbiterStats `json:"arbiter,omitempty"`
+		GOP    *cacheDump         `json:"gop,omitempty"`
+		Result *cacheDump         `json:"result,omitempty"`
+		Budget *media.BudgetStats `json:"arbiter,omitempty"`
 	}{}
-	if s.gopCache != nil {
-		resp.GOP = &cacheDump{Stats: s.gopCache.Stats(), Entries: s.gopCache.Entries()}
+	dump := func(k media.Kind) *cacheDump {
+		if !s.cache.Holds(k) {
+			return nil
+		}
+		return &cacheDump{Stats: s.cache.Stats(k), Entries: s.cache.Entries(k)}
 	}
-	if s.resultCache != nil {
-		resp.Result = &cacheDump{Stats: s.resultCache.Stats(), Entries: s.resultCache.Entries()}
-	}
-	if s.arbiter != nil {
-		st := s.arbiter.Stats()
-		resp.Arbiter = &st
+	resp.GOP, resp.Result = dump(media.KindGOP), dump(media.KindResult)
+	if s.cache != nil {
+		st := s.cache.BudgetStats()
+		resp.Budget = &st
 	}
 	s.writeJSON(w, "cache", resp)
 }

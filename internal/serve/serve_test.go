@@ -156,18 +156,26 @@ func TestGetSpecByName(t *testing.T) {
 	}
 }
 
+// TestBadRequests checks each malformed request's status, and that no
+// response names the server's spec directory.
 func TestBadRequests(t *testing.T) {
-	ts, _, _ := testServer(t)
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "sub.v2v"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startServer(t, Config{SpecDir: dir, Parallel: 1, GOPCacheMB: -1, ResultCacheMB: -1})
 	cases := []struct {
 		method, url, body string
+		status            int
 	}{
-		{"GET", "/synthesize", ""},                    // missing spec
-		{"GET", "/synthesize?spec=../etc/passwd", ""}, // traversal
-		{"GET", "/synthesize?spec=nope.v2v", ""},      // missing file
-		{"POST", "/synthesize", "not a spec"},         // parse error
-		{"POST", "/synthesize", "{not json"},          // JSON parse error
-		{"POST", "/synthesize", ""},                   // empty
-		{"PUT", "/synthesize", ""},                    // bad method
+		{"GET", "/synthesize", "", http.StatusBadRequest},                       // missing spec
+		{"GET", "/synthesize?spec=../etc/passwd", "", http.StatusBadRequest},    // traversal
+		{"GET", "/synthesize?spec=nope.v2v", "", http.StatusNotFound},           // missing file
+		{"GET", "/synthesize?spec=sub.v2v", "", http.StatusInternalServerError}, // unreadable: a directory
+		{"POST", "/synthesize", "not a spec", http.StatusBadRequest},            // parse error
+		{"POST", "/synthesize", "{not json", http.StatusBadRequest},             // JSON parse error
+		{"POST", "/synthesize", "", http.StatusBadRequest},                      // empty
+		{"PUT", "/synthesize", "", http.StatusMethodNotAllowed},                 // bad method
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+c.url, strings.NewReader(c.body))
@@ -175,10 +183,17 @@ func TestBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("%s %s: expected failure", c.method, c.url)
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.url, resp.StatusCode, c.status)
 		}
+		if strings.Contains(string(body), dir) {
+			t.Errorf("%s %s: body %q names the spec directory", c.method, c.url, body)
+		}
+	}
+	if got := getFlight(t, ts.URL+"/debug/requests?errored=1"); strings.Contains(fmt.Sprint(got), dir) {
+		t.Errorf("flight records name the spec directory: %+v", got)
 	}
 }
 
@@ -588,9 +603,9 @@ func TestDebugRequestsSlowThreshold(t *testing.T) {
 	}
 }
 
-// TestDebugCaches builds a server with both caches and the arbiter, runs a
-// synthesis, and asserts the cache dump reports stats, resident entries,
-// and the budget split.
+// TestDebugCaches builds a server caching both kinds, runs a synthesis,
+// and asserts the cache dump reports stats, resident entries, and the
+// budget split.
 func TestDebugCaches(t *testing.T) {
 	_, ts, specText, vid := renderServer(t, Config{GOPCacheMB: 64, ResultCacheMB: 64})
 
@@ -616,7 +631,7 @@ func TestDebugCaches(t *testing.T) {
 				Bytes  int64 `json:"bytes"`
 			} `json:"stats"`
 			Entries []struct {
-				Path   string `json:"path"`
+				Key    string `json:"key"`
 				Frames int    `json:"frames"`
 				Bytes  int64  `json:"bytes"`
 			} `json:"entries"`
@@ -641,14 +656,14 @@ func TestDebugCaches(t *testing.T) {
 	if dump.GOP.Stats.Misses == 0 || len(dump.GOP.Entries) == 0 {
 		t.Fatalf("gop cache saw no fills: stats=%+v entries=%d", dump.GOP.Stats, len(dump.GOP.Entries))
 	}
-	if dump.GOP.Entries[0].Path != vid || dump.GOP.Entries[0].Frames == 0 {
+	if dump.GOP.Entries[0].Key != vid || dump.GOP.Entries[0].Frames == 0 {
 		t.Errorf("gop entry = %+v", dump.GOP.Entries[0])
 	}
 	if dump.Arbiter.Used == 0 || dump.Arbiter.Client["gop"] == 0 {
-		t.Errorf("arbiter split = %+v", dump.Arbiter)
+		t.Errorf("budget split = %+v", dump.Arbiter)
 	}
 	if want := int64(128 << 20); dump.Arbiter.Total != want {
-		t.Errorf("arbiter total = %d, want the %d sum of the cache budgets", dump.Arbiter.Total, want)
+		t.Errorf("budget total = %d, want the %d sum of the shares", dump.Arbiter.Total, want)
 	}
 
 	// A cache-less server omits the sections instead of panicking.
@@ -726,7 +741,7 @@ func TestPressureShedReturns503WithRetryAfter(t *testing.T) {
 }
 
 // TestMonitorDrivesPressure steps an injected monitor to critical and
-// back: admission and the arbiter follow its factor, and /debug/admit
+// back: admission and the cache budget follow its factor, and /debug/admit
 // reports the monitor's level.
 func TestMonitorDrivesPressure(t *testing.T) {
 	var used atomic.Uint64
@@ -763,7 +778,7 @@ func TestMonitorDrivesPressure(t *testing.T) {
 			t.Errorf("used %d: pressure section = %+v, want level %s", step.used, dump.Pressure, step.level)
 		}
 		if dump.Admission.PressureFactor != step.factor || dump.Arbiter == nil || dump.Arbiter.PressureFactor != step.factor {
-			t.Errorf("used %d: admission factor %v, arbiter %+v; want %v", step.used, dump.Admission.PressureFactor, dump.Arbiter, step.factor)
+			t.Errorf("used %d: admission factor %v, cache budget %+v; want %v", step.used, dump.Admission.PressureFactor, dump.Arbiter, step.factor)
 		}
 	}
 	if got := srv.admit.Stats().PressureFactor; got != 1 {

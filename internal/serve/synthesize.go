@@ -78,14 +78,14 @@ func segmentRecords(res *core.Result) []obs.SegmentRecord {
 
 func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	var raw []byte
-	var query string
+	var query, name string
 	var err error
 	switch r.Method {
 	case http.MethodPost:
 		raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		query = string(raw)
 	case http.MethodGet:
-		name := r.URL.Query().Get("spec")
+		name = r.URL.Query().Get("spec")
 		if !validSpecName(name) {
 			http.Error(w, "missing or invalid ?spec=", http.StatusBadRequest)
 			return
@@ -102,12 +102,19 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	traceID, _ := r.Context().Value(traceIDKey).(string)
 	req := s.flight.Start(traceID, query)
 	if err != nil {
-		status := http.StatusBadRequest
-		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status, msg := http.StatusBadRequest, err.Error()
+		switch tooBig := (*http.MaxBytesError)(nil); {
+		case errors.As(err, &tooBig):
 			status = http.StatusRequestEntityTooLarge
+		case errors.Is(err, os.ErrNotExist):
+			status, msg = http.StatusNotFound, fmt.Sprintf("spec %q not found", name)
+		case r.Method == http.MethodGet:
+			// The error names the server's path: log it, never send it.
+			s.cfg.Logger.Error("reading spec failed", "error", err, "trace_id", traceID)
+			status, msg = http.StatusInternalServerError, fmt.Sprintf("spec %q could not be read", name)
 		}
-		req.Finish("error", err)
-		http.Error(w, err.Error(), status)
+		req.Finish("error", errors.New(msg))
+		http.Error(w, msg, status)
 		return
 	}
 
@@ -129,8 +136,7 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 		opts = core.DefaultOptions()
 	}
 	opts.Conceal = !s.cfg.Strict
-	opts.GOPCache = s.gopCache
-	opts.ResultCache = s.resultCache
+	opts.Cache = s.cache
 	opts.Parallelism = s.parallelism
 	opts.Trace = tr
 	opts.Recorder = req.Recorder()
@@ -227,10 +233,12 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 		opts.OnSegmentDone = func(int) { fs.Barrier() }
 	}
 	res, err := pr.SynthesizeStreamContext(ctx, dst, opts)
-	// Classify a failure now, before the final flush: once the error
-	// trailer is on the wire the client may hang up, and that must not
-	// turn a reported failure into a cancellation.
-	canceled := err != nil && ctx.Err() != nil
+	// Classify a failure by its error, not by ctx: the executor returns
+	// ctx's error whenever cancellation stopped it, before it writes the
+	// error trailer. Once the trailer is on the wire the client may hang
+	// up, even before this line, and that must not turn a reported failure
+	// into a cancellation.
+	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	if fs != nil {
 		// Drain the queue before the handler returns: the typed trailer a
 		// failed synthesis wrote via the sink must reach the client before

@@ -58,35 +58,24 @@ type Result = core.Result
 // copied, wall time).
 type Metrics = exec.Metrics
 
-// GOPCache is a concurrency-safe LRU of decoded source GOPs, shared by
-// every shard worker of a run (and, when reused across Options values, by
-// concurrent runs): each source GOP is decoded once and its frames served
-// to every consumer. Assign one to Options.GOPCache.
-type GOPCache = media.GOPCache
+// Cache is a concurrency-safe LRU of decoded source GOPs and encoded
+// rendered segments under one byte budget. Shared by every shard worker of
+// a run and, when reused across Options values, by concurrent runs: each
+// source GOP is decoded once, and a repeated or overlapping query splices
+// cached packets as a stream copy. Assign one to Options.Cache.
+type Cache = media.Cache
 
-// GOPCacheStats is a point-in-time snapshot of a cache's hit/miss/eviction
-// counters and resident bytes.
-type GOPCacheStats = media.GOPCacheStats
-
-// NewGOPCache returns a decoded-GOP cache bounded by budgetBytes of frame
-// data; budgetBytes <= 0 defers sizing to the executor, which derives a
-// budget from the plan's source formats on first use.
-func NewGOPCache(budgetBytes int64) *GOPCache { return media.NewGOPCache(budgetBytes) }
-
-// ResultCache memoizes the encoded output of rendered segments across
-// runs, keyed by canonical plan fingerprint + source content identity: a
-// repeated or overlapping query splices the cached packets as a stream
-// copy — zero source decodes, zero frame encodes. Assign one to
-// Options.ResultCache and share it across runs.
-type ResultCache = media.ResultCache
-
-// ResultCacheStats is a point-in-time snapshot of a result cache's
+// CacheStats is a point-in-time snapshot of one kind of cache entry's
 // hit/miss/eviction counters and resident bytes.
-type ResultCacheStats = media.ResultCacheStats
+type CacheStats = media.CacheStats
 
-// NewResultCache returns an encoded-result cache bounded by budgetBytes;
-// budgetBytes <= 0 uses a 256 MiB default.
-func NewResultCache(budgetBytes int64) *ResultCache { return media.NewResultCache(budgetBytes) }
+// NewCache returns a cache whose budget is gopBytes of decoded frames plus
+// resultBytes of encoded segments. A negative share turns that kind off; 0
+// selects the default share (for GOPs, sized for parallelism shard
+// workers; for results, 256 MiB). With both kinds off it returns nil.
+func NewCache(gopBytes, resultBytes int64, parallelism int) *Cache {
+	return media.NewCache(gopBytes, resultBytes, parallelism)
+}
 
 // RewriteStats reports what the data-dependent rewriter did.
 type RewriteStats = rewrite.Stats
@@ -187,7 +176,7 @@ func Explain(spec *Spec, o Options) (string, error) {
 // ExplainAnalyze renders an executed run's plan tree annotated with each
 // segment's measured wall time and packet/frame counts — the analogue of
 // relational EXPLAIN ANALYZE. When the run used caches, end-of-run cache
-// occupancy/budget summaries are appended as trailer lines.
+// occupancy/share summaries are appended as trailer lines, one per kind.
 func ExplainAnalyze(res *Result) string {
 	out := res.Plan.ExplainAnalyze(res.Metrics.Segments)
 	if s := res.Metrics.GOPCache; s != nil {
