@@ -84,8 +84,8 @@ func serverFlags(fs *flag.FlagSet) *serve.Config {
 	fs.IntVar(&c.MaxQueue, "max-queue", 0, "admission queue depth across all tenants (0 = default 64)")
 	fs.DurationVar(&c.AdmitTimeout, "admit-timeout", 0, "max time a request may wait in the admission queue before being shed (0 = default 10s)")
 	fs.StringVar(&c.TenantWeight, "tenant-weight", "", `per-tenant admission fairness weights as "name=w,name=w" (e.g. "gold=3,free=1"); unlisted tenants get weight 1`)
-	fs.DurationVar(&c.FlushInterval, "flush-interval", 0, "minimum spacing between segment-boundary flushes on streaming (?stream=1) responses; the header and final flush are never delayed (0 = flush at every segment boundary)")
-	fs.IntVar(&c.StreamBufferKB, "stream-buffer-kb", 0, "per-stream delivery queue cap in KiB for ?stream=1 responses; a client draining slower than synthesis blocks only its own request once the queue is full (0 = 256 KiB default)")
+	fs.DurationVar(&c.FlushInterval, "flush-interval", 0, "minimum spacing between segment-boundary flushes on /synthesize responses; the header and final flush are never delayed (0 = flush at every segment boundary)")
+	fs.IntVar(&c.StreamBufferKB, "stream-buffer-kb", 0, "per-response delivery queue cap in KiB; a client draining slower than synthesis blocks only its own request once the queue is full (0 = 256 KiB default)")
 	return c
 }
 
@@ -182,7 +182,7 @@ func fetch(url, outPath string) error {
 			break
 		}
 		if err != nil {
-			w.Abort()
+			w.Abort(err)
 			// The typed trailer distinguishes a failure the server reported
 			// from a connection that was simply cut mid-stream.
 			switch {
@@ -194,7 +194,7 @@ func fetch(url, outPath string) error {
 			return err
 		}
 		if err := w.WriteRawPacket(key, data); err != nil {
-			w.Abort()
+			w.Abort(err)
 			return err
 		}
 		n++

@@ -60,12 +60,6 @@ type Options struct {
 	// copy) frames, bytes, and wall time to this run — v2vserve threads
 	// each request's flight-recorder entry here. See exec.Options.Recorder.
 	Recorder *obs.Recorder
-	// OnSegmentDone, when set, is called with -1 after the container
-	// header is written and then with each segment index after that
-	// segment's packets reach the sink — the flush hook streaming
-	// consumers use to push bytes at segment boundaries. See
-	// exec.Options.OnSegmentDone.
-	OnSegmentDone func(segment int)
 }
 
 // resolved returns o with a zero Parallelism replaced by GOMAXPROCS — the
@@ -197,7 +191,8 @@ func Prepare(spec *vql.Spec, o Options) (*Prepared, error) {
 
 // SynthesizeStreamContext executes the prepared plan, delivering the
 // result progressively to w in the VMS stream format (see the package
-// SynthesizeStreamContext). The executor-facing options (caches, trace,
+// SynthesizeStreamContext). If w has a Flush method it is called after the
+// header and after each segment. The executor-facing options (caches, trace,
 // recorder, parallelism, concealment) are read from o; planning options
 // were already consumed by Prepare.
 func (pr *Prepared) SynthesizeStreamContext(ctx context.Context, w io.Writer, o Options) (*Result, error) {
@@ -224,7 +219,7 @@ func execOptions(o Options) exec.Options {
 	return exec.Options{
 		Parallelism: o.Parallelism, Conceal: o.Conceal,
 		Cache: o.Cache, Trace: o.Trace,
-		Recorder: o.Recorder, OnSegmentDone: o.OnSegmentDone,
+		Recorder: o.Recorder,
 	}
 }
 

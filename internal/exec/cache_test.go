@@ -78,7 +78,7 @@ func TestConcurrentSynthesesShareGOPCache(t *testing.T) {
 
 	cache := media.NewCache(0, -1, 1)
 	plans := make([]*plan.Plan, workers)
-	sinks := make([]*media.StreamWriter, workers)
+	sinks := make([]*media.Writer, workers)
 	bufs := make([]*strings.Builder, workers)
 	for i := range plans {
 		plans[i] = buildPlan(t, body, false)

@@ -54,53 +54,6 @@ func init() {
 // is never the first error, so callers never see it.
 var errShardAborted = fmt.Errorf("exec: shard aborted after prior failure")
 
-// firstStampSink wraps the output sink to stamp Metrics.FirstOutput the
-// moment the first packet is handed over, on every write path (concealed
-// copy encode, raw splice, shard delivery). Centralizing the stamp here
-// means no delivery path can forget it: copy segments and warm result-cache
-// splices stamp on their first packet, not at segment end.
-// For a file sink "handed over" is honest enough; a server wraps the
-// stream in a flushing sink and overrides FirstOutput with the first
-// actual network flush (see media.FlushingSink).
-//
-// All writes happen on the delivery goroutine, so m needs no locking
-// here.
-type firstStampSink struct {
-	media.Sink
-	start time.Time
-	m     *Metrics
-}
-
-func (f *firstStampSink) stamp() {
-	if f.m.FirstOutput == 0 {
-		f.m.FirstOutput = time.Since(f.start)
-	}
-}
-
-func (f *firstStampSink) WriteFrame(fr *frame.Frame) error {
-	if err := f.Sink.WriteFrame(fr); err != nil {
-		return err
-	}
-	f.stamp()
-	return nil
-}
-
-func (f *firstStampSink) WriteRawPacket(key bool, data []byte) error {
-	if err := f.Sink.WriteRawPacket(key, data); err != nil {
-		return err
-	}
-	f.stamp()
-	return nil
-}
-
-func (f *firstStampSink) WriteEncodedFrame(key bool, data []byte) error {
-	if err := f.Sink.WriteEncodedFrame(key, data); err != nil {
-		return err
-	}
-	f.stamp()
-	return nil
-}
-
 // Options configures execution.
 type Options struct {
 	// Parallelism caps the shard workers rendering at once, across all
@@ -136,21 +89,14 @@ type Options struct {
 	// always populated. The process-wide v2v_stage_* metrics are updated
 	// in either case.
 	Recorder *obs.Recorder
-	// OnSegmentDone, when set, is called on the delivery goroutine with
-	// -1 once the container header is out (the sink wrote it before
-	// ExecuteTo ran) and then with each segment's index after that
-	// segment's packets have all been handed to the sink — the flush
-	// hook a streaming server uses to push buffered bytes to the client
-	// at segment boundaries.
-	OnSegmentDone func(segment int)
 }
 
 // Metrics reports the work a plan execution performed.
 type Metrics struct {
 	Wall time.Duration
 	// FirstOutput is the latency until the first output packet was
-	// delivered — the paper's interactivity measure ("begin playback
-	// within seconds"). Stream copies make this near-instant.
+	// written to the sink — the paper's interactivity measure ("begin
+	// playback within seconds"). Stream copies make this near-instant.
 	FirstOutput time.Duration
 	// Source counts frames decoded from input files.
 	Source media.Stats
@@ -170,7 +116,7 @@ type Metrics struct {
 	ResultCacheMisses int64
 	// Segments holds per-segment measured costs, index-aligned with the
 	// executed plan's segments — the data behind EXPLAIN ANALYZE.
-	Segments []plan.SegmentActuals
+	Segments []obs.SegmentActuals
 	// GOPCache and ResultCache snapshot the shared cache's cumulative
 	// stats (occupancy, share, totals) per kind at the end of the run; nil
 	// when the cache does not hold that kind.
@@ -209,9 +155,10 @@ func Execute(ctx context.Context, p *plan.Plan, outPath string, o Options) (*Met
 
 // ExecuteTo runs the plan against an arbitrary packet sink (a VMF file
 // writer or a progressive stream) and closes the sink. Packets reach the
-// sink in presentation order as their shards finish them, so a streaming
-// consumer starts receiving output while later segments are still
-// rendering.
+// sink in presentation order as their shards finish them, and the sink is
+// flushed once before the first segment (the container header is out) and
+// after each segment's last packet, so a streaming consumer starts
+// receiving output while later segments are still rendering.
 //
 // Cancellation is cooperative: ctx is checked before every segment and at
 // every publish interval inside every shard worker — one output GOP, or
@@ -233,15 +180,10 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	defer readers.closeAll(m)
 
 	execSpan := o.Trace.StartSpan("execute")
-	if o.OnSegmentDone != nil {
-		// The container header went out when the sink was constructed;
-		// give streaming consumers their first flush point now.
-		o.OnSegmentDone(-1)
-	}
-	x := &run{
-		p: p, o: o, m: m, readers: readers,
-		raw: w, w: &firstStampSink{Sink: w, start: start, m: m},
-	}
+	// The container header went out when the sink was constructed; give a
+	// streaming consumer its first delivery point now.
+	w.Flush()
+	x := &run{p: p, o: o, m: m, readers: readers, w: w}
 	if err := x.execute(ctx); err != nil {
 		// Prefer the context's error when cancellation is what stopped us,
 		// so callers can match context.Canceled / DeadlineExceeded.
@@ -252,21 +194,18 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 		execSpan.End()
 		// A stream sink whose header is already on the wire writes a typed
 		// error trailer (best-effort) so the consumer can tell a producer
-		// failure from a cut connection; a file sink discards its temp
-		// file as before.
-		if aw, ok := w.(interface{ AbortWithError(error) error }); ok {
-			aw.AbortWithError(err)
-		} else {
-			w.Abort()
-		}
+		// failure from a cut connection; a file sink discards its temp file.
+		w.Abort(err)
 		return nil, err
 	}
 	if err := w.Close(); err != nil {
 		execSpan.End()
-		w.Abort()
 		return nil, err
 	}
 	m.Output.Add(w.Stats())
+	if first := w.FirstPacket(); !first.IsZero() {
+		m.FirstOutput = first.Sub(start)
+	}
 	if o.Cache.Holds(media.KindGOP) {
 		s := o.Cache.Stats(media.KindGOP)
 		m.GOPCache = &s

@@ -49,8 +49,7 @@ type run struct {
 	o       Options // Parallelism already resolved
 	m       *Metrics
 	readers *readerCache
-	raw     media.Sink // the caller's sink
-	w       media.Sink // raw behind the FirstOutput stamp; delivery goroutine only
+	w       media.Sink // the caller's sink; delivery goroutine only
 	// every is the plan's publish interval in frames: a worker hands over
 	// its packets and polls ctx and abort this often, so a long-GOP render
 	// streams and cancels by the second, not by the shard.
@@ -380,11 +379,9 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 // already failed: they write their results until they exit.
 func (x *run) deliver(u *unit) {
 	start := time.Now()
-	if sr, ok := x.raw.(interface{ SetRecorder(*obs.Recorder) }); ok {
-		sr.SetRecorder(u.rec)
-	}
+	x.w.SetRecorder(u.rec)
 	before := x.w.Stats()
-	act := plan.SegmentActuals{Shards: len(u.shards), ShardDecodes: make([]int64, len(u.shards))}
+	act := obs.SegmentActuals{Kind: u.s.Kind.String(), Shards: len(u.shards), ShardDecodes: make([]int64, len(u.shards))}
 	if u.s.Kind == plan.SegFrames {
 		x.deliverRender(u, &act)
 	} else if x.err == nil {
@@ -425,9 +422,7 @@ func (x *run) deliver(u *unit) {
 	u.span.SetAttr("frames_rendered", act.FramesRendered)
 	u.span.SetAttr("shards", act.Shards)
 	u.span.End()
-	if x.o.OnSegmentDone != nil {
-		x.o.OnSegmentDone(u.idx)
-	}
+	x.w.Flush()
 }
 
 // deliverRender delivers a render unit: a result-cache hit splices as raw
@@ -435,7 +430,7 @@ func (x *run) deliver(u *unit) {
 // drains the unit's shards in order, delivering each batch as
 // shard-encoded frames while the run is healthy and discarding it after
 // a failure.
-func (x *run) deliverRender(u *unit, act *plan.SegmentActuals) {
+func (x *run) deliverRender(u *unit, act *obs.SegmentActuals) {
 	if u.key != "" {
 		<-u.decided // must-drain join: the resolver decides at once on a hit, a miss or ctx's end, else when the concurrent fill it waits on ends; its shards must not outlive the run
 		if u.err != nil {
@@ -490,7 +485,7 @@ func (x *run) deliverRender(u *unit, act *plan.SegmentActuals) {
 // copyInline runs a copy unit on the delivery goroutine. Its decodes
 // (concealed packets) are the shared reader's deltas: nothing else reads
 // through it meanwhile.
-func (x *run) copyInline(u *unit, act *plan.SegmentActuals) error {
+func (x *run) copyInline(u *unit, act *obs.SegmentActuals) error {
 	if u.s.Kind != plan.SegCopy {
 		return fmt.Errorf("exec: unknown segment kind %v", u.s.Kind)
 	}

@@ -330,28 +330,66 @@ func TestOutputIdentity(t *testing.T) {
 	}
 }
 
-// TestPresentationOrder asserts OnSegmentDone fires in strict presentation
-// order (header first) for multi- and single-segment plans alike, while
-// the render segments run concurrently — under -race this also exercises
-// the scheduler/delivery handoff.
+// flushRecorder is a stream destination that records the stream length
+// at each Flush, and runs onFlush (if set) on each.
+type flushRecorder struct {
+	bytes.Buffer
+	marks   []int
+	onFlush func(n int)
+}
+
+func (f *flushRecorder) Flush() {
+	f.marks = append(f.marks, f.Len())
+	if f.onFlush != nil {
+		f.onFlush(len(f.marks))
+	}
+}
+
+// TestPresentationOrder asserts the sink is flushed once after the header
+// and once after each segment's last packet, in strict presentation order,
+// for multi- and single-segment plans alike, while the render segments run
+// concurrently — under -race this also exercises the scheduler/delivery
+// handoff.
 func TestPresentationOrder(t *testing.T) {
 	for name, src := range map[string]string{"splice": spliceSpec(), "single": singleSpec()} {
 		t.Run(name, func(t *testing.T) {
 			p := buildPlanSrc(t, src, true)
-			var calls []int
-			pkts, _ := streamPackets(t, p, Options{
-				Parallelism:   2,
-				OnSegmentDone: func(i int) { calls = append(calls, i) },
-			})
-			want := []int{-1}
-			for i := range p.Segments {
-				want = append(want, i)
+			var dst flushRecorder
+			w, err := media.NewStreamWriter(&dst, p.Checked.Output)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if fmt.Sprint(calls) != fmt.Sprint(want) {
-				t.Fatalf("OnSegmentDone calls = %v, want %v", calls, want)
+			if _, err := ExecuteTo(context.Background(), p, w, Options{Parallelism: 2}); err != nil {
+				t.Fatal(err)
 			}
-			if len(pkts) != 96 {
-				t.Fatalf("streamed packets = %d, want 96", len(pkts))
+			// ends[k] is the stream length once the header and k packets
+			// are out.
+			b := dst.Bytes()
+			br := bytes.NewReader(b)
+			r, err := media.NewStreamReader(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := []int{len(b) - br.Len()}
+			for {
+				if _, _, err := r.NextPacket(); err != nil {
+					if err != io.EOF {
+						t.Fatal(err)
+					}
+					break
+				}
+				ends = append(ends, len(b)-br.Len())
+			}
+			if len(ends) != 97 {
+				t.Fatalf("streamed packets = %d, want 96", len(ends)-1)
+			}
+			want, n := []int{ends[0]}, 0
+			for _, s := range p.Segments {
+				n += s.FrameCount()
+				want = append(want, ends[n])
+			}
+			if fmt.Sprint(dst.marks) != fmt.Sprint(want) {
+				t.Fatalf("flushed at stream offsets %v, want %v (header, then each segment's end)", dst.marks, want)
 			}
 		})
 	}
@@ -373,20 +411,17 @@ func TestSlowConsumerDoesNotPinWorkers(t *testing.T) {
 	slowCh := make(chan result, 1)
 	started := make(chan struct{})
 	go func() {
-		var buf bytes.Buffer
-		w, err := media.NewStreamWriter(&slowWriter{w: &buf, perWrite: 5 * time.Millisecond}, slowPlan.Checked.Output)
+		// The header flush: the slow run is inside ExecuteTo.
+		var once sync.Once
+		dst := &flushRecorder{onFlush: func(int) { once.Do(func() { close(started) }) }}
+		w, err := media.NewStreamWriter(&slowWriter{w: dst, perWrite: 5 * time.Millisecond}, slowPlan.Checked.Output)
 		if err != nil {
 			close(started)
 			slowCh <- result{0, err}
 			return
 		}
 		start := time.Now()
-		// The header flush point: the slow run is inside ExecuteTo.
-		var once sync.Once
-		_, err = ExecuteTo(context.Background(), slowPlan, w, Options{
-			Parallelism:   2,
-			OnSegmentDone: func(int) { once.Do(func() { close(started) }) },
-		})
+		_, err = ExecuteTo(context.Background(), slowPlan, w, Options{Parallelism: 2})
 		slowCh <- result{time.Since(start), err}
 	}()
 
@@ -428,6 +463,13 @@ type slowWriter struct {
 func (s *slowWriter) Write(p []byte) (int, error) {
 	time.Sleep(s.perWrite)
 	return s.w.Write(p)
+}
+
+// Flush passes flushes through to the wrapped writer, if it takes them.
+func (s *slowWriter) Flush() {
+	if f, ok := s.w.(interface{ Flush() }); ok {
+		f.Flush()
+	}
 }
 
 // TestErrorWritesTrailerAndDrains injects a panicking transform into a
@@ -524,21 +566,17 @@ func TestCopyFirstOutputFast(t *testing.T) {
 func TestCancellationMidPlan(t *testing.T) {
 	p := buildPlanSrc(t, spliceSpec(), true)
 	ctx, cancel := context.WithCancel(context.Background())
-	var buf bytes.Buffer
-	w, err := media.NewStreamWriter(&buf, p.Checked.Output)
+	// Cancel at the first segment's end, the second flush.
+	dst := &flushRecorder{onFlush: func(n int) {
+		if n == 2 {
+			cancel()
+		}
+	}}
+	w, err := media.NewStreamWriter(dst, p.Checked.Output)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	_, err = ExecuteTo(ctx, p, w, Options{
-		Parallelism: 2,
-		OnSegmentDone: func(int) {
-			n++
-			if n == 2 {
-				cancel()
-			}
-		},
-	})
+	_, err = ExecuteTo(ctx, p, w, Options{Parallelism: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run = %v, want context.Canceled", err)
 	}
@@ -561,7 +599,7 @@ func TestSegmentActualsSumToRunTotals(t *testing.T) {
 	rec := obs.NewRecorder()
 	_, m := streamPackets(t, p, Options{Parallelism: 2, Conceal: true, Recorder: rec})
 
-	var sum plan.SegmentActuals
+	var sum obs.SegmentActuals
 	for i, a := range m.Segments {
 		sum.FramesDecoded += a.FramesDecoded
 		sum.FramesEncoded += a.FramesEncoded

@@ -1,10 +1,9 @@
 // Package faults is a deterministic, seedable fault-injection layer for
-// V2V's I/O paths. It wraps container files (reads) and media sinks
-// (writes) with probabilistic faults drawn from a seeded PRNG, so the
-// robustness test suite and `v2vbench -chaos` can reproduce a failure by
-// replaying its seed.
+// V2V's read path. It wraps container files with probabilistic faults
+// drawn from a seeded PRNG, so the robustness test suite and `v2vbench
+// -chaos` can reproduce a failure by replaying its seed.
 //
-// Fault classes on the read path:
+// Fault classes:
 //
 //   - bit flip: one random bit of the returned buffer is inverted,
 //     modeling silent media corruption. VMF v2's per-packet CRC detects
@@ -15,9 +14,6 @@
 //     Transient() bool, which the container retries with bounded backoff.
 //   - latency: the read sleeps, modeling slow storage (and making
 //     cancellation races reproducible in tests).
-//
-// On the write path a single class (write error) exercises the
-// executor's abort-and-clean-up paths.
 package faults
 
 import (
@@ -29,8 +25,6 @@ import (
 	"time"
 
 	"v2v/internal/container"
-	"v2v/internal/frame"
-	"v2v/internal/media"
 )
 
 // Config sets per-operation fault probabilities (each in [0,1]) and the
@@ -47,8 +41,6 @@ type Config struct {
 	// Transient is the probability a read fails with a retryable
 	// EAGAIN-class error.
 	Transient float64
-	// WriteErr is the probability a sink write fails.
-	WriteErr float64
 	// Latency sleeps this long on a read with probability LatencyProb.
 	Latency     time.Duration
 	LatencyProb float64
@@ -61,7 +53,6 @@ type Stats struct {
 	Truncations int64
 	Transients  int64
 	Latencies   int64
-	WriteErrs   int64
 }
 
 // Injector draws faults from one seeded stream. Safe for concurrent use;
@@ -181,54 +172,6 @@ func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {
 }
 
 func (ff *faultFile) Close() error { return ff.f.Close() }
-
-// WrapSink wraps s so every write may fail with probability
-// Config.WriteErr, exercising executor abort paths.
-func (in *Injector) WrapSink(s media.Sink) media.Sink {
-	return &faultSink{in: in, s: s}
-}
-
-type faultSink struct {
-	in *Injector
-	s  media.Sink
-}
-
-func (fs *faultSink) writeErr() error {
-	fs.in.mu.Lock()
-	defer fs.in.mu.Unlock()
-	if fs.in.cfg.WriteErr > 0 && fs.in.rng.Float64() < fs.in.cfg.WriteErr {
-		fs.in.stats.WriteErrs++
-		return fmt.Errorf("faults: write error (injected)")
-	}
-	return nil
-}
-
-func (fs *faultSink) Info() container.StreamInfo { return fs.s.Info() }
-func (fs *faultSink) FramesWritten() int64       { return fs.s.FramesWritten() }
-func (fs *faultSink) Stats() media.Stats         { return fs.s.Stats() }
-func (fs *faultSink) Close() error               { return fs.s.Close() }
-func (fs *faultSink) Abort() error               { return fs.s.Abort() }
-
-func (fs *faultSink) WriteFrame(fr *frame.Frame) error {
-	if err := fs.writeErr(); err != nil {
-		return err
-	}
-	return fs.s.WriteFrame(fr)
-}
-
-func (fs *faultSink) WriteRawPacket(key bool, data []byte) error {
-	if err := fs.writeErr(); err != nil {
-		return err
-	}
-	return fs.s.WriteRawPacket(key, data)
-}
-
-func (fs *faultSink) WriteEncodedFrame(key bool, data []byte) error {
-	if err := fs.writeErr(); err != nil {
-		return err
-	}
-	return fs.s.WriteEncodedFrame(key, data)
-}
 
 // CorruptRange XORs every byte of path in [off, off+length) with a
 // nonzero byte drawn from seed — guaranteed damage, reproducible across

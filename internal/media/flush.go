@@ -16,10 +16,11 @@ type FlushConfig struct {
 	// delivery goroutine, never shard workers. <= 0 selects
 	// DefaultStreamBufferBytes.
 	BufferBytes int
-	// FlushInterval is the minimum spacing between barrier-triggered
-	// downstream flushes, bounding flush syscalls under plans with many
-	// small segments. <= 0 flushes at every barrier. The first flush
-	// (container header) and the final flush at close are never delayed.
+	// FlushInterval is the minimum spacing between downstream flushes at
+	// flush points, bounding flush syscalls under plans with many small
+	// segments. <= 0 flushes whenever a flush point is pending. The first
+	// flush (container header) and the final flush at close are never
+	// delayed.
 	FlushInterval time.Duration
 }
 
@@ -31,12 +32,14 @@ const DefaultStreamBufferBytes = 256 << 10
 // FlushingSink decouples synthesis from a (possibly slow) streaming
 // consumer. The producer writes into a bounded in-memory queue; a single
 // drain goroutine copies queued bytes to the destination writer and calls
-// its Flush method (if it has one — http.ResponseWriter does) at barrier
+// its Flush method (if it has one — http.ResponseWriter does) at flush
 // points, so network syscalls and a stalled client never sit between
-// shard workers and the sink.
+// shard workers and the sink. Flush points that reach the drain together
+// share one downstream flush: per-point flushes cost a cache-hit request
+// a syscall and a client wake-up each for bytes already on their way.
 //
-// Write, Barrier, and CloseFlush are safe to call from one producer
-// goroutine; accessors are safe from any goroutine.
+// Write, Flush, and CloseFlush are safe to call from one producer
+// goroutine; FirstFlush is safe from any goroutine.
 type FlushingSink struct {
 	dst      io.Writer
 	cap      int
@@ -45,12 +48,10 @@ type FlushingSink struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	pending    []byte
-	barrier    bool
+	flushPoint bool // Flush was called since the drain last looked
 	closed     bool
 	err        error
 	firstFlush time.Time
-	bytesOut   int64
-	flushes    int64
 
 	drainDone chan struct{}
 }
@@ -96,13 +97,13 @@ func (f *FlushingSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Barrier marks a flush point: the drain goroutine flushes the
-// destination once everything queued so far is written, coalesced by
-// FlushInterval. Segment boundaries (and the container header) are the
-// intended barrier points.
-func (f *FlushingSink) Barrier() {
+// Flush marks a flush point: the drain goroutine flushes the destination
+// once everything queued so far is written, coalesced by FlushInterval.
+// The container header and segment boundaries are the intended flush
+// points (a media.Writer passes its own Flush calls here).
+func (f *FlushingSink) Flush() {
 	f.mu.Lock()
-	f.barrier = true
+	f.flushPoint = true
 	f.cond.Broadcast()
 	f.mu.Unlock()
 }
@@ -131,20 +132,6 @@ func (f *FlushingSink) FirstFlush() (time.Time, bool) {
 	return f.firstFlush, !f.firstFlush.IsZero()
 }
 
-// BytesOut returns the bytes written downstream so far.
-func (f *FlushingSink) BytesOut() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.bytesOut
-}
-
-// Flushes returns how many downstream flushes have been issued.
-func (f *FlushingSink) Flushes() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.flushes
-}
-
 // drain is the single consumer of the queue. It takes whole batches under
 // the lock but performs downstream writes and flushes unlocked, so a slow
 // destination blocks only this goroutine (and, via the byte cap, the
@@ -153,17 +140,17 @@ func (f *FlushingSink) drain() {
 	defer close(f.drainDone)
 	var lastFlush time.Time
 	flushed := false
-	barrierPending := false
+	flushPending := false
 	for {
 		f.mu.Lock()
-		for len(f.pending) == 0 && !f.barrier && !f.closed {
+		for len(f.pending) == 0 && !f.flushPoint && !f.closed {
 			f.cond.Wait()
 		}
 		batch := f.pending
 		f.pending = nil
-		if f.barrier {
-			barrierPending = true
-			f.barrier = false
+		if f.flushPoint {
+			flushPending = true
+			f.flushPoint = false
 		}
 		closed := f.closed
 		failed := f.err != nil
@@ -177,24 +164,19 @@ func (f *FlushingSink) drain() {
 				f.cond.Broadcast()
 				f.mu.Unlock()
 				failed = true
-			} else {
-				f.mu.Lock()
-				f.bytesOut += int64(len(batch))
-				f.mu.Unlock()
 			}
 		}
-		if !failed && (closed || barrierPending) {
+		if !failed && (closed || flushPending) {
 			// The first flush (header) and the final flush are immediate;
-			// intermediate barriers are coalesced by the flush interval.
+			// later flush points are coalesced by the flush interval.
 			if closed || !flushed || f.interval <= 0 || time.Since(lastFlush) >= f.interval {
 				if fl, ok := f.dst.(interface{ Flush() }); ok {
 					fl.Flush()
 				}
 				now := time.Now()
 				lastFlush = now
-				barrierPending = false
+				flushPending = false
 				f.mu.Lock()
-				f.flushes++
 				if !flushed {
 					f.firstFlush = now
 				}

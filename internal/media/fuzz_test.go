@@ -9,14 +9,14 @@ import (
 	"v2v/internal/frame"
 )
 
-// streamSeeds returns real StreamWriter output ending in each way a VMS
+// streamSeeds returns real stream Writer output ending in each way a VMS
 // stream can end: an ok trailer, an error trailer, the legacy zero-length
 // marker, a bare cut after a packet, and cuts inside a packet header, a
 // packet body, just after a packet header, and inside the trailer.
 func streamSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	info := testInfo(2)
-	write := func(n int, end func(w *StreamWriter, buf *bytes.Buffer)) []byte {
+	write := func(n int, end func(w *Writer, buf *bytes.Buffer)) []byte {
 		var buf bytes.Buffer
 		w, err := NewStreamWriter(&buf, info)
 		if err != nil {
@@ -32,15 +32,12 @@ func streamSeeds(tb testing.TB) [][]byte {
 		end(w, &buf)
 		return buf.Bytes()
 	}
-	ok := write(3, func(w *StreamWriter, _ *bytes.Buffer) { w.Close() })
-	one := write(1, func(w *StreamWriter, _ *bytes.Buffer) { w.Abort() })
+	ok := write(3, func(w *Writer, _ *bytes.Buffer) { w.Close() })
+	one := write(1, func(*Writer, *bytes.Buffer) {}) // the producer stops: no trailer
 	return [][]byte{
 		ok,
-		write(2, func(w *StreamWriter, _ *bytes.Buffer) { w.AbortWithError(errors.New("boom")) }),
-		write(2, func(w *StreamWriter, buf *bytes.Buffer) {
-			w.Abort()
-			buf.Write([]byte{0, 0, 0, 0, flagNonKey})
-		}),
+		write(2, func(w *Writer, _ *bytes.Buffer) { w.Abort(errors.New("boom")) }),
+		write(2, func(_ *Writer, buf *bytes.Buffer) { buf.Write([]byte{0, 0, 0, 0, flagNonKey}) }),
 		one,
 		one[:len(one)-3],
 		append(one[:len(one):len(one)], 9, 0, 0, 0, flagKey),

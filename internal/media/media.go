@@ -13,7 +13,6 @@ package media
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"v2v/internal/codec"
 	"v2v/internal/container"
@@ -260,145 +259,6 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// Writer encodes frames (or splices packets) into a VMF file. Not safe for
-// concurrent use.
-type Writer struct {
-	c        *container.Writer
-	enc      *codec.Encoder
-	pts      int64
-	spliced  bool // a raw packet was written since the last encode
-	stats    Stats
-	rec      *obs.Recorder
-	closed   bool
-	closeErr error
-}
-
-// CreateWriter opens path for writing a stream described by info. The
-// encoder is configured from the info's codec parameters.
-func CreateWriter(path string, info container.StreamInfo) (*Writer, error) {
-	if info.Codec == "" {
-		info.Codec = codec.FourCC
-	}
-	if info.Codec != codec.FourCC {
-		return nil, fmt.Errorf("media: unsupported codec %q", info.Codec)
-	}
-	enc, err := codec.NewEncoder(codec.Config{
-		Width: info.Width, Height: info.Height,
-		Quality: info.Quality, GOP: info.GOP, Level: info.Level,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Persist the defaulted parameters so readers build matching decoders.
-	ec := enc.Config()
-	info.Quality, info.GOP, info.Level = ec.Quality, ec.GOP, ec.Level
-	c, err := container.Create(path, info)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{c: c, enc: enc}, nil
-}
-
-// Info returns the stream description being written.
-func (w *Writer) Info() container.StreamInfo { return w.c.Info() }
-
-// Stats returns the cumulative encode/copy statistics.
-func (w *Writer) Stats() Stats { return w.stats }
-
-// FramesWritten returns the number of frames (encoded or copied) so far.
-func (w *Writer) FramesWritten() int64 { return w.pts }
-
-// SetRecorder attributes the writer's encode and packet-copy work to a
-// per-request recorder (encodes are forwarded to the codec encoder).
-func (w *Writer) SetRecorder(rec *obs.Recorder) {
-	w.rec = rec
-	w.enc.SetRecorder(rec)
-}
-
-// WriteFrame encodes fr as the next frame of the stream.
-func (w *Writer) WriteFrame(fr *frame.Frame) error {
-	if w.closed {
-		return errors.New("media: writer closed")
-	}
-	if w.spliced {
-		// The encoder's prediction state does not match the copied
-		// packets; restart the GOP.
-		w.enc.ForceKeyframe()
-		w.spliced = false
-	}
-	pkt, err := w.enc.Encode(fr)
-	if err != nil {
-		return err
-	}
-	err = w.c.WritePacket(w.pts, pkt.Key, pkt.Data)
-	w.enc.Recycle(pkt) // the container wrote the bytes; reuse the buffer
-	if err != nil {
-		return err
-	}
-	w.stats.FramesEncoded++
-	w.pts++
-	return nil
-}
-
-// WriteRawPacket splices an already-encoded packet into the stream. The
-// caller is responsible for packet ordering starting at a keyframe (the
-// container enforces that the stream itself starts with one).
-func (w *Writer) WriteRawPacket(key bool, data []byte) error {
-	if w.closed {
-		return errors.New("media: writer closed")
-	}
-	copyStart := time.Now()
-	if err := w.c.WritePacket(w.pts, key, data); err != nil {
-		return err
-	}
-	w.rec.StageObserve(obs.StageCopy, 1, int64(len(data)), time.Since(copyStart))
-	w.spliced = true
-	w.stats.PacketsCopied++
-	w.stats.BytesCopied += int64(len(data))
-	w.pts++
-	return nil
-}
-
-// WriteEncodedFrame splices a packet that was encoded on the writer's
-// behalf by an external encoder (parallel shards encode their chunks with
-// their own encoder instances). It counts as an encode, not a copy.
-func (w *Writer) WriteEncodedFrame(key bool, data []byte) error {
-	if w.closed {
-		return errors.New("media: writer closed")
-	}
-	if err := w.c.WritePacket(w.pts, key, data); err != nil {
-		return err
-	}
-	w.spliced = true
-	w.stats.FramesEncoded++
-	w.pts++
-	return nil
-}
-
-// Close finalizes the file (writing the index and renaming the temp file
-// into place).
-func (w *Writer) Close() error {
-	if w.closed {
-		return w.closeErr
-	}
-	w.closed = true
-	w.enc.Close()
-	w.closeErr = w.c.Close()
-	return w.closeErr
-}
-
-// Abort discards the in-progress file without ever creating the target
-// path. A no-op after a successful Close.
-func (w *Writer) Abort() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	w.enc.Close()
-	w.closeErr = errors.New("media: writer aborted")
-	return w.c.Abort()
 }
 
 // CanSplice reports whether packets read from src can be written into dst

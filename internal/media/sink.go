@@ -14,11 +14,11 @@ import (
 	"v2v/internal/obs"
 )
 
-// Sink abstracts the destination of a synthesis run: a seekable VMF file
-// (Writer) or a progressive stream (StreamWriter). The execution engine
-// writes only through this interface, which is what lets V2V begin
-// delivering output "within seconds" — packets flow as segments complete,
-// before the whole result exists.
+// Sink abstracts the destination of a synthesis run. Writer is its one
+// implementation, for a seekable VMF file and a progressive VMS stream
+// alike. The execution engine writes only through this interface, which is
+// what lets V2V begin delivering output "within seconds" — packets flow
+// as segments complete, before the whole result exists.
 type Sink interface {
 	// Info describes the output stream format.
 	Info() container.StreamInfo
@@ -29,23 +29,27 @@ type Sink interface {
 	// WriteEncodedFrame splices a packet encoded on the sink's behalf by
 	// an external encoder (parallel shards); counts as an encode.
 	WriteEncodedFrame(key bool, data []byte) error
-	// FramesWritten returns the number of packets written so far.
-	FramesWritten() int64
+	// SetRecorder attributes the sink's encode and packet-copy work to a
+	// per-request recorder from here on.
+	SetRecorder(rec *obs.Recorder)
+	// Flush marks a delivery point — the container header, then each
+	// segment's end — and passes it to a stream destination that has a
+	// Flush method. A file sink has nothing to deliver early.
+	Flush()
+	// FirstPacket reports when the first packet was written; zero before.
+	FirstPacket() time.Time
 	// Stats returns cumulative write statistics.
 	Stats() Stats
 	// Close finalizes the output.
 	Close() error
 	// Abort discards the output without finalizing it: a file sink removes
-	// its temp file and never creates the target path; a stream sink stops
-	// without the end-of-stream marker, so consumers see truncation rather
-	// than a spuriously clean end.
-	Abort() error
+	// its temp file and never creates the target path; a stream sink ends
+	// with a typed error trailer carrying cause (best-effort), so consumers
+	// tell a producer failure from a cut connection.
+	Abort(cause error) error
 }
 
-var (
-	_ Sink = (*Writer)(nil)
-	_ Sink = (*StreamWriter)(nil)
-)
+var _ Sink = (*Writer)(nil)
 
 // vmsMagic introduces the progressive stream format: like VMF but with
 // per-packet length framing instead of a trailing index, so a consumer
@@ -76,6 +80,15 @@ var (
 	ErrStreamFailed    = errors.New("media: stream producer reported failure")
 )
 
+// Writer errors, built once: the packet path returns them without
+// allocating.
+var (
+	errWriterClosed  = errors.New("media: writer closed")
+	errWriterAborted = errors.New("media: writer aborted")
+	errFirstNotKey   = errors.New("media: first packet must be a keyframe")
+	errEmptyPacket   = errors.New("media: empty packet")
+)
+
 // StreamTrailer is the typed end-of-stream marker. Status is "ok" for a
 // complete stream or "error" when the producer failed after the header
 // was already out; Packets echoes the packet count so readers can
@@ -86,26 +99,80 @@ type StreamTrailer struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// StreamWriter writes the VMS progressive format to any io.Writer. Not
-// safe for concurrent use.
-type StreamWriter struct {
-	w       io.Writer
-	enc     *codec.Encoder
-	info    container.StreamInfo
-	pts     int64
-	spliced bool
-	stats   Stats
-	rec     *obs.Recorder
-	closed  bool
+// Writer encodes frames, or splices already-encoded packets, into one
+// output video: a VMF file (CreateWriter) or a VMS stream
+// (NewStreamWriter). It owns the encoder, the PTS, the stats and the
+// splice rule — after a splice the next encoded frame is forced to be a
+// keyframe, so the output stays decodable; a framer lays out the bytes.
+// Not safe for concurrent use.
+type Writer struct {
+	out      framer
+	info     container.StreamInfo
+	enc      *codec.Encoder
+	pts      int64
+	spliced  bool // a packet was spliced since the last encode
+	stats    Stats
+	rec      *obs.Recorder
+	first    time.Time
+	closed   bool
+	closeErr error
 }
 
-// NewStreamWriter emits the stream header and returns a progressive sink.
-func NewStreamWriter(w io.Writer, info container.StreamInfo) (*StreamWriter, error) {
+// framer lays out one output format's bytes.
+type framer interface {
+	// packet writes one packet; the Writer has checked it.
+	packet(pts int64, key bool, data []byte) error
+	flush()
+	// close finalizes the output after packets packets; abort discards it.
+	close(packets int64) error
+	abort(cause error, packets int64) error
+}
+
+// CreateWriter opens path for writing a VMF file described by info. The
+// bytes land at <path>.tmp until Close renames the finished file into
+// place, so a failed synthesis never leaves a file at path.
+func CreateWriter(path string, info container.StreamInfo) (*Writer, error) {
+	return newWriter(info, func(info container.StreamInfo) (framer, error) {
+		c, err := container.Create(path, info)
+		if err != nil {
+			return nil, err
+		}
+		return vmfFramer{c}, nil
+	})
+}
+
+// NewStreamWriter emits the VMS stream header to w and returns a writer
+// that frames each packet with its length as it is written.
+func NewStreamWriter(w io.Writer, info container.StreamInfo) (*Writer, error) {
+	return newWriter(info, func(info container.StreamInfo) (framer, error) {
+		hdr, err := json.Marshal(info)
+		if err != nil {
+			return nil, err
+		}
+		var lenBuf [4]byte
+		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(hdr)))
+		for _, b := range [][]byte{[]byte(vmsMagic), lenBuf[:], hdr} {
+			if _, err := w.Write(b); err != nil {
+				return nil, fmt.Errorf("media: stream header: %w", err)
+			}
+		}
+		f := &vmsFramer{w: w}
+		f.flusher, _ = w.(interface{ Flush() })
+		return f, nil
+	})
+}
+
+// newWriter validates info, builds its encoder and opens the output with
+// the encoder's defaulted parameters, so readers build matching decoders.
+func newWriter(info container.StreamInfo, open func(container.StreamInfo) (framer, error)) (*Writer, error) {
 	if info.Codec == "" {
 		info.Codec = codec.FourCC
 	}
 	if info.Codec != codec.FourCC {
 		return nil, fmt.Errorf("media: unsupported codec %q", info.Codec)
+	}
+	if err := info.Validate(); err != nil {
+		return nil, err
 	}
 	enc, err := codec.NewEncoder(codec.Config{
 		Width: info.Width, Height: info.Height,
@@ -116,146 +183,208 @@ func NewStreamWriter(w io.Writer, info container.StreamInfo) (*StreamWriter, err
 	}
 	ec := enc.Config()
 	info.Quality, info.GOP, info.Level = ec.Quality, ec.GOP, ec.Level
-	hdr, err := json.Marshal(info)
+	out, err := open(info)
 	if err != nil {
+		enc.Close()
 		return nil, err
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(hdr)))
-	for _, b := range [][]byte{[]byte(vmsMagic), lenBuf[:], hdr} {
-		if _, err := w.Write(b); err != nil {
-			return nil, fmt.Errorf("media: stream header: %w", err)
-		}
-	}
-	return &StreamWriter{w: w, enc: enc, info: info}, nil
+	return &Writer{out: out, info: info, enc: enc}, nil
 }
 
-// Info returns the stream description.
-func (s *StreamWriter) Info() container.StreamInfo { return s.info }
+// Info returns the stream description being written.
+func (w *Writer) Info() container.StreamInfo { return w.info }
 
-// FramesWritten returns the number of packets emitted.
-func (s *StreamWriter) FramesWritten() int64 { return s.pts }
+// Stats returns the cumulative encode/copy statistics.
+func (w *Writer) Stats() Stats { return w.stats }
 
-// Stats returns cumulative write statistics.
-func (s *StreamWriter) Stats() Stats { return s.stats }
+// FirstPacket reports when the first packet was written; zero before.
+func (w *Writer) FirstPacket() time.Time { return w.first }
 
-// SetRecorder attributes the stream writer's encode and packet-copy work
-// to a per-request recorder (encodes are forwarded to the codec encoder).
-func (s *StreamWriter) SetRecorder(rec *obs.Recorder) {
-	s.rec = rec
-	s.enc.SetRecorder(rec)
+// SetRecorder attributes the writer's encode and packet-copy work to a
+// per-request recorder (encodes are forwarded to the codec encoder).
+func (w *Writer) SetRecorder(rec *obs.Recorder) {
+	w.rec = rec
+	w.enc.SetRecorder(rec)
 }
 
-func (s *StreamWriter) writePacket(key bool, data []byte) error {
-	if s.closed {
-		return errors.New("media: stream writer closed")
+// Flush passes a delivery point to the output (see Sink).
+func (w *Writer) Flush() {
+	if !w.closed {
+		w.out.flush()
 	}
-	var head [5]byte
-	binary.LittleEndian.PutUint32(head[:4], uint32(len(data)))
-	if key {
-		head[4] = flagKey
+}
+
+// put checks one packet against the stream's rules, hands it to the
+// framer and advances the PTS.
+func (w *Writer) put(key bool, data []byte) error {
+	switch {
+	case w.closed:
+		return errWriterClosed
+	case w.pts == 0 && !key:
+		return errFirstNotKey
+	case len(data) == 0:
+		// A VMS reader would take an empty packet for the legacy
+		// end-of-stream marker.
+		return errEmptyPacket
 	}
-	if _, err := s.w.Write(head[:]); err != nil {
-		return fmt.Errorf("media: stream packet: %w", err)
+	if err := w.out.packet(w.pts, key, data); err != nil {
+		return err
 	}
-	if _, err := s.w.Write(data); err != nil {
-		return fmt.Errorf("media: stream packet: %w", err)
+	if w.pts == 0 {
+		w.first = time.Now()
 	}
-	s.pts++
+	w.pts++
 	return nil
 }
 
-// WriteFrame encodes fr and streams its packet.
-func (s *StreamWriter) WriteFrame(fr *frame.Frame) error {
-	if s.spliced {
-		s.enc.ForceKeyframe()
-		s.spliced = false
+// WriteFrame encodes fr as the next frame of the stream.
+func (w *Writer) WriteFrame(fr *frame.Frame) error {
+	if w.closed {
+		return errWriterClosed
 	}
-	pkt, err := s.enc.Encode(fr)
+	if w.spliced {
+		// The encoder's prediction state does not match the spliced
+		// packets; restart the GOP.
+		w.enc.ForceKeyframe()
+		w.spliced = false
+	}
+	pkt, err := w.enc.Encode(fr)
 	if err != nil {
 		return err
 	}
-	err = s.writePacket(pkt.Key, pkt.Data)
-	s.enc.Recycle(pkt) // the stream wrote the bytes; reuse the buffer
+	err = w.put(pkt.Key, pkt.Data)
+	w.enc.Recycle(pkt) // the framer wrote the bytes; reuse the buffer
 	if err != nil {
 		return err
 	}
-	s.stats.FramesEncoded++
+	w.stats.FramesEncoded++
 	return nil
 }
 
-// WriteRawPacket streams a stream-copied packet.
-func (s *StreamWriter) WriteRawPacket(key bool, data []byte) error {
+// WriteRawPacket splices an already-encoded packet into the stream. The
+// caller is responsible for packet ordering starting at a keyframe; the
+// writer refuses a stream that does not start with one.
+//
+//v2v:hotpath
+func (w *Writer) WriteRawPacket(key bool, data []byte) error {
 	copyStart := time.Now()
-	if err := s.writePacket(key, data); err != nil {
+	if err := w.put(key, data); err != nil {
 		return err
 	}
-	s.rec.StageObserve(obs.StageCopy, 1, int64(len(data)), time.Since(copyStart))
-	s.spliced = true
-	s.stats.PacketsCopied++
-	s.stats.BytesCopied += int64(len(data))
+	w.rec.StageObserve(obs.StageCopy, 1, int64(len(data)), time.Since(copyStart))
+	w.spliced = true
+	w.stats.PacketsCopied++
+	w.stats.BytesCopied += int64(len(data))
 	return nil
 }
 
-// WriteEncodedFrame streams a shard-encoded packet.
-func (s *StreamWriter) WriteEncodedFrame(key bool, data []byte) error {
-	if err := s.writePacket(key, data); err != nil {
+// WriteEncodedFrame splices a packet that was encoded on the writer's
+// behalf by an external encoder (parallel shards encode their chunks with
+// their own encoder instances). It counts as an encode, not a copy.
+//
+//v2v:hotpath
+func (w *Writer) WriteEncodedFrame(key bool, data []byte) error {
+	if err := w.put(key, data); err != nil {
 		return err
 	}
-	s.spliced = true
-	s.stats.FramesEncoded++
+	w.spliced = true
+	w.stats.FramesEncoded++
 	return nil
 }
 
-// Abort stops the stream without the end-of-stream marker: the consumer's
-// read fails or blocks at the truncation point instead of seeing a clean
-// end, which is the correct signal for an abandoned synthesis.
-func (s *StreamWriter) Abort() error {
-	s.closed = true
-	s.enc.Close()
-	return nil
+// Close finalizes the output: a VMF file gets its index and is renamed
+// into place; a VMS stream ends with the "ok" trailer. Closing again
+// returns the first outcome.
+func (w *Writer) Close() error {
+	if w.closed {
+		return w.closeErr
+	}
+	w.closed = true
+	w.enc.Close()
+	w.closeErr = w.out.close(w.pts)
+	return w.closeErr
 }
 
-// AbortWithError stops the stream but first writes a typed error trailer,
-// so a consumer that already received the header can distinguish "the
-// producer failed" (with its message) from a cut connection. The write is
-// best-effort: if the transport is the thing that failed, the consumer
-// sees truncation instead, which is still accurate.
-func (s *StreamWriter) AbortWithError(cause error) error {
-	if s.closed {
+// Abort discards the output (see Sink). A no-op after Close or Abort; a
+// later Close reports the abort.
+func (w *Writer) Abort(cause error) error {
+	if w.closed {
 		return nil
 	}
-	s.closed = true
-	s.enc.Close()
-	msg := ""
+	w.closed = true
+	w.enc.Close()
+	w.closeErr = errWriterAborted
+	return w.out.abort(cause, w.pts)
+}
+
+// vmfFramer writes a VMF file through the container package, which keeps
+// the index and the temp-file-then-rename protocol.
+type vmfFramer struct{ c *container.Writer }
+
+func (f vmfFramer) packet(pts int64, key bool, data []byte) error {
+	return f.c.WritePacket(pts, key, data)
+}
+
+func (vmfFramer) flush()                     {}
+func (f vmfFramer) close(int64) error        { return f.c.Close() }
+func (f vmfFramer) abort(error, int64) error { return f.c.Abort() }
+
+// vmsFramer writes the VMS progressive format: each packet behind a 5-byte
+// prefix (little-endian length, flag byte), then a typed trailer.
+type vmsFramer struct {
+	w       io.Writer
+	flusher interface{ Flush() } // w, if it can flush
+	head    [5]byte              // the packet prefix, reused for every packet
+}
+
+//v2v:hotpath
+func (f *vmsFramer) packet(_ int64, key bool, data []byte) error {
+	binary.LittleEndian.PutUint32(f.head[:4], uint32(len(data)))
+	f.head[4] = flagNonKey
+	if key {
+		f.head[4] = flagKey
+	}
+	if _, err := f.w.Write(f.head[:]); err != nil {
+		return fmt.Errorf("media: stream packet: %w", err)
+	}
+	if _, err := f.w.Write(data); err != nil {
+		return fmt.Errorf("media: stream packet: %w", err)
+	}
+	return nil
+}
+
+func (f *vmsFramer) flush() {
+	if f.flusher != nil {
+		f.flusher.Flush()
+	}
+}
+
+func (f *vmsFramer) close(packets int64) error {
+	return f.trailer(StreamTrailer{Status: "ok", Packets: packets})
+}
+
+// abort writes the typed error trailer. The write is best-effort: if the
+// transport is the thing that failed, the consumer sees truncation
+// instead, which is still accurate.
+func (f *vmsFramer) abort(cause error, packets int64) error {
+	tr := StreamTrailer{Status: "error", Packets: packets}
 	if cause != nil {
-		msg = cause.Error()
+		tr.Error = cause.Error()
 	}
-	return s.writeTrailer(StreamTrailer{Status: "error", Packets: s.pts, Error: msg})
+	return f.trailer(tr)
 }
 
-// Close writes the typed end-of-stream trailer marking a complete stream.
-func (s *StreamWriter) Close() error {
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	s.enc.Close()
-	return s.writeTrailer(StreamTrailer{Status: "ok", Packets: s.pts})
-}
-
-func (s *StreamWriter) writeTrailer(tr StreamTrailer) error {
+func (f *vmsFramer) trailer(tr StreamTrailer) error {
 	body, err := json.Marshal(tr)
 	if err != nil {
 		return fmt.Errorf("media: stream trailer: %w", err)
 	}
-	var head [5]byte
-	binary.LittleEndian.PutUint32(head[:4], uint32(len(body)))
-	head[4] = flagTrailer
-	if _, err := s.w.Write(head[:]); err != nil {
+	binary.LittleEndian.PutUint32(f.head[:4], uint32(len(body)))
+	f.head[4] = flagTrailer
+	if _, err := f.w.Write(f.head[:]); err != nil {
 		return fmt.Errorf("media: stream trailer: %w", err)
 	}
-	if _, err := s.w.Write(body); err != nil {
+	if _, err := f.w.Write(body); err != nil {
 		return fmt.Errorf("media: stream trailer: %w", err)
 	}
 	return nil

@@ -3,11 +3,17 @@ package media
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"v2v/internal/container"
 	"v2v/internal/frame"
+	"v2v/internal/rational"
 )
 
 func TestStreamWriterReaderRoundTrip(t *testing.T) {
@@ -25,7 +31,7 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 			t.Fatalf("WriteFrame(%d): %v", i, err)
 		}
 	}
-	if w.FramesWritten() != 14 || w.Stats().FramesEncoded != 14 {
+	if w.Stats().FramesEncoded != 14 {
 		t.Errorf("writer stats = %+v", w.Stats())
 	}
 	if err := w.Close(); err != nil {
@@ -145,12 +151,12 @@ func TestStreamWriterRejectsBadInfo(t *testing.T) {
 }
 
 // TestStreamTrailerTyped asserts the end-of-stream contract: a Closed
-// stream carries an "ok" trailer with the packet count, an AbortWithError
-// stream carries an "error" trailer the reader surfaces as ErrStreamFailed,
-// and a stream that just stops reads as ErrTruncatedStream.
+// stream carries an "ok" trailer with the packet count, an aborted stream
+// carries an "error" trailer the reader surfaces as ErrStreamFailed, and a
+// stream that just stops reads as ErrTruncatedStream.
 func TestStreamTrailerTyped(t *testing.T) {
 	info := testInfo(6)
-	writeFrames := func(w *StreamWriter, n int) {
+	writeFrames := func(w *Writer, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			fr := frame.New(info.Width, info.Height, frame.FormatYUV420)
@@ -194,11 +200,11 @@ func TestStreamTrailerTyped(t *testing.T) {
 	var failed bytes.Buffer
 	w, _ = NewStreamWriter(&failed, info)
 	writeFrames(w, 2)
-	if err := w.AbortWithError(errors.New("boom: disk on fire")); err != nil {
+	if err := w.Abort(errors.New("boom: disk on fire")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
-		t.Error("close after abort should be nil")
+	if err := w.Close(); !errors.Is(err, errWriterAborted) {
+		t.Errorf("close after abort = %v, want the abort reported", err)
 	}
 	r, err = NewStreamReader(&failed)
 	if err != nil {
@@ -215,13 +221,11 @@ func TestStreamTrailerTyped(t *testing.T) {
 		t.Errorf("error trailer = %+v,%v", tr, has)
 	}
 
-	// Silent truncation (Abort, or a cut connection): typed truncation error.
+	// Silent truncation (a crashed producer, or a cut connection): typed
+	// truncation error.
 	var cut bytes.Buffer
 	w, _ = NewStreamWriter(&cut, info)
 	writeFrames(w, 2)
-	if err := w.Abort(); err != nil {
-		t.Fatal(err)
-	}
 	r, err = NewStreamReader(&cut)
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +260,7 @@ func TestStreamLegacyZeroTrailer(t *testing.T) {
 	if err := w.WriteFrame(fr); err != nil {
 		t.Fatal(err)
 	}
-	w.Abort()                                 // no typed trailer
-	buf.Write([]byte{0, 0, 0, 0, flagNonKey}) // legacy zero-length marker
+	buf.Write([]byte{0, 0, 0, 0, flagNonKey}) // legacy zero-length marker, no typed trailer
 	r, err := NewStreamReader(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -270,5 +273,200 @@ func TestStreamLegacyZeroTrailer(t *testing.T) {
 	}
 	if _, has := r.Trailer(); has {
 		t.Error("legacy stream should report no trailer")
+	}
+}
+
+// writtenPacket is one packet as a reader gets it back.
+type writtenPacket struct {
+	key  bool
+	data []byte
+}
+
+// TestWriterFormats runs one table against both output formats of Writer:
+// the constructor's validation, the stream's first-packet rule, the
+// keyframe a splice forces, byte-equal packets and equal Stats read back
+// through Reader and StreamReader, and what Abort leaves behind.
+func TestWriterFormats(t *testing.T) {
+	formats := []struct {
+		name string
+		// create opens a writer; readBack, called after Close or Abort,
+		// returns the packets written and the error that ended the read
+		// (io.EOF at a clean end).
+		create  func(t *testing.T, info container.StreamInfo) (w *Writer, err error, readBack func() ([]writtenPacket, error))
+		aborted func(readErr error) bool
+	}{
+		{
+			name: "vmf",
+			create: func(t *testing.T, info container.StreamInfo) (*Writer, error, func() ([]writtenPacket, error)) {
+				dir := t.TempDir()
+				w, err := CreateWriter(filepath.Join(dir, "out.vmf"), info)
+				return w, err, func() ([]writtenPacket, error) {
+					entries, err := os.ReadDir(dir)
+					if err != nil {
+						return nil, err
+					}
+					if len(entries) == 0 {
+						return nil, fs.ErrNotExist
+					}
+					if len(entries) != 1 || entries[0].Name() != "out.vmf" {
+						return nil, fmt.Errorf("left behind %v", entries)
+					}
+					r, err := OpenReader(filepath.Join(dir, "out.vmf"))
+					if err != nil {
+						return nil, err
+					}
+					defer r.Close()
+					var pkts []writtenPacket
+					for i := 0; i < r.NumFrames(); i++ {
+						data, err := r.Container().ReadPacket(i)
+						if err != nil {
+							return pkts, err
+						}
+						pkts = append(pkts, writtenPacket{r.Container().Record(i).Key, data})
+					}
+					return pkts, io.EOF
+				}
+			},
+			aborted: func(err error) bool { return errors.Is(err, fs.ErrNotExist) },
+		},
+		{
+			name: "vms",
+			create: func(t *testing.T, info container.StreamInfo) (*Writer, error, func() ([]writtenPacket, error)) {
+				var buf bytes.Buffer
+				w, err := NewStreamWriter(&buf, info)
+				return w, err, func() ([]writtenPacket, error) {
+					r, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+					if err != nil {
+						return nil, err
+					}
+					var pkts []writtenPacket
+					for {
+						key, data, err := r.NextPacket()
+						if err != nil {
+							return pkts, err
+						}
+						pkts = append(pkts, writtenPacket{key, data})
+					}
+				}
+			},
+			aborted: func(err error) bool {
+				return errors.Is(err, ErrStreamFailed) && strings.Contains(err.Error(), "boom")
+			},
+		},
+	}
+
+	info := testInfo(6)
+	src := makeVideo(t, t.TempDir(), "src.vmf", info, 12)
+	rd, err := OpenReader(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	stamped := func(id uint32) *frame.Frame {
+		fr := frame.New(info.Width, info.Height, frame.FormatYUV420)
+		fr.Fill(byte(90+id), 128, 128)
+		frame.Stamp(fr, id)
+		return fr
+	}
+
+	var packets [][]writtenPacket
+	var stats []Stats
+	for _, f := range formats {
+		t.Run(f.name, func(t *testing.T) {
+			for name, mutate := range map[string]func(*container.StreamInfo){
+				"unknown codec": func(i *container.StreamInfo) { i.Codec = "H264" },
+				"odd width":     func(i *container.StreamInfo) { i.Width = 33 },
+				"zero fps":      func(i *container.StreamInfo) { i.FPS = rational.Rat{} },
+			} {
+				bad := info
+				mutate(&bad)
+				if _, err, _ := f.create(t, bad); err == nil {
+					t.Errorf("constructor accepted %s", name)
+				}
+			}
+
+			w, err, _ := f.create(t, info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteRawPacket(false, []byte{1, 2, 3}); err == nil {
+				t.Error("a non-key first packet was accepted")
+			}
+			if err := w.WriteEncodedFrame(false, []byte{1, 2, 3}); err == nil {
+				t.Error("a non-key first encoded packet was accepted")
+			}
+			if err := w.Abort(errors.New("boom")); err != nil {
+				t.Fatal(err)
+			}
+
+			// frame, frame, spliced GOP head, frame: the frame after the
+			// splice must be a keyframe, the one before it not.
+			w, err, readBack := f.create(t, info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := uint32(0); id < 2; id++ {
+				if err := w.WriteFrame(stamped(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if w.FirstPacket().IsZero() {
+				t.Error("first-packet time not stamped")
+			}
+			if err := CopyRange(w, rd, 6, 8); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteFrame(stamped(2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := readBack()
+			if !errors.Is(err, io.EOF) {
+				t.Fatalf("read back: %v", err)
+			}
+			var keys []bool
+			for _, p := range got {
+				keys = append(keys, p.key)
+			}
+			if fmt.Sprint(keys) != "[true false true false true]" {
+				t.Errorf("keyframes = %v, want [true false true false true]", keys)
+			}
+			for i := 6; i < 8 && len(got) == 5; i++ {
+				want, _ := rd.Container().ReadPacket(i)
+				if !bytes.Equal(got[i-4].data, want) {
+					t.Errorf("spliced packet %d differs from the source", i)
+				}
+			}
+			packets, stats = append(packets, got), append(stats, w.Stats())
+
+			// Abort after a packet: a VMF file leaves nothing behind, a VMS
+			// stream ends in the typed error trailer.
+			w, err, readBack = f.create(t, info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteFrame(stamped(0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Abort(errors.New("boom")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteFrame(stamped(1)); err == nil {
+				t.Error("write after Abort accepted")
+			}
+			if _, err := readBack(); !f.aborted(err) {
+				t.Errorf("aborted output reads back as %v", err)
+			}
+		})
+	}
+	if len(packets) == 2 {
+		if fmt.Sprint(packets[0]) != fmt.Sprint(packets[1]) {
+			t.Error("the two formats read back different packets")
+		}
+		if stats[0] != stats[1] || stats[0].FramesEncoded != 3 || stats[0].PacketsCopied != 2 {
+			t.Errorf("stats = %+v vs %+v, want equal with 3 encoded and 2 copied", stats[0], stats[1])
+		}
 	}
 }

@@ -20,31 +20,97 @@ const DefaultFlightRecorderSize = 256
 // ring's memory footprint stays proportional to its capacity.
 const maxRecordedText = 2048
 
-// SegmentRecord is one plan segment's execution record inside a flight
-// record: the copy/render decision and the measured costs (a smart cut is
-// two records, its render head and its copy). It mirrors
-// plan.SegmentActuals without importing the plan package.
-type SegmentRecord struct {
-	Kind           string        `json:"kind"` // copy | render
-	Wall           time.Duration `json:"wall_ns"`
-	FramesRendered int64         `json:"frames_rendered,omitempty"`
-	FramesDecoded  int64         `json:"frames_decoded,omitempty"`
-	FramesEncoded  int64         `json:"frames_encoded,omitempty"`
-	PacketsCopied  int64         `json:"packets_copied,omitempty"`
-	BytesCopied    int64         `json:"bytes_copied,omitempty"`
-	Concealed      int64         `json:"concealed,omitempty"`
-	GOPCacheHits   int64         `json:"gop_cache_hits,omitempty"`
-	GOPCacheMisses int64         `json:"gop_cache_misses,omitempty"`
-	ResCacheHits   int64         `json:"result_cache_hits,omitempty"`
-	ResCacheMisses int64         `json:"result_cache_misses,omitempty"`
-	Shards         int           `json:"shards,omitempty"`
-	DecodeWall     time.Duration `json:"decode_wall_ns,omitempty"`
-	FilterWall     time.Duration `json:"filter_wall_ns,omitempty"`
-	EncodeWall     time.Duration `json:"encode_wall_ns,omitempty"`
-	DecodeBytes    int64         `json:"decode_bytes,omitempty"`
-	FilterFrames   int64         `json:"filter_frames,omitempty"`
-	FilterBytes    int64         `json:"filter_bytes,omitempty"`
-	EncodeBytes    int64         `json:"encode_bytes,omitempty"`
+// SegmentActuals records what executing one plan segment actually cost —
+// the measured counterpart to the plan's static shape, filled in by the
+// executor for EXPLAIN ANALYZE and kept per request in the flight record
+// (a smart cut is two segments, its render head and its copy).
+type SegmentActuals struct {
+	// Kind is the segment's copy/render decision: "copy" or "render".
+	Kind string `json:"kind"`
+	// Wall is the segment's measured wall time.
+	Wall time.Duration `json:"wall_ns"`
+	// FramesRendered counts output frames produced by the operator tree.
+	FramesRendered int64 `json:"frames_rendered,omitempty"`
+	// FramesDecoded counts source + intermediate decodes attributable to
+	// the segment.
+	FramesDecoded int64 `json:"frames_decoded,omitempty"`
+	// FramesEncoded counts frames encoded into the output.
+	FramesEncoded int64 `json:"frames_encoded,omitempty"`
+	// PacketsCopied and BytesCopied count stream-copied output packets.
+	PacketsCopied int64 `json:"packets_copied,omitempty"`
+	BytesCopied   int64 `json:"bytes_copied,omitempty"`
+	// Concealed counts corrupt or undecodable source packets replaced by
+	// holding the last good frame (non-zero only in concealment mode).
+	Concealed int64 `json:"concealed,omitempty"`
+	// GOPCacheHits and GOPCacheMisses count shared decoded-GOP cache
+	// lookups attributable to the segment: a hit served a source GOP with
+	// no decode, a miss paid one whole-GOP fill. Zero when no cache is
+	// configured or the segment never decodes (copies).
+	GOPCacheHits   int64 `json:"gop_cache_hits,omitempty"`
+	GOPCacheMisses int64 `json:"gop_cache_misses,omitempty"`
+	// ResultCacheHits and ResultCacheMisses count encoded-result cache
+	// lookups for the segment: a hit spliced previously synthesized
+	// packets without rendering, a miss rendered the segment and filled
+	// the cache. Zero when no result cache is configured or the segment
+	// is not cacheable.
+	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
+	ResultCacheMisses int64 `json:"result_cache_misses,omitempty"`
+	// Shards is the number of shards the segment was rendered in (the
+	// plan's cuts plus one; 0 for copies), and ShardDecodes
+	// each shard's measured decodes, in presentation order — beside the
+	// roll-forward EXPLAIN estimates for it. Both describe the plan on a
+	// result-cache hit, where no shard ran: ShardDecodes is then all zero.
+	Shards       int     `json:"shards,omitempty"`
+	ShardDecodes []int64 `json:"shard_decodes,omitempty"`
+	// Per-stage pipeline accounting, measured by the request-scoped
+	// Recorder: summed operation wall time (shard-parallel work sums, so
+	// a stage wall can exceed Wall) and bytes produced per stage. Decode
+	// and filter bytes are pixel bytes; encode bytes are encoded packet
+	// bytes (copied bytes are already in BytesCopied).
+	DecodeWall   time.Duration `json:"decode_wall_ns,omitempty"`
+	FilterWall   time.Duration `json:"filter_wall_ns,omitempty"`
+	EncodeWall   time.Duration `json:"encode_wall_ns,omitempty"`
+	DecodeBytes  int64         `json:"decode_bytes,omitempty"`
+	FilterFrames int64         `json:"filter_frames,omitempty"`
+	FilterBytes  int64         `json:"filter_bytes,omitempty"`
+	EncodeBytes  int64         `json:"encode_bytes,omitempty"`
+}
+
+// String renders the actuals as the annotation appended to explain lines.
+func (a SegmentActuals) String() string {
+	var parts []string
+	parts = append(parts, fmt.Sprintf("wall=%s", a.Wall.Round(time.Microsecond)))
+	if a.FramesRendered > 0 {
+		parts = append(parts, fmt.Sprintf("rendered=%d", a.FramesRendered))
+	}
+	if a.FramesDecoded > 0 {
+		parts = append(parts, fmt.Sprintf("decoded=%d", a.FramesDecoded))
+	}
+	if a.FramesEncoded > 0 {
+		parts = append(parts, fmt.Sprintf("encoded=%d", a.FramesEncoded))
+	}
+	if a.PacketsCopied > 0 {
+		parts = append(parts, fmt.Sprintf("copied=%d (%dB)", a.PacketsCopied, a.BytesCopied))
+	}
+	if a.Concealed > 0 {
+		parts = append(parts, fmt.Sprintf("concealed=%d", a.Concealed))
+	}
+	if a.GOPCacheHits > 0 || a.GOPCacheMisses > 0 {
+		parts = append(parts, fmt.Sprintf("gopcache=%dhit/%dmiss", a.GOPCacheHits, a.GOPCacheMisses))
+	}
+	if a.ResultCacheHits > 0 || a.ResultCacheMisses > 0 {
+		parts = append(parts, fmt.Sprintf("rescache=%dhit/%dmiss", a.ResultCacheHits, a.ResultCacheMisses))
+	}
+	if a.Shards > 1 {
+		parts = append(parts, fmt.Sprintf("shards=%d decoded/shard=%v", a.Shards, a.ShardDecodes))
+	}
+	if a.DecodeWall > 0 || a.FilterWall > 0 || a.EncodeWall > 0 {
+		parts = append(parts, fmt.Sprintf("stages=dec:%s/%dB flt:%s/%dB enc:%s/%dB",
+			a.DecodeWall.Round(time.Microsecond), a.DecodeBytes,
+			a.FilterWall.Round(time.Microsecond), a.FilterBytes,
+			a.EncodeWall.Round(time.Microsecond), a.EncodeBytes))
+	}
+	return "actual: " + strings.Join(parts, " ")
 }
 
 // RequestRecord is one request's flight-recorder entry: identity (trace
@@ -71,14 +137,12 @@ type RequestRecord struct {
 	QueuedWall time.Duration `json:"queued_wall_ns,omitempty"`
 	ShedReason string        `json:"shed_reason,omitempty"`
 
-	// Streaming fields, set by SetStreaming: whether the response was
-	// delivered as an eagerly flushed stream, and the honest
-	// time-to-first-frame — the wall time until the first bytes were
-	// flushed to the client, not merely handed to the kernel buffers.
-	Streaming bool          `json:"streaming,omitempty"`
-	TTFF      time.Duration `json:"ttff_ns,omitempty"`
+	// TTFF, set by SetTTFF, is the honest time-to-first-frame: the wall
+	// time until the first bytes were flushed to the client, not merely
+	// handed to the kernel buffers.
+	TTFF time.Duration `json:"ttff_ns,omitempty"`
 
-	Segments []SegmentRecord       `json:"segments,omitempty"`
+	Segments []SegmentActuals      `json:"segments,omitempty"`
 	Stages   map[string]StageStats `json:"stages,omitempty"`
 
 	GOPCacheHits   int64 `json:"gop_cache_hits"`
@@ -127,13 +191,13 @@ func (q *Request) SetPlan(plan string) {
 }
 
 // SetSegments records the per-segment execution decisions and costs.
-func (q *Request) SetSegments(segs []SegmentRecord) {
+func (q *Request) SetSegments(segs []SegmentActuals) {
 	if q == nil {
 		return
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.data.Segments = append([]SegmentRecord(nil), segs...)
+	q.data.Segments = append([]SegmentActuals(nil), segs...)
 }
 
 // SetCaches records the request's cache hit/miss totals.
@@ -163,15 +227,14 @@ func (q *Request) SetAdmission(tenant string, costUnits float64, queuedWall time
 	q.data.ShedReason = shedReason
 }
 
-// SetStreaming records that the response was streamed and its measured
-// time-to-first-flush (the client-observable TTFF).
-func (q *Request) SetStreaming(ttff time.Duration) {
+// SetTTFF records the response's measured time-to-first-flush (the
+// client-observable TTFF).
+func (q *Request) SetTTFF(ttff time.Duration) {
 	if q == nil {
 		return
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.data.Streaming = true
 	q.data.TTFF = ttff
 }
 
@@ -222,7 +285,7 @@ func (q *Request) snapshot() RequestRecord {
 		data.Wall = time.Since(data.Start)
 		data.Stages = q.rec.Stages()
 	}
-	data.Segments = append([]SegmentRecord(nil), data.Segments...)
+	data.Segments = append([]SegmentActuals(nil), data.Segments...)
 	return data
 }
 

@@ -63,7 +63,7 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 	}
 	q.Recorder().StageObserve(StageEncode, 7, 700, time.Millisecond)
 	q.SetPlan("concat (1 segments)")
-	q.SetSegments([]SegmentRecord{{Kind: "render", FramesEncoded: 7}})
+	q.SetSegments([]SegmentActuals{{Kind: "render", FramesEncoded: 7}})
 	q.SetCaches(4, 2, 1, 0)
 
 	// While active the snapshot reports it live.
@@ -340,7 +340,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				q := f.Start(fmt.Sprintf("t%d-%d", w, i), "concurrent query")
 				q.Recorder().StageObserve(StageDecode, 1, 100, time.Microsecond)
-				q.SetSegments([]SegmentRecord{{Kind: "render"}})
+				q.SetSegments([]SegmentActuals{{Kind: "render"}})
 				q.SetCaches(1, 1, 0, 0)
 				if i%3 == 0 {
 					q.Finish("error", errors.New("x"))

@@ -3,98 +3,9 @@ package plan
 import (
 	"fmt"
 	"strings"
-	"time"
+
+	"v2v/internal/obs"
 )
-
-// SegmentActuals records what executing one segment actually cost — the
-// measured counterpart to the plan's static shape, filled in by the
-// executor for EXPLAIN ANALYZE output.
-type SegmentActuals struct {
-	// Wall is the segment's measured wall time.
-	Wall time.Duration
-	// FramesRendered counts output frames produced by the operator tree.
-	FramesRendered int64
-	// FramesDecoded counts source + intermediate decodes attributable to
-	// the segment.
-	FramesDecoded int64
-	// FramesEncoded counts frames encoded into the output.
-	FramesEncoded int64
-	// PacketsCopied and BytesCopied count stream-copied output packets.
-	PacketsCopied int64
-	BytesCopied   int64
-	// Concealed counts corrupt or undecodable source packets replaced by
-	// holding the last good frame (non-zero only in concealment mode).
-	Concealed int64
-	// GOPCacheHits and GOPCacheMisses count shared decoded-GOP cache
-	// lookups attributable to the segment: a hit served a source GOP with
-	// no decode, a miss paid one whole-GOP fill. Zero when no cache is
-	// configured or the segment never decodes (copies).
-	GOPCacheHits   int64
-	GOPCacheMisses int64
-	// ResultCacheHits and ResultCacheMisses count encoded-result cache
-	// lookups for the segment: a hit spliced previously synthesized
-	// packets without rendering, a miss rendered the segment and filled
-	// the cache. Zero when no result cache is configured or the segment
-	// is not cacheable.
-	ResultCacheHits   int64
-	ResultCacheMisses int64
-	// Shards is the number of shards the segment was rendered in (the
-	// plan's cuts plus one; 0 for copies), and ShardDecodes
-	// each shard's measured decodes, in presentation order — beside the
-	// roll-forward EXPLAIN estimates for it. Both describe the plan on a
-	// result-cache hit, where no shard ran: ShardDecodes is then all zero.
-	Shards       int
-	ShardDecodes []int64
-	// Per-stage pipeline accounting, measured by the request-scoped
-	// obs.Recorder: summed operation wall time (shard-parallel work sums,
-	// so a stage wall can exceed Wall) and bytes produced per stage.
-	// Decode and filter bytes are pixel bytes; encode bytes are encoded
-	// packet bytes (copied bytes are already in BytesCopied).
-	DecodeWall   time.Duration
-	FilterWall   time.Duration
-	EncodeWall   time.Duration
-	DecodeBytes  int64
-	FilterFrames int64
-	FilterBytes  int64
-	EncodeBytes  int64
-}
-
-// String renders the actuals as the annotation appended to explain lines.
-func (a SegmentActuals) String() string {
-	var parts []string
-	parts = append(parts, fmt.Sprintf("wall=%s", a.Wall.Round(time.Microsecond)))
-	if a.FramesRendered > 0 {
-		parts = append(parts, fmt.Sprintf("rendered=%d", a.FramesRendered))
-	}
-	if a.FramesDecoded > 0 {
-		parts = append(parts, fmt.Sprintf("decoded=%d", a.FramesDecoded))
-	}
-	if a.FramesEncoded > 0 {
-		parts = append(parts, fmt.Sprintf("encoded=%d", a.FramesEncoded))
-	}
-	if a.PacketsCopied > 0 {
-		parts = append(parts, fmt.Sprintf("copied=%d (%dB)", a.PacketsCopied, a.BytesCopied))
-	}
-	if a.Concealed > 0 {
-		parts = append(parts, fmt.Sprintf("concealed=%d", a.Concealed))
-	}
-	if a.GOPCacheHits > 0 || a.GOPCacheMisses > 0 {
-		parts = append(parts, fmt.Sprintf("gopcache=%dhit/%dmiss", a.GOPCacheHits, a.GOPCacheMisses))
-	}
-	if a.ResultCacheHits > 0 || a.ResultCacheMisses > 0 {
-		parts = append(parts, fmt.Sprintf("rescache=%dhit/%dmiss", a.ResultCacheHits, a.ResultCacheMisses))
-	}
-	if a.Shards > 1 {
-		parts = append(parts, fmt.Sprintf("shards=%d decoded/shard=%v", a.Shards, a.ShardDecodes))
-	}
-	if a.DecodeWall > 0 || a.FilterWall > 0 || a.EncodeWall > 0 {
-		parts = append(parts, fmt.Sprintf("stages=dec:%s/%dB flt:%s/%dB enc:%s/%dB",
-			a.DecodeWall.Round(time.Microsecond), a.DecodeBytes,
-			a.FilterWall.Round(time.Microsecond), a.FilterBytes,
-			a.EncodeWall.Round(time.Microsecond), a.EncodeBytes))
-	}
-	return "actual: " + strings.Join(parts, " ")
-}
 
 // Explain renders the plan as an indented text tree, the V2V analogue of
 // EXPLAIN for relational plans (and of the paper's Fig. 2 diagrams).
@@ -107,7 +18,7 @@ func (p *Plan) Explain() string {
 // EXPLAIN ANALYZE, making plan-vs-reality discrepancies visible (e.g. a
 // smart cut whose re-encoded head dominates the copy after it). Segments
 // beyond len(actuals) render without annotation.
-func (p *Plan) ExplainAnalyze(actuals []SegmentActuals) string {
+func (p *Plan) ExplainAnalyze(actuals []obs.SegmentActuals) string {
 	return p.explain(func(i int) string {
 		if i >= len(actuals) {
 			return ""

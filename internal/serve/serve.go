@@ -93,7 +93,7 @@ var (
 		"Latency until the first output packet (the paper's interactivity measure).",
 		obs.LatencyBuckets())
 	ttffHist = obs.Default().Histogram("v2v_stream_ttff_seconds",
-		"Time until the first bytes were flushed to a streaming (?stream=1) client — the honest time-to-first-frame.",
+		"Time until the first bytes were flushed to the client — the honest time-to-first-frame.",
 		obs.LatencyBuckets())
 )
 

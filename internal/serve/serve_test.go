@@ -1005,80 +1005,111 @@ func waitMetric(t *testing.T, ts *httptest.Server, name string, want float64) {
 	}
 }
 
-// TestStreamOptInDeliversIdenticalBytes asserts the ?stream=1 opt-in
-// changes delivery timing only: the response bytes are identical to the
-// buffered response, the stream ends with a clean typed trailer, and the
-// TTFF histogram records the request.
+// flushRecorder is a ResponseWriter that records the body length at each
+// Flush.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	marks []int
+}
+
+func (f *flushRecorder) Flush() {
+	f.marks = append(f.marks, f.Body.Len())
+	f.ResponseRecorder.Flush()
+}
+
+// deliver serves a POST of spec to target in-process and returns the body
+// and the body length at each flush. The handler returns only once its
+// delivery goroutine has, so both are complete.
+func deliver(t *testing.T, ts *httptest.Server, target, spec string, header http.Header) ([]byte, []int) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, target, strings.NewReader(spec))
+	for k, v := range header {
+		req.Header[k] = v
+	}
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	ts.Config.Handler.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes(), rec.marks
+}
+
+// checkFlushedDelivery asserts body is streamingServer's 48-frame spec
+// with a clean trailer, delivered by the flushes the executor's flush
+// points ask for — after the header and after each of its two segments —
+// and a last one after the trailer. Flush points that reach the flushing
+// sink's drain together share one flush, which carries everything queued
+// by then, so the count and the offsets between header and trailer depend
+// on scheduling.
+func checkFlushedDelivery(t *testing.T, body []byte, marks []int) {
+	t.Helper()
+	br := bytes.NewReader(body)
+	sr, err := media.NewStreamReader(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []int{len(body) - br.Len()} // ends[k]: header and k packets
+	for {
+		if _, _, err := sr.NextPacket(); err != nil {
+			if err != io.EOF {
+				t.Fatal(err)
+			}
+			break
+		}
+		ends = append(ends, len(body)-br.Len())
+	}
+	if len(ends) != 49 {
+		t.Fatalf("streamed frames = %d, want 48", len(ends)-1)
+	}
+	if tr, ok := sr.Trailer(); !ok || tr.Status != "ok" {
+		t.Errorf("trailer = %+v,%v; want clean ok trailer", tr, ok)
+	}
+	if len(marks) == 0 || len(marks) > 4 || marks[0] < ends[0] || marks[len(marks)-1] != len(body) {
+		t.Fatalf("flushed at body offsets %v; want 1 to 4 flushes (header, two segments, trailer), "+
+			"the first after the header's %d bytes, the last at the end, %d", marks, ends[0], len(body))
+	}
+	for i := 1; i < len(marks); i++ {
+		if marks[i] < marks[i-1] {
+			t.Fatalf("flush offsets %v go backwards", marks)
+		}
+	}
+}
+
+// TestStreamOptInDeliversIdenticalBytes asserts ?stream=1 changes
+// nothing: every response streams, so a plain request and an opted-in one
+// get the same bytes, flushed only at the header, the segment ends and the
+// trailer, and each records its TTFF.
 func TestStreamOptInDeliversIdenticalBytes(t *testing.T) {
 	ts, specText := streamingServer(t, 0)
 	ttffBefore := metricValue(t, ts, "v2v_stream_ttff_seconds_count")
 	truncBefore := truncated.Value()
 
-	post := func(url string) []byte {
-		resp, err := http.Post(url, "text/plain", strings.NewReader(specText))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %s", resp.Status)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-	plain := post(ts.URL + "/synthesize")
-	streamed := post(ts.URL + "/synthesize?stream=1")
+	plain, plainMarks := deliver(t, ts, "/synthesize", specText, nil)
+	streamed, marks := deliver(t, ts, "/synthesize?stream=1", specText, nil)
 	if !bytes.Equal(plain, streamed) {
-		t.Fatalf("streamed bytes differ from buffered bytes: %d vs %d", len(streamed), len(plain))
+		t.Fatalf("?stream=1 bytes differ from a plain request's: %d vs %d", len(streamed), len(plain))
 	}
+	checkFlushedDelivery(t, plain, plainMarks)
+	checkFlushedDelivery(t, streamed, marks)
 
-	sr, err := media.NewStreamReader(bytes.NewReader(streamed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := 0
-	for {
-		if _, err := sr.NextFrame(); err != nil {
-			if err == io.EOF {
-				break
-			}
-			t.Fatal(err)
-		}
-		frames++
-	}
-	if frames != 48 {
-		t.Fatalf("streamed frames = %d, want 48", frames)
-	}
-	if tr, ok := sr.Trailer(); !ok || tr.Status != "ok" {
-		t.Errorf("trailer = %+v,%v; want clean ok trailer", tr, ok)
-	}
-
-	// Only the ?stream=1 request is a streaming one.
-	waitMetric(t, ts, "v2v_stream_ttff_seconds_count", ttffBefore+1)
+	waitMetric(t, ts, "v2v_stream_ttff_seconds_count", ttffBefore+2)
 	if n := truncated.Value() - truncBefore; n != 0 {
 		t.Errorf("truncated streams +%d, want 0", n)
 	}
 }
 
-// TestStreamAcceptHeaderOptsIn asserts the Accept-based opt-in works like
-// ?stream=1.
+// TestStreamAcceptHeaderOptsIn asserts the Accept header naming the stream
+// media type, like ?stream=1, changes nothing.
 func TestStreamAcceptHeaderOptsIn(t *testing.T) {
 	ts, specText := streamingServer(t, 0)
-	ttffBefore := metricValue(t, ts, "v2v_stream_ttff_seconds_count")
-	req, _ := http.NewRequest("POST", ts.URL+"/synthesize", strings.NewReader(specText))
-	req.Header.Set("Accept", "application/x-v2v-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	plain, plainMarks := deliver(t, ts, "/synthesize", specText, nil)
+	accepted, marks := deliver(t, ts, "/synthesize", specText,
+		http.Header{"Accept": {"application/x-v2v-stream"}})
+	if !bytes.Equal(plain, accepted) {
+		t.Fatalf("Accept request bytes differ from a plain request's: %d vs %d", len(accepted), len(plain))
 	}
-	defer resp.Body.Close()
-	if got := len(readStream(t, resp.Body)); got != 48 {
-		t.Fatalf("frames = %d, want 48", got)
-	}
-	waitMetric(t, ts, "v2v_stream_ttff_seconds_count", ttffBefore+1)
+	checkFlushedDelivery(t, plain, plainMarks)
+	checkFlushedDelivery(t, accepted, marks)
 }
 
 // TestStreamFailureWritesTypedTrailer injects a panicking transform into
@@ -1139,7 +1170,7 @@ func TestStreamFailureWritesTypedTrailer(t *testing.T) {
 
 // TestStreamSlowClientDoesNotBlockOthers stalls a streaming client right
 // after the stream header and, while it reads nothing, runs a second
-// buffered request of the same spec to completion: the stalled client's
+// request of the same spec to completion: the stalled client's
 // backpressure holds up only its own request. The render arm is held
 // until the slow client has the header, so its first flush provably
 // precedes the end of its synthesis — TTFF below wall — and the stream
@@ -1222,11 +1253,11 @@ func TestStreamSlowClientDoesNotBlockOthers(t *testing.T) {
 		t.Fatalf("slow client frames = %d, want 48", slow.frames)
 	}
 
-	// Honest TTFF: the streaming request's first flush (the header the
-	// client read before any held frame could render) came before its
-	// synthesis ended.
+	// Honest TTFF: each request's first flush (for the slow one, the
+	// header the client read before any held frame could render) came
+	// before its synthesis ended.
 	waitMetric(t, ts, "v2v_synthesis_wall_seconds_count", wallCount+2)
-	waitMetric(t, ts, "v2v_stream_ttff_seconds_count", ttffCount+1)
+	waitMetric(t, ts, "v2v_stream_ttff_seconds_count", ttffCount+2)
 	ttff := metricValue(t, ts, "v2v_stream_ttff_seconds_sum") - ttffSum
 	wall := metricValue(t, ts, "v2v_synthesis_wall_seconds_sum") - wallSum
 	if ttff <= 0 || ttff >= wall {

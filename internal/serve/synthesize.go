@@ -39,43 +39,6 @@ func validSpecName(name string) bool {
 	return true
 }
 
-// segmentRecords converts an executed run's per-segment actuals (plus the
-// plan's copy/render decisions) into flight-recorder segment
-// records.
-func segmentRecords(res *core.Result) []obs.SegmentRecord {
-	acts := res.Metrics.Segments
-	out := make([]obs.SegmentRecord, 0, len(acts))
-	for i, a := range acts {
-		kind := "render"
-		if res.Plan != nil && i < len(res.Plan.Segments) {
-			kind = res.Plan.Segments[i].Kind.String()
-		}
-		out = append(out, obs.SegmentRecord{
-			Kind:           kind,
-			Wall:           a.Wall,
-			FramesRendered: a.FramesRendered,
-			FramesDecoded:  a.FramesDecoded,
-			FramesEncoded:  a.FramesEncoded,
-			PacketsCopied:  a.PacketsCopied,
-			BytesCopied:    a.BytesCopied,
-			Concealed:      a.Concealed,
-			GOPCacheHits:   a.GOPCacheHits,
-			GOPCacheMisses: a.GOPCacheMisses,
-			ResCacheHits:   a.ResultCacheHits,
-			ResCacheMisses: a.ResultCacheMisses,
-			Shards:         a.Shards,
-			DecodeWall:     a.DecodeWall,
-			FilterWall:     a.FilterWall,
-			EncodeWall:     a.EncodeWall,
-			DecodeBytes:    a.DecodeBytes,
-			FilterFrames:   a.FilterFrames,
-			FilterBytes:    a.FilterBytes,
-			EncodeBytes:    a.EncodeBytes,
-		})
-	}
-	return out
-}
-
 func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	var raw []byte
 	var query, name string
@@ -210,43 +173,31 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	// throughput estimate, whether the synthesis succeeds or not.
 	defer ticket.Release(opts.Recorder)
 
-	// Streaming delivery is opt-in per request: ?stream=1 or an Accept
-	// header naming the stream media type. The engine delivers every
-	// response in presentation order; an opted-in one goes through a
-	// FlushingSink — bytes are flushed to the client at the container
-	// header and every segment boundary (coalesced by FlushInterval), and
-	// a client draining slower than synthesis blocks only this request's
-	// delivery goroutine once the StreamBufferKB queue fills.
-	streaming := r.URL.Query().Get("stream") == "1" ||
-		strings.Contains(r.Header.Get("Accept"), "application/x-v2v-stream")
-
+	// Every response streams: the executor flushes after the container
+	// header and after each segment, and the FlushingSink pushes those
+	// bytes to the client (coalesced by FlushInterval); a client draining
+	// slower than synthesis blocks only this request's delivery goroutine
+	// once the StreamBufferKB queue fills. A ?stream=1 query or an Accept
+	// header naming the stream media type is accepted and changes nothing.
 	w.Header().Set("Content-Type", "application/x-v2v-stream")
 	start := time.Now()
-	var dst io.Writer = w
-	var fs *media.FlushingSink
-	if streaming {
-		fs = media.NewFlushingSink(w, media.FlushConfig{
-			BufferBytes:   s.cfg.StreamBufferKB << 10,
-			FlushInterval: s.cfg.FlushInterval,
-		})
-		dst = fs
-		opts.OnSegmentDone = func(int) { fs.Barrier() }
-	}
-	res, err := pr.SynthesizeStreamContext(ctx, dst, opts)
+	fs := media.NewFlushingSink(w, media.FlushConfig{
+		BufferBytes:   s.cfg.StreamBufferKB << 10,
+		FlushInterval: s.cfg.FlushInterval,
+	})
+	res, err := pr.SynthesizeStreamContext(ctx, fs, opts)
 	// Classify a failure by its error, not by ctx: the executor returns
 	// ctx's error whenever cancellation stopped it, before it writes the
 	// error trailer. Once the trailer is on the wire the client may hang
 	// up, even before this line, and that must not turn a reported failure
 	// into a cancellation.
 	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	if fs != nil {
-		// Drain the queue before the handler returns: the typed trailer a
-		// failed synthesis wrote via the sink must reach the client before
-		// the connection closes. A downstream (client) write error
-		// surfaces here if the synthesis itself didn't observe it.
-		if cerr := fs.CloseFlush(); cerr != nil && err == nil {
-			err, canceled = cerr, ctx.Err() != nil
-		}
+	// Drain the queue before the handler returns: the typed trailer a
+	// failed synthesis wrote via the sink must reach the client before the
+	// connection closes. A downstream (client) write error surfaces here if
+	// the synthesis itself didn't observe it.
+	if cerr := fs.CloseFlush(); cerr != nil && err == nil {
+		err, canceled = cerr, ctx.Err() != nil
 	}
 	req.SetTrace(tr)
 	if err != nil {
@@ -269,23 +220,18 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	synthOK.Inc()
-	if fs != nil {
-		// Honest TTFF: for streaming consumers, first output means "first
-		// bytes flushed to the client", not "first packet handed to Go's
-		// response buffers" (the executor's stamp). Override the metric
-		// with the flushing sink's measurement; file consumers and
-		// responses that did not opt in keep the executor semantics.
-		if first, ok := fs.FirstFlush(); ok {
-			ttff := first.Sub(start)
-			res.Metrics.FirstOutput = ttff
-			ttffHist.Observe(ttff.Seconds())
-			req.SetStreaming(ttff)
-		}
+	// Honest TTFF: first output means "first bytes flushed to the client",
+	// not "first packet handed to Go's response buffers" (the executor's
+	// stamp).
+	if first, ok := fs.FirstFlush(); ok {
+		res.Metrics.FirstOutput = first.Sub(start)
+		ttffHist.Observe(res.Metrics.FirstOutput.Seconds())
+		req.SetTTFF(res.Metrics.FirstOutput)
 	}
 	wallHist.Observe(res.Metrics.Wall.Seconds())
 	firstHist.Observe(res.Metrics.FirstOutput.Seconds())
 	req.SetPlan(res.Plan.Explain())
-	req.SetSegments(segmentRecords(res))
+	req.SetSegments(res.Metrics.Segments)
 	req.SetCaches(res.Metrics.Source.GOPCacheHits, res.Metrics.Source.GOPCacheMisses,
 		res.Metrics.ResultCacheHits, res.Metrics.ResultCacheMisses)
 	req.Finish("ok", nil)
