@@ -40,13 +40,12 @@ import (
 // validateServeFlags rejects nonsensical flag values before any server
 // state is built, so a typo'd unit (bytes instead of MiB, negative
 // durations) fails fast with a clear message.
-func validateServeFlags(drain, synthTO, admitTO, flushInterval time.Duration, cacheMB, resMB, slowMS, flightSize, parallel, maxQueue, streamBufKB int, tenantWeight, logFormat string) error {
+func validateServeFlags(drain, synthTO, admitTO time.Duration, cacheMB, resMB, slowMS, flightSize, parallel, maxQueue, streamBufKB int, tenantWeight, logFormat string) error {
 	_, werr := cliutil.ParseTenantWeights("-tenant-weight", tenantWeight)
 	return errors.Join(
 		cliutil.ValidateTimeout("-drain", drain),
 		cliutil.ValidateTimeout("-synth-timeout", synthTO),
 		cliutil.ValidateTimeout("-admit-timeout", admitTO),
-		cliutil.ValidateTimeout("-flush-interval", flushInterval),
 		cliutil.ValidateCacheMB("-gop-cache-mb", cacheMB),
 		cliutil.ValidateCacheMB("-result-cache-mb", resMB),
 		cliutil.ValidateMillis("-slow-query-ms", slowMS),
@@ -84,7 +83,6 @@ func serverFlags(fs *flag.FlagSet) *serve.Config {
 	fs.IntVar(&c.MaxQueue, "max-queue", 0, "admission queue depth across all tenants (0 = default 64)")
 	fs.DurationVar(&c.AdmitTimeout, "admit-timeout", 0, "max time a request may wait in the admission queue before being shed (0 = default 10s)")
 	fs.StringVar(&c.TenantWeight, "tenant-weight", "", `per-tenant admission fairness weights as "name=w,name=w" (e.g. "gold=3,free=1"); unlisted tenants get weight 1`)
-	fs.DurationVar(&c.FlushInterval, "flush-interval", 0, "minimum spacing between segment-boundary flushes on /synthesize responses; the header and final flush are never delayed (0 = flush at every segment boundary)")
 	fs.IntVar(&c.StreamBufferKB, "stream-buffer-kb", 0, "per-response delivery queue cap in KiB; a client draining slower than synthesis blocks only its own request once the queue is full (0 = 256 KiB default)")
 	return c
 }
@@ -106,7 +104,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if err := validateServeFlags(*drain, cfg.SynthTimeout, cfg.AdmitTimeout, cfg.FlushInterval,
+	if err := validateServeFlags(*drain, cfg.SynthTimeout, cfg.AdmitTimeout,
 		cfg.GOPCacheMB, cfg.ResultCacheMB, cfg.SlowQueryMS, cfg.FlightRecorderSize,
 		cfg.Parallel, cfg.MaxQueue, cfg.StreamBufferKB, cfg.TenantWeight, *logFormat); err != nil {
 		fatal("invalid flags", err)

@@ -85,13 +85,13 @@ func TestServerFlags(t *testing.T) {
 		"-gop-cache-mb", "-1", "-result-cache-mb", "16",
 		"-slow-query-ms", "500", "-flight-recorder-size", "1024", "-parallel", "4",
 		"-max-queue", "8", "-admit-timeout", "5s", "-tenant-weight", "gold=3,free=1",
-		"-flush-interval", "100ms", "-stream-buffer-kb", "512")
+		"-stream-buffer-kb", "512")
 	want := serve.Config{
 		SpecDir: "specs", NoOpt: true, SynthTimeout: time.Minute, Strict: true,
 		GOPCacheMB: -1, ResultCacheMB: 16,
 		SlowQueryMS: 500, FlightRecorderSize: 1024, Parallel: 4,
 		MaxQueue: 8, AdmitTimeout: 5 * time.Second, TenantWeight: "gold=3,free=1",
-		FlushInterval: 100 * time.Millisecond, StreamBufferKB: 512,
+		StreamBufferKB: 512,
 	}
 	if got != want {
 		t.Errorf("parsed = %+v, want %+v", got, want)
@@ -99,43 +99,41 @@ func TestServerFlags(t *testing.T) {
 }
 
 func TestValidateServeFlags(t *testing.T) {
-	if err := validateServeFlags(30*time.Second, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "", "text"); err != nil {
+	if err := validateServeFlags(30*time.Second, 0, 0, 0, 0, 0, 0, 0, 0, 0, "", "text"); err != nil {
 		t.Errorf("defaults should validate: %v", err)
 	}
-	if err := validateServeFlags(time.Minute, time.Minute, 5*time.Second, 100*time.Millisecond, -1, -1, 500, 1024, 8, 128, 512, "gold=3,free=1", "json"); err != nil {
+	if err := validateServeFlags(time.Minute, time.Minute, 5*time.Second, -1, -1, 500, 1024, 8, 128, 512, "gold=3,free=1", "json"); err != nil {
 		t.Errorf("full flag set should validate: %v", err)
 	}
 	for _, tc := range []struct {
-		name                              string
-		drain, synthTO, admitTO, flushIvl time.Duration
-		cacheMB, resMB                    int
-		slowMS, flightSize                int
-		parallel, maxQueue, streamKB      int
-		tenantW                           string
-		logFormat                         string
-		want                              string
+		name                         string
+		drain, synthTO, admitTO      time.Duration
+		cacheMB, resMB               int
+		slowMS, flightSize           int
+		parallel, maxQueue, streamKB int
+		tenantW                      string
+		logFormat                    string
+		want                         string
 	}{
-		{"negative drain", -time.Second, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "", "", "-drain"},
-		{"negative synth timeout", 0, -time.Second, 0, 0, 0, 0, 0, 0, 0, 0, 0, "", "", "-synth-timeout"},
-		{"absurd synth timeout", 0, 48 * time.Hour, 0, 0, 0, 0, 0, 0, 0, 0, 0, "", "", "exceeds"},
-		{"negative admit timeout", 0, 0, -time.Second, 0, 0, 0, 0, 0, 0, 0, 0, "", "", "-admit-timeout"},
-		{"negative flush interval", 0, 0, 0, -time.Second, 0, 0, 0, 0, 0, 0, 0, "", "", "-flush-interval"},
-		{"absurd flush interval", 0, 0, 0, 48 * time.Hour, 0, 0, 0, 0, 0, 0, 0, "", "", "-flush-interval"},
-		{"bad gop cache", 0, 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, "", "", "-gop-cache-mb"},
-		{"bad result cache", 0, 0, 0, 0, 0, -9, 0, 0, 0, 0, 0, "", "", "-result-cache-mb"},
-		{"bytes-not-MiB cache", 0, 0, 0, 0, 1 << 30, 0, 0, 0, 0, 0, 0, "", "", "MiB, not bytes"},
-		{"negative slow threshold", 0, 0, 0, 0, 0, 0, -5, 0, 0, 0, 0, "", "", "-slow-query-ms"},
-		{"negative flight ring", 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, "", "", "-flight-recorder-size"},
-		{"absurd flight ring", 0, 0, 0, 0, 0, 0, 0, 1 << 20, 0, 0, 0, "", "", "-flight-recorder-size"},
-		{"negative parallel", 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, "", "", "-parallel"},
-		{"negative max queue", 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, "", "", "-max-queue"},
-		{"absurd max queue", 0, 0, 0, 0, 0, 0, 0, 0, 0, 1 << 20, 0, "", "", "-max-queue"},
-		{"negative stream buffer", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, "", "", "-stream-buffer-kb"},
-		{"bytes-not-KiB stream buffer", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1 << 28, "", "", "KiB, not bytes"},
-		{"bad tenant weight", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "gold=0", "", "-tenant-weight"},
-		{"bad log format", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "", "xml", "-log-format"},
+		{"negative drain", -time.Second, 0, 0, 0, 0, 0, 0, 0, 0, 0, "", "", "-drain"},
+		{"negative synth timeout", 0, -time.Second, 0, 0, 0, 0, 0, 0, 0, 0, "", "", "-synth-timeout"},
+		{"absurd synth timeout", 0, 48 * time.Hour, 0, 0, 0, 0, 0, 0, 0, 0, "", "", "exceeds"},
+		{"negative admit timeout", 0, 0, -time.Second, 0, 0, 0, 0, 0, 0, 0, "", "", "-admit-timeout"},
+		{"bad gop cache", 0, 0, 0, -2, 0, 0, 0, 0, 0, 0, "", "", "-gop-cache-mb"},
+		{"bad result cache", 0, 0, 0, 0, -9, 0, 0, 0, 0, 0, "", "", "-result-cache-mb"},
+		{"bytes-not-MiB cache", 0, 0, 0, 1 << 30, 0, 0, 0, 0, 0, 0, "", "", "MiB, not bytes"},
+		{"negative slow threshold", 0, 0, 0, 0, 0, -5, 0, 0, 0, 0, "", "", "-slow-query-ms"},
+		{"negative flight ring", 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, "", "", "-flight-recorder-size"},
+		{"absurd flight ring", 0, 0, 0, 0, 0, 0, 1 << 20, 0, 0, 0, "", "", "-flight-recorder-size"},
+		{"negative parallel", 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, "", "", "-parallel"},
+		{"negative max queue", 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, "", "", "-max-queue"},
+		{"absurd max queue", 0, 0, 0, 0, 0, 0, 0, 0, 1 << 20, 0, "", "", "-max-queue"},
+		{"negative stream buffer", 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, "", "", "-stream-buffer-kb"},
+		{"bytes-not-KiB stream buffer", 0, 0, 0, 0, 0, 0, 0, 0, 0, 1 << 28, "", "", "KiB, not bytes"},
+		{"bad tenant weight", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "gold=0", "", "-tenant-weight"},
+		{"bad log format", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, "", "xml", "-log-format"},
 	} {
-		err := validateServeFlags(tc.drain, tc.synthTO, tc.admitTO, tc.flushIvl, tc.cacheMB, tc.resMB,
+		err := validateServeFlags(tc.drain, tc.synthTO, tc.admitTO, tc.cacheMB, tc.resMB,
 			tc.slowMS, tc.flightSize, tc.parallel, tc.maxQueue, tc.streamKB, tc.tenantW, tc.logFormat)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)

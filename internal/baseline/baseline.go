@@ -18,6 +18,7 @@ import (
 	"v2v/internal/data"
 	"v2v/internal/frame"
 	"v2v/internal/media"
+	"v2v/internal/obs"
 	"v2v/internal/raster"
 	"v2v/internal/rational"
 	"v2v/internal/sqlmini"
@@ -26,9 +27,10 @@ import (
 
 // Metrics reports the work the baseline run performed.
 type Metrics struct {
-	Wall           time.Duration
-	Source         media.Stats
-	Output         media.Stats
+	Wall time.Duration
+	// Work is what the run's recorder counted: its decodes, filters and
+	// encodes (a script copies nothing).
+	Work           obs.Work
 	FramesRendered int64
 }
 
@@ -48,12 +50,15 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 		return nil, err
 	}
 	m := &Metrics{}
+	rec := obs.NewRecorder()
+	w.SetRecorder(rec)
 	paths := make(map[string]string, len(c.Sources))
 	for name, src := range c.Sources {
 		paths[name] = src.Path
 	}
 	env := &scriptEnv{checked: c, cursors: media.NewCursors(paths, 0)}
-	defer func() { m.Source.Add(env.cursors.Close()) }()
+	env.cursors.SetRecorder(rec)
+	defer env.cursors.Close()
 
 	domain := spec.TimeDomain
 	for i, n := 0, domain.Count(); i < n; i++ {
@@ -89,7 +94,7 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
-	m.Output.Add(w.Stats())
+	m.Work = rec.Work()
 	m.Wall = time.Since(start)
 	return m, nil
 }

@@ -100,13 +100,13 @@ func TestBaselineDoesAllTheWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Source.FramesDecoded != 48 {
-		t.Errorf("decoded = %d, want 48", m.Source.FramesDecoded)
+	if m.Work.FramesDecoded != 48 {
+		t.Errorf("decoded = %d, want 48", m.Work.FramesDecoded)
 	}
-	if m.Output.FramesEncoded != 48 {
-		t.Errorf("encoded = %d, want 48", m.Output.FramesEncoded)
+	if m.Work.FramesEncoded != 48 {
+		t.Errorf("encoded = %d, want 48", m.Work.FramesEncoded)
 	}
-	if m.Output.PacketsCopied != 0 {
+	if m.Work.PacketsCopied != 0 {
 		t.Errorf("baseline must not copy packets")
 	}
 	if m.FramesRendered != 48 || m.Wall <= 0 {

@@ -39,8 +39,6 @@ import (
 var (
 	panicsRecovered = obs.Default().Counter("v2v_panics_recovered_total",
 		"Shard worker panics recovered and converted into per-segment errors.")
-	framesConcealed = obs.Default().Counter("v2v_frames_concealed_total",
-		"Corrupt or undecodable packets concealed by holding the last good frame.")
 	transientRetries = obs.Default().Counter("v2v_transient_retries_total",
 		"Transient container read errors retried with bounded backoff.")
 )
@@ -81,14 +79,20 @@ type Options struct {
 	Cache *media.Cache
 	// Trace, when set, records one span per segment and per shard worker.
 	Trace *obs.Trace
-	// Recorder attributes per-stage (decode/filter/encode/copy) frames,
-	// bytes, and wall time to this execution; v2vserve threads each
-	// request's flight-recorder entry here. Each segment records into a
-	// child of it, which is where SegmentActuals' stage fields come from.
-	// When nil, ExecuteTo creates a private recorder so those fields are
-	// always populated. The process-wide v2v_stage_* metrics are updated
-	// in either case.
+	// Recorder, when set, also receives everything this execution
+	// records; v2vserve threads each request's flight-recorder entry here.
+	// The execution records into a child of it, each segment into a child
+	// of that and each shard into a child of its segment, and Metrics and
+	// SegmentActuals are read from those. The process-wide v2v_stage_*
+	// metrics are updated either way.
 	Recorder *obs.Recorder
+}
+
+// Counts is one share of a plan execution's work; a count the share
+// cannot have stays zero.
+type Counts struct {
+	FramesDecoded, FramesEncoded, PacketsCopied, BytesCopied int64
+	FramesConcealed, GOPCacheHits, GOPCacheMisses            int64
 }
 
 // Metrics reports the work a plan execution performed.
@@ -98,22 +102,21 @@ type Metrics struct {
 	// written to the sink — the paper's interactivity measure ("begin
 	// playback within seconds"). Stream copies make this near-instant.
 	FirstOutput time.Duration
-	// Source counts frames decoded from input files.
-	Source media.Stats
+	// Work is the run recorder's account of the execution; Source,
+	// Intermediate and Output split its decodes, encodes and copies by
+	// where they happened.
+	obs.Work
+	// Source counts frames decoded from input files, the corrupt ones
+	// concealed, and the GOP-cache lookups made reading them.
+	Source Counts
 	// Intermediate counts the encode/decode pairs spent materializing
 	// operator boundaries (unoptimized plans only).
-	Intermediate media.Stats
+	Intermediate Counts
 	// Output counts frames encoded into / packets copied into the output.
-	Output media.Stats
+	Output Counts
 	// FramesRendered is the number of output frames produced by render
 	// segments (copied packets excluded).
 	FramesRendered int64
-	// ResultCacheHits and ResultCacheMisses count rendered segments served
-	// from / filled into the shared result cache by this execution. A hit
-	// spliced previously synthesized packets without decoding or encoding
-	// anything.
-	ResultCacheHits   int64
-	ResultCacheMisses int64
 	// Segments holds per-segment measured costs, index-aligned with the
 	// executed plan's segments — the data behind EXPLAIN ANALYZE.
 	Segments []obs.SegmentActuals
@@ -124,21 +127,15 @@ type Metrics struct {
 	ResultCache *media.CacheStats
 }
 
-// TotalEncodes sums every frame encode performed anywhere in the plan.
-func (m *Metrics) TotalEncodes() int64 {
-	return m.Source.FramesEncoded + m.Intermediate.FramesEncoded + m.Output.FramesEncoded
-}
+// TotalEncodes counts every frame encode performed anywhere in the plan.
+func (m *Metrics) TotalEncodes() int64 { return m.FramesEncoded + m.Materialized }
 
-// TotalDecodes sums every frame decode performed anywhere in the plan.
-func (m *Metrics) TotalDecodes() int64 {
-	return m.Source.FramesDecoded + m.Intermediate.FramesDecoded + m.Output.FramesDecoded
-}
+// TotalDecodes counts every frame decode performed anywhere in the plan.
+func (m *Metrics) TotalDecodes() int64 { return m.FramesDecoded }
 
-// TotalConcealed sums every concealed frame anywhere in the plan —
+// TotalConcealed counts every concealed frame anywhere in the plan —
 // non-zero only in concealment mode on damaged inputs.
-func (m *Metrics) TotalConcealed() int64 {
-	return m.Source.FramesConcealed + m.Intermediate.FramesConcealed + m.Output.FramesConcealed
-}
+func (m *Metrics) TotalConcealed() int64 { return m.Concealed }
 
 // Execute runs the plan and writes the synthesized video to outPath. On
 // error (including cancellation) the partial output is discarded: nothing
@@ -169,21 +166,14 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	start := time.Now()
 	m := &Metrics{}
 	o.Parallelism = max(o.Parallelism, 1)
-	if o.Recorder == nil {
-		o.Recorder = obs.NewRecorder()
-	}
-	// Registered before the reader cache's defer so it runs after closeAll
-	// has folded still-open readers' stats into m — the counter then sees
-	// copy-path concealments too, on success and failure alike.
-	defer func() { framesConcealed.Add(m.TotalConcealed()) }()
 	readers := newReaderCache(p, o.Conceal)
-	defer readers.closeAll(m)
+	defer readers.closeAll()
 
 	execSpan := o.Trace.StartSpan("execute")
 	// The container header went out when the sink was constructed; give a
 	// streaming consumer its first delivery point now.
 	w.Flush()
-	x := &run{p: p, o: o, m: m, readers: readers, w: w}
+	x := &run{p: p, o: o, m: m, rec: o.Recorder.Child(), readers: readers, w: w}
 	if err := x.execute(ctx); err != nil {
 		// Prefer the context's error when cancellation is what stopped us,
 		// so callers can match context.Canceled / DeadlineExceeded.
@@ -202,7 +192,11 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 		execSpan.End()
 		return nil, err
 	}
-	m.Output.Add(w.Stats())
+	m.Work = x.rec.Work()
+	m.Source = Counts{FramesDecoded: m.FramesDecoded - m.Materialized, FramesConcealed: m.Concealed,
+		GOPCacheHits: m.GOPCacheHits, GOPCacheMisses: m.GOPCacheMisses}
+	m.Intermediate = Counts{FramesEncoded: m.Materialized, FramesDecoded: m.Materialized}
+	m.Output = Counts{FramesEncoded: m.FramesEncoded, PacketsCopied: m.PacketsCopied, BytesCopied: m.BytesCopied}
 	if first := w.FirstPacket(); !first.IsZero() {
 		m.FirstOutput = first.Sub(start)
 	}
@@ -216,9 +210,6 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	}
 	m.Wall = time.Since(start)
 	execSpan.SetAttr("segments", len(p.Segments))
-	execSpan.SetAttr("frames_encoded", m.Output.FramesEncoded)
-	execSpan.SetAttr("packets_copied", m.Output.PacketsCopied)
-	execSpan.SetAttr("frames_concealed", m.TotalConcealed())
 	execSpan.SetAttr("first_output_us", m.FirstOutput.Microseconds())
 	execSpan.End()
 	return m, nil
@@ -258,12 +249,10 @@ func (c *readerCache) get(video string, rec *obs.Recorder) (*media.Reader, error
 	return r, nil
 }
 
-func (c *readerCache) closeAll(m *Metrics) {
+func (c *readerCache) closeAll() {
 	for _, r := range c.rs {
-		m.Source.Add(r.Stats())
 		r.Close()
 	}
-	c.rs = map[string]*media.Reader{}
 }
 
 // arraySource adapts the checked data arrays to the evaluator.
@@ -321,20 +310,15 @@ func newSegmentRunner(ctx context.Context, p *plan.Plan, s *plan.Segment, concea
 	return run
 }
 
-// close releases the runner's readers and codecs and reports the work it
-// did: source reads through its cursors, and the encode/decode pairs of
-// its materialized operator boundaries.
-func (r *segmentRunner) close() (source, intermediate media.Stats) {
-	source = r.cursors.Close()
+// close releases the runner's readers and codecs.
+func (r *segmentRunner) close() {
+	r.cursors.Close()
 	r.root.walk(func(nr *nodeRunner) {
-		intermediate.FramesEncoded += nr.matEncodes
-		intermediate.FramesDecoded += nr.matDecodes
 		if nr.dec != nil {
 			nr.dec.Reset() // release the pooled prediction frame
 			nr.enc.Close()
 		}
 	})
-	return source, intermediate
 }
 
 // SourceFrame implements vql.FrameSource for reads made inside an
@@ -402,8 +386,6 @@ type nodeRunner struct {
 	enc        *codec.Encoder
 	dec        *codec.Decoder
 	matW, matH int
-	matEncodes int64
-	matDecodes int64
 }
 
 func (r *segmentRunner) buildRunner(n *plan.Node) *nodeRunner {
@@ -604,12 +586,11 @@ func (nr *nodeRunner) materialize(fr *frame.Frame) (*frame.Frame, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exec: materialize encode: %w", err)
 	}
-	nr.matEncodes++
 	got, err := nr.dec.Decode(pkt.Data)
 	nr.enc.Recycle(pkt) // Decode fully consumed the bytes; reuse the buffer
 	if err != nil {
 		return nil, fmt.Errorf("exec: materialize decode: %w", err)
 	}
-	nr.matDecodes++
+	nr.run.rec.Inc(obs.EventMaterialized)
 	return got, nil
 }

@@ -45,9 +45,12 @@ import (
 
 // run is the state of one ExecuteTo call.
 type run struct {
-	p       *plan.Plan
-	o       Options // Parallelism already resolved
-	m       *Metrics
+	p *plan.Plan
+	o Options // Parallelism already resolved
+	m *Metrics
+	// rec is the run's recorder, a child of Options.Recorder: the one
+	// account of its work, which Metrics is read from.
+	rec     *obs.Recorder
 	readers *readerCache
 	w       media.Sink // the caller's sink; delivery goroutine only
 	// every is the plan's publish interval in frames: a worker hands over
@@ -77,8 +80,8 @@ type unit struct {
 	idx  int
 	s    *plan.Segment
 	span *obs.Span
-	// rec is a child of the request recorder: everything rendered, read or
-	// written for this segment records its stage work here.
+	// rec is a child of the run's recorder: everything rendered, read or
+	// written for this segment records its work here.
 	rec *obs.Recorder
 	// shards is the unit's render work in presentation order; empty for
 	// copy units and for segments with no frames.
@@ -105,13 +108,14 @@ type shard struct {
 	// started records that the shard holds a delivery-window token; set by
 	// the scheduler before the worker starts.
 	started bool
+	// rec is a child of the unit's recorder that the worker records into.
+	rec *obs.Recorder
 
 	// Results, written before out closes and rendered is released. pkts
 	// keeps every packet for a result-cache fill; they are retained until
 	// delivery (and possibly aliased into the cache), so never Recycled.
-	pkts          []codec.Packet
-	err           error
-	source, inter media.Stats
+	pkts []codec.Packet
+	err  error
 }
 
 // execute runs the whole plan: builds the units, starts the scheduler and
@@ -154,7 +158,7 @@ func (x *run) buildUnits() []*unit {
 	units := make([]*unit, len(x.p.Segments))
 	for i, s := range x.p.Segments {
 		u := &unit{
-			idx: i, s: s, rec: x.o.Recorder.Child(),
+			idx: i, s: s, rec: x.rec.Child(),
 			span: x.o.Trace.StartSpan(fmt.Sprintf("segment[%d] %s", i, s.Kind)),
 		}
 		u.span.SetAttr("kind", s.Kind.String())
@@ -170,6 +174,7 @@ func (x *run) buildUnits() []*unit {
 			u.shards = append(u.shards, &shard{
 				lo: lo, hi: hi,
 				out: make(chan []codec.Packet, (hi-lo+x.every-1)/x.every),
+				rec: u.rec.Child(),
 			})
 		}
 		u.rendered.Add(len(u.shards))
@@ -305,12 +310,10 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	defer u.rendered.Done()
 	defer close(sh.out)
 	sp := u.span.ChildThread(fmt.Sprintf("shard[%d,%d)", sh.lo, sh.hi))
-	sp.SetAttr("frames", sh.hi-sh.lo)
 	defer func() {
 		if sh.err != nil {
 			sp.SetAttr("error", sh.err.Error())
 		}
-		sp.SetAttr("frames_encoded", len(sh.pkts))
 		sp.End()
 	}()
 	// Isolate the worker: a panic anywhere in this goroutine (runner
@@ -324,8 +327,8 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 			sh.err = fmt.Errorf("exec: shard [%d,%d) panicked: %v", sh.lo, sh.hi, r)
 		}
 	}()
-	runner := newSegmentRunner(ctx, x.p, u.s, x.o.Conceal, x.o.Cache, u.rec)
-	defer func() { sh.source, sh.inter = runner.close() }()
+	runner := newSegmentRunner(ctx, x.p, u.s, x.o.Conceal, x.o.Cache, sh.rec)
+	defer runner.close()
 	out := x.p.Checked.Output
 	enc, err := codec.NewEncoder(codec.Config{
 		Width: out.Width, Height: out.Height,
@@ -336,7 +339,7 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 		return
 	}
 	defer enc.Close()
-	enc.SetRecorder(u.rec)
+	enc.SetRecorder(sh.rec)
 	sh.pkts = make([]codec.Packet, 0, sh.hi-sh.lo)
 	sent := 0
 	publish := func() {
@@ -375,52 +378,33 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 }
 
 // deliver hands unit u's output to the sink at its turn and records the
-// segment's actuals. It joins u's workers whether or not the run has
-// already failed: they write their results until they exit.
+// segment's actuals from its recorder. It joins u's workers whether or not
+// the run has already failed: they write their results until they exit.
 func (x *run) deliver(u *unit) {
 	start := time.Now()
 	x.w.SetRecorder(u.rec)
-	before := x.w.Stats()
-	act := obs.SegmentActuals{Kind: u.s.Kind.String(), Shards: len(u.shards), ShardDecodes: make([]int64, len(u.shards))}
 	if u.s.Kind == plan.SegFrames {
-		x.deliverRender(u, &act)
+		x.deliverRender(u)
 	} else if x.err == nil {
-		x.fail(x.copyInline(u, &act))
+		x.fail(x.copyInline(u))
 	}
 	if x.err != nil {
 		u.span.SetAttr("error", x.err.Error())
 		u.span.End()
 		return
 	}
-	// The sink is written only by this goroutine, so its deltas are this
-	// unit's; the stage fields are what the unit's own recorder saw.
-	after := x.w.Stats()
-	dec, flt, enc := u.rec.Stage(obs.StageDecode), u.rec.Stage(obs.StageFilter), u.rec.Stage(obs.StageEncode)
-	act.Wall = time.Since(start)
-	act.FramesEncoded = after.FramesEncoded - before.FramesEncoded
-	act.PacketsCopied = after.PacketsCopied - before.PacketsCopied
-	act.BytesCopied = after.BytesCopied - before.BytesCopied
-	act.DecodeWall, act.DecodeBytes = dec.Wall, dec.Bytes
-	act.FilterWall, act.FilterFrames, act.FilterBytes = flt.Wall, flt.Frames, flt.Bytes
-	act.EncodeWall, act.EncodeBytes = enc.Wall, enc.Bytes
+	act := obs.SegmentActuals{
+		Kind: u.s.Kind.String(), Wall: time.Since(start), Work: u.rec.Work(),
+		Shards: len(u.shards), ShardDecodes: make([]int64, len(u.shards)),
+	}
+	for i, sh := range u.shards {
+		w := sh.rec.Work()
+		act.ShardDecodes[i] = w.FramesDecoded
+		act.FramesRendered += w.FramesEncoded
+	}
 	x.m.Segments = append(x.m.Segments, act)
 	x.m.FramesRendered += act.FramesRendered
-	x.m.ResultCacheHits += act.ResultCacheHits
-	x.m.ResultCacheMisses += act.ResultCacheMisses
-	u.span.SetAttr("frames_decoded", act.FramesDecoded)
-	if act.GOPCacheHits > 0 || act.GOPCacheMisses > 0 {
-		u.span.SetAttr("gopcache_hits", act.GOPCacheHits)
-		u.span.SetAttr("gopcache_misses", act.GOPCacheMisses)
-	}
-	if act.ResultCacheHits > 0 || act.ResultCacheMisses > 0 {
-		u.span.SetAttr("rescache_hits", act.ResultCacheHits)
-		u.span.SetAttr("rescache_misses", act.ResultCacheMisses)
-	}
-	u.span.SetAttr("frames_concealed", act.Concealed)
-	u.span.SetAttr("frames_encoded", act.FramesEncoded)
-	u.span.SetAttr("packets_copied", act.PacketsCopied)
-	u.span.SetAttr("frames_rendered", act.FramesRendered)
-	u.span.SetAttr("shards", act.Shards)
+	u.span.SetAttr("actuals", act)
 	u.span.End()
 	x.w.Flush()
 }
@@ -430,7 +414,7 @@ func (x *run) deliver(u *unit) {
 // drains the unit's shards in order, delivering each batch as
 // shard-encoded frames while the run is healthy and discarding it after
 // a failure.
-func (x *run) deliverRender(u *unit, act *obs.SegmentActuals) {
+func (x *run) deliverRender(u *unit) {
 	if u.key != "" {
 		<-u.decided // must-drain join: the resolver decides at once on a hit, a miss or ctx's end, else when the concurrent fill it waits on ends; its shards must not outlive the run
 		if u.err != nil {
@@ -438,7 +422,7 @@ func (x *run) deliverRender(u *unit, act *obs.SegmentActuals) {
 			return
 		}
 		if u.seg != nil {
-			act.ResultCacheHits = 1
+			u.rec.Inc(obs.EventResultHit)
 			for _, pkt := range u.seg.Packets {
 				if x.err != nil {
 					return
@@ -449,9 +433,9 @@ func (x *run) deliverRender(u *unit, act *obs.SegmentActuals) {
 			}
 			return
 		}
-		act.ResultCacheMisses = 1
+		u.rec.Inc(obs.EventResultMiss)
 	}
-	for si, sh := range u.shards {
+	for _, sh := range u.shards {
 		for batch := range sh.out {
 			for _, pkt := range batch {
 				if x.err != nil {
@@ -461,7 +445,6 @@ func (x *run) deliverRender(u *unit, act *obs.SegmentActuals) {
 					x.fail(fmt.Errorf("exec: shard [%d,%d) deliver: %w", sh.lo, sh.hi, err))
 					break
 				}
-				act.FramesRendered++
 			}
 		}
 		if sh.started {
@@ -472,20 +455,12 @@ func (x *run) deliverRender(u *unit, act *obs.SegmentActuals) {
 		if sh.err != nil {
 			x.fail(fmt.Errorf("exec: shard [%d,%d): %w", sh.lo, sh.hi, sh.err))
 		}
-		x.m.Source.Add(sh.source)
-		x.m.Intermediate.Add(sh.inter)
-		act.ShardDecodes[si] = sh.source.FramesDecoded + sh.inter.FramesDecoded
-		act.FramesDecoded += act.ShardDecodes[si]
-		act.Concealed += sh.source.FramesConcealed
-		act.GOPCacheHits += sh.source.GOPCacheHits
-		act.GOPCacheMisses += sh.source.GOPCacheMisses
 	}
 }
 
-// copyInline runs a copy unit on the delivery goroutine. Its decodes
-// (concealed packets) are the shared reader's deltas: nothing else reads
-// through it meanwhile.
-func (x *run) copyInline(u *unit, act *obs.SegmentActuals) error {
+// copyInline runs a copy unit on the delivery goroutine, recording into
+// the unit's recorder through the shared reader and the sink.
+func (x *run) copyInline(u *unit) error {
 	if u.s.Kind != plan.SegCopy {
 		return fmt.Errorf("exec: unknown segment kind %v", u.s.Kind)
 	}
@@ -493,12 +468,8 @@ func (x *run) copyInline(u *unit, act *obs.SegmentActuals) error {
 	if err != nil {
 		return err
 	}
-	before := r.Stats()
 	if err := media.CopyRange(x.w, r, u.s.From, u.s.To); err != nil {
 		return fmt.Errorf("exec: copy segment: %w", err)
 	}
-	after := r.Stats()
-	act.FramesDecoded = after.FramesDecoded - before.FramesDecoded
-	act.Concealed = after.FramesConcealed - before.FramesConcealed
 	return nil
 }

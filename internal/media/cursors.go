@@ -25,7 +25,6 @@ type Cursors struct {
 	ctx     context.Context
 	cache   *Cache
 	rec     *obs.Recorder
-	stats   Stats
 }
 
 // DefaultCursorsPerVideo bounds decoder states per file; a 2x2 grid needs
@@ -42,27 +41,13 @@ func NewCursors(paths map[string]string, maxPerVideo int) *Cursors {
 	return &Cursors{paths: paths, max: maxPerVideo, open: map[string][]*Reader{}}
 }
 
-// SetConceal switches every cursor (open and future) between fail-fast
-// and error-concealment mode; see Reader.SetConceal.
-func (c *Cursors) SetConceal(on bool) {
-	c.conceal = on
-	for _, rs := range c.open {
-		for _, r := range rs {
-			r.SetConceal(on)
-		}
-	}
-}
-
-// SetRecorder attributes every cursor's (open and future) decode work to a
-// per-request recorder.
-func (c *Cursors) SetRecorder(rec *obs.Recorder) {
-	c.rec = rec
-	for _, rs := range c.open {
-		for _, r := range rs {
-			r.SetRecorder(rec)
-		}
-	}
-}
+// SetConceal switches the pool's cursors between fail-fast and
+// error-concealment mode (see Reader.SetConceal); SetRecorder attributes
+// their decodes and the pool's GOP-cache lookups to a per-request
+// recorder. Both apply to cursors opened from then on: call them before
+// the first read.
+func (c *Cursors) SetConceal(on bool)            { c.conceal = on }
+func (c *Cursors) SetRecorder(rec *obs.Recorder) { c.rec = rec }
 
 // SetCache routes this pool's reads through a shared cache's decoded GOPs
 // (when it holds KindGOP): FrameAt serves cache-resident GOPs without
@@ -124,9 +109,9 @@ func (c *Cursors) cachedFrame(video string, target int) (*frame.Frame, bool, err
 		return nil, false, c.ctx.Err()
 	}
 	if hit {
-		c.stats.GOPCacheHits++
+		c.rec.Inc(obs.EventGOPHit)
 	} else {
-		c.stats.GOPCacheMisses++
+		c.rec.Inc(obs.EventGOPMiss)
 	}
 	return fr, fr != nil, nil
 }
@@ -225,14 +210,12 @@ func (c *Cursors) openCursor(video string) (*Reader, error) {
 	return r, nil
 }
 
-// Close releases all cursors and returns the accumulated decode stats.
-func (c *Cursors) Close() Stats {
+// Close releases all cursors.
+func (c *Cursors) Close() {
 	for _, rs := range c.open {
 		for _, r := range rs {
-			c.stats.Add(r.Stats())
 			r.Close()
 		}
 	}
 	c.open = map[string][]*Reader{}
-	return c.stats
 }

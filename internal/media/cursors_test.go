@@ -5,14 +5,23 @@ import (
 	"testing"
 
 	"v2v/internal/frame"
+	"v2v/internal/obs"
 	"v2v/internal/rational"
 )
+
+// recorded points c at a fresh recorder and returns it.
+func recorded(c *Cursors) *obs.Recorder {
+	rec := obs.NewRecorder()
+	c.SetRecorder(rec)
+	return rec
+}
 
 func TestCursorsSequentialAndInterleaved(t *testing.T) {
 	dir := t.TempDir()
 	path := makeVideo(t, dir, "a.vmf", testInfo(6), 48) // keys every 6 frames
 	c := NewCursors(map[string]string{"v": path}, 4)
 	defer c.Close()
+	rec := recorded(c)
 
 	// Two interleaved taps: t and t+1s.
 	for i := 0; i < 24; i++ {
@@ -32,11 +41,10 @@ func TestCursorsSequentialAndInterleaved(t *testing.T) {
 			t.Fatalf("tap2 frame %d stamp = %d", i, id)
 		}
 	}
-	stats := c.Close()
 	// Each tap decodes its 24 frames once; allow slack for keyframe
 	// alignment on the second tap (starts at a keyframe, so none needed).
-	if stats.FramesDecoded > 48 {
-		t.Errorf("decoded %d frames for 48 reads; cursors not reused", stats.FramesDecoded)
+	if got := rec.Stage(obs.StageDecode).Frames; got > 48 {
+		t.Errorf("decoded %d frames for 48 reads; cursors not reused", got)
 	}
 }
 
@@ -45,29 +53,20 @@ func TestCursorsRepeatReadIsFree(t *testing.T) {
 	path := makeVideo(t, dir, "a.vmf", testInfo(6), 12)
 	c := NewCursors(map[string]string{"v": path}, 2)
 	defer c.Close()
+	rec := recorded(c)
 	at := rational.New(5, 24)
 	if _, err := c.FrameAt("v", at); err != nil {
 		t.Fatal(err)
 	}
-	before := countDecoded(c)
+	before := rec.Stage(obs.StageDecode).Frames
 	for i := 0; i < 5; i++ {
 		if _, err := c.FrameAt("v", at); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if after := countDecoded(c); after != before {
+	if after := rec.Stage(obs.StageDecode).Frames; after != before {
 		t.Errorf("repeat reads decoded %d extra frames", after-before)
 	}
-}
-
-func countDecoded(c *Cursors) int64 {
-	var n int64
-	for _, rs := range c.open {
-		for _, r := range rs {
-			n += r.Stats().FramesDecoded
-		}
-	}
-	return n
 }
 
 func TestCursorsPoolCapRecycles(t *testing.T) {
@@ -126,6 +125,7 @@ func TestCursorsStaggeredTapsDecodeOncePerTap(t *testing.T) {
 	path := makeVideo(t, t.TempDir(), "a.vmf", testInfo(gop), first+3*apart+frames)
 	c := NewCursors(map[string]string{"v": path}, 0)
 	defer c.Close()
+	rec := recorded(c)
 	var want int64
 	for k := 0; k < 4; k++ {
 		want += int64((first+k*apart)%gop + frames)
@@ -146,7 +146,7 @@ func TestCursorsStaggeredTapsDecodeOncePerTap(t *testing.T) {
 	if got := len(c.open["v"]); got != 4 {
 		t.Errorf("%d cursors open for four taps", got)
 	}
-	if got := c.Close().FramesDecoded; got != want {
+	if got := rec.Stage(obs.StageDecode).Frames; got != want {
 		t.Errorf("decoded %d frames, want %d: each tap's roll-forward plus its %d frames, once", got, want, frames)
 	}
 }

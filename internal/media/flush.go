@@ -8,25 +8,9 @@ import (
 	"time"
 )
 
-// FlushConfig tunes a FlushingSink.
-type FlushConfig struct {
-	// BufferBytes caps the bytes queued but not yet written downstream.
-	// A producer whose consumer falls behind blocks in Write once the
-	// queue is full — per-request backpressure that stalls only the
-	// delivery goroutine, never shard workers. <= 0 selects
-	// DefaultStreamBufferBytes.
-	BufferBytes int
-	// FlushInterval is the minimum spacing between downstream flushes at
-	// flush points, bounding flush syscalls under plans with many small
-	// segments. <= 0 flushes whenever a flush point is pending. The first
-	// flush (container header) and the final flush at close are never
-	// delayed.
-	FlushInterval time.Duration
-}
-
-// DefaultStreamBufferBytes is the queue cap used when FlushConfig leaves
-// BufferBytes unset: enough for a few GOPs of tiny-profile output without
-// letting one slow client hold megabytes of rendered packets.
+// DefaultStreamBufferBytes is a FlushingSink's default queue cap: enough
+// for a few GOPs of tiny-profile output without letting one slow client
+// hold megabytes of rendered packets.
 const DefaultStreamBufferBytes = 256 << 10
 
 // FlushingSink decouples synthesis from a (possibly slow) streaming
@@ -41,9 +25,8 @@ const DefaultStreamBufferBytes = 256 << 10
 // Write, Flush, and CloseFlush are safe to call from one producer
 // goroutine; FirstFlush is safe from any goroutine.
 type FlushingSink struct {
-	dst      io.Writer
-	cap      int
-	interval time.Duration
+	dst io.Writer
+	cap int
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -58,14 +41,17 @@ type FlushingSink struct {
 
 // NewFlushingSink starts the drain goroutine and returns the sink. The
 // caller must call CloseFlush to stop it and observe any write error.
-func NewFlushingSink(dst io.Writer, cfg FlushConfig) *FlushingSink {
-	if cfg.BufferBytes <= 0 {
-		cfg.BufferBytes = DefaultStreamBufferBytes
+// bufferBytes caps the bytes queued but not yet written downstream: a
+// producer whose consumer falls behind blocks in Write once the queue is
+// full — per-request backpressure that stalls only the delivery
+// goroutine, never shard workers. <= 0 selects DefaultStreamBufferBytes.
+func NewFlushingSink(dst io.Writer, bufferBytes int) *FlushingSink {
+	if bufferBytes <= 0 {
+		bufferBytes = DefaultStreamBufferBytes
 	}
 	f := &FlushingSink{
 		dst:       dst,
-		cap:       cfg.BufferBytes,
-		interval:  cfg.FlushInterval,
+		cap:       bufferBytes,
 		drainDone: make(chan struct{}),
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -98,7 +84,7 @@ func (f *FlushingSink) Write(p []byte) (int, error) {
 }
 
 // Flush marks a flush point: the drain goroutine flushes the destination
-// once everything queued so far is written, coalesced by FlushInterval.
+// once everything queued so far is written.
 // The container header and segment boundaries are the intended flush
 // points (a media.Writer passes its own Flush calls here).
 func (f *FlushingSink) Flush() {
@@ -138,9 +124,6 @@ func (f *FlushingSink) FirstFlush() (time.Time, bool) {
 // producer's Write).
 func (f *FlushingSink) drain() {
 	defer close(f.drainDone)
-	var lastFlush time.Time
-	flushed := false
-	flushPending := false
 	for {
 		f.mu.Lock()
 		for len(f.pending) == 0 && !f.flushPoint && !f.closed {
@@ -148,10 +131,8 @@ func (f *FlushingSink) drain() {
 		}
 		batch := f.pending
 		f.pending = nil
-		if f.flushPoint {
-			flushPending = true
-			f.flushPoint = false
-		}
+		flushPoint := f.flushPoint
+		f.flushPoint = false
 		closed := f.closed
 		failed := f.err != nil
 		f.cond.Broadcast()
@@ -166,23 +147,15 @@ func (f *FlushingSink) drain() {
 				failed = true
 			}
 		}
-		if !failed && (closed || flushPending) {
-			// The first flush (header) and the final flush are immediate;
-			// later flush points are coalesced by the flush interval.
-			if closed || !flushed || f.interval <= 0 || time.Since(lastFlush) >= f.interval {
-				if fl, ok := f.dst.(interface{ Flush() }); ok {
-					fl.Flush()
-				}
-				now := time.Now()
-				lastFlush = now
-				flushPending = false
-				f.mu.Lock()
-				if !flushed {
-					f.firstFlush = now
-				}
-				f.mu.Unlock()
-				flushed = true
+		if !failed && (closed || flushPoint) {
+			if fl, ok := f.dst.(interface{ Flush() }); ok {
+				fl.Flush()
 			}
+			f.mu.Lock()
+			if f.firstFlush.IsZero() {
+				f.firstFlush = time.Now()
+			}
+			f.mu.Unlock()
 		}
 		if closed {
 			return

@@ -44,7 +44,7 @@ func (w *flushCountingWriter) snapshot() (int, int) {
 
 func TestFlushingSinkDeliversAllBytes(t *testing.T) {
 	dst := &flushCountingWriter{}
-	fs := NewFlushingSink(dst, FlushConfig{BufferBytes: 64})
+	fs := NewFlushingSink(dst, 64)
 	var want bytes.Buffer
 	for i := 0; i < 200; i++ {
 		chunk := bytes.Repeat([]byte{byte(i)}, 7)
@@ -78,7 +78,7 @@ func TestFlushingSinkDeliversAllBytes(t *testing.T) {
 // only then, proving the cap is the backpressure point.
 func TestFlushingSinkBackpressure(t *testing.T) {
 	dst := &flushCountingWriter{gate: make(chan struct{})}
-	fs := NewFlushingSink(dst, FlushConfig{BufferBytes: 32})
+	fs := NewFlushingSink(dst, 32)
 
 	// The drain goroutine takes the first batch and blocks in the gated
 	// Write; the queue then fills to its cap.
@@ -131,51 +131,9 @@ func TestFlushingSinkBackpressure(t *testing.T) {
 	}
 }
 
-// TestFlushingSinkIntervalCoalescing asserts a long flush interval
-// collapses rapid flush points into the header flush plus the final close
-// flush, while interval 0 flushes at every flush point.
-func TestFlushingSinkIntervalCoalescing(t *testing.T) {
-	dst := &flushCountingWriter{}
-	fs := NewFlushingSink(dst, FlushConfig{FlushInterval: time.Hour})
-	for i := 0; i < 10; i++ {
-		if _, err := fs.Write([]byte("data")); err != nil {
-			t.Fatal(err)
-		}
-		fs.Flush()
-		// Give the drain goroutine a chance to see each flush point alone.
-		time.Sleep(time.Millisecond)
-	}
-	if err := fs.CloseFlush(); err != nil {
-		t.Fatal(err)
-	}
-	_, flushes := dst.snapshot()
-	if flushes > 3 {
-		t.Errorf("hour-long interval still flushed %d times; flush points not coalesced", flushes)
-	}
-	if flushes < 2 {
-		t.Errorf("flushes = %d; want at least header + final", flushes)
-	}
-
-	eager := &flushCountingWriter{}
-	fe := NewFlushingSink(eager, FlushConfig{})
-	for i := 0; i < 5; i++ {
-		if _, err := fe.Write([]byte("data")); err != nil {
-			t.Fatal(err)
-		}
-		fe.Flush()
-		time.Sleep(time.Millisecond)
-	}
-	if err := fe.CloseFlush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, flushes := eager.snapshot(); flushes < 5 {
-		t.Errorf("interval 0 flushed %d times for 5 flush points", flushes)
-	}
-}
-
 func TestFlushingSinkStickyError(t *testing.T) {
 	dst := &flushCountingWriter{err: errors.New("peer reset")}
-	fs := NewFlushingSink(dst, FlushConfig{BufferBytes: 8})
+	fs := NewFlushingSink(dst, 8)
 	deadline := time.Now().Add(2 * time.Second)
 	var err error
 	for {

@@ -21,36 +21,6 @@ import (
 	"v2v/internal/rational"
 )
 
-// Stats counts the work a reader/writer performed. The benchmark harness
-// reads these to report decoded/encoded/copied volumes per plan.
-type Stats struct {
-	FramesDecoded int64
-	FramesEncoded int64
-	PacketsCopied int64
-	BytesCopied   int64
-	// FramesConcealed counts corrupt or undecodable packets that were
-	// replaced by holding the last good frame (concealment mode only).
-	FramesConcealed int64
-	// GOPCacheHits and GOPCacheMisses count shared decoded-GOP cache
-	// lookups made on a cursor pool's behalf: a hit served the frame with
-	// no decode at all, a miss paid one whole-GOP fill (whose decodes are
-	// counted in FramesDecoded as usual). Zero unless a Cache is wired in
-	// via Cursors.SetCache.
-	GOPCacheHits   int64
-	GOPCacheMisses int64
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.FramesDecoded += o.FramesDecoded
-	s.FramesEncoded += o.FramesEncoded
-	s.PacketsCopied += o.PacketsCopied
-	s.BytesCopied += o.BytesCopied
-	s.FramesConcealed += o.FramesConcealed
-	s.GOPCacheHits += o.GOPCacheHits
-	s.GOPCacheMisses += o.GOPCacheMisses
-}
-
 // Reader provides random access to the frames of a VMF file.
 // Not safe for concurrent use; open one Reader per goroutine.
 //
@@ -65,7 +35,7 @@ type Reader struct {
 	last    *frame.Frame // frame at next-1, decoded or concealed
 	gray    *frame.Frame // what concealment holds before the first good frame; built on first use
 	conceal bool
-	stats   Stats
+	rec     *obs.Recorder
 }
 
 // OpenReader opens path for frame-level reading.
@@ -110,19 +80,19 @@ func (r *Reader) Container() *container.Reader { return r.c }
 // NumFrames returns the number of frames in the stream.
 func (r *Reader) NumFrames() int { return r.c.NumPackets() }
 
-// Stats returns the cumulative decode statistics.
-func (r *Reader) Stats() Stats { return r.stats }
-
 // SetConceal switches the reader between fail-fast (default) and
 // error-concealment mode. Concealing, a corrupt or undecodable packet is
 // replaced by holding the last good frame (a mid-gray frame if the stream
-// has produced none yet), counted in Stats.FramesConcealed — the behaviour
+// has produced none yet), counted as obs.EventConcealed — the behaviour
 // of production decoders facing bitstream damage.
 func (r *Reader) SetConceal(on bool) { r.conceal = on }
 
-// SetRecorder attributes the reader's decode work to a per-request
-// recorder (forwarded to the underlying codec decoder).
-func (r *Reader) SetRecorder(rec *obs.Recorder) { r.dec.SetRecorder(rec) }
+// SetRecorder attributes the reader's decodes (through the underlying
+// codec decoder) and concealments to a per-request recorder.
+func (r *Reader) SetRecorder(rec *obs.Recorder) {
+	r.rec = rec
+	r.dec.SetRecorder(rec)
+}
 
 // Concealable reports whether err is in the class concealment absorbs:
 // payload corruption detected by the container CRC, undecodable
@@ -176,7 +146,6 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 		if err == nil {
 			var fr *frame.Frame
 			if fr, err = r.dec.Decode(data); err == nil {
-				r.stats.FramesDecoded++
 				r.last.Release()
 				r.last = fr // Decode's caller reference becomes the reader's
 			} else {
@@ -192,7 +161,7 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 			// against a stale prediction (drift) until the next keyframe —
 			// degraded output rather than a dead synthesis.
 			r.concealPacket()
-			r.stats.FramesConcealed++
+			r.rec.Inc(obs.EventConcealed)
 		}
 		r.next++
 	}
@@ -274,7 +243,7 @@ func CanSplice(dst Sink, src *Reader) bool {
 //
 // When src is in concealment mode, a corrupt packet does not abort the
 // copy: the last good frame at that position is decoded and re-encoded
-// into the output instead (an encode, not a copy, in the stats), so the
+// into the output instead (an encode, not a copy, in the recorder), so the
 // result keeps its full length.
 func CopyRange(dst Sink, src *Reader, i0, i1 int) error {
 	if !CanSplice(dst, src) {

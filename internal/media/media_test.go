@@ -8,6 +8,7 @@ import (
 
 	"v2v/internal/container"
 	"v2v/internal/frame"
+	"v2v/internal/obs"
 	"v2v/internal/rational"
 )
 
@@ -91,11 +92,13 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	r, _ := OpenReader(path)
 	defer r.Close()
+	rec := obs.NewRecorder()
+	r.SetRecorder(rec)
 	if r.NumFrames() != 20 {
 		t.Errorf("NumFrames = %d", r.NumFrames())
 	}
-	if r.Stats().FramesDecoded != 0 {
-		t.Error("fresh reader should have zero stats")
+	if rec.Stage(obs.StageDecode).Frames != 0 {
+		t.Error("opening a reader should decode nothing")
 	}
 }
 
@@ -130,21 +133,25 @@ func TestSequentialAccessDecodesOnce(t *testing.T) {
 	path := makeVideo(t, dir, "a.vmf", testInfo(5), 20)
 	r, _ := OpenReader(path)
 	defer r.Close()
+	rec := obs.NewRecorder()
+	r.SetRecorder(rec)
 	for i := 0; i < 20; i++ {
 		if _, err := r.FrameAtIndex(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := r.Stats().FramesDecoded; got != 20 {
+	if got := rec.Stage(obs.StageDecode).Frames; got != 20 {
 		t.Errorf("sequential scan decoded %d frames, want 20", got)
 	}
 	// Re-reading the current frame is free.
 	r2, _ := OpenReader(path)
 	defer r2.Close()
+	rec2 := obs.NewRecorder()
+	r2.SetRecorder(rec2)
 	r2.FrameAtIndex(5)
-	before := r2.Stats().FramesDecoded
+	before := rec2.Stage(obs.StageDecode).Frames
 	r2.FrameAtIndex(5)
-	if r2.Stats().FramesDecoded != before {
+	if rec2.Stage(obs.StageDecode).Frames != before {
 		t.Error("repeat access should not re-decode")
 	}
 }
@@ -203,6 +210,8 @@ func TestCopyRangeIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.NewRecorder()
+	w.SetRecorder(rec)
 	// Copy GOP-aligned range [6, 18).
 	if err := CopyRange(w, r, 6, 18); err != nil {
 		t.Fatal(err)
@@ -213,8 +222,8 @@ func TestCopyRangeIsExact(t *testing.T) {
 	if got := stampsOf(t, out); !eqU32(got, seq(6, 12)) {
 		t.Errorf("copied stamps = %v", got)
 	}
-	if w.Stats().PacketsCopied != 12 || w.Stats().FramesEncoded != 0 {
-		t.Errorf("stats = %+v", w.Stats())
+	if work := rec.Work(); work.PacketsCopied != 12 || work.FramesEncoded != 0 {
+		t.Errorf("work = %+v", work)
 	}
 }
 
@@ -431,15 +440,6 @@ func TestCreateWriterValidation(t *testing.T) {
 	odd.Width = 31
 	if _, err := CreateWriter(filepath.Join(dir, "x.vmf"), odd); err == nil {
 		t.Error("odd width should error")
-	}
-}
-
-func TestStatsAccumulate(t *testing.T) {
-	var s Stats
-	s.Add(Stats{FramesDecoded: 1, FramesEncoded: 2, PacketsCopied: 3, BytesCopied: 4})
-	s.Add(Stats{FramesDecoded: 10, FramesEncoded: 20, PacketsCopied: 30, BytesCopied: 40})
-	if s.FramesDecoded != 11 || s.FramesEncoded != 22 || s.PacketsCopied != 33 || s.BytesCopied != 44 {
-		t.Errorf("stats = %+v", s)
 	}
 }
 

@@ -125,6 +125,8 @@ func TestConcealHoldsOneGrayFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetConceal(true)
+	work := obs.NewRecorder()
+	r.SetRecorder(work)
 	var gray *frame.Frame
 	for i := 0; i < 6; i++ {
 		fr, err := r.FrameAtIndex(i)
@@ -143,8 +145,8 @@ func TestConcealHoldsOneGrayFrame(t *testing.T) {
 		}
 		fr.Release()
 	}
-	if got := r.Stats().FramesConcealed; got != 6 {
-		t.Errorf("FramesConcealed = %d, want 6", got)
+	if got := work.Work().Concealed; got != 6 {
+		t.Errorf("concealed %d packets, want 6", got)
 	}
 	// The next GOP is intact and decodes normally.
 	fr, err := r.FrameAtIndex(6)

@@ -27,7 +27,7 @@ type Sink interface {
 	// WriteRawPacket splices an already-encoded packet (stream copy).
 	WriteRawPacket(key bool, data []byte) error
 	// WriteEncodedFrame splices a packet encoded on the sink's behalf by
-	// an external encoder (parallel shards); counts as an encode.
+	// an external encoder (parallel shards), which counted the encode.
 	WriteEncodedFrame(key bool, data []byte) error
 	// SetRecorder attributes the sink's encode and packet-copy work to a
 	// per-request recorder from here on.
@@ -38,8 +38,6 @@ type Sink interface {
 	Flush()
 	// FirstPacket reports when the first packet was written; zero before.
 	FirstPacket() time.Time
-	// Stats returns cumulative write statistics.
-	Stats() Stats
 	// Close finalizes the output.
 	Close() error
 	// Abort discards the output without finalizing it: a file sink removes
@@ -101,9 +99,9 @@ type StreamTrailer struct {
 
 // Writer encodes frames, or splices already-encoded packets, into one
 // output video: a VMF file (CreateWriter) or a VMS stream
-// (NewStreamWriter). It owns the encoder, the PTS, the stats and the
-// splice rule — after a splice the next encoded frame is forced to be a
-// keyframe, so the output stays decodable; a framer lays out the bytes.
+// (NewStreamWriter). It owns the encoder, the PTS and the splice rule —
+// after a splice the next encoded frame is forced to be a keyframe, so
+// the output stays decodable; a framer lays out the bytes.
 // Not safe for concurrent use.
 type Writer struct {
 	out      framer
@@ -111,7 +109,6 @@ type Writer struct {
 	enc      *codec.Encoder
 	pts      int64
 	spliced  bool // a packet was spliced since the last encode
-	stats    Stats
 	rec      *obs.Recorder
 	first    time.Time
 	closed   bool
@@ -194,9 +191,6 @@ func newWriter(info container.StreamInfo, open func(container.StreamInfo) (frame
 // Info returns the stream description being written.
 func (w *Writer) Info() container.StreamInfo { return w.info }
 
-// Stats returns the cumulative encode/copy statistics.
-func (w *Writer) Stats() Stats { return w.stats }
-
 // FirstPacket reports when the first packet was written; zero before.
 func (w *Writer) FirstPacket() time.Time { return w.first }
 
@@ -254,11 +248,7 @@ func (w *Writer) WriteFrame(fr *frame.Frame) error {
 	}
 	err = w.put(pkt.Key, pkt.Data)
 	w.enc.Recycle(pkt) // the framer wrote the bytes; reuse the buffer
-	if err != nil {
-		return err
-	}
-	w.stats.FramesEncoded++
-	return nil
+	return err
 }
 
 // WriteRawPacket splices an already-encoded packet into the stream. The
@@ -273,14 +263,13 @@ func (w *Writer) WriteRawPacket(key bool, data []byte) error {
 	}
 	w.rec.StageObserve(obs.StageCopy, 1, int64(len(data)), time.Since(copyStart))
 	w.spliced = true
-	w.stats.PacketsCopied++
-	w.stats.BytesCopied += int64(len(data))
 	return nil
 }
 
 // WriteEncodedFrame splices a packet that was encoded on the writer's
 // behalf by an external encoder (parallel shards encode their chunks with
-// their own encoder instances). It counts as an encode, not a copy.
+// their own encoder instances). That encoder counted the encode; the
+// splice is not a copy.
 //
 //v2v:hotpath
 func (w *Writer) WriteEncodedFrame(key bool, data []byte) error {
@@ -288,7 +277,6 @@ func (w *Writer) WriteEncodedFrame(key bool, data []byte) error {
 		return err
 	}
 	w.spliced = true
-	w.stats.FramesEncoded++
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"v2v/internal/container"
 	"v2v/internal/frame"
+	"v2v/internal/obs"
 	"v2v/internal/rational"
 )
 
@@ -23,6 +24,8 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := obs.NewRecorder()
+	w.SetRecorder(rec)
 	for i := 0; i < 14; i++ {
 		fr := frame.New(info.Width, info.Height, frame.FormatYUV420)
 		fr.Fill(byte(40+i), 128, 128)
@@ -31,8 +34,8 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 			t.Fatalf("WriteFrame(%d): %v", i, err)
 		}
 	}
-	if w.Stats().FramesEncoded != 14 {
-		t.Errorf("writer stats = %+v", w.Stats())
+	if got := rec.Stage(obs.StageEncode).Frames; got != 14 {
+		t.Errorf("writer encoded %d frames, want 14", got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -370,7 +373,7 @@ func TestWriterFormats(t *testing.T) {
 	}
 
 	var packets [][]writtenPacket
-	var stats []Stats
+	var work []obs.Work
 	for _, f := range formats {
 		t.Run(f.name, func(t *testing.T) {
 			for name, mutate := range map[string]func(*container.StreamInfo){
@@ -405,6 +408,8 @@ func TestWriterFormats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rec := obs.NewRecorder()
+			w.SetRecorder(rec)
 			for id := uint32(0); id < 2; id++ {
 				if err := w.WriteFrame(stamped(id)); err != nil {
 					t.Fatal(err)
@@ -439,7 +444,7 @@ func TestWriterFormats(t *testing.T) {
 					t.Errorf("spliced packet %d differs from the source", i)
 				}
 			}
-			packets, stats = append(packets, got), append(stats, w.Stats())
+			packets, work = append(packets, got), append(work, rec.Work())
 
 			// Abort after a packet: a VMF file leaves nothing behind, a VMS
 			// stream ends in the typed error trailer.
@@ -465,8 +470,9 @@ func TestWriterFormats(t *testing.T) {
 		if fmt.Sprint(packets[0]) != fmt.Sprint(packets[1]) {
 			t.Error("the two formats read back different packets")
 		}
-		if stats[0] != stats[1] || stats[0].FramesEncoded != 3 || stats[0].PacketsCopied != 2 {
-			t.Errorf("stats = %+v vs %+v, want equal with 3 encoded and 2 copied", stats[0], stats[1])
+		if enc, cp := work[0].FramesEncoded, work[0].PacketsCopied; enc != 3 || cp != 2 ||
+			work[1].FramesEncoded != enc || work[1].PacketsCopied != cp || work[1].BytesCopied != work[0].BytesCopied {
+			t.Errorf("work = %+v vs %+v, want equal with 3 encoded and 2 copied", work[0], work[1])
 		}
 	}
 }

@@ -31,30 +31,8 @@ type SegmentActuals struct {
 	Wall time.Duration `json:"wall_ns"`
 	// FramesRendered counts output frames produced by the operator tree.
 	FramesRendered int64 `json:"frames_rendered,omitempty"`
-	// FramesDecoded counts source + intermediate decodes attributable to
-	// the segment.
-	FramesDecoded int64 `json:"frames_decoded,omitempty"`
-	// FramesEncoded counts frames encoded into the output.
-	FramesEncoded int64 `json:"frames_encoded,omitempty"`
-	// PacketsCopied and BytesCopied count stream-copied output packets.
-	PacketsCopied int64 `json:"packets_copied,omitempty"`
-	BytesCopied   int64 `json:"bytes_copied,omitempty"`
-	// Concealed counts corrupt or undecodable source packets replaced by
-	// holding the last good frame (non-zero only in concealment mode).
-	Concealed int64 `json:"concealed,omitempty"`
-	// GOPCacheHits and GOPCacheMisses count shared decoded-GOP cache
-	// lookups attributable to the segment: a hit served a source GOP with
-	// no decode, a miss paid one whole-GOP fill. Zero when no cache is
-	// configured or the segment never decodes (copies).
-	GOPCacheHits   int64 `json:"gop_cache_hits,omitempty"`
-	GOPCacheMisses int64 `json:"gop_cache_misses,omitempty"`
-	// ResultCacheHits and ResultCacheMisses count encoded-result cache
-	// lookups for the segment: a hit spliced previously synthesized
-	// packets without rendering, a miss rendered the segment and filled
-	// the cache. Zero when no result cache is configured or the segment
-	// is not cacheable.
-	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
-	ResultCacheMisses int64 `json:"result_cache_misses,omitempty"`
+	// Work is what the segment's recorder counted.
+	Work
 	// Shards is the number of shards the segment was rendered in (the
 	// plan's cuts plus one; 0 for copies), and ShardDecodes
 	// each shard's measured decodes, in presentation order — beside the
@@ -62,18 +40,6 @@ type SegmentActuals struct {
 	// result-cache hit, where no shard ran: ShardDecodes is then all zero.
 	Shards       int     `json:"shards,omitempty"`
 	ShardDecodes []int64 `json:"shard_decodes,omitempty"`
-	// Per-stage pipeline accounting, measured by the request-scoped
-	// Recorder: summed operation wall time (shard-parallel work sums, so
-	// a stage wall can exceed Wall) and bytes produced per stage. Decode
-	// and filter bytes are pixel bytes; encode bytes are encoded packet
-	// bytes (copied bytes are already in BytesCopied).
-	DecodeWall   time.Duration `json:"decode_wall_ns,omitempty"`
-	FilterWall   time.Duration `json:"filter_wall_ns,omitempty"`
-	EncodeWall   time.Duration `json:"encode_wall_ns,omitempty"`
-	DecodeBytes  int64         `json:"decode_bytes,omitempty"`
-	FilterFrames int64         `json:"filter_frames,omitempty"`
-	FilterBytes  int64         `json:"filter_bytes,omitempty"`
-	EncodeBytes  int64         `json:"encode_bytes,omitempty"`
 }
 
 // String renders the actuals as the annotation appended to explain lines.
@@ -145,6 +111,8 @@ type RequestRecord struct {
 	Segments []SegmentActuals      `json:"segments,omitempty"`
 	Stages   map[string]StageStats `json:"stages,omitempty"`
 
+	// Cache lookups, like Stages, come from the request's recorder: live
+	// while the request runs, and kept whatever its outcome.
 	GOPCacheHits   int64 `json:"gop_cache_hits"`
 	GOPCacheMisses int64 `json:"gop_cache_misses"`
 	ResCacheHits   int64 `json:"result_cache_hits"`
@@ -198,17 +166,6 @@ func (q *Request) SetSegments(segs []SegmentActuals) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.data.Segments = append([]SegmentActuals(nil), segs...)
-}
-
-// SetCaches records the request's cache hit/miss totals.
-func (q *Request) SetCaches(gopHits, gopMisses, resHits, resMisses int64) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.data.GOPCacheHits, q.data.GOPCacheMisses = gopHits, gopMisses
-	q.data.ResCacheHits, q.data.ResCacheMisses = resHits, resMisses
 }
 
 // SetAdmission records the request's admission outcome: its tenant
@@ -269,24 +226,33 @@ func (q *Request) Finish(outcome string, err error) {
 	if err != nil {
 		q.data.Error = err.Error()
 	}
-	q.data.Stages = q.rec.Stages()
+	q.data.stampWork(q.rec)
 	data, trace := q.data, q.trace
 	q.mu.Unlock()
 	q.fr.finish(q, data, trace)
 }
 
 // snapshot returns a deep copy of the record's current state, stamping
-// live wall time and stage stats for in-flight requests.
+// live wall time, stage stats and cache counts for in-flight requests.
 func (q *Request) snapshot() RequestRecord {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	data := q.data
 	if data.Active {
 		data.Wall = time.Since(data.Start)
-		data.Stages = q.rec.Stages()
+		data.stampWork(q.rec)
 	}
 	data.Segments = append([]SegmentActuals(nil), data.Segments...)
 	return data
+}
+
+// stampWork copies the request recorder's stages and cache counts into
+// the record.
+func (d *RequestRecord) stampWork(rec *Recorder) {
+	w := rec.Work()
+	d.Stages = rec.Stages()
+	d.GOPCacheHits, d.GOPCacheMisses = w.GOPCacheHits, w.GOPCacheMisses
+	d.ResCacheHits, d.ResCacheMisses = w.ResultCacheHits, w.ResultCacheMisses
 }
 
 // flightEntry pairs a completed record with its (optional) span trace.

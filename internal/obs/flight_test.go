@@ -40,6 +40,45 @@ func TestRecorderStageObserve(t *testing.T) {
 	r.StageObserve(Stage(-1), 1, 1, time.Millisecond)
 }
 
+// TestRecorderEvents checks that event counts reach every ancestor of the
+// recorder that saw them, that concealments also feed the process-wide
+// counter, and that Work leaves the materialized boundaries' encodes out
+// of the output encodes.
+func TestRecorderEvents(t *testing.T) {
+	root := NewRecorder()
+	seg := root.Child()
+	shard := seg.Child()
+	concealed := eventTotals[EventConcealed].Value()
+	shard.Inc(EventConcealed)
+	shard.Inc(EventMaterialized)
+	shard.StageObserve(StageDecode, 5, 500, time.Millisecond)
+	shard.StageObserve(StageEncode, 3, 30, time.Millisecond)
+	seg.Inc(EventResultMiss)
+	root.Inc(EventGOPHit)
+
+	w := root.Work()
+	if w.Concealed != 1 || w.Materialized != 1 || w.ResultCacheMisses != 1 || w.GOPCacheHits != 1 || w.GOPCacheMisses != 0 {
+		t.Errorf("root work = %+v", w)
+	}
+	if w.FramesDecoded != 5 || w.FramesEncoded != 2 || w.DecodeBytes != 500 || w.EncodeBytes != 30 {
+		t.Errorf("root work = %+v, want 5 decodes and 2 output encodes", w)
+	}
+	if got := seg.Work(); got.Concealed != 1 || got.ResultCacheMisses != 1 || got.GOPCacheHits != 0 {
+		t.Errorf("segment work = %+v", got)
+	}
+	if got := eventTotals[EventConcealed].Value() - concealed; got != 1 {
+		t.Errorf("v2v_frames_concealed_total moved by %d, want 1", got)
+	}
+
+	// Nil recorders must not panic.
+	var nilRec *Recorder
+	nilRec.Inc(EventGOPHit)
+	nilRec.Child().Inc(EventGOPMiss)
+	if got := nilRec.Work(); got != (Work{}) {
+		t.Errorf("nil recorder work = %+v", got)
+	}
+}
+
 func TestNewTraceID(t *testing.T) {
 	a, b := NewTraceID(), NewTraceID()
 	if len(a) != 16 || len(b) != 16 {
@@ -63,13 +102,20 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 	}
 	q.Recorder().StageObserve(StageEncode, 7, 700, time.Millisecond)
 	q.SetPlan("concat (1 segments)")
-	q.SetSegments([]SegmentActuals{{Kind: "render", FramesEncoded: 7}})
-	q.SetCaches(4, 2, 1, 0)
+	q.SetSegments([]SegmentActuals{{Kind: "render", Work: Work{FramesEncoded: 7}}})
+	for e, n := range map[Event]int{EventGOPHit: 4, EventGOPMiss: 2, EventResultHit: 1} {
+		for range n {
+			q.Recorder().Child().Inc(e)
+		}
+	}
 
 	// While active the snapshot reports it live.
 	recs := f.Snapshot(Filter{})
 	if len(recs) != 1 || !recs[0].Active || recs[0].Outcome != "" {
 		t.Fatalf("active snapshot = %+v", recs)
+	}
+	if recs[0].GOPCacheHits != 4 || recs[0].Stages["encode"].Frames != 7 {
+		t.Errorf("active record's work = %+v", recs[0])
 	}
 
 	q.Finish("ok", nil)
@@ -106,7 +152,6 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	// All handle methods tolerate the nil request.
 	q.SetPlan("p")
 	q.SetSegments(nil)
-	q.SetCaches(0, 0, 0, 0)
 	q.SetTrace(nil)
 	q.Finish("ok", nil)
 	if q.Recorder() != nil || q.TraceID() != "" {
@@ -341,7 +386,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 				q := f.Start(fmt.Sprintf("t%d-%d", w, i), "concurrent query")
 				q.Recorder().StageObserve(StageDecode, 1, 100, time.Microsecond)
 				q.SetSegments([]SegmentActuals{{Kind: "render"}})
-				q.SetCaches(1, 1, 0, 0)
+				q.Recorder().Inc(EventGOPHit)
+				q.Recorder().Inc(EventGOPMiss)
 				if i%3 == 0 {
 					q.Finish("error", errors.New("x"))
 				} else {

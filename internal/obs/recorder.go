@@ -3,6 +3,7 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -55,64 +56,90 @@ type StageStats struct {
 	Wall   time.Duration `json:"wall_ns"`
 }
 
-// StageBuckets returns histogram upper bounds (seconds) sized for
-// per-frame stage operations, which are typically tens of microseconds to
-// a few milliseconds — much finer than request-level LatencyBuckets.
-func StageBuckets() []float64 {
-	return []float64{.00001, .000025, .00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, 1}
+// Process-wide per-stage instruments, labelled by stage. Every
+// StageObserve call updates these, recorder or not, so /metrics reflects
+// all pipeline work in the process; per-second rates over the frame and
+// byte counters give frames/s and MB/s per stage.
+var (
+	stageFrames, stageBytes [numStages]*Counter
+	stageWall               [numStages]*Histogram
+)
+
+func init() {
+	// Per-frame stage operations take tens of microseconds to a few
+	// milliseconds: much finer buckets than request-level LatencyBuckets.
+	buckets := []float64{.00001, .000025, .00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, 1}
+	for s := Stage(0); s < numStages; s++ {
+		stageFrames[s] = Default().Counter(fmt.Sprintf("v2v_stage_frames_total{stage=%q}", s),
+			"Frames processed per pipeline stage.")
+		stageBytes[s] = Default().Counter(fmt.Sprintf("v2v_stage_bytes_total{stage=%q}", s),
+			"Bytes produced per pipeline stage (pixel bytes for decode/filter, encoded bytes for encode/copy).")
+		stageWall[s] = Default().Histogram(fmt.Sprintf("v2v_stage_wall_seconds{stage=%q}", s),
+			"Per-operation wall time by pipeline stage.", buckets)
+	}
 }
 
-// Process-wide per-stage instruments. Every StageObserve call updates
-// these, recorder or not, so /metrics reflects all pipeline work in the
-// process; per-second rates over the frame and byte counters give
-// frames/s and MB/s per stage.
-var (
-	stageFramesDecode = Default().Counter(`v2v_stage_frames_total{stage="decode"}`, "Frames processed per pipeline stage.")
-	stageFramesFilter = Default().Counter(`v2v_stage_frames_total{stage="filter"}`, "Frames processed per pipeline stage.")
-	stageFramesEncode = Default().Counter(`v2v_stage_frames_total{stage="encode"}`, "Frames processed per pipeline stage.")
-	stageFramesCopy   = Default().Counter(`v2v_stage_frames_total{stage="copy"}`, "Frames processed per pipeline stage.")
+// Event identifies executor work that is counted, not timed.
+type Event int
 
-	stageBytesDecode = Default().Counter(`v2v_stage_bytes_total{stage="decode"}`, "Bytes produced per pipeline stage (pixel bytes for decode/filter, encoded bytes for encode/copy).")
-	stageBytesFilter = Default().Counter(`v2v_stage_bytes_total{stage="filter"}`, "Bytes produced per pipeline stage (pixel bytes for decode/filter, encoded bytes for encode/copy).")
-	stageBytesEncode = Default().Counter(`v2v_stage_bytes_total{stage="encode"}`, "Bytes produced per pipeline stage (pixel bytes for decode/filter, encoded bytes for encode/copy).")
-	stageBytesCopy   = Default().Counter(`v2v_stage_bytes_total{stage="copy"}`, "Bytes produced per pipeline stage (pixel bytes for decode/filter, encoded bytes for encode/copy).")
+const (
+	// EventConcealed is a corrupt or undecodable source packet replaced by
+	// holding the last good frame (concealment mode only).
+	EventConcealed Event = iota
+	// EventGOPHit is a decoded-GOP cache lookup served with no decode;
+	// EventGOPMiss is one that paid a whole-GOP fill, whose decodes count
+	// under StageDecode.
+	EventGOPHit
+	EventGOPMiss
+	// EventResultHit is a rendered segment spliced from the encoded-result
+	// cache without rendering; EventResultMiss is one rendered and filled.
+	EventResultHit
+	EventResultMiss
+	// EventMaterialized is one encode/decode round trip of an unoptimized
+	// plan's intermediate at a materialized operator boundary. Its encode
+	// and decode also count under StageEncode and StageDecode.
+	EventMaterialized
 
-	stageWallDecode = Default().Histogram(`v2v_stage_wall_seconds{stage="decode"}`, "Per-operation wall time by pipeline stage.", StageBuckets())
-	stageWallFilter = Default().Histogram(`v2v_stage_wall_seconds{stage="filter"}`, "Per-operation wall time by pipeline stage.", StageBuckets())
-	stageWallEncode = Default().Histogram(`v2v_stage_wall_seconds{stage="encode"}`, "Per-operation wall time by pipeline stage.", StageBuckets())
-	stageWallCopy   = Default().Histogram(`v2v_stage_wall_seconds{stage="copy"}`, "Per-operation wall time by pipeline stage.", StageBuckets())
+	numEvents = 6
 )
 
-var (
-	stageFrames = [numStages]*Counter{stageFramesDecode, stageFramesFilter, stageFramesEncode, stageFramesCopy}
-	stageBytes  = [numStages]*Counter{stageBytesDecode, stageBytesFilter, stageBytesEncode, stageBytesCopy}
-	stageWall   = [numStages]*Histogram{stageWallDecode, stageWallFilter, stageWallEncode, stageWallCopy}
-)
+// Process-wide event instruments, updated by every Inc, recorder or not.
+// Cache lookups have none here: the cache keeps its own hit and miss
+// counters.
+var eventTotals = [numEvents]*Counter{
+	EventConcealed: Default().Counter("v2v_frames_concealed_total",
+		"Corrupt or undecodable packets concealed by holding the last good frame."),
+}
 
-// Recorder accumulates per-stage work for one request. All methods are
-// lock-free atomics and nil-safe: instrumentation sites call StageObserve
-// unconditionally, and a nil recorder still feeds the process-wide
-// v2v_stage_* metrics while skipping per-request attribution. Safe for
-// concurrent use by shard workers.
+// Recorder accumulates the work of one request: per-stage frames, bytes
+// and wall time, and event counts. It is the engine's one account of
+// work: the executor's metrics, EXPLAIN ANALYZE actuals and the flight
+// record all read it. All methods are lock-free atomics and nil-safe:
+// instrumentation sites call them unconditionally, and a nil recorder
+// still feeds the process-wide metrics while skipping per-request
+// attribution. Safe for concurrent use by shard workers.
 type Recorder struct {
 	parent *Recorder
 	frames [numStages]atomic.Int64
 	bytes  [numStages]atomic.Int64
 	wallNS [numStages]atomic.Int64
+	events [numEvents]atomic.Int64
 }
 
 // NewRecorder returns an empty per-request recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Child returns an empty recorder for one part of r's request (the
-// executor makes one per plan segment): whatever the child observes also
-// counts toward r, so the children's stages sum to the request's.
-// Nil-safe: a nil recorder's child attributes to itself only.
+// Child returns an empty recorder for one part of r's work (a run, a
+// segment, a shard): whatever the child observes also counts toward r, so
+// the children's work sums to r's. Nil-safe: a nil recorder's child
+// attributes to itself only.
 func (r *Recorder) Child() *Recorder { return &Recorder{parent: r} }
 
 // StageObserve records one stage operation: frames and bytes processed and
 // the wall time spent. The process-wide stage metrics are always updated;
 // the recorder's own counters only when r is non-nil.
+//
+//v2v:hotpath
 func (r *Recorder) StageObserve(s Stage, frames, bytes int64, wall time.Duration) {
 	if s < 0 || s >= numStages {
 		return
@@ -124,6 +151,19 @@ func (r *Recorder) StageObserve(s Stage, frames, bytes int64, wall time.Duration
 		r.frames[s].Add(frames)
 		r.bytes[s].Add(bytes)
 		r.wallNS[s].Add(int64(wall))
+	}
+}
+
+// Inc counts one event, in r and its ancestors and in the event's
+// process-wide counter, if it has one.
+//
+//v2v:hotpath
+func (r *Recorder) Inc(e Event) {
+	if c := eventTotals[e]; c != nil {
+		c.Inc()
+	}
+	for ; r != nil; r = r.parent {
+		r.events[e].Add(1)
 	}
 }
 
@@ -151,6 +191,61 @@ func (r *Recorder) Stages() map[string]StageStats {
 		out[s.String()] = r.Stage(s)
 	}
 	return out
+}
+
+// Work is a snapshot of what a recorder counted, in the units EXPLAIN
+// ANALYZE, the flight record and exec.Metrics report. Stage walls are
+// summed operation wall time (shard-parallel work sums, so a stage wall
+// can exceed the elapsed time). Decode and filter bytes are pixel bytes,
+// encode bytes encoded packet bytes.
+type Work struct {
+	// FramesDecoded counts every decode: source frames, and the
+	// intermediates of materialized boundaries.
+	FramesDecoded int64 `json:"frames_decoded,omitempty"`
+	// FramesEncoded counts frames encoded into the output: every encode
+	// but the materialized boundaries'.
+	FramesEncoded int64 `json:"frames_encoded,omitempty"`
+	// Materialized counts materialized operator boundaries, each one
+	// decode in FramesDecoded and one encode left out of FramesEncoded.
+	Materialized int64 `json:"materialized,omitempty"`
+	// PacketsCopied and BytesCopied count stream-copied output packets.
+	PacketsCopied int64 `json:"packets_copied,omitempty"`
+	BytesCopied   int64 `json:"bytes_copied,omitempty"`
+	// Concealed counts concealed source packets (EventConcealed).
+	Concealed int64 `json:"concealed,omitempty"`
+	// The cache lookups (EventGOPHit and the rest); zero without a cache
+	// of that kind.
+	GOPCacheHits      int64 `json:"gop_cache_hits,omitempty"`
+	GOPCacheMisses    int64 `json:"gop_cache_misses,omitempty"`
+	ResultCacheHits   int64 `json:"result_cache_hits,omitempty"`
+	ResultCacheMisses int64 `json:"result_cache_misses,omitempty"`
+
+	DecodeWall   time.Duration `json:"decode_wall_ns,omitempty"`
+	FilterWall   time.Duration `json:"filter_wall_ns,omitempty"`
+	EncodeWall   time.Duration `json:"encode_wall_ns,omitempty"`
+	DecodeBytes  int64         `json:"decode_bytes,omitempty"`
+	FilterFrames int64         `json:"filter_frames,omitempty"`
+	FilterBytes  int64         `json:"filter_bytes,omitempty"`
+	EncodeBytes  int64         `json:"encode_bytes,omitempty"`
+}
+
+// Work returns a snapshot of r. Nil-safe (returns zeros).
+func (r *Recorder) Work() Work {
+	if r == nil {
+		return Work{}
+	}
+	dec, flt, enc, cp := r.Stage(StageDecode), r.Stage(StageFilter), r.Stage(StageEncode), r.Stage(StageCopy)
+	mat := r.events[EventMaterialized].Load()
+	return Work{
+		FramesDecoded: dec.Frames, FramesEncoded: enc.Frames - mat, Materialized: mat,
+		PacketsCopied: cp.Frames, BytesCopied: cp.Bytes,
+		Concealed:    r.events[EventConcealed].Load(),
+		GOPCacheHits: r.events[EventGOPHit].Load(), GOPCacheMisses: r.events[EventGOPMiss].Load(),
+		ResultCacheHits: r.events[EventResultHit].Load(), ResultCacheMisses: r.events[EventResultMiss].Load(),
+		DecodeWall: dec.Wall, DecodeBytes: dec.Bytes,
+		FilterWall: flt.Wall, FilterFrames: flt.Frames, FilterBytes: flt.Bytes,
+		EncodeWall: enc.Wall, EncodeBytes: enc.Bytes,
+	}
 }
 
 // NewTraceID returns a fresh 16-hex-digit request/trace identifier, the

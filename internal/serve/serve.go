@@ -59,7 +59,6 @@ type Config struct {
 	MaxQueue           int           // -max-queue
 	AdmitTimeout       time.Duration // -admit-timeout
 	TenantWeight       string        // -tenant-weight: "name=w,name=w"
-	FlushInterval      time.Duration // -flush-interval
 	StreamBufferKB     int           // -stream-buffer-kb
 
 	// Logger receives the request and synthesis log lines (nil =
@@ -89,9 +88,6 @@ var (
 	inflight = obs.Default().Gauge("v2v_inflight_requests", "Requests currently being served.")
 	wallHist = obs.Default().Histogram("v2v_synthesis_wall_seconds",
 		"End-to-end synthesis wall time.", obs.LatencyBuckets())
-	firstHist = obs.Default().Histogram("v2v_synthesis_first_output_seconds",
-		"Latency until the first output packet (the paper's interactivity measure).",
-		obs.LatencyBuckets())
 	ttffHist = obs.Default().Histogram("v2v_stream_ttff_seconds",
 		"Time until the first bytes were flushed to the client — the honest time-to-first-frame.",
 		obs.LatencyBuckets())

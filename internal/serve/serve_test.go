@@ -18,7 +18,9 @@ import (
 	"time"
 
 	"v2v/internal/admit"
+	"v2v/internal/container"
 	"v2v/internal/dataset"
+	"v2v/internal/faults"
 	"v2v/internal/frame"
 	"v2v/internal/media"
 	"v2v/internal/rational"
@@ -239,7 +241,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		`v2v_http_errors_total{class="4xx"}`,
 		"v2v_synthesis_total",
 		"v2v_synthesis_wall_seconds_count",
-		"v2v_synthesis_first_output_seconds_count",
+		"v2v_stream_ttff_seconds_count",
 	}
 	before := map[string]float64{}
 	for _, name := range counted {
@@ -569,6 +571,54 @@ func TestDebugRequestsFilters(t *testing.T) {
 	// With no slow threshold configured the slow filter matches nothing.
 	if slow := getFlight(t, ts.URL+"/debug/requests?slow=1"); len(slow.Requests) != 0 {
 		t.Errorf("slow filter without threshold = %d records", len(slow.Requests))
+	}
+}
+
+// TestFailedRequestRecordsItsWork serves, strictly and with the GOP cache
+// on, a spec over a source whose second GOP is corrupt: the request fills
+// the first GOP and then fails mid-stream. Its flight record must still
+// show the work it did — the decodes and the cache lookups — since both
+// come from the request's recorder, whatever the outcome.
+func TestFailedRequestRecordsItsWork(t *testing.T) {
+	dir := t.TempDir()
+	vid := genSource(t, dir)
+	cr, err := container.Open(vid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := cr.Record(24) // the second GOP's keyframe
+	cr.Close()
+	if err := faults.CorruptRange(vid, second.Offset+int64(second.Size)/2, 4, 7); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := startServer(t, Config{SpecDir: dir, Parallel: 1, Strict: true, GOPCacheMB: 64, ResultCacheMB: -1})
+	specText := fmt.Sprintf(`
+		timedomain range(0, 2, 1/24);
+		videos { cam: %q; }
+		render(t) = grade(cam[t], 5, 1.0, 1.0);`, vid)
+	resp, err := http.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	// The handler finishes the record after the last byte is out.
+	deadline := time.Now().Add(5 * time.Second)
+	fr := getFlight(t, ts.URL+"/debug/requests?errored=1")
+	for len(fr.Requests) == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		fr = getFlight(t, ts.URL+"/debug/requests?errored=1")
+	}
+	if len(fr.Requests) != 1 || fr.Requests[0].Outcome != "error" {
+		t.Fatalf("errored records = %+v, want the one failed request", fr.Requests)
+	}
+	r := fr.Requests[0]
+	if r.GOPCacheMisses < 1 {
+		t.Errorf("failed request records %d GOP-cache misses, want at least the first GOP's fill", r.GOPCacheMisses)
+	}
+	if r.Stages["decode"].Frames == 0 {
+		t.Errorf("failed request records no decodes: stages %+v", r.Stages)
 	}
 }
 

@@ -175,16 +175,13 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 
 	// Every response streams: the executor flushes after the container
 	// header and after each segment, and the FlushingSink pushes those
-	// bytes to the client (coalesced by FlushInterval); a client draining
+	// bytes to the client; a client draining
 	// slower than synthesis blocks only this request's delivery goroutine
 	// once the StreamBufferKB queue fills. A ?stream=1 query or an Accept
 	// header naming the stream media type is accepted and changes nothing.
 	w.Header().Set("Content-Type", "application/x-v2v-stream")
 	start := time.Now()
-	fs := media.NewFlushingSink(w, media.FlushConfig{
-		BufferBytes:   s.cfg.StreamBufferKB << 10,
-		FlushInterval: s.cfg.FlushInterval,
-	})
+	fs := media.NewFlushingSink(w, s.cfg.StreamBufferKB<<10)
 	res, err := pr.SynthesizeStreamContext(ctx, fs, opts)
 	// Classify a failure by its error, not by ctx: the executor returns
 	// ctx's error whenever cancellation stopped it, before it writes the
@@ -229,11 +226,8 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 		req.SetTTFF(res.Metrics.FirstOutput)
 	}
 	wallHist.Observe(res.Metrics.Wall.Seconds())
-	firstHist.Observe(res.Metrics.FirstOutput.Seconds())
 	req.SetPlan(res.Plan.Explain())
 	req.SetSegments(res.Metrics.Segments)
-	req.SetCaches(res.Metrics.Source.GOPCacheHits, res.Metrics.Source.GOPCacheMisses,
-		res.Metrics.ResultCacheHits, res.Metrics.ResultCacheMisses)
 	req.Finish("ok", nil)
 	s.cfg.Logger.Info("synthesis complete",
 		"packets", res.Metrics.Output.PacketsCopied+res.Metrics.Output.FramesEncoded,
