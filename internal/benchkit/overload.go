@@ -1,12 +1,8 @@
 package benchkit
 
-// Overload sweep and chaos-overload scenario: v2vserve's handler
-// (internal/serve) is served in-process and driven with seeded request
-// bursts at multiples of the measured service rate, measuring goodput,
-// tail latency, and shed rate — and, under an injected memory-pressure
-// episode, verifying that the server sheds with typed retryable errors and
-// shrinks its cache budget instead of erroring mid-stream or growing
-// without bound.
+// Overload sweep: v2vserve's handler (internal/serve) is served in-process
+// and driven with seeded request bursts at multiples of the measured
+// service rate, measuring goodput, tail latency, and shed rate.
 
 import (
 	"encoding/json"
@@ -14,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -21,8 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"v2v/internal/admit"
-	"v2v/internal/faults"
 	"v2v/internal/media"
 	"v2v/internal/obs"
 	"v2v/internal/serve"
@@ -64,10 +59,9 @@ const overloadRequests = 24
 // admission config — two slots, a four-deep queue, tenants gold and free
 // weighted 3:1 — so the sweep exercises shedding at small request counts
 // instead of needing thousands of requests to saturate a real host. Each
-// kind of cache entry gets a cacheMB share of one 2×cacheMB budget; mon,
-// when non-nil, drives the handler's memory-pressure reactions. stop
+// kind of cache entry gets a cacheMB share of one 2×cacheMB budget. stop
 // closes the listener, then admission.
-func overloadServer(cacheMB int, mon *admit.Monitor) (base string, stop func(), err error) {
+func overloadServer(cacheMB int) (base string, stop func(), err error) {
 	srv, err := serve.New(serve.Config{
 		// Admission runs twice Parallel syntheses at once: the two slots.
 		Parallel:      1,
@@ -77,7 +71,6 @@ func overloadServer(cacheMB int, mon *admit.Monitor) (base string, stop func(), 
 		GOPCacheMB:    cacheMB,
 		ResultCacheMB: cacheMB,
 		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
-		Monitor:       mon,
 	})
 	if err != nil {
 		return "", nil, err
@@ -215,7 +208,7 @@ func OverloadRun(ds *Dataset, cfg Config, seed int64) ([]OverloadRow, error) {
 		return nil, fmt.Errorf("benchkit: overload query missing")
 	}
 	src := q.BuildSpecSource(ds, cfg.Scale)
-	base, stop, err := overloadServer(16, nil)
+	base, stop, err := overloadServer(16)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +221,7 @@ func OverloadRun(ds *Dataset, cfg Config, seed int64) ([]OverloadRow, error) {
 
 	var rows []OverloadRow
 	for li, load := range overloadLoads {
-		offsets := faults.OverloadBurst(seed+int64(li), overloadRequests, service, load)
+		offsets := OverloadBurst(seed+int64(li), overloadRequests, service, load)
 		t0 := time.Now()
 		results := runBurst(base, src, offsets)
 		row := classify(load, results, time.Since(t0))
@@ -273,16 +266,6 @@ func recordedSheds(base string, results []overloadResult) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// budgetStats reads the cache budget's split from the handler's
-// /debug/caches, as an operator would.
-func budgetStats(base string) (media.BudgetStats, error) {
-	var dump struct {
-		Budget media.BudgetStats `json:"arbiter"`
-	}
-	err := getJSON(base, "/debug/caches", &dump)
-	return dump.Budget, err
 }
 
 // calibrate measures the service time of one warm request (after one
@@ -331,132 +314,29 @@ func FormatOverload(title string, rows []OverloadRow) string {
 	return sb.String()
 }
 
-// ChaosOverloadResult reports the chaos-overload scenario: a 16x
-// two-tenant burst while an injected memory-pressure episode ramps to
-// critical and recedes. The invariants (checked by ChaosOverloadRun,
-// reported here for the table) are: overload surfaces only as typed
-// 429/503 sheds with Retry-After — never mid-stream errors; the cache
-// budget shrinks under pressure and recovers after.
-type ChaosOverloadResult struct {
-	Row OverloadRow
-	// PreCacheBytes/MinCacheBytes/PostCacheBytes track resident cache
-	// bytes before, during, and after the pressure episode.
-	PreCacheBytes  int64
-	MinCacheBytes  int64
-	PostCacheBytes int64
-	// CriticalFactor is the pressure factor observed while the monitor
-	// reported critical (0.25 when the episode engaged correctly);
-	// FinalFactor after the episode receded (1 on full recovery).
-	CriticalFactor float64
-	FinalFactor    float64
-}
-
-// ChaosOverloadRun drives v2vserve's handler with a seeded 16x burst while
-// a seeded memory-pressure episode steps the handler's injected monitor,
-// and verifies the overload invariants from what the handler serves.
-// Fault-induced sheds are expected; invariant violations return an error.
-func ChaosOverloadRun(ds *Dataset, cfg Config, seed int64) (*ChaosOverloadResult, error) {
-	q, ok := QueryByID("Q4")
-	if !ok {
-		return nil, fmt.Errorf("benchkit: chaos overload query missing")
+// OverloadBurst returns n request arrival offsets (from t=0, sorted
+// ascending) modeling an offered load of factor× a service capacity of
+// one request per base: exponential inter-arrivals with mean base/factor,
+// capped at 4× the mean so one long gap cannot hide the overload. Equal
+// seeds produce equal bursts.
+func OverloadBurst(seed int64, n int, base time.Duration, factor float64) []time.Duration {
+	if n <= 0 {
+		return nil
 	}
-	src := q.BuildSpecSource(ds, cfg.Scale)
-
-	// The synthetic episode feeds the Monitor/OnChange plumbing the server
-	// runs, stepped manually so the walk is deterministic.
-	ep := faults.NewPressureEpisode(seed, 0.3, 0.95, 5, 4)
-	const limit = 1 << 30
-	sampler := ep.Sampler(limit)
-	mon := admit.NewMonitor(time.Hour)
-	mon.SetSampler(func() admit.MemSample {
-		used, lim := sampler()
-		return admit.MemSample{Used: used, Limit: lim}
-	})
-	base, stop, err := overloadServer(8, mon)
-	if err != nil {
-		return nil, err
+	if factor <= 0 {
+		factor = 1
 	}
-	defer stop()
-
-	// Calibration warms the GOP/result caches, so the episode has
-	// resident bytes to squeeze.
-	service, err := calibrate(base, src)
-	if err != nil {
-		return nil, fmt.Errorf("benchkit: chaos overload calibration: %w", err)
-	}
-	pre, err := budgetStats(base)
-	if err != nil {
-		return nil, err
-	}
-	res := &ChaosOverloadResult{PreCacheBytes: pre.Used, MinCacheBytes: pre.Used}
-
-	offsets := faults.OverloadBurst(seed, overloadRequests, service, 16)
-	done := make(chan []overloadResult, 1)
-	t0 := time.Now()
-	go func() { done <- runBurst(base, src, offsets) }()
-
-	for !ep.Done() {
-		mon.Poll()
-		st, err := budgetStats(base)
-		if err != nil {
-			return res, err
+	mean := float64(base) / factor
+	rng := rand.New(rand.NewSource(seed))
+	offs := make([]time.Duration, n)
+	var t float64
+	for i := range offs {
+		gap := rng.ExpFloat64() * mean
+		if lim := 4 * mean; gap > lim {
+			gap = lim
 		}
-		if st.Used < res.MinCacheBytes {
-			res.MinCacheBytes = st.Used
-		}
-		if mon.Level() == admit.PressureCritical {
-			res.CriticalFactor = st.PressureFactor
-			// Slack of one GOP-sized entry: an insert may be in flight
-			// between the eviction and this snapshot.
-			if st.Used > st.Total+(1<<20) {
-				return res, fmt.Errorf("benchkit: chaos overload: %d cache bytes resident over the pressure-scaled %d budget", st.Used, st.Total)
-			}
-		}
-		time.Sleep(service / 4)
+		t += gap
+		offs[i] = time.Duration(t)
 	}
-	mon.Poll() // the final baseline sample clears the pressure level
-
-	results := <-done
-	res.Row = classify(16, results, time.Since(t0))
-	if res.Row.ShedRecorded, err = recordedSheds(base, results); err != nil {
-		return res, err
-	}
-
-	// Recovery: with the budget restored, a repeat request re-fills the
-	// caches past the squeezed floor.
-	if _, err := calibrate(base, src); err != nil {
-		return res, fmt.Errorf("benchkit: chaos overload recovery request: %w", err)
-	}
-	post, err := budgetStats(base)
-	if err != nil {
-		return res, err
-	}
-	res.PostCacheBytes = post.Used
-	res.FinalFactor = post.PressureFactor
-
-	switch {
-	case res.Row.Failed > 0:
-		return res, fmt.Errorf("benchkit: chaos overload: %d request(s) failed outside the shed contract (want typed 429/503 with Retry-After)", res.Row.Failed)
-	case res.Row.ShedRecorded != res.Row.Shed:
-		return res, fmt.Errorf("benchkit: chaos overload: %d of %d sheds missing from the flight recorder", res.Row.Shed-res.Row.ShedRecorded, res.Row.Shed)
-	case res.CriticalFactor != 0.25:
-		return res, fmt.Errorf("benchkit: chaos overload: critical pressure factor %v, want 0.25", res.CriticalFactor)
-	case res.FinalFactor != 1:
-		return res, fmt.Errorf("benchkit: chaos overload: pressure factor %v after the episode, want full recovery to 1", res.FinalFactor)
-	case res.PreCacheBytes > 4<<20 && res.MinCacheBytes >= res.PreCacheBytes:
-		// With >25% of the 16 MiB budget resident, the critical quarter
-		// budget must have evicted something.
-		return res, fmt.Errorf("benchkit: chaos overload: cache bytes never shrank under pressure (pre %d, min %d)", res.PreCacheBytes, res.MinCacheBytes)
-	}
-	return res, nil
-}
-
-// FormatChaosOverload renders the scenario outcome as text.
-func FormatChaosOverload(title string, r *ChaosOverloadResult) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", title)
-	sb.WriteString(FormatOverload("16x burst under memory pressure:", []OverloadRow{r.Row}))
-	fmt.Fprintf(&sb, "cache bytes: pre %d -> min %d under pressure -> post %d after recovery (factors: critical %.2f, final %.2f)\n",
-		r.PreCacheBytes, r.MinCacheBytes, r.PostCacheBytes, r.CriticalFactor, r.FinalFactor)
-	return sb.String()
+	return offs
 }

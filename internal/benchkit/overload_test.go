@@ -3,6 +3,7 @@ package benchkit
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestOverloadRunSmoke(t *testing.T) {
@@ -43,26 +44,48 @@ func TestOverloadRunSmoke(t *testing.T) {
 	}
 }
 
-func TestChaosOverloadRunSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos overload in -short mode")
+func TestOverloadBurstDeterministic(t *testing.T) {
+	a := OverloadBurst(42, 50, 10*time.Millisecond, 16)
+	b := OverloadBurst(42, 50, 10*time.Millisecond, 16)
+	if len(a) != 50 || len(b) != 50 {
+		t.Fatalf("lengths = %d, %d", len(a), len(b))
 	}
-	sc := testScale()
-	res, err := ChaosOverloadRun(kabrDS, Config{Scale: sc, OutDir: t.TempDir(), Parallelism: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("offset %d differs: %v vs %v", i, a[i], b[i])
+		}
 	}
-	if res.Row.Failed != 0 {
-		t.Errorf("%d request(s) broke the shed contract", res.Row.Failed)
+	c := OverloadBurst(43, 50, 10*time.Millisecond, 16)
+	same := true
+	for i := range a {
+		if a[i] != c[i] {
+			same = false
+			break
+		}
 	}
-	if res.CriticalFactor != 0.25 || res.FinalFactor != 1 {
-		t.Errorf("pressure factors critical=%v final=%v, want 0.25 and 1", res.CriticalFactor, res.FinalFactor)
+	if same {
+		t.Error("different seeds produced identical bursts")
 	}
-	if res.PostCacheBytes <= 0 {
-		t.Errorf("cache bytes did not recover after the episode: post=%d", res.PostCacheBytes)
+}
+
+func TestOverloadBurstShape(t *testing.T) {
+	base := 10 * time.Millisecond
+	offs := OverloadBurst(1, 200, base, 4)
+	prev := time.Duration(0)
+	for i, o := range offs {
+		if o < prev {
+			t.Fatalf("offset %d not monotone: %v after %v", i, o, prev)
+		}
+		prev = o
 	}
-	out := FormatChaosOverload("chaos overload", res)
-	if !strings.Contains(out, "cache bytes") {
-		t.Errorf("format missing cache-bytes line:\n%s", out)
+	// 200 arrivals at 4x the service rate should span roughly 200 × 2.5ms;
+	// the cap on individual gaps keeps the tail bounded.
+	mean := offs[len(offs)-1] / 200
+	want := base / 4
+	if mean < want/3 || mean > want*3 {
+		t.Errorf("mean inter-arrival %v, want within 3x of %v", mean, want)
+	}
+	if OverloadBurst(1, 0, base, 4) != nil {
+		t.Error("n=0 should return nil")
 	}
 }

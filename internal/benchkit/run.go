@@ -8,7 +8,6 @@ import (
 
 	"v2v/internal/baseline"
 	"v2v/internal/core"
-	"v2v/internal/obs"
 	"v2v/internal/vql"
 )
 
@@ -24,11 +23,6 @@ type Config struct {
 	// Repeats is the number of measured runs per configuration (after one
 	// discarded warm-up); values < 1 mean 1.
 	Repeats int
-	// Flight, when set, records each chaos attempt as a flight-recorder
-	// request (query, mode, outcome, error, stage totals) so a failing
-	// chaos job can dump what it was doing — the same record shape
-	// v2vserve serves at /debug/requests.
-	Flight *obs.FlightRecorder
 }
 
 // Mode selects the engine configuration for one measurement.

@@ -93,7 +93,6 @@ var OnTransientRetry func()
 // File is the abstract random-access file a Reader operates on. *os.File
 // implements it; internal/faults wraps it to inject read faults.
 type File interface {
-	io.Reader
 	io.ReaderAt
 	io.Seeker
 	io.Closer
@@ -105,9 +104,9 @@ var (
 )
 
 // SetFileWrapper installs a hook applied to every file opened by Open —
-// the seam chaos testing (v2vbench -chaos, internal/faults tests) uses to
-// inject faults into real synthesis runs. Pass nil to remove it. Intended
-// for tests and benchmarks only.
+// the seam the fault-injection tests (internal/faults) use to inject
+// faults into real synthesis runs. Pass nil to remove it. Intended for
+// tests only.
 func SetFileWrapper(w func(path string, f File) File) {
 	wrapMu.Lock()
 	fileWrap = w
@@ -355,9 +354,14 @@ func Open(path string) (*Reader, error) {
 
 // NewReader indexes an already-open file. The reader takes ownership of f
 // on success (Close closes it); on error the caller keeps ownership.
+//
+// Every read is positioned and goes through readAt, so the magic, header,
+// footer and index reads retry transient errors exactly as packet reads
+// do.
 func NewReader(f File) (*Reader, error) {
+	r := &Reader{f: f}
 	var head [8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
+	if err := r.readAt(head[:], 0); err != nil {
 		return nil, fmt.Errorf("container: read magic: %w", err)
 	}
 	version := 0
@@ -378,7 +382,7 @@ func NewReader(f File) (*Reader, error) {
 		return nil, fmt.Errorf("container: implausible header length %d", hdrLen)
 	}
 	hdr := make([]byte, hdrLen)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	if err := r.readAt(hdr, 8); err != nil {
 		return nil, fmt.Errorf("container: read header: %w", err)
 	}
 	var info StreamInfo
@@ -397,7 +401,7 @@ func NewReader(f File) (*Reader, error) {
 		return nil, errors.New("container: truncated file (no footer)")
 	}
 	var foot [footerSize]byte
-	if _, err := f.ReadAt(foot[:], end-footerSize); err != nil {
+	if err := r.readAt(foot[:], end-footerSize); err != nil {
 		return nil, fmt.Errorf("container: read footer: %w", err)
 	}
 	if string(foot[12:]) != magicFoot {
@@ -409,7 +413,7 @@ func NewReader(f File) (*Reader, error) {
 		return nil, errors.New("container: corrupt index geometry")
 	}
 	idx := make([]byte, count*recSize)
-	if _, err := f.ReadAt(idx, idxOff); err != nil {
+	if err := r.readAt(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("container: read index: %w", err)
 	}
 	headerEnd := int64(8 + hdrLen)
@@ -427,14 +431,14 @@ func NewReader(f File) (*Reader, error) {
 		}
 		// Validate each record against the file geometry so that a
 		// corrupted index cannot demand absurd allocations or reads.
-		r := recs[i]
-		if r.Size <= 0 || r.Offset < headerEnd || r.Offset+int64(r.Size) > idxOff {
-			return nil, fmt.Errorf("container: corrupt index record %d (offset %d size %d)", i, r.Offset, r.Size)
+		pr := recs[i]
+		if pr.Size <= 0 || pr.Offset < headerEnd || pr.Offset+int64(pr.Size) > idxOff {
+			return nil, fmt.Errorf("container: corrupt index record %d (offset %d size %d)", i, pr.Offset, pr.Size)
 		}
 		if rec[20] > 1 {
 			return nil, fmt.Errorf("container: corrupt key flag in record %d", i)
 		}
-		if i > 0 && r.PTS <= recs[i-1].PTS {
+		if i > 0 && pr.PTS <= recs[i-1].PTS {
 			return nil, fmt.Errorf("container: non-increasing PTS in record %d", i)
 		}
 	}
@@ -452,10 +456,9 @@ func NewReader(f File) (*Reader, error) {
 	binary.LittleEndian.PutUint64(szBuf[:], uint64(end))
 	ch.Write(szBuf[:])
 	ch.Write(idx)
-	return &Reader{
-		f: f, info: info, recs: recs, version: version,
-		contentID: hex.EncodeToString(ch.Sum(nil)),
-	}, nil
+	r.info, r.recs, r.version = info, recs, version
+	r.contentID = hex.EncodeToString(ch.Sum(nil))
+	return r, nil
 }
 
 // ContentID returns a collision-resistant identifier of the file's
@@ -521,7 +524,8 @@ func (r *Reader) ReadPacket(i int) ([]byte, error) {
 }
 
 // readAt is ReadAt with bounded retry/backoff on the transient error
-// class (the policy documented in docs/ROBUSTNESS.md).
+// class (the policy documented in docs/ROBUSTNESS.md). It is the
+// Reader's only read path.
 func (r *Reader) readAt(buf []byte, off int64) error {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {

@@ -227,7 +227,7 @@ func (f *flakyFile) ReadAt(p []byte, off int64) (int, error) {
 // TestReadPacketRetriesTransient exercises the bounded retry loop
 // directly: two consecutive transient faults on the packet-read path are
 // absorbed (Retries()==2), while more than maxReadRetries consecutive
-// faults surface the error.
+// faults surface the error. Open-time reads share the loop.
 func TestReadPacketRetriesTransient(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "a.vmf")
 	payloads := writeFile(t, p, testInfo(), 4, 2)
@@ -264,5 +264,21 @@ func TestReadPacketRetriesTransient(t *testing.T) {
 	ff.mu.Unlock()
 	if _, err := r.ReadPacket(1); err == nil {
 		t.Error("ReadPacket should fail once the retry budget is exhausted")
+	}
+
+	// Opening reads through the same retry loop: two transients before
+	// NewReader still open the file.
+	f2, err := os.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := NewReader(&flakyFile{File: f2, remaining: 2})
+	if err != nil {
+		f2.Close()
+		t.Fatalf("NewReader under 2 transients: %v", err)
+	}
+	defer r2.Close()
+	if n := r2.Retries(); n != 2 {
+		t.Errorf("Retries after open = %d, want 2", n)
 	}
 }

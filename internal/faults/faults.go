@@ -1,7 +1,7 @@
 // Package faults is a deterministic, seedable fault-injection layer for
 // V2V's read path. It wraps container files with probabilistic faults
-// drawn from a seeded PRNG, so the robustness test suite and `v2vbench
-// -chaos` can reproduce a failure by replaying its seed.
+// drawn from a seeded PRNG, so the robustness tests (`make chaos`) can
+// reproduce a failure by replaying its seed. Only tests import it.
 //
 // Fault classes:
 //
@@ -155,11 +155,6 @@ func (ff *faultFile) apply(p []byte, n int, err error) (int, error) {
 		p[d.bitIndex/8] ^= 1 << (d.bitIndex % 8)
 	}
 	return n, err
-}
-
-func (ff *faultFile) Read(p []byte) (int, error) {
-	n, err := ff.f.Read(p)
-	return ff.apply(p, n, err)
 }
 
 func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {

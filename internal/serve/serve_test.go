@@ -792,12 +792,71 @@ func TestPressureShedReturns503WithRetryAfter(t *testing.T) {
 
 // TestMonitorDrivesPressure steps an injected monitor to critical and
 // back: admission and the cache budget follow its factor, and /debug/admit
-// reports the monitor's level.
+// reports the monitor's level. The cache shares are small enough that one
+// warm request fills more than a quarter of the budget, so critical
+// pressure must evict; requests served at critical and after recovery
+// end with a clean trailer.
 func TestMonitorDrivesPressure(t *testing.T) {
 	var used atomic.Uint64
 	mon := admit.NewMonitor(time.Hour)
 	mon.SetSampler(func() admit.MemSample { return admit.MemSample{Used: used.Load(), Limit: 100} })
-	srv, ts := startServer(t, Config{SpecDir: t.TempDir(), Monitor: mon})
+	dir := t.TempDir()
+	vid := genSource(t, dir)
+	// Two seconds of a rendered source: two decoded GOPs of 540 KiB each
+	// plus the encoded result, in a 2 MiB budget.
+	specText := fmt.Sprintf(`
+		timedomain range(0, 2, 1/24);
+		videos { cam: %q; }
+		render(t) = grade(cam[t], 5, 1.0, 1.0);`, vid)
+	srv, ts := startServer(t, Config{SpecDir: dir, GOPCacheMB: 1, ResultCacheMB: 1, Monitor: mon})
+
+	getJSON := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget := func() media.BudgetStats {
+		t.Helper()
+		var dump struct {
+			Budget media.BudgetStats `json:"arbiter"`
+		}
+		getJSON("/debug/caches", &dump)
+		return dump.Budget
+	}
+	synthesize := func(when string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s: status = %s, want 200; body %q", when, resp.Status, body)
+		}
+		sr, err := media.NewStreamReader(resp.Body)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for err == nil {
+			_, _, err = sr.NextPacket()
+		}
+		if tr, ok := sr.Trailer(); !errors.Is(err, io.EOF) || !ok || tr.Status != "ok" {
+			t.Fatalf("%s: stream ended with %v, trailer %+v (present %v); want a clean trailer", when, err, tr, ok)
+		}
+	}
+
+	synthesize("warm request")
+	pre := budget()
+	if pre.Used <= pre.Total/4 {
+		t.Fatalf("warm request left %d of %d cache bytes resident; the test needs more than a quarter", pre.Used, pre.Total)
+	}
 
 	var dump struct {
 		Admission admit.Stats `json:"admission"`
@@ -815,25 +874,24 @@ func TestMonitorDrivesPressure(t *testing.T) {
 	}{{99, "critical", 0.25}, {0, "none", 1}} {
 		used.Store(step.used)
 		mon.Poll()
-		resp, err := http.Get(ts.URL + "/debug/admit")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&dump)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+		getJSON("/debug/admit", &dump)
 		if dump.Pressure == nil || dump.Pressure.Level != step.level {
 			t.Errorf("used %d: pressure section = %+v, want level %s", step.used, dump.Pressure, step.level)
 		}
 		if dump.Admission.PressureFactor != step.factor || dump.Arbiter == nil || dump.Arbiter.PressureFactor != step.factor {
 			t.Errorf("used %d: admission factor %v, cache budget %+v; want %v", step.used, dump.Admission.PressureFactor, dump.Arbiter, step.factor)
 		}
+		if step.level == "critical" {
+			if st := budget(); st.Used > st.Total || st.Used >= pre.Used {
+				t.Errorf("at critical: %d cache bytes resident of a %d budget, %d before; want within the budget and below before", st.Used, st.Total, pre.Used)
+			}
+			synthesize("request at critical")
+		}
 	}
 	if got := srv.admit.Stats().PressureFactor; got != 1 {
 		t.Errorf("controller factor after recovery = %v", got)
 	}
+	synthesize("repeat request after recovery")
 }
 
 func TestQueueFullShedsWith429(t *testing.T) {

@@ -226,7 +226,6 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 		req.SetTTFF(res.Metrics.FirstOutput)
 	}
 	wallHist.Observe(res.Metrics.Wall.Seconds())
-	req.SetPlan(res.Plan.Explain())
 	req.SetSegments(res.Metrics.Segments)
 	req.Finish("ok", nil)
 	s.cfg.Logger.Info("synthesis complete",
