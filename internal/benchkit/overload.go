@@ -59,17 +59,17 @@ const overloadRequests = 24
 // admission config — two slots, a four-deep queue, tenants gold and free
 // weighted 3:1 — so the sweep exercises shedding at small request counts
 // instead of needing thousands of requests to saturate a real host. Each
-// kind of cache entry gets a cacheMB share of one 2×cacheMB budget. stop
+// kind of cache entry gets a 16 MiB share of one 32 MiB budget. stop
 // closes the listener, then admission.
-func overloadServer(cacheMB int) (base string, stop func(), err error) {
+func overloadServer() (base string, stop func(), err error) {
 	srv, err := serve.New(serve.Config{
 		// Admission runs twice Parallel syntheses at once: the two slots.
 		Parallel:      1,
 		MaxQueue:      4,
 		AdmitTimeout:  30 * time.Second,
 		TenantWeight:  "gold=3,free=1",
-		GOPCacheMB:    cacheMB,
-		ResultCacheMB: cacheMB,
+		GOPCacheMB:    16,
+		ResultCacheMB: 16,
 		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
@@ -208,7 +208,7 @@ func OverloadRun(ds *Dataset, cfg Config, seed int64) ([]OverloadRow, error) {
 		return nil, fmt.Errorf("benchkit: overload query missing")
 	}
 	src := q.BuildSpecSource(ds, cfg.Scale)
-	base, stop, err := overloadServer(16)
+	base, stop, err := overloadServer()
 	if err != nil {
 		return nil, err
 	}
