@@ -14,7 +14,10 @@
 # ends with the cross-workload verdict the benchmark check computes.
 # `make loc` prints the non-test Go line count the ROADMAP's line-count
 # gates read (everything outside bench/ and testdata/), then the same count
-# per package directory; CI appends it to the check job's summary.
+# per package directory (scripts/loc.sh). `make loc BASE=<rev>` prints each
+# package's count at <rev> beside the working tree's, with the delta,
+# reading <rev> through git without a checkout; CI appends it, with
+# BASE=HEAD~1, to the check job's summary.
 # `make chaos` runs the fault-injection tests (docs/ROBUSTNESS.md) — seeded
 # read faults, corrupt regions, cancellation, panics, retries, pressure
 # sheds and cache shrink — as one go test run per seed, for the seeds
@@ -56,11 +59,8 @@ check: tier1 vet race lint
 ab:
 	W=$(W) S=$(S) N=$(N) PARENT=$(PARENT) CLAIM=$(CLAIM) scripts/ab.sh
 
-LOC_FILES = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*'
-
 loc:
-	@echo "non-test Go lines outside bench/: $$($(LOC_FILES) | xargs cat | wc -l)"
-	@$(LOC_FILES) | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2
+	@scripts/loc.sh $(BASE)
 
 CHAOS_PKGS = ./internal/container/ ./internal/exec/ ./internal/faults/ ./internal/core/ ./internal/media/ ./internal/admit/ ./internal/serve/
 

@@ -78,29 +78,30 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		return fmt.Errorf("want a spec file and an output path, got %d arguments", len(rest))
 	}
 
+	// The run's root recorder: its children are the pipeline's stages, it
+	// backs the -stats per-stage breakdown, and with -trace it is bound to
+	// the exported trace.
+	rec := v2v.NewRecorder()
 	var tr *v2v.Trace
 	if *traceOut != "" {
 		tr = v2v.NewTrace("v2v " + rest[0])
 		// Stamp the trace with a run ID so its export joins the same
 		// run's metrics and flight records when loaded alongside them.
 		tr.SetID(v2v.NewTraceID())
+		rec.Bind(tr)
 	}
 
-	sp := tr.StartSpan("parse")
+	node := rec.Child("parse")
 	spec, err := v2v.LoadSpec(rest[0])
-	sp.End()
+	node.End()
 	if err != nil {
 		return err
 	}
-	// A per-run stage recorder backs the -stats per-stage breakdown and
-	// the EXPLAIN ANALYZE stage annotations.
-	rec := v2v.NewRecorder()
 	opts := core.Options{
 		Optimize:    !*noOpt,
 		DataRewrite: !*noRewrite,
 		Parallelism: *parallel,
 		Conceal:     !*strict,
-		Trace:       tr,
 		Recorder:    rec,
 	}
 	par := *parallel

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"v2v/internal/check"
-	"v2v/internal/data"
 	"v2v/internal/frame"
 	"v2v/internal/media"
 	"v2v/internal/obs"
@@ -56,7 +55,7 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 	for name, src := range c.Sources {
 		paths[name] = src.Path
 	}
-	env := &scriptEnv{checked: c, cursors: media.NewCursors(paths, 0)}
+	env := &scriptEnv{cursors: media.NewCursors(paths, 0)}
 	env.cursors.SetRecorder(rec)
 	defer env.cursors.Close()
 
@@ -68,7 +67,7 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 			w.Close()
 			return nil, fmt.Errorf("baseline: no render arm covers t=%s", at)
 		}
-		v, err := vql.Eval(body, &vql.Env{T: at, Frames: env, Data: env})
+		v, err := vql.Eval(body, &vql.Env{T: at, Frames: env, Data: c.Arrays})
 		if err == nil && (v.Type != vql.TypeFrame || v.Frame == nil) {
 			err = fmt.Errorf("produced %v", v.Type)
 		}
@@ -108,11 +107,9 @@ func RunSource(src, outPath string, db *sqlmini.DB) (*Metrics, error) {
 	return Run(spec, outPath, db)
 }
 
-// scriptEnv provides frames and data to the evaluator the way a script
-// would: one cv2.VideoCapture-style cursor per access pattern, in-memory
-// arrays.
+// scriptEnv provides frames to the evaluator the way a script would: one
+// cv2.VideoCapture-style cursor per access pattern.
 type scriptEnv struct {
-	checked *check.Checked
 	cursors *media.Cursors
 	taps    []*frame.Frame // source frames read for the output frame in progress
 }
@@ -125,13 +122,4 @@ func (e *scriptEnv) SourceFrame(video string, t rational.Rat) (*frame.Frame, err
 		e.taps = append(e.taps, fr)
 	}
 	return fr, err
-}
-
-func (e *scriptEnv) DataAt(name string, t rational.Rat) (data.Value, bool, error) {
-	arr, ok := e.checked.Arrays[name]
-	if !ok {
-		return data.Value{}, false, fmt.Errorf("baseline: unknown data array %q", name)
-	}
-	v, ok := arr.At(t)
-	return v, ok, nil
 }

@@ -54,7 +54,7 @@ type Source struct {
 type Checked struct {
 	Spec    *vql.Spec
 	Sources map[string]Source
-	Arrays  map[string]*data.Array
+	Arrays  data.Arrays
 	// Deps maps each video name to the set of times the spec reads,
 	// expressed as intervals of frame extents.
 	Deps map[string]rational.RangeSet
@@ -81,7 +81,7 @@ func Check(spec *vql.Spec, opts Options) (*Checked, error) {
 	c := &Checked{
 		Spec:    spec,
 		Sources: make(map[string]Source),
-		Arrays:  make(map[string]*data.Array),
+		Arrays:  make(data.Arrays),
 		Deps:    make(map[string]rational.RangeSet),
 	}
 

@@ -52,13 +52,13 @@ type Options struct {
 	// packets instead of rendering. Nil disables caching. See
 	// exec.Options.Cache.
 	Cache *media.Cache
-	// Trace, when set, records one span per pipeline stage (parse, check,
-	// rewrite, optimize, execute), per optimizer pass, per segment, and
-	// per shard worker. Export it with obs.Trace.WriteJSON.
-	Trace *obs.Trace
-	// Recorder, when set, attributes per-stage (decode/filter/encode/
-	// copy) frames, bytes, and wall time to this run — v2vserve threads
-	// each request's flight-recorder entry here. See exec.Options.Recorder.
+	// Recorder, when set, is the node the run's stages open theirs under:
+	// parse (SynthesizeSource), check, rewrite, plan, optimize and execute,
+	// which has one child per segment and per shard. Their per-stage
+	// (decode/filter/encode/copy) frames, bytes and wall time count toward
+	// it; v2vserve passes each request's root here. Bind it to an
+	// obs.Trace to export every node as a Chrome trace event, with one more
+	// per optimizer pass.
 	Recorder *obs.Recorder
 }
 
@@ -87,79 +87,83 @@ type Result struct {
 
 // Plan validates the spec and produces the (optionally rewritten and
 // optimized) execution plan without running it — the EXPLAIN entry point.
-func Plan(spec *vql.Spec, o Options) (*plan.Plan, rewrite.Stats, opt.Stats, error) {
+func Plan(spec *vql.Spec, o Options) (p *plan.Plan, rStats rewrite.Stats, oStats opt.Stats, err error) {
 	o = o.resolved()
-	var rStats rewrite.Stats
-	var oStats opt.Stats
-
-	sp := o.Trace.StartSpan("check")
-	checked, err := check.Check(spec, check.Options{DB: o.DB})
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		return nil, rStats, oStats, err
-	}
-	sp.SetAttr("videos", len(checked.Sources))
-	sp.SetAttr("arrays", len(checked.Arrays))
-	sp.SetAttr("passthrough", checked.Passthrough)
-	sp.End()
-	if o.DataRewrite {
-		sp := o.Trace.StartSpan("rewrite")
-		rewritten, stats, err := rewrite.Rewrite(checked)
+	// stage runs f as a child node of o.Recorder named name.
+	stage := func(name string, f func(*obs.Recorder) error) error {
+		node := o.Recorder.Child(name)
+		defer node.End()
+		err := f(node)
 		if err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
-			return nil, rStats, oStats, fmt.Errorf("core: data rewrite: %w", err)
+			node.SetAttr("error", err.Error())
 		}
-		rStats = stats
-		sp.SetAttr("skipped", stats.Skipped)
-		sp.SetAttr("times_evaluated", stats.TimesEvaluated)
-		sp.SetAttr("arms_before", stats.ArmsBefore)
-		sp.SetAttr("arms_after", stats.ArmsAfter)
-		for name, n := range stats.Applied {
-			// One attribute per data-dependent rewrite that fired.
-			sp.SetAttr("applied."+name, n)
-		}
-		sp.End()
-		if rewritten != checked.Spec {
-			// The rewritten spec references the same sources and arrays
-			// (its dependencies are a subset of the validated originals),
-			// so the checked context carries over with the new render.
-			c2 := *checked
-			c2.Spec = rewritten
-			checked = &c2
-		}
+		return err
 	}
-	sp = o.Trace.StartSpan("plan")
-	p, err := plan.Build(checked)
+	var checked *check.Checked
+	err = stage("check", func(node *obs.Recorder) (err error) {
+		if checked, err = check.Check(spec, check.Options{DB: o.DB}); err != nil {
+			return err
+		}
+		node.SetAttr("videos", len(checked.Sources))
+		node.SetAttr("arrays", len(checked.Arrays))
+		node.SetAttr("passthrough", checked.Passthrough)
+		return nil
+	})
+	if err == nil && o.DataRewrite {
+		err = stage("rewrite", func(node *obs.Recorder) error {
+			rewritten, stats, err := rewrite.Rewrite(checked)
+			if err != nil {
+				return fmt.Errorf("core: data rewrite: %w", err)
+			}
+			rStats = stats
+			node.SetAttr("skipped", stats.Skipped)
+			node.SetAttr("times_evaluated", stats.TimesEvaluated)
+			node.SetAttr("arms_before", stats.ArmsBefore)
+			node.SetAttr("arms_after", stats.ArmsAfter)
+			for name, n := range stats.Applied {
+				// One attribute per data-dependent rewrite that fired.
+				node.SetAttr("applied."+name, n)
+			}
+			if rewritten != checked.Spec {
+				// The rewritten spec references the same sources and arrays
+				// (its dependencies are a subset of the validated originals),
+				// so the checked context carries over with the new render.
+				c2 := *checked
+				c2.Spec = rewritten
+				checked = &c2
+			}
+			return nil
+		})
+	}
+	if err == nil {
+		err = stage("plan", func(node *obs.Recorder) (err error) {
+			if p, err = plan.Build(checked); err == nil {
+				node.SetAttr("segments", len(p.Segments))
+			}
+			return err
+		})
+	}
+	if err == nil && o.Optimize {
+		err = stage("optimize", func(node *obs.Recorder) (err error) {
+			passes := opt.Default()
+			if o.OptPasses != nil {
+				passes = *o.OptPasses
+			}
+			passes.Parallelism = o.Parallelism
+			passes.Trace = node.Trace()
+			if oStats, err = opt.Optimize(p, passes); err != nil {
+				return fmt.Errorf("core: optimize: %w", err)
+			}
+			node.SetAttr("segments_merged", oStats.SegmentsMerged)
+			node.SetAttr("filters_merged", oStats.FiltersMerged)
+			node.SetAttr("copies", oStats.Copies)
+			node.SetAttr("smart_cuts", oStats.SmartCuts)
+			node.SetAttr("sharded_segments", oStats.ShardedSegs)
+			return nil
+		})
+	}
 	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
 		return nil, rStats, oStats, err
-	}
-	sp.SetAttr("segments", len(p.Segments))
-	sp.End()
-	if o.Optimize {
-		sp := o.Trace.StartSpan("optimize")
-		passes := opt.Default()
-		if o.OptPasses != nil {
-			passes = *o.OptPasses
-		}
-		passes.Parallelism = o.Parallelism
-		passes.Trace = o.Trace
-		stats, err := opt.Optimize(p, passes)
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
-			return nil, rStats, oStats, fmt.Errorf("core: optimize: %w", err)
-		}
-		oStats = stats
-		sp.SetAttr("segments_merged", stats.SegmentsMerged)
-		sp.SetAttr("filters_merged", stats.FiltersMerged)
-		sp.SetAttr("copies", stats.Copies)
-		sp.SetAttr("smart_cuts", stats.SmartCuts)
-		sp.SetAttr("sharded_segments", stats.ShardedSegs)
-		sp.End()
 	}
 	return p, rStats, oStats, nil
 }
@@ -192,7 +196,7 @@ func Prepare(spec *vql.Spec, o Options) (*Prepared, error) {
 // SynthesizeStreamContext executes the prepared plan, delivering the
 // result progressively to w in the VMS stream format (see the package
 // SynthesizeStreamContext). If w has a Flush method it is called after the
-// header and after each segment. The executor-facing options (caches, trace,
+// header and after each segment. The executor-facing options (caches,
 // recorder, parallelism, concealment) are read from o; planning options
 // were already consumed by Prepare.
 func (pr *Prepared) SynthesizeStreamContext(ctx context.Context, w io.Writer, o Options) (*Result, error) {
@@ -218,8 +222,7 @@ func (pr *Prepared) SynthesizeStreamContext(ctx context.Context, w io.Writer, o 
 func execOptions(o Options) exec.Options {
 	return exec.Options{
 		Parallelism: o.Parallelism, Conceal: o.Conceal,
-		Cache: o.Cache, Trace: o.Trace,
-		Recorder: o.Recorder,
+		Cache: o.Cache, Recorder: o.Recorder,
 	}
 }
 
@@ -261,9 +264,9 @@ func SynthesizeSource(src, outPath string, o Options) (*Result, error) {
 // SynthesizeSourceContext is SynthesizeSource with cooperative
 // cancellation; see SynthesizeContext.
 func SynthesizeSourceContext(ctx context.Context, src, outPath string, o Options) (*Result, error) {
-	sp := o.Trace.StartSpan("parse")
+	node := o.Recorder.Child("parse")
 	spec, err := vql.Parse(src)
-	sp.End()
+	node.End()
 	if err != nil {
 		return nil, err
 	}

@@ -170,6 +170,21 @@ func (a *Array) At(t rational.Rat) (Value, bool) {
 	return Value{}, false
 }
 
+// Arrays holds a spec's data arrays by name. It is the evaluator's data
+// source (vql.DataSource): DataAt reads the named array's sample at t.
+type Arrays map[string]*Array
+
+// DataAt returns the sample of the named array at t; (Value{}, false, nil)
+// if it has none there, and an error if no array has that name.
+func (as Arrays) DataAt(name string, t rational.Rat) (Value, bool, error) {
+	arr, ok := as[name]
+	if !ok {
+		return Value{}, false, fmt.Errorf("data: unknown data array %q", name)
+	}
+	v, ok := arr.At(t)
+	return v, ok, nil
+}
+
 // Span returns the half-open interval covering all samples (each sample is
 // treated as an instant, so Hi is the last timestamp plus nothing — use
 // Domain for subset checks against video ranges).

@@ -77,14 +77,16 @@ type Options struct {
 	// decodes, zero frame encodes. The same cache may be (and in v2vserve
 	// is) shared across concurrent ExecuteTo calls. Nil disables caching.
 	Cache *media.Cache
-	// Trace, when set, records one span per segment and per shard worker.
+	// Trace, when set, receives the execution's events: one for the
+	// execute node, one per segment and one per shard worker, each shard
+	// on its own track. Unset, they go to Recorder's trace, if it has one.
 	Trace *obs.Trace
-	// Recorder, when set, also receives everything this execution
-	// records; v2vserve threads each request's flight-recorder entry here.
-	// The execution records into a child of it, each segment into a child
-	// of that and each shard into a child of its segment, and Metrics and
-	// SegmentActuals are read from those. The process-wide v2v_stage_*
-	// metrics are updated either way.
+	// Recorder, when set, is the node the execution opens its own under;
+	// v2vserve passes each request's root here. The execute node has one
+	// child per segment and each segment one per shard, and Metrics and
+	// SegmentActuals are read from those; whatever they count also counts
+	// toward Recorder. The process-wide v2v_stage_* metrics are updated
+	// either way.
 	Recorder *obs.Recorder
 }
 
@@ -169,19 +171,19 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	readers := newReaderCache(p, o.Conceal)
 	defer readers.closeAll()
 
-	execSpan := o.Trace.StartSpan("execute")
+	node := o.Recorder.Child("execute").Bind(o.Trace)
+	defer node.End()
 	// The container header went out when the sink was constructed; give a
 	// streaming consumer its first delivery point now.
 	w.Flush()
-	x := &run{p: p, o: o, m: m, rec: o.Recorder.Child(), readers: readers, w: w}
+	x := &run{p: p, o: o, m: m, rec: node, readers: readers, w: w}
 	if err := x.execute(ctx); err != nil {
 		// Prefer the context's error when cancellation is what stopped us,
 		// so callers can match context.Canceled / DeadlineExceeded.
 		if cerr := ctx.Err(); cerr != nil {
 			err = cerr
 		}
-		execSpan.SetAttr("error", err.Error())
-		execSpan.End()
+		node.SetAttr("error", err.Error())
 		// A stream sink whose header is already on the wire writes a typed
 		// error trailer (best-effort) so the consumer can tell a producer
 		// failure from a cut connection; a file sink discards its temp file.
@@ -189,7 +191,6 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 		return nil, err
 	}
 	if err := w.Close(); err != nil {
-		execSpan.End()
 		return nil, err
 	}
 	m.Work = x.rec.Work()
@@ -209,9 +210,8 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 		m.ResultCache = &s
 	}
 	m.Wall = time.Since(start)
-	execSpan.SetAttr("segments", len(p.Segments))
-	execSpan.SetAttr("first_output_us", m.FirstOutput.Microseconds())
-	execSpan.End()
+	node.SetAttr("segments", len(p.Segments))
+	node.SetAttr("first_output_us", m.FirstOutput.Microseconds())
 	return m, nil
 }
 
@@ -255,18 +255,6 @@ func (c *readerCache) closeAll() {
 	}
 }
 
-// arraySource adapts the checked data arrays to the evaluator.
-type arraySource map[string]*data.Array
-
-func (s arraySource) DataAt(name string, t rational.Rat) (data.Value, bool, error) {
-	arr, ok := s[name]
-	if !ok {
-		return data.Value{}, false, fmt.Errorf("exec: unknown data array %q", name)
-	}
-	v, ok := arr.At(t)
-	return v, ok, nil
-}
-
 // segmentRunner executes one segment's operator tree for one goroutine.
 //
 // Frame ownership: every frame a nodeRunner returns is owned by its caller,
@@ -282,7 +270,7 @@ type segmentRunner struct {
 	p       *plan.Plan
 	seg     *plan.Segment
 	cursors *media.Cursors
-	data    arraySource
+	data    data.Arrays
 	rec     *obs.Recorder
 	pool    *frame.Pool
 	root    *nodeRunner
@@ -299,7 +287,7 @@ func newSegmentRunner(ctx context.Context, p *plan.Plan, s *plan.Segment, concea
 	run := &segmentRunner{
 		p: p, seg: s,
 		cursors: media.NewCursors(paths, 0),
-		data:    arraySource(p.Checked.Arrays),
+		data:    p.Checked.Arrays,
 		rec:     rec,
 		pool:    frame.DefaultPool(),
 	}

@@ -48,7 +48,7 @@ type run struct {
 	p *plan.Plan
 	o Options // Parallelism already resolved
 	m *Metrics
-	// rec is the run's recorder, a child of Options.Recorder: the one
+	// rec is the run's execute node, a child of Options.Recorder: the one
 	// account of its work, which Metrics is read from.
 	rec     *obs.Recorder
 	readers *readerCache
@@ -77,11 +77,10 @@ type run struct {
 // unit is one plan segment prepared for execution, on the caller goroutine
 // before any worker starts.
 type unit struct {
-	idx  int
-	s    *plan.Segment
-	span *obs.Span
-	// rec is a child of the run's recorder: everything rendered, read or
-	// written for this segment records its work here.
+	idx int
+	s   *plan.Segment
+	// rec is the segment's node, a child of the run's: everything
+	// rendered, read or written for this segment records its work here.
 	rec *obs.Recorder
 	// shards is the unit's render work in presentation order; empty for
 	// copy units and for segments with no frames.
@@ -108,7 +107,8 @@ type shard struct {
 	// started records that the shard holds a delivery-window token; set by
 	// the scheduler before the worker starts.
 	started bool
-	// rec is a child of the unit's recorder that the worker records into.
+	// rec is the shard's node, a child of the unit's on a track of its
+	// own, opened by the worker when it starts; nil if it never started.
 	rec *obs.Recorder
 
 	// Results, written before out closes and rendered is released. pkts
@@ -157,13 +157,10 @@ func (x *run) buildUnits() []*unit {
 	}
 	units := make([]*unit, len(x.p.Segments))
 	for i, s := range x.p.Segments {
-		u := &unit{
-			idx: i, s: s, rec: x.rec.Child(),
-			span: x.o.Trace.StartSpan(fmt.Sprintf("segment[%d] %s", i, s.Kind)),
-		}
-		u.span.SetAttr("kind", s.Kind.String())
-		u.span.SetAttr("t_start", s.Times.Start.String())
-		u.span.SetAttr("t_end", s.Times.End.String())
+		u := &unit{idx: i, s: s, rec: x.rec.Child(fmt.Sprintf("segment[%d] %s", i, s.Kind))}
+		u.rec.SetAttr("kind", s.Kind.String())
+		u.rec.SetAttr("t_start", s.Times.Start.String())
+		u.rec.SetAttr("t_end", s.Times.End.String())
 		units[i] = u
 		if s.Kind != plan.SegFrames || s.FrameCount() == 0 {
 			continue
@@ -174,7 +171,6 @@ func (x *run) buildUnits() []*unit {
 			u.shards = append(u.shards, &shard{
 				lo: lo, hi: hi,
 				out: make(chan []codec.Packet, (hi-lo+x.every-1)/x.every),
-				rec: u.rec.Child(),
 			})
 		}
 		u.rendered.Add(len(u.shards))
@@ -309,12 +305,12 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	defer func() { <-x.sem }() // frees this worker's own buffered semaphore slot; never blocks
 	defer u.rendered.Done()
 	defer close(sh.out)
-	sp := u.span.ChildThread(fmt.Sprintf("shard[%d,%d)", sh.lo, sh.hi))
+	sh.rec = u.rec.Track(fmt.Sprintf("shard[%d,%d)", sh.lo, sh.hi))
 	defer func() {
 		if sh.err != nil {
-			sp.SetAttr("error", sh.err.Error())
+			sh.rec.SetAttr("error", sh.err.Error())
 		}
-		sp.End()
+		sh.rec.End()
 	}()
 	// Isolate the worker: a panic anywhere in this goroutine (runner
 	// construction, encoder setup) would crash the whole process since no
@@ -389,8 +385,8 @@ func (x *run) deliver(u *unit) {
 		x.fail(x.copyInline(u))
 	}
 	if x.err != nil {
-		u.span.SetAttr("error", x.err.Error())
-		u.span.End()
+		u.rec.SetAttr("error", x.err.Error())
+		u.rec.End()
 		return
 	}
 	act := obs.SegmentActuals{
@@ -404,8 +400,8 @@ func (x *run) deliver(u *unit) {
 	}
 	x.m.Segments = append(x.m.Segments, act)
 	x.m.FramesRendered += act.FramesRendered
-	u.span.SetAttr("actuals", act)
-	u.span.End()
+	u.rec.SetAttr("actuals", act)
+	u.rec.End()
 	x.w.Flush()
 }
 

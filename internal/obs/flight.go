@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // DefaultFlightRecorderSize is the completed-request ring capacity used
@@ -111,6 +112,13 @@ type RequestRecord struct {
 	Segments []SegmentActuals      `json:"segments,omitempty"`
 	Stages   map[string]StageStats `json:"stages,omitempty"`
 
+	// Parts is the wall time of each child of the request's root recorder
+	// (read, parse, frontend, admission, execute, drain: the handler runs
+	// them one after another), and Residual the request's wall time none
+	// of them covers: Wall minus their sum.
+	Parts    map[string]time.Duration `json:"parts_ns,omitempty"`
+	Residual time.Duration            `json:"residual_ns"`
+
 	// Cache lookups, like Stages, come from the request's recorder: live
 	// while the request runs, and kept whatever its outcome.
 	GOPCacheHits   int64 `json:"gop_cache_hits"`
@@ -122,17 +130,19 @@ type RequestRecord struct {
 // Request is the mutable handle for an in-flight request record. All
 // methods are nil-safe so callers thread it unconditionally.
 type Request struct {
-	fr    *FlightRecorder
-	rec   *Recorder
-	trace *Trace
+	fr *FlightRecorder
+	// rec is the request's root recorder, bound to the request's trace.
+	rec *Recorder
 
 	mu   sync.Mutex
 	data RequestRecord
 	done bool
 }
 
-// Recorder returns the request's per-stage recorder. Nil-safe (returns a
-// nil recorder, which still feeds process-wide stage metrics).
+// Recorder returns the request's root recorder, opened by Start and bound
+// to the request's trace: the handler opens the request's parts under it.
+// Nil-safe (returns a nil recorder, which still feeds process-wide stage
+// metrics).
 func (q *Request) Recorder() *Recorder {
 	if q == nil {
 		return nil
@@ -140,32 +150,30 @@ func (q *Request) Recorder() *Recorder {
 	return q.rec
 }
 
-// TraceID returns the request's trace identifier. Nil-safe.
-func (q *Request) TraceID() string {
+// update applies set to the record under its lock. Nil-safe.
+func (q *Request) update(set func(*RequestRecord)) {
 	if q == nil {
-		return ""
+		return
 	}
-	return q.data.TraceID
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	set(&q.data)
+}
+
+// SetQuery records the query text (truncated to a bounded length), for a
+// request whose text is known only after Start.
+func (q *Request) SetQuery(query string) {
+	q.update(func(d *RequestRecord) { d.Query = truncate(query, maxRecordedText) })
 }
 
 // SetPlan records the plan summary (truncated to a bounded length).
 func (q *Request) SetPlan(plan string) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.data.Plan = truncate(plan, maxRecordedText)
+	q.update(func(d *RequestRecord) { d.Plan = truncate(plan, maxRecordedText) })
 }
 
 // SetSegments records the per-segment execution decisions and costs.
 func (q *Request) SetSegments(segs []SegmentActuals) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.data.Segments = append([]SegmentActuals(nil), segs...)
+	q.update(func(d *RequestRecord) { d.Segments = append([]SegmentActuals(nil), segs...) })
 }
 
 // SetAdmission records the request's admission outcome: its tenant
@@ -173,37 +181,15 @@ func (q *Request) SetSegments(segs []SegmentActuals) {
 // admitted requests and one of the admit package's Reason* values for
 // shed ones (the record's Outcome is then "shed", set via Finish).
 func (q *Request) SetAdmission(tenant string, costUnits float64, queuedWall time.Duration, shedReason string) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.data.Tenant = tenant
-	q.data.CostUnits = costUnits
-	q.data.QueuedWall = queuedWall
-	q.data.ShedReason = shedReason
+	q.update(func(d *RequestRecord) {
+		d.Tenant, d.CostUnits, d.QueuedWall, d.ShedReason = tenant, costUnits, queuedWall, shedReason
+	})
 }
 
 // SetTTFF records the response's measured time-to-first-flush (the
 // client-observable TTFF).
 func (q *Request) SetTTFF(ttff time.Duration) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.data.TTFF = ttff
-}
-
-// SetTrace attaches the request's span trace, served by the flight
-// recorder's handler at ?trace=<trace id>.
-func (q *Request) SetTrace(tr *Trace) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.trace = tr
+	q.update(func(d *RequestRecord) { d.TTFF = ttff })
 }
 
 // Finish completes the record with an outcome ("ok", "error", or
@@ -220,42 +206,46 @@ func (q *Request) Finish(outcome string, err error) {
 		return
 	}
 	q.done = true
-	q.data.Wall = time.Since(q.data.Start)
+	q.rec.End()
 	q.data.Active = false
 	q.data.Outcome = outcome
 	if err != nil {
 		q.data.Error = err.Error()
 	}
 	q.data.stampWork(q.rec)
-	data, trace := q.data, q.trace
+	data := q.data
 	q.mu.Unlock()
-	q.fr.finish(q, data, trace)
+	q.fr.finish(data, q.rec.Trace())
 }
 
 // snapshot returns a deep copy of the record's current state, stamping
-// live wall time, stage stats and cache counts for in-flight requests.
+// live wall time, parts, stage stats and cache counts for in-flight
+// requests.
 func (q *Request) snapshot() RequestRecord {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	data := q.data
 	if data.Active {
-		data.Wall = time.Since(data.Start)
 		data.stampWork(q.rec)
 	}
 	data.Segments = append([]SegmentActuals(nil), data.Segments...)
 	return data
 }
 
-// stampWork copies the request recorder's stages and cache counts into
-// the record.
+// stampWork copies the root recorder's wall time, parts, stages and cache
+// counts into the record.
 func (d *RequestRecord) stampWork(rec *Recorder) {
+	var serial time.Duration
+	d.Wall = rec.Wall()
+	d.Parts, serial = rec.Parts()
+	d.Residual = d.Wall - serial
 	w := rec.Work()
 	d.Stages = rec.Stages()
 	d.GOPCacheHits, d.GOPCacheMisses = w.GOPCacheHits, w.GOPCacheMisses
 	d.ResCacheHits, d.ResCacheMisses = w.ResultCacheHits, w.ResultCacheMisses
 }
 
-// flightEntry pairs a completed record with its (optional) span trace.
+// flightEntry pairs a completed record with its trace.
 type flightEntry struct {
 	data  RequestRecord
 	trace *Trace
@@ -317,20 +307,24 @@ func (f *FlightRecorder) SetLogger(l *slog.Logger) {
 	f.logger = l
 }
 
-// Start opens a new in-flight request record. Nil-safe: a nil recorder
-// returns a nil *Request whose methods no-op.
+// Start opens a new in-flight request record and its root recorder, a
+// node named "synthesize" bound to a new trace of that name, exported at
+// ?trace=<traceID>. The record's wall time is the root's. Nil-safe: a nil
+// recorder returns a nil *Request whose methods no-op.
 func (f *FlightRecorder) Start(traceID, query string) *Request {
 	if f == nil {
 		return nil
 	}
-	q := &Request{fr: f, rec: NewRecorder()}
+	tr := NewTrace("synthesize")
+	tr.SetID(traceID)
+	q := &Request{fr: f, rec: (&Recorder{name: "synthesize", start: time.Now()}).Bind(tr)}
 	f.mu.Lock()
 	f.seq++
 	q.data = RequestRecord{
 		ID:      f.seq,
 		TraceID: traceID,
 		Query:   truncate(query, maxRecordedText),
-		Start:   time.Now(),
+		Start:   q.rec.start,
 		Active:  true,
 	}
 	f.active[q.data.ID] = q
@@ -338,10 +332,7 @@ func (f *FlightRecorder) Start(traceID, query string) *Request {
 	return q
 }
 
-func (f *FlightRecorder) finish(q *Request, data RequestRecord, trace *Trace) {
-	if f == nil {
-		return
-	}
+func (f *FlightRecorder) finish(data RequestRecord, trace *Trace) {
 	f.mu.Lock()
 	delete(f.active, data.ID)
 	f.ring = append(f.ring, flightEntry{data: data, trace: trace})
@@ -425,34 +416,25 @@ func (f *FlightRecorder) Snapshot(ft Filter) []RequestRecord {
 	return kept
 }
 
-// Trace returns the span trace recorded for traceID (in-flight or in the
-// ring), or nil.
+// Trace returns the trace recorded for traceID (in-flight or in the ring),
+// or nil.
 func (f *FlightRecorder) Trace(traceID string) *Trace {
 	if f == nil || traceID == "" {
 		return nil
 	}
 	f.mu.Lock()
-	live := make([]*Request, 0, len(f.active))
+	defer f.mu.Unlock()
 	for _, q := range f.active {
-		live = append(live, q)
+		if q.data.TraceID == traceID { // set at Start, never written again
+			return q.rec.Trace()
+		}
 	}
-	var fromRing *Trace
 	for i := len(f.ring) - 1; i >= 0; i-- {
-		if f.ring[i].data.TraceID == traceID && f.ring[i].trace != nil {
-			fromRing = f.ring[i].trace
-			break
+		if f.ring[i].data.TraceID == traceID {
+			return f.ring[i].trace
 		}
 	}
-	f.mu.Unlock()
-	for _, q := range live {
-		q.mu.Lock()
-		tr, id := q.trace, q.data.TraceID
-		q.mu.Unlock()
-		if id == traceID && tr != nil {
-			return tr
-		}
-	}
-	return fromRing
+	return nil
 }
 
 // Handler serves the flight recorder — mount it at /debug/requests.
@@ -536,9 +518,14 @@ func writeFlightHTML(w http.ResponseWriter, recs []RequestRecord, slow time.Dura
 	fmt.Fprint(w, sb.String())
 }
 
+// truncate cuts s to at most n bytes, backing off to a rune boundary, and
+// marks the cut with an ellipsis.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + "…"
 }

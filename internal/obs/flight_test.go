@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestRecorderStageObserve(t *testing.T) {
@@ -46,8 +47,8 @@ func TestRecorderStageObserve(t *testing.T) {
 // of the output encodes.
 func TestRecorderEvents(t *testing.T) {
 	root := NewRecorder()
-	seg := root.Child()
-	shard := seg.Child()
+	seg := root.Child("segment")
+	shard := seg.Track("shard")
 	concealed := eventTotals[EventConcealed].Value()
 	shard.Inc(EventConcealed)
 	shard.Inc(EventMaterialized)
@@ -73,7 +74,7 @@ func TestRecorderEvents(t *testing.T) {
 	// Nil recorders must not panic.
 	var nilRec *Recorder
 	nilRec.Inc(EventGOPHit)
-	nilRec.Child().Inc(EventGOPMiss)
+	nilRec.Child("x").Inc(EventGOPMiss)
 	if got := nilRec.Work(); got != (Work{}) {
 		t.Errorf("nil recorder work = %+v", got)
 	}
@@ -97,15 +98,12 @@ func TestNewTraceID(t *testing.T) {
 func TestFlightRecorderLifecycle(t *testing.T) {
 	f := NewFlightRecorder(8)
 	q := f.Start("trace1", "render(t) = cam[t]")
-	if got := q.TraceID(); got != "trace1" {
-		t.Errorf("TraceID = %q", got)
-	}
 	q.Recorder().StageObserve(StageEncode, 7, 700, time.Millisecond)
 	q.SetPlan("concat (1 segments)")
 	q.SetSegments([]SegmentActuals{{Kind: "render", Work: Work{FramesEncoded: 7}}})
 	for e, n := range map[Event]int{EventGOPHit: 4, EventGOPMiss: 2, EventResultHit: 1} {
 		for range n {
-			q.Recorder().Child().Inc(e)
+			q.Recorder().Child("lookup").Inc(e)
 		}
 	}
 
@@ -126,7 +124,7 @@ func TestFlightRecorderLifecycle(t *testing.T) {
 		t.Fatalf("snapshot = %d records", len(recs))
 	}
 	r := recs[0]
-	if r.Active || r.Outcome != "ok" || r.Error != "" {
+	if r.TraceID != "trace1" || r.Active || r.Outcome != "ok" || r.Error != "" {
 		t.Errorf("finished record = %+v", r)
 	}
 	if r.Plan != "concat (1 segments)" || len(r.Segments) != 1 || r.Segments[0].FramesEncoded != 7 {
@@ -152,9 +150,9 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	// All handle methods tolerate the nil request.
 	q.SetPlan("p")
 	q.SetSegments(nil)
-	q.SetTrace(nil)
+	q.SetQuery("q")
 	q.Finish("ok", nil)
-	if q.Recorder() != nil || q.TraceID() != "" {
+	if q.Recorder() != nil {
 		t.Error("nil request leaked state")
 	}
 }
@@ -186,6 +184,15 @@ func TestFlightRecorderQueryTruncation(t *testing.T) {
 	r := f.Snapshot(Filter{})[0]
 	if len(r.Query) > maxRecordedText+8 || len(r.Plan) > maxRecordedText+8 {
 		t.Errorf("texts not truncated: query=%d plan=%d", len(r.Query), len(r.Plan))
+	}
+
+	// A multibyte label straddling the limit is cut before the rune, not
+	// inside it.
+	label := strings.Repeat("x", maxRecordedText-1) + "é" + strings.Repeat("y", 100)
+	f.Start("u", label).Finish("ok", nil)
+	r = f.Snapshot(Filter{})[0]
+	if !utf8.ValidString(r.Query) || !strings.HasSuffix(r.Query, "…") {
+		t.Errorf("truncated query is not valid UTF-8 ending in …: %q", r.Query[len(r.Query)-8:])
 	}
 }
 
@@ -284,13 +291,8 @@ func (l lockedWriter) Write(p []byte) (int, error) {
 
 func TestFlightRecorderTraceLookup(t *testing.T) {
 	f := NewFlightRecorder(4)
-	tr := NewTrace("req")
-	tr.SetID("trace-a")
-	sp := tr.StartSpan("work")
-	sp.End()
-
 	q := f.Start("trace-a", "query")
-	q.SetTrace(tr)
+	q.Recorder().Child("work").End()
 	q.Finish("ok", nil)
 
 	got := f.Trace("trace-a")
@@ -301,8 +303,10 @@ func TestFlightRecorderTraceLookup(t *testing.T) {
 	if err := got.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "trace-a") || !strings.Contains(buf.String(), "work") {
-		t.Errorf("trace export missing content:\n%s", buf.String())
+	for _, want := range []string{"trace-a", `"work"`, `"synthesize"`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("trace export missing %s:\n%s", want, buf.String())
+		}
 	}
 	if f.Trace("unknown") != nil {
 		t.Error("unknown trace id returned a trace")
@@ -310,9 +314,6 @@ func TestFlightRecorderTraceLookup(t *testing.T) {
 
 	// A live request's trace is reachable too.
 	live := f.Start("trace-b", "live")
-	ltr := NewTrace("live")
-	ltr.SetID("trace-b")
-	live.SetTrace(ltr)
 	if f.Trace("trace-b") == nil {
 		t.Error("live trace not found")
 	}
@@ -322,9 +323,6 @@ func TestFlightRecorderTraceLookup(t *testing.T) {
 func TestFlightHandler(t *testing.T) {
 	f := NewFlightRecorder(4)
 	q := f.Start("handler-trace", "handler query <script>")
-	tr := NewTrace("req")
-	tr.SetID("handler-trace")
-	q.SetTrace(tr)
 	q.Finish("error", errors.New("synthetic"))
 
 	get := func(target string) (*httptest.ResponseRecorder, string) {

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -32,19 +33,14 @@ const (
 	numStages = 4
 )
 
+var stageNames = [numStages]string{"decode", "filter", "encode", "copy"}
+
 // String returns the stage label used in metric labels and JSON keys.
 func (s Stage) String() string {
-	switch s {
-	case StageDecode:
-		return "decode"
-	case StageFilter:
-		return "filter"
-	case StageEncode:
-		return "encode"
-	case StageCopy:
-		return "copy"
+	if s < 0 || s >= numStages {
+		return "unknown"
 	}
-	return "unknown"
+	return stageNames[s]
 }
 
 // StageStats is a point-in-time snapshot of one stage's accumulated work.
@@ -111,29 +107,146 @@ var eventTotals = [numEvents]*Counter{
 		"Corrupt or undecodable packets concealed by holding the last good frame."),
 }
 
-// Recorder accumulates the work of one request: per-stage frames, bytes
-// and wall time, and event counts. It is the engine's one account of
-// work: the executor's metrics, EXPLAIN ANALYZE actuals and the flight
-// record all read it. All methods are lock-free atomics and nil-safe:
-// instrumentation sites call them unconditionally, and a nil recorder
-// still feeds the process-wide metrics while skipping per-request
-// attribution. Safe for concurrent use by shard workers.
+// Recorder is one node of a request's tree: a named, timed part of the
+// work (a request, a front-end stage, an execution, a segment, a shard)
+// with its trace attributes and track, and what it counted: per-stage
+// frames, bytes and wall time, and events. It is the engine's one account
+// of work and time: exec.Metrics, EXPLAIN ANALYZE actuals, the flight
+// record and the Chrome trace all read it.
+//
+// What a node counts also counts toward its ancestors. A node bound to a
+// Trace, and every node opened under it afterwards, adds one event to it
+// when it ends. Counting is lock-free; every method is nil-safe (a nil
+// recorder still feeds the process-wide metrics) and safe for concurrent
+// use by shard workers.
 type Recorder struct {
 	parent *Recorder
+	name   string
+	start  time.Time
+	tr     *Trace // written into at End; inherited by children
+	tid    int64  // the node's track in tr
+
+	mu       sync.Mutex
+	end      time.Time // zero while open
+	attrs    map[string]any
+	children []*Recorder
+
 	frames [numStages]atomic.Int64
 	bytes  [numStages]atomic.Int64
 	wallNS [numStages]atomic.Int64
 	events [numEvents]atomic.Int64
 }
 
-// NewRecorder returns an empty per-request recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+// NewRecorder returns an unnamed root node, started now.
+func NewRecorder() *Recorder { return &Recorder{start: time.Now()} }
 
-// Child returns an empty recorder for one part of r's work (a run, a
-// segment, a shard): whatever the child observes also counts toward r, so
-// the children's work sums to r's. Nil-safe: a nil recorder's child
-// attributes to itself only.
-func (r *Recorder) Child() *Recorder { return &Recorder{parent: r} }
+// Bind makes r and the nodes opened under it from now on write their
+// events to t, on t's main track. A nil t leaves r as it is. It returns r.
+func (r *Recorder) Bind(t *Trace) *Recorder {
+	if r != nil && t != nil {
+		r.tr, r.tid = t, mainThread
+	}
+	return r
+}
+
+// Trace returns the trace r writes into, or nil. Nil-safe.
+func (r *Recorder) Trace() *Trace {
+	if r == nil {
+		return nil
+	}
+	return r.tr
+}
+
+// Child opens a node named name for one part of r's work, on r's track.
+// Nil-safe: a nil recorder's child is an unbound root.
+func (r *Recorder) Child(name string) *Recorder {
+	c := &Recorder{parent: r, name: name, start: time.Now()}
+	if r != nil {
+		c.tr, c.tid = r.tr, r.tid
+		r.mu.Lock()
+		r.children = append(r.children, c)
+		r.mu.Unlock()
+	}
+	return c
+}
+
+// Track opens a child on a fresh track of r's trace, so work running in
+// parallel with its siblings (a shard worker) renders as its own row.
+func (r *Recorder) Track(name string) *Recorder {
+	c := r.Child(name)
+	if c.tr != nil {
+		c.tid = c.tr.newTID()
+	}
+	return c
+}
+
+// SetAttr attaches a key/value argument to r's trace event. It records
+// nothing unless r is bound to a trace.
+func (r *Recorder) SetAttr(key string, value any) {
+	if r == nil || r.tr == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.attrs == nil {
+		r.attrs = map[string]any{}
+	}
+	r.attrs[key] = value
+}
+
+// End closes r and, if it is bound, adds its event to the trace.
+// Idempotent.
+func (r *Recorder) End() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	if !r.end.IsZero() {
+		r.mu.Unlock()
+		return
+	}
+	r.end = time.Now()
+	attrs := r.attrs
+	r.mu.Unlock()
+	if r.tr != nil {
+		r.tr.record(traceEvent{name: r.name, tid: r.tid, ts: r.start.Sub(r.tr.start), dur: r.end.Sub(r.start), args: attrs})
+	}
+}
+
+// Wall returns r's duration: start to End, or to now while it is open.
+// Nil-safe.
+func (r *Recorder) Wall() time.Duration {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.end.IsZero() {
+		return time.Since(r.start)
+	}
+	return r.end.Sub(r.start)
+}
+
+// Parts returns the wall time of r's children by name (children of one
+// name sum) and their total. For a node whose children run one after
+// another, r.Wall() minus that total is the time none of them accounts
+// for. Nil-safe.
+func (r *Recorder) Parts() (map[string]time.Duration, time.Duration) {
+	if r == nil {
+		return nil, 0
+	}
+	r.mu.Lock()
+	children := r.children
+	r.mu.Unlock()
+	parts := make(map[string]time.Duration, len(children))
+	var sum time.Duration
+	for _, c := range children {
+		w := c.Wall()
+		parts[c.name] += w
+		sum += w
+	}
+	return parts, sum
+}
 
 // StageObserve records one stage operation: frames and bytes processed and
 // the wall time spent. The process-wide stage metrics are always updated;
@@ -250,7 +363,7 @@ func (r *Recorder) Work() Work {
 
 // NewTraceID returns a fresh 16-hex-digit request/trace identifier, the
 // join key shared by a request's log lines, flight-recorder entry, and
-// span trace.
+// trace.
 func NewTraceID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

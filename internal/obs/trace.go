@@ -1,10 +1,11 @@
-// Package obs is V2V's zero-dependency observability layer: a lightweight
-// span tracer exportable as Chrome trace_event JSON, and a concurrency-safe
-// metrics registry exposed in Prometheus text format.
+// Package obs is V2V's zero-dependency observability layer: the per-request
+// Recorder tree that times and counts a synthesis, the Chrome trace_event
+// export its nodes write into, the flight recorder of recent requests, and
+// a concurrency-safe metrics registry exposed in Prometheus text format.
 //
-// Both halves are nil-tolerant by design: a nil *Trace produces nil *Spans
-// whose methods are no-ops, so the pipeline threads tracing through every
-// stage unconditionally and pays nothing when tracing is off.
+// Recorder methods are nil-tolerant, and a Recorder that is not bound to a
+// Trace writes no events, so the pipeline opens its nodes unconditionally
+// and pays only for counters and timestamps when tracing is off.
 package obs
 
 import (
@@ -16,13 +17,15 @@ import (
 	"time"
 )
 
-// mainThread is the tid of the pipeline's primary span track. Shard worker
-// spans allocate fresh tids so a trace viewer lays them out as parallel
-// rows.
+// mainThread is the tid of the pipeline's primary track. Shard workers'
+// nodes take fresh tids (Recorder.Track) so a trace viewer lays them out as
+// parallel rows.
 const mainThread = 1
 
-// Trace accumulates completed spans for one traced activity (a synthesis
-// run, a benchmark sweep). Safe for concurrent use.
+// Trace is the Chrome trace_event export of one traced activity (a
+// synthesis run, a request): every node of a Recorder bound to it
+// (Recorder.Bind) adds one complete event when it ends. Safe for
+// concurrent use.
 type Trace struct {
 	name  string
 	start time.Time
@@ -59,25 +62,6 @@ func (t *Trace) SetID(id string) {
 	t.id = id
 }
 
-// TraceID returns the identifier set with SetID ("" if unset). Nil-safe.
-func (t *Trace) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.id
-}
-
-// StartSpan opens a span on the trace's main track. Nil-safe: a nil trace
-// returns a nil span.
-func (t *Trace) StartSpan(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	return &Span{tr: t, name: name, start: time.Now(), tid: mainThread}
-}
-
 func (t *Trace) newTID() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -89,74 +73,6 @@ func (t *Trace) record(e traceEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.events = append(t.events, e)
-}
-
-// Span is one timed operation. Spans nest by time containment on the same
-// thread track, which is how Chrome's trace viewer and Perfetto render
-// call stacks — no explicit parent links are needed.
-type Span struct {
-	tr    *Trace
-	name  string
-	start time.Time
-	tid   int64
-
-	mu    sync.Mutex
-	attrs map[string]any
-	ended bool
-}
-
-// Child opens a sub-span on the same thread track. Nil-safe.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{tr: s.tr, name: name, start: time.Now(), tid: s.tid}
-}
-
-// ChildThread opens a sub-span on a fresh thread track — used for shard
-// workers so parallel execution renders as parallel rows. Nil-safe.
-func (s *Span) ChildThread(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{tr: s.tr, name: name, start: time.Now(), tid: s.tr.newTID()}
-}
-
-// SetAttr attaches a key/value argument shown in the trace viewer's detail
-// pane. Nil-safe.
-func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.attrs == nil {
-		s.attrs = map[string]any{}
-	}
-	s.attrs[key] = value
-}
-
-// End completes the span and records it on the trace. Nil-safe and
-// idempotent.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	attrs := s.attrs
-	s.mu.Unlock()
-	s.tr.record(traceEvent{
-		name: s.name,
-		tid:  s.tid,
-		ts:   s.start.Sub(s.tr.start),
-		dur:  time.Since(s.start),
-		args: attrs,
-	})
 }
 
 // jsonEvent is one Chrome trace_event entry.
@@ -191,7 +107,7 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 				Name:  e.name,
 				Phase: "X",
 				Ts:    e.ts.Microseconds(),
-				Dur:   max64(e.dur.Microseconds(), 1),
+				Dur:   max(e.dur.Microseconds(), 1),
 				PID:   1,
 				TID:   e.tid,
 				Args:  e.args,
@@ -219,21 +135,4 @@ func (t *Trace) WriteJSONFile(path string) error {
 		return fmt.Errorf("obs: writing trace: %w", err)
 	}
 	return f.Close()
-}
-
-// SpanCount returns the number of completed spans (testing aid). Nil-safe.
-func (t *Trace) SpanCount() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func decodeTrace(t *testing.T, tr *Trace) []map[string]any {
@@ -25,15 +26,17 @@ func decodeTrace(t *testing.T, tr *Trace) []map[string]any {
 
 func TestTraceChromeEventShape(t *testing.T) {
 	tr := NewTrace("v2v test")
-	root := tr.StartSpan("execute")
-	seg := root.Child("segment")
+	root := NewRecorder().Bind(tr)
+	exec := root.Child("execute")
+	seg := exec.Child("segment")
 	seg.SetAttr("kind", "render")
 	seg.SetAttr("frames", 48)
 	seg.End()
-	root.End()
+	exec.End()
 
 	events := decodeTrace(t, tr)
-	// process_name metadata + 2 complete events.
+	// process_name metadata + 2 complete events: the unended root writes
+	// none.
 	if len(events) != 3 {
 		t.Fatalf("events = %d, want 3", len(events))
 	}
@@ -62,21 +65,23 @@ func TestTraceChromeEventShape(t *testing.T) {
 	}
 }
 
+// TestTraceNilSafety checks that nil recorders and an unbound tree record
+// no events, and that a nil trace still exports a valid document.
 func TestTraceNilSafety(t *testing.T) {
+	var rec *Recorder
+	rec.SetAttr("k", 1)
+	rec.End()
+	if rec.Bind(NewTrace("x")) != nil || rec.Trace() != nil || rec.Wall() != 0 {
+		t.Error("nil recorder carries state")
+	}
+	unbound := NewRecorder().Child("y")
+	unbound.SetAttr("k", 1)
+	unbound.Track("z").End()
+	unbound.End()
+	if unbound.Trace() != nil || unbound.attrs != nil {
+		t.Error("unbound node keeps trace state")
+	}
 	var tr *Trace
-	sp := tr.StartSpan("x")
-	if sp != nil {
-		t.Fatal("nil trace must yield nil span")
-	}
-	// All nil-span operations are no-ops.
-	sp.SetAttr("k", 1)
-	child := sp.Child("y")
-	child.ChildThread("z").End()
-	child.End()
-	sp.End()
-	if tr.SpanCount() != 0 {
-		t.Error("nil trace has spans")
-	}
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -88,16 +93,20 @@ func TestTraceNilSafety(t *testing.T) {
 
 func TestTraceConcurrentShardSpans(t *testing.T) {
 	tr := NewTrace("shards")
-	root := tr.StartSpan("execute")
+	root := NewRecorder().Bind(tr).Child("execute")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(i int) {
 			defer wg.Done()
-			sp := root.ChildThread("shard")
+			sp := root.Track("shard")
 			sp.SetAttr("worker", i)
 			sp.End()
 		}(i)
+		go func() { // a live flight-record snapshot reads the tree meanwhile
+			defer wg.Done()
+			root.Parts()
+		}()
 	}
 	wg.Wait()
 	root.End()
@@ -111,19 +120,43 @@ func TestTraceConcurrentShardSpans(t *testing.T) {
 		}
 	}
 	if shardCount != 8 {
-		t.Errorf("shard spans = %d", shardCount)
+		t.Errorf("shard events = %d", shardCount)
 	}
 	if len(tids) != 8 {
 		t.Errorf("shard tids = %d, want 8 distinct threads", len(tids))
+	}
+	if parts, _ := root.Parts(); len(parts) != 1 {
+		t.Errorf("parts = %v, want the shards under one name", parts)
 	}
 }
 
 func TestSpanEndIdempotent(t *testing.T) {
 	tr := NewTrace("x")
-	sp := tr.StartSpan("once")
-	sp.End()
-	sp.End()
-	if got := tr.SpanCount(); got != 1 {
-		t.Errorf("spans = %d, want 1", got)
+	node := NewRecorder().Bind(tr).Child("once")
+	node.End()
+	wall := node.Wall()
+	node.End()
+	if got := len(decodeTrace(t, tr)) - 1; got != 1 || node.Wall() != wall {
+		t.Errorf("events = %d, want 1; wall moved %v -> %v", got, wall, node.Wall())
+	}
+}
+
+// TestRecorderParts checks a node's parts: its children's walls by name,
+// summed over repeats, and a residual that is exactly what they leave of
+// the node's wall.
+func TestRecorderParts(t *testing.T) {
+	root := NewRecorder()
+	for _, name := range []string{"read", "parse", "read"} {
+		c := root.Child(name)
+		time.Sleep(time.Millisecond)
+		c.End()
+	}
+	root.End()
+	parts, sum := root.Parts()
+	if len(parts) != 2 || parts["read"] < 2*time.Millisecond || parts["parse"] < time.Millisecond {
+		t.Errorf("parts = %v", parts)
+	}
+	if sum != parts["read"]+parts["parse"] || sum > root.Wall() {
+		t.Errorf("sum %v of parts %v, wall %v", sum, parts, root.Wall())
 	}
 }

@@ -42,7 +42,7 @@ type Options struct {
 	// Parallelism bounds shard fan-out: the number the executor will run
 	// with (core.Options resolves both). Below 2 means no sharding.
 	Parallelism int
-	// Trace, when set, records one span per optimizer pass.
+	// Trace, when set, receives one event per optimizer pass.
 	Trace *obs.Trace
 }
 
@@ -71,42 +71,39 @@ type Stats struct {
 // Optimize rewrites p in place and returns pass statistics.
 func Optimize(p *plan.Plan, o Options) (Stats, error) {
 	var st Stats
+	passes := obs.NewRecorder().Bind(o.Trace)
+	// count runs one pass in a node of its own and records its count.
+	count := func(name, attr string, pass func(*plan.Plan) int) int {
+		node := passes.Child(name)
+		defer node.End()
+		n := pass(p)
+		node.SetAttr(attr, n)
+		return n
+	}
 	if o.MergeSegments {
-		sp := o.Trace.StartSpan("opt.merge_segments")
-		st.SegmentsMerged = mergeSegments(p)
-		sp.SetAttr("merged", st.SegmentsMerged)
-		sp.End()
+		st.SegmentsMerged = count("opt.merge_segments", "merged", mergeSegments)
 	}
 	if o.MergeFilters {
-		sp := o.Trace.StartSpan("opt.merge_filters")
-		st.FiltersMerged = mergeFilters(p)
-		sp.SetAttr("boundaries_removed", st.FiltersMerged)
-		sp.End()
+		st.FiltersMerged = count("opt.merge_filters", "boundaries_removed", mergeFilters)
 	}
 	if o.FuseKernels && o.MergeFilters {
-		sp := o.Trace.StartSpan("opt.fuse_kernels")
-		st.KernelsFused = fusePass(p)
-		sp.SetAttr("ops_fused", st.KernelsFused)
-		sp.End()
+		st.KernelsFused = count("opt.fuse_kernels", "ops_fused", fusePass)
 	}
 	if (o.StreamCopy || o.SmartCut) && p.Checked.Passthrough {
-		sp := o.Trace.StartSpan("opt.copy")
+		node := passes.Child("opt.copy")
 		n, err := copyPass(p, o)
 		if err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
+			node.SetAttr("error", err.Error())
+			node.End()
 			return st, err
 		}
 		st.Copies, st.SmartCuts = n.copies, n.smartcuts
-		sp.SetAttr("copies", n.copies)
-		sp.SetAttr("smart_cuts", n.smartcuts)
-		sp.End()
+		node.SetAttr("copies", n.copies)
+		node.SetAttr("smart_cuts", n.smartcuts)
+		node.End()
 	}
 	if o.Shard {
-		sp := o.Trace.StartSpan("opt.shard")
-		st.ShardedSegs = shardPass(p, o.Parallelism)
-		sp.SetAttr("sharded", st.ShardedSegs)
-		sp.End()
+		st.ShardedSegs = count("opt.shard", "sharded", func(p *plan.Plan) int { return shardPass(p, o.Parallelism) })
 	}
 	p.Optimized = true
 	// Segment kinds and operator boundaries changed above — re-estimate so

@@ -36,18 +36,6 @@ type Stats struct {
 	Skipped bool
 }
 
-// arrayDataSource adapts checked arrays to the evaluator.
-type arrayDataSource map[string]*data.Array
-
-func (s arrayDataSource) DataAt(name string, t rational.Rat) (data.Value, bool, error) {
-	arr, ok := s[name]
-	if !ok {
-		return data.Value{}, false, fmt.Errorf("rewrite: unknown data array %q", name)
-	}
-	v, ok := arr.At(t)
-	return v, ok, nil
-}
-
 // Rewrite applies the data-only pass to a checked spec and returns the
 // rewritten spec (a new spec sharing sources) plus statistics. The input
 // is not modified.
@@ -60,12 +48,10 @@ func Rewrite(c *check.Checked) (*vql.Spec, Stats, error) {
 		stats.ArmsBefore = 1
 	}
 
-	ds := arrayDataSource(c.Arrays)
-
 	if !hasPerTimeDependence(spec.Render) {
 		// No f_dde argument varies with time or data; a single static
 		// fold (constant arguments only) is complete.
-		rw := &rewriter{data: ds, stats: &stats}
+		rw := &rewriter{data: c.Arrays, stats: &stats}
 		out, changed, err := rw.rewriteStatic(spec)
 		if err != nil {
 			return nil, stats, err
@@ -100,7 +86,7 @@ func Rewrite(c *check.Checked) (*vql.Spec, Stats, error) {
 		cur = nil
 	}
 
-	rw := &rewriter{data: ds, stats: &stats}
+	rw := &rewriter{data: c.Arrays, stats: &stats}
 	for i := 0; i < n; i++ {
 		at := domain.At(i)
 		body := spec.RenderFor(at)
@@ -208,7 +194,7 @@ func (r *rewriter) rewriteStatic(spec *vql.Spec) (*vql.Spec, bool, error) {
 }
 
 type rewriter struct {
-	data  arrayDataSource
+	data  data.Arrays
 	stats *Stats
 }
 

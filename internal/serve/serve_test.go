@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"v2v/internal/faults"
 	"v2v/internal/frame"
 	"v2v/internal/media"
+	"v2v/internal/obs"
 	"v2v/internal/rational"
 	"v2v/internal/vql"
 )
@@ -528,6 +530,73 @@ func TestDebugRequestsRecordsSynthesis(t *testing.T) {
 		}
 	}
 
+	// What the repository benchmark reads from a served request: the
+	// record's walls and work, and one X event per front-end stage and for
+	// the execution, with the optimizer's and rewriter's counts as numeric
+	// args. A renamed event or key would make it read zeros.
+	var dump struct {
+		Requests []obs.RequestRecord `json:"requests"`
+	}
+	resp, err = http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&dump)
+	resp.Body.Close()
+	if err != nil || len(dump.Requests) != 1 {
+		t.Fatalf("decode records: %v (%d records)", err, len(dump.Requests))
+	}
+	full := dump.Requests[0]
+	if full.Wall <= 0 || full.QueuedWall <= 0 {
+		t.Errorf("wall_ns = %v, queued_wall_ns = %v", full.Wall, full.QueuedWall)
+	}
+	for _, stage := range []string{"decode", "filter", "encode"} {
+		if full.Stages[stage].Wall <= 0 {
+			t.Errorf("stages.%s.wall_ns = %v", stage, full.Stages[stage].Wall)
+		}
+	}
+	if _, ok := full.Stages["copy"]; !ok {
+		t.Error("stages.copy missing")
+	}
+	for i, s := range full.Segments {
+		if s.FramesDecoded <= 0 {
+			t.Errorf("segments[%d].frames_decoded = %d", i, s.FramesDecoded)
+		}
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(traceJSON, &doc); err != nil {
+		t.Fatalf("trace JSON: %v", err)
+	}
+	events := map[string]int{}
+	args := map[string]map[string]any{}
+	for _, e := range doc.TraceEvents {
+		if e.Phase == "X" {
+			events[e.Name]++
+			args[e.Name] = e.Args
+		}
+	}
+	for _, name := range []string{"check", "rewrite", "plan", "optimize", "execute"} {
+		if events[name] != 1 {
+			t.Errorf("%d %q X events, want 1", events[name], name)
+		}
+	}
+	for _, k := range []string{"copies", "smart_cuts", "sharded_segments"} {
+		if _, ok := args["optimize"][k].(float64); !ok {
+			t.Errorf("optimize arg %s = %v, want a number", k, args["optimize"][k])
+		}
+	}
+	for k, v := range args["rewrite"] {
+		if _, ok := v.(float64); strings.HasPrefix(k, "applied.") && !ok {
+			t.Errorf("rewrite arg %s = %v, want a number", k, v)
+		}
+	}
+
 	// HTML rendering works and mentions the trace ID.
 	resp, err = http.Get(ts.URL + "/debug/requests?format=html")
 	if err != nil {
@@ -537,6 +606,60 @@ func TestDebugRequestsRecordsSynthesis(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(page), "<table") || !strings.Contains(string(page), traceID) {
 		t.Errorf("html view missing table or trace id:\n%.300s", page)
+	}
+}
+
+// TestDebugRequestsAccountsWallTime renders 20 requests and checks each
+// record's time attribution: the handler's six parts, run one after
+// another, and a residual that is the record's wall minus their sum. The
+// median residual must stay under 5 % of wall: the parts cover the
+// request.
+func TestDebugRequestsAccountsWallTime(t *testing.T) {
+	_, ts, specText, _ := renderServer(t, Config{GOPCacheMB: -1, ResultCacheMB: -1})
+	const n = 20
+	for range n {
+		resp, err := http.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	var dump struct {
+		Requests []obs.RequestRecord `json:"requests"`
+	}
+	resp, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&dump)
+	resp.Body.Close()
+	if err != nil || len(dump.Requests) != n {
+		t.Fatalf("decode records: %v (%d records, want %d)", err, len(dump.Requests), n)
+	}
+	shares := make([]float64, 0, n)
+	for _, rec := range dump.Requests {
+		if rec.Outcome != "ok" {
+			t.Fatalf("request %s: outcome %q", rec.TraceID, rec.Outcome)
+		}
+		var sum time.Duration
+		for _, name := range []string{"read", "parse", "frontend", "admission", "execute", "drain"} {
+			if _, ok := rec.Parts[name]; !ok {
+				t.Errorf("request %s: no %s part in %v", rec.TraceID, name, rec.Parts)
+			}
+		}
+		for _, d := range rec.Parts {
+			sum += d
+		}
+		if diff := rec.Residual - (rec.Wall - sum); diff < -time.Microsecond || diff > time.Microsecond {
+			t.Errorf("request %s: residual %v, wall %v minus parts %v = %v", rec.TraceID, rec.Residual, rec.Wall, sum, rec.Wall-sum)
+		}
+		shares = append(shares, float64(rec.Residual)/float64(rec.Wall))
+	}
+	sort.Float64s(shares)
+	t.Logf("residual / wall: median %.4f, max %.4f", shares[n/2], shares[n-1])
+	if median := shares[n/2]; median > 0.05 {
+		t.Errorf("median residual is %.3f of wall, want at most 0.05 (shares %v)", median, shares)
 	}
 }
 

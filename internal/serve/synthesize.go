@@ -16,7 +16,6 @@ import (
 	"v2v/internal/admit"
 	"v2v/internal/core"
 	"v2v/internal/media"
-	"v2v/internal/obs"
 	"v2v/internal/vql"
 )
 
@@ -40,13 +39,9 @@ func validSpecName(name string) bool {
 }
 
 func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
-	var raw []byte
 	var query, name string
-	var err error
 	switch r.Method {
 	case http.MethodPost:
-		raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		query = string(raw)
 	case http.MethodGet:
 		name = r.URL.Query().Get("spec")
 		if !validSpecName(name) {
@@ -54,16 +49,29 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		query = "spec=" + name
-		raw, err = os.ReadFile(filepath.Join(s.cfg.SpecDir, name))
 	default:
 		http.Error(w, "POST a spec or GET ?spec=", http.StatusMethodNotAllowed)
 		return
 	}
 
-	// The flight record starts as soon as there is query text, so read and
-	// parse failures show up at /debug/requests?errored=1 too.
+	// The flight record opens before the spec is read, so read and parse
+	// failures show up at /debug/requests?errored=1 too. Its root recorder,
+	// bound to the request's trace and joined to the log lines by the
+	// shared trace ID, gets one child per part of the request, opened one
+	// after another: the record's residual is the wall time between them.
 	traceID, _ := r.Context().Value(traceIDKey).(string)
 	req := s.flight.Start(traceID, query)
+	root := req.Recorder()
+	part := root.Child("read")
+	var raw []byte
+	var err error
+	if r.Method == http.MethodPost {
+		raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		req.SetQuery(string(raw))
+	} else {
+		raw, err = os.ReadFile(filepath.Join(s.cfg.SpecDir, name))
+	}
+	part.End()
 	if err != nil {
 		status, msg := http.StatusBadRequest, err.Error()
 		switch tooBig := (*http.MaxBytesError)(nil); {
@@ -81,13 +89,9 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Every request gets its own span trace and stage recorder, joined to
-	// the flight record and the log lines by the shared trace ID.
-	tr := obs.NewTrace("synthesize")
-	tr.SetID(traceID)
-	sp := tr.StartSpan("parse")
+	part = root.Child("parse")
 	spec, err := vql.ParseAny(raw)
-	sp.End()
+	part.End()
 	if err != nil {
 		req.Finish("error", err)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -101,19 +105,23 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	opts.Conceal = !s.cfg.Strict
 	opts.Cache = s.cache
 	opts.Parallelism = s.parallelism
-	opts.Trace = tr
-	opts.Recorder = req.Recorder()
 
 	// Plan before admission: the plan's static cost estimate is the
 	// admission weight, and shed requests still leave their plan in the
 	// flight record for postmortems.
+	part = root.Child("frontend")
+	opts.Recorder = part
 	pr, err := core.Prepare(spec, opts)
+	if err == nil {
+		req.SetPlan(pr.Plan.Explain())
+	}
+	part.End()
 	if err != nil {
 		req.Finish("error", err)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	req.SetPlan(pr.Plan.Explain())
+	opts.Recorder = root
 	cost := pr.EstimatedCost().Units()
 	tenant := requestTenant(r)
 
@@ -144,9 +152,10 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	admitStart := time.Now()
+	part = root.Child("admission")
 	ticket, aerr := s.admit.Acquire(ctx, admit.Request{Tenant: tenant, Cost: cost, Deadline: deadline})
-	queuedWall := time.Since(admitStart)
+	part.End()
+	queuedWall := part.Wall()
 	if aerr != nil {
 		if shed := (*admit.ShedError)(nil); errors.As(aerr, &shed) {
 			// Typed load shed: tell the client it is retryable and when.
@@ -171,7 +180,7 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	req.SetAdmission(tenant, cost, queuedWall, "")
 	// Release feeds the measured work back into the controller's
 	// throughput estimate, whether the synthesis succeeds or not.
-	defer ticket.Release(opts.Recorder)
+	defer ticket.Release(root)
 
 	// Every response streams: the executor flushes after the container
 	// header and after each segment, and the FlushingSink pushes those
@@ -193,10 +202,11 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	// failed synthesis wrote via the sink must reach the client before the
 	// connection closes. A downstream (client) write error surfaces here if
 	// the synthesis itself didn't observe it.
+	part = root.Child("drain")
 	if cerr := fs.CloseFlush(); cerr != nil && err == nil {
 		err, canceled = cerr, ctx.Err() != nil
 	}
-	req.SetTrace(tr)
+	part.End()
 	if err != nil {
 		// The executor wrote a typed error trailer through the sink, so
 		// clients distinguish a reported failure from raw truncation.

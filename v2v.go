@@ -80,25 +80,27 @@ func NewCache(gopBytes, resultBytes int64, parallelism int) *Cache {
 // RewriteStats reports what the data-dependent rewriter did.
 type RewriteStats = rewrite.Stats
 
-// Trace records spans for every pipeline stage of a synthesis run —
-// assign one to Options.Trace and export it with WriteJSON (Chrome
-// trace_event format, loadable in chrome://tracing or Perfetto).
+// Trace is the Chrome trace_event export of a synthesis run (loadable in
+// chrome://tracing or Perfetto): bind the run's Recorder to one
+// (Recorder.Bind) and every pipeline stage, optimizer pass, segment and
+// shard adds an event to it. Export it with WriteJSON.
 type Trace = obs.Trace
 
-// NewTrace starts an empty span trace named name.
+// NewTrace starts an empty trace named name.
 func NewTrace(name string) *Trace { return obs.NewTrace(name) }
 
 // NewTraceID returns a random 16-hex-character request/run identifier,
 // suitable for Trace.SetID and for joining log lines to traces.
 func NewTraceID() string { return obs.NewTraceID() }
 
-// Recorder accumulates per-stage (decode/filter/encode/copy) frames,
-// bytes, and wall time for one synthesis run — assign one to
-// Options.Recorder. The process-wide v2v_stage_* metrics are fed whether
-// or not a recorder is attached.
+// Recorder is the root of a synthesis run's tree of timed, counted
+// nodes — assign one to Options.Recorder. It accumulates per-stage
+// (decode/filter/encode/copy) frames, bytes, and wall time for the run.
+// The process-wide v2v_stage_* metrics are fed whether or not a recorder
+// is attached.
 type Recorder = obs.Recorder
 
-// NewRecorder returns an empty per-run stage recorder.
+// NewRecorder returns an empty root recorder for one run.
 func NewRecorder() *Recorder { return obs.NewRecorder() }
 
 // DB is the embedded relational engine used for sql-declared data arrays.
