@@ -114,8 +114,8 @@ func TestReadMeminfoTotal(t *testing.T) {
 	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := readMeminfoTotal(p); got != 16384256*1024 {
-		t.Errorf("MemTotal = %d, want %d", got, 16384256*1024)
+	if got, want := readMeminfoTotal(p), uint64(16384256*1024); got != want {
+		t.Errorf("MemTotal = %d, want %d", got, want)
 	}
 	if got := readMeminfoTotal(filepath.Join(dir, "missing")); got != 0 {
 		t.Errorf("missing = %d, want 0", got)

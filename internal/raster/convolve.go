@@ -78,7 +78,7 @@ func gaussianKernel(sigma float64) blurKernel {
 // and largest radius it has served and is allocation-free from then on.
 type blurScratch struct {
 	pad   []byte   // one source row, edge-replicated by the radius
-	words []uint64 // the widened pad, an accumulator row, and the row ring
+	words []uint64 // the widened pad's three phases, an accumulator row, and the row ring
 }
 
 // blurScratches recycles working memory across BlurInto calls on any
@@ -88,12 +88,13 @@ var blurScratches = sync.Pool{New: func() any { return new(blurScratch) }}
 
 // reserve sizes the scratch for a w-wide plane and the given radius.
 func (s *blurScratch) reserve(w, radius int) {
-	wp := (w + 1) / 2
-	if n := 2 * (wp + radius); len(s.pad) < n {
-		s.pad = make([]byte, n)
+	wp := (w + 2) / 3
+	n := wp + 2*radius/3 // words in each phase of the padded row
+	if len(s.pad) < 3*n+2 {
+		s.pad = make([]byte, 3*n+2)
 	}
-	if n := 2*(wp+radius) + wp + wp<<bits.Len(uint(2*radius)); len(s.words) < n {
-		s.words = make([]uint64, n)
+	if m := 3*n + wp + wp<<bits.Len(uint(2*radius)); len(s.words) < m {
+		s.words = make([]uint64, m)
 	}
 }
 
@@ -121,8 +122,12 @@ func BlurInto(dst, src *frame.Frame, sigma float64) {
 	blurScratches.Put(s)
 }
 
-// laneMask keeps the byte at the bottom of each 32-bit lane of a word.
-const laneMask = 0xFF<<32 | 0xFF
+// laneBits is the width of one pixel's lane in a packed word: three lanes
+// fill bits 0–62 of a uint64, and bit 63 stays clear.
+const laneBits = 21
+
+// laneMask keeps the byte at the bottom of each 21-bit lane of a word.
+const laneMask = 0xFF | 0xFF<<laneBits | 0xFF<<(2*laneBits)
 
 // gaussPlane is the separable blur of one w×h plane with clamped edges. For
 // every pixel it computes exactly
@@ -137,19 +142,20 @@ const laneMask = 0xFF<<32 | 0xFF
 //   - each source row is copied into a row padded with its edge pixels, so
 //     clamp(x+k) becomes a plain offset and no inner loop carries a branch;
 //   - the symmetric taps fold: p[x-k]*c + p[x+k]*c == (p[x-k]+p[x+k])*c;
-//   - rows are widened to two pixels per uint64, one per 32-bit lane. A sum
-//     never exceeds 255<<kShift (see blurKernel), so lanes cannot carry
-//     into each other and one add or multiply serves both pixels. The
-//     padded row is widened twice, starting at pixel 0 and at pixel 1, so
-//     a tap at any offset reads aligned words;
+//   - rows are widened to three pixels per uint64, one per 21-bit lane. A
+//     sum never exceeds 255<<kShift < 2²⁰ (see blurKernel), so lanes cannot
+//     carry into each other and one add or multiply serves three pixels.
+//     The padded row is widened three times, starting at pixels 0, 1 and
+//     2, so a tap at any offset reads aligned words;
 //   - both passes are then the same tap-outer, word-inner loops over
-//     equal-length rows (foldCenter, foldTap), free of bounds checks;
+//     equal-length rows (foldRow), free of bounds checks, which fold two
+//     taps per pass over the accumulator row;
 //   - the vertical pass needs only the last 2r+1 horizontally filtered
 //     rows, which live in a ring: it reads contiguous rows still in cache
 //     and no plane-sized temporary exists.
 //
-// When w is odd the last word's upper lane filters one more replicated
-// edge pixel; it is never stored.
+// When 3 does not divide w the last word's upper lanes filter replicated
+// edge pixels; they are never stored.
 //
 //v2v:hotpath
 func gaussPlane(dst, src []byte, w, h int, taps []uint64, s *blurScratch) {
@@ -157,20 +163,16 @@ func gaussPlane(dst, src []byte, w, h int, taps []uint64, s *blurScratch) {
 		return
 	}
 	r := len(taps) - 1
-	wp := (w + 1) / 2                 // words per row
+	wp := (w + 2) / 3                 // words per row
 	slots := 1 << bits.Len(uint(2*r)) // a power of two >= 2r+1
-	n := wp + r                       // words in the padded row
-	pad := s.pad[:2*n]
-	even, rest := s.words[:n], s.words[n:] // even[j] = pad[2j], pad[2j+1]
-	odd, rest := rest[:n], rest[n:]        // odd[j]  = pad[2j+1], pad[2j+2]
-	acc, ring := rest[:wp], rest[wp:wp+slots*wp]
+	n := wp + 2*r/3                   // words in each phase of the padded row
+	pad := s.pad[:3*n+2]
+	phase := [3][]uint64{s.words[:n], s.words[n : 2*n], s.words[2*n : 3*n]} // phase[p][j] = pad[3j+p..3j+p+2]
+	acc, ring := s.words[3*n:3*n+wp], s.words[3*n+wp:3*n+wp+slots*wp]
 
 	padRow := func(off int) []uint64 { // the padded row shifted by off pixels
 		m := r + off
-		if m&1 == 0 {
-			return even[m>>1 : m>>1+wp]
-		}
-		return odd[m>>1 : m>>1+wp]
+		return phase[m%3][m/3 : m/3+wp]
 	}
 	ringRow := func(y int) []uint64 { // filtered row y, clamped to the plane
 		slot := max(0, min(y, h-1)) & (slots - 1)
@@ -189,32 +191,47 @@ func gaussPlane(dst, src []byte, w, h int, taps []uint64, s *blurScratch) {
 			for i := range pad[r+w:] {
 				pad[r+w+i] = row[w-1]
 			}
-			for j := range even {
-				even[j] = uint64(pad[2*j]) | uint64(pad[2*j+1])<<32
+			// Each phase is the one before it moved down a lane, with the
+			// next pixel in the top lane; no shift reaches bit 63.
+			for j := range phase[0] {
+				q := pad[3*j : 3*j+5]
+				p0 := uint64(q[0]) | uint64(q[1])<<laneBits | uint64(q[2])<<(2*laneBits)
+				p1 := p0>>laneBits | uint64(q[3])<<(2*laneBits)
+				phase[0][j], phase[1][j], phase[2][j] = p0, p1, p1>>laneBits|uint64(q[4])<<(2*laneBits)
 			}
-			for j := range odd[:n-1] {
-				odd[j] = even[j]>>32 | even[j+1]<<32
-			}
-			foldCenter(acc, padRow(0), taps[0])
-			for k := 1; k <= r; k++ {
-				foldTap(acc, padRow(-k), padRow(k), taps[k])
-			}
+			foldRow(acc, padRow, taps)
 			out := ringRow(filled)
 			for j, v := range acc {
 				out[j] = v >> kShift & laneMask
 			}
 		}
-		foldCenter(acc, ringRow(y), taps[0])
-		for k := 1; k <= r; k++ {
-			foldTap(acc, ringRow(y-k), ringRow(y+k), taps[k])
-		}
+		foldRow(acc, func(off int) []uint64 { return ringRow(y + off) }, taps)
 		out := dst[y*w : (y+1)*w]
-		for j, v := range acc[:w/2] {
-			out[2*j], out[2*j+1] = byte(v>>kShift), byte(v>>(32+kShift))
+		for j, v := range acc[:w/3] {
+			out[3*j], out[3*j+1], out[3*j+2] = byte(v>>kShift), byte(v>>(laneBits+kShift)), byte(v>>(2*laneBits+kShift))
 		}
-		if w&1 == 1 {
-			out[w-1] = byte(acc[wp-1] >> kShift)
+		for i, x := 0, w/3*3; x < w; i, x = i+1, x+1 {
+			out[x] = byte(acc[wp-1] >> (i*laneBits + kShift))
 		}
+	}
+}
+
+// foldRow sets acc to the folded weighted sum of the rows row(-r)..row(r),
+// where row(k) is the input row at offset k and r = len(taps)-1. The
+// center pass also takes tap 1 when r is odd, so every later pass over acc
+// folds two taps.
+//
+//v2v:hotpath
+func foldRow(acc []uint64, row func(k int) []uint64, taps []uint64) {
+	r, k := len(taps)-1, 1
+	if r&1 == 1 {
+		foldCenterTap(acc, row(0), taps[0], row(-1), row(1), taps[1])
+		k = 2
+	} else {
+		foldCenter(acc, row(0), taps[0])
+	}
+	for ; k < r; k += 2 {
+		foldTaps(acc, row(-k), row(k), taps[k], row(-k-1), row(k+1), taps[k+1])
 	}
 }
 
@@ -228,14 +245,25 @@ func foldCenter(acc, center []uint64, c uint64) {
 	}
 }
 
-// foldTap adds one folded tap: the two rows at equal distance either side
-// of the center share the weight c.
+// foldCenterTap starts a row of weighted sums with the center tap and the
+// folded tap next to it: the two rows at distance 1 share the weight c1.
 //
 //v2v:hotpath
-func foldTap(acc, lo, hi []uint64, c uint64) {
-	lo, hi = lo[:len(acc)], hi[:len(acc)]
+func foldCenterTap(acc, center []uint64, c0 uint64, lo, hi []uint64, c1 uint64) {
+	center, lo, hi = center[:len(acc)], lo[:len(acc)], hi[:len(acc)]
 	for i := range acc {
-		acc[i] += (lo[i] + hi[i]) * c
+		acc[i] = center[i]*c0 + (lo[i]+hi[i])*c1
+	}
+}
+
+// foldTaps adds two folded taps: rows lo1 and hi1 share the weight c1,
+// rows lo2 and hi2 the weight c2.
+//
+//v2v:hotpath
+func foldTaps(acc, lo1, hi1 []uint64, c1 uint64, lo2, hi2 []uint64, c2 uint64) {
+	lo1, hi1, lo2, hi2 = lo1[:len(acc)], hi1[:len(acc)], lo2[:len(acc)], hi2[:len(acc)]
+	for i := range acc {
+		acc[i] += (lo1[i]+hi1[i])*c1 + (lo2[i]+hi2[i])*c2
 	}
 }
 

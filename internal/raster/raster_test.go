@@ -1,6 +1,7 @@
 package raster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -301,6 +302,79 @@ func TestBlurIntoMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refBlur is refBlurPlane applied to every plane of src.
+func refBlur(src *frame.Frame, sigma float64) *frame.Frame {
+	ref := refGaussianKernel(sigma)
+	want := frame.New(src.W, src.H, frame.FormatYUV420)
+	sp, wp := src.Planes(), want.Planes()
+	refBlurPlane(sp[0], wp[0], src.W, src.H, ref)
+	refBlurPlane(sp[1], wp[1], src.W/2, src.H/2, ref)
+	refBlurPlane(sp[2], wp[2], src.W/2, src.H/2, ref)
+	return want
+}
+
+// TestBlurIntoLaneBound drives every lane of the packed words to the top of
+// its range, where random noise almost never goes: all-255 planes make each
+// weighted sum exactly 255<<kShift, and 0/255 column stripes and
+// checkerboards put full and empty pixels side by side in adjacent lanes
+// with the sums' fractional bits set. A lane that carried into its
+// neighbour, or a dropped lane mask, shows up here. The luma widths 6, 8,
+// 10 and 14 (chroma 3, 4, 5 and 7) leave every remainder mod 3 at the row's
+// end, and every radius from 1 to the cap of 15 runs on each.
+func TestBlurIntoLaneBound(t *testing.T) {
+	patterns := map[string]func(x, y int) byte{
+		"all-255": func(x, y int) byte { return 255 },
+		"stripes": func(x, y int) byte { return byte(255 * (x & 1)) },
+		"checker": func(x, y int) byte { return byte(255 * ((x + y) & 1)) },
+	}
+	for r := 1; r <= maxRadius; r++ {
+		sigma := (float64(r) - 0.5) / 3 // radius ceil(3*sigma) = r
+		if k := gaussianKernel(sigma); k.r != r {
+			t.Fatalf("sigma %v: radius %d, want %d", sigma, k.r, r)
+		}
+		for name, at := range patterns {
+			for _, w := range []int{6, 8, 10, 14} {
+				for _, h := range []int{6, 2*r + 4} {
+					src := frame.New(w, h, frame.FormatYUV420)
+					for i, p := range src.Planes() {
+						pw := w >> min(i, 1)
+						for j := range p {
+							p[j] = at(j%pw, j/pw)
+						}
+					}
+					got := noisy(w, h, int64(r))
+					BlurInto(got, src, sigma)
+					if !got.Equal(refBlur(src, sigma)) {
+						t.Errorf("radius %d %s %dx%d: BlurInto differs from the reference", r, name, w, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzBlurInto holds BlurInto to the reference on planes the fuzzer picks:
+// an even width of 2 to 64 and height of 2 to 48, a sigma in [0.01, 16]
+// (every radius up to the cap), and pixel bytes repeated to fill the frame.
+func FuzzBlurInto(f *testing.F) {
+	f.Add(uint8(2), uint8(3), 1.5, []byte{0, 255})
+	f.Fuzz(func(t *testing.T, w8, h8 uint8, sigma float64, pix []byte) {
+		if !(sigma >= 0.01 && sigma <= 16) || len(pix) == 0 {
+			t.Skip()
+		}
+		w, h := 2+2*int(w8%32), 2+2*int(h8%24)
+		src := frame.New(w, h, frame.FormatYUV420)
+		for i := range src.Pix {
+			src.Pix[i] = pix[i%len(pix)]
+		}
+		got := frame.New(w, h, frame.FormatYUV420)
+		BlurInto(got, src, sigma)
+		if !got.Equal(refBlur(src, sigma)) {
+			t.Fatalf("%dx%d sigma %v: BlurInto differs from the reference", w, h, sigma)
+		}
+	})
 }
 
 func TestBlurIntoZeroAlloc(t *testing.T) {
@@ -697,23 +771,26 @@ func TestPiP(t *testing.T) {
 }
 
 // BenchmarkGaussianBlur times the paper queries' blur (sigma 1.5, radius 5)
-// on one KABR-sim frame: the allocating wrapper, and the form the
-// executor uses, into a reused destination.
+// on one frame of each dataset geometry, ToS-sim (384x172) and KABR-sim
+// (384x216): the allocating wrapper, and the form the executor uses, into a
+// reused destination.
 func BenchmarkGaussianBlur(b *testing.B) {
-	src := noisy(384, 172, 1)
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			GaussianBlur(src, 1.5)
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		dst := frame.New(src.W, src.H, frame.FormatYUV420)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			BlurInto(dst, src, 1.5)
-		}
-	})
+	for _, sz := range [][2]int{{384, 172}, {384, 216}} {
+		src := noisy(sz[0], sz[1], 1)
+		b.Run(fmt.Sprintf("%dx%d/alloc", sz[0], sz[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GaussianBlur(src, 1.5)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/into", sz[0], sz[1]), func(b *testing.B) {
+			dst := frame.New(src.W, src.H, frame.FormatYUV420)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BlurInto(dst, src, 1.5)
+			}
+		})
+	}
 }
 
 // TestScaleHalfMatchesBilinear: at exactly 2:1 the block-mean fast path

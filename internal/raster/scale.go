@@ -139,7 +139,7 @@ func bilinearPlane(src []byte, sstride, sw, sh int, dst []byte, stride, dw, dh i
 			syf = 0
 		}
 		sy := int(syf >> fpShift)
-		fy := int(syf & (fpOne - 1))
+		fy := syf & (fpOne - 1)
 		sy1 := sy + 1
 		if sy1 >= sh {
 			sy1 = sh - 1
@@ -150,15 +150,15 @@ func bilinearPlane(src []byte, sstride, sw, sh int, dst []byte, stride, dw, dh i
 				sxf = 0
 			}
 			sx := int(sxf >> fpShift)
-			fx := int(sxf & (fpOne - 1))
+			fx := sxf & (fpOne - 1)
 			sx1 := sx + 1
 			if sx1 >= sw {
 				sx1 = sw - 1
 			}
-			p00 := int(src[sy*sstride+sx])
-			p01 := int(src[sy*sstride+sx1])
-			p10 := int(src[sy1*sstride+sx])
-			p11 := int(src[sy1*sstride+sx1])
+			p00 := int64(src[sy*sstride+sx])
+			p01 := int64(src[sy*sstride+sx1])
+			p10 := int64(src[sy1*sstride+sx])
+			p11 := int64(src[sy1*sstride+sx1])
 			top := p00*(fpOne-fx) + p01*fx
 			bot := p10*(fpOne-fx) + p11*fx
 			v := (top*(fpOne-fy) + bot*fy + (1 << (2*fpShift - 1))) >> (2 * fpShift)
