@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vql/
 	$(GO) test -run='^$$' -fuzz=FuzzNewReader -fuzztime=$(FUZZTIME) ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeDeflate -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=$(FUZZTIME) ./internal/media/
 	$(GO) test -run='^$$' -fuzz=FuzzBlurInto -fuzztime=$(FUZZTIME) ./internal/raster/
 

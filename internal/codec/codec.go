@@ -18,7 +18,10 @@
 // temporal prediction from the previously *reconstructed* frame (so encoder
 // and decoder reconstructions match bit-for-bit). Residuals are uniformly
 // quantized by Quality (Quality 1 uses modular arithmetic and is exactly
-// lossless) and entropy-coded with DEFLATE.
+// lossless) and entropy-coded with DEFLATE (RFC 1951). GV1 writes its own
+// DEFLATE (deflate.go: one block per packet, built for residual planes)
+// and reads it with compress/flate's inflater, which also reads the
+// packets of every earlier encoder, written by compress/flate's writer.
 package codec
 
 import (
@@ -28,7 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 	"time"
 
 	"v2v/internal/frame"
@@ -47,7 +50,11 @@ const (
 // Config holds the coding parameters shared by encoder and decoder. Width
 // and Height must be positive and even. Quality is the quantizer step
 // (1 = lossless, larger = lossier and smaller). GOP is the keyframe
-// interval in frames (1 = all-intra). Level is the DEFLATE effort.
+// interval in frames (1 = all-intra). Level is the DEFLATE effort of
+// compress/flate's writer, which encoders used before GV1 wrote its own
+// DEFLATE: it is range-checked and recorded in every stream header, since
+// older streams carry it and specs set it, but no longer changes the
+// bytes an encoder writes.
 type Config struct {
 	Width, Height int
 	Quality       int
@@ -104,21 +111,14 @@ type Encoder struct {
 	count    int          // frames since last keyframe
 	forceKey bool
 	resid    []byte
-	buf      bytes.Buffer
-	fw       *flate.Writer
-	sparePkt []byte // recycled packet buffer (see Recycle)
+	zw       *deflater // DEFLATE writer state, from deflaters
+	sparePkt []byte    // recycled packet buffer (see Recycle)
 	rec      *obs.Recorder
 }
 
-// flateWriters recycles DEFLATE writers between encoders, one pool per
-// level (index Level+2): building one costs ~0.4 ms and ~0.8 MB of hash
-// tables, and Encode resets it for every packet anyway, so a recycled
-// writer produces the same bytes as a new one.
-var flateWriters [12]sync.Pool
-
 // NewEncoder returns an encoder for the given configuration. The encoder
-// takes its working memory (a DEFLATE writer, the residual buffer) on the
-// first Encode, so a sink that only splices packets never pays for it.
+// takes its working memory (the DEFLATE writer's, the residual buffer) on
+// the first Encode, so a sink that only splices packets never pays for it.
 func NewEncoder(cfg Config) (*Encoder, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
@@ -127,13 +127,14 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{cfg: cfg}, nil
 }
 
-// Close returns the encoder's DEFLATE writer for reuse by a later encoder.
-// An encoder dropped without it leaves the writer to the garbage
-// collector; an Encode after Close takes a writer again.
+// Close returns the encoder's DEFLATE writer state (hash table, token
+// buffer) for reuse by a later encoder. An encoder dropped without it
+// leaves the state to the garbage collector; an Encode after Close takes
+// one again.
 func (e *Encoder) Close() {
-	if e.fw != nil {
-		flateWriters[e.cfg.Level+2].Put(e.fw)
-		e.fw = nil
+	if e.zw != nil {
+		deflaters.Put(e.zw)
+		e.zw = nil
 	}
 }
 
@@ -156,14 +157,8 @@ func (e *Encoder) Encode(fr *frame.Frame) (Packet, error) {
 			fr.W, fr.H, fr.Format, e.cfg.Width, e.cfg.Height)
 	}
 	encStart := time.Now()
-	if e.fw == nil {
-		e.fw, _ = flateWriters[e.cfg.Level+2].Get().(*flate.Writer)
-		if e.fw == nil {
-			var err error
-			if e.fw, err = flate.NewWriter(io.Discard, e.cfg.Level); err != nil {
-				return Packet{}, fmt.Errorf("codec: %w", err)
-			}
-		}
+	if e.zw == nil {
+		e.zw = deflaters.Get().(*deflater)
 	}
 	if e.resid == nil {
 		e.resid = make([]byte, frame.FormatYUV420.Size(e.cfg.Width, e.cfg.Height))
@@ -189,19 +184,19 @@ func (e *Encoder) Encode(fr *frame.Frame) (Packet, error) {
 		copy(recon.Pix, fr.Pix) // lossless: the reconstruction is the source
 	}
 
-	e.buf.Reset()
+	// The packet is the frame type and the compressed residual. Its
+	// buffer comes from the recycle slot when the previous packet was
+	// returned via Recycle, and is grown once to the planned size
+	// otherwise; continuous-encode paths (media writers, operator-boundary
+	// materialization) reach zero steady-state allocations per packet
+	// this way.
+	ftype := byte(frameTypeP)
 	if isKey {
-		e.buf.WriteByte(frameTypeI)
-	} else {
-		e.buf.WriteByte(frameTypeP)
+		ftype = frameTypeI
 	}
-	e.fw.Reset(&e.buf)
-	if _, err := e.fw.Write(e.resid); err != nil {
-		return Packet{}, fmt.Errorf("codec: compress: %w", err)
-	}
-	if err := e.fw.Close(); err != nil {
-		return Packet{}, fmt.Errorf("codec: compress: %w", err)
-	}
+	n := e.zw.plan(e.resid)
+	data := e.zw.write(append(slices.Grow(e.sparePkt[:0], 1+n), ftype), e.resid)
+	e.sparePkt = nil
 
 	e.spare = e.prev
 	e.prev = recon
@@ -210,12 +205,6 @@ func (e *Encoder) Encode(fr *frame.Frame) (Packet, error) {
 	} else {
 		e.count++
 	}
-	// The output buffer comes from the recycle slot when the previous
-	// packet was returned via Recycle; continuous-encode paths (media
-	// writers, operator-boundary materialization) reach zero steady-state
-	// allocations per packet this way.
-	data := append(e.sparePkt[:0], e.buf.Bytes()...)
-	e.sparePkt = nil
 	e.rec.StageObserve(obs.StageEncode, 1, int64(len(data)), time.Since(encStart))
 	return Packet{Key: isKey, Data: data}, nil
 }

@@ -499,19 +499,14 @@ func TestEncodeRecycleSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEncoderCloseRecyclesWriter: an encoder built after another's Close
-// takes over its DEFLATE writer, and what it writes is what a first-ever
-// encoder writes — for the level the writer was built at, since pools are
-// per level. Close twice and Encode after Close are both fine. Concurrent
-// encoders (shard workers) trade writers through the pools; run under
-// -race.
+// takes over its DEFLATE writer state from the one pool, and what it
+// writes is what a first-ever encoder writes. Level does not change the
+// bytes, so encoders of two levels share the pool. Close twice and Encode
+// after Close are both fine. Concurrent encoders (shard workers) trade
+// writer state through the pool; run under -race.
 func TestEncoderCloseRecyclesWriter(t *testing.T) {
 	frames := genFrames(testConfig(), 7, 11)
-	want := map[int][]Packet{}
-	for _, level := range []int{2, 4} {
-		cfg := testConfig()
-		cfg.Level = level
-		want[level] = encodeAll(t, cfg, frames)
-	}
+	want := encodeAll(t, testConfig(), frames)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -527,15 +522,15 @@ func TestEncoderCloseRecyclesWriter(t *testing.T) {
 				}
 				for i, fr := range frames {
 					if i == 3 {
-						enc.Close() // mid-stream: the next Encode takes a writer again
+						enc.Close() // mid-stream: the next Encode takes writer state again
 					}
 					pkt, err := enc.Encode(fr)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if w := want[cfg.Level][i]; pkt.Key != w.Key || !bytes.Equal(pkt.Data, w.Data) {
-						t.Errorf("level %d frame %d: bytes differ with a recycled writer", cfg.Level, i)
+					if w := want[i]; pkt.Key != w.Key || !bytes.Equal(pkt.Data, w.Data) {
+						t.Errorf("level %d frame %d: bytes differ with recycled writer state", cfg.Level, i)
 					}
 				}
 				enc.Close()
@@ -548,14 +543,14 @@ func TestEncoderCloseRecyclesWriter(t *testing.T) {
 
 // TestNewEncoderAllocatesNothingBig: a sink builds its encoder up front
 // and may never encode (a pure copy, a result-cache hit); until the first
-// Encode the encoder holds no writer and no residual buffer.
+// Encode the encoder holds no writer state and no residual buffer.
 func TestNewEncoderAllocatesNothingBig(t *testing.T) {
 	enc, err := NewEncoder(Config{Width: 384, Height: 216, Level: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc.fw != nil || enc.resid != nil {
-		t.Error("NewEncoder built the DEFLATE writer or residual buffer before any Encode")
+	if enc.zw != nil || enc.resid != nil {
+		t.Error("NewEncoder took the DEFLATE writer state or residual buffer before any Encode")
 	}
 	enc.Close() // nothing to return; must not panic
 }

@@ -47,7 +47,8 @@ var updateFrozen = flag.Bool("update-frozen", false, "rewrite testdata/frozen_*.
 
 // TestFrozenBitstream pins GV1's output bytes: the packets the encoder
 // produces for a fixed clip must hash to the digests committed under
-// testdata/, which were generated before the plane loops were rewritten.
+// testdata/, which were last regenerated when GV1 began writing its own
+// DEFLATE (the residuals, and so the pixels, did not change).
 // Any change to prediction, quantization, residual layout or DEFLATE
 // framing shows up here as a digest mismatch.
 func TestFrozenBitstream(t *testing.T) {

@@ -97,7 +97,8 @@ var updateSmartCut = flag.Bool("update-smartcut", false,
 // smart cuts to digests generated at the commit before the optimizer split
 // a smart cut into a render head and a copy: a head the shard pass leaves
 // whole is encoded by a fresh encoder into exactly the packets the sink's
-// encoder produced for it.
+// encoder produced for it. The digests were regenerated once since, when
+// GV1 began writing its own DEFLATE: packet bytes changed, pixels did not.
 func TestSmartCutBytesMatchParent(t *testing.T) {
 	for name, src := range map[string]string{"splice": kabrSpliceSpec(), "boxes": boxesSpec()} {
 		var lines []string

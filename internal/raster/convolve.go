@@ -56,10 +56,14 @@ func gaussianKernel(sigma float64) blurKernel {
 	// kernel from -r to r, as the reference does.
 	var raw [maxRadius + 1]float64
 	sum := 0.0
-	for d := r; d >= 0; d-- {
+	for d := r; d > 0; d-- {
 		raw[d] = math.Exp(-float64(d*d) / (2 * sigma * sigma))
 		sum += raw[d]
 	}
+	// exp(0), set rather than computed: once 2*sigma*sigma underflows to 0
+	// (sigma below about 1e-162) the center would be exp(-0/0) = NaN.
+	raw[0] = 1
+	sum += raw[0]
 	for d := 1; d <= r; d++ {
 		sum += raw[d]
 	}

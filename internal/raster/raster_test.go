@@ -204,7 +204,10 @@ func refGaussianKernel(sigma float64) []int32 {
 	var sum float64
 	for i := range raw {
 		d := float64(i - radius)
-		raw[i] = math.Exp(-d * d / (2 * sigma * sigma))
+		raw[i] = 1 // the center; exp(-0/0) is NaN once 2*sigma*sigma underflows
+		if i != radius {
+			raw[i] = math.Exp(-d * d / (2 * sigma * sigma))
+		}
 		sum += raw[i]
 	}
 	k := make([]int32, len(raw))
@@ -356,12 +359,14 @@ func TestBlurIntoLaneBound(t *testing.T) {
 }
 
 // FuzzBlurInto holds BlurInto to the reference on planes the fuzzer picks:
-// an even width of 2 to 64 and height of 2 to 48, a sigma in [0.01, 16]
-// (every radius up to the cap), and pixel bytes repeated to fill the frame.
+// an even width of 2 to 64 and height of 2 to 48, a sigma in (0, 16]
+// (every radius up to the cap, and sigmas so small that 2*sigma*sigma
+// underflows), and pixel bytes repeated to fill the frame.
 func FuzzBlurInto(f *testing.F) {
 	f.Add(uint8(2), uint8(3), 1.5, []byte{0, 255})
+	f.Add(uint8(5), uint8(4), 1e-200, []byte{7, 200, 31})
 	f.Fuzz(func(t *testing.T, w8, h8 uint8, sigma float64, pix []byte) {
-		if !(sigma >= 0.01 && sigma <= 16) || len(pix) == 0 {
+		if !(sigma > 0 && sigma <= 16) || len(pix) == 0 {
 			t.Skip()
 		}
 		w, h := 2+2*int(w8%32), 2+2*int(h8%24)
@@ -375,6 +380,20 @@ func FuzzBlurInto(f *testing.F) {
 			t.Fatalf("%dx%d sigma %v: BlurInto differs from the reference", w, h, sigma)
 		}
 	})
+}
+
+// TestBlurIntoTinySigma: a sigma so small that 2*sigma*sigma underflows
+// to 0 still gives the identity kernel (center 1, every other tap 0), so
+// the blur returns its source.
+func TestBlurIntoTinySigma(t *testing.T) {
+	src := noisy(64, 48, 5)
+	for _, sigma := range []float64{1e-200, 1e-320, 0.01} {
+		dst := frame.New(64, 48, frame.FormatYUV420)
+		BlurInto(dst, src, sigma)
+		if !dst.Equal(src) {
+			t.Errorf("sigma %v: blur changed the frame", sigma)
+		}
+	}
 }
 
 func TestBlurIntoZeroAlloc(t *testing.T) {
