@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzNewReader -fuzztime=$(FUZZTIME) ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDeflate -fuzztime=$(FUZZTIME) ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzInflate -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamReader -fuzztime=$(FUZZTIME) ./internal/media/
 	$(GO) test -run='^$$' -fuzz=FuzzBlurInto -fuzztime=$(FUZZTIME) ./internal/raster/
 

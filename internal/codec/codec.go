@@ -20,17 +20,17 @@
 // quantized by Quality (Quality 1 uses modular arithmetic and is exactly
 // lossless) and entropy-coded with DEFLATE (RFC 1951). GV1 writes its own
 // DEFLATE (deflate.go: one block per packet, built for residual planes)
-// and reads it with compress/flate's inflater, which also reads the
-// packets of every earlier encoder, written by compress/flate's writer.
+// and reads it with its own inflater (inflate.go: straight into the
+// residual, the whole frame as the window), which also reads the packets
+// of every earlier encoder, written by compress/flate's writer. A
+// Quality-1 P-frame is reconstructed by runs: where the residual is zero
+// the reference is copied, or, rolling forward in place, left untouched.
 package codec
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -325,22 +325,35 @@ const (
 	hi1 = 0x8080808080808080
 )
 
-// addBytes sets dst[i] = a[i] + b[i] (mod 256) for i < len(dst).
+// addInPlace adds resid to dst (mod 256), eight lanes per word, and skips
+// each 32-byte block whose residual is zero — most of a P-frame's are —
+// leaving those pixels unread and unwritten.
 //
 //v2v:hotpath
-func addBytes(dst, a, b []byte) {
+func addInPlace(dst, resid []byte) {
 	n := len(dst)
-	a, b = a[:n], b[:n]
+	resid = resid[:n]
 	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := binary.LittleEndian.Uint64(a[i : i+8])
-		y := binary.LittleEndian.Uint64(b[i : i+8])
-		binary.LittleEndian.PutUint64(dst[i:i+8], ((x&lo7)+(y&lo7))^((x^y)&hi1))
+	for ; i+32 <= n; i += 32 {
+		r := (*[32]byte)(resid[i : i+32])
+		r0, r1 := binary.LittleEndian.Uint64(r[0:]), binary.LittleEndian.Uint64(r[8:])
+		r2, r3 := binary.LittleEndian.Uint64(r[16:]), binary.LittleEndian.Uint64(r[24:])
+		if r0|r1|r2|r3 == 0 {
+			continue
+		}
+		d := (*[32]byte)(dst[i : i+32])
+		binary.LittleEndian.PutUint64(d[0:], addLanes(binary.LittleEndian.Uint64(d[0:]), r0))
+		binary.LittleEndian.PutUint64(d[8:], addLanes(binary.LittleEndian.Uint64(d[8:]), r1))
+		binary.LittleEndian.PutUint64(d[16:], addLanes(binary.LittleEndian.Uint64(d[16:]), r2))
+		binary.LittleEndian.PutUint64(d[24:], addLanes(binary.LittleEndian.Uint64(d[24:]), r3))
 	}
 	for ; i < n; i++ {
-		dst[i] = a[i] + b[i]
+		dst[i] += resid[i]
 	}
 }
+
+// addLanes adds eight byte lanes mod 256.
+func addLanes(x, y uint64) uint64 { return ((x & lo7) + (y & lo7)) ^ ((x ^ y) & hi1) }
 
 // subBytes sets dst[i] = a[i] - b[i] (mod 256) for i < len(dst).
 //
@@ -377,18 +390,17 @@ func unzigzag(b byte) int {
 // keyframe; feeding a P-packet first returns ErrNeedKeyframe. Not safe for
 // concurrent use.
 type Decoder struct {
-	cfg   Config
-	prev  *frame.Frame
+	cfg  Config
+	prev *frame.Frame // the reconstruction the next P-packet predicts from
+	rec  *obs.Recorder
+	pool *frame.Pool
+	// The inflater's tables and the residual it inflates into are made
+	// by the first packet: a reader opened only to copy packets never
+	// pays for them. A damaged packet leaves nothing behind in either
+	// that a later packet reads, so the decoder outlives bad packets —
+	// which concealment relies on.
+	zr    *inflater
 	resid []byte
-	rec   *obs.Recorder
-	pool  *frame.Pool
-	// One inflater per decoder, Reset onto each packet's payload through
-	// br. Reset also clears what a damaged packet leaves behind, so the
-	// decoder outlives bad packets — which concealment relies on. It and
-	// resid are made by the first Decode: a reader opened only to copy
-	// packets never pays for them.
-	br bytes.Reader
-	zr io.Reader // also a flate.Resetter
 }
 
 // ErrNeedKeyframe is returned when a P-frame arrives with no reference —
@@ -396,9 +408,9 @@ type Decoder struct {
 var ErrNeedKeyframe = errors.New("codec: packet stream must start at a keyframe")
 
 // ErrUndecodable marks packets whose bitstream is structurally damaged
-// (unknown frame type, corrupt or truncated DEFLATE payload). The
-// executor's error-concealment mode matches this class to substitute the
-// last good frame instead of failing the synthesis.
+// (unknown frame type, corrupt, truncated or mis-sized DEFLATE payload).
+// The executor's error-concealment mode matches this class to substitute
+// the last good frame instead of failing the synthesis.
 var ErrUndecodable = errors.New("codec: undecodable packet")
 
 // NewDecoder returns a decoder for the given configuration.
@@ -413,10 +425,8 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 // Reset drops the reference frame, e.g. before seeking to a keyframe,
 // releasing it back to the frame pool when one is attached.
 func (d *Decoder) Reset() {
-	if d.prev != nil {
-		d.prev.Release()
-		d.prev = nil
-	}
+	d.prev.Release()
+	d.prev = nil
 }
 
 // SetRecorder attributes this decoder's work to a per-request recorder.
@@ -426,45 +436,71 @@ func (d *Decoder) SetRecorder(rec *obs.Recorder) { d.rec = rec }
 // SetFramePool makes the decoder allocate output frames from p. Pooled
 // output changes the ownership contract: the caller must Release each
 // decoded frame when done with it. The decoder holds its own reference to
-// the latest frame for P-frame prediction and drops it on the next Decode
-// or Reset, so callers may Release in any order relative to later decodes.
+// the latest frame for P-frame prediction, so callers may Release in any
+// order relative to later decodes; once all have, the next packet is
+// reconstructed in it.
 func (d *Decoder) SetFramePool(p *frame.Pool) { d.pool = p }
 
-// Decode decompresses one packet. The returned frame is owned by the
-// caller (it is not reused by subsequent Decode calls); with a frame pool
-// attached (SetFramePool), the caller must Release it when finished.
+// Decode decompresses one packet and returns its frame, which the caller
+// owns a reference to: without a frame pool, one never written again.
 func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
+	if err := d.Advance(data); err != nil {
+		return nil, err
+	}
+	return d.prev.Retain(), nil
+}
+
+// Advance decodes one packet into the decoder's reference frame and hands
+// out no frame: the roll-forward from a keyframe to the frame a reader
+// wants. It reconstructs in place — a P-frame's zero residual blocks are
+// not touched — when no caller holds the frame it replaces (an unpooled
+// frame always counts as held), else in a new frame. It records one
+// decode and fails as Decode does, leaving the reference as it was.
+func (d *Decoder) Advance(data []byte) error {
 	decStart := time.Now()
 	if len(data) < 1 {
-		return nil, fmt.Errorf("%w: empty packet", ErrUndecodable)
+		return fmt.Errorf("%w: empty packet", ErrUndecodable)
 	}
 	ftype := data[0]
 	if ftype != frameTypeI && ftype != frameTypeP {
-		return nil, fmt.Errorf("%w: unknown frame type 0x%02x", ErrUndecodable, ftype)
+		return fmt.Errorf("%w: unknown frame type 0x%02x", ErrUndecodable, ftype)
 	}
 	if ftype == frameTypeP && d.prev == nil {
-		return nil, ErrNeedKeyframe
+		return ErrNeedKeyframe
 	}
-	d.br.Reset(data[1:])
 	if d.zr == nil {
+		d.zr = new(inflater)
 		d.resid = make([]byte, frame.FormatYUV420.Size(d.cfg.Width, d.cfg.Height))
-		d.zr = flate.NewReader(&d.br)
 	}
-	if err := d.zr.(flate.Resetter).Reset(&d.br, nil); err != nil {
-		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
+	if err := d.zr.inflate(data[1:], d.resid); err != nil {
+		return fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
 	}
-	if _, err := io.ReadFull(d.zr, d.resid); err != nil {
-		return nil, fmt.Errorf("%w: decompress: %w", ErrUndecodable, err)
-	}
-
-	// Pooled frames carry stale pixels; both decode paths below write
-	// every byte of every plane, so no clearing is needed.
-	var out *frame.Frame
-	if d.pool != nil {
-		out = d.pool.Get(d.cfg.Width, d.cfg.Height, frame.FormatYUV420)
+	if d.prev.Exclusive() {
+		d.reconstruct(ftype, d.prev.Pix)
 	} else {
-		out = frame.New(d.cfg.Width, d.cfg.Height, frame.FormatYUV420)
+		// Pooled frames carry stale pixels; reconstruct writes every byte.
+		var out *frame.Frame
+		if d.pool != nil {
+			out = d.pool.Get(d.cfg.Width, d.cfg.Height, frame.FormatYUV420)
+		} else {
+			out = frame.New(d.cfg.Width, d.cfg.Height, frame.FormatYUV420)
+		}
+		d.reconstruct(ftype, out.Pix)
+		d.prev.Release()
+		d.prev = out
 	}
+	d.rec.StageObserve(obs.StageDecode, 1, int64(len(d.prev.Pix)), time.Since(decStart))
+	return nil
+}
+
+// Reference returns the decoder's reference frame — the last packet's
+// reconstruction, which the next P-packet predicts from — with a
+// reference the caller owns, or nil when there is none.
+func (d *Decoder) Reference() *frame.Frame { return d.prev.Retain() }
+
+// reconstruct builds the frame of type ftype from d.resid into out,
+// predicting a P-frame from d.prev; out may be d.prev's own pixels.
+func (d *Decoder) reconstruct(ftype byte, out []byte) {
 	q := d.cfg.Quality
 	switch {
 	case ftype == frameTypeI:
@@ -472,29 +508,25 @@ func (d *Decoder) Decode(data []byte) (*frame.Frame, error) {
 		for pi := 0; pi < 3; pi++ {
 			w, h := planeDims(d.cfg, pi)
 			if q == 1 {
-				intraReconstruct(d.resid[off:off+w*h], out.Pix[off:off+w*h], w, h)
+				intraReconstruct(d.resid[off:off+w*h], out[off:off+w*h], w, h)
 			} else {
-				intraReconstructLossy(d.resid[off:off+w*h], out.Pix[off:off+w*h], w, h, q)
+				intraReconstructLossy(d.resid[off:off+w*h], out[off:off+w*h], w, h, q)
 			}
 			off += w * h
 		}
 	case q == 1:
-		addBytes(out.Pix, d.prev.Pix, d.resid)
+		// Zero runs of the residual copy the reference: all of it, then
+		// the rest is added.
+		if &out[0] != &d.prev.Pix[0] {
+			copy(out, d.prev.Pix)
+		}
+		addInPlace(out, d.resid)
 	default:
 		prev := d.prev.Pix
-		for i := range out.Pix {
-			out.Pix[i] = clamp8(int(prev[i]) + unzigzag(d.resid[i])*q)
+		for i := range out {
+			out[i] = clamp8(int(prev[i]) + unzigzag(d.resid[i])*q)
 		}
 	}
-	// The decoder keeps its own reference for P-frame prediction; the
-	// caller's reference is theirs to Release. No-ops for unpooled frames.
-	out.Retain()
-	if d.prev != nil {
-		d.prev.Release()
-	}
-	d.prev = out
-	d.rec.StageObserve(obs.StageDecode, 1, int64(len(out.Pix)), time.Since(decStart))
-	return out, nil
 }
 
 // intraReconstruct undoes intraResidual: each row is a running byte sum

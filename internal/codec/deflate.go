@@ -10,9 +10,10 @@ import (
 
 // GV1's DEFLATE writer (RFC 1951), built for residual planes: long runs of
 // one byte and rows that repeat the row before. It writes one final block
-// per packet, dynamic-Huffman unless stored bytes would be smaller, and
-// compress/flate's inflater reads it, so every stream an older encoder
-// wrote still decodes and the decoder is unchanged.
+// per packet, dynamic-Huffman unless stored bytes would be smaller. GV1's
+// inflater (inflate.go) reads it, and reads the streams compress/flate's
+// writer wrote for older encoders too, so every old file still decodes.
+// The RFC 1951 tables below serve both.
 //
 // Matches are greedy (no chains, no lazy evaluation). At each position
 // the last match's distance is tried first, stretched to the largest
@@ -30,12 +31,13 @@ const (
 	hashBits   = 15
 	hashMul    = 0x1e35a7bd
 	minMatch   = 4 // the hash covers four bytes
-	// minLength is the shortest match emitted. compress/flate's inflater
-	// pays a copy call per match, so a shorter one decodes slower than
-	// its literals, and skipping it often lets a longer match start a
-	// byte later. On rendered 384x172 and 384x216 frames, 8 rather than 4
-	// made packets 2–16 % smaller and blur and grid packets inflate 7–12 %
-	// faster, for 4–6 % more encode time.
+	// minLength is the shortest match emitted. The inflater pays a copy
+	// per match, so a shorter one decodes slower than its literals, and
+	// skipping it often lets a longer match start a byte later. On
+	// rendered 384x172 and 384x216 frames, 8 rather than 4 made packets
+	// 2–16 % smaller and blur and grid packets inflate 7–12 % faster
+	// (measured with compress/flate's inflater, GV1's reader then), for
+	// 4–6 % more encode time.
 	minLength = 8
 	maxMatch  = 258
 	// tailIndexed is how many of a match's last positions enter the
@@ -406,7 +408,7 @@ func (d *deflater) runLengths(lens []uint8) {
 }
 
 // buildCode sets h to a Huffman code for freq whose lengths do not
-// exceed maxBits, complete as compress/flate requires: a single used
+// exceed maxBits, complete as inflaters require: a single used
 // symbol gets a one-bit code, and so does symbol 0 when none is used (a
 // block without matches sends one distance code, as zlib does). A
 // Huffman tree deeper than maxBits is cut down as zlib does: clamp the

@@ -3,7 +3,7 @@ package codec
 import "testing"
 
 // FuzzDecode throws arbitrary bytes at one long-lived decoder — the
-// inflater, its reader and the prediction frame all outlive each packet —
+// inflater, its residual and the prediction frame all outlive each packet —
 // and then requires a valid GOP to round-trip through the same decoder.
 // The properties: damaged input yields an error or junk pixels, never a
 // panic; and nothing a bad packet leaves behind can spoil a good one.

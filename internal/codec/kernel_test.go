@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"v2v/internal/frame"
@@ -91,22 +92,16 @@ func TestLaneKernelsMatchReference(t *testing.T) {
 	for n := 0; n <= 40; n++ {
 		for ci, c := range laneCases(n, rnd) {
 			a, b := c[0], c[1]
-			sum, diff := make([]byte, n), make([]byte, n)
-			addBytes(sum, a, b)
+			sum, diff := bytes.Clone(a), make([]byte, n)
+			addInPlace(sum, b)
 			subBytes(diff, a, b)
 			for i := 0; i < n; i++ {
 				if sum[i] != a[i]+b[i] {
-					t.Fatalf("addBytes n=%d case %d: [%d] %#02x+%#02x = %#02x, want %#02x", n, ci, i, a[i], b[i], sum[i], a[i]+b[i])
+					t.Fatalf("addInPlace n=%d case %d: [%d] %#02x+%#02x = %#02x, want %#02x", n, ci, i, a[i], b[i], sum[i], a[i]+b[i])
 				}
 				if diff[i] != a[i]-b[i] {
 					t.Fatalf("subBytes n=%d case %d: [%d] %#02x-%#02x = %#02x, want %#02x", n, ci, i, a[i], b[i], diff[i], a[i]-b[i])
 				}
-			}
-			// In place, as the decoder never does but nothing forbids.
-			got := append([]byte(nil), a...)
-			addBytes(got, got, b)
-			if !bytes.Equal(got, sum) {
-				t.Fatalf("addBytes in place n=%d case %d differs", n, ci)
 			}
 		}
 	}
@@ -167,8 +162,9 @@ func TestIntraPlanesMatchReference(t *testing.T) {
 	}
 }
 
-// TestDecoderSurvivesBadPackets feeds one decoder a truncated packet, a
-// packet with a flipped DEFLATE byte, then a clean GOP. The inflater now
+// TestDecoderSurvivesBadPackets feeds one decoder a truncated packet,
+// packets whose payload does not inflate to exactly one frame's residual,
+// a packet with a flipped DEFLATE byte, then a clean GOP. The inflater
 // outlives each packet, so the error state of a bad one must not leak
 // into the next: concealment mode keeps decoding through the same
 // decoder after a damaged packet.
@@ -185,6 +181,28 @@ func TestDecoderSurvivesBadPackets(t *testing.T) {
 	if _, err := dec.Decode(truncated); !errors.Is(err, ErrUndecodable) {
 		t.Fatalf("truncated packet: err = %v, want ErrUndecodable", err)
 	}
+	// Mis-sized payloads: the last byte (and with it the end-of-block
+	// code) dropped, junk after the stream, and a stream one frame and
+	// 1000 bytes long.
+	long := append([]byte{frameTypeI}, deflateBytes(t, new(deflater), make([]byte, frame.FormatYUV420.Size(cfg.Width, cfg.Height)+1000))...)
+	for i, p := range pkts {
+		if i > 0 {
+			if _, err := dec.Decode(pkts[i-1].Data); err != nil {
+				t.Fatalf("clean packet %d: %v", i-1, err)
+			}
+		}
+		bad := map[string][]byte{
+			"last byte dropped":  p.Data[:len(p.Data)-1],
+			"junk appended":      append(bytes.Clone(p.Data), 0x5a, 0xa5),
+			"a frame and 1000 B": long,
+		}
+		for name, data := range bad {
+			if _, err := dec.Decode(data); !errors.Is(err, ErrUndecodable) {
+				t.Fatalf("packet %d, %s: err = %v, want ErrUndecodable", i, name, err)
+			}
+		}
+	}
+	dec.Reset()
 	// A flipped byte can leave a stream that still inflates (to wrong
 	// pixels); take the first flip the inflater rejects.
 	flippedErr := error(nil)
@@ -222,45 +240,134 @@ func TestDecoderSurvivesBadPackets(t *testing.T) {
 }
 
 // TestDecodeSteadyStateAllocs: with a frame pool attached and every frame
-// released, Decode allocates nothing of its own — no inflater, no reader,
-// no frame. (compress/flate still allocates Huffman link tables, a few
-// hundred bytes, for blocks with codes longer than nine bits; this clip
-// has none. BenchmarkDecodePooled shows the figure on larger frames.)
+// released, Decode and Advance allocate nothing of their own — no tables,
+// no frame — on a small clip and on a 384x216 one whose dynamic blocks
+// have codes longer than the inflater's root table.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
-	cfg := testConfig()
-	pkts := encodeAll(t, cfg, genFrames(cfg, 10, 4))
-	dec, err := NewDecoder(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec.SetFramePool(frame.NewPool())
-	defer dec.Reset()
-	i := 0
-	decodeOne := func() {
-		fr, err := dec.Decode(pkts[i%len(pkts)].Data)
-		if err != nil {
-			t.Fatalf("Decode: %v", err)
+	for _, cfg := range []Config{testConfig(), {Width: 384, Height: 216, Quality: 1, GOP: 10, Level: 2}} {
+		frames := genFrames(cfg, 10, 4)
+		rnd := rand.New(rand.NewSource(8))
+		for _, fr := range frames[1:] {
+			// Sparse, skewed changes give the residual a wide alphabet
+			// of rare bytes: long literal codes.
+			for k := 0; k < len(fr.Pix)/16; k++ {
+				fr.Pix[rnd.Intn(len(fr.Pix))] += byte(rnd.NormFloat64() * 20)
+			}
 		}
-		fr.Release()
-		i++
-	}
-	for warm := 0; warm < 2*len(pkts); warm++ {
-		decodeOne()
-	}
-	// < 1 tolerates a sync.Pool entry dropped by a mid-run GC.
-	if allocs := testing.AllocsPerRun(100, decodeOne); allocs >= 1 {
-		t.Errorf("steady-state pooled Decode allocates %.2f per packet, want 0", allocs)
+		pkts := encodeAll(t, cfg, frames)
+		dec, err := NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.SetFramePool(frame.NewPool())
+		i := 0
+		decodeOne := func() {
+			fr, err := dec.Decode(pkts[i%len(pkts)].Data)
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			fr.Release()
+			i++
+		}
+		advanceOne := func() {
+			if err := dec.Advance(pkts[i%len(pkts)].Data); err != nil {
+				t.Fatalf("Advance: %v", err)
+			}
+			i++
+		}
+		for warm := 0; warm < 2*len(pkts); warm++ {
+			decodeOne()
+			advanceOne()
+		}
+		if cfg.Width == 384 {
+			var f inflater
+			last := pkts[len(pkts)-1].Data
+			if err := f.inflate(last[1:], make([]byte, len(frames[0].Pix))); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(f.lit[:1<<litRoot], func(e uint32) bool { return e&entLink != 0 }) {
+				t.Errorf("%dx%d: the last packet has no code longer than %d bits", cfg.Width, cfg.Height, litRoot)
+			}
+		}
+		// < 1 tolerates a sync.Pool entry dropped by a mid-run GC.
+		if allocs := testing.AllocsPerRun(100, decodeOne); allocs >= 1 {
+			t.Errorf("%dx%d: steady-state pooled Decode allocates %.2f per packet, want 0", cfg.Width, cfg.Height, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, advanceOne); allocs >= 1 {
+			t.Errorf("%dx%d: steady-state Advance allocates %.2f per packet, want 0", cfg.Width, cfg.Height, allocs)
+		}
+		dec.Reset()
 	}
 }
 
-func BenchmarkAddBytes(b *testing.B) {
+// TestAdvanceMatchesDecode: rolling forward with Advance and then
+// decoding gives the frame decoding every packet gives, lossless and
+// lossy, whether the reference is held by a caller (Decode, Reference),
+// was released at once (so the next packet reconstructs it in place), or
+// was never handed out; and a frame a caller holds is never written.
+func TestAdvanceMatchesDecode(t *testing.T) {
+	for _, q := range []int{1, 4} {
+		cfg := Config{Width: 64, Height: 48, Quality: q, GOP: 6, Level: 2}
+		pkts := encodeAll(t, cfg, genFrames(cfg, 12, 3))
+		want := decodeAll(t, cfg, pkts)
+		for target := range pkts {
+			dec, err := NewDecoder(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec.SetFramePool(frame.NewPool())
+			held := map[int]*frame.Frame{}
+			for i, p := range pkts[:target] {
+				switch i % 4 {
+				case 0:
+					err = dec.Advance(p.Data)
+				case 1:
+					var fr *frame.Frame
+					fr, err = dec.Decode(p.Data)
+					held[i] = fr
+				case 2:
+					err = dec.Advance(p.Data)
+					held[i] = dec.Reference()
+				default:
+					var fr *frame.Frame
+					if fr, err = dec.Decode(p.Data); err == nil {
+						if !fr.Equal(want[i]) {
+							t.Errorf("q%d: frame %d differs", q, i)
+						}
+						fr.Release()
+					}
+				}
+				if err != nil {
+					t.Fatalf("q%d packet %d: %v", q, i, err)
+				}
+			}
+			got, err := dec.Decode(pkts[target].Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want[target]) {
+				t.Errorf("q%d: frame %d after a roll-forward differs", q, target)
+			}
+			for i, fr := range held {
+				if !fr.Equal(want[i]) {
+					t.Errorf("q%d: frame %d, handed out before frame %d, was written afterwards", q, i, target)
+				}
+				fr.Release()
+			}
+			got.Release()
+			dec.Reset()
+		}
+	}
+}
+
+func BenchmarkAddInPlace(b *testing.B) {
 	n := frame.FormatYUV420.Size(384, 216)
-	x, y, dst := make([]byte, n), make([]byte, n), make([]byte, n)
+	x, y := make([]byte, n), make([]byte, n)
 	rand.New(rand.NewSource(1)).Read(x)
 	rand.New(rand.NewSource(2)).Read(y)
 	b.SetBytes(int64(n))
 	for i := 0; i < b.N; i++ {
-		addBytes(dst, x, y)
+		addInPlace(x, y)
 	}
 }
 

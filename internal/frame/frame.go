@@ -91,6 +91,13 @@ func (fr *Frame) Retain() *Frame {
 	return fr
 }
 
+// Exclusive reports whether fr is pooled and its one reference is the
+// caller's: no other holder can read it while the caller writes it.
+// Unpooled frames are never exclusive, as their holders are not counted.
+func (fr *Frame) Exclusive() bool {
+	return fr != nil && fr.pool != nil && atomic.LoadInt32(&fr.refs) == 1
+}
+
 // Release drops one reference; the final release returns the buffer to its
 // pool and poisons Pix. Releasing more times than retained panics. No-op
 // on nil or unpooled frames, so callers can release unconditionally.

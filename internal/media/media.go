@@ -29,10 +29,13 @@ import (
 // done (one never released is left to the garbage collector); Close drops
 // the reader's own references.
 type Reader struct {
-	c       *container.Reader
-	dec     *codec.Decoder
-	next    int          // packet index the decoder will consume next; -1 if unset
-	last    *frame.Frame // frame at next-1, decoded or concealed
+	c    *container.Reader
+	dec  *codec.Decoder
+	next int // packet index the decoder will consume next; -1 if unset
+	// held stands in for the frame at next-1 where that is not the
+	// decoder's reference: a concealed packet's frame, or, after a seek,
+	// the frame the reader was at. It is nil once a packet decodes.
+	held    *frame.Frame
 	gray    *frame.Frame // what concealment holds before the first good frame; built on first use
 	conceal bool
 	rec     *obs.Recorder
@@ -63,9 +66,9 @@ func OpenReader(path string) (*Reader, error) {
 
 // Close releases the reader's frame references and the underlying file.
 func (r *Reader) Close() error {
-	r.last.Release()
+	r.held.Release()
 	r.gray.Release()
-	r.last, r.gray = nil, nil
+	r.held, r.gray = nil, nil
 	r.dec.Reset()
 	return r.c.Close()
 }
@@ -105,9 +108,13 @@ func Concealable(err error) bool {
 }
 
 // concealPacket substitutes for an unrecoverable packet by holding the last good
-// frame in r.last, or the reader's mid-gray frame when none exists yet.
+// frame in r.held — the decoder's reference, unless a stand-in is already
+// held — or the reader's mid-gray frame when none exists yet.
 func (r *Reader) concealPacket() {
-	if r.last != nil {
+	if r.held == nil {
+		r.held = r.dec.Reference()
+	}
+	if r.held != nil {
 		return
 	}
 	if r.gray == nil {
@@ -115,19 +122,34 @@ func (r *Reader) concealPacket() {
 		r.gray = frame.DefaultPool().Get(info.Width, info.Height, frame.FormatYUV420)
 		r.gray.Fill(128, 128, 128)
 	}
-	r.last = r.gray.Retain()
+	r.held = r.gray.Retain()
+}
+
+// lastFrame returns the frame at next-1 with a reference for the caller,
+// or nil when there is none.
+func (r *Reader) lastFrame() *frame.Frame {
+	if r.held != nil {
+		return r.held.Retain()
+	}
+	return r.dec.Reference()
 }
 
 // FrameAtIndex returns the decoded frame for packet index i. Sequential
 // access (i, i+1, ...) decodes each packet exactly once; random access
-// restarts from the keyframe at or before i. The frame is shared and must
+// restarts from the keyframe at or before i. Every packet decodes into
+// the decoder's reference frame (codec.Decoder.Advance), and the frame at
+// i is handed out as a reference to it, so a roll-forward builds no frame
+// for the packets before i, and once the caller has released the frame
+// the next packet reconstructs it in place. The frame is shared and must
 // not be modified; the caller owns one reference to it (see Reader).
 func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 	if i < 0 || i >= r.c.NumPackets() {
 		return nil, fmt.Errorf("media: frame %d out of range [0,%d)", i, r.c.NumPackets())
 	}
-	if r.next >= 0 && i == r.next-1 && r.last != nil {
-		return r.last.Retain(), nil
+	if r.next >= 0 && i == r.next-1 {
+		if fr := r.lastFrame(); fr != nil {
+			return fr, nil
+		}
 	}
 	// Seek policy: restart from the keyframe at or before the target when
 	// the decoder has no state, sits past the target, or would roll
@@ -138,22 +160,25 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 		return nil, errors.New("media: no keyframe at or before target")
 	}
 	if r.next < 0 || i < r.next || k > r.next {
+		if r.held == nil {
+			r.held = r.dec.Reference()
+		}
 		r.dec.Reset()
 		r.next = k
 	}
 	for r.next <= i {
 		data, err := r.c.ReadPacket(r.next)
 		if err == nil {
-			var fr *frame.Frame
-			if fr, err = r.dec.Decode(data); err == nil {
-				r.last.Release()
-				r.last = fr // Decode's caller reference becomes the reader's
+			if err = r.dec.Advance(data); err == nil {
+				r.held.Release()
+				r.held = nil
 			} else {
 				err = fmt.Errorf("media: decode packet %d: %w", r.next, err)
 			}
 		}
 		if err != nil {
 			if !r.conceal || !Concealable(err) {
+				r.next = -1 // the frame before r.next was never decoded: the next read seeks
 				return nil, err
 			}
 			// Hold the last good frame in place of the damaged packet; the
@@ -165,7 +190,7 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 		}
 		r.next++
 	}
-	return r.last.Retain(), nil
+	return r.lastFrame(), nil
 }
 
 // FrameAt returns the frame whose presentation time is exactly t.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"v2v/internal/codec"
 	"v2v/internal/container"
 	"v2v/internal/frame"
 	"v2v/internal/obs"
@@ -104,20 +105,7 @@ func TestSourceFramePoolBalance(t *testing.T) {
 func TestConcealHoldsOneGrayFrame(t *testing.T) {
 	info := testInfo(6)
 	path := makeVideo(t, t.TempDir(), "a.vmf", info, 12)
-	cr, err := container.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := cr.Record(0)
-	cr.Close()
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xde, 0xad, 0xbe, 0xef}, rec.Offset+int64(rec.Size)/2); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	damagePacket(t, path, 0)
 
 	before := liveFrames()
 	r, err := OpenReader(path)
@@ -160,5 +148,123 @@ func TestConcealHoldsOneGrayFrame(t *testing.T) {
 	r.Close()
 	if got := liveFrames() - before; got != 0 {
 		t.Errorf("%d pooled frames still live after Close, want 0", got)
+	}
+}
+
+// damagePacket overwrites four bytes in the middle of packet i, which the
+// container's checksum then reports as corrupt.
+func damagePacket(t *testing.T, path string, i int) {
+	t.Helper()
+	cr, err := container.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := cr.Record(i)
+	cr.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{0xde, 0xad, 0xbe, 0xef}, rec.Offset+int64(rec.Size)/2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcealDuringRollForward: a random-access read whose roll-forward
+// from the keyframe crosses a damaged P-packet conceals that one packet
+// and returns the target decoded against the last good reference — what
+// a decoder fed the GOP without the damaged packet returns — not
+// mid-gray. Reading the damaged packet itself holds the frame before it.
+func TestConcealDuringRollForward(t *testing.T) {
+	info := testInfo(6)
+	path := makeVideo(t, t.TempDir(), "a.vmf", info, 12)
+	const bad = 2
+	damagePacket(t, path, bad)
+
+	// The expected frames, from the intact packets of the first GOP.
+	cr, err := container.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := codec.NewDecoder(codec.Config{Width: info.Width, Height: info.Height, Quality: info.Quality, GOP: info.GOP, Level: info.Level})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]*frame.Frame{}
+	for i := 0; i < 5; i++ {
+		data, err := cr.ReadPacket(i)
+		if i == bad {
+			if !Concealable(err) {
+				t.Fatalf("packet %d: err = %v, want a concealable one", i, err)
+			}
+			want[i] = want[i-1]
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = dec.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cr.Close()
+
+	before := liveFrames()
+	for _, target := range []int{4, bad} {
+		r, err := OpenReader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetConceal(true)
+		work := obs.NewRecorder()
+		r.SetRecorder(work)
+		fr, err := r.FrameAtIndex(target)
+		if err != nil {
+			t.Fatalf("FrameAtIndex(%d): %v", target, err)
+		}
+		if got := work.Work().Concealed; got != 1 {
+			t.Errorf("FrameAtIndex(%d) concealed %d packets, want 1", target, got)
+		}
+		if got := work.Stage(obs.StageDecode).Frames; got != int64(target) {
+			t.Errorf("FrameAtIndex(%d) decoded %d packets, want %d", target, got, target)
+		}
+		if !fr.Equal(want[target]) {
+			t.Errorf("FrameAtIndex(%d) is not the frame decoded against the last good reference", target)
+		}
+		fr.Release()
+		r.Close()
+	}
+	if got := liveFrames() - before; got != 0 {
+		t.Errorf("%d pooled frames still live after Close, want 0", got)
+	}
+}
+
+// TestFailedSeekServesNoStaleFrame: in fail-fast mode, a seek whose
+// keyframe cannot be read fails, and the frame just before that keyframe
+// is then decoded, not served from where the reader was before the seek.
+func TestFailedSeekServesNoStaleFrame(t *testing.T) {
+	path := makeVideo(t, t.TempDir(), "a.vmf", testInfo(6), 12)
+	damagePacket(t, path, 6)
+	r, err := OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, i := range []int{3, 7, 5} {
+		fr, err := r.FrameAtIndex(i)
+		if i == 7 {
+			if err == nil {
+				t.Fatal("FrameAtIndex(7) read a damaged keyframe without error")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("FrameAtIndex(%d): %v", i, err)
+		}
+		if id, _ := frame.ReadStamp(fr); id != uint32(i) {
+			t.Errorf("FrameAtIndex(%d) after a failed seek is frame %d", i, id)
+		}
+		fr.Release()
 	}
 }

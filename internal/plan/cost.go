@@ -32,8 +32,9 @@ type Cost struct {
 // stream copies move bytes without touching pixel data at all, so a copied
 // megabyte is far cheaper than either. Measured in the benchmark's traced
 // pass (engine busy time per frame), encode/decode was 2.6–5.6 with
-// compress/flate's writer and is 1.8–3.0 with GV1's own; unitsPerEncode
-// keeps 4.0 until the filter-cost work re-prices every weight from probes.
+// compress/flate, 1.8–3.0 with GV1's own writer, and is 3.3–4.8 with its
+// own inflater too; unitsPerEncode keeps 4.0 until the filter-cost work
+// re-prices every weight from probes.
 const (
 	unitsPerDecode  = 1.0
 	unitsPerEncode  = 4.0
