@@ -46,8 +46,7 @@ func probe(path string, packets, stamps bool) error {
 	info := r.Info()
 	fmt.Printf("%s:\n", path)
 	fmt.Printf("  codec    %s\n", info.Codec)
-	fmt.Printf("  video    %dx%d @ %s fps, quality %d, flate level %d\n",
-		info.Width, info.Height, info.FPS, info.Quality, info.Level)
+	fmt.Printf("  video    %dx%d @ %s fps, quality %d\n", info.Width, info.Height, info.FPS, info.Quality)
 	fmt.Printf("  frames   %d (%s seconds)\n", r.NumPackets(), r.Duration())
 	fmt.Printf("  start    %s\n", info.Start)
 

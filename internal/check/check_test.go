@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"v2v/internal/container"
 	"v2v/internal/dataset"
 	"v2v/internal/rational"
 	"v2v/internal/sqlmini"
@@ -385,6 +387,76 @@ func TestCheckIncompatibleSourcesNeedOutput(t *testing.T) {
 	s, _ := vql.Parse(src)
 	if _, err := Check(s, Options{}); err == nil {
 		t.Error("incompatible sources without explicit output should fail")
+	} else if !strings.Contains(err.Error(), "size 192x96 vs 160x96") {
+		t.Errorf("err = %v, want it to name the size mismatch", err)
+	}
+
+	// A quality-only mismatch names the quality, not two equal sizes.
+	q := filepath.Join(f.dir, "q4.vmf")
+	writeHeaderOnly(t, q, func(si *container.StreamInfo) { si.Quality = 4 })
+	s, _ = vql.Parse(strings.Replace(src, other, q, 1))
+	if _, err := Check(s, Options{}); err == nil || !strings.Contains(err.Error(), "quality 4 vs 1") {
+		t.Errorf("quality-only mismatch: err = %v, want it to name the quality", err)
+	}
+}
+
+// writeHeaderOnly writes a 2-second VMF with the tiny profile's stream
+// info, changed by edit, and placeholder packets: Check reads headers and
+// indexes only.
+func writeHeaderOnly(t *testing.T, path string, edit func(*container.StreamInfo)) {
+	t.Helper()
+	p := dataset.TinyProfile()
+	info := p.StreamInfo()
+	edit(&info)
+	w, err := container.Create(path, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 48; i++ {
+		if err := w.WritePacket(int64(i), i%p.GOPFrames() == 0, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckOutputFormatIsDeterministic: sources that differ only in what
+// Compatible ignores — GOP, Level — check, and the inherited output format
+// is the lexically first video's on every call, not whichever map entry
+// came first.
+func TestCheckOutputFormatIsDeterministic(t *testing.T) {
+	f := getFixture(t)
+	gop48 := filepath.Join(f.dir, "gop48.vmf")
+	p := f.profile
+	p.GOPSeconds = rational.FromInt(2)
+	if _, err := dataset.Generate(gop48, "", p, rational.FromInt(2)); err != nil {
+		t.Fatal(err)
+	}
+	level3 := filepath.Join(f.dir, "level3.vmf")
+	writeHeaderOnly(t, level3, func(si *container.StreamInfo) { si.Level = 3 })
+	src := fmt.Sprintf(`
+		timedomain range(0, 1, 1/24);
+		videos { a: %q; b: %q; c: %q; }
+		render(t) = grid(a[t], b[t], c[t], a[t]);`, f.vid, gop48, level3)
+	s, err := vql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for i := 0; i < 64; i++ {
+		c, err := Check(s, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.Passthrough {
+			t.Fatal("compatible sources should pass their format through")
+		}
+		counts[fmt.Sprintf("gop=%d level=%d", c.Output.GOP, c.Output.Level)]++
+	}
+	if want := fmt.Sprintf("gop=%d level=0", f.profile.GOPFrames()); len(counts) != 1 || counts[want] != 64 {
+		t.Errorf("64 checks gave output formats %v, want %q every time", counts, want)
 	}
 }
 

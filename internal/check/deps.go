@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"v2v/internal/container"
 	"v2v/internal/rational"
@@ -251,35 +252,36 @@ func (c *Checked) resolveOutput() error {
 		}
 		c.Output = container.StreamInfo{
 			Codec: "GV10", Width: o.Width, Height: o.Height, FPS: o.FPS,
-			Quality: o.Quality, GOP: o.GOP, Level: o.Level,
+			Quality: o.Quality, GOP: o.GOP,
 		}
 		c.Passthrough = false
 		return nil
 	}
-	// Inherit the common source format.
-	var base *container.StreamInfo
+	// Inherit the common source format, taken from the lexically first
+	// video, so the fields Mismatch ignores (GOP, Level) do not depend on
+	// map order.
+	names := make([]string, 0, len(c.Deps))
 	for name := range c.Deps {
-		info := c.Sources[name].Info
-		if base == nil {
-			b := info
-			b.Start = rational.Zero
-			base = &b
-			continue
-		}
-		if !base.Compatible(info) {
-			return fmt.Errorf("check: videos have incompatible formats (%dx%d@%s vs %dx%d@%s); declare an explicit output format",
-				base.Width, base.Height, base.FPS, info.Width, info.Height, info.FPS)
-		}
+		names = append(names, name)
 	}
-	if base == nil {
+	if len(names) == 0 {
 		return fmt.Errorf("check: render references no videos; declare an explicit output format")
+	}
+	slices.Sort(names)
+	base := c.Sources[names[0]].Info
+	base.Start = rational.Zero
+	for _, name := range names[1:] {
+		if d := base.Mismatch(c.Sources[name].Info); d != "" {
+			return fmt.Errorf("check: videos %q and %q have incompatible formats (%s); declare an explicit output format",
+				names[0], name, d)
+		}
 	}
 	// The output frame cadence must match the time domain step.
 	if !c.Spec.TimeDomain.Step.Mul(base.FPS).Equal(rational.One) {
 		return fmt.Errorf("check: time domain step %s does not match the source frame rate %s; declare an explicit output format",
 			c.Spec.TimeDomain.Step, base.FPS)
 	}
-	c.Output = *base
+	c.Output = base
 	c.Passthrough = true
 	return nil
 }

@@ -50,19 +50,17 @@ const (
 // Config holds the coding parameters shared by encoder and decoder. Width
 // and Height must be positive and even. Quality is the quantizer step
 // (1 = lossless, larger = lossier and smaller). GOP is the keyframe
-// interval in frames (1 = all-intra). Level is the DEFLATE effort of
-// compress/flate's writer, which encoders used before GV1 wrote its own
-// DEFLATE: it is range-checked and recorded in every stream header, since
-// older streams carry it and specs set it, but no longer changes the
-// bytes an encoder writes.
+// interval in frames (1 = all-intra). Level changes no byte: it, its
+// default and its range check stay only while bench/ names the field
+// (ROADMAP item 5), and media.CodecConfig leaves it unset.
 type Config struct {
 	Width, Height int
 	Quality       int
 	GOP           int
-	Level         int
+	Level         int // changes no byte; goes with ROADMAP item 5
 }
 
-// Defaults fills unset fields: Quality 1, GOP 48, Level 6.
+// Defaults fills unset fields: Quality 1, GOP 48, Level 6 (see Config).
 func (c Config) Defaults() Config {
 	if c.Quality <= 0 {
 		c.Quality = 1
@@ -70,7 +68,7 @@ func (c Config) Defaults() Config {
 	if c.GOP <= 0 {
 		c.GOP = 48
 	}
-	if c.Level == 0 {
+	if c.Level == 0 { // Level goes with ROADMAP item 5
 		c.Level = 6
 	}
 	return c
@@ -90,7 +88,7 @@ func (c Config) Validate() error {
 	if c.GOP < 1 {
 		return fmt.Errorf("codec: GOP %d must be >= 1", c.GOP)
 	}
-	if c.Level < -2 || c.Level > 9 {
+	if c.Level < -2 || c.Level > 9 { // Level goes with ROADMAP item 5
 		return fmt.Errorf("codec: flate level %d out of range", c.Level)
 	}
 	return nil

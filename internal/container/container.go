@@ -9,18 +9,18 @@
 // touching packet data), the same role keyframe indexes play in Scanner
 // and LosslessCut.
 //
-// Layout (version 2):
+// Layout:
 //
 //	magic "VMF2" | u32 header length | JSON StreamInfo
 //	packet bytes ...
 //	index: per packet { i64 pts, u64 offset, u32 size, u8 key, u32 crc32 }
 //	footer: u64 index offset | u32 packet count | magic "XFMV"
 //
-// Version 1 files ("VMF1" magic, 21-byte index records without the CRC)
-// remain readable; writers always emit version 2. The per-packet CRC32
-// (IEEE) lets ReadPacket detect payload corruption at read time instead of
-// handing garbage to the decoder — see docs/ROBUSTNESS.md for the fault
-// model built on top of it.
+// The header is WriteHeader's, which the VMS stream format shares. Any
+// other magic, the version-1 "VMF1" included, fails Open. The per-packet
+// CRC32 (IEEE) lets ReadPacket detect payload corruption at read time
+// instead of handing garbage to the decoder — see docs/ROBUSTNESS.md for
+// the fault model built on top of it.
 //
 // Timestamps are frame counts: packet PTS n has presentation time
 // Start + n/FPS, kept exact with rationals.
@@ -38,7 +38,7 @@
 //   - Writers are atomic: Create writes to <path>.tmp and Close renames it
 //     into place, so a crashed or aborted synthesis never leaves a
 //     truncated file at the target path. Abort discards the temp file.
-//   - ReadPacket verifies the index CRC (version 2) and returns errors
+//   - ReadPacket verifies the index CRC and returns errors
 //     wrapping ErrCorruptPacket for payload damage, which the executor's
 //     concealment mode matches on.
 //   - Transient read errors (anything implementing Transient() bool, as
@@ -65,11 +65,9 @@ import (
 )
 
 const (
-	magicHeadV1   = "VMF1"
-	magicHeadV2   = "VMF2"
+	magicHead     = "VMF2"
 	magicFoot     = "XFMV"
-	recSizeV1     = 8 + 8 + 4 + 1
-	recSizeV2     = 8 + 8 + 4 + 1 + 4
+	recSize       = 8 + 8 + 4 + 1 + 4
 	footerSize    = 8 + 4 + 4
 	maxHeaderSize = 1 << 20
 
@@ -134,7 +132,7 @@ type StreamInfo struct {
 	Start   rational.Rat `json:"start"`             // presentation time of PTS 0
 	Quality int          `json:"quality,omitempty"` // codec quantizer
 	GOP     int          `json:"gop,omitempty"`     // keyframe interval hint
-	Level   int          `json:"level,omitempty"`   // codec effort
+	Level   int          `json:"level,omitempty"`   // changes no byte; goes with ROADMAP item 5
 }
 
 // Validate reports whether the stream info is usable.
@@ -151,12 +149,68 @@ func (si StreamInfo) Validate() error {
 	return nil
 }
 
-// Compatible reports whether packets from a stream with info o can be
-// spliced into a stream with this info without re-encoding — the FFmpeg
-// "concatenating compatible streams" condition.
-func (si StreamInfo) Compatible(o StreamInfo) bool {
-	return si.Codec == o.Codec && si.Width == o.Width && si.Height == o.Height &&
-		si.FPS.Equal(o.FPS) && si.Quality == o.Quality && si.Level == o.Level
+// Mismatch is the splice rule: it returns "" when packets from a stream
+// with info o can be spliced into a stream with this info without
+// re-encoding — the FFmpeg "concatenating compatible streams" condition —
+// and otherwise names the first field that differs. Only what changes the
+// bytes counts: the codec, frame size and rate, and quantizer; not the
+// GOP hint, nor Level.
+func (si StreamInfo) Mismatch(o StreamInfo) string {
+	switch {
+	case si.Codec != o.Codec:
+		return fmt.Sprintf("codec %q vs %q", si.Codec, o.Codec)
+	case si.Width != o.Width || si.Height != o.Height:
+		return fmt.Sprintf("size %dx%d vs %dx%d", si.Width, si.Height, o.Width, o.Height)
+	case !si.FPS.Equal(o.FPS):
+		return fmt.Sprintf("fps %s vs %s", si.FPS, o.FPS)
+	case si.Quality != o.Quality:
+		return fmt.Sprintf("quality %d vs %d", si.Quality, o.Quality)
+	}
+	return ""
+}
+
+// WriteHeader validates info and writes the header both stream formats
+// open with — magic, a u32 length, then info as JSON — in one write. It
+// returns the header's length.
+func WriteHeader(w io.Writer, magic string, info StreamInfo) (int, error) {
+	if err := info.Validate(); err != nil {
+		return 0, err
+	}
+	hdr, err := json.Marshal(info)
+	if err != nil {
+		return 0, fmt.Errorf("container: marshal header: %w", err)
+	}
+	buf := binary.LittleEndian.AppendUint32([]byte(magic), uint32(len(hdr)))
+	n, err := w.Write(append(buf, hdr...))
+	if err != nil {
+		return n, fmt.Errorf("container: write header: %w", err)
+	}
+	return n, nil
+}
+
+// ReadHeader parses the header WriteHeader wrote with magic and validates
+// the stream info. It also returns the header's bytes, magic included.
+func ReadHeader(r io.Reader, magic string) (StreamInfo, []byte, error) {
+	var info StreamInfo
+	raw := make([]byte, 8)
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return info, nil, fmt.Errorf("container: read magic: %w", err)
+	}
+	if string(raw[:4]) != magic {
+		return info, nil, fmt.Errorf("container: bad magic %q", raw[:4])
+	}
+	n := binary.LittleEndian.Uint32(raw[4:])
+	if n == 0 || n > maxHeaderSize {
+		return info, nil, fmt.Errorf("container: implausible header length %d", n)
+	}
+	raw = append(raw, make([]byte, n)...)
+	if _, err := io.ReadFull(r, raw[8:]); err != nil {
+		return info, nil, fmt.Errorf("container: read header: %w", err)
+	}
+	if err := json.Unmarshal(raw[8:], &info); err != nil {
+		return info, nil, fmt.Errorf("container: parse header: %w", err)
+	}
+	return info, raw, info.Validate()
 }
 
 // TimeOf returns the presentation time of the packet with the given PTS.
@@ -177,7 +231,7 @@ func (si StreamInfo) FrameDur() rational.Rat {
 }
 
 // PacketRecord is one index entry. CRC is the IEEE CRC32 of the packet
-// payload (0 in version-1 files, which carry no checksums).
+// payload.
 type PacketRecord struct {
 	PTS    int64
 	Offset int64
@@ -186,7 +240,7 @@ type PacketRecord struct {
 	CRC    uint32
 }
 
-// Writer writes a VMF (version 2) file. Packets must be appended in
+// Writer writes a VMF file. Packets must be appended in
 // strictly increasing PTS order and the first packet must be a keyframe.
 //
 // Output is atomic: bytes go to <path>.tmp and Close renames the finished
@@ -196,44 +250,27 @@ type Writer struct {
 	f      *os.File
 	path   string // final path, created by Close's rename
 	tmp    string // temp path holding the in-progress file
-	info   StreamInfo
 	recs   []PacketRecord
 	off    int64
 	closed bool
 }
 
 // Create opens path for writing and emits the header. The data lands at
-// <path>.tmp until Close succeeds.
+// <path>.tmp until Close succeeds; an invalid info leaves nothing behind.
 func Create(path string, info StreamInfo) (*Writer, error) {
-	if err := info.Validate(); err != nil {
-		return nil, err
-	}
-	hdr, err := json.Marshal(info)
-	if err != nil {
-		return nil, fmt.Errorf("container: marshal header: %w", err)
-	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return nil, fmt.Errorf("container: %w", err)
 	}
-	w := &Writer{f: f, path: path, tmp: tmp, info: info}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(hdr)))
-	for _, b := range [][]byte{[]byte(magicHeadV2), lenBuf[:], hdr} {
-		n, err := f.Write(b)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return nil, fmt.Errorf("container: write header: %w", err)
-		}
-		w.off += int64(n)
+	n, err := WriteHeader(f, magicHead, info)
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return nil, err
 	}
-	return w, nil
+	return &Writer{f: f, path: path, tmp: tmp, off: int64(n)}, nil
 }
-
-// Info returns the stream info the writer was created with.
-func (w *Writer) Info() StreamInfo { return w.info }
 
 // WritePacket appends one packet, recording its CRC32 in the index.
 func (w *Writer) WritePacket(pts int64, key bool, data []byte) error {
@@ -269,8 +306,8 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	idxOff := w.off
-	buf := make([]byte, 0, len(w.recs)*recSizeV2+footerSize)
-	var rec [recSizeV2]byte
+	buf := make([]byte, 0, len(w.recs)*recSize+footerSize)
+	var rec [recSize]byte
 	for _, r := range w.recs {
 		binary.LittleEndian.PutUint64(rec[0:], uint64(r.PTS))
 		binary.LittleEndian.PutUint64(rec[8:], uint64(r.Offset))
@@ -323,19 +360,17 @@ func (w *Writer) Abort() error {
 	return nil
 }
 
-// Reader reads a VMF file (version 1 or 2). Safe for concurrent
-// ReadPacket calls (it uses positioned reads).
+// Reader reads a VMF file. Safe for concurrent ReadPacket calls (it uses
+// positioned reads).
 type Reader struct {
-	f         File
+	f         *retryFile
 	info      StreamInfo
 	recs      []PacketRecord
-	version   int
 	contentID string
-	retries   atomic.Int64 // transient read retries performed
 }
 
 // Retries returns how many transient read retries this reader performed.
-func (r *Reader) Retries() int64 { return r.retries.Load() }
+func (r *Reader) Retries() int64 { return r.f.retries.Load() }
 
 // Open opens and indexes a VMF file.
 func Open(path string) (*Reader, error) {
@@ -355,41 +390,13 @@ func Open(path string) (*Reader, error) {
 // NewReader indexes an already-open file. The reader takes ownership of f
 // on success (Close closes it); on error the caller keeps ownership.
 //
-// Every read is positioned and goes through readAt, so the magic, header,
+// Every read is positioned and goes through retryFile, so the header,
 // footer and index reads retry transient errors exactly as packet reads
 // do.
 func NewReader(f File) (*Reader, error) {
-	r := &Reader{f: f}
-	var head [8]byte
-	if err := r.readAt(head[:], 0); err != nil {
-		return nil, fmt.Errorf("container: read magic: %w", err)
-	}
-	version := 0
-	switch string(head[:4]) {
-	case magicHeadV1:
-		version = 1
-	case magicHeadV2:
-		version = 2
-	default:
-		return nil, fmt.Errorf("container: bad magic %q", head[:4])
-	}
-	recSize := recSizeV2
-	if version == 1 {
-		recSize = recSizeV1
-	}
-	hdrLen := binary.LittleEndian.Uint32(head[4:])
-	if hdrLen == 0 || hdrLen > maxHeaderSize {
-		return nil, fmt.Errorf("container: implausible header length %d", hdrLen)
-	}
-	hdr := make([]byte, hdrLen)
-	if err := r.readAt(hdr, 8); err != nil {
-		return nil, fmt.Errorf("container: read header: %w", err)
-	}
-	var info StreamInfo
-	if err := json.Unmarshal(hdr, &info); err != nil {
-		return nil, fmt.Errorf("container: parse header: %w", err)
-	}
-	if err := info.Validate(); err != nil {
+	r := &Reader{f: &retryFile{File: f}}
+	info, hdr, err := ReadHeader(io.NewSectionReader(r.f, 0, 8+maxHeaderSize), magicHead)
+	if err != nil {
 		return nil, err
 	}
 
@@ -401,7 +408,7 @@ func NewReader(f File) (*Reader, error) {
 		return nil, errors.New("container: truncated file (no footer)")
 	}
 	var foot [footerSize]byte
-	if err := r.readAt(foot[:], end-footerSize); err != nil {
+	if _, err := r.f.ReadAt(foot[:], end-footerSize); err != nil {
 		return nil, fmt.Errorf("container: read footer: %w", err)
 	}
 	if string(foot[12:]) != magicFoot {
@@ -413,10 +420,9 @@ func NewReader(f File) (*Reader, error) {
 		return nil, errors.New("container: corrupt index geometry")
 	}
 	idx := make([]byte, count*recSize)
-	if err := r.readAt(idx, idxOff); err != nil {
+	if _, err := r.f.ReadAt(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("container: read index: %w", err)
 	}
-	headerEnd := int64(8 + hdrLen)
 	recs := make([]PacketRecord, count)
 	for i := range recs {
 		rec := idx[i*recSize:]
@@ -425,14 +431,12 @@ func NewReader(f File) (*Reader, error) {
 			Offset: int64(binary.LittleEndian.Uint64(rec[8:])),
 			Size:   int(binary.LittleEndian.Uint32(rec[16:])),
 			Key:    rec[20] == 1,
-		}
-		if version >= 2 {
-			recs[i].CRC = binary.LittleEndian.Uint32(rec[21:])
+			CRC:    binary.LittleEndian.Uint32(rec[21:]),
 		}
 		// Validate each record against the file geometry so that a
 		// corrupted index cannot demand absurd allocations or reads.
 		pr := recs[i]
-		if pr.Size <= 0 || pr.Offset < headerEnd || pr.Offset+int64(pr.Size) > idxOff {
+		if pr.Size <= 0 || pr.Offset < int64(len(hdr)) || pr.Offset+int64(pr.Size) > idxOff {
 			return nil, fmt.Errorf("container: corrupt index record %d (offset %d size %d)", i, pr.Offset, pr.Size)
 		}
 		if rec[20] > 1 {
@@ -445,18 +449,17 @@ func NewReader(f File) (*Reader, error) {
 	if count > 0 && !recs[0].Key {
 		return nil, errors.New("container: stream does not start at a keyframe")
 	}
-	// Content identity: hash the magic+header, the file size, and the raw
-	// index. The index carries every packet's PTS, extent, keyframe flag,
-	// and (version 2) payload CRC32, so any change to packet content or
-	// stream structure changes the ID without reading packet data.
+	// Content identity: hash the header, the file size, and the raw index.
+	// The index carries every packet's PTS, extent, keyframe flag, and
+	// payload CRC32, so any change to packet content or stream structure
+	// changes the ID without reading packet data.
 	ch := sha256.New()
-	ch.Write(head[:])
 	ch.Write(hdr)
 	var szBuf [8]byte
 	binary.LittleEndian.PutUint64(szBuf[:], uint64(end))
 	ch.Write(szBuf[:])
 	ch.Write(idx)
-	r.info, r.recs, r.version = info, recs, version
+	r.info, r.recs = info, recs
 	r.contentID = hex.EncodeToString(ch.Sum(nil))
 	return r, nil
 }
@@ -465,9 +468,7 @@ func NewReader(f File) (*Reader, error) {
 // content, derived from the header and packet index (including per-packet
 // CRCs) rather than the path or mtime. Rewriting a file in place with
 // different content yields a different ID, which is what makes it safe to
-// key cross-request result caches on. Version-1 files (no packet CRCs)
-// still get an ID, but it only witnesses stream structure, not payload
-// bytes.
+// key cross-request result caches on.
 func (r *Reader) ContentID() string { return r.contentID }
 
 // Close releases the underlying file.
@@ -475,10 +476,6 @@ func (r *Reader) Close() error { return r.f.Close() }
 
 // Info returns the stream description.
 func (r *Reader) Info() StreamInfo { return r.info }
-
-// Version returns the container format version (1 or 2). Version-1 files
-// carry no packet CRCs, so payload corruption surfaces only at decode.
-func (r *Reader) Version() int { return r.version }
 
 // NumPackets returns the number of packets in the file.
 func (r *Reader) NumPackets() int { return len(r.recs) }
@@ -498,42 +495,45 @@ func isTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// ReadPacket reads the payload of packet i, verifying the index CRC
-// (version 2). Payload damage — CRC mismatch or a short read inside the
-// recorded extent — is reported wrapping ErrCorruptPacket; transient read
-// errors are retried with bounded backoff first.
+// ReadPacket reads the payload of packet i, verifying the index CRC.
+// Payload damage — CRC mismatch or a short read inside the recorded
+// extent — is reported wrapping ErrCorruptPacket; transient read errors
+// are retried with bounded backoff first.
 func (r *Reader) ReadPacket(i int) ([]byte, error) {
 	if i < 0 || i >= len(r.recs) {
 		return nil, fmt.Errorf("container: packet %d out of range [0,%d)", i, len(r.recs))
 	}
 	rec := r.recs[i]
 	buf := make([]byte, rec.Size)
-	if err := r.readAt(buf, rec.Offset); err != nil {
+	if _, err := r.f.ReadAt(buf, rec.Offset); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, fmt.Errorf("%w: packet %d short read: %w", ErrCorruptPacket, i, err)
 		}
 		return nil, fmt.Errorf("container: read packet %d: %w", i, err)
 	}
-	if r.version >= 2 {
-		if got := crc32.ChecksumIEEE(buf); got != rec.CRC {
-			return nil, fmt.Errorf("%w: packet %d CRC mismatch (index %08x, payload %08x)",
-				ErrCorruptPacket, i, rec.CRC, got)
-		}
+	if got := crc32.ChecksumIEEE(buf); got != rec.CRC {
+		return nil, fmt.Errorf("%w: packet %d CRC mismatch (index %08x, payload %08x)",
+			ErrCorruptPacket, i, rec.CRC, got)
 	}
 	return buf, nil
 }
 
-// readAt is ReadAt with bounded retry/backoff on the transient error
-// class (the policy documented in docs/ROBUSTNESS.md). It is the
-// Reader's only read path.
-func (r *Reader) readAt(buf []byte, off int64) error {
+// retryFile is a Reader's file, whose ReadAt retries the transient error
+// class with bounded backoff (the policy documented in
+// docs/ROBUSTNESS.md). It is the Reader's only read path.
+type retryFile struct {
+	File
+	retries atomic.Int64 // transient read retries performed
+}
+
+func (f *retryFile) ReadAt(buf []byte, off int64) (int, error) {
 	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		_, err := r.f.ReadAt(buf, off)
+		n, err := f.File.ReadAt(buf, off)
 		if err == nil || !isTransient(err) || attempt >= maxReadRetries {
-			return err
+			return n, err
 		}
-		r.retries.Add(1)
+		f.retries.Add(1)
 		if OnTransientRetry != nil {
 			OnTransientRetry()
 		}

@@ -50,7 +50,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer r.Close()
-	if !r.Info().Compatible(info) || !r.Info().FPS.Equal(info.FPS) {
+	if r.Info().Mismatch(info) != "" || !r.Info().FPS.Equal(info.FPS) {
 		t.Errorf("info = %+v", r.Info())
 	}
 	if r.NumPackets() != 30 {
@@ -240,22 +240,23 @@ func TestDurationAndTimeRange(t *testing.T) {
 func TestCompatible(t *testing.T) {
 	a := testInfo()
 	b := a
-	if !a.Compatible(b) {
-		t.Error("identical infos should be compatible")
+	if d := a.Mismatch(b); d != "" {
+		t.Errorf("identical infos should be compatible, got %q", d)
 	}
 	b.Width = 128
-	if a.Compatible(b) {
-		t.Error("different width should be incompatible")
+	if got, want := a.Mismatch(b), "size 64x48 vs 128x48"; got != want {
+		t.Errorf("different width: Mismatch = %q, want %q", got, want)
 	}
 	c := a
 	c.Quality = 9
-	if a.Compatible(c) {
-		t.Error("different quality should be incompatible")
+	if got, want := a.Mismatch(c), "quality 1 vs 9"; got != want {
+		t.Errorf("different quality: Mismatch = %q, want %q", got, want)
 	}
 	d := a
-	d.GOP = 99 // GOP is a hint, not a bitstream property
-	if !a.Compatible(d) {
-		t.Error("GOP difference should stay compatible")
+	d.GOP = 99  // GOP is a hint, not a bitstream property
+	d.Level = 1 // Level changes no byte
+	if m := a.Mismatch(d); m != "" {
+		t.Errorf("GOP or Level difference should stay compatible, got %q", m)
 	}
 }
 

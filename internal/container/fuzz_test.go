@@ -51,6 +51,9 @@ func FuzzNewReader(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:4])
 	f.Add([]byte{})
+	v1 := append([]byte(nil), seed...)
+	copy(v1, "VMF1") // the version-1 magic: rejected at the header
+	f.Add(v1)
 	for _, off := range []int{0, 5, len(seed) / 2, len(seed) - 5} {
 		mut := append([]byte(nil), seed...)
 		mut[off] ^= 0xFF
@@ -63,7 +66,6 @@ func FuzzNewReader(f *testing.F) {
 		}
 		defer r.Close()
 		_ = r.Info()
-		_ = r.Version()
 		_ = r.ContentID()
 		_ = r.Duration()
 		_ = r.TimeRange()

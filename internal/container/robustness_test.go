@@ -1,11 +1,10 @@
 package container
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -97,9 +96,6 @@ func TestCRCDetectsPayloadFlip(t *testing.T) {
 		t.Fatalf("Open after payload flip (index intact): %v", err)
 	}
 	defer r.Close()
-	if r.Version() != 2 {
-		t.Fatalf("Version = %d, want 2", r.Version())
-	}
 	if _, err := r.ReadPacket(3); !errors.Is(err, ErrCorruptPacket) {
 		t.Errorf("ReadPacket(3) = %v, want ErrCorruptPacket", err)
 	}
@@ -113,88 +109,28 @@ func TestCRCDetectsPayloadFlip(t *testing.T) {
 	}
 }
 
-// writeV1File hand-crafts a version-1 VMF file (21-byte index records, no
-// CRCs) as the pre-CRC writer produced it.
-func writeV1File(t *testing.T, path string, info StreamInfo, payloads [][]byte) {
-	t.Helper()
-	hdr, err := json.Marshal(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []byte
-	buf = append(buf, magicHeadV1...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(hdr)))
-	buf = append(buf, hdr...)
-	offs := make([]int64, len(payloads))
-	for i, pl := range payloads {
-		offs[i] = int64(len(buf))
-		buf = append(buf, pl...)
-	}
-	idxOff := int64(len(buf))
-	for i, pl := range payloads {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(i)) // PTS
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(offs[i]))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pl)))
-		key := byte(0)
-		if i == 0 {
-			key = 1
-		}
-		buf = append(buf, key)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(idxOff))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payloads)))
-	buf = append(buf, magicFoot...)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1BackCompat reads a hand-crafted version-1 file: it must open,
-// report Version 1, and — lacking checksums — return payloads unverified
-// even after a byte flip.
-func TestV1BackCompat(t *testing.T) {
+// TestV1Rejected: a file with the version-1 magic — here a real file
+// with its magic patched to "VMF1" — fails Open with the bad-magic error
+// naming "VMF1". Version-1 files (21-byte index records, no CRCs) are no
+// longer read.
+func TestV1Rejected(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "v1.vmf")
-	payloads := [][]byte{[]byte("first-key-packet"), []byte("second"), []byte("third-packet")}
-	writeV1File(t, p, testInfo(), payloads)
-
+	writeFile(t, p, testInfo(), 3, 5)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "VMF1")
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	r, err := Open(p)
-	if err != nil {
-		t.Fatalf("Open v1: %v", err)
+	if err == nil {
+		r.Close()
+		t.Fatal("Open accepted a VMF1 file")
 	}
-	if r.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", r.Version())
-	}
-	if r.NumPackets() != len(payloads) {
-		t.Fatalf("NumPackets = %d, want %d", r.NumPackets(), len(payloads))
-	}
-	for i, want := range payloads {
-		got, err := r.ReadPacket(i)
-		if err != nil {
-			t.Fatalf("ReadPacket(%d): %v", i, err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("ReadPacket(%d) = %q, want %q", i, got, want)
-		}
-	}
-	rec := r.Record(1)
-	r.Close()
-
-	// Flip a payload byte: a v1 reader has no CRC to notice.
-	f, err := os.OpenFile(p, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{payloads[1][0] ^ 0xFF}, rec.Offset); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	r, err = Open(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.ReadPacket(1); err != nil {
-		t.Errorf("v1 ReadPacket after flip should pass unverified, got %v", err)
+	if !strings.Contains(err.Error(), "bad magic") || !strings.Contains(err.Error(), `"VMF1"`) {
+		t.Errorf("Open(VMF1) = %v, want the bad-magic error naming \"VMF1\"", err)
 	}
 }
 

@@ -284,8 +284,9 @@ func SynthesizeStream(spec *vql.Spec, w io.Writer, o Options) (*Result, error) {
 }
 
 // SynthesizeStreamContext is SynthesizeStream with cooperative
-// cancellation. A cancelled run stops without the end-of-stream marker,
-// so consumers observe truncation rather than a spuriously clean end.
+// cancellation. A cancelled run ends the stream with the typed error
+// trailer, so consumers read media.ErrStreamFailed rather than a
+// spuriously clean end.
 func SynthesizeStreamContext(ctx context.Context, spec *vql.Spec, w io.Writer, o Options) (*Result, error) {
 	pr, err := Prepare(spec, o)
 	if err != nil {

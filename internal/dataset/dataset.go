@@ -39,7 +39,6 @@ type Profile struct {
 	// GOPSeconds is the keyframe interval in seconds.
 	GOPSeconds rational.Rat
 	Quality    int
-	Level      int
 	// Objects is the number of wandering objects in the scene.
 	Objects int
 	// ObjectClass labels emitted annotations.
@@ -57,7 +56,7 @@ type Profile struct {
 func ToSProfile() Profile {
 	return Profile{
 		Name: "tos-sim", Width: 384, Height: 172, FPS: rational.FromInt(24),
-		GOPSeconds: rational.FromInt(10), Quality: 1, Level: 2,
+		GOPSeconds: rational.FromInt(10), Quality: 1,
 		Objects: 3, ObjectClass: "ACTOR",
 		VisibleEvery: 1, VisibleFor: 1, Seed: 101,
 	}
@@ -68,7 +67,7 @@ func ToSProfile() Profile {
 func KABRProfile() Profile {
 	return Profile{
 		Name: "kabr-sim", Width: 384, Height: 216, FPS: rational.FromInt(30),
-		GOPSeconds: rational.One, Quality: 1, Level: 2,
+		GOPSeconds: rational.One, Quality: 1,
 		Objects: 2, ObjectClass: "ZEBRA",
 		VisibleEvery: 10, VisibleFor: 1.5, Seed: 202,
 	}
@@ -79,7 +78,7 @@ func KABRProfile() Profile {
 func TinyProfile() Profile {
 	return Profile{
 		Name: "tiny", Width: 160, Height: 96, FPS: rational.FromInt(24),
-		GOPSeconds: rational.One, Quality: 1, Level: 1,
+		GOPSeconds: rational.One, Quality: 1,
 		Objects: 1, ObjectClass: "OBJ",
 		VisibleEvery: 2, VisibleFor: 1, Seed: 7,
 	}
@@ -89,7 +88,7 @@ func TinyProfile() Profile {
 func (p Profile) StreamInfo() container.StreamInfo {
 	return container.StreamInfo{
 		Codec: "GV10", Width: p.Width, Height: p.Height, FPS: p.FPS,
-		Quality: p.Quality, GOP: p.GOPFrames(), Level: p.Level,
+		Quality: p.Quality, GOP: p.GOPFrames(),
 	}
 }
 

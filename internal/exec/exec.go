@@ -546,12 +546,13 @@ func (nr *nodeRunner) renderFused(t rational.Rat) (*frame.Frame, error) {
 // pair, paying the cost of an operator boundary that writes its result as
 // an encoded stream for the next operator to decode.
 func (nr *nodeRunner) materialize(fr *frame.Frame) (*frame.Frame, error) {
-	out := nr.run.p.Checked.Output
 	if nr.enc == nil || nr.matW != fr.W || nr.matH != fr.H {
-		cfg := codec.Config{
-			Width: fr.W, Height: fr.H,
-			Quality: out.Quality, GOP: out.GOP, Level: out.Level,
+		cfg, err := media.CodecConfig(nr.run.p.Checked.Output)
+		if err != nil {
+			fr.Release()
+			return nil, err
 		}
+		cfg.Width, cfg.Height = fr.W, fr.H
 		enc, err := codec.NewEncoder(cfg)
 		if err != nil {
 			fr.Release()

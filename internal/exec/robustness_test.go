@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
@@ -380,8 +379,9 @@ func TestTransientReadsRetried(t *testing.T) {
 }
 
 // TestStreamSinkCancelOmitsEOS checks the streaming contract: a canceled
-// stream ends without the end-of-stream marker so the consumer sees
-// truncation, not a clean end.
+// stream never ends clean. ExecuteTo aborts the sink, which writes the
+// typed error trailer, so the consumer reads ErrStreamFailed and a trailer
+// with status "error" — not io.EOF, and not a truncation.
 func TestStreamSinkCancelOmitsEOS(t *testing.T) {
 	p := buildPlan(t, `render(t) = grade(v[t], 5, 1.0, 1.0);`, false)
 	var buf strings.Builder
@@ -399,12 +399,16 @@ func TestStreamSinkCancelOmitsEOS(t *testing.T) {
 	}
 	for {
 		_, _, err := sr.NextPacket()
-		if err == io.EOF {
-			t.Fatal("canceled stream ended with a clean EOS marker")
+		if err == nil {
+			continue
 		}
-		if err != nil {
-			break // truncation error: the correct signal
+		if !errors.Is(err, media.ErrStreamFailed) {
+			t.Fatalf("canceled stream ended with %v, want ErrStreamFailed", err)
 		}
+		break
+	}
+	if tr, ok := sr.Trailer(); !ok || tr.Status != "error" {
+		t.Errorf("trailer = %+v (present %v), want status \"error\"", tr, ok)
 	}
 }
 

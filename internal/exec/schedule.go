@@ -325,11 +325,12 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	}()
 	runner := newSegmentRunner(ctx, x.p, u.s, x.o.Conceal, x.o.Cache, sh.rec)
 	defer runner.close()
-	out := x.p.Checked.Output
-	enc, err := codec.NewEncoder(codec.Config{
-		Width: out.Width, Height: out.Height,
-		Quality: out.Quality, GOP: out.GOP, Level: out.Level,
-	})
+	cfg, err := media.CodecConfig(x.p.Checked.Output)
+	if err != nil {
+		sh.err = err
+		return
+	}
+	enc, err := codec.NewEncoder(cfg)
 	if err != nil {
 		sh.err = err
 		return

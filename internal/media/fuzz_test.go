@@ -10,9 +10,10 @@ import (
 )
 
 // streamSeeds returns real stream Writer output ending in each way a VMS
-// stream can end: an ok trailer, an error trailer, the legacy zero-length
-// marker, a bare cut after a packet, and cuts inside a packet header, a
-// packet body, just after a packet header, and inside the trailer.
+// stream can end: an ok trailer, an error trailer, a zero-length packet
+// header (the old end marker, now refused), a bare cut after a packet,
+// and cuts inside a packet header, a packet body, just after a packet
+// header, and inside the trailer.
 func streamSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	info := testInfo(2)
@@ -52,7 +53,7 @@ func streamSeeds(tb testing.TB) [][]byte {
 // packets, and each trailer type. A stream the header parse accepts must
 // end in exactly one of io.EOF, ErrStreamFailed and ErrTruncatedStream —
 // or in a parse error, which is none of them — never panic, and keep a
-// clean end sticky.
+// clean end sticky. A clean end always comes with an "ok" trailer.
 func FuzzStreamReader(f *testing.F) {
 	for _, seed := range streamSeeds(f) {
 		f.Add(seed)
@@ -80,8 +81,8 @@ func FuzzStreamReader(f *testing.F) {
 				t.Fatalf("%v reads as %d different stream ends", err, ends)
 			}
 			if errors.Is(err, io.EOF) {
-				if tr, ok := r.Trailer(); ok && tr.Status != "ok" {
-					t.Fatalf("clean end with a %q trailer", tr.Status)
+				if tr, ok := r.Trailer(); !ok || tr.Status != "ok" {
+					t.Fatalf("clean end with trailer %+v (present %v)", tr, ok)
 				}
 				if _, _, err := r.NextPacket(); !errors.Is(err, io.EOF) {
 					t.Fatalf("clean end not sticky: then %v", err)

@@ -47,21 +47,28 @@ func OpenReader(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := c.Info()
-	if info.Codec != codec.FourCC {
+	cfg, err := CodecConfig(c.Info())
+	if err != nil {
 		c.Close()
-		return nil, fmt.Errorf("media: unsupported codec %q", info.Codec)
+		return nil, err
 	}
-	dec, err := codec.NewDecoder(codec.Config{
-		Width: info.Width, Height: info.Height,
-		Quality: info.Quality, GOP: info.GOP, Level: info.Level,
-	})
+	dec, err := codec.NewDecoder(cfg)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
 	dec.SetFramePool(frame.DefaultPool())
 	return &Reader{c: c, dec: dec, next: -1}, nil
+}
+
+// CodecConfig is the one mapping from a stream header to the codec
+// configuration that decodes or encodes it. It refuses a stream whose
+// codec is not GV1.
+func CodecConfig(info container.StreamInfo) (codec.Config, error) {
+	if info.Codec != codec.FourCC {
+		return codec.Config{}, fmt.Errorf("media: unsupported codec %q", info.Codec)
+	}
+	return codec.Config{Width: info.Width, Height: info.Height, Quality: info.Quality, GOP: info.GOP}, nil
 }
 
 // Close releases the reader's frame references and the underlying file.
@@ -255,12 +262,6 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// CanSplice reports whether packets read from src can be written into dst
-// without re-encoding.
-func CanSplice(dst Sink, src *Reader) bool {
-	return dst.Info().Compatible(src.Info())
-}
-
 // CopyRange stream-copies packets [i0, i1) from src into dst. The first
 // copied packet must be a keyframe (or follow ones already giving the
 // decoder a reference — the caller asserts this by construction; plans
@@ -271,8 +272,8 @@ func CanSplice(dst Sink, src *Reader) bool {
 // into the output instead (an encode, not a copy, in the recorder), so the
 // result keeps its full length.
 func CopyRange(dst Sink, src *Reader, i0, i1 int) error {
-	if !CanSplice(dst, src) {
-		return fmt.Errorf("media: streams incompatible for copy: %+v vs %+v", dst.Info(), src.Info())
+	if d := dst.Info().Mismatch(src.Info()); d != "" {
+		return fmt.Errorf("media: streams incompatible for copy: %s", d)
 	}
 	for i := i0; i < i1; i++ {
 		data, err := src.Container().ReadPacket(i)
@@ -316,8 +317,8 @@ func SmartCut(dst Sink, src *Reader, i0, i1 int) (reencoded, copied int, err err
 	if i0 < 0 || i1 > src.NumFrames() || i0 > i1 {
 		return 0, 0, fmt.Errorf("media: smart cut range [%d,%d) out of bounds", i0, i1)
 	}
-	if !CanSplice(dst, src) {
-		return 0, 0, fmt.Errorf("media: streams incompatible for smart cut")
+	if d := dst.Info().Mismatch(src.Info()); d != "" {
+		return 0, 0, fmt.Errorf("media: streams incompatible for smart cut: %s", d)
 	}
 	k := i1
 	if i0 < i1 {

@@ -67,12 +67,12 @@ const (
 const maxTrailerLen = 1 << 16
 
 // Typed end-of-stream errors. A consumer that reads a VMS stream to the
-// end sees exactly one of three outcomes: clean io.EOF (trailer status
-// "ok" or the legacy zero-length header), an error wrapping
-// ErrStreamFailed (the producer finished the header but the synthesis
-// failed — the trailer carries the remote error text), or an error
-// wrapping ErrTruncatedStream (the bytes stopped without any trailer:
-// a crashed producer or a cut connection).
+// end sees one of three outcomes: clean io.EOF (trailer status "ok"), an
+// error wrapping ErrStreamFailed (the producer finished the header but
+// the synthesis failed — the trailer carries the remote error text), or
+// an error wrapping ErrTruncatedStream (the bytes stopped without any
+// trailer: a crashed producer or a cut connection) — or, for a damaged
+// stream such as one with a zero-length packet header, none of them.
 var (
 	ErrTruncatedStream = errors.New("media: stream truncated before end-of-stream trailer")
 	ErrStreamFailed    = errors.New("media: stream producer reported failure")
@@ -142,16 +142,8 @@ func CreateWriter(path string, info container.StreamInfo) (*Writer, error) {
 // that frames each packet with its length as it is written.
 func NewStreamWriter(w io.Writer, info container.StreamInfo) (*Writer, error) {
 	return newWriter(info, func(info container.StreamInfo) (framer, error) {
-		hdr, err := json.Marshal(info)
-		if err != nil {
-			return nil, err
-		}
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(hdr)))
-		for _, b := range [][]byte{[]byte(vmsMagic), lenBuf[:], hdr} {
-			if _, err := w.Write(b); err != nil {
-				return nil, fmt.Errorf("media: stream header: %w", err)
-			}
+		if _, err := container.WriteHeader(w, vmsMagic, info); err != nil {
+			return nil, fmt.Errorf("media: stream header: %w", err)
 		}
 		f := &vmsFramer{w: w}
 		f.flusher, _ = w.(interface{ Flush() })
@@ -159,27 +151,23 @@ func NewStreamWriter(w io.Writer, info container.StreamInfo) (*Writer, error) {
 	})
 }
 
-// newWriter validates info, builds its encoder and opens the output with
-// the encoder's defaulted parameters, so readers build matching decoders.
+// newWriter builds the encoder info describes and opens the output, whose
+// header validates info, with the encoder's defaulted parameters, so
+// readers build matching decoders.
 func newWriter(info container.StreamInfo, open func(container.StreamInfo) (framer, error)) (*Writer, error) {
 	if info.Codec == "" {
 		info.Codec = codec.FourCC
 	}
-	if info.Codec != codec.FourCC {
-		return nil, fmt.Errorf("media: unsupported codec %q", info.Codec)
-	}
-	if err := info.Validate(); err != nil {
+	cfg, err := CodecConfig(info)
+	if err != nil {
 		return nil, err
 	}
-	enc, err := codec.NewEncoder(codec.Config{
-		Width: info.Width, Height: info.Height,
-		Quality: info.Quality, GOP: info.GOP, Level: info.Level,
-	})
+	enc, err := codec.NewEncoder(cfg)
 	if err != nil {
 		return nil, err
 	}
 	ec := enc.Config()
-	info.Quality, info.GOP, info.Level = ec.Quality, ec.GOP, ec.Level
+	info.Quality, info.GOP = ec.Quality, ec.GOP
 	out, err := open(info)
 	if err != nil {
 		enc.Close()
@@ -217,8 +205,7 @@ func (w *Writer) put(key bool, data []byte) error {
 	case w.pts == 0 && !key:
 		return errFirstNotKey
 	case len(data) == 0:
-		// A VMS reader would take an empty packet for the legacy
-		// end-of-stream marker.
+		// A VMS reader refuses a zero-length packet header.
 		return errEmptyPacket
 	}
 	if err := w.out.packet(w.pts, key, data); err != nil {
@@ -381,42 +368,25 @@ func (f *vmsFramer) trailer(tr StreamTrailer) error {
 // StreamReader consumes the VMS progressive format, decoding frames as
 // packets arrive.
 type StreamReader struct {
-	r          io.Reader
-	dec        *codec.Decoder
-	info       container.StreamInfo
-	done       bool
-	trailer    StreamTrailer
-	hasTrailer bool
+	r       io.Reader
+	dec     *codec.Decoder
+	info    container.StreamInfo
+	done    bool // a trailer was read
+	trailer StreamTrailer
 }
 
-// NewStreamReader parses the stream header.
+// NewStreamReader parses the stream header. It refuses a stream whose
+// codec is not GV1.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("media: stream magic: %w", err)
-	}
-	if string(head[:4]) != vmsMagic {
-		return nil, fmt.Errorf("media: bad stream magic %q", head[:4])
-	}
-	hdrLen := binary.LittleEndian.Uint32(head[4:])
-	if hdrLen == 0 || hdrLen > 1<<20 {
-		return nil, fmt.Errorf("media: implausible stream header length %d", hdrLen)
-	}
-	hdr := make([]byte, hdrLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	info, _, err := container.ReadHeader(r, vmsMagic)
+	if err != nil {
 		return nil, fmt.Errorf("media: stream header: %w", err)
 	}
-	var info container.StreamInfo
-	if err := json.Unmarshal(hdr, &info); err != nil {
-		return nil, fmt.Errorf("media: stream header: %w", err)
-	}
-	if err := info.Validate(); err != nil {
+	cfg, err := CodecConfig(info)
+	if err != nil {
 		return nil, err
 	}
-	dec, err := codec.NewDecoder(codec.Config{
-		Width: info.Width, Height: info.Height,
-		Quality: info.Quality, GOP: info.GOP, Level: info.Level,
-	})
+	dec, err := codec.NewDecoder(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -426,11 +396,10 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 // Info returns the stream description.
 func (s *StreamReader) Info() container.StreamInfo { return s.info }
 
-// NextPacket reads one packet; io.EOF signals a clean end of stream
-// (typed "ok" trailer, or the legacy zero-length header older producers
-// wrote). A stream that stops mid-flight returns an error wrapping
-// ErrTruncatedStream; a typed error trailer returns an error wrapping
-// ErrStreamFailed carrying the producer's message.
+// NextPacket reads one packet; io.EOF signals a clean end of stream (the
+// typed "ok" trailer). A stream that stops mid-flight returns an error
+// wrapping ErrTruncatedStream; a typed error trailer returns an error
+// wrapping ErrStreamFailed carrying the producer's message.
 func (s *StreamReader) NextPacket() (key bool, data []byte, err error) {
 	if s.done {
 		return false, nil, io.EOF
@@ -446,12 +415,7 @@ func (s *StreamReader) NextPacket() (key bool, data []byte, err error) {
 	if head[4] == flagTrailer {
 		return false, nil, s.readTrailer(size)
 	}
-	if size == 0 {
-		// Legacy clean end-of-stream marker (pre-trailer producers).
-		s.done = true
-		return false, nil, io.EOF
-	}
-	if size > 1<<30 {
+	if size == 0 || size > 1<<30 {
 		return false, nil, fmt.Errorf("media: implausible packet size %d", size)
 	}
 	if data, err = readBody(s.r, int(size)); err != nil {
@@ -473,8 +437,7 @@ func (s *StreamReader) readTrailer(size uint32) error {
 	if err := json.Unmarshal(body, &tr); err != nil {
 		return fmt.Errorf("media: stream trailer: %w", err)
 	}
-	s.trailer, s.hasTrailer = tr, true
-	s.done = true
+	s.trailer, s.done = tr, true
 	if tr.Status != "ok" {
 		if tr.Error != "" {
 			return fmt.Errorf("%w: %s", ErrStreamFailed, tr.Error)
@@ -507,8 +470,7 @@ func readBody(r io.Reader, size int) ([]byte, error) {
 }
 
 // Trailer returns the typed end-of-stream trailer, if one was read.
-// Legacy streams ending in the zero-length marker have none.
-func (s *StreamReader) Trailer() (StreamTrailer, bool) { return s.trailer, s.hasTrailer }
+func (s *StreamReader) Trailer() (StreamTrailer, bool) { return s.trailer, s.done }
 
 // NextFrame reads and decodes the next frame; io.EOF at end of stream.
 func (s *StreamReader) NextFrame() (*frame.Frame, error) {

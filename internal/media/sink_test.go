@@ -48,8 +48,8 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Info().Compatible(w.Info()) {
-		t.Errorf("info = %+v", r.Info())
+	if d := r.Info().Mismatch(w.Info()); d != "" {
+		t.Errorf("info = %+v: %s", r.Info(), d)
 	}
 	for i := 0; i < 14; i++ {
 		fr, err := r.NextFrame()
@@ -122,6 +122,17 @@ func TestStreamReaderErrors(t *testing.T) {
 	}
 	if _, err := NewStreamReader(bytes.NewReader([]byte("NOPE0000xxxx"))); err == nil {
 		t.Error("bad magic should fail")
+	}
+	// A header naming a codec other than GV1 fails instead of decoding
+	// the packets as GV1.
+	foreign := testInfo(6)
+	foreign.Codec = "AVC1"
+	var hdr bytes.Buffer
+	if _, err := container.WriteHeader(&hdr, vmsMagic, foreign); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewStreamReader(&hdr); err == nil || !strings.Contains(err.Error(), `"AVC1"`) {
+		t.Errorf("foreign codec: err = %v, want it refused by name", err)
 	}
 	// Truncated mid-packet.
 	info := testInfo(6)
@@ -253,9 +264,11 @@ func TestStreamTrailerTyped(t *testing.T) {
 	}
 }
 
-// TestStreamLegacyZeroTrailer keeps pre-trailer streams readable: a
-// zero-length packet header is still a clean end of stream.
-func TestStreamLegacyZeroTrailer(t *testing.T) {
+// TestStreamZeroLengthHeaderRejected: a zero-length packet header, the
+// end-of-stream marker of producers from before the typed trailer, is a
+// damaged stream — an "implausible packet size" error that reads as none
+// of the three stream ends — and leaves no trailer behind.
+func TestStreamZeroLengthHeaderRejected(t *testing.T) {
 	info := testInfo(6)
 	var buf bytes.Buffer
 	w, _ := NewStreamWriter(&buf, info)
@@ -263,7 +276,7 @@ func TestStreamLegacyZeroTrailer(t *testing.T) {
 	if err := w.WriteFrame(fr); err != nil {
 		t.Fatal(err)
 	}
-	buf.Write([]byte{0, 0, 0, 0, flagNonKey}) // legacy zero-length marker, no typed trailer
+	buf.Write([]byte{0, 0, 0, 0, flagNonKey}) // the old zero-length marker, no typed trailer
 	r, err := NewStreamReader(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -271,11 +284,17 @@ func TestStreamLegacyZeroTrailer(t *testing.T) {
 	if _, _, err := r.NextPacket(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.NextPacket(); !errors.Is(err, io.EOF) {
-		t.Fatalf("legacy marker end = %v, want io.EOF", err)
+	_, _, err = r.NextPacket()
+	if err == nil || !strings.Contains(err.Error(), "implausible packet size 0") {
+		t.Fatalf("zero-length header = %v, want an implausible packet size error", err)
+	}
+	for _, end := range []error{io.EOF, ErrStreamFailed, ErrTruncatedStream} {
+		if errors.Is(err, end) {
+			t.Errorf("zero-length header reads as %v", end)
+		}
 	}
 	if _, has := r.Trailer(); has {
-		t.Error("legacy stream should report no trailer")
+		t.Error("a stream without a trailer reports one")
 	}
 }
 

@@ -333,7 +333,6 @@ type OutputFormat struct {
 	FPS     rational.Rat `json:"fps"`
 	Quality int          `json:"quality,omitempty"`
 	GOP     int          `json:"gop,omitempty"`
-	Level   int          `json:"level,omitempty"`
 }
 
 // Spec is a complete V2V synthesis specification.

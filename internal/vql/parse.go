@@ -283,8 +283,6 @@ func (p *specParser) parseOutput() (*OutputFormat, error) {
 			of.Quality = int(v.Floor())
 		case "gop":
 			of.GOP = int(v.Floor())
-		case "level":
-			of.Level = int(v.Floor())
 		default:
 			return nil, p.errAt(key, "unknown output field %q", key.text)
 		}

@@ -23,9 +23,6 @@ func Format(s *Spec) string {
 		if s.Output.GOP != 0 {
 			fmt.Fprintf(&sb, " gop: %d;", s.Output.GOP)
 		}
-		if s.Output.Level != 0 {
-			fmt.Fprintf(&sb, " level: %d;", s.Output.Level)
-		}
 		sb.WriteString(" }\n")
 	}
 	fmt.Fprintf(&sb, "render(t) = %s;\n", FormatExpr(s.Render))

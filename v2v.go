@@ -213,9 +213,8 @@ func SynthesizeStream(spec *Spec, w io.Writer, o Options) (*Result, error) {
 // SynthesizeStreamContext is SynthesizeStream with cooperative
 // cancellation — the entry point for request-scoped synthesis (a canceled
 // request context stops the shard workers within one GOP of work). A
-// cancelled stream ends
-// without the end-of-stream marker: consumers observe truncation, not a
-// spuriously clean end.
+// cancelled stream ends with the typed error trailer: consumers read
+// media.ErrStreamFailed, not a spuriously clean end.
 func SynthesizeStreamContext(ctx context.Context, spec *Spec, w io.Writer, o Options) (*Result, error) {
 	return core.SynthesizeStreamContext(ctx, spec, w, o)
 }
