@@ -42,6 +42,15 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
+	srcs, err := c.OpenSources()
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		for _, r := range srcs {
+			r.Close()
+		}
+	}()
 	info := c.Output
 	info.Start = rational.Zero
 	w, err := media.CreateWriter(outPath, info)
@@ -51,11 +60,7 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 	m := &Metrics{}
 	rec := obs.NewRecorder()
 	w.SetRecorder(rec)
-	paths := make(map[string]string, len(c.Sources))
-	for name, src := range c.Sources {
-		paths[name] = src.Path
-	}
-	env := &scriptEnv{cursors: media.NewCursors(paths, 0)}
+	env := &scriptEnv{cursors: media.NewCursors(srcs, 0)}
 	env.cursors.SetRecorder(rec)
 	defer env.cursors.Close()
 

@@ -10,10 +10,12 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 
 	"v2v/internal/container"
 	"v2v/internal/data"
+	"v2v/internal/media"
 	"v2v/internal/rational"
 	"v2v/internal/sqlmini"
 	"v2v/internal/vql"
@@ -30,23 +32,19 @@ type Options struct {
 	DB *sqlmini.DB
 }
 
-// Source describes one input video as seen by the planner.
+// Source is one input video as the planner sees it: its path and the
+// container index Check read from it — the stream description, every
+// packet's record, and the content ID that the result and GOP caches key
+// on, so a rewritten file never serves stale entries. Planning reads
+// only this; a run reopens the file once (OpenSources) to read packets.
 type Source struct {
 	Path string
-	Info container.StreamInfo
-	// Times is the half-open interval of presentation times the file holds.
-	Times rational.Interval
-	// NumFrames is the packet count.
-	NumFrames int
-	// ContentID identifies the file's content (container header + packet
-	// index hash), independent of path or mtime — the identity result
-	// caches key on so a rewritten file never serves stale entries.
-	ContentID string
-	// Keyframes are the PTS of the file's keyframe packets, ascending: what
-	// the planner needs to price a mid-GOP read (plan.Segment.RollForward)
-	// without reopening the container.
-	Keyframes []int64
+	*container.Index
 }
+
+// ErrSourceChanged reports a source file whose content is no longer what
+// Check indexed: it was rewritten between check and execution.
+var ErrSourceChanged = errors.New("source changed since check")
 
 // Checked is a validated spec plus everything the planner needs: loaded
 // stream metadata, materialized data arrays, per-video dependency sets, and
@@ -85,23 +83,18 @@ func Check(spec *vql.Spec, opts Options) (*Checked, error) {
 		Deps:    make(map[string]rational.RangeSet),
 	}
 
-	// Load video stream metadata (headers and indexes only; no decoding).
+	// Load video stream metadata (headers and indexes only; no decoding),
+	// refusing a codec no reader could decode.
 	for name, path := range spec.Videos {
 		r, err := container.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("check: video %q: %w", name, err)
 		}
-		src := Source{
-			Path: path, Info: r.Info(), Times: r.TimeRange(),
-			NumFrames: r.NumPackets(), ContentID: r.ContentID(),
-		}
-		for _, rec := range r.Records() {
-			if rec.Key {
-				src.Keyframes = append(src.Keyframes, rec.PTS)
-			}
-		}
-		c.Sources[name] = src
 		r.Close()
+		if _, err := media.CodecConfig(r.Info()); err != nil {
+			return nil, fmt.Errorf("check: video %q: %w", name, err)
+		}
+		c.Sources[name] = Source{Path: path, Index: r.Index}
 	}
 
 	// Load data arrays: files first, then SQL materializations.
@@ -152,6 +145,30 @@ func Check(spec *vql.Spec, opts Options) (*Checked, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// OpenSources opens each source's file once, for one run to read
+// through: a container.Reader is safe to share among the run's
+// goroutines. A file whose content differs from what Check indexed fails
+// with an error wrapping ErrSourceChanged that names the video. The
+// caller closes the readers.
+func (c *Checked) OpenSources() (map[string]*container.Reader, error) {
+	rs := make(map[string]*container.Reader, len(c.Sources))
+	for name, src := range c.Sources {
+		r, err := container.Open(src.Path)
+		if err == nil && r.ContentID() != src.ContentID() {
+			r.Close()
+			err = ErrSourceChanged
+		}
+		if err != nil {
+			for _, r := range rs {
+				r.Close()
+			}
+			return nil, fmt.Errorf("check: video %q: %w", name, err)
+		}
+		rs[name] = r
+	}
+	return rs, nil
 }
 
 // arrayElemType returns the element type of a data array: the kind of its

@@ -400,6 +400,27 @@ func TestCheckIncompatibleSourcesNeedOutput(t *testing.T) {
 	}
 }
 
+// TestCheckRefusesUnknownCodec: a source whose header names a codec no
+// reader decodes fails Check, with the video and the codec in the error,
+// rather than checking as passthrough and failing once the writer is
+// built.
+func TestCheckRefusesUnknownCodec(t *testing.T) {
+	f := getFixture(t)
+	avc := filepath.Join(f.dir, "avc1.vmf")
+	writeHeaderOnly(t, avc, func(si *container.StreamInfo) { si.Codec = "AVC1" })
+	s, err := vql.Parse(fmt.Sprintf(`
+		timedomain range(0, 1, 1/24);
+		videos { cam: %q; }
+		render(t) = cam[t];`, avc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Check(s, Options{})
+	if err == nil || !strings.Contains(err.Error(), `"cam"`) || !strings.Contains(err.Error(), `"AVC1"`) {
+		t.Errorf("err = %v, want it to refuse video \"cam\" for codec \"AVC1\"", err)
+	}
+}
+
 // writeHeaderOnly writes a 2-second VMF with the tiny profile's stream
 // info, changed by edit, and placeholder packets: Check reads headers and
 // indexes only.

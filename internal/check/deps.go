@@ -129,7 +129,7 @@ func (c *Checked) analyzeDependencies() error {
 				}
 				shifted := times.Shift(off)
 				iv := shifted.Interval()
-				iv.Hi = shifted.Last().Add(src.Info.FrameDur()) // extent of last frame read
+				iv.Hi = shifted.Last().Add(src.Info().FrameDur()) // extent of last frame read
 				acc[vr.Name] = append(acc[vr.Name], iv)
 				continue
 			}
@@ -141,11 +141,11 @@ func (c *Checked) analyzeDependencies() error {
 					return fmt.Errorf("check: index of %q at t=%s: %w", vr.Name, at, err)
 				}
 				rt := v.Num
-				if _, exact := src.Info.PTSOf(rt); !exact {
+				if _, exact := src.Info().PTSOf(rt); !exact {
 					return fmt.Errorf("check: %s[%s] at t=%s is not on the video's frame grid (fps %s)",
-						vr.Name, rt, at, src.Info.FPS)
+						vr.Name, rt, at, src.Info().FPS)
 				}
-				acc[vr.Name] = append(acc[vr.Name], rational.Interval{Lo: rt, Hi: rt.Add(src.Info.FrameDur())})
+				acc[vr.Name] = append(acc[vr.Name], rational.Interval{Lo: rt, Hi: rt.Add(src.Info().FrameDur())})
 			}
 		}
 		// Data dependencies: every sample read must exist.
@@ -210,11 +210,11 @@ func (c *Checked) analyzeDependencies() error {
 		set := rational.NewRangeSet(ivs...)
 		c.Deps[name] = set
 		src := c.Sources[name]
-		avail := rational.NewRangeSet(src.Times)
+		avail := rational.NewRangeSet(src.TimeRange())
 		if !set.SubsetOf(avail) {
 			missing := set.Subtract(avail)
 			return fmt.Errorf("check: spec needs %s of video %q but the file only covers %s",
-				missing, name, src.Times)
+				missing, name, src.TimeRange())
 		}
 	}
 	return nil
@@ -225,16 +225,16 @@ func (c *Checked) analyzeDependencies() error {
 // first sample's phase and that the domain step is an integer number of
 // source frames; otherwise fall back to checking each sample.
 func validateGrid(src Source, name string, times rational.Range, off rational.Rat) error {
-	stepFrames := times.Step.Mul(src.Info.FPS)
+	stepFrames := times.Step.Mul(src.Info().FPS)
 	first := times.Start.Add(off)
-	if _, exact := src.Info.PTSOf(first); exact && stepFrames.IsInt() {
+	if _, exact := src.Info().PTSOf(first); exact && stepFrames.IsInt() {
 		return nil
 	}
 	for i := 0; i < times.Count(); i++ {
 		rt := times.At(i).Add(off)
-		if _, exact := src.Info.PTSOf(rt); !exact {
+		if _, exact := src.Info().PTSOf(rt); !exact {
 			return fmt.Errorf("check: %s[t%+s] at t=%s reads %s, which is not on the video's frame grid (fps %s)",
-				name, off, times.At(i), rt, src.Info.FPS)
+				name, off, times.At(i), rt, src.Info().FPS)
 		}
 	}
 	return nil
@@ -268,10 +268,10 @@ func (c *Checked) resolveOutput() error {
 		return fmt.Errorf("check: render references no videos; declare an explicit output format")
 	}
 	slices.Sort(names)
-	base := c.Sources[names[0]].Info
+	base := c.Sources[names[0]].Info()
 	base.Start = rational.Zero
 	for _, name := range names[1:] {
-		if d := base.Mismatch(c.Sources[name].Info); d != "" {
+		if d := base.Mismatch(c.Sources[name].Info()); d != "" {
 			return fmt.Errorf("check: videos %q and %q have incompatible formats (%s); declare an explicit output format",
 				names[0], name, d)
 		}

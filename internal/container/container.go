@@ -360,13 +360,23 @@ func (w *Writer) Abort() error {
 	return nil
 }
 
-// Reader reads a VMF file. Safe for concurrent ReadPacket calls (it uses
-// positioned reads).
-type Reader struct {
-	f         *retryFile
+// Index is what a VMF file's header and index say about it: the stream
+// description, every packet's record, and the content ID they hash to. It
+// is read once per file (Check keeps it as the planner's record of a
+// source) and is immutable, so any number of goroutines may share it.
+type Index struct {
 	info      StreamInfo
 	recs      []PacketRecord
+	keys      []int // indexes of the keyframe packets, ascending
 	contentID string
+}
+
+// Reader reads a VMF file: its Index plus the open file. Safe for
+// concurrent ReadPacket calls (it uses positioned reads), so one Reader
+// may serve every goroutine of a run.
+type Reader struct {
+	*Index
+	f *retryFile
 }
 
 // Retries returns how many transient read retries this reader performed.
@@ -423,10 +433,10 @@ func NewReader(f File) (*Reader, error) {
 	if _, err := r.f.ReadAt(idx, idxOff); err != nil {
 		return nil, fmt.Errorf("container: read index: %w", err)
 	}
-	recs := make([]PacketRecord, count)
-	for i := range recs {
+	x := &Index{info: info, recs: make([]PacketRecord, count)}
+	for i := range x.recs {
 		rec := idx[i*recSize:]
-		recs[i] = PacketRecord{
+		pr := PacketRecord{
 			PTS:    int64(binary.LittleEndian.Uint64(rec[0:])),
 			Offset: int64(binary.LittleEndian.Uint64(rec[8:])),
 			Size:   int(binary.LittleEndian.Uint32(rec[16:])),
@@ -435,18 +445,21 @@ func NewReader(f File) (*Reader, error) {
 		}
 		// Validate each record against the file geometry so that a
 		// corrupted index cannot demand absurd allocations or reads.
-		pr := recs[i]
 		if pr.Size <= 0 || pr.Offset < int64(len(hdr)) || pr.Offset+int64(pr.Size) > idxOff {
 			return nil, fmt.Errorf("container: corrupt index record %d (offset %d size %d)", i, pr.Offset, pr.Size)
 		}
 		if rec[20] > 1 {
 			return nil, fmt.Errorf("container: corrupt key flag in record %d", i)
 		}
-		if i > 0 && pr.PTS <= recs[i-1].PTS {
+		if i > 0 && pr.PTS <= x.recs[i-1].PTS {
 			return nil, fmt.Errorf("container: non-increasing PTS in record %d", i)
 		}
+		if pr.Key {
+			x.keys = append(x.keys, i)
+		}
+		x.recs[i] = pr
 	}
-	if count > 0 && !recs[0].Key {
+	if count > 0 && !x.recs[0].Key {
 		return nil, errors.New("container: stream does not start at a keyframe")
 	}
 	// Content identity: hash the header, the file size, and the raw index.
@@ -459,8 +472,8 @@ func NewReader(f File) (*Reader, error) {
 	binary.LittleEndian.PutUint64(szBuf[:], uint64(end))
 	ch.Write(szBuf[:])
 	ch.Write(idx)
-	r.info, r.recs = info, recs
-	r.contentID = hex.EncodeToString(ch.Sum(nil))
+	x.contentID = hex.EncodeToString(ch.Sum(nil))
+	r.Index = x
 	return r, nil
 }
 
@@ -468,23 +481,23 @@ func NewReader(f File) (*Reader, error) {
 // content, derived from the header and packet index (including per-packet
 // CRCs) rather than the path or mtime. Rewriting a file in place with
 // different content yields a different ID, which is what makes it safe to
-// key cross-request result caches on.
-func (r *Reader) ContentID() string { return r.contentID }
+// key caches on.
+func (x *Index) ContentID() string { return x.contentID }
 
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
 // Info returns the stream description.
-func (r *Reader) Info() StreamInfo { return r.info }
+func (x *Index) Info() StreamInfo { return x.info }
 
 // NumPackets returns the number of packets in the file.
-func (r *Reader) NumPackets() int { return len(r.recs) }
+func (x *Index) NumPackets() int { return len(x.recs) }
 
 // Record returns the index entry for packet i.
-func (r *Reader) Record(i int) PacketRecord { return r.recs[i] }
+func (x *Index) Record(i int) PacketRecord { return x.recs[i] }
 
 // Records returns the full packet index (do not mutate).
-func (r *Reader) Records() []PacketRecord { return r.recs }
+func (x *Index) Records() []PacketRecord { return x.recs }
 
 // transienter marks retryable errors (EAGAIN-class); internal/faults
 // produces them, and real backends could too.
@@ -543,61 +556,64 @@ func (f *retryFile) ReadAt(buf []byte, off int64) (int, error) {
 }
 
 // IndexOfPTS returns the packet index with the given PTS, or (-1, false).
-func (r *Reader) IndexOfPTS(pts int64) (int, bool) {
-	i := sort.Search(len(r.recs), func(i int) bool { return r.recs[i].PTS >= pts })
-	if i < len(r.recs) && r.recs[i].PTS == pts {
+func (x *Index) IndexOfPTS(pts int64) (int, bool) {
+	i := sort.Search(len(x.recs), func(i int) bool { return x.recs[i].PTS >= pts })
+	if i < len(x.recs) && x.recs[i].PTS == pts {
 		return i, true
 	}
 	return -1, false
 }
 
-// KeyframeAtOrBefore returns the index of the last keyframe packet at or
-// before packet i, or (-1, false) if none exists (corrupt file).
-func (r *Reader) KeyframeAtOrBefore(i int) (int, bool) {
-	if i >= len(r.recs) {
-		i = len(r.recs) - 1
+// IndexOfTime maps an exact frame time to its packet index.
+func (x *Index) IndexOfTime(t rational.Rat) (int, error) {
+	pts, exact := x.info.PTSOf(t)
+	if !exact {
+		return 0, fmt.Errorf("container: time %v is not on a frame boundary", t)
 	}
-	for ; i >= 0; i-- {
-		if r.recs[i].Key {
-			return i, true
-		}
+	i, ok := x.IndexOfPTS(pts)
+	if !ok {
+		return 0, fmt.Errorf("container: no frame at time %v (pts %d)", t, pts)
+	}
+	return i, nil
+}
+
+// KeyframeAtOrBefore returns the index of the last keyframe packet at or
+// before packet i, or (-1, false) if none exists.
+func (x *Index) KeyframeAtOrBefore(i int) (int, bool) {
+	if k := sort.SearchInts(x.keys, i+1) - 1; k >= 0 {
+		return x.keys[k], true
 	}
 	return -1, false
 }
 
 // NextKeyframeAfter returns the index of the first keyframe packet at or
 // after packet i, or (-1, false).
-func (r *Reader) NextKeyframeAfter(i int) (int, bool) {
-	if i < 0 {
-		i = 0
-	}
-	for ; i < len(r.recs); i++ {
-		if r.recs[i].Key {
-			return i, true
-		}
+func (x *Index) NextKeyframeAfter(i int) (int, bool) {
+	if k := sort.SearchInts(x.keys, i); k < len(x.keys) {
+		return x.keys[k], true
 	}
 	return -1, false
 }
 
 // Duration returns the presentation duration of the stream (packet count
 // over FPS for a complete stream).
-func (r *Reader) Duration() rational.Rat {
-	if len(r.recs) == 0 {
+func (x *Index) Duration() rational.Rat {
+	if len(x.recs) == 0 {
 		return rational.Zero
 	}
-	last := r.recs[len(r.recs)-1].PTS
-	first := r.recs[0].PTS
-	return rational.FromInt(last - first + 1).Div(r.info.FPS)
+	last := x.recs[len(x.recs)-1].PTS
+	first := x.recs[0].PTS
+	return rational.FromInt(last - first + 1).Div(x.info.FPS)
 }
 
 // TimeRange returns the half-open presentation interval covered by the
 // stream.
-func (r *Reader) TimeRange() rational.Interval {
-	if len(r.recs) == 0 {
+func (x *Index) TimeRange() rational.Interval {
+	if len(x.recs) == 0 {
 		return rational.Interval{}
 	}
 	return rational.Interval{
-		Lo: r.info.TimeOf(r.recs[0].PTS),
-		Hi: r.info.TimeOf(r.recs[len(r.recs)-1].PTS).Add(r.info.FrameDur()),
+		Lo: x.info.TimeOf(x.recs[0].PTS),
+		Hi: x.info.TimeOf(x.recs[len(x.recs)-1].PTS).Add(x.info.FrameDur()),
 	}
 }

@@ -1,7 +1,9 @@
 package container
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -216,5 +218,88 @@ func TestReadPacketRetriesTransient(t *testing.T) {
 	defer r2.Close()
 	if n := r2.Retries(); n != 2 {
 		t.Errorf("Retries after open = %d, want 2", n)
+	}
+}
+
+// firstReadFlakyFile fails the first read at each offset once armed, with a
+// transient error, whichever goroutine makes it.
+type firstReadFlakyFile struct {
+	File
+	mu    sync.Mutex
+	armed bool
+	seen  map[int64]bool
+}
+
+func (f *firstReadFlakyFile) ReadAt(p []byte, off int64) (int, error) {
+	f.mu.Lock()
+	fail := f.armed && !f.seen[off]
+	if f.armed {
+		f.seen[off] = true
+	}
+	f.mu.Unlock()
+	if fail {
+		return 0, errFlaky{}
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestReaderSharedAcrossGoroutines: one Reader serves concurrent
+// ReadPacket calls, as a run's shard workers share one per source. Eight
+// goroutines read every packet through a wrapped file whose first read of
+// each packet fails transiently; each gets the bytes a serial read gets,
+// and the retry count is exactly one per packet.
+func TestReaderSharedAcrossGoroutines(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "a.vmf")
+	n := len(writeFile(t, p, testInfo(), 64, 8))
+	var wrapped *firstReadFlakyFile
+	SetFileWrapper(func(_ string, f File) File {
+		wrapped = &firstReadFlakyFile{File: f, seen: map[int64]bool{}}
+		return wrapped
+	})
+	r, err := Open(p)
+	SetFileWrapper(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	serial := make([][]byte, n)
+	for i := range serial {
+		if serial[i], err = r.ReadPacket(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrapped.mu.Lock()
+	wrapped.armed = true
+	wrapped.mu.Unlock()
+	before := r.Retries()
+
+	const goroutines = 8
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				i := (k + g*n/goroutines) % n // each starts at a different packet
+				got, err := r.ReadPacket(i)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, serial[i]) {
+					errs <- fmt.Errorf("goroutine %d: packet %d differs from the serial read", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := r.Retries() - before; got != int64(n) {
+		t.Errorf("retries = %d, want one per packet (%d)", got, n)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
+	"v2v/internal/container"
 	"v2v/internal/dataset"
 	"v2v/internal/frame"
 	"v2v/internal/media"
@@ -462,6 +464,42 @@ func TestPlanOnlyEntryPoint(t *testing.T) {
 	}
 	if p.Explain() == "" || p.DOT() == "" {
 		t.Error("explain output empty")
+	}
+}
+
+// TestPlanOpensEachSourceOnce: the front end opens each source's file
+// once, in check; the rewriter, the planner and the optimizer read the
+// index that open loaded.
+func TestPlanOpensEachSourceOnce(t *testing.T) {
+	s, err := vql.Parse(specSrc(`render(t) = match t {
+		t in range(0, 1/2, 1/24) => v[t + 1],
+		t in range(1/2, 1, 1/24) => w[t - 1/3],
+		t in range(1, 2, 1/24) => blur(s[t], 1),
+	};`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	opens := map[string]int{}
+	container.SetFileWrapper(func(path string, f container.File) container.File {
+		mu.Lock()
+		opens[path]++
+		mu.Unlock()
+		return f
+	})
+	defer container.SetFileWrapper(nil)
+	o := DefaultOptions()
+	o.Parallelism = 2
+	_, _, oStats, err := Plan(s, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oStats.Copies+oStats.SmartCuts == 0 {
+		t.Error("no copy planned; the optimizer never needed the keyframe index")
+	}
+	want := map[string]int{fxVid: 1, fxVid2: 1, fxSparse: 1}
+	if fmt.Sprint(opens) != fmt.Sprint(want) {
+		t.Errorf("opens = %v, want %v", opens, want)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"v2v/internal/check"
+	"v2v/internal/container"
 	"v2v/internal/dataset"
 	"v2v/internal/frame"
 	"v2v/internal/media"
@@ -130,11 +130,11 @@ func TestConcurrentSynthesesShareGOPCache(t *testing.T) {
 // defaultGOPCacheBudget is how the executor sized an unset GOP cache
 // budget from the first plan it ran: enough for every live shard worker to
 // hold its current source GOPs plus headroom for reuse across shards,
-// clamped to [64MiB, 1GiB]. par is the run's resolved parallelism.
-func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
+// clamped to [64MiB, 1GiB]. infos are the plan's sources; par is the
+// run's resolved parallelism.
+func defaultGOPCacheBudget(infos []container.StreamInfo, par int) int64 {
 	var maxGOP int64
-	for _, src := range p.Checked.Sources {
-		info := src.Info
+	for _, info := range infos {
 		gop := info.GOP
 		if gop <= 0 {
 			gop = 48
@@ -165,10 +165,10 @@ func defaultGOPCacheBudget(p *plan.Plan, par int) int64 {
 // fits — nor above the old 1 GiB clamp.
 func TestDefaultGOPShareCoversPlanSizing(t *testing.T) {
 	for _, prof := range []dataset.Profile{dataset.ToSProfile(), dataset.KABRProfile(), dataset.TinyProfile()} {
-		p := &plan.Plan{Checked: &check.Checked{Sources: map[string]check.Source{"v": {Info: prof.StreamInfo()}}}}
+		infos := []container.StreamInfo{prof.StreamInfo()}
 		for _, par := range []int{1, 2, 4, 8} {
 			got := media.NewCache(0, -1, par).BudgetStats().Total
-			if want := defaultGOPCacheBudget(p, par); got < want || got > 1<<30 {
+			if want := defaultGOPCacheBudget(infos, par); got < want || got > 1<<30 {
 				t.Errorf("%s at parallelism %d: default GOP share %d, want in [%d, %d]", prof.Name, par, got, want, 1<<30)
 			}
 		}

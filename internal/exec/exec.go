@@ -159,6 +159,10 @@ func Execute(ctx context.Context, p *plan.Plan, outPath string, o Options) (*Met
 // after each segment's last packet, so a streaming consumer starts
 // receiving output while later segments are still rendering.
 //
+// The run opens each source once (check.Checked.OpenSources) and every
+// shard worker and copy reads through that reader; a source whose content
+// changed since check fails the run with check.ErrSourceChanged.
+//
 // Cancellation is cooperative: ctx is checked before every segment and at
 // every publish interval inside every shard worker — one output GOP, or
 // one second of output where the GOP is longer — so a cancelled synthesis
@@ -168,15 +172,13 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	start := time.Now()
 	m := &Metrics{}
 	o.Parallelism = max(o.Parallelism, 1)
-	readers := newReaderCache(p, o.Conceal)
-	defer readers.closeAll()
 
 	node := o.Recorder.Child("execute").Bind(o.Trace)
 	defer node.End()
 	// The container header went out when the sink was constructed; give a
 	// streaming consumer its first delivery point now.
 	w.Flush()
-	x := &run{p: p, o: o, m: m, rec: node, readers: readers, w: w}
+	x := &run{p: p, o: o, m: m, rec: node, w: w}
 	if err := x.execute(ctx); err != nil {
 		// Prefer the context's error when cancellation is what stopped us,
 		// so callers can match context.Canceled / DeadlineExceeded.
@@ -215,46 +217,6 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 	return m, nil
 }
 
-// readerCache shares sequential readers across the segments that read a
-// source on the delivery goroutine (copies). It is touched by that
-// goroutine only.
-type readerCache struct {
-	p       *plan.Plan
-	conceal bool
-	rs      map[string]*media.Reader
-}
-
-func newReaderCache(p *plan.Plan, conceal bool) *readerCache {
-	return &readerCache{p: p, conceal: conceal, rs: map[string]*media.Reader{}}
-}
-
-// get returns the shared reader for video, opening it on first use, and
-// points its stage accounting at rec — the recorder of the segment about
-// to read through it.
-func (c *readerCache) get(video string, rec *obs.Recorder) (*media.Reader, error) {
-	r, ok := c.rs[video]
-	if !ok {
-		src, ok := c.p.Checked.Sources[video]
-		if !ok {
-			return nil, fmt.Errorf("exec: unknown video %q", video)
-		}
-		var err error
-		if r, err = media.OpenReader(src.Path); err != nil {
-			return nil, err
-		}
-		r.SetConceal(c.conceal)
-		c.rs[video] = r
-	}
-	r.SetRecorder(rec)
-	return r, nil
-}
-
-func (c *readerCache) closeAll() {
-	for _, r := range c.rs {
-		r.Close()
-	}
-}
-
 // segmentRunner executes one segment's operator tree for one goroutine.
 //
 // Frame ownership: every frame a nodeRunner returns is owned by its caller,
@@ -277,16 +239,13 @@ type segmentRunner struct {
 	taps    []*frame.Frame // source frames and destinations of the expression being evaluated
 }
 
-// newSegmentRunner builds a runner whose cursors read through cache; a
-// read waiting on another runner's fill of a GOP gives up when ctx ends.
-func newSegmentRunner(ctx context.Context, p *plan.Plan, s *plan.Segment, conceal bool, cache *media.Cache, rec *obs.Recorder) *segmentRunner {
-	paths := make(map[string]string, len(p.Checked.Sources))
-	for name, src := range p.Checked.Sources {
-		paths[name] = src.Path
-	}
+// newSegmentRunner builds a runner whose cursors read the run's shared
+// sources through cache; a read waiting on another runner's fill of a GOP
+// gives up when ctx ends.
+func newSegmentRunner(ctx context.Context, p *plan.Plan, s *plan.Segment, srcs map[string]*container.Reader, conceal bool, cache *media.Cache, rec *obs.Recorder) *segmentRunner {
 	run := &segmentRunner{
 		p: p, seg: s,
-		cursors: media.NewCursors(paths, 0),
+		cursors: media.NewCursors(srcs, 0),
 		data:    p.Checked.Arrays,
 		rec:     rec,
 		pool:    frame.DefaultPool(),

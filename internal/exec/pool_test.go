@@ -11,12 +11,29 @@ import (
 	"strings"
 	"testing"
 
+	"v2v/internal/container"
 	"v2v/internal/media"
 	"v2v/internal/obs"
 	"v2v/internal/opt"
 	"v2v/internal/plan"
 	"v2v/internal/raster"
 )
+
+// openSources opens p's sources for a segment runner built outside a run,
+// closing them when the test ends.
+func openSources(t *testing.T, p *plan.Plan) map[string]*container.Reader {
+	t.Helper()
+	srcs, err := p.Checked.OpenSources()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, r := range srcs {
+			r.Close()
+		}
+	})
+	return srcs
+}
 
 // fusedChainBody is a 3-op fusable point-op chain over one source.
 const fusedChainBody = `render(t) = grade(grade(grade(v[t], 10, 11/10, 1), -5, 9/10, 12/10), 3, 1, 13/10);`
@@ -57,8 +74,8 @@ func TestFusedSegmentRunnerMatchesPlain(t *testing.T) {
 	}
 
 	fs, ps := fusedPlan.Segments[0], plainPlan.Segments[0]
-	fr := newSegmentRunner(context.Background(), fusedPlan, fs, false, nil, nil)
-	pr := newSegmentRunner(context.Background(), plainPlan, ps, false, nil, nil)
+	fr := newSegmentRunner(context.Background(), fusedPlan, fs, openSources(t, fusedPlan), false, nil, nil)
+	pr := newSegmentRunner(context.Background(), plainPlan, ps, openSources(t, plainPlan), false, nil, nil)
 	defer fr.close()
 	defer pr.close()
 	for i := 0; i < fs.FrameCount(); i++ {
@@ -97,7 +114,7 @@ func warmLoopAllocs(t *testing.T, p *plan.Plan) float64 {
 	t.Helper()
 	s := p.Segments[0]
 	cache := media.NewCache(256<<20, -1, 1)
-	run := newSegmentRunner(context.Background(), p, s, false, cache, nil)
+	run := newSegmentRunner(context.Background(), p, s, openSources(t, p), false, cache, nil)
 	defer run.close()
 
 	frames := s.FrameCount()
@@ -178,7 +195,7 @@ func TestRenderWarmLoopAllocs(t *testing.T) {
 // must follow it), and sigma 0, which passes the source frame through.
 func TestBlurSegmentRunnerMatchesGaussianBlur(t *testing.T) {
 	clip := buildPlan(t, `render(t) = v[t];`, false)
-	src := newSegmentRunner(context.Background(), clip, clip.Segments[0], false, nil, nil)
+	src := newSegmentRunner(context.Background(), clip, clip.Segments[0], openSources(t, clip), false, nil, nil)
 	defer src.close()
 	for _, tc := range []struct {
 		name, sigma string
@@ -193,7 +210,7 @@ func TestBlurSegmentRunnerMatchesGaussianBlur(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := buildPlan(t, "render(t) = blur(v[t], "+tc.sigma+");", tc.optimize)
 			s := p.Segments[0]
-			run := newSegmentRunner(context.Background(), p, s, false, nil, nil)
+			run := newSegmentRunner(context.Background(), p, s, openSources(t, p), false, nil, nil)
 			defer run.close()
 			for i := 0; i < s.FrameCount(); i++ {
 				tm := s.Times.At(i)

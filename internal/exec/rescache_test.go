@@ -2,18 +2,15 @@ package exec
 
 import (
 	"context"
-	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	"v2v/internal/check"
 	"v2v/internal/dataset"
 	"v2v/internal/media"
 	"v2v/internal/plan"
 	"v2v/internal/rational"
-	"v2v/internal/vql"
 )
 
 // runStream executes p into an in-memory VMS stream and returns the bytes
@@ -176,60 +173,52 @@ func TestResultCacheConcurrentRequestsShareRender(t *testing.T) {
 
 // The stale-source guard: rewriting a source file in place must not serve
 // the old cached result — the content identity changes the key, so the
-// new run re-renders from the new bytes.
+// new run re-renders from the new bytes. With the GOP cache on as well
+// (v2vserve's default), the old decoded frames are keyed out the same
+// way.
 func TestResultCacheStaleSourceNotServed(t *testing.T) {
-	dir := t.TempDir()
-	vid := filepath.Join(dir, "mut.vmf")
-	prof := dataset.TinyProfile()
-	if _, err := dataset.Generate(vid, "", prof, rational.FromInt(4)); err != nil {
-		t.Fatal(err)
-	}
-	body := `render(t) = grade(v[t], 5, 1.0, 1.0);`
-	build := func() *plan.Plan {
-		t.Helper()
-		src := fmt.Sprintf(`
-			timedomain range(0, 2, 1/24);
-			videos { v: %q; }
-			%s`, vid, body)
-		s, err := vql.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := check.Check(s, check.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := plan.Build(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
+	for name, gopMB := range map[string]int64{"gop cache off": -1, "gop cache on": 0} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			vid := filepath.Join(dir, "mut.vmf")
+			prof := dataset.TinyProfile()
+			if _, err := dataset.Generate(vid, "", prof, rational.FromInt(4)); err != nil {
+				t.Fatal(err)
+			}
+			build := func() *plan.Plan {
+				t.Helper()
+				p, err := buildPlanFor(t, vid, `render(t) = grade(v[t], 5, 1.0, 1.0);`, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
 
-	rc := media.NewCache(-1, 0, 1)
-	opts := Options{Cache: rc}
-	before, _ := runStream(t, build(), opts)
+			opts := Options{Cache: media.NewCache(gopMB, 0, 1)}
+			before, _ := runStream(t, build(), opts)
 
-	// Rewrite the source in place: same path, different content.
-	prof.Seed = 1234
-	if _, err := dataset.Generate(vid, "", prof, rational.FromInt(4)); err != nil {
-		t.Fatal(err)
-	}
+			// Rewrite the source in place: same path, different content.
+			prof.Seed = 1234
+			if _, err := dataset.Generate(vid, "", prof, rational.FromInt(4)); err != nil {
+				t.Fatal(err)
+			}
 
-	after, mAfter := runStream(t, build(), opts)
-	if after == before {
-		t.Error("rewritten source served the stale cached result")
-	}
-	if mAfter.ResultCacheHits != 0 {
-		t.Errorf("run over the rewritten source hit the cache %d times", mAfter.ResultCacheHits)
-	}
-	if mAfter.Source.FramesDecoded == 0 {
-		t.Error("run over the rewritten source decoded nothing")
-	}
-	// Ground truth: an uncached run over the new file matches.
-	clean, _ := runStream(t, build(), Options{})
-	if after != clean {
-		t.Error("cached-path output over the rewritten source differs from an uncached run")
+			after, mAfter := runStream(t, build(), opts)
+			if after == before {
+				t.Error("rewritten source served the stale cached result")
+			}
+			if mAfter.ResultCacheHits != 0 {
+				t.Errorf("run over the rewritten source hit the cache %d times", mAfter.ResultCacheHits)
+			}
+			if mAfter.Source.FramesDecoded == 0 {
+				t.Error("run over the rewritten source decoded nothing")
+			}
+			// Ground truth: an uncached run over the new file matches.
+			clean, _ := runStream(t, build(), Options{})
+			if after != clean {
+				t.Error("cached-path output over the rewritten source differs from an uncached run")
+			}
+		})
 	}
 }
 

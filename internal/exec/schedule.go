@@ -20,7 +20,7 @@ package exec
 // drains the shards in the same order and writes each batch to the sink
 // the moment it lands, so the head of the output reaches the consumer
 // while the tail is still rendering. Copy units run inline on the delivery
-// goroutine at their turn, reading the source through the shared readers.
+// goroutine at their turn, reading the run's shared source files.
 // The head a smart cut re-encodes is a render unit like any other, so the
 // heads of a splice render on the workers while the loop copies the tails.
 //
@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"v2v/internal/codec"
+	"v2v/internal/container"
 	"v2v/internal/media"
 	"v2v/internal/obs"
 	"v2v/internal/plan"
@@ -50,9 +51,11 @@ type run struct {
 	m *Metrics
 	// rec is the run's execute node, a child of Options.Recorder: the one
 	// account of its work, which Metrics is read from.
-	rec     *obs.Recorder
-	readers *readerCache
-	w       media.Sink // the caller's sink; delivery goroutine only
+	rec *obs.Recorder
+	// srcs holds each source's file, opened once for the run and shared
+	// by every shard worker and copy.
+	srcs map[string]*container.Reader
+	w    media.Sink // the caller's sink; delivery goroutine only
 	// every is the plan's publish interval in frames: a worker hands over
 	// its packets and polls ctx and abort this often, so a long-GOP render
 	// streams and cancels by the second, not by the shard.
@@ -122,6 +125,16 @@ type shard struct {
 // delivers. It returns the first error, after every goroutine it started
 // has exited.
 func (x *run) execute(ctx context.Context) error {
+	srcs, err := x.p.Checked.OpenSources()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		for _, r := range srcs {
+			r.Close()
+		}
+	}()
+	x.srcs = srcs
 	x.every = x.p.PublishInterval()
 	par := x.o.Parallelism
 	x.sem = make(chan struct{}, par)
@@ -323,7 +336,7 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 			sh.err = fmt.Errorf("exec: shard [%d,%d) panicked: %v", sh.lo, sh.hi, r)
 		}
 	}()
-	runner := newSegmentRunner(ctx, x.p, u.s, x.o.Conceal, x.o.Cache, sh.rec)
+	runner := newSegmentRunner(ctx, x.p, u.s, x.srcs, x.o.Conceal, x.o.Cache, sh.rec)
 	defer runner.close()
 	cfg, err := media.CodecConfig(x.p.Checked.Output)
 	if err != nil {
@@ -456,15 +469,23 @@ func (x *run) deliverRender(u *unit) {
 }
 
 // copyInline runs a copy unit on the delivery goroutine, recording into
-// the unit's recorder through the shared reader and the sink.
+// the unit's recorder through a reader over the run's shared source and
+// the sink.
 func (x *run) copyInline(u *unit) error {
 	if u.s.Kind != plan.SegCopy {
 		return fmt.Errorf("exec: unknown segment kind %v", u.s.Kind)
 	}
-	r, err := x.readers.get(u.s.Video, u.rec)
+	src, ok := x.srcs[u.s.Video]
+	if !ok {
+		return fmt.Errorf("exec: unknown video %q", u.s.Video)
+	}
+	r, err := media.NewReader(src)
 	if err != nil {
 		return err
 	}
+	defer r.Close()
+	r.SetConceal(x.o.Conceal)
+	r.SetRecorder(u.rec)
 	if err := media.CopyRange(x.w, r, u.s.From, u.s.To); err != nil {
 		return fmt.Errorf("exec: copy segment: %w", err)
 	}

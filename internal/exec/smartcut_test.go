@@ -155,16 +155,20 @@ func TestSmartCutEstimateMatchesDecodes(t *testing.T) {
 	}
 }
 
-// meetingFile holds the reads of two files until both have been asked for:
-// a run gets past it only if it reads the two at once.
+// meetingFile holds the packet reads of two files until both have been
+// asked for: a run gets past it only if it reads the two at once. Reads
+// outside the packets, [lo, hi), are the open's and pass.
 type meetingFile struct {
 	container.File
-	m    *meeting
-	side int
+	m      *meeting
+	side   int
+	lo, hi int64
 }
 
 func (f *meetingFile) ReadAt(p []byte, off int64) (int, error) {
-	f.m.arrive(f.side) // if the other never comes, the assertions report it
+	if off >= f.lo && off < f.hi {
+		f.m.arrive(f.side) // if the other never comes, the assertions report it
+	}
 	return f.File.ReadAt(p, off)
 }
 
@@ -176,9 +180,11 @@ func TestSmartCutHeadsOverlap(t *testing.T) {
 	p := buildPlanFull(t, kabrSpliceSpec(), 2)
 	m := &meeting{both: make(chan struct{})}
 	container.SetFileWrapper(func(path string, f container.File) container.File {
-		for side, vid := range []string{fxVid, fxMore[0]} {
-			if path == vid {
-				return &meetingFile{File: f, m: m, side: side}
+		for side, name := range []string{"v0", "v1"} {
+			if src := p.Checked.Sources[name]; src.Path == path {
+				recs := src.Records()
+				last := recs[len(recs)-1]
+				return &meetingFile{File: f, m: m, side: side, lo: recs[0].Offset, hi: last.Offset + int64(last.Size)}
 			}
 		}
 		return f

@@ -16,7 +16,7 @@ type Kind int
 
 const (
 	// KindGOP entries are the decoded frames of one source group of
-	// pictures, keyed by (file path, keyframe packet index).
+	// pictures, keyed by (source content ID, keyframe packet index).
 	KindGOP Kind = iota
 	// KindResult entries are the encoded packets of one rendered output
 	// segment, keyed by plan fingerprint (plan.Fingerprinter).
@@ -117,7 +117,7 @@ type Cache struct {
 // cacheKey is comparable, so a lookup allocates nothing.
 type cacheKey struct {
 	kind  Kind
-	name  string // source path (GOP) or plan fingerprint (result)
+	name  string // source content ID (GOP) or plan fingerprint (result)
 	start int    // packet index of a GOP's keyframe
 }
 
@@ -193,14 +193,14 @@ func NewCache(gopShare, resultShare int64, parallelism int) *Cache {
 func (c *Cache) Holds(k Kind) bool { return c != nil && c.share[k] > 0 }
 
 // GOP returns frame idx (nil if outside the GOP) of the GOP starting at
-// packet index start of path; the caller owns one reference to it. On a
-// miss fill decodes the GOP (packets [start, nextKeyframe)) into frames
-// carrying one reference each, which the cache takes over. hit reports
-// whether this caller avoided the decode (resident entry or singleflight
-// wait). A fill error is returned to every waiter; a waiter whose ctx
-// ends first returns ctx's error.
-func (c *Cache) GOP(ctx context.Context, path string, start, idx int, fill func() ([]*frame.Frame, error)) (fr *frame.Frame, hit bool, err error) {
-	fr, _, hit, _, err = c.getOrFill(ctx, cacheKey{kind: KindGOP, name: path, start: start}, idx, func() (cacheValue, error) {
+// packet index start of the source whose content ID is id; the caller
+// owns one reference to it. On a miss fill decodes the GOP (packets
+// [start, nextKeyframe)) into frames carrying one reference each, which
+// the cache takes over. hit reports whether this caller avoided the
+// decode (resident entry or singleflight wait). A fill error is returned
+// to every waiter; a waiter whose ctx ends first returns ctx's error.
+func (c *Cache) GOP(ctx context.Context, id string, start, idx int, fill func() ([]*frame.Frame, error)) (fr *frame.Frame, hit bool, err error) {
+	fr, _, hit, _, err = c.getOrFill(ctx, cacheKey{kind: KindGOP, name: id, start: start}, idx, func() (cacheValue, error) {
 		frames, err := fill()
 		return cacheValue{frames: frames}, err
 	})
@@ -435,7 +435,7 @@ func (c *Cache) BudgetStats() BudgetStats {
 // CacheEntry describes one resident entry, for cache introspection
 // (v2vserve's /debug/caches).
 type CacheEntry struct {
-	Key     string `json:"key"`               // GOP: source path; result: plan fingerprint
+	Key     string `json:"key"`               // GOP: source content ID; result: plan fingerprint
 	Start   int    `json:"start,omitempty"`   // GOP: packet index of the keyframe
 	Frames  int    `json:"frames,omitempty"`  // GOP: decoded frames
 	Packets int    `json:"packets,omitempty"` // result: encoded packets

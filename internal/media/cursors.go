@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"v2v/internal/container"
 	"v2v/internal/frame"
 	"v2v/internal/obs"
 	"v2v/internal/rational"
@@ -18,7 +19,7 @@ import (
 // cursor whose position matches, so each tap decodes its stream once —
 // the same trick FFmpeg filter graphs get from per-input demuxers.
 type Cursors struct {
-	paths   map[string]string
+	srcs    map[string]*container.Reader
 	max     int
 	open    map[string][]*Reader
 	conceal bool
@@ -31,14 +32,16 @@ type Cursors struct {
 // four.
 const DefaultCursorsPerVideo = 6
 
-// NewCursors builds a cursor pool over the given video-name -> path
-// bindings. maxPerVideo <= 0 selects DefaultCursorsPerVideo. Not safe for
-// concurrent use; open one pool per goroutine.
-func NewCursors(paths map[string]string, maxPerVideo int) *Cursors {
+// NewCursors builds a cursor pool over the given video-name -> container
+// bindings, which it shares (NewReader): many pools may read one
+// container at once, and Close leaves them open. maxPerVideo <= 0 selects
+// DefaultCursorsPerVideo. Not safe for concurrent use; open one pool per
+// goroutine.
+func NewCursors(srcs map[string]*container.Reader, maxPerVideo int) *Cursors {
 	if maxPerVideo <= 0 {
 		maxPerVideo = DefaultCursorsPerVideo
 	}
-	return &Cursors{paths: paths, max: maxPerVideo, open: map[string][]*Reader{}}
+	return &Cursors{srcs: srcs, max: maxPerVideo, open: map[string][]*Reader{}}
 }
 
 // SetConceal switches the pool's cursors between fail-fast and
@@ -62,19 +65,16 @@ func (c *Cursors) SetCache(ctx context.Context, cache *Cache) { c.ctx, c.cache =
 // frame is shared and must not be modified; the caller owns one reference
 // to it and Releases it when done (see Reader).
 func (c *Cursors) FrameAt(video string, t rational.Rat) (*frame.Frame, error) {
-	rs := c.open[video]
-	if len(rs) == 0 {
-		if _, err := c.openCursor(video); err != nil {
-			return nil, err
-		}
-		rs = c.open[video]
+	cr, ok := c.srcs[video]
+	if !ok {
+		return nil, fmt.Errorf("media: unknown video %q", video)
 	}
-	target, err := rs[0].IndexOfTime(t)
+	target, err := cr.IndexOfTime(t)
 	if err != nil {
 		return nil, err
 	}
 	if c.cache.Holds(KindGOP) {
-		if fr, ok, err := c.cachedFrame(video, target); ok || err != nil {
+		if fr, ok, err := c.cachedFrame(video, cr, target); ok || err != nil {
 			return fr, err
 		}
 	}
@@ -86,12 +86,12 @@ func (c *Cursors) FrameAt(video string, t rational.Rat) (*frame.Frame, error) {
 }
 
 // cachedFrame serves target from the shared cache, filling the whole
-// containing GOP on a miss. ok=false with a nil error falls back to the
-// direct cursor path (unmappable GOP bounds, or a fill error — which the
-// direct path will then surface with its usual semantics); a wait cut
-// short by ctx returns ctx's error.
-func (c *Cursors) cachedFrame(video string, target int) (*frame.Frame, bool, error) {
-	cr := c.open[video][0].Container()
+// containing GOP on a miss. GOPs are keyed by the source's content ID, so
+// a file rewritten in place never serves its old frames. ok=false with a
+// nil error falls back to the direct cursor path (unmappable GOP bounds,
+// or a fill error — which the direct path will then surface with its
+// usual semantics); a wait cut short by ctx returns ctx's error.
+func (c *Cursors) cachedFrame(video string, cr *container.Reader, target int) (*frame.Frame, bool, error) {
 	k, ok := cr.KeyframeAtOrBefore(target)
 	if !ok {
 		return nil, false, nil
@@ -102,7 +102,7 @@ func (c *Cursors) cachedFrame(video string, target int) (*frame.Frame, bool, err
 	if nk, found := cr.NextKeyframeAfter(k + 1); found && nk < end {
 		end = nk
 	}
-	fr, hit, err := c.cache.GOP(c.ctx, c.paths[video], k, target-k, func() ([]*frame.Frame, error) {
+	fr, hit, err := c.cache.GOP(c.ctx, cr.ContentID(), k, target-k, func() ([]*frame.Frame, error) {
 		return c.decodeGOP(video, k, end)
 	})
 	if err != nil {
@@ -145,9 +145,6 @@ func (c *Cursors) cursorFor(video string, target int) (*Reader, error) {
 	if len(rs) == 0 {
 		return c.openCursor(video)
 	}
-	if rs[0].NextIndex() < 0 {
-		return rs[0], nil // opened by FrameAt to map the time; nothing has read through it
-	}
 	// 1. A cursor already positioned at (or one past) the target reads
 	// for free or purely sequentially.
 	for _, r := range rs {
@@ -161,7 +158,7 @@ func (c *Cursors) cursorFor(video string, target int) (*Reader, error) {
 	// costs — and taking it strands the tap that was reading through it, so
 	// it does not count; on a tie the fresh cursor wins for the same reason,
 	// while the pool has room for one.
-	k, _ := rs[0].Container().KeyframeAtOrBefore(target)
+	k, _ := c.srcs[video].KeyframeAtOrBefore(target)
 	room := len(rs) < c.max
 	var best *Reader
 	bestCost := target - k + 1 // a fresh cursor, from the target's keyframe
@@ -196,11 +193,7 @@ func (c *Cursors) cursorFor(video string, target int) (*Reader, error) {
 }
 
 func (c *Cursors) openCursor(video string) (*Reader, error) {
-	path, ok := c.paths[video]
-	if !ok {
-		return nil, fmt.Errorf("media: unknown video %q", video)
-	}
-	r, err := OpenReader(path)
+	r, err := NewReader(c.srcs[video])
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +203,7 @@ func (c *Cursors) openCursor(video string) (*Reader, error) {
 	return r, nil
 }
 
-// Close releases all cursors.
+// Close releases all cursors; the containers stay open.
 func (c *Cursors) Close() {
 	for _, rs := range c.open {
 		for _, r := range rs {

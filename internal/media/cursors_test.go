@@ -1,13 +1,25 @@
 package media
 
 import (
-	"path/filepath"
 	"testing"
 
+	"v2v/internal/container"
 	"v2v/internal/frame"
 	"v2v/internal/obs"
 	"v2v/internal/rational"
 )
+
+// sourceV opens path as the video "v" of a cursor pool, closing it when
+// the test ends.
+func sourceV(t *testing.T, path string) map[string]*container.Reader {
+	t.Helper()
+	c, err := container.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return map[string]*container.Reader{"v": c}
+}
 
 // recorded points c at a fresh recorder and returns it.
 func recorded(c *Cursors) *obs.Recorder {
@@ -19,7 +31,7 @@ func recorded(c *Cursors) *obs.Recorder {
 func TestCursorsSequentialAndInterleaved(t *testing.T) {
 	dir := t.TempDir()
 	path := makeVideo(t, dir, "a.vmf", testInfo(6), 48) // keys every 6 frames
-	c := NewCursors(map[string]string{"v": path}, 4)
+	c := NewCursors(sourceV(t, path), 4)
 	defer c.Close()
 	rec := recorded(c)
 
@@ -51,7 +63,7 @@ func TestCursorsSequentialAndInterleaved(t *testing.T) {
 func TestCursorsRepeatReadIsFree(t *testing.T) {
 	dir := t.TempDir()
 	path := makeVideo(t, dir, "a.vmf", testInfo(6), 12)
-	c := NewCursors(map[string]string{"v": path}, 2)
+	c := NewCursors(sourceV(t, path), 2)
 	defer c.Close()
 	rec := recorded(c)
 	at := rational.New(5, 24)
@@ -72,7 +84,7 @@ func TestCursorsRepeatReadIsFree(t *testing.T) {
 func TestCursorsPoolCapRecycles(t *testing.T) {
 	dir := t.TempDir()
 	path := makeVideo(t, dir, "a.vmf", testInfo(6), 48)
-	c := NewCursors(map[string]string{"v": path}, 2)
+	c := NewCursors(sourceV(t, path), 2)
 	defer c.Close()
 	// Three far-apart taps with a pool of two: still correct, just slower.
 	offsets := []rational.Rat{rational.Zero, rational.New(16, 24), rational.New(32, 24)}
@@ -97,7 +109,7 @@ func TestCursorsPoolCapRecycles(t *testing.T) {
 func TestCursorsErrors(t *testing.T) {
 	dir := t.TempDir()
 	path := makeVideo(t, dir, "a.vmf", testInfo(6), 12)
-	c := NewCursors(map[string]string{"v": path}, 0) // default cap
+	c := NewCursors(sourceV(t, path), 0) // default cap
 	defer c.Close()
 	if _, err := c.FrameAt("ghost", rational.Zero); err == nil {
 		t.Error("unknown video should fail")
@@ -107,11 +119,6 @@ func TestCursorsErrors(t *testing.T) {
 	}
 	if _, err := c.FrameAt("v", rational.FromInt(99)); err == nil {
 		t.Error("out-of-range time should fail")
-	}
-	c2 := NewCursors(map[string]string{"v": filepath.Join(dir, "missing.vmf")}, 1)
-	defer c2.Close()
-	if _, err := c2.FrameAt("v", rational.Zero); err == nil {
-		t.Error("missing file should fail")
 	}
 }
 
@@ -123,7 +130,7 @@ func TestCursorsErrors(t *testing.T) {
 func TestCursorsStaggeredTapsDecodeOncePerTap(t *testing.T) {
 	const gop, frames, apart, first = 240, 48, 7 * 24, 55
 	path := makeVideo(t, t.TempDir(), "a.vmf", testInfo(gop), first+3*apart+frames)
-	c := NewCursors(map[string]string{"v": path}, 0)
+	c := NewCursors(sourceV(t, path), 0)
 	defer c.Close()
 	rec := recorded(c)
 	var want int64

@@ -52,8 +52,9 @@ func streamSeeds(tb testing.TB) [][]byte {
 // FuzzStreamReader throws arbitrary bytes at the VMS reader: the header,
 // packets, and each trailer type. A stream the header parse accepts must
 // end in exactly one of io.EOF, ErrStreamFailed and ErrTruncatedStream —
-// or in a parse error, which is none of them — never panic, and keep a
-// clean end sticky. A clean end always comes with an "ok" trailer.
+// or in a parse error, which is none of them — never panic, and keep
+// every end sticky: a later call returns the same error. A clean end
+// always comes with an "ok" trailer.
 func FuzzStreamReader(f *testing.F) {
 	for _, seed := range streamSeeds(f) {
 		f.Add(seed)
@@ -84,9 +85,9 @@ func FuzzStreamReader(f *testing.F) {
 				if tr, ok := r.Trailer(); !ok || tr.Status != "ok" {
 					t.Fatalf("clean end with trailer %+v (present %v)", tr, ok)
 				}
-				if _, _, err := r.NextPacket(); !errors.Is(err, io.EOF) {
-					t.Fatalf("clean end not sticky: then %v", err)
-				}
+			}
+			if _, _, again := r.NextPacket(); !errors.Is(again, err) {
+				t.Fatalf("end %v not sticky: then %v", err, again)
 			}
 			return
 		}

@@ -22,16 +22,18 @@ import (
 )
 
 // Reader provides random access to the frames of a VMF file.
-// Not safe for concurrent use; open one Reader per goroutine.
+// Not safe for concurrent use; open one Reader per goroutine. Readers may
+// share one container.Reader (NewReader), which is.
 //
 // Decoded frames come out of frame.DefaultPool. Every frame a Reader hands
 // out carries a reference owned by the caller, who should Release it when
 // done (one never released is left to the garbage collector); Close drops
 // the reader's own references.
 type Reader struct {
-	c    *container.Reader
-	dec  *codec.Decoder
-	next int // packet index the decoder will consume next; -1 if unset
+	c     *container.Reader
+	owned bool // Close closes c: OpenReader opened it
+	dec   *codec.Decoder
+	next  int // packet index the decoder will consume next; -1 if unset
 	// held stands in for the frame at next-1 where that is not the
 	// decoder's reference: a concealed packet's frame, or, after a seek,
 	// the frame the reader was at. It is nil once a packet decodes.
@@ -47,14 +49,24 @@ func OpenReader(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := CodecConfig(c.Info())
+	r, err := NewReader(c)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
+	r.owned = true
+	return r, nil
+}
+
+// NewReader reads frames from an open container that it shares: Close
+// leaves c open for its owner to close.
+func NewReader(c *container.Reader) (*Reader, error) {
+	cfg, err := CodecConfig(c.Info())
+	if err != nil {
+		return nil, err
+	}
 	dec, err := codec.NewDecoder(cfg)
 	if err != nil {
-		c.Close()
 		return nil, err
 	}
 	dec.SetFramePool(frame.DefaultPool())
@@ -71,12 +83,16 @@ func CodecConfig(info container.StreamInfo) (codec.Config, error) {
 	return codec.Config{Width: info.Width, Height: info.Height, Quality: info.Quality, GOP: info.GOP}, nil
 }
 
-// Close releases the reader's frame references and the underlying file.
+// Close releases the reader's frame references, and the underlying file
+// if OpenReader opened it.
 func (r *Reader) Close() error {
 	r.held.Release()
 	r.gray.Release()
 	r.held, r.gray = nil, nil
 	r.dec.Reset()
+	if !r.owned {
+		return nil
+	}
 	return r.c.Close()
 }
 
@@ -202,65 +218,17 @@ func (r *Reader) FrameAtIndex(i int) (*frame.Frame, error) {
 
 // FrameAt returns the frame whose presentation time is exactly t.
 func (r *Reader) FrameAt(t rational.Rat) (*frame.Frame, error) {
-	i, err := r.IndexOfTime(t)
+	i, err := r.c.IndexOfTime(t)
 	if err != nil {
 		return nil, err
 	}
 	return r.FrameAtIndex(i)
 }
 
-// IndexOfTime maps an exact frame time to its packet index.
-func (r *Reader) IndexOfTime(t rational.Rat) (int, error) {
-	pts, exact := r.c.Info().PTSOf(t)
-	if !exact {
-		return 0, fmt.Errorf("media: time %v is not on a frame boundary", t)
-	}
-	i, ok := r.c.IndexOfPTS(pts)
-	if !ok {
-		return 0, fmt.Errorf("media: no frame at time %v (pts %d)", t, pts)
-	}
-	return i, nil
-}
-
 // NextIndex returns the packet index a sequential read would decode next,
 // or -1 before the first read. Cursor pools use this to match access
 // patterns to decoder states.
 func (r *Reader) NextIndex() int { return r.next }
-
-// IndexRangeFor returns the packet index range [i0, i1) covering the
-// half-open time interval iv, intersected with what the stream holds.
-func (r *Reader) IndexRangeFor(iv rational.Interval) (i0, i1 int) {
-	info := r.c.Info()
-	n := r.c.NumPackets()
-	lo, _ := info.PTSOf(iv.Lo)
-	if exactLo := info.TimeOf(lo); exactLo.Less(iv.Lo) {
-		lo++
-	}
-	hi, _ := info.PTSOf(iv.Hi)
-	if exactHi := info.TimeOf(hi); exactHi.Less(iv.Hi) {
-		hi++
-	}
-	first := int64(0)
-	if n > 0 {
-		first = r.c.Record(0).PTS
-	}
-	i0 = clamp(int(lo-first), 0, n)
-	i1 = clamp(int(hi-first), 0, n)
-	if i1 < i0 {
-		i1 = i0
-	}
-	return i0, i1
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
 
 // CopyRange stream-copies packets [i0, i1) from src into dst. The first
 // copied packet must be a keyframe (or follow ones already giving the

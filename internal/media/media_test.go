@@ -176,29 +176,6 @@ func TestFrameAtTime(t *testing.T) {
 	}
 }
 
-func TestIndexRangeFor(t *testing.T) {
-	dir := t.TempDir()
-	path := makeVideo(t, dir, "a.vmf", testInfo(6), 48) // 2 s at 24 fps
-	r, _ := OpenReader(path)
-	defer r.Close()
-	cases := []struct {
-		lo, hi rational.Rat
-		w0, w1 int
-	}{
-		{rational.Zero, rational.FromInt(1), 0, 24},
-		{rational.New(1, 2), rational.FromInt(1), 12, 24},
-		{rational.New(1, 48), rational.New(1, 2), 1, 12}, // lo between frames -> round up
-		{rational.FromInt(-1), rational.FromInt(9), 0, 48},
-		{rational.FromInt(3), rational.FromInt(4), 48, 48},
-	}
-	for _, c := range cases {
-		i0, i1 := r.IndexRangeFor(rational.Interval{Lo: c.lo, Hi: c.hi})
-		if i0 != c.w0 || i1 != c.w1 {
-			t.Errorf("IndexRangeFor([%v,%v)) = [%d,%d), want [%d,%d)", c.lo, c.hi, i0, i1, c.w0, c.w1)
-		}
-	}
-}
-
 func TestCopyRangeIsExact(t *testing.T) {
 	dir := t.TempDir()
 	src := makeVideo(t, dir, "src.vmf", testInfo(6), 24)

@@ -28,10 +28,10 @@ func residentFrames(c *Cache) int {
 }
 
 // tapRun reads two interleaved taps (t and t+1s) of 24 output frames
-// through a fresh cursor pool over cache, releasing every frame it is
-// handed, and closes the pool.
-func tapRun(t *testing.T, path string, cache *Cache) {
-	c := NewCursors(map[string]string{"v": path}, 4)
+// through a fresh cursor pool over srcs and cache, releasing every frame
+// it is handed, and closes the pool.
+func tapRun(t *testing.T, srcs map[string]*container.Reader, cache *Cache) {
+	c := NewCursors(srcs, 4)
 	c.SetCache(context.Background(), cache)
 	defer c.Close()
 	for i := 0; i < 24; i++ {
@@ -57,13 +57,13 @@ func tapRun(t *testing.T, path string, cache *Cache) {
 // zero.
 func TestSourceFramePoolBalance(t *testing.T) {
 	info := testInfo(6)
-	path := makeVideo(t, t.TempDir(), "a.vmf", info, 48) // 8 GOPs of 6
+	srcs := sourceV(t, makeVideo(t, t.TempDir(), "a.vmf", info, 48)) // 8 GOPs of 6
 	gopBytes := int64(6 * frame.FormatYUV420.Size(info.Width, info.Height))
 
 	t.Run("one pool", func(t *testing.T) {
 		before := liveFrames()
 		cache := NewCache(2*gopBytes, -1, 1)
-		tapRun(t, path, cache)
+		tapRun(t, srcs, cache)
 		st := cache.Stats(KindGOP)
 		if st.Evictions == 0 {
 			t.Fatalf("cache never evicted (%+v); the test needs eviction under read", st)
@@ -73,8 +73,9 @@ func TestSourceFramePoolBalance(t *testing.T) {
 		}
 	})
 
-	// Two pools on two goroutines share one cache: fills, singleflight
-	// waits, hits and evictions interleave. Meaningful under -race.
+	// Two pools on two goroutines share one cache and one container:
+	// fills, singleflight waits, hits, evictions and packet reads
+	// interleave. Meaningful under -race.
 	t.Run("two pools one cache", func(t *testing.T) {
 		before := liveFrames()
 		cache := NewCache(2*gopBytes, -1, 1)
@@ -84,7 +85,7 @@ func TestSourceFramePoolBalance(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for round := 0; round < 3; round++ {
-					tapRun(t, path, cache)
+					tapRun(t, srcs, cache)
 				}
 			}()
 		}

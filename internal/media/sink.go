@@ -371,7 +371,8 @@ type StreamReader struct {
 	r       io.Reader
 	dec     *codec.Decoder
 	info    container.StreamInfo
-	done    bool // a trailer was read
+	done    bool  // a trailer was read
+	err     error // NextPacket's terminal result, io.EOF included
 	trailer StreamTrailer
 }
 
@@ -399,11 +400,17 @@ func (s *StreamReader) Info() container.StreamInfo { return s.info }
 // NextPacket reads one packet; io.EOF signals a clean end of stream (the
 // typed "ok" trailer). A stream that stops mid-flight returns an error
 // wrapping ErrTruncatedStream; a typed error trailer returns an error
-// wrapping ErrStreamFailed carrying the producer's message.
+// wrapping ErrStreamFailed carrying the producer's message. Every error is
+// terminal: each later call returns it again.
 func (s *StreamReader) NextPacket() (key bool, data []byte, err error) {
-	if s.done {
-		return false, nil, io.EOF
+	if s.err != nil {
+		return false, nil, s.err
 	}
+	key, data, s.err = s.nextPacket()
+	return key, data, s.err
+}
+
+func (s *StreamReader) nextPacket() (key bool, data []byte, err error) {
 	var head [5]byte
 	if _, err := io.ReadFull(s.r, head[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {

@@ -264,6 +264,29 @@ func TestStreamTrailerTyped(t *testing.T) {
 	}
 }
 
+// TestStreamErrorTrailerSticky: a stream that ended in an error trailer
+// keeps reporting the producer's failure; a later call must not read as a
+// clean end.
+func TestStreamErrorTrailerSticky(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewStreamWriter(&buf, testInfo(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Abort(errors.New("boom")); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewStreamReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call <= 2; call++ {
+		if _, _, err := r.NextPacket(); !errors.Is(err, ErrStreamFailed) || errors.Is(err, io.EOF) {
+			t.Errorf("call %d after the error trailer = %v, want ErrStreamFailed", call, err)
+		}
+	}
+}
+
 // TestStreamZeroLengthHeaderRejected: a zero-length packet header, the
 // end-of-stream marker of producers from before the typed trailer, is a
 // damaged stream — an "implausible packet size" error that reads as none

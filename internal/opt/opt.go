@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"v2v/internal/container"
 	"v2v/internal/obs"
 	"v2v/internal/plan"
 	"v2v/internal/rational"
@@ -176,32 +175,10 @@ type copyCounts struct{ copies, smartcuts int }
 // starts mid-GOP with a keyframe inside its range — becomes two segments:
 // the frames before that keyframe stay a frame segment on the clip leaf they
 // already have (an ordinary render: sharded, cached and priced as one), and
-// the rest is a copy. It opens each referenced container once to consult its
-// keyframe index.
+// the rest is a copy. It reads each source's keyframes from the index
+// Check loaded (check.Source), opening no file.
 func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 	var n copyCounts
-	readers := map[string]*container.Reader{}
-	defer func() {
-		for _, r := range readers {
-			r.Close()
-		}
-	}()
-	reader := func(video string) (*container.Reader, error) {
-		if r, ok := readers[video]; ok {
-			return r, nil
-		}
-		src, ok := p.Checked.Sources[video]
-		if !ok {
-			return nil, fmt.Errorf("opt: unknown video %q", video)
-		}
-		r, err := container.Open(src.Path)
-		if err != nil {
-			return nil, err
-		}
-		readers[video] = r
-		return r, nil
-	}
-
 	segs := make([]*plan.Segment, 0, len(p.Segments))
 	for _, s := range p.Segments {
 		segs = append(segs, s)
@@ -209,26 +186,26 @@ func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 		if !ok || s.Times.Count() == 0 {
 			continue
 		}
-		r, err := reader(video)
-		if err != nil {
-			return n, err
+		src, ok := p.Checked.Sources[video]
+		if !ok {
+			return n, fmt.Errorf("opt: unknown video %q", video)
 		}
-		info := r.Info()
+		info := src.Info()
 		srcStart := s.Times.Start.Add(off)
 		pts, exact := info.PTSOf(srcStart)
 		if !exact {
 			continue // should not happen post-check; stay safe
 		}
-		i0, found := r.IndexOfPTS(pts)
+		i0, found := src.IndexOfPTS(pts)
 		if !found {
 			continue
 		}
 		i1 := i0 + s.Times.Count()
-		if i1 > r.NumPackets() {
+		if i1 > src.NumPackets() {
 			continue
 		}
 		tail := s // the segment that becomes the copy
-		if r.Record(i0).Key {
+		if src.Record(i0).Key {
 			if !o.StreamCopy {
 				continue
 			}
@@ -240,7 +217,7 @@ func copyPass(p *plan.Plan, o Options) (copyCounts, error) {
 			// A smart cut only pays off if some keyframe lies inside the
 			// range; otherwise the whole range re-encodes anyway (the
 			// paper's Q1-on-ToS case, where plans were identical).
-			k, ok := r.NextKeyframeAfter(i0)
+			k, ok := src.NextKeyframeAfter(i0)
 			if !ok || k >= i1 {
 				continue
 			}

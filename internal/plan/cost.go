@@ -83,7 +83,7 @@ func (c Cost) String() string {
 func estCopiedBytesPerPacket(p *Plan, video string) int64 {
 	info := p.Checked.Output
 	if src, ok := p.Checked.Sources[video]; ok {
-		info = src.Info
+		info = src.Info()
 	}
 	px := int64(info.Width) * int64(info.Height)
 	return px * 3 / 8
@@ -125,13 +125,14 @@ func (s *Segment) RollForward(p *Plan) func(i int) int64 {
 		for _, tap := range taps {
 			src := p.Checked.Sources[tap.Video]
 			if !tap.Affine {
-				roll += int64(src.Info.GOP / 2)
+				roll += int64(src.Info().GOP / 2)
 				continue
 			}
-			pts, _ := src.Info.PTSOf(t.Add(tap.Off))
-			after := sort.Search(len(src.Keyframes), func(k int) bool { return src.Keyframes[k] > pts })
-			if after > 0 {
-				roll += pts - src.Keyframes[after-1]
+			pts, _ := src.Info().PTSOf(t.Add(tap.Off))
+			recs := src.Records()
+			at := sort.Search(len(recs), func(k int) bool { return recs[k].PTS > pts }) - 1
+			if k, ok := src.KeyframeAtOrBefore(at); ok {
+				roll += pts - recs[k].PTS
 			}
 		}
 		return roll

@@ -53,8 +53,8 @@ func NewFingerprinter(c *check.Checked, conceal bool) *Fingerprinter {
 		conceal: conceal,
 	}
 	for name, src := range c.Sources {
-		if src.ContentID != "" {
-			f.sources[name] = src.ContentID
+		if src.Index != nil {
+			f.sources[name] = src.ContentID()
 		}
 	}
 	for name, arr := range c.Arrays {

@@ -206,7 +206,7 @@ func TestFingerprintRewrittenSourceChangesKey(t *testing.T) {
 	if k1 == k2 {
 		t.Error("in-place rewrite kept the same key: stale results would be served")
 	}
-	if c1.Sources["v"].ContentID == c2.Sources["v"].ContentID {
+	if c1.Sources["v"].ContentID() == c2.Sources["v"].ContentID() {
 		t.Error("content ID unchanged by in-place rewrite")
 	}
 }
@@ -231,7 +231,7 @@ func TestFingerprintUncacheableForms(t *testing.T) {
 	c2 := *c
 	c2.Sources = map[string]check.Source{}
 	for name, src := range c.Sources {
-		src.ContentID = ""
+		src.Index = nil
 		c2.Sources[name] = src
 	}
 	f2 := NewFingerprinter(&c2, false)

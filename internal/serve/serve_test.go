@@ -829,8 +829,13 @@ func TestDebugCaches(t *testing.T) {
 	if dump.GOP.Stats.Misses == 0 || len(dump.GOP.Entries) == 0 {
 		t.Fatalf("gop cache saw no fills: stats=%+v entries=%d", dump.GOP.Stats, len(dump.GOP.Entries))
 	}
-	if dump.GOP.Entries[0].Key != vid || dump.GOP.Entries[0].Frames == 0 {
-		t.Errorf("gop entry = %+v", dump.GOP.Entries[0])
+	src, err := container.Open(vid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	if dump.GOP.Entries[0].Key != src.ContentID() || dump.GOP.Entries[0].Frames == 0 {
+		t.Errorf("gop entry = %+v, want the source's content ID %s as key", dump.GOP.Entries[0], src.ContentID())
 	}
 	if dump.Arbiter.Used == 0 || dump.Arbiter.Client["gop"] == 0 {
 		t.Errorf("budget split = %+v", dump.Arbiter)
