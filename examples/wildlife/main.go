@@ -21,6 +21,7 @@ import (
 	"v2v/internal/media"
 	"v2v/internal/rational"
 	"v2v/internal/sqlmini"
+	"v2v/internal/vql"
 )
 
 func main() {
@@ -44,8 +45,8 @@ func main() {
 	// window; here graze/social events over the 40-second flight.
 	db := v2v.NewDB()
 	if _, err := db.CreateTable("behaviors", []sqlmini.Column{
-		{Name: "ts", Type: sqlmini.TypeRat},
-		{Name: "behavior", Type: sqlmini.TypeStr},
+		{Name: "ts", Type: vql.TypeNum},
+		{Name: "behavior", Type: vql.TypeStr},
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -58,9 +59,7 @@ func main() {
 		if (sec >= 8 && sec < 10) || (sec >= 28 && sec < 30) {
 			behavior = "SOCIAL"
 		}
-		if err := db.Insert("behaviors", []sqlmini.Cell{
-			sqlmini.RatCell(ts), sqlmini.StrCell(behavior),
-		}); err != nil {
+		if err := db.Insert("behaviors", []vql.Val{vql.NumV(ts), vql.StrV(behavior)}); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -123,10 +123,11 @@ type Config struct {
 	// protecting against cost underestimates. Default DefaultSlotCap; a
 	// server sizes it from the parallelism it runs syntheses with.
 	SlotCap int
-	// Window is the pipeline depth the cost capacity targets: capacity =
-	// measured throughput × Window. Default 1s.
-	Window time.Duration
 }
+
+// window is the pipeline depth the cost capacity targets: capacity =
+// measured throughput × window.
+const window = time.Second
 
 // Package-scope instruments: library metrics register once, at package
 // scope on the default registry.
@@ -275,9 +276,6 @@ func NewController(cfg Config) *Controller {
 	if cfg.SlotCap <= 0 {
 		cfg.SlotCap = DefaultSlotCap
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = time.Second
-	}
 	return &Controller{
 		cfg:            cfg,
 		tenants:        map[string]*tenant{},
@@ -341,7 +339,7 @@ func (c *Controller) capacityUnitsLocked() float64 {
 	if c.rate <= 0 {
 		return math.Inf(1)
 	}
-	return c.rate * c.cfg.Window.Seconds() * c.pressureFactor
+	return c.rate * window.Seconds() * c.pressureFactor
 }
 
 // admissibleLocked reports whether one more request of the given cost fits

@@ -69,8 +69,9 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 		at := domain.At(i)
 		body := spec.RenderFor(at)
 		if body == nil {
-			w.Close()
-			return nil, fmt.Errorf("baseline: no render arm covers t=%s", at)
+			err := fmt.Errorf("baseline: no render arm covers t=%s", at)
+			w.Abort(err)
+			return nil, err
 		}
 		v, err := vql.Eval(body, &vql.Env{T: at, Frames: env, Data: c.Arrays})
 		if err == nil && (v.Type != vql.TypeFrame || v.Frame == nil) {
@@ -90,8 +91,9 @@ func Run(spec *vql.Spec, outPath string, db *sqlmini.DB) (*Metrics, error) {
 		}
 		env.taps = env.taps[:0]
 		if err != nil {
-			w.Close()
-			return nil, fmt.Errorf("baseline: render t=%s: %w", at, err)
+			err = fmt.Errorf("baseline: render t=%s: %w", at, err)
+			w.Abort(err)
+			return nil, err
 		}
 		m.FramesRendered++
 	}

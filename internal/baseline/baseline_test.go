@@ -1,11 +1,13 @@
 package baseline
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"v2v/internal/container"
 	"v2v/internal/core"
 	"v2v/internal/dataset"
 	"v2v/internal/frame"
@@ -121,5 +123,36 @@ func TestBaselineErrors(t *testing.T) {
 	}
 	if _, err := RunSource(specSrc(`render(t) = v[t + 100];`), filepath.Join(dir, "x.vmf"), nil); err == nil {
 		t.Error("out-of-range should fail via check")
+	}
+}
+
+// TestFailedRunLeavesNothing: a corrupt source packet fails the run, and
+// neither the output nor its temp file is left behind.
+func TestFailedRunLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := os.ReadFile(fxVid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := container.Open(fxVid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := r.Record(30)
+	r.Close()
+	raw[rec.Offset+int64(rec.Size)/2] ^= 0xff
+	vid := filepath.Join(dir, "damaged.vmf")
+	if err := os.WriteFile(vid, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out.vmf")
+	src := fmt.Sprintf(`timedomain range(0, 2, 1/24); videos { v: %q; } render(t) = v[t];`, vid)
+	if _, err := RunSource(src, out, nil); err == nil {
+		t.Fatal("a corrupt packet should fail the run")
+	}
+	for _, p := range []string{out, out + ".tmp"} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("failed run left %s behind", p)
+		}
 	}
 }

@@ -36,7 +36,8 @@ type Options struct {
 // container index Check read from it — the stream description, every
 // packet's record, and the content ID that the result and GOP caches key
 // on, so a rewritten file never serves stale entries. Planning reads
-// only this; a run reopens the file once (OpenSources) to read packets.
+// only this; a run reopens the file at most once (OpenSource) to read
+// packets.
 type Source struct {
 	Path string
 	*container.Index
@@ -112,13 +113,7 @@ func Check(spec *vql.Spec, opts Options) (*Checked, error) {
 		// Bound the materialization by the time window the spec can
 		// actually read (§IV-B: "materialized in portions by bounding the
 		// time") when every index of this array is affine in t.
-		var arr *data.Array
-		var err error
-		if iv, ok := sqlWindow(spec, name); ok {
-			arr, err = sqlmini.MaterializeArrayBounded(opts.DB, query, iv)
-		} else {
-			arr, err = sqlmini.MaterializeArray(opts.DB, query)
-		}
+		arr, err := sqlmini.MaterializeArrayBounded(opts.DB, query, sqlWindow(spec, name))
 		if err != nil {
 			return nil, fmt.Errorf("check: data array %q: %w", name, err)
 		}
@@ -147,40 +142,54 @@ func Check(spec *vql.Spec, opts Options) (*Checked, error) {
 	return c, nil
 }
 
-// OpenSources opens each source's file once, for one run to read
-// through: a container.Reader is safe to share among the run's
-// goroutines. A file whose content differs from what Check indexed fails
-// with an error wrapping ErrSourceChanged that names the video. The
-// caller closes the readers.
+// OpenSource opens the named source's file, for one run to read through:
+// a container.Reader is safe to share among the run's goroutines. A file
+// whose content differs from what Check indexed fails with an error
+// wrapping ErrSourceChanged that names the video. The caller closes the
+// reader.
+func (c *Checked) OpenSource(name string) (*container.Reader, error) {
+	src, ok := c.Sources[name]
+	if !ok {
+		return nil, fmt.Errorf("check: unknown video %q", name)
+	}
+	r, err := container.Open(src.Path)
+	if err == nil && r.ContentID() != src.ContentID() {
+		r.Close()
+		err = ErrSourceChanged
+	}
+	if err != nil {
+		return nil, fmt.Errorf("check: video %q: %w", name, err)
+	}
+	return r, nil
+}
+
+// OpenSources opens every source (OpenSource); on an error it closes what
+// it opened. The caller closes the readers.
 func (c *Checked) OpenSources() (map[string]*container.Reader, error) {
 	rs := make(map[string]*container.Reader, len(c.Sources))
-	for name, src := range c.Sources {
-		r, err := container.Open(src.Path)
-		if err == nil && r.ContentID() != src.ContentID() {
-			r.Close()
-			err = ErrSourceChanged
-		}
+	for name := range c.Sources {
+		r, err := c.OpenSource(name)
 		if err != nil {
 			for _, r := range rs {
 				r.Close()
 			}
-			return nil, fmt.Errorf("check: video %q: %w", name, err)
+			return nil, err
 		}
 		rs[name] = r
 	}
 	return rs, nil
 }
 
-// arrayElemType returns the element type of a data array: the kind of its
-// non-null entries (mixed kinds are rejected; an all-null or empty array
+// arrayElemType returns the element type of a data array: the type of its
+// non-null entries (mixed types are rejected; an all-null or empty array
 // types as Null).
 func arrayElemType(arr *data.Array) (vql.Type, error) {
 	elem := vql.TypeNull
 	for _, e := range arr.Entries() {
-		if e.V.Kind == data.KindNull {
+		t := e.V.Type
+		if t == vql.TypeNull {
 			continue
 		}
-		t := vql.DataKindType(e.V.Kind)
 		if elem == vql.TypeNull {
 			elem = t
 			continue

@@ -170,13 +170,13 @@ func TestCheckSQLArray(t *testing.T) {
 	f := getFixture(t)
 	db := sqlmini.NewDB()
 	db.CreateTable("det", []sqlmini.Column{
-		{Name: "ts", Type: sqlmini.TypeRat},
-		{Name: "n", Type: sqlmini.TypeNum},
+		{Name: "ts", Type: vql.TypeNum},
+		{Name: "n", Type: vql.TypeNum},
 	})
 	for i := 0; i < 24; i++ {
-		db.Insert("det", []sqlmini.Cell{
-			sqlmini.RatCell(rational.New(int64(i), 24)),
-			sqlmini.NumCell(float64(i % 3)),
+		db.Insert("det", []vql.Val{
+			vql.NumV(rational.New(int64(i), 24)),
+			vql.NumV(rational.FromInt(int64(i % 3))),
 		})
 	}
 	src := fmt.Sprintf(`
@@ -485,14 +485,14 @@ func TestSQLMaterializationIsTimeBounded(t *testing.T) {
 	f := getFixture(t)
 	db := sqlmini.NewDB()
 	db.CreateTable("det", []sqlmini.Column{
-		{Name: "ts", Type: sqlmini.TypeRat},
-		{Name: "n", Type: sqlmini.TypeNum},
+		{Name: "ts", Type: vql.TypeNum},
+		{Name: "n", Type: vql.TypeNum},
 	})
 	// Rows cover 0..100 s; the spec reads only [1/2, 3/2).
 	for i := 0; i < 100*24; i++ {
-		db.Insert("det", []sqlmini.Cell{
-			sqlmini.RatCell(rational.New(int64(i), 24)),
-			sqlmini.NumCell(1),
+		db.Insert("det", []vql.Val{
+			vql.NumV(rational.New(int64(i), 24)),
+			vql.NumV(rational.FromInt(1)),
 		})
 	}
 	src := fmt.Sprintf(`

@@ -42,12 +42,12 @@ func AffineOffset(e vql.Expr) (rational.Rat, bool) {
 
 // sqlWindow computes the half-open interval of times the spec can read
 // from the named data array, when every reference's index is affine in t.
-// Non-affine indexes (or none at all) return ok=false, falling back to
-// full materialization.
-func sqlWindow(spec *vql.Spec, name string) (rational.Interval, bool) {
+// Non-affine indexes (or none at all) return the empty Interval, which
+// materializes the whole array.
+func sqlWindow(spec *vql.Spec, name string) rational.Interval {
 	domain := spec.TimeDomain
 	if domain.Count() == 0 {
-		return rational.Interval{}, false
+		return rational.Interval{}
 	}
 	found := false
 	allAffine := true
@@ -73,9 +73,9 @@ func sqlWindow(spec *vql.Spec, name string) (rational.Interval, bool) {
 		hi = hi.Max(b)
 	})
 	if !found || !allAffine {
-		return rational.Interval{}, false
+		return rational.Interval{}
 	}
-	return rational.Interval{Lo: lo, Hi: hi.Add(domain.Step)}, true
+	return rational.Interval{Lo: lo, Hi: hi.Add(domain.Step)}
 }
 
 // analyzeDependencies walks the time domain, verifies match coverage and

@@ -559,11 +559,6 @@ func intraReconstructLossy(resid, out []byte, w, h, q int) {
 	}
 }
 
-// PacketIsKey inspects a raw packet without decoding it.
-func PacketIsKey(data []byte) bool {
-	return len(data) > 0 && data[0] == frameTypeI
-}
-
 func planeDims(cfg Config, plane int) (w, h int) {
 	if plane == 0 {
 		return cfg.Width, cfg.Height

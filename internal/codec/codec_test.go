@@ -142,9 +142,6 @@ func TestGOPStructure(t *testing.T) {
 		if p.Key != wantKey {
 			t.Errorf("packet %d key = %v, want %v", i, p.Key, wantKey)
 		}
-		if PacketIsKey(p.Data) != p.Key {
-			t.Errorf("packet %d PacketIsKey mismatch", i)
-		}
 	}
 }
 

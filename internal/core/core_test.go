@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"v2v/internal/baseline"
 	"v2v/internal/container"
 	"v2v/internal/dataset"
 	"v2v/internal/frame"
@@ -305,13 +306,13 @@ func TestIfThenElseDataRewriteEndToEnd(t *testing.T) {
 	// Paper §IV-C shape: condition from SQL data selects between videos.
 	db := sqlmini.NewDB()
 	db.CreateTable("sel", []sqlmini.Column{
-		{Name: "ts", Type: sqlmini.TypeRat},
-		{Name: "usea", Type: sqlmini.TypeBool},
+		{Name: "ts", Type: vql.TypeNum},
+		{Name: "usea", Type: vql.TypeBool},
 	})
 	for i := 0; i < 48; i++ {
-		db.Insert("sel", []sqlmini.Cell{
-			sqlmini.RatCell(rational.New(int64(i), 24)),
-			sqlmini.BoolCell(i < 24),
+		db.Insert("sel", []vql.Val{
+			vql.NumV(rational.New(int64(i), 24)),
+			vql.BoolV(i < 24),
 		})
 	}
 	src := fmt.Sprintf(`
@@ -340,6 +341,49 @@ func TestIfThenElseDataRewriteEndToEnd(t *testing.T) {
 	for i := range fu {
 		if !fu[i].Equal(fo[i]) {
 			t.Fatalf("frame %d differs", i)
+		}
+	}
+}
+
+// TestExactSQLNumberSelectsCopy: a SQL value 1/3 equals the literal 1/3 in
+// the rewriter, the engine and the baseline alike, so the optimized plan
+// stream-copies every packet and all three outputs are the same frames.
+func TestExactSQLNumberSelectsCopy(t *testing.T) {
+	db := sqlmini.NewDB()
+	db.CreateTable("d", []sqlmini.Column{{Name: "ts", Type: vql.TypeNum}, {Name: "v", Type: vql.TypeNum}})
+	for i := 0; i < 24; i++ {
+		db.Insert("d", []vql.Val{vql.NumV(rational.New(int64(i), 24)), vql.NumV(rational.New(1, 3))})
+	}
+	src := fmt.Sprintf(`
+		timedomain range(0, 1, 1/24);
+		videos { v: %q; }
+		sql { d: "SELECT ts, v FROM d"; }
+		render(t) = ifthenelse(d[t] == 1/3, v[t], edges(v[t]));`, fxVid)
+	o := synth(t, src, "exact-opt.vmf", Options{Optimize: true, DataRewrite: true, DB: db})
+	if out := o.Metrics.Output; out.PacketsCopied != 24 || out.FramesEncoded != 0 {
+		t.Errorf("optimized output: copied=%d encoded=%d, want 24 and 0", out.PacketsCopied, out.FramesEncoded)
+	}
+	u := synth(t, src, "exact-unopt.vmf", Options{DB: db})
+	b := filepath.Join(t.TempDir(), "exact-baseline.vmf")
+	if _, err := baseline.RunSource(src, b, db); err != nil {
+		t.Fatal(err)
+	}
+	fo := readFrames(t, o.OutPath)
+	for name, path := range map[string]string{"unoptimized": u.OutPath, "baseline": b} {
+		f := readFrames(t, path)
+		if len(f) != len(fo) {
+			t.Fatalf("%s: %d frames, optimized %d", name, len(f), len(fo))
+		}
+		for i := range f {
+			if !f[i].Equal(fo[i]) {
+				t.Fatalf("%s: frame %d differs from the optimized output", name, i)
+			}
+		}
+	}
+	// Every frame is v's own: the then branch held for all of them.
+	for i, id := range stamps(t, fo) {
+		if id != uint32(i) {
+			t.Fatalf("frame %d stamp = %d, want %d", i, id, i)
 		}
 	}
 }

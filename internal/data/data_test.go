@@ -2,73 +2,70 @@ package data
 
 import (
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"v2v/internal/raster"
 	"v2v/internal/rational"
+	"v2v/internal/vql"
 )
 
 func rat(n, d int64) rational.Rat { return rational.New(n, d) }
 
+func num(n int64) vql.Val { return vql.NumV(rational.FromInt(n)) }
+
+// TestValueTruthy: a value read from JSON is as truthy as the evaluator
+// reads it — false, 0, "", [] and null are false.
 func TestValueTruthy(t *testing.T) {
-	cases := []struct {
-		v    Value
-		want bool
-	}{
-		{Null(), false},
-		{BoolVal(true), true},
-		{BoolVal(false), false},
-		{NumVal(0), false},
-		{NumVal(-1), true},
-		{StrVal(""), false},
-		{StrVal("x"), true},
-		{BoxesVal(nil), false},
-		{BoxesVal([]raster.Box{{W: 1, H: 1}}), true},
+	cases := map[string]bool{
+		`null`: false, `true`: true, `false`: false, `0`: false, `-1`: true, `0.5`: true,
+		`""`: false, `"x"`: true, `[]`: false, `[{"w":1,"h":1}]`: true,
 	}
-	for _, c := range cases {
-		if got := c.v.Truthy(); got != c.want {
-			t.Errorf("Truthy(%v) = %v", c.v, got)
+	for raw, want := range cases {
+		a, err := ParseJSON([]byte(`[{"t":[0,1],"value":` + raw + `}]`))
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		if v, _ := a.At(rational.Zero); v.Truthy() != want {
+			t.Errorf("Truthy(%s) = %v", raw, !want)
 		}
 	}
 }
 
+// TestValueEqual: a JSON number is the exact rational of its shortest
+// decimal, so it equals the same number written in VQL.
 func TestValueEqual(t *testing.T) {
-	b1 := BoxesVal([]raster.Box{{X: 1, Y: 2, W: 3, H: 4, Class: "Z", Track: 1}})
-	b2 := BoxesVal([]raster.Box{{X: 1, Y: 2, W: 3, H: 4, Class: "Z", Track: 1}})
-	b3 := BoxesVal([]raster.Box{{X: 9, Y: 2, W: 3, H: 4, Class: "Z", Track: 1}})
-	if !b1.Equal(b2) || b1.Equal(b3) {
-		t.Error("box equality wrong")
-	}
-	if NumVal(1).Equal(BoolVal(true)) {
-		t.Error("cross-kind equality should be false")
-	}
-	if !Null().Equal(Null()) {
-		t.Error("null equals null")
-	}
-	if !NumVal(2.5).Equal(NumVal(2.5)) || NumVal(1).Equal(NumVal(2)) {
-		t.Error("num equality wrong")
-	}
-	if !StrVal("a").Equal(StrVal("a")) || StrVal("a").Equal(StrVal("b")) {
-		t.Error("str equality wrong")
-	}
-	if b1.Equal(BoxesVal(nil)) {
-		t.Error("different lengths should differ")
+	for raw, want := range map[string]rational.Rat{
+		`0.1`: rat(1, 10), `2.5`: rat(5, 2), `-2.25`: rat(-9, 4), `1e-3`: rat(1, 1000),
+		`3`: rat(3, 1), `0.3333333333333333`: rat(3333333333333333, 10000000000000000),
+	} {
+		a, err := ParseJSON([]byte(`[{"t":[0,1],"value":` + raw + `}]`))
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		if v, _ := a.At(rational.Zero); v.Type != vql.TypeNum || !v.Num.Equal(want) {
+			t.Errorf("%s loads as %v, want %v", raw, v, want)
+		}
 	}
 }
 
-func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{KindNull: "null", KindBool: "bool", KindNum: "num", KindStr: "str", KindBoxes: "boxes"} {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q", k, k.String())
+// TestJSONNumberWithoutRationalForm: a number no int64 num/den can hold
+// fails the load, and the error names the entry.
+func TestJSONNumberWithoutRationalForm(t *testing.T) {
+	for _, raw := range []string{`1e300`, `1e-300`, `1e19`} {
+		_, err := ParseJSON([]byte(`[{"t":[0,1],"value":1},{"t":[1,30],"value":` + raw + `}]`))
+		if err == nil || !strings.Contains(err.Error(), "entry 1 (t=1/30)") {
+			t.Errorf("%s: err = %v, want an error naming entry 1 (t=1/30)", raw, err)
 		}
 	}
 }
 
 func TestNewArraySortsAndRejectsDuplicates(t *testing.T) {
 	a, err := NewArray([]Entry{
-		{T: rat(2, 1), V: NumVal(2)},
-		{T: rat(0, 1), V: NumVal(0)},
-		{T: rat(1, 1), V: NumVal(1)},
+		{T: rat(2, 1), V: num(2)},
+		{T: rat(0, 1), V: num(0)},
+		{T: rat(1, 1), V: num(1)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +83,11 @@ func TestNewArraySortsAndRejectsDuplicates(t *testing.T) {
 
 func TestArrayAt(t *testing.T) {
 	a, _ := NewArray([]Entry{
-		{T: rat(0, 1), V: NumVal(10)},
-		{T: rat(1, 30), V: NumVal(11)},
-		{T: rat(2, 30), V: NumVal(12)},
+		{T: rat(0, 1), V: num(10)},
+		{T: rat(1, 30), V: num(11)},
+		{T: rat(2, 30), V: num(12)},
 	})
-	if v, ok := a.At(rat(1, 30)); !ok || v.Num != 11 {
+	if v, ok := a.At(rat(1, 30)); !ok || !v.Num.Equal(rational.FromInt(11)) {
 		t.Errorf("At(1/30) = %v,%v", v, ok)
 	}
 	if _, ok := a.At(rat(1, 60)); ok {
@@ -98,60 +95,6 @@ func TestArrayAt(t *testing.T) {
 	}
 	if a.Len() != 3 {
 		t.Errorf("Len = %d", a.Len())
-	}
-}
-
-func TestCoversRange(t *testing.T) {
-	var entries []Entry
-	r := rational.NewRange(rational.Zero, rational.One, rat(1, 10))
-	for i := 0; i < r.Count(); i++ {
-		entries = append(entries, Entry{T: r.At(i), V: NumVal(float64(i))})
-	}
-	a, _ := NewArray(entries)
-	if !a.CoversRange(r) {
-		t.Error("should cover its own range")
-	}
-	wider := rational.NewRange(rational.Zero, rational.FromInt(2), rat(1, 10))
-	if a.CoversRange(wider) {
-		t.Error("should not cover a wider range")
-	}
-	finer := rational.NewRange(rational.Zero, rational.One, rat(1, 20))
-	if a.CoversRange(finer) {
-		t.Error("should not cover a finer range")
-	}
-}
-
-func TestAllInAndAllFalsyIn(t *testing.T) {
-	a, _ := NewArray([]Entry{
-		{T: rat(0, 1), V: BoxesVal(nil)},
-		{T: rat(1, 1), V: BoxesVal(nil)},
-		{T: rat(2, 1), V: BoxesVal([]raster.Box{{W: 5, H: 5}})},
-		{T: rat(3, 1), V: BoxesVal(nil)},
-	})
-	got := a.AllIn(rational.Interval{Lo: rat(1, 1), Hi: rat(3, 1)})
-	if len(got) != 2 || !got[0].T.Equal(rational.One) {
-		t.Errorf("AllIn = %v", got)
-	}
-	if !a.AllFalsyIn(rational.Interval{Lo: rat(0, 1), Hi: rat(2, 1)}) {
-		t.Error("[0,2) should be all falsy")
-	}
-	if a.AllFalsyIn(rational.Interval{Lo: rat(0, 1), Hi: rat(3, 1)}) {
-		t.Error("[0,3) contains boxes")
-	}
-	if !a.AllFalsyIn(rational.Interval{Lo: rat(10, 1), Hi: rat(20, 1)}) {
-		t.Error("empty window is vacuously falsy")
-	}
-}
-
-func TestSpan(t *testing.T) {
-	a, _ := NewArray([]Entry{{T: rat(1, 1)}, {T: rat(5, 1)}})
-	sp := a.Span()
-	if !sp.Lo.Equal(rational.One) || !sp.Hi.Equal(rational.FromInt(5)) {
-		t.Errorf("Span = %v", sp)
-	}
-	empty, _ := NewArray(nil)
-	if !empty.Span().Empty() {
-		t.Error("empty array span should be empty")
 	}
 }
 
@@ -170,20 +113,20 @@ func TestParseJSONAllKinds(t *testing.T) {
 	if a.Len() != 5 {
 		t.Fatalf("Len = %d", a.Len())
 	}
-	if v, _ := a.At(rat(0, 1)); v.Kind != KindNull {
+	if v, _ := a.At(rat(0, 1)); v.Type != vql.TypeNull {
 		t.Errorf("null entry = %v", v)
 	}
-	if v, _ := a.At(rat(1, 30)); v.Kind != KindBool || !v.Bool {
+	if v, _ := a.At(rat(1, 30)); v.Type != vql.TypeBool || !v.Bool {
 		t.Errorf("bool entry = %v", v)
 	}
-	if v, _ := a.At(rat(2, 30)); v.Kind != KindNum || v.Num != 3.5 {
+	if v, _ := a.At(rat(2, 30)); v.Type != vql.TypeNum || !v.Num.Equal(rat(7, 2)) {
 		t.Errorf("num entry = %v", v)
 	}
-	if v, _ := a.At(rat(3, 30)); v.Kind != KindStr || v.Str != "zebra" {
+	if v, _ := a.At(rat(3, 30)); v.Type != vql.TypeStr || v.Str != "zebra" {
 		t.Errorf("str entry = %v", v)
 	}
 	v, _ := a.At(rat(4, 30))
-	if v.Kind != KindBoxes || len(v.Boxes) != 1 {
+	if v.Type != vql.TypeBoxes || len(v.Boxes) != 1 {
 		t.Fatalf("boxes entry = %v", v)
 	}
 	b := v.Boxes[0]
@@ -207,11 +150,11 @@ func TestParseJSONErrors(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	a, _ := NewArray([]Entry{
-		{T: rat(0, 1), V: Null()},
-		{T: rat(1, 3), V: BoolVal(false)},
-		{T: rat(2, 3), V: NumVal(-2.25)},
-		{T: rat(1, 1), V: StrVal("hi")},
-		{T: rat(4, 3), V: BoxesVal([]raster.Box{{X: 1, Y: 2, W: 3, H: 4, Class: "C", Track: 9}, {X: 5, Y: 6, W: 7, H: 8}})},
+		{T: rat(0, 1), V: vql.NullV()},
+		{T: rat(1, 3), V: vql.BoolV(false)},
+		{T: rat(2, 3), V: vql.NumV(rat(-9, 4))},
+		{T: rat(1, 1), V: vql.StrV("hi")},
+		{T: rat(4, 3), V: vql.BoxesV([]raster.Box{{X: 1, Y: 2, W: 3, H: 4, Class: "C", Track: 9}, {X: 5, Y: 6, W: 7, H: 8}})},
 	})
 	path := filepath.Join(t.TempDir(), "ann.json")
 	if err := a.SaveJSON(path); err != nil {
@@ -226,7 +169,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i, e := range a.Entries() {
 		ge := got.Entries()[i]
-		if !ge.T.Equal(e.T) || !ge.V.Equal(e.V) {
+		if !ge.T.Equal(e.T) || !reflect.DeepEqual(ge.V, e.V) {
 			t.Errorf("entry %d: %v %v vs %v %v", i, ge.T, ge.V, e.T, e.V)
 		}
 	}
@@ -238,10 +181,17 @@ func TestLoadJSONMissingFile(t *testing.T) {
 	}
 }
 
+// TestValueString: a loaded value prints as the evaluator's value; a number
+// as its exact rational.
 func TestValueString(t *testing.T) {
-	if Null().String() != "null" || BoolVal(true).String() != "true" ||
-		NumVal(2).String() != "2" || StrVal("a").String() != `"a"` ||
-		BoxesVal([]raster.Box{{}}).String() != "boxes(1)" {
-		t.Error("value strings wrong")
+	a, err := ParseJSON([]byte(`[{"t":[0,1],"value":null},{"t":[1,1],"value":true},{"t":[2,1],"value":0.5},
+		{"t":[3,1],"value":"a"},{"t":[4,1],"value":[{"w":1,"h":1}]}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"null", "true", "1/2", `"a"`, "boxes(1)"} {
+		if got := a.Entries()[i].V.String(); got != want {
+			t.Errorf("entry %d prints %s, want %s", i, got, want)
+		}
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"v2v/internal/media"
 	"v2v/internal/raster"
 	"v2v/internal/rational"
+	"v2v/internal/vql"
 )
 
 // Profile parameterizes a synthetic dataset.
@@ -199,25 +200,17 @@ func Generate(path, annPath string, p Profile, duration rational.Rat) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	var entries []data.Entry
-	frameDur := rational.One.Div(p.FPS)
 	for i := 0; i < n; i++ {
 		if err := w.WriteFrame(p.RenderFrame(i)); err != nil {
-			w.Close()
+			w.Abort(err)
 			return 0, err
-		}
-		if annPath != "" {
-			entries = append(entries, data.Entry{
-				T: frameDur.Mul(rational.FromInt(int64(i))),
-				V: data.BoxesVal(p.objectsAt(i)),
-			})
 		}
 	}
 	if err := w.Close(); err != nil {
 		return 0, err
 	}
 	if annPath != "" {
-		arr, err := data.NewArray(entries)
+		arr, err := Annotations(p, n)
 		if err != nil {
 			return 0, err
 		}
@@ -229,14 +222,14 @@ func Generate(path, annPath string, p Profile, duration rational.Rat) (int, erro
 }
 
 // Annotations computes the ground-truth annotation array for n frames
-// without touching disk (used by tests and the SQL loader).
+// without touching disk.
 func Annotations(p Profile, n int) (*data.Array, error) {
 	frameDur := rational.One.Div(p.FPS)
 	entries := make([]data.Entry, n)
 	for i := 0; i < n; i++ {
 		entries[i] = data.Entry{
 			T: frameDur.Mul(rational.FromInt(int64(i))),
-			V: data.BoxesVal(p.objectsAt(i)),
+			V: vql.BoxesV(p.objectsAt(i)),
 		}
 	}
 	return data.NewArray(entries)

@@ -159,9 +159,11 @@ func Execute(ctx context.Context, p *plan.Plan, outPath string, o Options) (*Met
 // after each segment's last packet, so a streaming consumer starts
 // receiving output while later segments are still rendering.
 //
-// The run opens each source once (check.Checked.OpenSources) and every
-// shard worker and copy reads through that reader; a source whose content
-// changed since check fails the run with check.ErrSourceChanged.
+// The run opens each source at most once, when a copy or a shard worker
+// first reads it (check.Checked.OpenSource), and every later reader shares
+// that file; a run whose every render segment is a result-cache hit opens
+// none. A source whose content changed since check fails the run with
+// check.ErrSourceChanged.
 //
 // Cancellation is cooperative: ctx is checked before every segment and at
 // every publish interval inside every shard worker — one output GOP, or

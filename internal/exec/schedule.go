@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"v2v/internal/check"
 	"v2v/internal/codec"
 	"v2v/internal/container"
 	"v2v/internal/media"
@@ -52,9 +53,9 @@ type run struct {
 	// rec is the run's execute node, a child of Options.Recorder: the one
 	// account of its work, which Metrics is read from.
 	rec *obs.Recorder
-	// srcs holds each source's file, opened once for the run and shared
-	// by every shard worker and copy.
-	srcs map[string]*container.Reader
+	// srcs opens each source's file on first use and shares it with
+	// every later shard worker and copy.
+	srcs *sources
 	w    media.Sink // the caller's sink; delivery goroutine only
 	// every is the plan's publish interval in frames: a worker hands over
 	// its packets and polls ctx and abort this often, so a long-GOP render
@@ -125,16 +126,8 @@ type shard struct {
 // delivers. It returns the first error, after every goroutine it started
 // has exited.
 func (x *run) execute(ctx context.Context) error {
-	srcs, err := x.p.Checked.OpenSources()
-	if err != nil {
-		return err
-	}
-	defer func() {
-		for _, r := range srcs {
-			r.Close()
-		}
-	}()
-	x.srcs = srcs
+	x.srcs = newSources(x.p.Checked)
+	defer x.srcs.close()
 	x.every = x.p.PublishInterval()
 	par := x.o.Parallelism
 	x.sem = make(chan struct{}, par)
@@ -336,7 +329,12 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 			sh.err = fmt.Errorf("exec: shard [%d,%d) panicked: %v", sh.lo, sh.hi, r)
 		}
 	}()
-	runner := newSegmentRunner(ctx, x.p, u.s, x.srcs, x.o.Conceal, x.o.Cache, sh.rec)
+	srcs, err := x.srcs.forSegment(u.s)
+	if err != nil {
+		sh.err = err
+		return
+	}
+	runner := newSegmentRunner(ctx, x.p, u.s, srcs, x.o.Conceal, x.o.Cache, sh.rec)
 	defer runner.close()
 	cfg, err := media.CodecConfig(x.p.Checked.Output)
 	if err != nil {
@@ -475,9 +473,9 @@ func (x *run) copyInline(u *unit) error {
 	if u.s.Kind != plan.SegCopy {
 		return fmt.Errorf("exec: unknown segment kind %v", u.s.Kind)
 	}
-	src, ok := x.srcs[u.s.Video]
-	if !ok {
-		return fmt.Errorf("exec: unknown video %q", u.s.Video)
+	src, err := x.srcs.open(u.s.Video)
+	if err != nil {
+		return err
 	}
 	r, err := media.NewReader(src)
 	if err != nil {
@@ -490,4 +488,63 @@ func (x *run) copyInline(u *unit) error {
 		return fmt.Errorf("exec: copy segment: %w", err)
 	}
 	return nil
+}
+
+// sources is a run's table of source files. Each opens at most once, on
+// first use by a copy or a shard worker, and later callers share the
+// reader — or the open's error, ErrSourceChanged included. Its entries
+// are fixed at construction, so lookups need no lock.
+type sources struct {
+	c     *check.Checked
+	files map[string]*sourceFile
+}
+
+type sourceFile struct {
+	once sync.Once
+	r    *container.Reader
+	err  error
+}
+
+func newSources(c *check.Checked) *sources {
+	s := &sources{c: c, files: make(map[string]*sourceFile, len(c.Sources))}
+	for name := range c.Sources {
+		s.files[name] = &sourceFile{}
+	}
+	return s
+}
+
+// open returns the named source's reader, opening the file on first use.
+func (s *sources) open(name string) (*container.Reader, error) {
+	f, ok := s.files[name]
+	if !ok {
+		return nil, fmt.Errorf("exec: unknown video %q", name)
+	}
+	f.once.Do(func() { f.r, f.err = s.c.OpenSource(name) })
+	return f.r, f.err
+}
+
+// forSegment opens the sources seg's taps read.
+func (s *sources) forSegment(seg *plan.Segment) (map[string]*container.Reader, error) {
+	rs := make(map[string]*container.Reader)
+	for _, tap := range seg.Taps() {
+		if rs[tap.Video] != nil {
+			continue
+		}
+		r, err := s.open(tap.Video)
+		if err != nil {
+			return nil, err
+		}
+		rs[tap.Video] = r
+	}
+	return rs, nil
+}
+
+// close closes every file opened. Call it once the run's last shard worker
+// and copy are done.
+func (s *sources) close() {
+	for _, f := range s.files {
+		if f.r != nil {
+			f.r.Close()
+		}
+	}
 }

@@ -1,8 +1,9 @@
 package exec
 
 // Tests for the run's sources: Check opens and indexes each source once,
-// planning and optimizing open none, and a run opens each once more and
-// shares that reader among its shard workers and copies.
+// planning and optimizing open none, and a run opens each at most once
+// more, on first use, and shares that reader among its shard workers and
+// copies.
 
 import (
 	"context"
@@ -17,6 +18,7 @@ import (
 	"v2v/internal/check"
 	"v2v/internal/container"
 	"v2v/internal/dataset"
+	"v2v/internal/media"
 	"v2v/internal/opt"
 	"v2v/internal/plan"
 	"v2v/internal/rational"
@@ -138,6 +140,28 @@ func TestSourceRewrittenAfterCheckFailsRun(t *testing.T) {
 	for _, q := range []string{out, out + ".tmp"} {
 		if _, err := os.Stat(q); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("failed run left %s behind", q)
+		}
+	}
+}
+
+// TestResultCachedRunOpensNoSource: a run whose every render segment is a
+// result-cache hit reads no packet, so it opens no source file.
+func TestResultCachedRunOpensNoSource(t *testing.T) {
+	cache := media.NewCache(-1, 0, 1)
+	for _, par := range []int{1, 2} {
+		p := buildPlanFull(t, gridSpec(), par)
+		opens := countOpens(t)
+		_, cold := runStream(t, p, Options{Parallelism: par, Cache: cache})
+		if got := opens.take(); !onePerSource(p, got) {
+			t.Errorf("parallelism %d, cold run: opened %v, want each source once", par, got)
+		}
+		_, warm := runStream(t, p, Options{Parallelism: par, Cache: cache})
+		if got := opens.take(); len(got) != 0 {
+			t.Errorf("parallelism %d, warm run: opened %v, want nothing", par, got)
+		}
+		if cold.ResultCacheMisses == 0 || warm.ResultCacheMisses != 0 || warm.ResultCacheHits == 0 {
+			t.Errorf("parallelism %d: cold misses=%d, warm hits=%d misses=%d; want a fully cached warm run",
+				par, cold.ResultCacheMisses, warm.ResultCacheHits, warm.ResultCacheMisses)
 		}
 	}
 }

@@ -154,17 +154,6 @@ func (fr *Frame) Planes() [][]byte {
 	}
 }
 
-// PlaneDims returns the dimensions of plane i.
-func (fr *Frame) PlaneDims(i int) (w, h int) {
-	if fr.Format == FormatYUV420 && i > 0 {
-		return fr.W / 2, fr.H / 2
-	}
-	if fr.Format == FormatRGB24 {
-		return fr.W * 3, fr.H // treat packed rows as 3w bytes wide
-	}
-	return fr.W, fr.H
-}
-
 // Fill sets every pixel to the given YUV (for YUV420/Gray8) or to the RGB
 // conversion of that YUV triple (for RGB24).
 func (fr *Frame) Fill(y, cb, cr byte) {

@@ -73,14 +73,14 @@ func hashArray(arr *data.Array) string {
 	for _, e := range arr.Entries() {
 		fmt.Fprintf(h, "%s=", e.T)
 		v := e.V
-		switch v.Kind {
-		case data.KindBool:
+		switch v.Type {
+		case vql.TypeBool:
 			fmt.Fprintf(h, "b%t;", v.Bool)
-		case data.KindNum:
-			fmt.Fprintf(h, "n%b;", v.Num) // %b on float64 is exact (mantissa p exponent)
-		case data.KindStr:
+		case vql.TypeNum:
+			fmt.Fprintf(h, "n%s;", v.Num)
+		case vql.TypeStr:
 			fmt.Fprintf(h, "s%q;", v.Str)
-		case data.KindBoxes:
+		case vql.TypeBoxes:
 			io.WriteString(h, "x[")
 			for _, b := range v.Boxes {
 				fmt.Fprintf(h, "%d,%d,%d,%d,%q,%d;", b.X, b.Y, b.W, b.H, b.Class, b.Track)

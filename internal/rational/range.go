@@ -53,14 +53,6 @@ func (r Range) Contains(t Rat) bool {
 	return k.IsInt()
 }
 
-// IndexOf returns the sample index of t and whether t is in the range.
-func (r Range) IndexOf(t Rat) (int, bool) {
-	if !r.Contains(t) {
-		return 0, false
-	}
-	return int(t.Sub(r.Start).Div(r.Step).Num()), true
-}
-
 // Times materializes all samples. Intended for small/test ranges and the
 // data-only rewrite pass; callers over large domains should iterate with
 // Count/At instead.
@@ -171,9 +163,6 @@ func (s RangeSet) normalize() RangeSet {
 	return RangeSet{ivs: out}
 }
 
-// Intervals returns the normalized intervals (do not mutate).
-func (s RangeSet) Intervals() []Interval { return s.ivs }
-
 // Empty reports whether the set contains no points.
 func (s RangeSet) Empty() bool { return len(s.ivs) == 0 }
 
@@ -253,23 +242,6 @@ func (s RangeSet) Shift(d Rat) RangeSet {
 		out[i] = Interval{Lo: iv.Lo.Add(d), Hi: iv.Hi.Add(d)}
 	}
 	return RangeSet{ivs: out}
-}
-
-// Span returns the smallest single interval covering the set.
-func (s RangeSet) Span() Interval {
-	if s.Empty() {
-		return Interval{}
-	}
-	return Interval{Lo: s.ivs[0].Lo, Hi: s.ivs[len(s.ivs)-1].Hi}
-}
-
-// TotalLen returns the sum of interval lengths.
-func (s RangeSet) TotalLen() Rat {
-	sum := Zero
-	for _, iv := range s.ivs {
-		sum = sum.Add(iv.Len())
-	}
-	return sum
 }
 
 func (s RangeSet) String() string {

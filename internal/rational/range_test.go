@@ -56,15 +56,12 @@ func TestRangeStepMustBePositive(t *testing.T) {
 	NewRange(Zero, One, Zero)
 }
 
-func TestRangeContainsAndIndexOf(t *testing.T) {
+func TestRangeContains(t *testing.T) {
 	r := NewRange(FromInt(2), FromInt(4), New(1, 4))
-	for i, want := range []string{"2", "9/4", "5/2", "11/4", "3", "13/4", "7/2", "15/4"} {
+	for _, want := range []string{"2", "9/4", "5/2", "11/4", "3", "13/4", "7/2", "15/4"} {
 		w, _ := Parse(want)
 		if !r.Contains(w) {
 			t.Errorf("Contains(%s) = false", want)
-		}
-		if idx, ok := r.IndexOf(w); !ok || idx != i {
-			t.Errorf("IndexOf(%s) = %d,%v, want %d,true", want, idx, ok, i)
 		}
 	}
 	for _, miss := range []Rat{New(17, 8), FromInt(4), New(7, 4), FromInt(5)} {
@@ -132,15 +129,8 @@ func iv(lo, hi int64) Interval { return Interval{Lo: FromInt(lo), Hi: FromInt(hi
 
 func TestRangeSetNormalization(t *testing.T) {
 	s := NewRangeSet(iv(5, 10), iv(0, 3), iv(3, 5), iv(20, 20), iv(12, 15))
-	got := s.Intervals()
-	want := []Interval{iv(0, 10), iv(12, 15)}
-	if len(got) != len(want) {
-		t.Fatalf("intervals = %v", got)
-	}
-	for i := range want {
-		if !got[i].Lo.Equal(want[i].Lo) || !got[i].Hi.Equal(want[i].Hi) {
-			t.Errorf("interval %d = %v, want %v", i, got[i], want[i])
-		}
+	if got, want := s.String(), "{[0, 10) ∪ [12, 15)}"; got != want {
+		t.Errorf("normalized = %s, want %s", got, want)
 	}
 }
 
@@ -168,13 +158,6 @@ func TestRangeSetOps(t *testing.T) {
 	}
 	if !a.Contains(FromInt(29)) || a.Contains(FromInt(15)) {
 		t.Error("Contains wrong")
-	}
-	if !a.TotalLen().Equal(FromInt(20)) {
-		t.Errorf("TotalLen = %v", a.TotalLen())
-	}
-	span := a.Span()
-	if !span.Lo.Equal(Zero) || !span.Hi.Equal(FromInt(30)) {
-		t.Errorf("Span = %v", span)
 	}
 }
 

@@ -12,6 +12,8 @@ package rational
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"strconv"
 	"strings"
 )
@@ -213,60 +215,45 @@ func (r Rat) String() string {
 	return fmt.Sprintf("%d/%d", r.num, r.den)
 }
 
-// Parse parses "num", "num/den", or a decimal like "29.97" into a Rat.
+// Parse parses "num", "num/den", or a decimal like "29.97" into a Rat. A
+// value whose reduced numerator or denominator int64 cannot hold is an
+// error, never a wrapped-around number.
 func Parse(s string) (Rat, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return Rat{}, fmt.Errorf("rational: empty string")
+	num, den := strings.TrimSpace(s), "1"
+	if i := strings.IndexByte(num, '/'); i >= 0 {
+		num, den = strings.TrimSpace(num[:i]), strings.TrimSpace(num[i+1:])
+	} else if i := strings.IndexByte(num, '.'); i >= 0 {
+		// d.ddd is dddd/10^len(ddd); dropping trailing zeros (but the
+		// digit of ".0") keeps 10^k small.
+		frac := num[i+1:]
+		for len(frac) > 1 && frac[len(frac)-1] == '0' {
+			frac = frac[:len(frac)-1]
+		}
+		num, den = num[:i]+frac, "1"+strings.Repeat("0", len(frac))
 	}
-	if i := strings.IndexByte(s, '/'); i >= 0 {
-		num, err := strconv.ParseInt(strings.TrimSpace(s[:i]), 10, 64)
-		if err != nil {
-			return Rat{}, fmt.Errorf("rational: bad numerator in %q: %w", s, err)
-		}
-		den, err := strconv.ParseInt(strings.TrimSpace(s[i+1:]), 10, 64)
-		if err != nil {
-			return Rat{}, fmt.Errorf("rational: bad denominator in %q: %w", s, err)
-		}
-		if den == 0 {
+	n, nerr := strconv.ParseInt(num, 10, 64)
+	d, derr := strconv.ParseInt(den, 10, 64)
+	if nerr == nil && derr == nil && n != math.MinInt64 && d != math.MinInt64 {
+		if d == 0 {
 			return Rat{}, fmt.Errorf("rational: zero denominator in %q", s)
 		}
-		return New(num, den), nil
+		return New(n, d), nil
 	}
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		intPart := s[:i]
-		fracPart := s[i+1:]
-		if fracPart == "" {
-			fracPart = "0"
-		}
-		neg := strings.HasPrefix(intPart, "-")
-		intPart = strings.TrimPrefix(intPart, "-")
-		if intPart == "" {
-			intPart = "0"
-		}
-		ip, err := strconv.ParseInt(intPart, 10, 64)
-		if err != nil {
-			return Rat{}, fmt.Errorf("rational: bad number %q: %w", s, err)
-		}
-		fp, err := strconv.ParseInt(fracPart, 10, 64)
-		if err != nil {
-			return Rat{}, fmt.Errorf("rational: bad number %q: %w", s, err)
-		}
-		den := int64(1)
-		for range fracPart {
-			den *= 10
-		}
-		v := FromInt(ip).Mul(FromInt(den)).Add(FromInt(fp)).Div(FromInt(den))
-		if neg {
-			v = v.Neg()
-		}
-		return v, nil
+	// Past int64 before reducing, or at its edge where New cannot negate:
+	// reduce exactly, then refuse what still does not fit.
+	bn, nok := new(big.Int).SetString(num, 10)
+	bd, dok := new(big.Int).SetString(den, 10)
+	switch {
+	case !nok || !dok:
+		return Rat{}, fmt.Errorf("rational: bad number %q", s)
+	case bd.Sign() == 0:
+		return Rat{}, fmt.Errorf("rational: zero denominator in %q", s)
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return Rat{}, fmt.Errorf("rational: bad number %q: %w", s, err)
+	r := new(big.Rat).SetFrac(bn, bd)
+	if !r.Num().IsInt64() || !r.Denom().IsInt64() {
+		return Rat{}, fmt.Errorf("rational: %q does not fit int64 as num/den", s)
 	}
-	return FromInt(n), nil
+	return Rat{r.Num().Int64(), r.Denom().Int64()}, nil
 }
 
 // MarshalJSON encodes r as the two-element array [num, den].

@@ -2,8 +2,11 @@ package rational
 
 import (
 	"encoding/json"
+	"math/big"
 	"math/rand"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +152,11 @@ func TestParse(t *testing.T) {
 		{"-0.5", New(-1, 2)},
 		{"0.125", New(1, 8)},
 		{"10.", FromInt(10)},
+		{"1/-2", New(-1, 2)},
+		// Past int64 before reducing, inside it after.
+		{"9223372036854775808/2", FromInt(1 << 62)},
+		{"0.10000000000000000000000", New(1, 10)},
+		{"0.0000000000000000005", New(1, 2000000000000000000)},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)
@@ -160,7 +168,10 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "x", "1/0", "1/x", "1.x", "--2"} {
+	for _, bad := range []string{"", "x", "1/0", "1/x", "1.x", "--2", ".", "1.-5",
+		// No int64 num/den: these once wrapped to negative numbers.
+		"0.1234567890123456789", "12345678901.123456789", "0.0000000000000000001",
+		"9223372036854775808", "1/9223372036854775808"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
 		}
@@ -258,4 +269,55 @@ func TestPropertyParseStringRoundTrip(t *testing.T) {
 	}, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// decimalNumeral is the grammar Parse reads without a '/': a signed run of
+// digits with at most one '.', and at least one digit.
+var decimalNumeral = regexp.MustCompile(`^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)$`)
+
+// bigParse is Parse's reference: the same grammar, evaluated in math/big.
+func bigParse(s string) (*big.Rat, bool) {
+	s = strings.TrimSpace(s)
+	if n, d, ok := strings.Cut(s, "/"); ok {
+		bn, nok := new(big.Int).SetString(strings.TrimSpace(n), 10)
+		bd, dok := new(big.Int).SetString(strings.TrimSpace(d), 10)
+		if !nok || !dok || bd.Sign() == 0 {
+			return nil, false
+		}
+		return new(big.Rat).SetFrac(bn, bd), true
+	}
+	if !decimalNumeral.MatchString(s) {
+		return nil, false
+	}
+	return new(big.Rat).SetString(s)
+}
+
+// FuzzRationalParse checks Parse against math/big: a result equals big's
+// value, and Parse fails exactly where the input is no numeral or big's
+// value has no int64 numerator or denominator.
+func FuzzRationalParse(f *testing.F) {
+	for _, s := range []string{"3", "-3", "+3", "3/4", " 3 / 4 ", "1/-2", "29.97", "-0.5", ".5", "10.",
+		"0.1234567890123456789", "12345678901.123456789", "0.0000000000000000001",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808/2",
+		"0.1180591620717411303424", "1/0", "x", "--2", "1e5", "0x10"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := Parse(s)
+		want, ok := bigParse(s)
+		switch {
+		case !ok:
+			if err == nil {
+				t.Fatalf("Parse(%q) = %v, want a syntax error", s, got)
+			}
+		case !want.Num().IsInt64() || !want.Denom().IsInt64():
+			if err == nil {
+				t.Fatalf("Parse(%q) = %v, want an error: %v does not fit int64", s, got, want)
+			}
+		case err != nil:
+			t.Fatalf("Parse(%q): %v, want %v", s, err, want)
+		case got.Num() != want.Num().Int64() || got.Den() != want.Denom().Int64():
+			t.Fatalf("Parse(%q) = %v, want %v", s, got, want)
+		}
+	})
 }

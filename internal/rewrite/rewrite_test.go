@@ -73,9 +73,9 @@ func TestPaperIfThenElseExample(t *testing.T) {
 	// Render(t) = IfThenElse(a[t] < 5, vid1[t], vid2[t]) rewrites to
 	// match { t in {0} => vid1[t], t in {1,2} => vid2[t] }.
 	ann := saveArray(t, "a.json", []data.Entry{
-		{T: rational.FromInt(0), V: data.NumVal(3)},
-		{T: rational.FromInt(1), V: data.NumVal(6)},
-		{T: rational.FromInt(2), V: data.NumVal(8)},
+		{T: rational.FromInt(0), V: vql.NumV(rational.FromInt(3))},
+		{T: rational.FromInt(1), V: vql.NumV(rational.FromInt(6))},
+		{T: rational.FromInt(2), V: vql.NumV(rational.FromInt(8))},
 	})
 	// Tiny fixture is 24 fps; use an explicit output to allow integer steps.
 	src := fmt.Sprintf(`
@@ -126,9 +126,9 @@ func TestBoundingBoxIdentityRewrite(t *testing.T) {
 	// rewriter should produce plain-reference arms elsewhere.
 	var entries []data.Entry
 	for i := 0; i < 48; i++ {
-		v := data.BoxesVal(nil)
+		v := vql.BoxesV(nil)
 		if i >= 12 && i < 24 {
-			v = data.BoxesVal([]raster.Box{{X: 8, Y: 8, W: 24, H: 24, Class: "OBJ", Track: 1}})
+			v = vql.BoxesV([]raster.Box{{X: 8, Y: 8, W: 24, H: 24, Class: "OBJ", Track: 1}})
 		}
 		entries = append(entries, data.Entry{T: rational.New(int64(i), 24), V: v})
 	}
@@ -211,10 +211,10 @@ func TestRewritePreservesSemantics(t *testing.T) {
 	// must agree (frame identity via data-free structural checks: both
 	// sides must pick the same video reference).
 	ann := saveArray(t, "cond.json", []data.Entry{
-		{T: rational.FromInt(0), V: data.BoolVal(true)},
-		{T: rational.FromInt(1), V: data.BoolVal(false)},
-		{T: rational.FromInt(2), V: data.BoolVal(true)},
-		{T: rational.FromInt(3), V: data.BoolVal(true)},
+		{T: rational.FromInt(0), V: vql.BoolV(true)},
+		{T: rational.FromInt(1), V: vql.BoolV(false)},
+		{T: rational.FromInt(2), V: vql.BoolV(true)},
+		{T: rational.FromInt(3), V: vql.BoolV(true)},
 	})
 	src := fmt.Sprintf(`
 		timedomain range(0, 4, 1);
@@ -244,8 +244,8 @@ func TestRewritePreservesSemantics(t *testing.T) {
 func TestRewriteNestedDDE(t *testing.T) {
 	// boxes inside ifthenelse: both levels rewrite.
 	ann := saveArray(t, "nested.json", []data.Entry{
-		{T: rational.FromInt(0), V: data.BoxesVal(nil)},
-		{T: rational.FromInt(1), V: data.BoxesVal([]raster.Box{{X: 1, Y: 1, W: 4, H: 4}})},
+		{T: rational.FromInt(0), V: vql.BoxesV(nil)},
+		{T: rational.FromInt(1), V: vql.BoxesV([]raster.Box{{X: 1, Y: 1, W: 4, H: 4}})},
 	})
 	src := fmt.Sprintf(`
 		timedomain range(0, 2, 1);

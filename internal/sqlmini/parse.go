@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"v2v/internal/rational"
+	"v2v/internal/vql"
 )
 
 // selectStmt is the parsed form of a SELECT statement.
@@ -26,7 +27,7 @@ type tokKind uint8
 const (
 	tokEOF tokKind = iota
 	tokIdent
-	tokNumber // integer, decimal, or num/den rational
+	tokNumber // integer, decimal, or num/den rational, optionally negative
 	tokString
 	tokOp // = != < <= > >= ( ) , *
 	tokKeyword
@@ -72,8 +73,8 @@ func lex(sql string) ([]token, error) {
 			}
 			toks = append(toks, token{tokString, sb.String(), i})
 			i = j + 1
-		case c >= '0' && c <= '9':
-			j := i
+		case c >= '0' && c <= '9' || c == '-' && i+1 < len(sql) && sql[i+1] >= '0' && sql[i+1] <= '9':
+			j := i + 1
 			for j < len(sql) && (sql[j] >= '0' && sql[j] <= '9' || sql[j] == '.') {
 				j++
 			}
@@ -111,18 +112,6 @@ func lex(sql string) ([]token, error) {
 		case c == '=' || c == '(' || c == ')' || c == ',' || c == '*':
 			toks = append(toks, token{tokOp, string(c), i})
 			i++
-		case c == '-':
-			// negative number literal
-			if i+1 < len(sql) && sql[i+1] >= '0' && sql[i+1] <= '9' {
-				j := i + 1
-				for j < len(sql) && (sql[j] >= '0' && sql[j] <= '9' || sql[j] == '.') {
-					j++
-				}
-				toks = append(toks, token{tokNumber, sql[i:j], i})
-				i = j
-			} else {
-				return nil, fmt.Errorf("sqlmini: stray '-' at %d", i)
-			}
 		default:
 			return nil, fmt.Errorf("sqlmini: unexpected character %q at %d", c, i)
 		}
@@ -254,28 +243,9 @@ func parseSelect(sql string) (*selectStmt, error) {
 
 // --- expression AST and evaluation ---
 
-// expr evaluates to a Cell against a row of a table.
+// expr evaluates to a value against a row of a table.
 type expr interface {
-	eval(t *Table, row []Cell) (Cell, error)
-}
-
-func (c Cell) truthy() bool {
-	if c.IsNull {
-		return false
-	}
-	switch c.Type {
-	case TypeBool:
-		return c.Bool
-	case TypeNum:
-		return c.Num != 0
-	case TypeRat:
-		return c.Rat.Sign() != 0
-	case TypeStr:
-		return c.Str != ""
-	case TypeBoxes:
-		return len(c.Boxes) > 0
-	}
-	return false
+	eval(t *Table, row []vql.Val) (vql.Val, error)
 }
 
 type binExpr struct {
@@ -292,116 +262,82 @@ type isNullExpr struct {
 
 type colExpr struct{ name string }
 
-type litExpr struct{ c Cell }
+type litExpr struct{ v vql.Val }
 
-func (e *colExpr) eval(t *Table, row []Cell) (Cell, error) {
+func (e *colExpr) eval(t *Table, row []vql.Val) (vql.Val, error) {
 	i, ok := t.colIndex(e.name)
 	if !ok {
-		return Cell{}, fmt.Errorf("sqlmini: no column %q in %q", e.name, t.Name)
+		return vql.Val{}, fmt.Errorf("sqlmini: no column %q in %q", e.name, t.Name)
 	}
 	return row[i], nil
 }
 
-func (e *litExpr) eval(*Table, []Cell) (Cell, error) { return e.c, nil }
+func (e *litExpr) eval(*Table, []vql.Val) (vql.Val, error) { return e.v, nil }
 
-func (e *notExpr) eval(t *Table, row []Cell) (Cell, error) {
+func (e *notExpr) eval(t *Table, row []vql.Val) (vql.Val, error) {
 	v, err := e.e.eval(t, row)
 	if err != nil {
-		return Cell{}, err
+		return vql.Val{}, err
 	}
-	return BoolCell(!v.truthy()), nil
+	return vql.BoolV(!v.Truthy()), nil
 }
 
-func (e *isNullExpr) eval(t *Table, row []Cell) (Cell, error) {
+func (e *isNullExpr) eval(t *Table, row []vql.Val) (vql.Val, error) {
 	v, err := e.e.eval(t, row)
 	if err != nil {
-		return Cell{}, err
+		return vql.Val{}, err
 	}
-	return BoolCell(v.IsNull != e.neg), nil
+	return vql.BoolV((v.Type == vql.TypeNull) != e.neg), nil
 }
 
-func (e *binExpr) eval(t *Table, row []Cell) (Cell, error) {
+func (e *binExpr) eval(t *Table, row []vql.Val) (vql.Val, error) {
 	l, err := e.l.eval(t, row)
 	if err != nil {
-		return Cell{}, err
+		return vql.Val{}, err
 	}
 	switch e.op {
 	case "AND":
-		if !l.truthy() {
-			return BoolCell(false), nil
+		if !l.Truthy() {
+			return vql.BoolV(false), nil
 		}
 		r, err := e.r.eval(t, row)
 		if err != nil {
-			return Cell{}, err
+			return vql.Val{}, err
 		}
-		return BoolCell(r.truthy()), nil
+		return vql.BoolV(r.Truthy()), nil
 	case "OR":
-		if l.truthy() {
-			return BoolCell(true), nil
+		if l.Truthy() {
+			return vql.BoolV(true), nil
 		}
 		r, err := e.r.eval(t, row)
 		if err != nil {
-			return Cell{}, err
+			return vql.Val{}, err
 		}
-		return BoolCell(r.truthy()), nil
+		return vql.BoolV(r.Truthy()), nil
 	}
 	r, err := e.r.eval(t, row)
 	if err != nil {
-		return Cell{}, err
+		return vql.Val{}, err
 	}
-	cmp, err := compareForOp(l, r)
+	cmp, err := compare(l, r)
 	if err != nil {
-		return Cell{}, err
+		return vql.Val{}, err
 	}
 	switch e.op {
 	case "=":
-		return BoolCell(cmp == 0), nil
+		return vql.BoolV(cmp == 0), nil
 	case "!=":
-		return BoolCell(cmp != 0), nil
+		return vql.BoolV(cmp != 0), nil
 	case "<":
-		return BoolCell(cmp < 0), nil
+		return vql.BoolV(cmp < 0), nil
 	case "<=":
-		return BoolCell(cmp <= 0), nil
+		return vql.BoolV(cmp <= 0), nil
 	case ">":
-		return BoolCell(cmp > 0), nil
+		return vql.BoolV(cmp > 0), nil
 	case ">=":
-		return BoolCell(cmp >= 0), nil
+		return vql.BoolV(cmp >= 0), nil
 	}
-	return Cell{}, fmt.Errorf("sqlmini: unknown operator %q", e.op)
-}
-
-// compareForOp compares two cells, coercing numbers and rationals.
-func compareForOp(a, b Cell) (int, error) {
-	if a.IsNull || b.IsNull {
-		// SQL three-valued logic collapsed: null compares unequal/after.
-		switch {
-		case a.IsNull && b.IsNull:
-			return 0, nil
-		case a.IsNull:
-			return -1, nil
-		default:
-			return 1, nil
-		}
-	}
-	// Coerce num<->rat exactly when one side is a rational.
-	if a.Type == TypeRat && b.Type == TypeNum {
-		br, err := rational.Parse(strconv.FormatFloat(b.Num, 'f', -1, 64))
-		if err != nil {
-			return 0, err
-		}
-		return a.Rat.Cmp(br), nil
-	}
-	if a.Type == TypeNum && b.Type == TypeRat {
-		ar, err := rational.Parse(strconv.FormatFloat(a.Num, 'f', -1, 64))
-		if err != nil {
-			return 0, err
-		}
-		return ar.Cmp(b.Rat), nil
-	}
-	if a.Type != b.Type {
-		return 0, fmt.Errorf("sqlmini: cannot compare %v with %v", a.Type, b.Type)
-	}
-	return compareCells(a, b), nil
+	return vql.Val{}, fmt.Errorf("sqlmini: unknown operator %q", e.op)
 }
 
 func (p *parser) parseOr() (expr, error) {
@@ -485,26 +421,19 @@ func (p *parser) parsePrimary() (expr, error) {
 	case t.kind == tokIdent:
 		return &colExpr{name: t.text}, nil
 	case t.kind == tokString:
-		return &litExpr{StrCell(t.text)}, nil
+		return &litExpr{vql.StrV(t.text)}, nil
 	case t.kind == tokNumber:
-		if strings.ContainsAny(t.text, "/") {
-			r, err := rational.Parse(t.text)
-			if err != nil {
-				return nil, fmt.Errorf("sqlmini: bad rational %q: %w", t.text, err)
-			}
-			return &litExpr{RatCell(r)}, nil
-		}
-		n, err := strconv.ParseFloat(t.text, 64)
+		r, err := rational.Parse(t.text)
 		if err != nil {
-			return nil, fmt.Errorf("sqlmini: bad number %q", t.text)
+			return nil, fmt.Errorf("sqlmini: bad number %q: %w", t.text, err)
 		}
-		return &litExpr{NumCell(n)}, nil
+		return &litExpr{vql.NumV(r)}, nil
 	case t.kind == tokKeyword && t.text == "TRUE":
-		return &litExpr{BoolCell(true)}, nil
+		return &litExpr{vql.BoolV(true)}, nil
 	case t.kind == tokKeyword && t.text == "FALSE":
-		return &litExpr{BoolCell(false)}, nil
+		return &litExpr{vql.BoolV(false)}, nil
 	case t.kind == tokKeyword && t.text == "NULL":
-		return &litExpr{NullCell(TypeStr)}, nil
+		return &litExpr{vql.NullV()}, nil
 	default:
 		return nil, fmt.Errorf("sqlmini: unexpected token %q at %d", t.text, t.pos)
 	}

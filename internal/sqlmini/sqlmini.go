@@ -7,6 +7,10 @@
 // spec: rows become time-indexed data arrays (package data), optionally
 // materialized in time-bounded portions.
 //
+// A row holds the evaluator's own values (vql.Val) and a column's type is a
+// vql.Type: Num (an exact rational — timestamps and every other number),
+// Bool, Str or Boxes. A null fits a column of any type.
+//
 // Supported SQL:
 //
 //	SELECT col [, col ...] FROM table
@@ -14,8 +18,8 @@
 //	  [ORDER BY col [ASC|DESC]]
 //	  [LIMIT n]
 //
-// Literals: integers, decimals, exact rationals written num/den (e.g.
-// 301/30), single-quoted strings, TRUE/FALSE, NULL.
+// Literals: integers, decimals and rationals written num/den (e.g. 301/30),
+// all exact; single-quoted strings, TRUE/FALSE, NULL.
 package sqlmini
 
 import (
@@ -24,119 +28,21 @@ import (
 	"strings"
 
 	"v2v/internal/data"
-	"v2v/internal/raster"
 	"v2v/internal/rational"
+	"v2v/internal/vql"
 )
-
-// ColType enumerates column types.
-type ColType uint8
-
-const (
-	// TypeRat is an exact rational, used for timestamps.
-	TypeRat ColType = iota
-	// TypeBool is a boolean.
-	TypeBool
-	// TypeNum is a float64.
-	TypeNum
-	// TypeStr is a string.
-	TypeStr
-	// TypeBoxes is a list of object bounding boxes.
-	TypeBoxes
-)
-
-// String returns the SQL-ish type name.
-func (t ColType) String() string {
-	switch t {
-	case TypeRat:
-		return "RAT"
-	case TypeBool:
-		return "BOOL"
-	case TypeNum:
-		return "NUM"
-	case TypeStr:
-		return "TEXT"
-	case TypeBoxes:
-		return "BOXES"
-	default:
-		return fmt.Sprintf("TYPE(%d)", uint8(t))
-	}
-}
-
-// Cell is one typed value. Null is represented by IsNull regardless of the
-// declared column type.
-type Cell struct {
-	Type   ColType
-	IsNull bool
-	Rat    rational.Rat
-	Bool   bool
-	Num    float64
-	Str    string
-	Boxes  []raster.Box
-}
-
-// Cell constructors.
-func RatCell(r rational.Rat) Cell   { return Cell{Type: TypeRat, Rat: r} }
-func BoolCell(b bool) Cell          { return Cell{Type: TypeBool, Bool: b} }
-func NumCell(n float64) Cell        { return Cell{Type: TypeNum, Num: n} }
-func StrCell(s string) Cell         { return Cell{Type: TypeStr, Str: s} }
-func BoxesCell(b []raster.Box) Cell { return Cell{Type: TypeBoxes, Boxes: b} }
-func NullCell(t ColType) Cell       { return Cell{Type: t, IsNull: true} }
-
-// Value converts the cell into a data.Value for array materialization.
-// Rational cells convert to numbers (callers needing exactness keep the
-// Rat, which materialization does for the timestamp column).
-func (c Cell) Value() data.Value {
-	if c.IsNull {
-		return data.Null()
-	}
-	switch c.Type {
-	case TypeRat:
-		return data.NumVal(c.Rat.Float())
-	case TypeBool:
-		return data.BoolVal(c.Bool)
-	case TypeNum:
-		return data.NumVal(c.Num)
-	case TypeStr:
-		return data.StrVal(c.Str)
-	case TypeBoxes:
-		return data.BoxesVal(c.Boxes)
-	default:
-		return data.Null()
-	}
-}
-
-// String renders the cell for result tables.
-func (c Cell) String() string {
-	if c.IsNull {
-		return "NULL"
-	}
-	switch c.Type {
-	case TypeRat:
-		return c.Rat.String()
-	case TypeBool:
-		return fmt.Sprintf("%t", c.Bool)
-	case TypeNum:
-		return fmt.Sprintf("%g", c.Num)
-	case TypeStr:
-		return c.Str
-	case TypeBoxes:
-		return fmt.Sprintf("boxes(%d)", len(c.Boxes))
-	default:
-		return "?"
-	}
-}
 
 // Column declares one table column.
 type Column struct {
 	Name string
-	Type ColType
+	Type vql.Type
 }
 
 // Table is an ordered collection of typed rows.
 type Table struct {
 	Name string
 	Cols []Column
-	Rows [][]Cell
+	Rows [][]vql.Val
 }
 
 func (t *Table) colIndex(name string) (int, bool) {
@@ -184,9 +90,9 @@ func (db *DB) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Insert appends a row, checking arity and types (null cells are accepted
-// for any declared type).
-func (db *DB) Insert(table string, row []Cell) error {
+// Insert appends a row, checking arity and types (a null is accepted for
+// any declared type).
+func (db *DB) Insert(table string, row []vql.Val) error {
 	t, ok := db.Table(table)
 	if !ok {
 		return fmt.Errorf("sqlmini: no table %q", table)
@@ -194,9 +100,9 @@ func (db *DB) Insert(table string, row []Cell) error {
 	if len(row) != len(t.Cols) {
 		return fmt.Errorf("sqlmini: %q wants %d columns, got %d", table, len(t.Cols), len(row))
 	}
-	for i, c := range row {
-		if !c.IsNull && c.Type != t.Cols[i].Type {
-			return fmt.Errorf("sqlmini: column %q wants %v, got %v", t.Cols[i].Name, t.Cols[i].Type, c.Type)
+	for i, v := range row {
+		if v.Type != vql.TypeNull && v.Type != t.Cols[i].Type {
+			return fmt.Errorf("sqlmini: column %q wants %v, got %v", t.Cols[i].Name, t.Cols[i].Type, v.Type)
 		}
 	}
 	t.Rows = append(t.Rows, row)
@@ -206,7 +112,7 @@ func (db *DB) Insert(table string, row []Cell) error {
 // Result is a query result: named columns and rows.
 type Result struct {
 	Cols []Column
-	Rows [][]Cell
+	Rows [][]vql.Val
 }
 
 // Query parses and executes a SELECT statement.
@@ -243,14 +149,14 @@ func (db *DB) exec(s *selectStmt) (*Result, error) {
 		}
 	}
 	// Filter.
-	var kept [][]Cell
+	var kept [][]vql.Val
 	for _, row := range t.Rows {
 		if s.where != nil {
 			v, err := s.where.eval(t, row)
 			if err != nil {
 				return nil, err
 			}
-			if !v.truthy() {
+			if !v.Truthy() {
 				continue
 			}
 		}
@@ -263,7 +169,7 @@ func (db *DB) exec(s *selectStmt) (*Result, error) {
 			return nil, fmt.Errorf("sqlmini: no column %q in %q", s.orderBy, s.table)
 		}
 		sort.SliceStable(kept, func(i, j int) bool {
-			c := compareCells(kept[i][oi], kept[j][oi])
+			c, _ := compare(kept[i][oi], kept[j][oi]) // one column: one type or null
 			if s.desc {
 				return c > 0
 			}
@@ -275,9 +181,9 @@ func (db *DB) exec(s *selectStmt) (*Result, error) {
 		kept = kept[:s.limit]
 	}
 	// Project.
-	out := make([][]Cell, len(kept))
+	out := make([][]vql.Val, len(kept))
 	for i, row := range kept {
-		pr := make([]Cell, len(colIdx))
+		pr := make([]vql.Val, len(colIdx))
 		for j, ci := range colIdx {
 			pr[j] = row[ci]
 		}
@@ -286,71 +192,45 @@ func (db *DB) exec(s *selectStmt) (*Result, error) {
 	return &Result{Cols: outCols, Rows: out}, nil
 }
 
-// compareCells orders two cells of the same type; nulls sort first.
-func compareCells(a, b Cell) int {
+// compare orders two values of one type, nulls first; values of two
+// different types do not compare.
+func compare(a, b vql.Val) (int, error) {
 	switch {
-	case a.IsNull && b.IsNull:
-		return 0
-	case a.IsNull:
-		return -1
-	case b.IsNull:
-		return 1
+	case a.Type == vql.TypeNull || b.Type == vql.TypeNull:
+		// SQL three-valued logic collapsed: null compares unequal/first.
+		return boolCmp(a.Type != vql.TypeNull, b.Type != vql.TypeNull), nil
+	case a.Type != b.Type:
+		return 0, fmt.Errorf("sqlmini: cannot compare %v with %v", a.Type, b.Type)
 	}
 	switch a.Type {
-	case TypeRat:
-		return a.Rat.Cmp(b.Rat)
-	case TypeNum:
-		switch {
-		case a.Num < b.Num:
-			return -1
-		case a.Num > b.Num:
-			return 1
-		}
-		return 0
-	case TypeStr:
-		return strings.Compare(a.Str, b.Str)
-	case TypeBool:
-		switch {
-		case !a.Bool && b.Bool:
-			return -1
-		case a.Bool && !b.Bool:
-			return 1
-		}
-		return 0
-	case TypeBoxes:
-		return len(a.Boxes) - len(b.Boxes)
+	case vql.TypeNum:
+		return a.Num.Cmp(b.Num), nil
+	case vql.TypeStr:
+		return strings.Compare(a.Str, b.Str), nil
+	case vql.TypeBool:
+		return boolCmp(a.Bool, b.Bool), nil
 	}
-	return 0
+	return len(a.Boxes) - len(b.Boxes), nil
 }
 
-// MaterializeArray runs a SELECT whose first column is a RAT timestamp and
-// whose second column is the value, and builds a data array from the rows —
-// the paper's SQL-defined data array.
-func MaterializeArray(db *DB, sql string) (*data.Array, error) {
-	res, err := db.Query(sql)
-	if err != nil {
-		return nil, err
+// boolCmp orders false before true.
+func boolCmp(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
 	}
-	if len(res.Cols) < 2 {
-		return nil, fmt.Errorf("sqlmini: materialize needs (timestamp, value) columns, got %d", len(res.Cols))
-	}
-	if res.Cols[0].Type != TypeRat {
-		return nil, fmt.Errorf("sqlmini: first column %q must be RAT, got %v", res.Cols[0].Name, res.Cols[0].Type)
-	}
-	entries := make([]data.Entry, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		if row[0].IsNull {
-			return nil, fmt.Errorf("sqlmini: null timestamp in materialized array")
-		}
-		entries = append(entries, data.Entry{T: row[0].Rat, V: row[1].Value()})
-	}
-	return data.NewArray(entries)
+	return 1
 }
 
-// MaterializeArrayBounded materializes only rows whose timestamp lies in
-// iv — the "materialized in portions by bounding the time" optimization
-// that trades storage for compute. Out-of-window rows are dropped during
-// the scan, before any array entry is built.
+// MaterializeArrayBounded runs a SELECT whose first column is a Num
+// timestamp and whose second column is the value, and builds a data array
+// from the rows — the paper's SQL-defined data array. A non-empty iv keeps
+// only rows whose timestamp lies in it: the "materialized in portions by
+// bounding the time" optimization that trades storage for compute, made
+// during the scan, before any array entry is built. The empty (zero)
+// Interval keeps every row.
 func MaterializeArrayBounded(db *DB, sql string, iv rational.Interval) (*data.Array, error) {
 	res, err := db.Query(sql)
 	if err != nil {
@@ -359,18 +239,18 @@ func MaterializeArrayBounded(db *DB, sql string, iv rational.Interval) (*data.Ar
 	if len(res.Cols) < 2 {
 		return nil, fmt.Errorf("sqlmini: materialize needs (timestamp, value) columns, got %d", len(res.Cols))
 	}
-	if res.Cols[0].Type != TypeRat {
-		return nil, fmt.Errorf("sqlmini: first column %q must be RAT, got %v", res.Cols[0].Name, res.Cols[0].Type)
+	if res.Cols[0].Type != vql.TypeNum {
+		return nil, fmt.Errorf("sqlmini: first column %q must be Num, got %v", res.Cols[0].Name, res.Cols[0].Type)
 	}
 	var entries []data.Entry
 	for _, row := range res.Rows {
-		if row[0].IsNull {
+		if row[0].Type == vql.TypeNull {
 			return nil, fmt.Errorf("sqlmini: null timestamp in materialized array")
 		}
-		if !iv.Contains(row[0].Rat) {
+		if !iv.Empty() && !iv.Contains(row[0].Num) {
 			continue
 		}
-		entries = append(entries, data.Entry{T: row[0].Rat, V: row[1].Value()})
+		entries = append(entries, data.Entry{T: row[0].Num, V: row[1]})
 	}
 	return data.NewArray(entries)
 }

@@ -6,7 +6,10 @@ import (
 	"v2v/internal/data"
 	"v2v/internal/raster"
 	"v2v/internal/rational"
+	"v2v/internal/vql"
 )
+
+func num(n int64) vql.Val { return vql.NumV(rational.FromInt(n)) }
 
 // zooDB builds the canonical test database: detections of animals per frame
 // time, mirroring the paper's video_objects table.
@@ -14,11 +17,11 @@ func zooDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
 	_, err := db.CreateTable("video_objects", []Column{
-		{Name: "ts", Type: TypeRat},
-		{Name: "video", Type: TypeStr},
-		{Name: "model", Type: TypeStr},
-		{Name: "count", Type: TypeNum},
-		{Name: "objects", Type: TypeBoxes},
+		{Name: "ts", Type: vql.TypeNum},
+		{Name: "video", Type: vql.TypeStr},
+		{Name: "model", Type: vql.TypeStr},
+		{Name: "count", Type: vql.TypeNum},
+		{Name: "objects", Type: vql.TypeBoxes},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,12 +42,12 @@ func zooDB(t *testing.T) *DB {
 		if i%2 == 1 {
 			video = "kabr2"
 		}
-		err := db.Insert("video_objects", []Cell{
-			RatCell(rational.New(int64(i), 30)),
-			StrCell(video),
-			StrCell("yolov5m"),
-			NumCell(float64(n)),
-			BoxesCell(boxes(n)),
+		err := db.Insert("video_objects", []vql.Val{
+			vql.NumV(rational.New(int64(i), 30)),
+			vql.StrV(video),
+			vql.StrV("yolov5m"),
+			num(int64(n)),
+			vql.BoxesV(boxes(n)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,30 +61,30 @@ func TestCreateTableValidation(t *testing.T) {
 	if _, err := db.CreateTable("t", nil); err == nil {
 		t.Error("empty columns should fail")
 	}
-	if _, err := db.CreateTable("t", []Column{{Name: "a", Type: TypeNum}, {Name: "A", Type: TypeStr}}); err == nil {
+	if _, err := db.CreateTable("t", []Column{{Name: "a", Type: vql.TypeNum}, {Name: "A", Type: vql.TypeStr}}); err == nil {
 		t.Error("duplicate columns should fail")
 	}
-	if _, err := db.CreateTable("t", []Column{{Name: "a", Type: TypeNum}}); err != nil {
+	if _, err := db.CreateTable("t", []Column{{Name: "a", Type: vql.TypeNum}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateTable("T", []Column{{Name: "a", Type: TypeNum}}); err == nil {
+	if _, err := db.CreateTable("T", []Column{{Name: "a", Type: vql.TypeNum}}); err == nil {
 		t.Error("case-insensitive duplicate table should fail")
 	}
 }
 
 func TestInsertValidation(t *testing.T) {
 	db := NewDB()
-	db.CreateTable("t", []Column{{Name: "a", Type: TypeNum}, {Name: "b", Type: TypeStr}})
+	db.CreateTable("t", []Column{{Name: "a", Type: vql.TypeNum}, {Name: "b", Type: vql.TypeStr}})
 	if err := db.Insert("missing", nil); err == nil {
 		t.Error("missing table should fail")
 	}
-	if err := db.Insert("t", []Cell{NumCell(1)}); err == nil {
+	if err := db.Insert("t", []vql.Val{num(1)}); err == nil {
 		t.Error("wrong arity should fail")
 	}
-	if err := db.Insert("t", []Cell{StrCell("x"), StrCell("y")}); err == nil {
+	if err := db.Insert("t", []vql.Val{vql.StrV("x"), vql.StrV("y")}); err == nil {
 		t.Error("wrong type should fail")
 	}
-	if err := db.Insert("t", []Cell{NumCell(1), NullCell(TypeStr)}); err != nil {
+	if err := db.Insert("t", []vql.Val{num(1), vql.NullV()}); err != nil {
 		t.Errorf("null insert should be fine: %v", err)
 	}
 }
@@ -110,8 +113,8 @@ func TestSelectProjectionAndWhere(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if !res.Rows[0][0].Rat.Equal(rational.New(6, 30)) {
-		t.Errorf("first ts = %v", res.Rows[0][0].Rat)
+	if !res.Rows[0][0].Num.Equal(rational.New(6, 30)) {
+		t.Errorf("first ts = %v", res.Rows[0][0].Num)
 	}
 }
 
@@ -127,6 +130,7 @@ func TestWhereOperatorsAndLogic(t *testing.T) {
 		{"SELECT ts FROM video_objects WHERE count = 0 OR count = 5", 6},
 		{"SELECT ts FROM video_objects WHERE (count > 1 AND count < 4) OR video = 'nope'", 2},
 		{"SELECT ts FROM video_objects WHERE ts < 1/10", 3},
+		{"SELECT ts FROM video_objects WHERE ts > -1/10 AND count < 0.5", 5},
 		{"SELECT ts FROM video_objects WHERE ts <= 3/30 AND model = 'yolov5m'", 4},
 		{"SELECT ts FROM video_objects WHERE objects", 5}, // truthy boxes
 		{"SELECT ts FROM video_objects WHERE model IS NULL", 0},
@@ -146,13 +150,35 @@ func TestWhereOperatorsAndLogic(t *testing.T) {
 
 func TestRatNumCoercion(t *testing.T) {
 	db := zooDB(t)
-	// 0.1 = 3/30: decimal literal compares exactly against rational column.
-	res, err := db.Query("SELECT ts FROM video_objects WHERE ts = 0.1")
+	// A decimal and a num/den literal are one exact number: 0.1 = 3/30.
+	for _, sql := range []string{
+		"SELECT ts FROM video_objects WHERE ts = 0.1",
+		"SELECT ts FROM video_objects WHERE ts = 1/10 AND 1/10 = 0.10",
+	} {
+		res, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Errorf("%s: rows = %d, want 1", sql, len(res.Rows))
+		}
+	}
+}
+
+// TestExactNumberReachesEval: a SQL value 1/3 reaches the evaluator as 1/3,
+// so d[t] == 1/3 holds.
+func TestExactNumberReachesEval(t *testing.T) {
+	db := NewDB()
+	db.CreateTable("d", []Column{{Name: "ts", Type: vql.TypeNum}, {Name: "v", Type: vql.TypeNum}})
+	db.Insert("d", []vql.Val{num(0), vql.NumV(rational.New(1, 3))})
+	arr, err := MaterializeArrayBounded(db, "SELECT ts, v FROM d WHERE v = 1/3", rational.Interval{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	e := vql.BinOp{Op: vql.OpEQ, L: vql.DataRef{Name: "d", Index: vql.TimeVar{}}, R: vql.NumLit{V: rational.New(1, 3)}}
+	v, err := vql.Eval(e, &vql.Env{T: rational.Zero, Data: data.Arrays{"d": arr}})
+	if err != nil || v.Type != vql.TypeBool || !v.Bool {
+		t.Errorf("d[t] == 1/3 = %v, %v; want true", v, err)
 	}
 }
 
@@ -165,12 +191,14 @@ func TestOrderByAndLimit(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	if res.Rows[0][1].Num != 5 || res.Rows[1][1].Num != 4 || res.Rows[2][1].Num != 3 {
-		t.Errorf("counts = %v %v %v", res.Rows[0][1], res.Rows[1][1], res.Rows[2][1])
+	for i, want := range []int64{5, 4, 3} {
+		if got := res.Rows[i][1]; !got.Num.Equal(rational.FromInt(want)) {
+			t.Errorf("count %d = %v, want %d", i, got, want)
+		}
 	}
 	asc, _ := db.Query("SELECT ts FROM video_objects ORDER BY ts ASC LIMIT 1")
-	if !asc.Rows[0][0].Rat.Equal(rational.Zero) {
-		t.Errorf("first asc ts = %v", asc.Rows[0][0].Rat)
+	if !asc.Rows[0][0].Num.Equal(rational.Zero) {
+		t.Errorf("first asc ts = %v", asc.Rows[0][0].Num)
 	}
 }
 
@@ -201,8 +229,8 @@ func TestQueryErrors(t *testing.T) {
 
 func TestStringEscapes(t *testing.T) {
 	db := NewDB()
-	db.CreateTable("t", []Column{{Name: "s", Type: TypeStr}})
-	db.Insert("t", []Cell{StrCell("it's")})
+	db.CreateTable("t", []Column{{Name: "s", Type: vql.TypeStr}})
+	db.Insert("t", []vql.Val{vql.StrV("it's")})
 	res, err := db.Query("SELECT s FROM t WHERE s = 'it''s'")
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +242,7 @@ func TestStringEscapes(t *testing.T) {
 
 func TestMaterializeArray(t *testing.T) {
 	db := zooDB(t)
-	arr, err := MaterializeArray(db, "SELECT ts, objects FROM video_objects WHERE model = 'yolov5m' ORDER BY ts")
+	arr, err := MaterializeArrayBounded(db, "SELECT ts, objects FROM video_objects WHERE model = 'yolov5m' ORDER BY ts", rational.Interval{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,31 +250,43 @@ func TestMaterializeArray(t *testing.T) {
 		t.Fatalf("Len = %d", arr.Len())
 	}
 	v, ok := arr.At(rational.New(7, 30))
-	if !ok || v.Kind != data.KindBoxes || len(v.Boxes) != 3 {
+	if !ok || v.Type != vql.TypeBoxes || len(v.Boxes) != 3 {
 		t.Errorf("At(7/30) = %v,%v", v, ok)
 	}
-	// Empty-box frames are falsy — the property the rewriter uses.
-	if !arr.AllFalsyIn(rational.Interval{Lo: rational.Zero, Hi: rational.New(5, 30)}) {
-		t.Error("first five frames should be falsy")
+	// Empty-box frames are falsy: boxes() over them is the identity.
+	for i := int64(0); i < 5; i++ {
+		if v, _ := arr.At(rational.New(i, 30)); v.Truthy() {
+			t.Errorf("At(%d/30) = %v, want falsy", i, v)
+		}
 	}
 }
 
 func TestMaterializeArrayErrors(t *testing.T) {
+	materializeErrors(t, rational.Interval{})
+}
+
+// TestMaterializeArrayBoundedErrors: a window changes which rows are kept,
+// never what is refused.
+func TestMaterializeArrayBoundedErrors(t *testing.T) {
+	materializeErrors(t, rational.Interval{Lo: rational.Zero, Hi: rational.One})
+}
+
+func materializeErrors(t *testing.T, iv rational.Interval) {
+	t.Helper()
 	db := zooDB(t)
-	if _, err := MaterializeArray(db, "SELECT ts FROM video_objects"); err == nil {
+	if _, err := MaterializeArrayBounded(db, "SELECT ts FROM video_objects", iv); err == nil {
 		t.Error("single column should fail")
 	}
-	if _, err := MaterializeArray(db, "SELECT video, objects FROM video_objects"); err == nil {
-		t.Error("non-rat timestamp should fail")
+	if _, err := MaterializeArrayBounded(db, "SELECT video, objects FROM video_objects", iv); err == nil {
+		t.Error("non-Num timestamp should fail")
 	}
-	if _, err := MaterializeArray(db, "bogus"); err == nil {
+	if _, err := MaterializeArrayBounded(db, "bogus", iv); err == nil {
 		t.Error("bad sql should fail")
 	}
-	// Null timestamp.
 	db2 := NewDB()
-	db2.CreateTable("t", []Column{{Name: "ts", Type: TypeRat}, {Name: "v", Type: TypeNum}})
-	db2.Insert("t", []Cell{NullCell(TypeRat), NumCell(1)})
-	if _, err := MaterializeArray(db2, "SELECT ts, v FROM t"); err == nil {
+	db2.CreateTable("t", []Column{{Name: "ts", Type: vql.TypeNum}, {Name: "v", Type: vql.TypeNum}})
+	db2.Insert("t", []vql.Val{vql.NullV(), num(1)})
+	if _, err := MaterializeArrayBounded(db2, "SELECT ts, v FROM t", iv); err == nil {
 		t.Error("null timestamp should fail")
 	}
 }
@@ -263,54 +303,5 @@ func TestMaterializeArrayBounded(t *testing.T) {
 	}
 	if _, ok := arr.At(rational.New(5, 30)); ok {
 		t.Error("upper bound should be exclusive")
-	}
-}
-
-func TestCellValueConversion(t *testing.T) {
-	if RatCell(rational.New(1, 2)).Value().Num != 0.5 {
-		t.Error("rat conversion")
-	}
-	if !BoolCell(true).Value().Bool {
-		t.Error("bool conversion")
-	}
-	if StrCell("x").Value().Str != "x" {
-		t.Error("str conversion")
-	}
-	if NullCell(TypeNum).Value().Kind != data.KindNull {
-		t.Error("null conversion")
-	}
-	if len(BoxesCell([]raster.Box{{}}).Value().Boxes) != 1 {
-		t.Error("boxes conversion")
-	}
-}
-
-func TestCellString(t *testing.T) {
-	if NullCell(TypeNum).String() != "NULL" || RatCell(rational.New(1, 3)).String() != "1/3" ||
-		BoolCell(true).String() != "true" || NumCell(2).String() != "2" ||
-		StrCell("hi").String() != "hi" || BoxesCell(nil).String() != "boxes(0)" {
-		t.Error("cell strings wrong")
-	}
-	if TypeRat.String() != "RAT" || TypeBoxes.String() != "BOXES" {
-		t.Error("type strings wrong")
-	}
-}
-
-func TestMaterializeArrayBoundedErrors(t *testing.T) {
-	db := zooDB(t)
-	iv := rational.Interval{Lo: rational.Zero, Hi: rational.One}
-	if _, err := MaterializeArrayBounded(db, "SELECT ts FROM video_objects", iv); err == nil {
-		t.Error("single column should fail")
-	}
-	if _, err := MaterializeArrayBounded(db, "SELECT video, objects FROM video_objects", iv); err == nil {
-		t.Error("non-rat timestamp should fail")
-	}
-	if _, err := MaterializeArrayBounded(db, "nope", iv); err == nil {
-		t.Error("bad sql should fail")
-	}
-	db2 := NewDB()
-	db2.CreateTable("t", []Column{{Name: "ts", Type: TypeRat}, {Name: "v", Type: TypeNum}})
-	db2.Insert("t", []Cell{NullCell(TypeRat), NumCell(1)})
-	if _, err := MaterializeArrayBounded(db2, "SELECT ts, v FROM t", iv); err == nil {
-		t.Error("null timestamp should fail")
 	}
 }

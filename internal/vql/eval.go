@@ -3,7 +3,6 @@ package vql
 import (
 	"fmt"
 
-	"v2v/internal/data"
 	"v2v/internal/frame"
 	"v2v/internal/rational"
 )
@@ -26,7 +25,7 @@ type FrameSource interface {
 type DataSource interface {
 	// DataAt returns the sample of the named array at time t. Missing
 	// samples return (Null, false, nil); unknown arrays return an error.
-	DataAt(name string, t rational.Rat) (data.Value, bool, error)
+	DataAt(name string, t rational.Rat) (Val, bool, error)
 }
 
 // Alloc hands a transform the w×h YUV420 frame it renders into. The
@@ -126,7 +125,7 @@ func Eval(e Expr, env *Env) (Val, error) {
 		if !ok {
 			return NullV(), nil
 		}
-		return FromData(v), nil
+		return v, nil
 	case Call:
 		tr, ok := Lookup(n.Name)
 		if !ok {

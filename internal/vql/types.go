@@ -10,9 +10,7 @@ package vql
 
 import (
 	"fmt"
-	"strconv"
 
-	"v2v/internal/data"
 	"v2v/internal/frame"
 	"v2v/internal/raster"
 	"v2v/internal/rational"
@@ -77,8 +75,8 @@ func StrV(s string) Val           { return Val{Type: TypeStr, Str: s} }
 func BoxesV(b []raster.Box) Val   { return Val{Type: TypeBoxes, Boxes: b} }
 func NullV() Val                  { return Val{Type: TypeNull} }
 
-// Truthy reports the boolean interpretation of the value, matching
-// data.Value.Truthy semantics.
+// Truthy reports the boolean interpretation of the value: false, 0, "",
+// an empty box list, null and a nil frame are false.
 func (v Val) Truthy() bool {
 	switch v.Type {
 	case TypeBool:
@@ -120,47 +118,5 @@ func (v Val) String() string {
 		return fmt.Sprintf("boxes(%d)", len(v.Boxes))
 	default:
 		return "null"
-	}
-}
-
-// FromData converts a relational data.Value into a runtime Val. Numbers
-// convert to exact rationals through their shortest decimal rendering.
-func FromData(v data.Value) Val {
-	switch v.Kind {
-	case data.KindBool:
-		return BoolV(v.Bool)
-	case data.KindNum:
-		r, err := rational.Parse(formatFloat(v.Num))
-		if err != nil {
-			// Non-finite floats have no rational form; treat as null.
-			return NullV()
-		}
-		return NumV(r)
-	case data.KindStr:
-		return StrV(v.Str)
-	case data.KindBoxes:
-		return BoxesV(v.Boxes)
-	default:
-		return NullV()
-	}
-}
-
-func formatFloat(f float64) string {
-	return strconv.FormatFloat(f, 'f', -1, 64)
-}
-
-// DataKindType maps a data array element kind to the DSL type.
-func DataKindType(k data.Kind) Type {
-	switch k {
-	case data.KindBool:
-		return TypeBool
-	case data.KindNum:
-		return TypeNum
-	case data.KindStr:
-		return TypeStr
-	case data.KindBoxes:
-		return TypeBoxes
-	default:
-		return TypeNull
 	}
 }

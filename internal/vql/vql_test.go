@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"v2v/internal/data"
 	"v2v/internal/frame"
 	"v2v/internal/raster"
 	"v2v/internal/rational"
@@ -24,12 +23,12 @@ func (f fakeFrames) SourceFrame(video string, t rational.Rat) (*frame.Frame, err
 }
 
 // fakeData serves values from a map.
-type fakeData map[string]map[string]data.Value
+type fakeData map[string]map[string]Val
 
-func (d fakeData) DataAt(name string, t rational.Rat) (data.Value, bool, error) {
+func (d fakeData) DataAt(name string, t rational.Rat) (Val, bool, error) {
 	arr, ok := d[name]
 	if !ok {
-		return data.Value{}, false, errUnknownArray(name)
+		return Val{}, false, errUnknownArray(name)
 	}
 	v, ok := arr[t.String()]
 	return v, ok, nil
@@ -42,13 +41,13 @@ func (e errUnknownArray) Error() string { return "unknown array " + string(e) }
 func env(t rational.Rat) *Env {
 	return &Env{T: t, Frames: fakeFrames{w: 32, h: 32}, Data: fakeData{
 		"a": {
-			"0": data.NumVal(3),
-			"1": data.NumVal(6),
-			"2": data.NumVal(8),
+			"0": NumV(rational.FromInt(3)),
+			"1": NumV(rational.FromInt(6)),
+			"2": NumV(rational.FromInt(8)),
 		},
 		"bb": {
-			"0": data.BoxesVal(nil),
-			"1": data.BoxesVal([]raster.Box{{X: 2, Y: 2, W: 8, H: 8, Class: "Z"}}),
+			"0": BoxesV(nil),
+			"1": BoxesV([]raster.Box{{X: 2, Y: 2, W: 8, H: 8, Class: "Z"}}),
 		},
 	}}
 }
@@ -615,18 +614,6 @@ func TestValHelpers(t *testing.T) {
 	}
 	if !strings.Contains(FrameVal(frame.New(4, 4, frame.FormatGray8)).String(), "4x4") {
 		t.Error("frame string")
-	}
-	if FromData(data.NumVal(0.25)).Num.String() != "1/4" {
-		t.Errorf("FromData num = %v", FromData(data.NumVal(0.25)).Num)
-	}
-	if FromData(data.StrVal("x")).Str != "x" || !FromData(data.BoolVal(true)).Bool {
-		t.Error("FromData scalar")
-	}
-	if FromData(data.Null()).Type != TypeNull {
-		t.Error("FromData null")
-	}
-	if DataKindType(data.KindBoxes) != TypeBoxes || DataKindType(data.KindNull) != TypeNull {
-		t.Error("DataKindType")
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"v2v/internal/media"
 	"v2v/internal/rational"
 	"v2v/internal/sqlmini"
+	"v2v/internal/vql"
 )
 
 var (
@@ -226,13 +227,13 @@ func TestExplainAPI(t *testing.T) {
 func TestSQLIntegrationThroughPublicAPI(t *testing.T) {
 	db := NewDB()
 	db.CreateTable("det", []sqlmini.Column{
-		{Name: "ts", Type: sqlmini.TypeRat},
-		{Name: "hot", Type: sqlmini.TypeBool},
+		{Name: "ts", Type: vql.TypeNum},
+		{Name: "hot", Type: vql.TypeBool},
 	})
 	for i := 0; i < 24; i++ {
-		db.Insert("det", []sqlmini.Cell{
-			sqlmini.RatCell(R(int64(i), 24)),
-			sqlmini.BoolCell(i >= 12),
+		db.Insert("det", []vql.Val{
+			vql.NumV(R(int64(i), 24)),
+			vql.BoolV(i >= 12),
 		})
 	}
 	spec, err := NewSpec(Sec(0), Sec(1), R(1, 24)).
