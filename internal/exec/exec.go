@@ -154,10 +154,11 @@ func Execute(ctx context.Context, p *plan.Plan, outPath string, o Options) (*Met
 
 // ExecuteTo runs the plan against an arbitrary packet sink (a VMF file
 // writer or a progressive stream) and closes the sink. Packets reach the
-// sink in presentation order as their shards finish them, and the sink is
-// flushed once before the first segment (the container header is out) and
-// after each segment's last packet, so a streaming consumer starts
-// receiving output while later segments are still rendering.
+// sink in presentation order as their shards encode them, and the sink is
+// flushed once before the first segment (the container header is out),
+// whenever delivery has written every packet that has landed, and after
+// each segment's last packet, so a streaming consumer starts receiving
+// output while the rest is still rendering.
 //
 // The run opens each source at most once, when a copy or a shard worker
 // first reads it (check.Checked.OpenSource), and every later reader shares
@@ -165,10 +166,9 @@ func Execute(ctx context.Context, p *plan.Plan, outPath string, o Options) (*Met
 // none. A source whose content changed since check fails the run with
 // check.ErrSourceChanged.
 //
-// Cancellation is cooperative: ctx is checked before every segment and at
-// every publish interval inside every shard worker — one output GOP, or
-// one second of output where the GOP is longer — so a cancelled synthesis
-// stops within that much work per goroutine. On any failure the sink is
+// Cancellation is cooperative: ctx is checked before every segment and
+// before every frame inside every shard worker, so a cancelled synthesis
+// stops within one frame of work per goroutine. On any failure the sink is
 // aborted, not closed — a file sink leaves nothing at its target path.
 func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Metrics, error) {
 	start := time.Now()

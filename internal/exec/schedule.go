@@ -14,13 +14,17 @@ package exec
 // A scheduler goroutine starts shard workers strictly in presentation
 // order, bounded by two token pools: a parallelism semaphore (CPU) and a
 // delivery window (memory: how many started, not yet delivered shards may
-// exist). A worker publishes its packets every publish interval (one
-// output GOP, or one second of output where the GOP is longer) and looks
-// for cancellation there. The delivery loop, on the caller's goroutine,
-// drains the shards in the same order and writes each batch to the sink
-// the moment it lands, so the head of the output reaches the consumer
-// while the tail is still rendering. Copy units run inline on the delivery
-// goroutine at their turn, reading the run's shared source files.
+// exist). One frame is the unit of hand-over and of CPU sharing: a worker
+// hands each packet to its shard's queue as soon as it is encoded, looks
+// for cancellation before every frame, and yields the processor after
+// every frame, so a goroutine on another request's first-packet path
+// waits for a frame of this one's work, not for a preemption slice. The
+// delivery loop, on the caller's goroutine, drains the shards in the same
+// order, writes each packet to the sink the moment it lands and flushes
+// whenever it has written every packet that has landed, so the head of
+// the output reaches the consumer while the tail is still rendering. Copy
+// units run inline on the delivery goroutine at their turn, reading the
+// run's shared source files.
 // The head a smart cut re-encodes is a render unit like any other, so the
 // heads of a splice render on the workers while the loop copies the tails.
 //
@@ -34,6 +38,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -57,10 +62,6 @@ type run struct {
 	// every later shard worker and copy.
 	srcs *sources
 	w    media.Sink // the caller's sink; delivery goroutine only
-	// every is the plan's publish interval in frames: a worker hands over
-	// its packets and polls ctx and abort this often, so a long-GOP render
-	// streams and cancels by the second, not by the shard.
-	every int
 
 	// sem caps rendering workers; window caps started but undelivered
 	// shards (each holds at most its own encoded packets). Twice the
@@ -104,10 +105,10 @@ type unit struct {
 type shard struct {
 	lo, hi int
 	// out carries the finished packets to the delivery loop in order, one
-	// batch per publish interval. It is buffered for every batch the worker
-	// will send, so a worker never waits on the sink, and closed when the
-	// worker exits or the scheduler gives the shard up unstarted.
-	out chan []codec.Packet
+	// per frame. It is buffered for every frame of the shard, so a worker
+	// never waits on the sink, and closed when the worker exits or the
+	// scheduler gives the shard up unstarted.
+	out chan codec.Packet
 	// started records that the shard holds a delivery-window token; set by
 	// the scheduler before the worker starts.
 	started bool
@@ -128,7 +129,6 @@ type shard struct {
 func (x *run) execute(ctx context.Context) error {
 	x.srcs = newSources(x.p.Checked)
 	defer x.srcs.close()
-	x.every = x.p.PublishInterval()
 	par := x.o.Parallelism
 	x.sem = make(chan struct{}, par)
 	x.window = make(chan struct{}, 2*par)
@@ -176,7 +176,7 @@ func (x *run) buildUnits() []*unit {
 			hi := bounds[bi+1]
 			u.shards = append(u.shards, &shard{
 				lo: lo, hi: hi,
-				out: make(chan []codec.Packet, (hi-lo+x.every-1)/x.every),
+				out: make(chan codec.Packet, hi-lo),
 			})
 		}
 		u.rendered.Add(len(u.shards))
@@ -304,9 +304,9 @@ func (x *run) resolve(ctx context.Context, u *unit) {
 }
 
 // render is a shard worker: it renders sh's frames through a fresh segment
-// runner, encodes them with a fresh encoder and publishes the packets
-// every publish interval. It honors ctx and the run's abort at the same
-// points and never touches the sink.
+// runner, encodes them with a fresh encoder and hands each packet over as
+// it is encoded. It honors ctx and the run's abort before every frame,
+// yields the processor after every frame and never touches the sink.
 func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	defer func() { <-x.sem }() // frees this worker's own buffered semaphore slot; never blocks
 	defer u.rendered.Done()
@@ -349,26 +349,15 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	defer enc.Close()
 	enc.SetRecorder(sh.rec)
 	sh.pkts = make([]codec.Packet, 0, sh.hi-sh.lo)
-	sent := 0
-	publish := func() {
-		if n := len(sh.pkts); n > sent {
-			sh.out <- sh.pkts[sent:n:n] // out is buffered for one send per GOP of the shard; never blocks
-			sent = n
-		}
-	}
-	defer publish()
 	for i := sh.lo; i < sh.hi; i++ {
-		if (i-sh.lo)%x.every == 0 {
-			publish()
-			if sh.err = ctx.Err(); sh.err != nil {
-				return
-			}
-			select {
-			case <-x.abort:
-				sh.err = errShardAborted
-				return
-			default:
-			}
+		if sh.err = ctx.Err(); sh.err != nil {
+			return
+		}
+		select {
+		case <-x.abort:
+			sh.err = errShardAborted
+			return
+		default:
 		}
 		fr, err := runner.renderAt(u.s.Times.At(i))
 		if err != nil {
@@ -382,6 +371,11 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 			return
 		}
 		sh.pkts = append(sh.pkts, pkt)
+		sh.out <- pkt // out is buffered for one send per frame of the shard; never blocks
+		// Hand the processor to whatever else is runnable — the delivery
+		// loop, another request's first frame — rather than hold it until
+		// preempted; with nothing runnable this returns at once.
+		runtime.Gosched()
 	}
 }
 
@@ -419,9 +413,10 @@ func (x *run) deliver(u *unit) {
 
 // deliverRender delivers a render unit: a result-cache hit splices as raw
 // packets (stream copies — nothing was rendered this run); anything else
-// drains the unit's shards in order, delivering each batch as
-// shard-encoded frames while the run is healthy and discarding it after
-// a failure.
+// drains the unit's shards in order, delivering each packet as a
+// shard-encoded frame while the run is healthy and discarding it after a
+// failure. Whenever the packets that have landed are all written, it
+// flushes: the consumer gets each frame without waiting for the next.
 func (x *run) deliverRender(u *unit) {
 	if u.key != "" {
 		<-u.decided // must-drain join: the resolver decides at once on a hit, a miss or ctx's end, else when the concurrent fill it waits on ends; its shards must not outlive the run
@@ -444,15 +439,14 @@ func (x *run) deliverRender(u *unit) {
 		u.rec.Inc(obs.EventResultMiss)
 	}
 	for _, sh := range u.shards {
-		for batch := range sh.out {
-			for _, pkt := range batch {
-				if x.err != nil {
-					break
-				}
-				if err := x.w.WriteEncodedFrame(pkt.Key, pkt.Data); err != nil {
-					x.fail(fmt.Errorf("exec: shard [%d,%d) deliver: %w", sh.lo, sh.hi, err))
-					break
-				}
+		for pkt := range sh.out {
+			if x.err != nil {
+				continue
+			}
+			if err := x.w.WriteEncodedFrame(pkt.Key, pkt.Data); err != nil {
+				x.fail(fmt.Errorf("exec: shard [%d,%d) deliver: %w", sh.lo, sh.hi, err))
+			} else if len(sh.out) == 0 {
+				x.w.Flush()
 			}
 		}
 		if sh.started {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -345,11 +346,11 @@ func (f *flushRecorder) Flush() {
 	}
 }
 
-// TestPresentationOrder asserts the sink is flushed once after the header
-// and once after each segment's last packet, in strict presentation order,
-// for multi- and single-segment plans alike, while the render segments run
-// concurrently — under -race this also exercises the scheduler/delivery
-// handoff.
+// TestPresentationOrder asserts where the sink is flushed, for multi- and
+// single-segment plans alike, while the render segments run concurrently:
+// the header first, then only on packet boundaries in strict presentation
+// order, at every segment's end, and never twice at one offset. Under
+// -race this also exercises the scheduler/delivery handoff.
 func TestPresentationOrder(t *testing.T) {
 	for name, src := range map[string]string{"splice": spliceSpec(), "single": singleSpec()} {
 		t.Run(name, func(t *testing.T) {
@@ -383,13 +384,29 @@ func TestPresentationOrder(t *testing.T) {
 			if len(ends) != 97 {
 				t.Fatalf("streamed packets = %d, want 96", len(ends)-1)
 			}
-			want, n := []int{ends[0]}, 0
-			for _, s := range p.Segments {
-				n += s.FrameCount()
-				want = append(want, ends[n])
+			if len(dst.marks) == 0 || dst.marks[0] != ends[0] {
+				t.Fatalf("flushed at stream offsets %v, want the header's end %d first", dst.marks, ends[0])
 			}
-			if fmt.Sprint(dst.marks) != fmt.Sprint(want) {
-				t.Fatalf("flushed at stream offsets %v, want %v (header, then each segment's end)", dst.marks, want)
+			boundary := make(map[int]bool, len(ends))
+			for _, e := range ends {
+				boundary[e] = true
+			}
+			flushed := make(map[int]bool, len(dst.marks))
+			for i, m := range dst.marks {
+				if !boundary[m] {
+					t.Errorf("flush at stream offset %d is not on a packet boundary", m)
+				}
+				if i > 0 && m <= dst.marks[i-1] {
+					t.Errorf("flush at stream offset %d follows one at %d: flushed twice or out of order", m, dst.marks[i-1])
+				}
+				flushed[m] = true
+			}
+			n := 0
+			for i, s := range p.Segments {
+				n += s.FrameCount()
+				if !flushed[ends[n]] {
+					t.Errorf("segment %d ends at stream offset %d, which was not flushed (flushes %v)", i, ends[n], dst.marks)
+				}
 			}
 		})
 	}
@@ -740,10 +757,10 @@ func (w *gateWriter) Write(p []byte) (int, error) {
 }
 
 // TestFirstPacketReachesSinkWhileShardsRender gates a two-shard
-// single-segment render on its own output: every frame past the first
-// output GOP waits until the sink has a packet. Both shards are longer
-// than a GOP, so this completes only if a worker publishes its first GOP
-// while it, and the last shard, are still rendering.
+// single-segment render on its own output: every frame after the first
+// waits until the sink has a packet. This completes only if a worker hands
+// over its first packet, and delivery writes it, while both shards are
+// still rendering.
 func TestFirstPacketReachesSinkWhileShardsRender(t *testing.T) {
 	gw := &gateWriter{first: make(chan struct{})}
 	gate.Store(gw)
@@ -753,7 +770,7 @@ func TestFirstPacketReachesSinkWhileShardsRender(t *testing.T) {
 			Params: []vql.Type{vql.TypeFrame},
 			Result: vql.TypeFrame,
 			Eval: func(_ vql.Alloc, args []vql.Val) (vql.Val, error) {
-				if id, ok := frame.ReadStamp(args[0].Frame); ok && id < 24 {
+				if id, ok := frame.ReadStamp(args[0].Frame); ok && id == 0 {
 					return args[0], nil
 				}
 				select {
@@ -781,6 +798,100 @@ func TestFirstPacketReachesSinkWhileShardsRender(t *testing.T) {
 	}
 	if m.Segments[0].Shards != 2 || m.FramesRendered != 96 {
 		t.Errorf("shards = %d, rendered = %d; want 2 shards, 96 frames", m.Segments[0].Shards, m.FramesRendered)
+	}
+}
+
+// hogRun counts the frames testexec_hog renders and closes rendering at
+// the first.
+type hogRun struct {
+	frames    atomic.Int64
+	once      sync.Once
+	rendering chan struct{}
+}
+
+var hog atomic.Pointer[hogRun]
+
+// firstPacketWriter records how many frames the hog had rendered when the
+// first packet after arming reached it.
+type firstPacketWriter struct {
+	armed bool
+	at    int64 // -1 until the first packet
+}
+
+func (w *firstPacketWriter) Write(p []byte) (int, error) {
+	if w.armed && w.at < 0 {
+		w.at = hog.Load().frames.Load()
+	}
+	return len(p), nil
+}
+
+// TestFirstPacketWhileAnotherRunRenders starts run B from inside run A's
+// first frame, while A renders a 960-frame segment on the only processor.
+// B's first packet passes through four goroutines — caller, scheduler,
+// worker, delivery loop — and each waits for the processor. A worker
+// yields it after every frame, so A renders at most a few more frames
+// before B's first packet is in its sink (0–1 in 30 runs, with and
+// without -race, on a 2-vCPU 2.1 GHz Xeon). A worker that held the processor until Go preempted it (~10 ms)
+// and handed over a second of frames at once let A render 10–77 more
+// frames first on the same host.
+func TestFirstPacketWhileAnotherRunRenders(t *testing.T) {
+	if _, ok := vql.Lookup("testexec_hog"); !ok {
+		vql.Register(&vql.Transform{
+			Name:   "testexec_hog",
+			Params: []vql.Type{vql.TypeFrame},
+			Result: vql.TypeFrame,
+			Eval: func(_ vql.Alloc, args []vql.Val) (vql.Val, error) {
+				h := hog.Load()
+				h.frames.Add(1)
+				h.once.Do(func() { close(h.rendering) })
+				return args[0], nil
+			},
+		})
+	}
+	pa := buildPlanSrc(t, fmt.Sprintf(`
+		timedomain range(0, 40, 1/24);
+		videos { s: %q; }
+		render(t) = testexec_hog(blur(s[t], 3.0));`, fxSparse), true)
+	pb := buildPlanSrc(t, fmt.Sprintf(`
+		timedomain range(0, 1, 1/24);
+		videos { v: %q; }
+		render(t) = grade(v[t], 5, 1.0, 1.0);`, fxVid), true)
+	h := &hogRun{rendering: make(chan struct{})}
+	hog.Store(h)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	ctxA, stopA := context.WithCancel(context.Background())
+	defer stopA()
+	doneA := make(chan error, 1)
+	go func() {
+		var buf bytes.Buffer
+		w, err := media.NewStreamWriter(&buf, pa.Checked.Output)
+		if err == nil {
+			_, err = ExecuteTo(ctxA, pa, w, Options{Parallelism: 1})
+		}
+		doneA <- err
+	}()
+	// B starts the moment A's first frame readies this goroutine.
+	<-h.rendering
+	dst := &firstPacketWriter{at: -1}
+	w, err := media.NewStreamWriter(dst, pb.Checked.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.armed = true // the stream header is out; the next write is a packet
+	if _, err := ExecuteTo(context.Background(), pb, w, Options{Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	stopA()
+	if err := <-doneA; err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatal(err)
+	}
+	t.Logf("run A rendered %d frames between run B's start and its first packet", dst.at-1)
+	if dst.at >= 960 {
+		t.Fatalf("run A finished before run B's first packet: nothing was measured")
+	}
+	if got, most := dst.at-1, int64(4); got > most {
+		t.Errorf("run A rendered %d frames between run B's start and its first packet, want at most %d", got, most)
 	}
 }
 
@@ -868,12 +979,13 @@ type cancelAtFrame struct {
 
 var canceller atomic.Pointer[cancelAtFrame]
 
-// TestCancelMidShardStopsWithinOnePublishInterval cancels a 240-frame
-// render of one 240-frame output GOP from inside frame 30 of a shard. A
-// worker looks at its context every publish interval — one second, 24
-// frames, here — so each worker renders at most one more interval; polled
-// per output GOP, as before, every shard would have run to its end.
-func TestCancelMidShardStopsWithinOnePublishInterval(t *testing.T) {
+// TestCancelMidShardStopsWithinOneFrame cancels a 240-frame render of one
+// 240-frame output GOP from inside frame 30 of a shard. A worker looks at
+// its context before every frame, so each worker finishes at most the
+// frame it was in; polled per output GOP every shard would have run to its
+// end, and polled per second each worker would have rendered up to 24
+// more.
+func TestCancelMidShardStopsWithinOneFrame(t *testing.T) {
 	if _, ok := vql.Lookup("testexec_cancel"); !ok {
 		vql.Register(&vql.Transform{
 			Name:   "testexec_cancel",
@@ -908,8 +1020,8 @@ func TestCancelMidShardStopsWithinOnePublishInterval(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("Parallelism %d: cancelled run = %v, want context.Canceled", par, err)
 		}
-		// Each worker finishes the interval it was in when the cancel landed.
-		if got, most := c.frames.Load(), c.at+int64(par)*24; got > most {
+		// Each worker finishes the frame it was in when the cancel landed.
+		if got, most := c.frames.Load(), c.at+int64(par); got > most {
 			t.Errorf("Parallelism %d: %d frames rendered after a cancel at frame %d, want at most %d", par, got, c.at, most)
 		}
 	}

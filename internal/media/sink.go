@@ -32,9 +32,12 @@ type Sink interface {
 	// SetRecorder attributes the sink's encode and packet-copy work to a
 	// per-request recorder from here on.
 	SetRecorder(rec *obs.Recorder)
-	// Flush marks a delivery point — the container header, then each
+	// Flush marks a delivery point — the container header, then wherever
+	// the executor has written every packet that is ready, and each
 	// segment's end — and passes it to a stream destination that has a
-	// Flush method. A file sink has nothing to deliver early.
+	// Flush method. A Flush with no packet written since the previous one
+	// is dropped: no offset is flushed twice. A file sink has nothing to
+	// deliver early.
 	Flush()
 	// FirstPacket reports when the first packet was written; zero before.
 	FirstPacket() time.Time
@@ -108,7 +111,8 @@ type Writer struct {
 	info     container.StreamInfo
 	enc      *codec.Encoder
 	pts      int64
-	spliced  bool // a packet was spliced since the last encode
+	flushed  int64 // pts at the last flush; -1 before the first
+	spliced  bool  // a packet was spliced since the last encode
 	rec      *obs.Recorder
 	first    time.Time
 	closed   bool
@@ -173,7 +177,7 @@ func newWriter(info container.StreamInfo, open func(container.StreamInfo) (frame
 		enc.Close()
 		return nil, err
 	}
-	return &Writer{out: out, info: info, enc: enc}, nil
+	return &Writer{out: out, info: info, enc: enc, flushed: -1}, nil
 }
 
 // Info returns the stream description being written.
@@ -189,9 +193,11 @@ func (w *Writer) SetRecorder(rec *obs.Recorder) {
 	w.enc.SetRecorder(rec)
 }
 
-// Flush passes a delivery point to the output (see Sink).
+// Flush passes a delivery point to the output unless nothing was written
+// since the last (see Sink).
 func (w *Writer) Flush() {
-	if !w.closed {
+	if !w.closed && w.flushed != w.pts {
+		w.flushed = w.pts
 		w.out.flush()
 	}
 }

@@ -125,7 +125,7 @@ func planFor(t *testing.T, src string, parallelism int) *plan.Plan {
 // middle instead of up to a GOP early, because the frames that moved onto
 // one worker cost more than the roll-forward they saved (kabr/Q9: 162
 // frames at 5 units against 150 frames + 12 decodes). No shard is shorter
-// than one publish interval — a second of output here — so a 2 s render
+// than MinShardFrames — a second of output here — so a 2 s render
 // has at most two and anything under 2 s stays whole, as at the parent.
 func TestShardCuts(t *testing.T) {
 	tiny := func(body string) func(*testing.T) string {
@@ -196,8 +196,8 @@ func TestShardCuts(t *testing.T) {
 }
 
 // checkCuts asserts what every plan the shard pass leaves must satisfy:
-// cuts strictly increasing inside the segment, no shard shorter than one
-// publish interval, and every cut moving more work (its shard's frames at
+// cuts strictly increasing inside the segment, no shard shorter than
+// MinShardFrames, and every cut moving more work (its shard's frames at
 // FrameCost) than starting there costs (roll-forward, and an extra
 // keyframe off the output cadence).
 func checkCuts(t *testing.T, p *plan.Plan, s *plan.Segment) {
@@ -209,8 +209,8 @@ func checkCuts(t *testing.T, p *plan.Plan, s *plan.Segment) {
 	roll, perFrame := s.RollForward(p), s.FrameCost().Units()
 	for i, lo := range bounds[:len(bounds)-1] {
 		hi := bounds[i+1]
-		if len(bounds) > 2 && hi-lo < p.PublishInterval() {
-			t.Errorf("shard [%d,%d) is shorter than the publish interval %d", lo, hi, p.PublishInterval())
+		if len(bounds) > 2 && hi-lo < p.MinShardFrames() {
+			t.Errorf("shard [%d,%d) is shorter than MinShardFrames %d", lo, hi, p.MinShardFrames())
 		}
 		if i == 0 {
 			continue

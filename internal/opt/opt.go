@@ -247,10 +247,10 @@ var extraKeyframe = plan.Cost{EncodeFrames: 1}.Units()
 
 // shardPass decides where each render segment is cut into shards, by
 // plan.Cost. It tries the widest fan-out first — the parallelism, or as
-// many shards of one publish interval as the segment holds, if fewer — and
+// many shards of MinShardFrames as the segment holds, if fewer — and
 // keeps the first that cutSegment accepts.
 func shardPass(p *plan.Plan, parallelism int) int {
-	shortest := p.PublishInterval()
+	shortest := p.MinShardFrames()
 	gop := max(p.Checked.Output.GOP, 1)
 	sharded := 0
 	for _, s := range p.Segments {

@@ -335,19 +335,19 @@ func (s *Segment) PlainClip() (video string, offset rational.Rat, ok bool) {
 // FrameCount returns the number of output frames the segment renders.
 func (s *Segment) FrameCount() int { return s.Times.Count() }
 
-// PublishInterval is how many output frames a shard worker renders between
-// handing its packets to the delivery loop (and looking for cancellation):
-// one output GOP, or one second of output where the GOP is longer. It is
-// also the shortest shard the optimizer makes — a shorter one could
-// deliver nothing before it finished, and would buy an I-frame for less
-// than a second of output.
-func (p *Plan) PublishInterval() int {
+// MinShardFrames is the shortest shard the optimizer makes, in output
+// frames: one output GOP, or one second of output where the GOP is longer.
+// A shorter shard would buy an I-frame for less than a second of output,
+// and a shorter minimum would cut the 45-frame render arms of the
+// copy-led queries, which measured 7 % fewer frames per second
+// (docs/PERFORMANCE.md "Cost-gated shard cuts").
+func (p *Plan) MinShardFrames() int {
 	out := p.Checked.Output
-	every := max(int(out.FPS.Floor()), 1)
-	if out.GOP > 0 && out.GOP < every {
-		every = out.GOP
+	frames := max(int(out.FPS.Floor()), 1)
+	if out.GOP > 0 && out.GOP < frames {
+		frames = out.GOP
 	}
-	return every
+	return frames
 }
 
 // Bounds returns the segment's shard boundaries in output frames, 0 and

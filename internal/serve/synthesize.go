@@ -126,7 +126,7 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	tenant := requestTenant(r)
 
 	// The request context cancels the synthesis when the client goes away;
-	// shard workers stop within one GOP of work instead of rendering a
+	// shard workers stop within one frame of work instead of rendering a
 	// stream nobody is reading.
 	ctx := r.Context()
 	if s.cfg.SynthTimeout > 0 {
@@ -183,8 +183,9 @@ func (s *Server) synthesize(w http.ResponseWriter, r *http.Request) {
 	defer ticket.Release(root)
 
 	// Every response streams: the executor flushes after the container
-	// header and after each segment, and the FlushingSink pushes those
-	// bytes to the client; a client draining
+	// header, whenever it has written every packet that has landed and
+	// after each segment, and the FlushingSink pushes those bytes to the
+	// client; a client draining
 	// slower than synthesis blocks only this request's delivery goroutine
 	// once the StreamBufferKB queue fills. A ?stream=1 query or an Accept
 	// header naming the stream media type is accepted and changes nothing.

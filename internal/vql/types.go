@@ -60,9 +60,9 @@ func (t Type) String() string {
 // Val is a runtime value produced by evaluating an expression.
 type Val struct {
 	Type  Type
+	Bool  bool // beside Type, so the two share one word
 	Frame *frame.Frame
 	Num   rational.Rat
-	Bool  bool
 	Str   string
 	Boxes []raster.Box
 }

@@ -3,6 +3,7 @@ package vql
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"v2v/internal/frame"
 	"v2v/internal/raster"
@@ -83,6 +84,18 @@ func evalBool(t *testing.T, src string, at rational.Rat) bool {
 		t.Fatalf("Eval(%q) type = %v", src, v.Type)
 	}
 	return v.Bool
+}
+
+// TestValSize pins Val's layout on 64-bit targets: Bool shares Type's
+// word, so a Val is 72 bytes, not 80. Every datum a data array holds is a
+// Val, so each byte here is a byte per annotation entry.
+func TestValSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned on 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Val{}); got != 72 {
+		t.Errorf("unsafe.Sizeof(Val{}) = %d, want 72", got)
+	}
 }
 
 func TestArithmeticFolding(t *testing.T) {
