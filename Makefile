@@ -50,6 +50,7 @@ lint:
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/vql/
+	$(GO) test -run='^$$' -fuzz=FuzzPointOpChain -fuzztime=$(FUZZTIME) ./internal/vql/
 	$(GO) test -run='^$$' -fuzz=FuzzRationalParse -fuzztime=$(FUZZTIME) ./internal/rational/
 	$(GO) test -run='^$$' -fuzz=FuzzNewReader -fuzztime=$(FUZZTIME) ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/codec/

@@ -234,8 +234,9 @@ func Synthesize(spec *vql.Spec, outPath string, o Options) (*Result, error) {
 }
 
 // SynthesizeContext is Synthesize with cooperative cancellation: the
-// executor checks ctx before every segment and at every GOP boundary. A
-// cancelled run returns ctx.Err() and leaves nothing at outPath.
+// executor checks ctx before every segment and before every frame each
+// shard worker renders. A cancelled run returns ctx.Err() and leaves
+// nothing at outPath.
 func SynthesizeContext(ctx context.Context, spec *vql.Spec, outPath string, o Options) (*Result, error) {
 	o = o.resolved()
 	p, rStats, oStats, err := Plan(spec, o)

@@ -225,7 +225,7 @@ func ExecuteTo(ctx context.Context, p *plan.Plan, w media.Sink, o Options) (*Met
 // which must Release it when done (Release is a no-op on unpooled frames,
 // so the discipline is universal). Pooled frames originate in audited
 // paths — source frames from the cursors (every read hands out a reference
-// of its own), transform destinations from alloc, fused kernel outputs,
+// of its own), transform destinations from alloc (one per point-op chain),
 // the output-scaling destination, and the materialize decoder. A source
 // frame an expression taps directly, not through a leaf node, and every
 // destination alloc hands a transform are owned by the runner (taps) until
@@ -317,20 +317,14 @@ func (r *segmentRunner) renderAt(t rational.Rat) (fr *frame.Frame, err error) {
 }
 
 // nodeRunner carries per-node execution state: the intermediate codec pair
-// for materialized boundaries, the rendered child frames, the reusable
-// evaluation environment, and a fused node's per-frame kernel scratch.
+// for materialized boundaries, the rendered child frames and the reusable
+// evaluation environment.
 type nodeRunner struct {
 	run      *segmentRunner
 	node     *plan.Node
 	children []*nodeRunner
 	frames   []*frame.Frame // children's frames for the current time
 	env      vql.Env        // reused across frames; only T changes per frame
-
-	// Fused-kernel state: each stage's transform, the evaluated arguments
-	// of the stage being prepared, and the kernels of the current frame.
-	stages []*vql.Transform
-	args   []vql.Val
-	ops    []raster.PointOp
 
 	enc        *codec.Encoder
 	dec        *codec.Decoder
@@ -359,14 +353,6 @@ func (r *segmentRunner) buildRunner(n *plan.Node) *nodeRunner {
 			return vql.Val{}, false, nil
 		},
 	}
-	arity := 0
-	for _, st := range n.Fused {
-		tr, _ := vql.Lookup(st.Op) // the optimizer fuses only transforms with a PointOp
-		nr.stages = append(nr.stages, tr)
-		arity = max(arity, len(st.Args))
-	}
-	nr.args = make([]vql.Val, arity)
-	nr.ops = make([]raster.PointOp, len(n.Fused))
 	return nr
 }
 
@@ -429,12 +415,6 @@ func (nr *nodeRunner) renderAt(t rational.Rat) (*frame.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-	case nr.node.Fused != nil:
-		var err error
-		fr, err = nr.renderFused(t)
-		if err != nil {
-			return nil, err
-		}
 	default:
 		if err := nr.renderChildren(t); err != nil {
 			return nil, err
@@ -463,44 +443,6 @@ func (nr *nodeRunner) renderAt(t rational.Rat) (*frame.Frame, error) {
 		return fr, nil
 	}
 	return nr.materialize(fr)
-}
-
-// renderFused executes a fused kernel node: children render once, each
-// stage's arguments evaluate with vql.Eval (the chain input is the base
-// frame, whose shape every stage keeps) and its transform's PointOp builds
-// the kernel, and raster.ApplyFused makes a single pass over the planes
-// into a pooled destination — one traversal for the whole chain,
-// byte-identical to evaluating the ops one by one.
-//
-//v2v:hotpath
-func (nr *nodeRunner) renderFused(t rational.Rat) (*frame.Frame, error) {
-	if err := nr.renderChildren(t); err != nil {
-		return nil, err
-	}
-	base := nr.frames[0]
-	fltStart := time.Now()
-	nr.env.T = t
-	for i, st := range nr.node.Fused {
-		args := nr.args[:len(st.Args)]
-		args[0] = vql.FrameVal(base)
-		var err error
-		for j := 1; j < len(args) && err == nil; j++ {
-			args[j], err = vql.Eval(st.Args[j], &nr.env)
-		}
-		if err == nil {
-			nr.ops[i], err = nr.stages[i].PointOp(args)
-		}
-		if err != nil {
-			nr.releaseInputs(nil)
-			return nil, fmt.Errorf("exec: fused %s at t=%s: %w", st.Op, t, err) //v2v:nolint(hotpath) cold error path; allocates only when a stage rejects its arguments
-		}
-	}
-	dst := nr.run.pool.Get(base.W, base.H, base.Format)
-	raster.ApplyFused(dst, base, nr.ops)
-	// dst comes from the pool, so it never aliases an input frame.
-	nr.releaseInputs(nil)
-	nr.run.rec.StageObserve(obs.StageFilter, 1, int64(len(dst.Pix)), time.Since(fltStart))
-	return dst, nil
 }
 
 // materialize round-trips the frame through the node's intermediate codec

@@ -1,9 +1,9 @@
 package exec
 
-// Tests for the zero-allocation render loop: fused kernel execution must be
-// pixel-identical to plain per-op evaluation, and the warm steady-state
-// render path must not allocate per frame (the frame pool recycles every
-// intermediate).
+// Tests for the zero-allocation render loop: a point-op chain evaluated in
+// one pass must be pixel-identical to plain per-op evaluation, and the
+// warm steady-state render path must not allocate per frame (the frame
+// pool recycles every intermediate).
 
 import (
 	"context"
@@ -14,7 +14,6 @@ import (
 	"v2v/internal/container"
 	"v2v/internal/media"
 	"v2v/internal/obs"
-	"v2v/internal/opt"
 	"v2v/internal/plan"
 	"v2v/internal/raster"
 )
@@ -35,64 +34,52 @@ func openSources(t *testing.T, p *plan.Plan) map[string]*container.Reader {
 	return srcs
 }
 
-// fusedChainBody is a 3-op fusable point-op chain over one source.
-const fusedChainBody = `render(t) = grade(grade(grade(v[t], 10, 11/10, 1), -5, 9/10, 12/10), 3, 1, 13/10);`
+// fusedChainBody is a 3-op point-op chain over one source; fusedMixedBody
+// chains three kinds of point op, two with secondary frames.
+const (
+	fusedChainBody = `render(t) = grade(grade(grade(v[t], 10, 11/10, 1), -5, 9/10, 12/10), 3, 1, 13/10);`
+	fusedMixedBody = `render(t) = crossfade(wipe(grade(v[t], 5, 1, 1), v[t + 1], 1/2), v[t + 1/2], 1/3);`
+)
 
-func hasFusedNode(p *plan.Plan) bool {
-	for _, s := range p.Segments {
-		if s.Kind != plan.SegFrames || s.Root == nil {
-			continue
-		}
-		found := false
-		s.Root.Walk(func(n *plan.Node) {
-			if n.Fused != nil {
-				found = true
-			}
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-// TestFusedSegmentRunnerMatchesPlain renders the same chain through a fused
-// plan and a merged-but-unfused plan and requires byte-identical frames.
+// TestFusedSegmentRunnerMatchesPlain renders point-op chains through the
+// optimized plan, one node whose merged expression the evaluator runs in
+// one pass, and the unoptimized plan, where each op and clip is its own
+// node, and requires byte-identical frames.
 func TestFusedSegmentRunnerMatchesPlain(t *testing.T) {
-	fusedPlan := buildPlan(t, fusedChainBody, true)
-	if !hasFusedNode(fusedPlan) {
-		t.Fatal("optimizer did not fuse the point-op chain")
-	}
-	plainOpts := optOptions()
-	plainOpts.FuseKernels = false
-	plainPlan := buildPlan(t, fusedChainBody, false)
-	if _, err := opt.Optimize(plainPlan, plainOpts); err != nil {
-		t.Fatal(err)
-	}
-	if hasFusedNode(plainPlan) {
-		t.Fatal("FuseKernels=false plan contains a fused node")
-	}
+	for _, tc := range []struct {
+		body  string
+		nodes int // of the unoptimized plan
+	}{{fusedChainBody, 4}, {fusedMixedBody, 6}} {
+		fusedPlan := buildPlan(t, tc.body, true)
+		if n := fusedPlan.Segments[0].Root.CountOps(); n != 1 {
+			t.Fatalf("%s: optimized plan has %d nodes, want the chain merged into 1", tc.body, n)
+		}
+		plainPlan := buildPlan(t, tc.body, false)
+		if n := plainPlan.Segments[0].Root.CountOps(); n != tc.nodes {
+			t.Fatalf("%s: unoptimized plan has %d nodes, want %d", tc.body, n, tc.nodes)
+		}
 
-	fs, ps := fusedPlan.Segments[0], plainPlan.Segments[0]
-	fr := newSegmentRunner(context.Background(), fusedPlan, fs, openSources(t, fusedPlan), false, nil, nil)
-	pr := newSegmentRunner(context.Background(), plainPlan, ps, openSources(t, plainPlan), false, nil, nil)
-	defer fr.close()
-	defer pr.close()
-	for i := 0; i < fs.FrameCount(); i++ {
-		tm := fs.Times.At(i)
-		ff, err := fr.renderAt(tm)
-		if err != nil {
-			t.Fatalf("fused render t=%s: %v", tm, err)
+		fs, ps := fusedPlan.Segments[0], plainPlan.Segments[0]
+		fr := newSegmentRunner(context.Background(), fusedPlan, fs, openSources(t, fusedPlan), false, nil, nil)
+		pr := newSegmentRunner(context.Background(), plainPlan, ps, openSources(t, plainPlan), false, nil, nil)
+		for i := 0; i < fs.FrameCount(); i++ {
+			tm := fs.Times.At(i)
+			ff, err := fr.renderAt(tm)
+			if err != nil {
+				t.Fatalf("fused render t=%s: %v", tm, err)
+			}
+			pf, err := pr.renderAt(tm)
+			if err != nil {
+				t.Fatalf("plain render t=%s: %v", tm, err)
+			}
+			if !ff.Equal(pf) {
+				t.Fatalf("%s: frame %d: fused output differs from plain output", tc.body, i)
+			}
+			ff.Release()
+			pf.Release()
 		}
-		pf, err := pr.renderAt(tm)
-		if err != nil {
-			t.Fatalf("plain render t=%s: %v", tm, err)
-		}
-		if !ff.Equal(pf) {
-			t.Fatalf("frame %d: fused output differs from plain output", i)
-		}
-		ff.Release()
-		pf.Release()
+		fr.close()
+		pr.close()
 	}
 }
 
@@ -136,13 +123,14 @@ func warmLoopAllocs(t *testing.T, p *plan.Plan) float64 {
 }
 
 // TestRenderWarmLoopAllocs drives the render loop of every built-in frame
-// transform, unfused and in fused chains, with a warm GOP cache and
+// transform, alone and in point-op chains, with a warm GOP cache and
 // requires a (near-)allocation-free steady state: source frames come from
 // the cache, every destination and intermediate from the frame pool, call
 // arguments from the environment's reused stack, and kernels (grade LUTs,
-// the blur's Gaussian) are built on the stack. Measured 0 allocs/frame;
-// < 1 tolerates sync.Pool entries dropped by a mid-run GC. boxes and label
-// are reported, not gated: formatting label text allocates.
+// the blur's Gaussian) are built on the stack or in the environment's
+// reused kernel scratch. Measured 0 allocs/frame; < 1 tolerates sync.Pool
+// entries dropped by a mid-run GC. boxes and label are reported, not
+// gated: formatting label text allocates.
 func TestRenderWarmLoopAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name, expr string
@@ -169,7 +157,7 @@ func TestRenderWarmLoopAllocs(t *testing.T) {
 		{"ifthenelse", `ifthenelse(t < 1, v[t], v[t + 1])`, true},
 		{"merged", `grid(blur(v[t], 1), zoom(v[t + 1], 2), grade(v[t], 5, 1, 1), v[t])`, true},
 		{"fused", fusedChainBody, true},
-		{"fused-mixed", `crossfade(wipe(grade(v[t], 5, 1, 1), v[t + 1], 1/2), v[t + 1/2], 1/3)`, true},
+		{"fused-mixed", fusedMixedBody, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body := tc.expr
@@ -177,9 +165,6 @@ func TestRenderWarmLoopAllocs(t *testing.T) {
 				body = "render(t) = " + body + ";"
 			}
 			p := buildPlanData(t, body)
-			if fused := hasFusedNode(p); fused != strings.HasPrefix(tc.name, "fused") {
-				t.Fatalf("plan has a fused node: %v", fused)
-			}
 			allocs := warmLoopAllocs(t, p)
 			t.Logf("%.2f allocs/frame", allocs)
 			if tc.gated && allocs >= 1 && !raceEnabled {

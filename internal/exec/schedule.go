@@ -117,8 +117,9 @@ type shard struct {
 	rec *obs.Recorder
 
 	// Results, written before out closes and rendered is released. pkts
-	// keeps every packet for a result-cache fill; they are retained until
-	// delivery (and possibly aliased into the cache), so never Recycled.
+	// keeps every packet for a result-cache fill, so only on a cacheable
+	// unit (key != ""); they are retained until delivery (and possibly
+	// aliased into the cache), so never Recycled.
 	pkts []codec.Packet
 	err  error
 }
@@ -348,7 +349,10 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 	}
 	defer enc.Close()
 	enc.SetRecorder(sh.rec)
-	sh.pkts = make([]codec.Packet, 0, sh.hi-sh.lo)
+	fill := u.key != "" // resolve's miss reads the packets for the cache
+	if fill {
+		sh.pkts = make([]codec.Packet, 0, sh.hi-sh.lo)
+	}
 	for i := sh.lo; i < sh.hi; i++ {
 		if sh.err = ctx.Err(); sh.err != nil {
 			return
@@ -370,7 +374,9 @@ func (x *run) render(ctx context.Context, u *unit, sh *shard) {
 			sh.err = err
 			return
 		}
-		sh.pkts = append(sh.pkts, pkt)
+		if fill {
+			sh.pkts = append(sh.pkts, pkt)
+		}
 		sh.out <- pkt // out is buffered for one send per frame of the shard; never blocks
 		// Hand the processor to whatever else is runnable — the delivery
 		// loop, another request's first frame — rather than hold it until

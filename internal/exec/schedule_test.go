@@ -1058,3 +1058,64 @@ func TestSingleShardSegmentsDecodeOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveredShardKeepsPacketsOnlyForCacheFill renders and delivers a
+// sharded render unit and checks what its shards hold afterwards: with the
+// result cache off no packet (each went to the sink, and holding it would
+// pin the whole encoded output until the run returns), with it on every
+// packet, for resolve's fill.
+func TestDeliveredShardKeepsPacketsOnlyForCacheFill(t *testing.T) {
+	p := buildPlan(t, `render(t) = blur(v[t], 1);`, false)
+	p.Segments[0].Cuts = []int{24}
+	for _, tc := range []struct {
+		name  string
+		cache *media.Cache
+		keep  bool
+	}{
+		{"cache-off", nil, false},
+		{"cache-on", media.NewCache(-1, 64<<20, 1), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			w, err := media.NewStreamWriter(&out, p.Checked.Output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := &run{p: p, o: Options{Parallelism: 1, Cache: tc.cache}, m: &Metrics{}, rec: obs.NewRecorder(), w: w}
+			x.srcs = newSources(p.Checked)
+			defer x.srcs.close()
+			x.sem = make(chan struct{}, 1)
+			x.abort = make(chan struct{})
+			u := x.buildUnits()[0]
+			if (u.key != "") != tc.keep {
+				t.Fatalf("unit key %q with cache %v", u.key, tc.cache)
+			}
+			if u.key != "" {
+				close(u.decided) // a miss: deliver drains the shards
+			}
+			for _, sh := range u.shards {
+				x.sem <- struct{}{} // the token render frees
+				x.render(context.Background(), u, sh)
+			}
+			x.deliver(u)
+			if x.err != nil {
+				t.Fatal(x.err)
+			}
+			if len(u.shards) != 2 {
+				t.Fatalf("%d shards, want 2", len(u.shards))
+			}
+			for _, sh := range u.shards {
+				want := 0
+				if tc.keep {
+					want = sh.hi - sh.lo
+				}
+				if len(sh.pkts) != want {
+					t.Errorf("shard [%d,%d) holds %d packets after delivery, want %d", sh.lo, sh.hi, len(sh.pkts), want)
+				}
+			}
+			if n := x.rec.Work().FramesEncoded; n != 48 {
+				t.Errorf("encoded %d frames, want 48", n)
+			}
+		})
+	}
+}

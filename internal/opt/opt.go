@@ -23,11 +23,6 @@ type Options struct {
 	// MergeFilters collapses each segment's layered operator tree into a
 	// single filter, removing intermediate encode/decode pairs.
 	MergeFilters bool
-	// FuseKernels collapses chains of fusable per-pixel point ops (grade,
-	// crossfade, wipe, overlay) into single fused kernel nodes executed in
-	// one pass over the planes. Requires MergeFilters (fusion operates on
-	// the merged expressions).
-	FuseKernels bool
 	// StreamCopy converts keyframe-aligned plain clips into packet copies
 	// (passthrough plans only).
 	StreamCopy bool
@@ -50,7 +45,6 @@ func Default() Options {
 	return Options{
 		MergeSegments: true,
 		MergeFilters:  true,
-		FuseKernels:   true,
 		StreamCopy:    true,
 		SmartCut:      true,
 		Shard:         true,
@@ -61,7 +55,6 @@ func Default() Options {
 type Stats struct {
 	SegmentsMerged int
 	FiltersMerged  int // operator boundaries (materializations) removed
-	KernelsFused   int // point ops folded into fused kernel nodes
 	Copies         int
 	SmartCuts      int
 	ShardedSegs    int
@@ -85,9 +78,6 @@ func Optimize(p *plan.Plan, o Options) (Stats, error) {
 	if o.MergeFilters {
 		st.FiltersMerged = count("opt.merge_filters", "boundaries_removed", mergeFilters)
 	}
-	if o.FuseKernels && o.MergeFilters {
-		st.KernelsFused = count("opt.fuse_kernels", "ops_fused", fusePass)
-	}
 	if (o.StreamCopy || o.SmartCut) && p.Checked.Passthrough {
 		node := passes.Child("opt.copy")
 		n, err := copyPass(p, o)
@@ -109,8 +99,8 @@ func Optimize(p *plan.Plan, o Options) (Stats, error) {
 	// admission weights and EXPLAIN reflect the plan that executes.
 	plan.EstimateCosts(p)
 	p.Notes = append(p.Notes, fmt.Sprintf(
-		"opt: merged %d segments, removed %d op boundaries, fused %d point ops, %d copies, %d smart cuts, %d sharded",
-		st.SegmentsMerged, st.FiltersMerged, st.KernelsFused, st.Copies, st.SmartCuts, st.ShardedSegs))
+		"opt: merged %d segments, removed %d op boundaries, %d copies, %d smart cuts, %d sharded",
+		st.SegmentsMerged, st.FiltersMerged, st.Copies, st.SmartCuts, st.ShardedSegs))
 	return st, nil
 }
 

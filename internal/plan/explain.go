@@ -104,36 +104,10 @@ func writeNode(sb *strings.Builder, n *Node, prefix string, last bool) {
 		fmt.Fprintf(sb, "%s%sclip %s[%s]%s\n", prefix, branch, n.Clip.Video, n.Clip.Index, mat)
 		return
 	}
-	if n.Fused != nil {
-		fmt.Fprintf(sb, "%s%sfused %s%s\n", prefix, branch, fusedLabel(n.Fused), mat)
-	} else {
-		fmt.Fprintf(sb, "%s%sfilter %s%s\n", prefix, branch, n.Expr, mat)
-	}
+	fmt.Fprintf(sb, "%s%sfilter %s%s\n", prefix, branch, n.Expr, mat)
 	for i, in := range n.Inputs {
 		writeNode(sb, in, prefix+cont, i == len(n.Inputs)-1)
 	}
-}
-
-// fusedLabel renders a fused kernel node's stages in application order,
-// e.g. "crossfade($-1, $1, 0.5) -> grade($-1, 10, 1.2, 1)". $-1 marks the
-// chain input (the previous stage's output).
-func fusedLabel(stages []FusedStage) string {
-	var sb strings.Builder
-	for i, st := range stages {
-		if i > 0 {
-			sb.WriteString(" -> ")
-		}
-		sb.WriteString(st.Op)
-		sb.WriteString("(")
-		for j, a := range st.Args {
-			if j > 0 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(&sb, "%s", a)
-		}
-		sb.WriteString(")")
-	}
-	return sb.String()
 }
 
 // DOT renders the plan as a Graphviz digraph, mirroring the paper's plan
@@ -154,8 +128,6 @@ func (p *Plan) DOT() string {
 		switch {
 		case n.IsLeaf():
 			fmt.Fprintf(&sb, "  %s [label=\"clip %s[%s]\"];\n", me, n.Clip.Video, escape(n.Clip.Index.String()))
-		case n.Fused != nil:
-			fmt.Fprintf(&sb, "  %s [label=\"fused %s\"];\n", me, escape(fusedLabel(n.Fused)))
 		default:
 			fmt.Fprintf(&sb, "  %s [label=\"filter %s\"];\n", me, escape(n.Expr.String()))
 		}

@@ -127,34 +127,6 @@ func (f *Fingerprinter) writeNode(h hash.Hash, n *Node) bool {
 		io.WriteString(h, ")")
 		return true
 	}
-	if n.Fused != nil {
-		// Fused kernel nodes serialize each stage as a call; the chain
-		// marker PortRef{ChainPort} prints as "$-1", which cannot collide
-		// with a real port. Inputs follow as usual, so a fused chain and
-		// the equivalent merged expression hash differently — they are
-		// different physical plans with identical pixels.
-		fmt.Fprintf(h, "fused(mat=%t", n.Materialize)
-		for _, st := range n.Fused {
-			fmt.Fprintf(h, ",%s(", st.Op)
-			for i, a := range st.Args {
-				if i > 0 {
-					io.WriteString(h, ",")
-				}
-				if !f.writeExpr(h, a) {
-					return false
-				}
-			}
-			io.WriteString(h, ")")
-		}
-		for _, in := range n.Inputs {
-			io.WriteString(h, ";")
-			if !f.writeNode(h, in) {
-				return false
-			}
-		}
-		io.WriteString(h, ")")
-		return true
-	}
 	if n.Expr == nil {
 		return false
 	}

@@ -67,32 +67,12 @@ type Clip struct {
 	Index vql.Expr
 }
 
-// FusedStage is one point operation inside a fused kernel node, in
-// application order. Op names the VQL transform (grade, crossfade, wipe,
-// overlay); Args is the transform's full argument list with frame
-// arguments replaced by PortRefs: the chain input (the result of the
-// previous stage, or the node's Inputs[0] for the first stage) is
-// PortRef{Port: ChainPort}, and secondary frames (a crossfade's second
-// clip, an overlay image) are PortRefs into the node's Inputs.
-type FusedStage struct {
-	Op   string
-	Args []vql.Expr
-}
-
-// ChainPort is the PortRef port number that marks a fused stage's chain
-// input — the previous stage's output (or the node's Inputs[0] for the
-// first stage). Real input ports are always >= 0.
-const ChainPort = -1
-
-// Node is one operator in a frame segment's tree. Exactly one of Clip,
-// Expr, or Fused is set: leaves clip a source video; interior nodes
-// evaluate Expr, whose PortRef leaves draw frames from Inputs; fused
-// nodes apply the Fused point-op stages in one pass over Inputs[0]
-// (secondary frames at ports >= 1).
+// Node is one operator in a frame segment's tree. Exactly one of Clip or
+// Expr is set: leaves clip a source video; interior nodes evaluate Expr,
+// whose PortRef leaves draw frames from Inputs.
 type Node struct {
 	Clip   *Clip
 	Expr   vql.Expr
-	Fused  []FusedStage
 	Inputs []*Node
 	// Materialize marks an unoptimized operator boundary: this node's
 	// output frames pass through an intermediate encode/decode pair, as
@@ -273,28 +253,6 @@ func (n *Node) MergedExpr() vql.Expr {
 	if n.IsLeaf() {
 		return vql.VideoRef{Name: n.Clip.Video, Index: n.Clip.Index}
 	}
-	if n.Fused != nil {
-		// Rebuild the original nested calls: fold each stage over the
-		// chain, substituting ChainPort with the accumulated expression
-		// and real ports with their input subtrees.
-		cur := n.Inputs[0].MergedExpr()
-		for _, st := range n.Fused {
-			args := make([]vql.Expr, len(st.Args))
-			for i, a := range st.Args {
-				if p, ok := a.(PortRef); ok {
-					if p.Port == ChainPort {
-						args[i] = cur
-					} else {
-						args[i] = n.Inputs[p.Port].MergedExpr()
-					}
-					continue
-				}
-				args[i] = substitutePorts(a, n.Inputs)
-			}
-			cur = vql.Call{Name: st.Op, Args: args}
-		}
-		return cur
-	}
 	return substitutePorts(n.Expr, n.Inputs)
 }
 
@@ -377,7 +335,7 @@ type Tap struct {
 }
 
 // Taps lists the source taps of the segment's operator tree: clip leaves
-// plus the video references inside merged and fused filter expressions.
+// plus the video references inside merged filter expressions.
 func (s *Segment) Taps() []Tap {
 	if s.Kind != SegFrames || s.Root == nil {
 		return nil
@@ -409,12 +367,6 @@ func (s *Segment) Taps() []Tap {
 		switch {
 		case n.IsLeaf():
 			add(n.Clip.Video, n.Clip.Index)
-		case n.Fused != nil:
-			for _, st := range n.Fused {
-				for _, a := range st.Args {
-					walkExpr(a)
-				}
-			}
 		case n.Expr != nil:
 			walkExpr(n.Expr)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"v2v/internal/frame"
+	"v2v/internal/raster"
 	"v2v/internal/rational"
 )
 
@@ -56,7 +57,8 @@ type Env struct {
 	// reports an unknown-node error.
 	Ext func(Expr, *Env) (Val, bool, error)
 
-	stack []Val // arguments of the calls being evaluated, reused across calls
+	stack []Val            // arguments of the calls being evaluated, reused across calls
+	ops   []raster.PointOp // kernels of the point-op chains being evaluated, reused likewise
 }
 
 // Eval computes the value of e in env. It is the reference semantics of
@@ -134,6 +136,11 @@ func Eval(e Expr, env *Env) (Val, error) {
 		if err := tr.CheckArity(len(n.Args)); err != nil {
 			return Val{}, err
 		}
+		if tr.PointOp != nil {
+			if _, _, ok := pointOpCall(n.Args[0]); ok {
+				return evalChain(n, tr, env)
+			}
+		}
 		base := len(env.stack)
 		for _, a := range n.Args {
 			v, err := Eval(a, env)
@@ -160,6 +167,69 @@ func Eval(e Expr, env *Env) (Val, error) {
 		}
 		return Val{}, fmt.Errorf("vql: cannot evaluate %T", e)
 	}
+}
+
+// pointOpCall reports whether e calls a point op, returning the call and its transform.
+func pointOpCall(e Expr) (c Call, tr *Transform, ok bool) {
+	if c, ok = e.(Call); ok {
+		tr, ok = Lookup(c.Name)
+	}
+	return c, tr, ok && tr.PointOp != nil
+}
+
+// evalChain evaluates a chain of point ops — a point-op call whose
+// argument 0 is another — in one pass: pushStage builds every kernel, then
+// one raster.ApplyFused writes one destination. Every stage keeps the base
+// frame's shape, so the bytes are those of evaluating the calls one by one.
+//
+//v2v:hotpath
+func evalChain(c Call, tr *Transform, env *Env) (Val, error) {
+	ops := len(env.ops)
+	base, err := pushStage(c, tr, env)
+	if err == nil {
+		out := env.Alloc.New(base.Frame.W, base.Frame.H)
+		raster.ApplyFused(out, base.Frame, env.ops[ops:])
+		base = FrameVal(out)
+	}
+	env.ops = env.ops[:ops]
+	return base, err
+}
+
+// pushStage evaluates c's arguments in order, argument 0 by pushStage if
+// it calls a point op, and appends c's kernel to env.ops, innermost first.
+// It returns the chain's base frame, which builds every kernel as args[0].
+//
+//v2v:hotpath
+func pushStage(c Call, tr *Transform, env *Env) (Val, error) {
+	if err := tr.CheckArity(len(c.Args)); err != nil {
+		return Val{}, err
+	}
+	sb := len(env.stack)
+	for i, a := range c.Args {
+		var v Val
+		var err error
+		if inner, itr, ok := pointOpCall(a); ok && i == 0 {
+			v, err = pushStage(inner, itr, env)
+		} else {
+			v, err = Eval(a, env)
+		}
+		if err != nil {
+			env.stack = env.stack[:sb]
+			return Val{}, err
+		}
+		env.stack = append(env.stack, v)
+	}
+	args := env.stack[sb:]
+	env.stack = env.stack[:sb] // args stays intact: nothing is pushed before return
+	if _, err := argFrame(args, 0); err != nil {
+		return Val{}, err
+	}
+	op, err := tr.PointOp(args)
+	if err != nil {
+		return Val{}, err
+	}
+	env.ops = append(env.ops, op)
+	return args[0], nil
 }
 
 func evalBinOp(n BinOp, env *Env) (Val, error) {

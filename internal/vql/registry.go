@@ -16,9 +16,9 @@ import (
 // valid only for the duration of the call.
 //
 // PointOp, set on per-pixel point operations, checks the arguments and
-// returns the operation's kernel; args[0] is the frame it applies to. Eval
-// of a point op is raster.ApplyFused over a chain of one, and the
-// optimizer fuses chains of point ops into one pass.
+// returns the operation's kernel; args[0] is shaped like the frame it
+// applies to (in a chain, it is the base frame). Eval of a point op is
+// raster.ApplyFused over a chain of one; vql.Eval runs a chain in one pass.
 //
 // DDE, when non-nil, is the paper's data-dependent equivalence function
 // f_dde (§IV-C): it receives the call's argument expressions plus the

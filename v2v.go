@@ -146,8 +146,8 @@ func Synthesize(spec *Spec, outPath string, o Options) (*Result, error) {
 }
 
 // SynthesizeContext is Synthesize with cooperative cancellation: the
-// executor checks ctx before every segment and at every GOP boundary
-// inside render loops. A cancelled or timed-out run stops promptly,
+// executor checks ctx before every segment and before every frame inside
+// render loops. A cancelled or timed-out run stops promptly,
 // returns ctx.Err(), and leaves nothing at outPath — output files are
 // written to a temp path and only renamed into place on success.
 func SynthesizeContext(ctx context.Context, spec *Spec, outPath string, o Options) (*Result, error) {
@@ -203,8 +203,8 @@ func ExplainDOT(spec *Spec, o Options) (string, error) {
 
 // SynthesizeStream runs the pipeline and streams the result progressively
 // to w in the VMS stream format (read it back with a media stream reader
-// or cmd/v2vserve's fetch mode). Packets are delivered as segments
-// complete; Result.Metrics.FirstOutput records the latency to the first
+// or cmd/v2vserve's fetch mode). Packets are delivered as their frames
+// are encoded; Result.Metrics.FirstOutput records the latency to the first
 // packet — the interactivity the paper targets.
 func SynthesizeStream(spec *Spec, w io.Writer, o Options) (*Result, error) {
 	return core.SynthesizeStream(spec, w, o)
@@ -212,7 +212,7 @@ func SynthesizeStream(spec *Spec, w io.Writer, o Options) (*Result, error) {
 
 // SynthesizeStreamContext is SynthesizeStream with cooperative
 // cancellation — the entry point for request-scoped synthesis (a canceled
-// request context stops the shard workers within one GOP of work). A
+// request context stops the shard workers within one frame of work). A
 // cancelled stream ends with the typed error trailer: consumers read
 // media.ErrStreamFailed, not a spuriously clean end.
 func SynthesizeStreamContext(ctx context.Context, spec *Spec, w io.Writer, o Options) (*Result, error) {
