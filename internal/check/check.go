@@ -10,8 +10,12 @@
 package check
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 
 	"v2v/internal/container"
 	"v2v/internal/data"
@@ -30,6 +34,11 @@ type Options struct {
 	// DB provides tables for sql-declared data arrays. Required only when
 	// the spec has a sql section.
 	DB *sqlmini.DB
+	// Cache, when non-nil, holds parsed data files across checks, keyed
+	// by the SHA-256 of each file's bytes: a file another check read is
+	// not parsed again, and one rewritten in place is parsed anew. Nil
+	// parses every file on every check.
+	Cache *media.Cache
 }
 
 // Source is one input video as the planner sees it: its path and the
@@ -100,7 +109,7 @@ func Check(spec *vql.Spec, opts Options) (*Checked, error) {
 
 	// Load data arrays: files first, then SQL materializations.
 	for name, path := range spec.DataFiles {
-		arr, err := data.LoadJSON(path)
+		arr, err := loadFile(path, opts.Cache)
 		if err != nil {
 			return nil, fmt.Errorf("check: data array %q: %w", name, err)
 		}
@@ -140,6 +149,23 @@ func Check(spec *vql.Spec, opts Options) (*Checked, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// loadFile reads the data array of an annotation file, parsing it only
+// when cache holds no array of the file's content.
+func loadFile(path string, cache *media.Cache) (*data.Array, error) {
+	if cache == nil {
+		return data.LoadJSON(path)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("data: %w", err)
+	}
+	sum := sha256.Sum256(raw)
+	arr, _, err := cache.Data(context.TODO(), hex.EncodeToString(sum[:]), func() (*data.Array, error) {
+		return data.ParseJSON(raw)
+	})
+	return arr, err
 }
 
 // OpenSource opens the named source's file, for one run to read through:

@@ -5,10 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"v2v/internal/container"
+	"v2v/internal/data"
 	"v2v/internal/dataset"
+	"v2v/internal/media"
 	"v2v/internal/rational"
 	"v2v/internal/sqlmini"
 	"v2v/internal/vql"
@@ -163,6 +166,102 @@ func TestCheckDataDependency(t *testing.T) {
 	s2 := parseSpec(t, f, `render(t) = boxes(v[t], bb[t + 100]);`)
 	if _, err := Check(s2, Options{}); err == nil {
 		t.Fatal("missing data samples should fail")
+	}
+}
+
+// specWithData parses a spec over the fixture's video that reads the
+// annotation file ann.
+func specWithData(t *testing.T, f *fixture, ann string) *vql.Spec {
+	t.Helper()
+	s, err := vql.Parse(fmt.Sprintf(`
+		timedomain range(0, 1, 1/24);
+		videos { v: %q; }
+		data { bb: %q; }
+		render(t) = boxes(v[t], bb[t]);`, f.vid, ann))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// Two checks of one annotation file through one cache parse it once and
+// share the parsed array, identity included.
+func TestCheckDataFileParsedOncePerContent(t *testing.T) {
+	f := getFixture(t)
+	cache := media.NewCache(-1, 0, 1)
+	var arrs []*data.Array
+	for range 2 {
+		c, err := Check(specWithData(t, f, f.ann), Options{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrs = append(arrs, c.Arrays["bb"])
+	}
+	if st := cache.Stats(media.KindData); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 || st.Bytes != arrs[0].Bytes() {
+		t.Errorf("data stats = %+v, want one miss, one hit and the array resident", st)
+	}
+	if arrs[0].ID() != arrs[1].ID() {
+		t.Errorf("IDs differ: %s and %s", arrs[0].ID(), arrs[1].ID())
+	}
+	uncached, err := Check(specWithData(t, f, f.ann), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := uncached.Arrays["bb"]; got == arrs[0] || got.ID() != arrs[0].ID() {
+		t.Error("an uncached check should parse an array of its own, equal to the cached one")
+	}
+}
+
+// A malformed file caches nothing: every check parses it again and fails
+// with the same error.
+func TestCheckMalformedDataFileNotCached(t *testing.T) {
+	f := getFixture(t)
+	ann := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(ann, []byte(`[{"t":[0,1],"value":[{"x":"wide"}]}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache := media.NewCache(-1, 0, 1)
+	_, want := Check(specWithData(t, f, ann), Options{})
+	if want == nil {
+		t.Fatal("malformed annotations checked")
+	}
+	for i := range 3 {
+		if _, err := Check(specWithData(t, f, ann), Options{Cache: cache}); err == nil || err.Error() != want.Error() {
+			t.Errorf("check %d: err = %v, want %v", i, err, want)
+		}
+	}
+	if st := cache.Stats(media.KindData); st.Misses != 3 || st.Hits != 0 || st.Entries != 0 {
+		t.Errorf("data stats = %+v, want three parses and nothing cached", st)
+	}
+}
+
+// Concurrent checks of a file no check has read share one parse.
+func TestCheckConcurrentDataFileParsedOnce(t *testing.T) {
+	const checks = 8
+	f := getFixture(t)
+	cache := media.NewCache(-1, 0, 1)
+	arrs := make([]*data.Array, checks)
+	var wg sync.WaitGroup
+	for i := range checks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Check(specWithData(t, f, f.ann), Options{Cache: cache})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			arrs[i] = c.Arrays["bb"]
+		}()
+	}
+	wg.Wait()
+	if st := cache.Stats(media.KindData); st.Misses != 1 || st.Hits != checks-1 {
+		t.Errorf("data stats = %+v, want one parse shared by %d checks", st, checks)
+	}
+	for i, arr := range arrs {
+		if arr != arrs[0] {
+			t.Errorf("check %d got an array of its own", i)
+		}
 	}
 }
 

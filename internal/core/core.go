@@ -46,11 +46,12 @@ type Options struct {
 	// corrupt or undecodable source packets are replaced by holding the
 	// last good frame instead of failing the synthesis. See exec.Options.
 	Conceal bool
-	// Cache, when non-nil, holds decoded source GOPs and rendered
-	// segments' encoded output across runs: share one to reuse decodes
-	// between runs and to splice a repeated or overlapping query's cached
-	// packets instead of rendering. Nil disables caching. See
-	// exec.Options.Cache.
+	// Cache, when non-nil, holds decoded source GOPs, rendered segments'
+	// encoded output and parsed data files across runs: share one to
+	// reuse decodes between runs, to splice a repeated or overlapping
+	// query's cached packets instead of rendering, and to parse each
+	// annotation file once. Nil disables caching. See exec.Options.Cache
+	// and check.Options.Cache.
 	Cache *media.Cache
 	// Recorder, when set, is the node the run's stages open theirs under:
 	// parse (SynthesizeSource), check, rewrite, plan, optimize and execute,
@@ -101,7 +102,7 @@ func Plan(spec *vql.Spec, o Options) (p *plan.Plan, rStats rewrite.Stats, oStats
 	}
 	var checked *check.Checked
 	err = stage("check", func(node *obs.Recorder) (err error) {
-		if checked, err = check.Check(spec, check.Options{DB: o.DB}); err != nil {
+		if checked, err = check.Check(spec, check.Options{DB: o.DB, Cache: o.Cache}); err != nil {
 			return err
 		}
 		node.SetAttr("videos", len(checked.Sources))

@@ -1,15 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"v2v/internal/baseline"
 	"v2v/internal/container"
+	"v2v/internal/data"
 	"v2v/internal/dataset"
 	"v2v/internal/frame"
 	"v2v/internal/media"
@@ -300,6 +303,72 @@ func TestQ5StyleBoxesEquivalence(t *testing.T) {
 	oNoRewrite := synth(t, src, "opt-norewrite.vmf", Options{Optimize: true})
 	if oNoRewrite.Metrics.Output.PacketsCopied != 0 {
 		t.Error("without data rewrite there should be no copies")
+	}
+}
+
+// An annotation file rewritten in place between two runs through one
+// cache is parsed again, and its new boxes reach the output: the cached
+// array is keyed by the file's content, never by its path.
+func TestDataCacheRewrittenFileNotServed(t *testing.T) {
+	ann := filepath.Join(t.TempDir(), "mut.boxes.json")
+	orig, err := os.ReadFile(fxAnn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ann, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src := fmt.Sprintf(`
+		timedomain range(0, 2, 1/24);
+		videos { v: %q; }
+		data { bb: %q; }
+		render(t) = boxes(v[t], bb[t]);`, fxVid, ann)
+	output := func(name string, o Options) []byte {
+		t.Helper()
+		b, err := os.ReadFile(synth(t, src, name, o).OutPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	o := DefaultOptions()
+	o.Cache = media.NewCache(-1, 0, 1)
+	before := output("before.vmf", o)
+
+	// Rewrite the file in place: every box moves 4 pixels right.
+	arr, err := data.LoadJSON(ann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moved []data.Entry
+	for _, e := range arr.Entries() {
+		if len(e.V.Boxes) > 0 {
+			bs := slices.Clone(e.V.Boxes)
+			for i := range bs {
+				bs[i].X += 4
+			}
+			e.V = vql.BoxesV(bs)
+		}
+		moved = append(moved, e)
+	}
+	shifted, err := data.NewArray(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shifted.SaveJSON(ann); err != nil {
+		t.Fatal(err)
+	}
+
+	after := output("after.vmf", o)
+	if bytes.Equal(after, before) {
+		t.Error("the rewritten annotations served the stale cached array")
+	}
+	if st := o.Cache.Stats(media.KindData); st.Misses != 2 || st.Hits != 0 {
+		t.Errorf("data stats = %+v, want both contents parsed", st)
+	}
+	// Ground truth: an uncached run over the new file matches.
+	if clean := output("clean.vmf", DefaultOptions()); !bytes.Equal(after, clean) {
+		t.Error("cached-path output over the rewritten file differs from an uncached run")
 	}
 }
 

@@ -9,12 +9,17 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"v2v/internal/raster"
 	"v2v/internal/rational"
@@ -27,9 +32,14 @@ type Entry struct {
 	V vql.Val
 }
 
-// Array is an immutable time-indexed array of values, sorted by time.
+// Array is an immutable time-indexed array of values, sorted by time. One
+// array may be shared by many runs at once (the cache holds parsed
+// annotation files), so nothing may mutate its entries or their boxes.
 type Array struct {
 	entries []Entry
+
+	idOnce sync.Once
+	id     string
 }
 
 // NewArray builds an array from entries, sorting them by time. Duplicate
@@ -51,6 +61,50 @@ func (a *Array) Len() int { return len(a.entries) }
 
 // Entries returns the sorted samples (do not mutate).
 func (a *Array) Entries() []Entry { return a.entries }
+
+// ID is a SHA-256 hash of the array's entries, so a cache key over a sql-
+// or file-declared array reflects the data actually read. It is computed
+// on the first call and kept.
+func (a *Array) ID() string {
+	a.idOnce.Do(func() {
+		h := sha256.New()
+		for _, e := range a.entries {
+			fmt.Fprintf(h, "%s=", e.T)
+			v := e.V
+			switch v.Type {
+			case vql.TypeBool:
+				fmt.Fprintf(h, "b%t;", v.Bool)
+			case vql.TypeNum:
+				fmt.Fprintf(h, "n%s;", v.Num)
+			case vql.TypeStr:
+				fmt.Fprintf(h, "s%q;", v.Str)
+			case vql.TypeBoxes:
+				io.WriteString(h, "x[")
+				for _, b := range v.Boxes {
+					fmt.Fprintf(h, "%d,%d,%d,%d,%q,%d;", b.X, b.Y, b.W, b.H, b.Class, b.Track)
+				}
+				io.WriteString(h, "];")
+			default:
+				io.WriteString(h, "_;")
+			}
+		}
+		a.id = hex.EncodeToString(h.Sum(nil))
+	})
+	return a.id
+}
+
+// Bytes is the memory the array holds: its entries plus the boxes and
+// strings they point to. The cache charges a parsed array by it.
+func (a *Array) Bytes() int64 {
+	n := int64(cap(a.entries)) * int64(unsafe.Sizeof(Entry{}))
+	for _, e := range a.entries {
+		n += int64(len(e.V.Str)) + int64(cap(e.V.Boxes))*int64(unsafe.Sizeof(raster.Box{}))
+		for _, b := range e.V.Boxes {
+			n += int64(len(b.Class))
+		}
+	}
+	return n
+}
 
 // At returns the value at exactly time t.
 func (a *Array) At(t rational.Rat) (vql.Val, bool) {

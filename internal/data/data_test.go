@@ -195,3 +195,31 @@ func TestValueString(t *testing.T) {
 		}
 	}
 }
+
+// ID hashes the entries: equal content gives an equal ID, one moved box a
+// different one, and concurrent first calls on a shared array agree.
+func TestArrayID(t *testing.T) {
+	const raw = `[{"t":[0,1],"value":[{"x":1,"y":2,"w":3,"h":4,"class":"cat","track":5}]},{"t":[1,24],"value":0.5},{"t":[1,12],"value":"s"},{"t":[1,8],"value":true},{"t":[1,6],"value":null}]`
+	parse := func(s string) *Array {
+		t.Helper()
+		a, err := ParseJSON([]byte(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	shared := parse(raw)
+	ids := make(chan string, 8)
+	for range cap(ids) {
+		go func() { ids <- shared.ID() }()
+	}
+	want := parse(raw).ID()
+	for range cap(ids) {
+		if id := <-ids; id != want {
+			t.Fatalf("concurrent ID = %s, want %s", id, want)
+		}
+	}
+	if moved := parse(strings.Replace(raw, `"x":1`, `"x":2`, 1)).ID(); moved == want {
+		t.Error("moving a box kept the ID")
+	}
+}

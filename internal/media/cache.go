@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"v2v/internal/data"
 	"v2v/internal/frame"
 	"v2v/internal/obs"
 )
@@ -21,11 +22,16 @@ const (
 	// KindResult entries are the encoded packets of one rendered output
 	// segment, keyed by plan fingerprint (plan.Fingerprinter).
 	KindResult
+	// KindData entries are parsed annotation files, keyed by the SHA-256
+	// of the file's bytes. The kind has no share of its own: it is held
+	// whenever a cache exists, and its bytes count against the budget the
+	// other kinds' shares sum to.
+	KindData
 	numKinds
 )
 
 // String names the kind as the budget split and /debug/caches do.
-func (k Kind) String() string { return [...]string{"gop", "result"}[k] }
+func (k Kind) String() string { return [...]string{"gop", "result", "data"}[k] }
 
 // Cache metrics, exported via the default obs registry (scraped at
 // v2vserve's /metrics; see docs/OBSERVABILITY.md). Every Cache in the
@@ -55,9 +61,19 @@ var (
 			obs.Default().Gauge("v2v_rescache_bytes",
 				"Encoded packet bytes currently resident in the cache."),
 		},
+		KindData: {
+			obs.Default().Counter("v2v_datacache_hits_total",
+				"Parsed data-file cache hits, including singleflight waiters."),
+			obs.Default().Counter("v2v_datacache_misses_total",
+				"Parsed data-file cache misses (files parsed)."),
+			obs.Default().Counter("v2v_datacache_evictions_total",
+				"Parsed data files evicted to stay under the byte budget."),
+			obs.Default().Gauge("v2v_datacache_bytes",
+				"Parsed data-array bytes currently resident in the cache."),
+		},
 	}
 	cacheBudget = obs.Default().Gauge("v2v_cache_budget_bytes",
-		"Byte budget decoded GOPs and encoded results share, scaled by the memory-pressure factor.")
+		"Byte budget decoded GOPs, encoded results and parsed data files share, scaled by the memory-pressure factor.")
 )
 
 // DefaultResultShare is what a zero result share stands for.
@@ -83,9 +99,11 @@ func defaultGOPShare(parallelism int) int64 {
 // worker of a run and, in v2vserve, by every request: decoded source GOPs
 // (the decode-once layer — every tap that needs a frame of a GOP shares
 // one decode of it) and the encoded packets of rendered segments (a
-// repeated or overlapping query splices them instead of rendering). Both
-// kinds live in one LRU list under one byte budget, fixed at construction
-// as the sum of the kinds' shares; the memory-pressure factor scales it.
+// repeated or overlapping query splices them instead of rendering), and
+// parsed annotation files (a request over a file another has read skips
+// the parse). All kinds live in one LRU list under one byte budget, fixed
+// at construction as the sum of the GOP and result shares; the
+// memory-pressure factor scales it.
 //
 // Fills are deduplicated singleflight-style: when several goroutines miss
 // on one key concurrently, one runs its fill callback and the rest block
@@ -100,7 +118,8 @@ func defaultGOPShare(parallelism int) int64 {
 // the entry cannot be evicted, so an eviction never recycles a buffer a
 // reader still holds.
 type Cache struct {
-	// share is each kind's part of budget; 0 turns the kind off.
+	// share is each kind's part of budget; 0 turns GOP or result entries
+	// off. Data entries have none and are always held.
 	share  [numKinds]int64
 	budget int64
 
@@ -117,14 +136,15 @@ type Cache struct {
 // cacheKey is comparable, so a lookup allocates nothing.
 type cacheKey struct {
 	kind  Kind
-	name  string // source content ID (GOP) or plan fingerprint (result)
+	name  string // source content ID (GOP), plan fingerprint (result) or file hash (data)
 	start int    // packet index of a GOP's keyframe
 }
 
-// cacheValue is a GOP's frames or a result's segment.
+// cacheValue is a GOP's frames, a result's segment or a parsed data file.
 type cacheValue struct {
 	frames []*frame.Frame
 	seg    *ResultSegment
+	arr    *data.Array
 }
 
 func (v cacheValue) bytes() int64 {
@@ -136,6 +156,9 @@ func (v cacheValue) bytes() int64 {
 	}
 	if v.seg != nil {
 		b += v.seg.bytes
+	}
+	if v.arr != nil {
+		b += v.arr.Bytes()
 	}
 	return b
 }
@@ -162,8 +185,8 @@ var errFillIncomplete = errors.New("media: cache fill did not complete")
 // NewCache returns a cache whose byte budget is the sum of the two
 // shares. A negative share turns that kind off; a zero GOP share stands
 // for enough decoded GOPs for parallelism shard workers, a zero result
-// share for DefaultResultShare. With both kinds off it returns nil, which
-// every user of a *Cache reads as no cache.
+// share for DefaultResultShare. With GOP and result entries both off it
+// returns nil, which every user of a *Cache reads as no cache.
 func NewCache(gopShare, resultShare int64, parallelism int) *Cache {
 	if gopShare < 0 && resultShare < 0 {
 		return nil
@@ -174,8 +197,8 @@ func NewCache(gopShare, resultShare int64, parallelism int) *Cache {
 		entries:  map[cacheKey]*list.Element{},
 		inflight: map[cacheKey]*cacheFill{},
 	}
-	defaults := [numKinds]int64{defaultGOPShare(parallelism), DefaultResultShare}
-	for k, s := range [numKinds]int64{gopShare, resultShare} {
+	defaults := [...]int64{defaultGOPShare(parallelism), DefaultResultShare}
+	for k, s := range [...]int64{gopShare, resultShare} {
 		switch {
 		case s < 0:
 			s = 0
@@ -190,7 +213,7 @@ func NewCache(gopShare, resultShare int64, parallelism int) *Cache {
 }
 
 // Holds reports whether c caches entries of kind k; false on a nil Cache.
-func (c *Cache) Holds(k Kind) bool { return c != nil && c.share[k] > 0 }
+func (c *Cache) Holds(k Kind) bool { return c != nil && (c.share[k] > 0 || k == KindData) }
 
 // GOP returns frame idx (nil if outside the GOP) of the GOP starting at
 // packet index start of the source whose content ID is id; the caller
@@ -200,7 +223,7 @@ func (c *Cache) Holds(k Kind) bool { return c != nil && c.share[k] > 0 }
 // decode (resident entry or singleflight wait). A fill error is returned
 // to every waiter; a waiter whose ctx ends first returns ctx's error.
 func (c *Cache) GOP(ctx context.Context, id string, start, idx int, fill func() ([]*frame.Frame, error)) (fr *frame.Frame, hit bool, err error) {
-	fr, _, hit, _, err = c.getOrFill(ctx, cacheKey{kind: KindGOP, name: id, start: start}, idx, func() (cacheValue, error) {
+	_, fr, hit, _, err = c.getOrFill(ctx, cacheKey{kind: KindGOP, name: id, start: start}, idx, func() (cacheValue, error) {
 		frames, err := fill()
 		return cacheValue{frames: frames}, err
 	})
@@ -212,16 +235,28 @@ func (c *Cache) GOP(ctx context.Context, id string, start, idx int, fill func() 
 // reports whether this caller ran fill, so an error with filled=false
 // came from a concurrent fill or ctx, and the caller may render directly.
 func (c *Cache) Result(ctx context.Context, key string, fill func() (*ResultSegment, error)) (seg *ResultSegment, hit, filled bool, err error) {
-	_, seg, hit, filled, err = c.getOrFill(ctx, cacheKey{kind: KindResult, name: key}, -1, func() (cacheValue, error) {
+	v, _, hit, filled, err := c.getOrFill(ctx, cacheKey{kind: KindResult, name: key}, -1, func() (cacheValue, error) {
 		seg, err := fill()
 		return cacheValue{seg: seg}, err
 	})
-	return seg, hit, filled, err
+	return v.seg, hit, filled, err
 }
 
-// getOrFill is the one fill protocol behind GOP and Result. idx >= 0
+// Data returns the parsed data array of the file whose content hash is
+// key, or runs parse to produce it. The array is shared with every other
+// caller and must not be mutated. A parse error caches nothing and is
+// returned to every caller that waited on that parse.
+func (c *Cache) Data(ctx context.Context, key string, parse func() (*data.Array, error)) (arr *data.Array, hit bool, err error) {
+	v, _, hit, _, err := c.getOrFill(ctx, cacheKey{kind: KindData, name: key}, -1, func() (cacheValue, error) {
+		arr, err := parse()
+		return cacheValue{arr: arr}, err
+	})
+	return v.arr, hit, err
+}
+
+// getOrFill is the one fill protocol behind GOP, Result and Data. idx >= 0
 // selects the GOP frame the caller gets a reference to.
-func (c *Cache) getOrFill(ctx context.Context, key cacheKey, idx int, fill func() (cacheValue, error)) (fr *frame.Frame, seg *ResultSegment, hit, filled bool, err error) {
+func (c *Cache) getOrFill(ctx context.Context, key cacheKey, idx int, fill func() (cacheValue, error)) (v cacheValue, fr *frame.Frame, hit, filled bool, err error) {
 	m := &kindMetrics[key.kind]
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -233,7 +268,7 @@ func (c *Cache) getOrFill(ctx context.Context, key cacheKey, idx int, fill func(
 		c.kinds[key.kind].Hits++
 		c.mu.Unlock()
 		m.hits.Inc()
-		return fr, e.val.seg, true, false, nil
+		return e.val, fr, true, false, nil
 	}
 	if f, ok := c.inflight[key]; ok {
 		f.parties.Add(1)
@@ -242,17 +277,17 @@ func (c *Cache) getOrFill(ctx context.Context, key cacheKey, idx int, fill func(
 		case <-f.done:
 		case <-ctx.Done():
 			f.leave(-1)
-			return nil, nil, false, false, ctx.Err()
+			return cacheValue{}, nil, false, false, ctx.Err()
 		}
 		fr = f.leave(idx)
 		if f.err != nil {
-			return nil, nil, false, false, f.err
+			return cacheValue{}, nil, false, false, f.err
 		}
 		c.mu.Lock()
 		c.kinds[key.kind].Hits++
 		c.mu.Unlock()
 		m.hits.Inc()
-		return fr, f.val.seg, true, false, nil
+		return f.val, fr, true, false, nil
 	}
 	f := &cacheFill{done: make(chan struct{}), err: errFillIncomplete}
 	f.parties.Add(1)
@@ -278,7 +313,7 @@ func (c *Cache) getOrFill(ctx context.Context, key cacheKey, idx int, fill func(
 		}()
 		f.val, f.err = fill()
 	}()
-	return f.leave(idx), f.val.seg, false, true, f.err
+	return f.val, f.leave(idx), false, true, f.err
 }
 
 // frameAt returns frames[idx], or nil when idx is out of range.
@@ -376,8 +411,9 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
 	Bytes     int64 `json:"bytes"`
-	// Budget is the kind's share of the cache's budget. The kinds share
-	// one LRU, so a kind may hold more while the other holds less.
+	// Budget is the kind's share of the cache's budget; 0 for data
+	// entries, which have none. The kinds share one LRU, so a kind may
+	// hold more while another holds less.
 	Budget int64 `json:"budget"`
 }
 
@@ -401,8 +437,10 @@ type BudgetStats struct {
 	Total int64 `json:"total"` // already scaled by PressureFactor
 	Used  int64 `json:"used"`
 	// Denied counts fills not cached because they exceed the whole budget.
-	Denied int64            `json:"denied"`
-	Client map[string]int64 `json:"client"` // resident bytes per kind held
+	Denied int64 `json:"denied"`
+	// Client is the resident bytes of each kind with a share; Used also
+	// counts the data entries, which have none.
+	Client map[string]int64 `json:"client"`
 	// PressureFactor is the current memory-pressure budget multiplier
 	// (1 = full budget).
 	PressureFactor float64 `json:"pressure_factor"`
@@ -435,7 +473,7 @@ func (c *Cache) BudgetStats() BudgetStats {
 // CacheEntry describes one resident entry, for cache introspection
 // (v2vserve's /debug/caches).
 type CacheEntry struct {
-	Key     string `json:"key"`               // GOP: source content ID; result: plan fingerprint
+	Key     string `json:"key"`               // GOP: source content ID; result: plan fingerprint; data: SHA-256 of the file
 	Start   int    `json:"start,omitempty"`   // GOP: packet index of the keyframe
 	Frames  int    `json:"frames,omitempty"`  // GOP: decoded frames
 	Packets int    `json:"packets,omitempty"` // result: encoded packets

@@ -5,16 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"v2v/internal/data"
 	"v2v/internal/frame"
+	"v2v/internal/vql"
 )
 
-// entryBytes is the charged size of every test entry of either kind: four
-// 16x16 gray frames, or one 992-byte packet plus its 32-byte overhead.
+// entryBytes is the charged size of every test entry of any kind: four
+// 16x16 gray frames, one 992-byte packet plus its 32-byte overhead, or one
+// data sample whose string pads it out.
 const entryBytes = 1024
 
 // fakeGOP builds four small pooled frames, each carrying the one
@@ -31,11 +35,19 @@ func fakeSegment() *ResultSegment {
 	return NewResultSegment([]EncodedPacket{{Key: true, Data: make([]byte, entryBytes-32)}})
 }
 
-// newCache returns a cache holding both kinds under a budget of n entries.
+// fakeArray builds a one-sample data array charged entryBytes.
+func fakeArray() *data.Array {
+	bare, _ := data.NewArray([]data.Entry{{}})
+	pad := strings.Repeat("x", int(entryBytes-bare.Bytes()))
+	arr, _ := data.NewArray([]data.Entry{{V: vql.StrV(pad)}})
+	return arr
+}
+
+// newCache returns a cache holding every kind under a budget of n entries.
 func newCache(n int) *Cache { return NewCache(int64(n-1)*entryBytes, entryBytes, 1) }
 
 // kindCase runs one kind of entry through a common lookup, so every
-// behaviour of the fill protocol is checked on both kinds.
+// behaviour of the fill protocol is checked on every kind.
 type kindCase struct {
 	kind Kind
 	// get looks up entry n; on a miss it calls fill, which may block,
@@ -70,6 +82,18 @@ var kindCases = []kindCase{
 		}
 		if filled == hit && err == nil {
 			t.Errorf("result %d: filled=%v hit=%v", n, filled, hit)
+		}
+		return hit, err
+	}},
+	{KindData, func(t *testing.T, c *Cache, ctx context.Context, n int, fill func() error) (bool, error) {
+		arr, hit, err := c.Data(ctx, fmt.Sprintf("d%d", n), func() (*data.Array, error) {
+			if err := fill(); err != nil {
+				return nil, err
+			}
+			return fakeArray(), nil
+		})
+		if err == nil && (arr == nil || arr.Bytes() != entryBytes) {
+			t.Errorf("data %d: array %v", n, arr)
 		}
 		return hit, err
 	}},
@@ -360,8 +384,8 @@ func TestResultCacheStandaloneLRUEviction(t *testing.T) {
 	}
 }
 
-// churn runs goroutines doing lookups over a 20-key working set of both
-// kinds, larger than c's budget, so fills and evictions interleave.
+// churn runs goroutines doing lookups over a 21-key working set of all
+// three kinds, larger than c's budget, so fills and evictions interleave.
 func churn(t *testing.T, c *Cache, goroutines int) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -369,8 +393,8 @@ func churn(t *testing.T, c *Cache, goroutines int) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				key := (g + i) % 20
-				if _, err := kindCases[key%2].get(t, c, context.Background(), key/2, noFill); err != nil {
+				key := (g + i) % 21
+				if _, err := kindCases[key%3].get(t, c, context.Background(), key/3, noFill); err != nil {
 					t.Error(err)
 					return
 				}
@@ -387,7 +411,7 @@ func TestGOPCacheConcurrentMixedKeysRace(t *testing.T) {
 	c := newCache(6)
 	churn(t, c, 8)
 	b := c.BudgetStats()
-	if b.Used > b.Total || b.Used != b.Client["gop"]+b.Client["result"] {
+	if b.Used > b.Total || b.Used != b.Client["gop"]+b.Client["result"]+c.Stats(KindData).Bytes {
 		t.Errorf("budget = %+v, want per-kind bytes summing to at most the total", b)
 	}
 	if got, want := liveFrames()-before, residentFrames(c); got != want {
@@ -501,7 +525,7 @@ func TestCacheKindsOff(t *testing.T) {
 		c    *Cache
 		kind Kind
 		want bool
-	}{{nilCache, KindGOP, false}, {c, KindGOP, false}, {c, KindResult, true}} {
+	}{{nilCache, KindGOP, false}, {nilCache, KindData, false}, {c, KindGOP, false}, {c, KindResult, true}, {c, KindData, true}} {
 		if got := tc.c.Holds(tc.kind); got != tc.want {
 			t.Errorf("Holds(%s) = %v, want %v", tc.kind, got, tc.want)
 		}

@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"v2v/internal/check"
-	"v2v/internal/data"
 	"v2v/internal/vql"
 )
 
@@ -39,7 +38,7 @@ import (
 // content IDs) is reported not cacheable rather than risking a collision.
 type Fingerprinter struct {
 	sources map[string]string // video name -> container content ID
-	arrays  map[string]string // data array name -> entries hash
+	arrays  map[string]string // data array name -> data.Array.ID
 	output  []byte            // canonical output format serialization
 	conceal bool
 }
@@ -58,39 +57,12 @@ func NewFingerprinter(c *check.Checked, conceal bool) *Fingerprinter {
 		}
 	}
 	for name, arr := range c.Arrays {
-		f.arrays[name] = hashArray(arr)
+		f.arrays[name] = arr.ID()
 	}
 	// StreamInfo marshals with a fixed field order, so the JSON form is a
 	// stable canonical serialization of the output format.
 	f.output, _ = json.Marshal(c.Output)
 	return f
-}
-
-// hashArray hashes a data array's materialized entries, so a key over a
-// sql- or file-declared array reflects the data actually read.
-func hashArray(arr *data.Array) string {
-	h := sha256.New()
-	for _, e := range arr.Entries() {
-		fmt.Fprintf(h, "%s=", e.T)
-		v := e.V
-		switch v.Type {
-		case vql.TypeBool:
-			fmt.Fprintf(h, "b%t;", v.Bool)
-		case vql.TypeNum:
-			fmt.Fprintf(h, "n%s;", v.Num)
-		case vql.TypeStr:
-			fmt.Fprintf(h, "s%q;", v.Str)
-		case vql.TypeBoxes:
-			io.WriteString(h, "x[")
-			for _, b := range v.Boxes {
-				fmt.Fprintf(h, "%d,%d,%d,%d,%q,%d;", b.X, b.Y, b.W, b.H, b.Class, b.Track)
-			}
-			io.WriteString(h, "];")
-		default:
-			io.WriteString(h, "_;")
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Segment returns the result-cache key for s, or ok=false when the segment

@@ -11,9 +11,11 @@
 package rational
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -125,17 +127,34 @@ func (r Rat) canon() Rat {
 	return r
 }
 
-// Cmp compares r and o, returning -1, 0, or +1.
+// Cmp compares r and o, returning -1, 0, or +1. It compares the cross
+// products num·den' in 128 bits, so it is exact for every pair of values
+// and never reduces.
 func (r Rat) Cmp(o Rat) int {
-	d := r.Sub(o).norm()
-	switch {
-	case d.num < 0:
-		return -1
-	case d.num > 0:
-		return 1
-	default:
-		return 0
+	r, o = r.norm(), o.norm()
+	if r.den == o.den {
+		return cmp.Compare(r.num, o.num)
 	}
+	s, so := cmp.Compare(r.num, 0), cmp.Compare(o.num, 0)
+	if s != so || s == 0 {
+		return cmp.Compare(s, so)
+	}
+	// Same nonzero sign: order the magnitudes |num|·den', then flip for
+	// negatives.
+	hi, lo := bits.Mul64(magnitude(r.num), uint64(o.den))
+	ohi, olo := bits.Mul64(magnitude(o.num), uint64(r.den))
+	if hi != ohi {
+		return s * cmp.Compare(hi, ohi)
+	}
+	return s * cmp.Compare(lo, olo)
+}
+
+// magnitude returns |a| as a uint64, exact also for math.MinInt64.
+func magnitude(a int64) uint64 {
+	if a < 0 {
+		return -uint64(a)
+	}
+	return uint64(a)
 }
 
 // Less reports whether r < o.

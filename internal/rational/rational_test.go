@@ -2,6 +2,7 @@ package rational
 
 import (
 	"encoding/json"
+	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -136,6 +137,47 @@ func TestCmpAndOrderingHelpers(t *testing.T) {
 	}
 	if got := New(1, 3).Min(New(1, 2)); !got.Equal(New(1, 3)) {
 		t.Errorf("Min = %v", got)
+	}
+}
+
+// Cmp is exact for every pair of int64 rationals: math/big is the
+// oracle, on the cases whose cross products overflow int64 and on seeded
+// random pairs with numerators and denominators near ±2⁶³.
+func TestCmpExactNearInt64Limits(t *testing.T) {
+	oracle := func(a, b Rat) int {
+		return new(big.Rat).SetFrac64(a.Num(), a.Den()).Cmp(new(big.Rat).SetFrac64(b.Num(), b.Den()))
+	}
+	pairs := [][2]Rat{
+		{New(1, 4000000007), New(1, 4000000009)},
+		{New(-1, 4000000007), New(-1, 4000000009)},
+		{New(math.MaxInt64-1, 1), FromInt(-3)},
+		{FromInt(math.MinInt64 + 1), New(math.MaxInt64, 2)},
+		{New(math.MaxInt64, math.MaxInt64-1), New(math.MaxInt64-1, math.MaxInt64-2)},
+	}
+	rng := rand.New(rand.NewSource(1))
+	near := func() int64 { return math.MaxInt64 - rng.Int63n(1<<20) }
+	for range 2000 {
+		a, b := near(), near()
+		if rng.Intn(2) == 0 {
+			a = -a
+		}
+		if rng.Intn(2) == 0 {
+			b = -b
+		}
+		// Half the pairs get small denominators, so integers near the
+		// limits meet fractions just above zero.
+		da, db := near(), near()
+		if rng.Intn(2) == 0 {
+			da, db = rng.Int63n(1000)+1, rng.Int63n(1000)+1
+		}
+		pairs = append(pairs, [2]Rat{New(a, da), New(b, db)})
+	}
+	for _, p := range pairs {
+		for _, q := range [][2]Rat{p, {p[1], p[0]}, {p[0], p[0]}} {
+			if got, want := q[0].Cmp(q[1]), oracle(q[0], q[1]); got != want {
+				t.Fatalf("(%v).Cmp(%v) = %d, want %d", q[0], q[1], got, want)
+			}
+		}
 	}
 }
 

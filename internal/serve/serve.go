@@ -292,6 +292,7 @@ func (s *Server) caches(w http.ResponseWriter, _ *http.Request) {
 	resp := struct {
 		GOP    *cacheDump         `json:"gop,omitempty"`
 		Result *cacheDump         `json:"result,omitempty"`
+		Data   *cacheDump         `json:"data,omitempty"`
 		Budget *media.BudgetStats `json:"arbiter,omitempty"`
 	}{}
 	dump := func(k media.Kind) *cacheDump {
@@ -300,7 +301,7 @@ func (s *Server) caches(w http.ResponseWriter, _ *http.Request) {
 		}
 		return &cacheDump{Stats: s.cache.Stats(k), Entries: s.cache.Entries(k)}
 	}
-	resp.GOP, resp.Result = dump(media.KindGOP), dump(media.KindResult)
+	resp.GOP, resp.Result, resp.Data = dump(media.KindGOP), dump(media.KindResult), dump(media.KindData)
 	if s.cache != nil {
 		st := s.cache.BudgetStats()
 		resp.Budget = &st

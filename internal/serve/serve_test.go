@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -776,26 +778,71 @@ func TestDebugRequestsSlowThreshold(t *testing.T) {
 	}
 }
 
-// TestDebugCaches builds a server caching both kinds, runs a synthesis,
-// and asserts the cache dump reports stats, resident entries, and the
-// budget split.
+// TestDebugCaches builds a server caching every kind, runs two syntheses
+// over one annotation file, and asserts the cache dump reports stats,
+// resident entries, and the budget split.
 func TestDebugCaches(t *testing.T) {
-	_, ts, specText, vid := renderServer(t, Config{GOPCacheMB: 64, ResultCacheMB: 64})
+	_, ts, _, vid := renderServer(t, Config{GOPCacheMB: 64, ResultCacheMB: 64})
+	ann := filepath.Join(filepath.Dir(vid), "cam.boxes.json")
+	var rows []string
+	for i := range 24 {
+		rows = append(rows, fmt.Sprintf(`{"t":[%d,24],"value":[{"x":%d,"y":2,"w":8,"h":8,"class":"cat"}]}`, i, i))
+	}
+	annJSON := []byte("[" + strings.Join(rows, ",") + "]")
+	if err := os.WriteFile(ann, annJSON, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	specText := fmt.Sprintf(`
+		timedomain range(0, 1, 1/24);
+		videos { cam: %q; }
+		data { bb: %q; }
+		render(t) = boxes(grade(cam[t], 5, 1.0, 1.0), bb[t]);`, vid, ann)
 
-	resp, err := http.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
+	for range 2 {
+		resp, err := http.Post(ts.URL+"/synthesize", "text/plain", strings.NewReader(specText))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+
+	resp, err := http.Get(ts.URL + "/debug/caches")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	resp, err = http.Get(ts.URL + "/debug/caches")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("content type = %q", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sections and their fields are what bench/ and the docs read:
+	// the data section is added beside them, and they keep their shape.
+	var shape map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(body, &shape); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]json.RawMessage) string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, " ")
+	}
+	for section, want := range map[string]string{
+		"gop": "entries stats", "result": "entries stats", "data": "entries stats",
+		"arbiter": "client denied pressure_factor total used",
+	} {
+		if got := keys(shape[section]); got != want {
+			t.Errorf("section %q has fields %q, want %q", section, got, want)
+		}
+	}
+	if len(shape) != 4 {
+		t.Errorf("sections = %d, want gop, result, data and arbiter", len(shape))
 	}
 	var dump struct {
 		GOP *struct {
@@ -813,18 +860,36 @@ func TestDebugCaches(t *testing.T) {
 			Stats   map[string]any `json:"stats"`
 			Entries []any          `json:"entries"`
 		} `json:"result"`
+		Data *struct {
+			Stats   media.CacheStats   `json:"stats"`
+			Entries []media.CacheEntry `json:"entries"`
+		} `json:"data"`
 		Arbiter *struct {
 			Total  int64            `json:"total"`
 			Used   int64            `json:"used"`
 			Client map[string]int64 `json:"client"`
 		} `json:"arbiter"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+	if err := json.Unmarshal(body, &dump); err != nil {
 		t.Fatal(err)
 	}
-	if dump.GOP == nil || dump.Result == nil || dump.Arbiter == nil {
-		t.Fatalf("missing sections: gop=%v result=%v arbiter=%v",
-			dump.GOP != nil, dump.Result != nil, dump.Arbiter != nil)
+	if dump.GOP == nil || dump.Result == nil || dump.Data == nil || dump.Arbiter == nil {
+		t.Fatalf("missing sections: gop=%v result=%v data=%v arbiter=%v",
+			dump.GOP != nil, dump.Result != nil, dump.Data != nil, dump.Arbiter != nil)
+	}
+	for _, name := range []string{"hits", "misses", "evictions", "entries", "bytes", "budget"} {
+		if _, ok := dump.Result.Stats[name]; !ok {
+			t.Errorf("result stats lack %q: %v", name, dump.Result.Stats)
+		}
+	}
+	// Two requests over one annotation file parse it once, and its entry
+	// is keyed by the file's content hash.
+	sum := sha256.Sum256(annJSON)
+	if st := dump.Data.Stats; st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("data stats = %+v, want one miss, one hit, one entry", st)
+	}
+	if len(dump.Data.Entries) != 1 || dump.Data.Entries[0].Key != hex.EncodeToString(sum[:]) || dump.Data.Entries[0].Bytes <= 0 {
+		t.Errorf("data entries = %+v, want one keyed %x with its bytes", dump.Data.Entries, sum)
 	}
 	if dump.GOP.Stats.Misses == 0 || len(dump.GOP.Entries) == 0 {
 		t.Fatalf("gop cache saw no fills: stats=%+v entries=%d", dump.GOP.Stats, len(dump.GOP.Entries))
@@ -850,9 +915,9 @@ func TestDebugCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if strings.Contains(string(body), "gop") || strings.Contains(string(body), "arbiter") {
+	if strings.Contains(string(body), "gop") || strings.Contains(string(body), "data") || strings.Contains(string(body), "arbiter") {
 		t.Errorf("bare server dump should omit cache sections: %s", body)
 	}
 }
